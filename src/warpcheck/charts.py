@@ -93,13 +93,12 @@ def _metric_derivatives(metric: ChartMetric, x: np.ndarray, h: float) -> np.ndar
     if metric.dg is not None:
         return np.asarray(metric.dg(x), dtype=float)
     n = metric.dim
+    iu = np.triu_indices(n)
     dg = np.empty((n, n, n))
     for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                val = central_diff(lambda p, i=i, j=j: metric.g(p)[i, j], x, k, h)
-                dg[k, i, j] = val
-                dg[k, j, i] = val
+        upper = central_diff(metric.g, x, k, h)[iu]
+        dg[k][iu] = upper
+        dg[k][iu[::-1]] = upper
     return dg
 
 
@@ -138,17 +137,14 @@ def riemann(
         xp[a] += ha
         xm[a] -= ha
         dgamma[a] = (christoffel(metric, xp, h) - christoffel(metric, xm, h)) / (2.0 * ha)
-    r_up = np.empty((n, n, n, n))  # R^l_{ijk}
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    r_up[l, i, j, k] = (
-                        dgamma[i, l, j, k]
-                        - dgamma[j, l, i, k]
-                        + np.dot(gamma[:, j, k], gamma[l, i, :])
-                        - np.dot(gamma[:, i, k], gamma[l, j, :])
-                    )
+    # R^l_{ijk}; quad[l,i,j,k] = Gamma^m_jk Gamma^l_im
+    quad = np.einsum("mjk,lim->lijk", gamma, gamma)
+    r_up = (
+        dgamma.transpose(1, 0, 2, 3)
+        - dgamma.transpose(1, 2, 0, 3)
+        + quad
+        - quad.transpose(0, 2, 1, 3)
+    )
     gx = metric.at(x)
     r04 = np.einsum("lm,mijk->ijkl", gx, r_up)
     return CurvaturePoint(x=x, gamma=gamma, riemann04=r04)

@@ -21,6 +21,7 @@ from .errors import (
     ImmersionDegeneracyError,
     InvalidConfigurationError,
     InvalidInputError,
+    NumericalDomainError,
 )
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -36,6 +37,7 @@ __all__ = [
     "MeanCurvatureRecord",
     "ChartImmersion",
     "second_fundamental_form",
+    "pullback_metric",
     "mean_curvatures",
     "gauss_residual",
     "is_C_totally_real",
@@ -89,6 +91,11 @@ class PointwiseImmersionData:
         if self.sigma.shape != (d - n, n, n):
             raise InvalidConfigurationError("sigma shape mismatch")
         full = np.hstack([self.tangent, self.normal])
+        # NaN residuals compare false against every bound below
+        if not np.isfinite(full).all():
+            raise NumericalDomainError("tangent or normal frame has non-finite entries")
+        if not np.isfinite(self.sigma).all():
+            raise NumericalDomainError("sigma has non-finite entries")
         ortho_err = float(np.max(np.abs(full.T @ full - np.eye(d))))
         if ortho_err > 1e-8:
             raise InvalidConfigurationError(f"frame not orthonormal (residual {ortho_err:.3e})")
@@ -472,6 +479,18 @@ def _jacobian(im: ChartImmersion, p: np.ndarray, h: float) -> np.ndarray:
     return J
 
 
+def pullback_metric(im: ChartImmersion) -> ChartMetric:
+    """Induced metric J^T g~ J on the source chart, with a central-difference
+    Jacobian (step 1e-4)."""
+
+    def g(u: np.ndarray) -> np.ndarray:
+        J = _jacobian(im, np.asarray(u, float), 1e-4)
+        gx = im.ambient.at(np.asarray(im.map(u), float))
+        return J.T @ gx @ J
+
+    return ChartMetric(im.n, g)
+
+
 def _chart_oracle(ambient: ChartMetric, x: np.ndarray, frame: np.ndarray) -> CurvatureOracle:
     """Ambient curvature at x, conjugated into adapted-frame coordinates."""
     r04 = riemann(ambient, x).riemann04
@@ -550,10 +569,7 @@ def second_fundamental_form(
     d2 = np.empty((n, n, d))
     for a in range(n):
         for b in range(a, n):
-            for k in range(d):
-                val = cross_diff(lambda u, k=k: float(im.map(u)[k]), p, a, b, h)
-                d2[a, b, k] = val
-                d2[b, a, k] = val
+            d2[a, b] = d2[b, a] = cross_diff(im.map, p, a, b, h)
     S = d2 + np.einsum("kij,ia,jb->abk", gamma, J, J)
 
     # normal components, then transform source-coordinate indices to the frame

@@ -1,5 +1,6 @@
 """Dense numeric substrate: small vectors/matrices, orthonormalization,
-a Jacobi eigensolver and finite-difference stencils.
+a validated symmetric eigensolver (np.linalg.eigh) and finite-difference
+stencils over scalar- or array-valued functions.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -101,54 +102,25 @@ def gram_schmidt(
 
 
 def sym_eigen(m: np.ndarray, tol: float = DEFAULT_TOLERANCE.algebraic):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Convergence when
-    the off-diagonal Frobenius norm drops below 1e-13.  Raises
-    InvalidInputError if `m` is not symmetric within `tol`.
+    Returns (eigenvalues ascending, eigenvectors as columns).  Raises
+    InvalidInputError if `m` is not square or not symmetric within `tol`.
     """
     a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[1] != a.shape[0]:
         raise InvalidInputError("matrix must be square")
     if np.max(np.abs(a - a.T)) > tol:
         raise InvalidInputError("matrix not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    for _ in range(100):
-        # off-diagonal Frobenius norm, summed directly (the difference of
-        # total and diagonal sums cancels catastrophically near convergence)
-        off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
-        if off < 1e-13:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-20:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rows_p, rows_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rows_p - s * rows_q
-                a[q, :] = s * rows_p + c * rows_q
-                cols_p, cols_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cols_p - s * cols_q
-                a[:, q] = s * cols_p + c * cols_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order].copy(), v[:, order].copy()
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
-def _check_finite(value: float) -> float:
-    if not np.isfinite(value):
+def _check_finite(value):
+    """A scalar evaluation as a float, an array evaluation as a float array."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
         raise NumericalDomainError("function evaluation returned a non-finite value")
-    return float(value)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _step(x: np.ndarray, i: int, h: float) -> float:
@@ -157,12 +129,15 @@ def _step(x: np.ndarray, i: int, h: float) -> float:
 
 
 def central_diff(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], float | np.ndarray],
     x: np.ndarray,
     i: int,
     h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> float:
-    """Second-order central difference of f along coordinate i at x."""
+) -> float | np.ndarray:
+    """Second-order central difference of f along coordinate i at x.
+
+    f may return a scalar or an array; an array is differenced entrywise.
+    """
     x = as_vector(x)
     hi = _step(x, i, h)
     xp, xm = x.copy(), x.copy()
@@ -172,12 +147,15 @@ def central_diff(
 
 
 def second_diff(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], float | np.ndarray],
     x: np.ndarray,
     i: int,
     h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> float:
-    """3-point stencil for the pure second derivative along coordinate i."""
+) -> float | np.ndarray:
+    """3-point stencil for the pure second derivative along coordinate i.
+
+    f may return a scalar or an array; an array is differenced entrywise.
+    """
     x = as_vector(x)
     hi = _step(x, i, h)
     xp, xm = x.copy(), x.copy()
@@ -189,13 +167,16 @@ def second_diff(
 
 
 def cross_diff(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], float | np.ndarray],
     x: np.ndarray,
     i: int,
     j: int,
     h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> float:
-    """4-point cross stencil for the mixed second derivative along (i, j)."""
+) -> float | np.ndarray:
+    """4-point cross stencil for the mixed second derivative along (i, j).
+
+    f may return a scalar or an array; an array is differenced entrywise.
+    """
     if i == j:
         return second_diff(f, x, i, h)
     x = as_vector(x)

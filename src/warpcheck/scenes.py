@@ -36,6 +36,7 @@ from .immersion import (
     dplus_frame,
     gauss_residual,
     is_C_totally_real,
+    pullback_metric,
     random_data,
     second_fundamental_form,
     force_xi_consistency,
@@ -69,7 +70,7 @@ from .warped import (
     round_sphere_factor,
     sum_fn,
 )
-from .charts import ChartMetric, riemann, sectional_curvature
+from .charts import riemann, sectional_curvature
 
 __all__ = [
     "SceneSpec",
@@ -483,10 +484,7 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         p = np.asarray(p, float) if p is not None else im.default_point
         data = second_fundamental_form(im, p)
         # intrinsic curvature from the pulled-back metric, independent of sigma
-        pull = ChartMetric(
-            im.n, lambda u: _pullback_metric(im, u)
-        )
-        cp = riemann(pull, p)
+        cp = riemann(pullback_metric(im), p)
         coeff = data.extras["frame_coefficients"]
 
         def intrinsic(a, b, c, d):
@@ -501,14 +499,6 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         threshold = 1e-9
     worst = max(res.values())
     return {"pass": worst < threshold, **res}
-
-
-def _pullback_metric(im, u: np.ndarray) -> np.ndarray:
-    from .immersion import _jacobian
-
-    J = _jacobian(im, np.asarray(u, float), 1e-4)
-    gx = im.ambient.at(np.asarray(im.map(u), float))
-    return J.T @ gx @ J
 
 
 def _check_c_totally_real(ctx: _Context, opts: dict) -> dict:
@@ -580,14 +570,15 @@ def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
             "lhs_agreement": rep.extras["lhs_agreement"],
         }
     count = 1 if ctx.fixed_data is not None else max(1, ctx.samples)
+    # np.minimum / np.maximum propagate NaN, where min / max would drop it
     min_gap = np.inf
     worst_cross = 0.0
     last = None
     for _ in range(count):
         data = ctx.make_data()
         rep = fn(data)
-        min_gap = min(min_gap, rep.gap)
-        worst_cross = max(worst_cross, rep.extras.get("rhs_cross_residual", 0.0))
+        min_gap = np.minimum(min_gap, rep.gap)
+        worst_cross = np.maximum(worst_cross, rep.extras.get("rhs_cross_residual", 0.0))
         last = rep
     ok = min_gap >= -1e-9 and worst_cross < 1e-9
     out = {
@@ -600,7 +591,7 @@ def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
         "diagnostics": last.diagnostics,
     }
     if worst_cross:
-        out["max_rhs_cross_residual"] = worst_cross
+        out["max_rhs_cross_residual"] = float(worst_cross)
     return out
 
 
@@ -630,21 +621,21 @@ def _check_equality_case(ctx: _Context, opts: dict) -> dict:
     for _ in range(max(1, ctx.samples)):
         data = ctx.make_data(generator="equality")
         rep = general_inequality(data)
-        worst_eq = max(worst_eq, abs(rep.gap))
+        worst_eq = np.maximum(worst_eq, abs(rep.gap))
         if not (rep.equality and rep.diagnostics["mixed_totally_geodesic"]
                 and rep.diagnostics["partial_mean_equal"]):
             miscount += 1
         data.sigma[0, 0, data.n1] += 1e-2
         data.sigma[0, data.n1, 0] += 1e-2
         rep2 = general_inequality(data)
-        worst_pert = min(worst_pert, rep2.gap)
+        worst_pert = np.minimum(worst_pert, rep2.gap)
         if rep2.equality or rep2.diagnostics["mixed_totally_geodesic"]:
             miscount += 1
     ok = miscount == 0 and worst_eq < 1e-8 and worst_pert >= 1e-5
     return {
         "pass": bool(ok),
         "misclassifications": miscount,
-        "max_equality_gap": worst_eq,
+        "max_equality_gap": float(worst_eq),
         "min_perturbed_gap": float(worst_pert),
     }
 
@@ -655,11 +646,11 @@ def _check_decompose(ctx: _Context, opts: dict) -> dict:
     count = 1 if ctx.fixed_data is not None else max(1, ctx.samples)
     for _ in range(count):
         dec = decompose(ctx.make_data())
-        worst_ai = max(worst_ai, dec.ai_residual)
-        worst_slack = min(worst_slack, dec.lemma_slack)
+        worst_ai = np.maximum(worst_ai, dec.ai_residual)
+        worst_slack = np.minimum(worst_slack, dec.lemma_slack)
     return {
-        "pass": worst_ai < 1e-9 and worst_slack >= -1e-9,
-        "max_ai_residual": worst_ai,
+        "pass": bool(worst_ai < 1e-9 and worst_slack >= -1e-9),
+        "max_ai_residual": float(worst_ai),
         "min_lemma_slack": float(worst_slack),
     }
 

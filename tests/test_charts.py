@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from warpcheck.charts import (
+    GAMMA_DIFF_STEP,
     ChartMetric,
+    _metric_derivatives,
     christoffel,
     euclidean_metric,
     laplacian,
@@ -11,6 +13,8 @@ from warpcheck.charts import (
     sectional_curvature,
 )
 from warpcheck.errors import DegenerateMetricError, DegeneratePlaneError
+from warpcheck.immersion import pullback_metric, sphere_in_euclidean
+from warpcheck.warped import round_sphere_factor
 
 
 def sphere_metric():
@@ -188,8 +192,6 @@ def test_laplacian_sign_convention():
 def test_laplacian_on_curved_chart():
     # on the round 2-sphere, cos(polar angle) is an eigenfunction: using the
     # -div grad sign, Delta cos t = 2 cos t
-    from warpcheck.warped import round_sphere_factor
-
     s2 = round_sphere_factor(2)
     for t in (0.4, 1.0, 2.2):
         x = np.array([t, 0.7])
@@ -207,3 +209,62 @@ def test_laplacian_analytic_callbacks():
         hess=lambda x: np.array([[-np.cos(x[0])]]),
     )
     assert abs(val - np.cos(0.2)) < 1e-12
+
+
+def test_metric_derivatives_evaluate_metric_twice_per_coordinate():
+    # one metric evaluation per stencil point: 2n for the n coordinates
+    for n in (2, 5, 8):
+        calls = []
+
+        def g(x, n=n):
+            calls.append(1)
+            return np.eye(n) + 0.1 * np.outer(x, x)
+
+        x = np.linspace(-0.5, 0.6, n)
+        dg = _metric_derivatives(ChartMetric(n, g), x, 1e-4)
+        assert len(calls) == 2 * n
+        # d_k (x_i x_j) = delta_ki x_j + x_i delta_kj
+        eye = np.eye(n)
+        exact = 0.1 * (np.einsum("ki,j->kij", eye, x) + np.einsum("i,kj->kij", x, eye))
+        assert np.max(np.abs(dg - exact)) < 1e-9
+        assert np.array_equal(dg, dg.transpose(0, 2, 1))
+
+
+def _riemann_reference(metric, x, h=1e-4):
+    """R(d_i, d_j, d_k, d_l) by the explicit index loop over Gamma and its
+    central differences."""
+    n = metric.dim
+    gamma = christoffel(metric, x, h)
+    dgamma = np.empty((n, n, n, n))
+    for a in range(n):
+        ha = GAMMA_DIFF_STEP * max(1.0, abs(float(x[a])))
+        xp, xm = x.copy(), x.copy()
+        xp[a] += ha
+        xm[a] -= ha
+        dgamma[a] = (christoffel(metric, xp, h) - christoffel(metric, xm, h)) / (2.0 * ha)
+    r_up = np.empty((n, n, n, n))
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    r_up[l, i, j, k] = (
+                        dgamma[i, l, j, k]
+                        - dgamma[j, l, i, k]
+                        + np.dot(gamma[:, j, k], gamma[l, i, :])
+                        - np.dot(gamma[:, i, k], gamma[l, j, :])
+                    )
+    return np.einsum("lm,mijk->ijkl", metric.at(x), r_up)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_riemann_matches_reference_loop(dim):
+    sphere = round_sphere_factor(dim)
+    x = np.array([0.4 + 0.1 * i for i in range(dim)])
+    pull = pullback_metric(sphere_in_euclidean(dim))
+    p = sphere_in_euclidean(dim).default_point
+    cases = [(sphere, x), (pull, p)]
+    if dim == 3:
+        cases.append((_random_analytic_metric(np.random.default_rng(9), 3), x))
+    for metric, point in cases:
+        r04 = riemann(metric, point).riemann04
+        assert np.max(np.abs(r04 - _riemann_reference(metric, point))) < 1e-12

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpcheck.charts import ChartMetric, riemann
 from warpcheck.contact import make_ambient
-from warpcheck.errors import ImmersionDegeneracyError, InvalidConfigurationError
+from warpcheck.errors import (
+    ImmersionDegeneracyError,
+    InvalidConfigurationError,
+    NumericalDomainError,
+)
 from warpcheck.immersion import (
     ChartImmersion,
     PointwiseImmersionData,
@@ -20,6 +26,7 @@ from warpcheck.immersion import (
     is_mixed_totally_geodesic,
     mean_curvatures,
     plane_immersion,
+    pullback_metric,
     random_data,
     second_fundamental_form,
     sphere_in_euclidean,
@@ -97,8 +104,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
     p = im.default_point
     data = second_fundamental_form(im, p)
 
-    pull = ChartMetric(2, lambda u: _pullback(im, u))
-    cp = riemann(pull, p)
+    cp = riemann(pullback_metric(im), p)
     coeff = data.extras["frame_coefficients"]
 
     def intrinsic(a, b, c, d):
@@ -111,18 +117,9 @@ def test_gauss_residual_sphere_chart_intrinsic():
     assert res["tau_identity_residual"] < 1e-4
 
 
-def _pullback(im: ChartImmersion, u):
-    from warpcheck.immersion import _jacobian
-
-    J = _jacobian(im, np.asarray(u, float), 1e-4)
-    gx = im.ambient.at(np.asarray(im.map(u), float))
-    return J.T @ gx @ J
-
-
 def _chart_gauss_residual(im, p, rng):
     data = second_fundamental_form(im, p)
-    pull = ChartMetric(im.n, lambda u: _pullback(im, u))
-    cp = riemann(pull, p)
+    cp = riemann(pullback_metric(im), p)
     coeff = data.extras["frame_coefficients"]
 
     def intrinsic(a, b, c, d):
@@ -285,3 +282,19 @@ def test_frame_orthonormality_enforced():
     t[0, 1] = 1.0  # duplicated direction
     with pytest.raises(InvalidConfigurationError):
         PointwiseImmersionData(1, 1, t, np.eye(4)[:, 2:], np.zeros((2, 2, 2)), amb.oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["tangent", "normal", "sigma"]),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_non_finite_frame_or_sigma_rejected(name, seed, bad):
+    rng = np.random.default_rng(seed)
+    data = random_data(rng, make_ambient("euclidean", m=6), 1, 2)
+    arrays = {k: getattr(data, k).copy() for k in ("tangent", "normal", "sigma")}
+    target = arrays[name]
+    target[np.unravel_index(int(rng.integers(target.size)), target.shape)] = bad
+    with pytest.raises(NumericalDomainError):
+        PointwiseImmersionData(n1=1, n2=2, oracle=data.oracle, **arrays)

@@ -126,3 +126,52 @@ def test_non_finite_evaluation_raises():
     f = lambda x: float(np.log(x[0]))
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
         central_diff(f, np.array([0.0]), 0)
+
+
+def _array_f(x):
+    # 3x2 array of smooth, distinct functions of a 3-vector
+    return np.array(
+        [
+            [np.sin(x[0]) * x[1], np.exp(0.3 * x[2])],
+            [x[0] * x[1] * x[2], np.cos(x[1] + 2.0 * x[2])],
+            [x[2] ** 3, 1.5],
+        ]
+    )
+
+
+def test_array_stencils_match_scalar_calls_bitwise():
+    x = np.array([0.4, -1.3, 0.7])
+    for i in range(3):
+        arr = central_diff(_array_f, x, i)
+        assert arr.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            scalar = central_diff(lambda p: float(_array_f(p)[idx]), x, i)
+            assert isinstance(scalar, float)
+            assert arr[idx] == scalar
+        for j in range(3):
+            arr = cross_diff(_array_f, x, i, j)
+            for idx in np.ndindex(3, 2):
+                scalar = cross_diff(lambda p: float(_array_f(p)[idx]), x, i, j)
+                assert isinstance(scalar, float)
+                assert arr[idx] == scalar
+        arr = second_diff(_array_f, x, i)
+        for idx in np.ndindex(3, 2):
+            assert arr[idx] == second_diff(lambda p: float(_array_f(p)[idx]), x, i)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_stencils_raise_on_one_non_finite_entry(bad):
+    x = np.array([0.4, -1.3, 0.7])
+    for idx in np.ndindex(3, 2):
+
+        def f(p, idx=idx):
+            out = _array_f(p)
+            out[idx] = bad
+            return out
+
+        with pytest.raises(NumericalDomainError):
+            central_diff(f, x, 0)
+        with pytest.raises(NumericalDomainError):
+            second_diff(f, x, 1)
+        with pytest.raises(NumericalDomainError):
+            cross_diff(f, x, 0, 2)

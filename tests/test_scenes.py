@@ -306,6 +306,55 @@ def test_explicit_pointwise_source():
     assert report.all_passed
 
 
+def test_cli_rejects_non_finite_explicit_sigma(tmp_path, capsys):
+    tangent = np.zeros((7, 2))
+    tangent[1, 0] = 1.0
+    tangent[2, 1] = 1.0
+    sigma = np.zeros((5, 2, 2))
+    sigma[3, 1, 0] = np.nan
+    scene = {
+        "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.5, "mu": 0.3},
+        "source": {
+            "kind": "explicit",
+            "n1": 1,
+            "n2": 1,
+            "tangent": tangent.tolist(),
+            "sigma": sigma.tolist(),
+        },
+        "checks": ["general_inequality", "decompose"],
+        "seed": 0,
+    }
+    path = _write(tmp_path, scene)
+    assert cli_main(["verify", path, "--output", "text"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_nan_gap_fails_the_sampled_inequality(monkeypatch):
+    import warpcheck.scenes as scenes_mod
+
+    gaps = iter([0.5, float("nan"), 0.25])
+    original = scenes_mod.general_inequality
+
+    def nan_on_second_sample(data):
+        rep = original(data)
+        rep.gap = next(gaps)
+        return rep
+
+    monkeypatch.setattr(scenes_mod, "general_inequality", nan_on_second_sample)
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": 5},
+            "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+            "checks": ["general_inequality"],
+            "samples": 3,
+            "seed": 0,
+        }
+    )
+    (record,) = run(spec).records
+    assert record["pass"] is False
+    assert np.isnan(record["min_gap"])
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     good = _write(tmp_path, SPHERE_SCENE, "good.json")
     assert cli_main(["verify", good, "--output", "text"]) == 0
