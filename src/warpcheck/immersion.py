@@ -18,6 +18,7 @@ import numpy as np
 from .charts import ChartMetric, christoffel, riemann
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle, make_ambient
 from .errors import (
+    DegenerateInputError,
     ImmersionDegeneracyError,
     InvalidConfigurationError,
     InvalidInputError,
@@ -157,10 +158,11 @@ def mean_curvatures(data: PointwiseImmersionData) -> MeanCurvatureRecord:
     )
 
 
-def intrinsic_kij(data: PointwiseImmersionData) -> np.ndarray:
+def intrinsic_kij(data: PointwiseImmersionData, ambient: np.ndarray | None = None) -> np.ndarray:
     """Sectional curvatures of the submanifold from the Gauss equation:
-    K_ij = K~_ij + sum_r (sigma^r_ii sigma^r_jj - (sigma^r_ij)^2)."""
-    ambient = data.ambient_kij()
+    K_ij = K~_ij + sum_r (sigma^r_ii sigma^r_jj - (sigma^r_ij)^2), over the
+    K~ table `ambient` when the caller holds it (data.ambient_kij() if not)."""
+    ambient = data.ambient_kij() if ambient is None else ambient
     diag = np.einsum("rii->ri", data.sigma)
     corr = np.einsum("ri,rj->ij", diag, diag) - np.einsum("rij,rij->ij", data.sigma, data.sigma)
     out = ambient + corr
@@ -197,19 +199,21 @@ def gauss_residual(
     if intrinsic is None:
         intrinsic = r_gauss
 
+    # np.maximum keeps a NaN residual, where max would drop it
     worst = 0.0
     for _ in range(samples):
         quad = rng.normal(size=(4, n))
         quad /= np.linalg.norm(quad, axis=1, keepdims=True)
         a, b, c, d = quad
-        worst = max(worst, abs(intrinsic(a, b, c, d) - r_gauss(a, b, c, d)))
+        worst = np.maximum(worst, abs(intrinsic(a, b, c, d) - r_gauss(a, b, c, d)))
 
-    k_gauss = intrinsic_kij(data)
+    ambient = data.ambient_kij()
+    k_gauss = intrinsic_kij(data, ambient=ambient)
     kij_worst = 0.0
     eye = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            kij_worst = max(
+            kij_worst = np.maximum(
                 kij_worst, abs(intrinsic(eye[i], eye[j], eye[j], eye[i]) - k_gauss[i, j])
             )
 
@@ -217,7 +221,7 @@ def gauss_residual(
     tau = 0.0
     for i, j in zip(*iu):
         tau += intrinsic(eye[i], eye[j], eye[j], eye[i])
-    tau_ambient = float(data.ambient_kij()[iu].sum())
+    tau_ambient = float(ambient[iu].sum())
     rec = mean_curvatures(data)
     tau_res = abs(
         2.0 * tau - (2.0 * tau_ambient + n * n * rec.norm_H**2 - data.sigma_norm_sq())
@@ -340,19 +344,21 @@ def force_xi_consistency(
     return out
 
 
-def complete_normal_frame(tangent: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion of a tangent frame by the
-    standard basis (modified Gram-Schmidt, skipping dependent candidates)."""
+def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic completion of a tangent frame by the standard basis,
+    orthonormal for the metric `gram` (identity when omitted): modified
+    Gram-Schmidt of the whole frame per candidate, skipping dependent ones."""
     d, n = tangent.shape
-    frame = [tangent[:, i].copy() for i in range(n)]
+    inner = None if gram is None else (lambda u, v: float(u @ gram @ v))
+    frame = list(tangent.T)
     for a in range(d):
         if len(frame) == d:
             break
         cand = np.zeros(d)
         cand[a] = 1.0
         try:
-            frame = gram_schmidt(frame + [cand], tol=1e-8)
-        except Exception:
+            frame = gram_schmidt(frame + [cand], inner=inner, tol=1e-8)
+        except DegenerateInputError:
             continue
     if len(frame) != d:
         raise ImmersionDegeneracyError("failed to complete the normal frame")
@@ -544,25 +550,7 @@ def second_fundamental_form(
     coeff = np.column_stack([w[d:] for w in ortho])  # e_i = sum_a coeff[a,i] d_a
 
     # complete to an ambient-orthonormal frame with coordinate directions
-    frame_vectors = [tangent_ambient[:, i] for i in range(n)]
-    for a in range(d):
-        if len(frame_vectors) == d:
-            break
-        cand = np.zeros(d)
-        cand[a] = 1.0
-        try:
-            frame_vectors = gram_schmidt(
-                frame_vectors + [cand], inner=lambda u, v: float(u @ gx @ v), tol=1e-8
-            )
-        except Exception:
-            continue
-    if len(frame_vectors) != d:
-        raise ImmersionDegeneracyError("failed to complete the ambient frame")
-    normal_ambient = np.column_stack(frame_vectors[n:])
-    for r in range(normal_ambient.shape[1]):
-        k = int(np.argmax(np.abs(normal_ambient[:, r])))
-        if normal_ambient[k, r] < 0.0:
-            normal_ambient[:, r] = -normal_ambient[:, r]
+    normal_ambient = complete_normal_frame(tangent_ambient, gram=gx)
 
     # ambient acceleration S_ab = d_a d_b x + Gamma~(J_a, J_b)
     gamma = christoffel(im.ambient, x)

@@ -18,7 +18,8 @@ data callers may pass the genuine Delta f / f computed on the first factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .immersion import (
     ChartImmersion,
+    MeanCurvatureRecord,
     PointwiseImmersionData,
     a_xi_identity,
     intrinsic_kij,
@@ -110,19 +112,40 @@ class ProofDecomposition:
     rotated_sigma: np.ndarray
 
 
-def _rotate_normal_frame(data: PointwiseImmersionData) -> np.ndarray:
+@functools.cache
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict upper-triangle index pairs of an n x n table, built on first use
+    and shared read-only."""
+    iu = np.triu_indices(n, k=1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
+def _rotate_normal_frame(sigma: np.ndarray, rec: MeanCurvatureRecord) -> np.ndarray:
     """Sigma components after rotating the normal frame so that the first
     direction is parallel to H; identity rotation when H = 0."""
-    rec = mean_curvatures(data)
-    k = data.num_normals
+    k = sigma.shape[0]
     if rec.norm_H < 1e-14 or k == 1:
-        return data.sigma.copy()
+        return sigma.copy()
     first = rec.components / np.linalg.norm(rec.components)
     # QR of [H | I] yields an orthonormal basis whose first vector follows H
     rot = np.linalg.qr(np.column_stack([first, np.eye(k)]))[0][:, :k]
     if rot[:, 0] @ first < 0.0:
         rot = -rot
-    return np.einsum("sr,sij->rij", rot, data.sigma)
+    return np.einsum("sr,sij->rij", rot, sigma)
+
+
+def _trace_conditions(rotated_sigma: np.ndarray, n1: int) -> list[float]:
+    """Per-direction residuals of the block-trace conditions in the frame
+    whose first normal direction follows H: |tr1 - tr2| along H, then
+    max(|tr1|, |tr2|) for the remaining directions."""
+    diag = np.einsum("rii->ri", rotated_sigma)
+    tr1 = diag[:, :n1].sum(axis=1)
+    tr2 = diag[:, n1:].sum(axis=1)
+    out = [abs(float(tr1[0] - tr2[0]))]
+    out.extend(max(abs(float(a)), abs(float(b))) for a, b in zip(tr1[1:], tr2[1:]))
+    return out
 
 
 def decompose(
@@ -134,12 +157,13 @@ def decompose(
     chart-computed value may be supplied instead.
     """
     n, n1 = data.n, data.n1
-    sigma = _rotate_normal_frame(data)
-    iu = np.triu_indices(n, k=1)
-    if tau_p is None:
-        tau_p = float(intrinsic_kij(data)[iu].sum())
-    tau_ambient = float(data.ambient_kij()[iu].sum())
+    kij = data.ambient_kij()
     rec = mean_curvatures(data)
+    sigma = _rotate_normal_frame(data.sigma, rec)
+    iu = _triu(n)
+    if tau_p is None:
+        tau_p = float(intrinsic_kij(data, ambient=kij)[iu].sum())
+    tau_ambient = float(kij[iu].sum())
     nh2 = n * n * rec.norm_H**2
     delta = 0.5 * (4.0 * tau_p - 4.0 * tau_ambient - nh2)
 
@@ -158,15 +182,6 @@ def decompose(
     ai_residual = abs(total * total - 2.0 * (a1 * a1 + a2 * a2 + a3 * a3 + b))
     slack = 2.0 * a1 * a2 - b
 
-    trace_residuals = []
-    for r in range(sigma.shape[0]):
-        d = np.diag(sigma[r])
-        tr1, tr2 = float(d[:n1].sum()), float(d[n1:].sum())
-        if r == 0:
-            trace_residuals.append(abs(tr1 - tr2))
-        else:
-            trace_residuals.append(max(abs(tr1), abs(tr2)))
-
     return ProofDecomposition(
         delta=delta,
         a1=a1,
@@ -176,64 +191,72 @@ def decompose(
         ai_residual=ai_residual,
         lemma_slack=slack,
         lemma_equality=abs(a1 + a2 - a3) < 1e-9 * max(1.0, abs(a3)),
-        trace_residuals=trace_residuals,
+        trace_residuals=_trace_conditions(sigma, n1),
         rotated_sigma=sigma,
     )
+
+
+@dataclass(eq=False)
+class _EqualityDiagnostics:
+    """Inputs of the equality diagnostics, kept when a report is built (sigma
+    is a copy: callers may change data.sigma afterwards).  The dict, with the
+    QR-rotated trace conditions, is built on first read of `table`."""
+
+    mixed_totally_geodesic: bool
+    sigma: np.ndarray
+    rec: MeanCurvatureRecord
+    n1: int
+    tol: float
+
+    @functools.cached_property
+    def table(self) -> dict:
+        diag = np.einsum("rii->ri", self.sigma)
+        tr1 = diag[:, : self.n1].sum(axis=1)  # n1 * H1 in the normal frame
+        tr2 = diag[:, self.n1 :].sum(axis=1)
+        partial_residual = float(np.max(np.abs(tr1 - tr2)))
+        rotated = _rotate_normal_frame(self.sigma, self.rec)
+        return {
+            "mixed_totally_geodesic": self.mixed_totally_geodesic,
+            "partial_mean_equal": partial_residual < self.tol,
+            "partial_mean_residual": partial_residual,
+            "trace_conditions": _trace_conditions(rotated, self.n1),
+        }
 
 
 @dataclass
 class InequalityReport:
     """Both sides of a warped-product curvature inequality plus the equality
-    diagnostics; values are in Delta f / f units."""
+    diagnostics; values are in Delta f / f units.  The diagnostics dict,
+    trace conditions included, is computed on first read from a copy of sigma
+    taken when the report was built, and shared with the specialized reports
+    built on it."""
 
     name: str
     lhs: float
     rhs: float
     gap: float
     equality: bool
-    diagnostics: dict
     mean_term: float
     ambient_term: float
     norm_H: float
     n1: int
     n2: int
     equality_tol: float
+    _diagnostics: _EqualityDiagnostics = field(repr=False, compare=False)
     verdict: str | None = None
     extras: dict = field(default_factory=dict)
 
-
-def _proxy_lhs(data: PointwiseImmersionData) -> float:
-    """Gauss-equation proxy for Delta f / f: the mixed-pair sum of intrinsic
-    sectional curvatures divided by n2."""
-    kij = intrinsic_kij(data)
-    mixed = float(kij[: data.n1, data.n1 :].sum())
-    return mixed / data.n2
+    @property
+    def diagnostics(self) -> dict:
+        return self._diagnostics.table
 
 
-def _trace_conditions(data: PointwiseImmersionData) -> list[float]:
-    """Per-direction residuals of the block-trace conditions in the frame
-    whose first normal direction follows H: |tr1 - tr2| along H, then
-    max(|tr1|, |tr2|) for the remaining directions."""
-    sigma = _rotate_normal_frame(data)
-    diag = np.einsum("rii->ri", sigma)
-    tr1 = diag[:, : data.n1].sum(axis=1)
-    tr2 = diag[:, data.n1 :].sum(axis=1)
-    out = [abs(float(tr1[0] - tr2[0]))]
-    out.extend(max(abs(float(a)), abs(float(b))) for a, b in zip(tr1[1:], tr2[1:]))
-    return out
-
-
-def _diagnostics(data: PointwiseImmersionData, tol: float) -> dict:
-    diag = np.einsum("rii->ri", data.sigma)
-    tr1 = diag[:, : data.n1].sum(axis=1)  # n1 * H1 in the normal frame
-    tr2 = diag[:, data.n1 :].sum(axis=1)
-    partial_residual = float(np.max(np.abs(tr1 - tr2)))
-    return {
-        "mixed_totally_geodesic": is_mixed_totally_geodesic(data, tol),
-        "partial_mean_equal": partial_residual < tol,
-        "partial_mean_residual": partial_residual,
-        "trace_conditions": _trace_conditions(data),
-    }
+def _rebased(report: InequalityReport, lhs: float, rhs: float, **changes) -> InequalityReport:
+    """Copy of `report` with new sides, its gap and equality flag recomputed."""
+    gap = rhs - lhs
+    return replace(
+        report, lhs=lhs, rhs=rhs, gap=gap, equality=abs(gap) < report.equality_tol, **changes
+    )
 
 
 def general_inequality(
@@ -249,22 +272,17 @@ def general_inequality(
     """
     n, n1, n2 = data.n, data.n1, data.n2
     kij = data.ambient_kij()
-    iu = np.triu_indices(n, k=1)
-    tau_full = float(kij[iu].sum())
-    tau_1 = float(kij[:n1, :n1][np.triu_indices(n1, k=1)].sum())
-    tau_2 = float(kij[n1:, n1:][np.triu_indices(n2, k=1)].sum())
+    tau_full = float(kij[_triu(n)].sum())
+    tau_1 = float(kij[:n1, :n1][_triu(n1)].sum())
+    tau_2 = float(kij[n1:, n1:][_triu(n2)].sum())
     rec = mean_curvatures(data)
     mean_term = n * n / (4.0 * n2) * rec.norm_H**2
     ambient_term = (tau_full - tau_1 - tau_2) / n2
     rhs = mean_term + ambient_term
     if lhs is None:
-        # Gauss-equation proxy: mixed-pair intrinsic curvatures reuse the
-        # ambient table computed above
-        diag = np.einsum("rii->ri", data.sigma)
-        corr = np.einsum("ri,rj->ij", diag, diag) - np.einsum(
-            "rij,rij->ij", data.sigma, data.sigma
-        )
-        lhs_val = float((kij + corr)[:n1, n1:].sum()) / n2
+        # Gauss-equation proxy: the mixed-pair intrinsic curvatures, built on
+        # the ambient table above
+        lhs_val = float(intrinsic_kij(data, ambient=kij)[:n1, n1:].sum()) / n2
     else:
         lhs_val = float(lhs)
     gap = rhs - lhs_val
@@ -274,13 +292,15 @@ def general_inequality(
         rhs=rhs,
         gap=gap,
         equality=abs(gap) < equality_tol,
-        diagnostics=_diagnostics(data, equality_tol),
         mean_term=mean_term,
         ambient_term=ambient_term,
         norm_H=rec.norm_H,
         n1=n1,
         n2=n2,
         equality_tol=equality_tol,
+        _diagnostics=_EqualityDiagnostics(
+            is_mixed_totally_geodesic(data, equality_tol), data.sigma.copy(), rec, n1, equality_tol
+        ),
     )
 
 
@@ -292,6 +312,17 @@ def _contact_rhs_inputs(data: PointwiseImmersionData):
         )
     stats = a_xi_identity(data)
     return stats["h_stats"], stats["a_stats"]
+
+
+def _specialized(
+    general: InequalityReport, name: str, curvature_term: float, **extras
+) -> InequalityReport:
+    """A contact specialization: its own curvature term in place of the
+    general ambient term, on the general report's lhs, mean term and
+    diagnostics, with the rhs cross-check in the extras."""
+    rhs = general.mean_term + curvature_term
+    extras.update(rhs_general=general.rhs, rhs_cross_residual=abs(rhs - general.rhs))
+    return _rebased(general, general.lhs, rhs, name=name, ambient_term=curvature_term, extras=extras)
 
 
 def kmu_space_form_inequality(
@@ -314,9 +345,7 @@ def kmu_space_form_inequality(
     if c is None:
         raise InvalidInputError("phi-sectional curvature c required")
     hs, As = _contact_rhs_inputs(data)
-    n, n1, n2 = data.n, data.n1, data.n2
-    rec = mean_curvatures(data)
-    mean_term = n * n / (4.0 * n2) * rec.norm_H**2
+    n1, n2 = data.n1, data.n2
     bracket = (
         hs["trace"] ** 2 - hs["trace_1"] ** 2 - hs["trace_2"] ** 2
         - As["trace"] ** 2 + As["trace_1"] ** 2 + As["trace_2"] ** 2
@@ -329,29 +358,8 @@ def kmu_space_form_inequality(
         + (n1 / n2) * hs["trace_2"]
         + bracket / (4.0 * n2)
     )
-    rhs = mean_term + curvature_term
-    lhs_val = _proxy_lhs(data) if lhs is None else float(lhs)
-    gap = rhs - lhs_val
-    general = general_inequality(data, lhs=lhs_val, equality_tol=equality_tol)
-    return InequalityReport(
-        name="kmu_space_form_inequality",
-        lhs=lhs_val,
-        rhs=rhs,
-        gap=gap,
-        equality=abs(gap) < equality_tol,
-        diagnostics=general.diagnostics,
-        mean_term=mean_term,
-        ambient_term=curvature_term,
-        norm_H=rec.norm_H,
-        n1=n1,
-        n2=n2,
-        equality_tol=equality_tol,
-        extras={
-            "c": c,
-            "rhs_general": general.rhs,
-            "rhs_cross_residual": abs(rhs - general.rhs),
-        },
-    )
+    general = general_inequality(data, lhs=lhs, equality_tol=equality_tol)
+    return _specialized(general, "kmu_space_form_inequality", curvature_term, c=c)
 
 
 def non_sasakian_inequality(
@@ -373,9 +381,7 @@ def non_sasakian_inequality(
     if kappa > 1.0 - 1e-8:
         raise SingularParameterError("non-Sasakian inequality needs kappa < 1")
     hs, As = _contact_rhs_inputs(data)
-    n, n1, n2 = data.n, data.n1, data.n2
-    rec = mean_curvatures(data)
-    mean_term = n * n / (4.0 * n2) * rec.norm_H**2
+    n1, n2 = data.n1, data.n2
     e1 = (1.0 - mu / 2.0) / (1.0 - kappa)
     e2 = (kappa - mu / 2.0) / (1.0 - kappa)
     trace_group_h = hs["trace"] ** 2 - hs["trace_1"] ** 2 - hs["trace_2"] ** 2
@@ -391,30 +397,8 @@ def non_sasakian_inequality(
         - e1 / (2.0 * n2) * norm_group_h
         - e2 / (2.0 * n2) * norm_group_a
     )
-    rhs = mean_term + curvature_term
-    lhs_val = _proxy_lhs(data) if lhs is None else float(lhs)
-    gap = rhs - lhs_val
-    general = general_inequality(data, lhs=lhs_val, equality_tol=equality_tol)
-    return InequalityReport(
-        name="non_sasakian_inequality",
-        lhs=lhs_val,
-        rhs=rhs,
-        gap=gap,
-        equality=abs(gap) < equality_tol,
-        diagnostics=general.diagnostics,
-        mean_term=mean_term,
-        ambient_term=curvature_term,
-        norm_H=rec.norm_H,
-        n1=n1,
-        n2=n2,
-        equality_tol=equality_tol,
-        extras={
-            "kappa": kappa,
-            "mu": mu,
-            "rhs_general": general.rhs,
-            "rhs_cross_residual": abs(rhs - general.rhs),
-        },
-    )
+    general = general_inequality(data, lhs=lhs, equality_tol=equality_tol)
+    return _specialized(general, "non_sasakian_inequality", curvature_term, kappa=kappa, mu=mu)
 
 
 NONEXISTENCE = "NONEXISTENCE"
@@ -480,9 +464,7 @@ def chart_inequality(
         wp.factor1, lambda q: wp.warp.value(q), x1, grad=wp.warp.grad, hess=wp.warp.hess
     )
     lhs_chart = lap / f
-    lhs_proxy = _proxy_lhs(data)
-    report = general_inequality(data, lhs=lhs_chart, equality_tol=equality_tol)
-    report.extras["lhs_chart"] = lhs_chart
-    report.extras["lhs_proxy"] = lhs_proxy
-    report.extras["lhs_agreement"] = abs(lhs_chart - lhs_proxy)
-    return report
+    proxy = general_inequality(data, equality_tol=equality_tol)
+    agreement = abs(lhs_chart - proxy.lhs)
+    extras = {"lhs_chart": lhs_chart, "lhs_proxy": proxy.lhs, "lhs_agreement": agreement}
+    return _rebased(proxy, float(lhs_chart), proxy.rhs, extras=extras)

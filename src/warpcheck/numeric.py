@@ -82,17 +82,27 @@ def gram_schmidt(
     """Orthonormalize `vectors` with modified Gram-Schmidt.
 
     `inner` is a positive-definite bilinear form; Euclidean dot product when
-    omitted.  Prefix spans are preserved.  Raises DegenerateInputError when a
-    pivot norm falls below `tol` (dependent input).
+    omitted.  Prefix spans are preserved.  Raises InvalidInputError unless
+    the inputs are 1-d vectors of one length, NumericalDomainError on a
+    non-finite entry and DegenerateInputError when a pivot norm falls below
+    `tol` (dependent input).
     """
-    if inner is None:
-        inner = lambda u, v: float(u @ v)
+    if len(vectors) == 0:
+        return []
+    try:
+        stacked = np.array(vectors, dtype=float)
+    except ValueError as exc:  # ragged input
+        raise InvalidInputError(f"expected 1-d vectors of one length: {exc}") from exc
+    if stacked.ndim != 2 or stacked.shape[1] < 1:
+        raise InvalidInputError(f"expected 1-d vectors, got stacked shape {stacked.shape}")
+    if not np.isfinite(stacked).all():
+        raise NumericalDomainError("vector has non-finite entries")
+    dot = np.dot if inner is None else inner
     out: list[np.ndarray] = []
-    for v in vectors:
-        w = as_vector(v).copy()
+    for w in stacked:  # rows of a private copy, updated in place
         for u in out:
-            w = w - inner(u, w) * u
-        norm = np.sqrt(max(inner(w, w), 0.0))
+            w -= dot(u, w) * u
+        norm = np.sqrt(max(dot(w, w), 0.0))
         if norm < tol:
             raise DegenerateInputError(
                 f"rank-deficient input at vector {len(out)}: pivot norm {norm:.3e}"

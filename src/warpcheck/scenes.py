@@ -429,6 +429,10 @@ def _chart_points(ctx: _Context) -> list[np.ndarray]:
     return pts
 
 
+# The folds below use np.maximum / np.minimum / np.ptp, which keep a NaN
+# residual where Python's max and min would drop it.
+
+
 def _check_connection_identity(ctx: _Context, opts: dict) -> dict:
     wp = ctx.warped
     worst = 0.0
@@ -437,8 +441,8 @@ def _check_connection_identity(ctx: _Context, opts: dict) -> dict:
         X[: wp.n1] = ctx.rng.normal(size=wp.n1)
         Y = np.zeros(wp.dim)
         Y[wp.n1 :] = ctx.rng.normal(size=wp.n2)
-        worst = max(worst, check_connection_identity(wp, p, X, Y))
-    return {"pass": worst < 1e-5, "max_residual": worst}
+        worst = np.maximum(worst, check_connection_identity(wp, p, X, Y))
+    return {"pass": bool(worst < 1e-5), "max_residual": float(worst)}
 
 
 def _check_mixed_sectional(ctx: _Context, opts: dict) -> dict:
@@ -456,8 +460,8 @@ def _check_mixed_sectional(ctx: _Context, opts: dict) -> dict:
         direct = mixed_sectional(wp, p, X, Z)
         cp = riemann(metric, p)
         via_riemann = sectional_curvature(cp, metric, p, X, Z)
-        worst = max(worst, abs(direct - via_riemann))
-    return {"pass": worst < 1e-3, "max_residual": worst}
+        worst = np.maximum(worst, abs(direct - via_riemann))
+    return {"pass": bool(worst < 1e-3), "max_residual": float(worst)}
 
 
 def _check_laplacian_ratio(ctx: _Context, opts: dict) -> dict:
@@ -465,9 +469,9 @@ def _check_laplacian_ratio(ctx: _Context, opts: dict) -> dict:
     payload = []
     for p in _chart_points(ctx):
         rep = check_laplacian_ratio(ctx.warped, p)
-        worst = max(worst, rep["max_deviation"])
+        worst = np.maximum(worst, rep["max_deviation"])
         payload.append(rep)
-    return {"pass": worst < 1e-3, "max_deviation": worst, "points": payload}
+    return {"pass": bool(worst < 1e-3), "max_deviation": float(worst), "points": payload}
 
 
 def _check_trivial(ctx: _Context, opts: dict) -> dict:
@@ -497,8 +501,8 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         data = ctx.make_data()
         res = gauss_residual(data, rng=ctx.rng, samples=20)
         threshold = 1e-9
-    worst = max(res.values())
-    return {"pass": worst < threshold, **res}
+    worst = np.max(list(res.values()))
+    return {"pass": bool(worst < threshold), **res}
 
 
 def _check_c_totally_real(ctx: _Context, opts: dict) -> dict:
@@ -530,7 +534,7 @@ def _check_phi_sectional(ctx: _Context, opts: dict) -> dict:
         X -= (frame.eta @ X) * frame.xi
         X /= np.linalg.norm(X)
         values.append(phi_sectional(ctx.ambient.oracle, frame, X))
-    spread = max(values) - min(values)
+    spread = float(np.ptp(values))
     expected = opts.get("expect")
     ok = spread < 1e-10 and (expected is None or abs(values[0] - expected) < 1e-9)
     return {"pass": ok, "value": values[0], "spread": spread}
@@ -543,14 +547,16 @@ def _check_oracle_symmetries(ctx: _Context, opts: dict) -> dict:
     for _ in range(min(ctx.samples, 200)):
         X, Y, Z, W = ctx.rng.normal(size=(4, d))
         v = orc.value(X, Y, Z, W)
-        worst = max(
-            worst,
-            abs(v + orc.value(Y, X, Z, W)),
-            abs(v + orc.value(X, Y, W, Z)),
-            abs(v - orc.value(Z, W, X, Y)),
-            abs(v + orc.value(Y, Z, X, W) + orc.value(Z, X, Y, W)),
+        worst = np.max(
+            [
+                worst,
+                abs(v + orc.value(Y, X, Z, W)),
+                abs(v + orc.value(X, Y, W, Z)),
+                abs(v - orc.value(Z, W, X, Y)),
+                abs(v + orc.value(Y, Z, X, W) + orc.value(Z, X, Y, W)),
+            ]
         )
-    return {"pass": worst < 1e-10, "max_residual": worst}
+    return {"pass": bool(worst < 1e-10), "max_residual": float(worst)}
 
 
 def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from warpcheck.contact import (
     ContactFrame,
+    CurvatureOracle,
     check_km_condition,
     curvature_kmu_space_form,
     curvature_non_sasakian,
@@ -164,6 +167,18 @@ def test_km_condition_grid():
                 assert (
                     check_km_condition(curvature_non_sasakian(frame), frame, rng, 10) < 1e-10
                 )
+
+
+def test_km_condition_keeps_a_nan_residual():
+    frame = make_kmu_frame(2, 0.5, 0.3, c=0.7)
+    base = curvature_kmu_space_form(frame)
+    calls = itertools.count()
+
+    def value(*vectors):  # NaN on every other evaluation
+        return float("nan") if next(calls) % 2 else base.value(*vectors)
+
+    oracle = CurvatureOracle(base.provenance, value, base.kij)
+    assert np.isnan(check_km_condition(oracle, frame, np.random.default_rng(0), 5))
 
 
 def test_km_condition_sasakian_form():

@@ -153,6 +153,33 @@ def test_gauss_residual_definitional_closure():
     assert res["tau_identity_residual"] < 1e-10
 
 
+def test_gauss_residual_keeps_a_nan_intrinsic_value():
+    rng = np.random.default_rng(4)
+    amb = make_ambient("non-sasakian-kmu", m=3, kappa=0.4, mu=1.1)
+    res = gauss_residual(random_data(rng, amb, 1, 2), intrinsic=lambda *a: float("nan"))
+    assert np.isnan(res["gauss_max"])
+    assert np.isnan(res["kij_max"])
+    assert np.isnan(res["tau_identity_residual"])
+
+
+def test_complete_normal_frame_under_a_metric():
+    rng = np.random.default_rng(5)
+    for d, n in [(3, 2), (5, 2), (7, 3)]:
+        tangent = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :n]
+        assert np.array_equal(
+            complete_normal_frame(tangent, gram=np.eye(d)), complete_normal_frame(tangent)
+        )
+        a = rng.normal(size=(d, d))
+        g = a @ a.T + d * np.eye(d)
+        t_g = np.linalg.solve(np.linalg.cholesky(g).T, tangent)  # g-orthonormal columns
+        normal = complete_normal_frame(t_g, gram=g)
+        assert normal.shape == (d, d - n)
+        assert np.max(np.abs(normal.T @ g @ normal - np.eye(d - n))) < 1e-10
+        assert np.max(np.abs(t_g.T @ g @ normal)) < 1e-10
+        for r in range(d - n):
+            assert normal[np.argmax(np.abs(normal[:, r])), r] > 0.0
+
+
 def test_sphere_gauss_numbers():
     # K = 0 + 1*1 - 0 and 2 tau = 0 + 4 |H|^2 - |sigma|^2 = 2
     im = sphere_in_euclidean(2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,9 @@ from warpcheck.immersion import (
     balance_for_equality,
     dplus_leaf,
     force_xi_consistency,
+    intrinsic_kij,
+    is_mixed_totally_geodesic,
+    mean_curvatures,
     random_data,
 )
 from warpcheck.inequality import (
@@ -324,3 +329,238 @@ def test_dplus_leaf_inequality():
     rep = non_sasakian_inequality(leaf)
     assert rep.gap >= -1e-9
     assert rep.extras["rhs_cross_residual"] < 1e-9
+
+
+# --- one-pass engine: parity with the per-quantity formulas ------------------
+#
+# Frozen reference: the formulas of the engine in which every entry point
+# derived its own kij table, mean curvature record and normal-frame rotation.
+# The engine must reproduce them exactly (==), not approximately.
+
+SWEEP_AMBIENTS = [
+    ("euclidean", {"m": 7}),
+    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}),
+    ("sasakian-space-form", {"m": 3, "c": -2.0}),
+    ("non-sasakian-kmu", {"m": 3, "kappa": 0.2, "mu": 0.8}),
+]
+BLOCKS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def _ref_rotated_sigma(data):
+    rec = mean_curvatures(data)
+    k = data.num_normals
+    if rec.norm_H < 1e-14 or k == 1:
+        return data.sigma.copy()
+    first = rec.components / np.linalg.norm(rec.components)
+    rot = np.linalg.qr(np.column_stack([first, np.eye(k)]))[0][:, :k]
+    if rot[:, 0] @ first < 0.0:
+        rot = -rot
+    return np.einsum("sr,sij->rij", rot, data.sigma)
+
+
+def _ref_diagnostics(data, tol=1e-8):
+    diag = np.einsum("rii->ri", data.sigma)
+    tr1 = diag[:, : data.n1].sum(axis=1)
+    tr2 = diag[:, data.n1 :].sum(axis=1)
+    partial_residual = float(np.max(np.abs(tr1 - tr2)))
+    rdiag = np.einsum("rii->ri", _ref_rotated_sigma(data))
+    rtr1 = rdiag[:, : data.n1].sum(axis=1)
+    rtr2 = rdiag[:, data.n1 :].sum(axis=1)
+    conditions = [abs(float(rtr1[0] - rtr2[0]))]
+    conditions.extend(max(abs(float(a)), abs(float(b))) for a, b in zip(rtr1[1:], rtr2[1:]))
+    return {
+        "mixed_totally_geodesic": is_mixed_totally_geodesic(data, tol),
+        "partial_mean_equal": partial_residual < tol,
+        "partial_mean_residual": partial_residual,
+        "trace_conditions": conditions,
+    }
+
+
+def _ref_general(data, lhs=None, tol=1e-8):
+    n, n1, n2 = data.n, data.n1, data.n2
+    kij = data.ambient_kij()
+    tau_full = float(kij[np.triu_indices(n, k=1)].sum())
+    tau_1 = float(kij[:n1, :n1][np.triu_indices(n1, k=1)].sum())
+    tau_2 = float(kij[n1:, n1:][np.triu_indices(n2, k=1)].sum())
+    rec = mean_curvatures(data)
+    mean_term = n * n / (4.0 * n2) * rec.norm_H**2
+    rhs = mean_term + (tau_full - tau_1 - tau_2) / n2
+    if lhs is None:
+        lhs = float(intrinsic_kij(data)[:n1, n1:].sum()) / n2
+    return {
+        "lhs": float(lhs),
+        "rhs": rhs,
+        "gap": rhs - float(lhs),
+        "mean_term": mean_term,
+        "norm_H": rec.norm_H,
+        "diagnostics": _ref_diagnostics(data, tol),
+    }
+
+
+def _ref_decompose(data):
+    n, n1 = data.n, data.n1
+    sigma = _ref_rotated_sigma(data)
+    iu = np.triu_indices(n, k=1)
+    tau_p = float(intrinsic_kij(data)[iu].sum())
+    tau_ambient = float(data.ambient_kij()[iu].sum())
+    delta = 0.5 * (4.0 * tau_p - 4.0 * tau_ambient - n * n * mean_curvatures(data).norm_H ** 2)
+    diag0 = np.diag(sigma[0])
+    a1, a2, a3 = float(diag0[0]), float(diag0[1:n1].sum()), float(diag0[n1:].sum())
+    off0 = float(np.sum(sigma[0] ** 2) - np.sum(diag0**2))
+    rest = float(np.sum(sigma[1:] ** 2))
+    pair1 = float(np.sum(np.outer(diag0[1:n1], diag0[1:n1])) - np.sum(diag0[1:n1] ** 2))
+    pair2 = float(np.sum(np.outer(diag0[n1:], diag0[n1:])) - np.sum(diag0[n1:] ** 2))
+    b = delta + off0 + rest - pair1 - pair2
+    total = a1 + a2 + a3
+    residuals = []
+    for r in range(sigma.shape[0]):
+        d = np.diag(sigma[r])
+        tr1, tr2 = float(d[:n1].sum()), float(d[n1:].sum())
+        residuals.append(abs(tr1 - tr2) if r == 0 else max(abs(tr1), abs(tr2)))
+    return {
+        "delta": delta,
+        "a1": a1,
+        "a2": a2,
+        "a3": a3,
+        "b": b,
+        "ai_residual": abs(total * total - 2.0 * (a1 * a1 + a2 * a2 + a3 * a3 + b)),
+        "lemma_slack": 2.0 * a1 * a2 - b,
+        "trace_residuals": residuals,
+        "rotated_sigma": sigma,
+    }
+
+
+def _parity_samples(rng, amb, n1, n2, frame_kind="generic"):
+    """Generic, zero-sigma (H = 0) and equality-balanced data."""
+    out = []
+    for scale, balanced in ((1.0, False), (0.0, False), (1.0, True)):
+        data = random_data(rng, amb, n1, n2, sigma_scale=scale, frame_kind=frame_kind)
+        if balanced:
+            data.sigma = balance_for_equality(data.sigma, n1)
+        if frame_kind != "generic":
+            data.sigma = force_xi_consistency(data.sigma, (data.tangent, data.normal), amb.frame)
+        out.append(data)
+    return out
+
+
+def _assert_matches(rep, ref):
+    assert rep.lhs == ref["lhs"]
+    assert rep.mean_term == ref["mean_term"]
+    assert rep.norm_H == ref["norm_H"]
+    assert rep.diagnostics == ref["diagnostics"]
+    assert type(rep.diagnostics) is dict
+
+
+@pytest.mark.parametrize("kind,params", SWEEP_AMBIENTS)
+def test_general_inequality_matches_reference_exactly(kind, params):
+    rng = np.random.default_rng(31)
+    amb = make_ambient(kind, **params)
+    for n1, n2 in BLOCKS:
+        for _ in range(10):
+            for data in _parity_samples(rng, amb, n1, n2):
+                ref = _ref_general(data)
+                rep = general_inequality(data)
+                _assert_matches(rep, ref)
+                assert rep.rhs == ref["rhs"] and rep.gap == ref["gap"]
+                assert rep.equality == (abs(ref["gap"]) < 1e-8)
+                supplied = general_inequality(data, lhs=0.37)
+                ref = _ref_general(data, lhs=0.37)
+                _assert_matches(supplied, ref)
+                assert supplied.gap == ref["gap"]
+
+
+@pytest.mark.parametrize("kind,params", SWEEP_AMBIENTS)
+def test_decompose_matches_reference_exactly(kind, params):
+    rng = np.random.default_rng(32)
+    amb = make_ambient(kind, **params)
+    for n1, n2 in BLOCKS:
+        for _ in range(10):
+            for data in _parity_samples(rng, amb, n1, n2):
+                ref = _ref_decompose(data)
+                dec = decompose(data)
+                for key, value in ref.items():
+                    if key == "rotated_sigma":
+                        assert np.array_equal(dec.rotated_sigma, value)
+                    else:
+                        assert getattr(dec, key) == value, key
+
+
+SPECIALIZED = [
+    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}, kmu_space_form_inequality),
+    ("sasakian-space-form", {"m": 3, "c": -2.0}, kmu_space_form_inequality),
+    ("non-sasakian-kmu", {"m": 3, "kappa": 0.2, "mu": 0.8}, non_sasakian_inequality),
+    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}, non_sasakian_inequality),
+]
+
+
+@pytest.mark.parametrize("kind,params,fn", SPECIALIZED)
+def test_specializations_match_reference_exactly(kind, params, fn):
+    rng = np.random.default_rng(33)
+    amb = make_ambient(kind, **params)
+    for n1, n2 in [(1, 1), (1, 2), (2, 1)]:  # anti-invariance caps n at m = 3
+        for _ in range(10):
+            for data in _parity_samples(rng, amb, n1, n2, frame_kind="c-totally-real"):
+                ref = _ref_general(data)
+                rep = fn(data)
+                _assert_matches(rep, ref)
+                assert rep.extras["rhs_general"] == ref["rhs"]
+                assert rep.rhs == rep.mean_term + rep.ambient_term
+                assert rep.gap == rep.rhs - ref["lhs"]
+                assert rep.extras["rhs_cross_residual"] == abs(rep.rhs - ref["rhs"])
+
+
+def test_diagnostics_snapshot_survives_sigma_mutation():
+    rng = np.random.default_rng(34)
+    amb = make_ambient("non-sasakian-kmu", m=3, kappa=0.2, mu=0.8)
+    data = random_data(rng, amb, 1, 2, frame_kind="c-totally-real")
+    data.sigma = force_xi_consistency(data.sigma, (data.tangent, data.normal), amb.frame)
+    expected = _ref_diagnostics(data)
+    rep = general_inequality(data)
+    special = non_sasakian_inequality(data)
+    data.sigma[0, 0, data.n1] += 0.5
+    data.sigma[0, data.n1, 0] += 0.5
+    data.sigma *= 3.0
+    assert rep.diagnostics == expected
+    assert special.diagnostics == expected
+    assert general_inequality(data).diagnostics != expected
+
+
+def _count_kij(data):
+    calls = []
+    base = data.oracle.kij
+
+    def counting(V):
+        calls.append(1)
+        return base(V)
+
+    data.oracle = replace(data.oracle, kij=counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [general_inequality, kmu_space_form_inequality, non_sasakian_inequality, decompose],
+    ids=lambda f: f.__name__,
+)
+def test_one_ambient_kij_table_per_call(fn):
+    rng = np.random.default_rng(35)
+    amb = make_ambient("kmu-space-form", m=3, kappa=0.5, mu=-1.0, c=1.7)
+    data = _consistent_ctr_data(rng, amb, 1, 2)
+    calls = _count_kij(data)
+    rep = fn(data)
+    assert len(calls) == 1
+    if fn is not decompose:
+        rep.diagnostics  # computed on read, from the snapshot
+        assert len(calls) == 1
+
+
+def test_chart_inequality_matches_reference_exactly():
+    from warpcheck.immersion import second_fundamental_form, sphere_in_euclidean
+
+    im = sphere_in_euclidean(3)
+    data = second_fundamental_form(im, im.default_point)
+    rep = chart_inequality(im, im.default_point)
+    ref = _ref_general(data, lhs=rep.extras["lhs_chart"], tol=1e-3)
+    _assert_matches(rep, ref)
+    assert rep.rhs == ref["rhs"] and rep.gap == ref["gap"]
+    assert rep.extras["lhs_proxy"] == _ref_general(data)["lhs"]

@@ -57,6 +57,57 @@ def test_gram_schmidt_orthonormality_property(dim, seed):
     assert np.max(np.abs(mat.T @ mat - np.eye(dim))) < 1e-10
 
 
+def _gram_schmidt_per_vector(vectors, inner=None, tol=1e-10):
+    """Reference: validate each vector, then the same modified Gram-Schmidt."""
+    if inner is None:
+        inner = lambda u, v: float(u @ v)
+    out = []
+    for v in vectors:
+        w = np.array(v, dtype=float)
+        assert w.ndim == 1 and np.isfinite(w).all()
+        for u in out:
+            w = w - inner(u, w) * u
+        norm = np.sqrt(max(inner(w, w), 0.0))
+        if norm < tol:
+            raise DegenerateInputError("dependent")
+        out.append(w / norm)
+    return out
+
+
+def test_gram_schmidt_matches_per_vector_reference_exactly():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        d = int(rng.integers(1, 12))
+        a = rng.normal(size=(d, d))
+        g = a @ a.T + d * np.eye(d)
+        vecs = list(rng.normal(size=(d, int(rng.integers(1, d + 1)))).T)  # strided views
+        for inner in (None, lambda u, v: float(u @ g @ v)):
+            expected = _gram_schmidt_per_vector(vecs, inner)
+            got = gram_schmidt(vecs, inner)
+            assert len(got) == len(expected)
+            assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+
+
+@pytest.mark.parametrize(
+    "vectors,error",
+    [
+        ([np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])], InvalidInputError),
+        ([np.eye(2)], InvalidInputError),
+        ([np.array(1.0)], InvalidInputError),
+        ([np.zeros(0)], InvalidInputError),
+        ([np.array([1.0, 0.0]), np.array([0.0, np.nan])], NumericalDomainError),
+        ([np.array([np.inf, 0.0]), np.array([0.0, 1.0])], NumericalDomainError),
+    ],
+)
+def test_gram_schmidt_rejects_bad_input(vectors, error):
+    with pytest.raises(error):
+        gram_schmidt(vectors)
+
+
+def test_gram_schmidt_empty_input():
+    assert gram_schmidt([]) == []
+
+
 def test_sym_eigen_identity():
     evals, _ = sym_eigen(np.eye(3))
     assert np.allclose(evals, [1, 1, 1])

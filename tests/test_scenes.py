@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -419,3 +420,96 @@ def test_tolerance_override_spec():
     )
     report = run(spec)
     assert report.environment["tolerances"]["equality_gap"] == 1e-3
+
+
+def _nan_every_other_call(fn):
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return float("nan") if next(calls) % 2 else out
+
+    return wrapped
+
+
+def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch):
+    import warpcheck.scenes as scenes_mod
+
+    original = scenes_mod.make_ambient
+
+    def nan_ambient(kind, **params):
+        amb = original(kind, **params)
+        amb.oracle.value = _nan_every_other_call(amb.oracle.value)
+        return amb
+
+    monkeypatch.setattr(scenes_mod, "make_ambient", nan_ambient)
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "sasakian-space-form", "m": 2, "c": 0.5},
+            "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+            "checks": ["km_condition", "oracle_symmetries", "phi_sectional"],
+            "samples": 10,
+            "seed": 0,
+        }
+    )
+    records = {r["name"]: r for r in run(spec).records}
+    assert not any(r["pass"] for r in records.values())
+    assert np.isnan(records["km_condition"]["residual"])
+    assert np.isnan(records["oracle_symmetries"]["max_residual"])
+    assert np.isnan(records["phi_sectional"]["spread"])
+
+
+@pytest.mark.parametrize(
+    "check,target,key",
+    [
+        ("connection_identity", "check_connection_identity", "max_residual"),
+        ("mixed_sectional", "mixed_sectional", "max_residual"),
+        ("laplacian_ratio", "check_laplacian_ratio", "max_deviation"),
+    ],
+)
+def test_nan_residual_fails_the_warped_checks(monkeypatch, check, target, key):
+    import warpcheck.scenes as scenes_mod
+
+    original = getattr(scenes_mod, target)
+    if target == "check_laplacian_ratio":
+
+        def patched(*args):
+            rep = original(*args)
+            return {**rep, "max_deviation": float("nan")}
+
+    else:
+        patched = _nan_every_other_call(original)
+    monkeypatch.setattr(scenes_mod, target, patched)
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": 5},
+            "source": {"kind": "warped-chart", "key": "sphere", "params": {"n2": 2}},
+            "checks": [check],
+            "seed": 0,
+        }
+    )
+    (record,) = run(spec).records
+    assert record["pass"] is False
+    assert np.isnan(record[key])
+
+
+def test_nan_intrinsic_curvature_fails_the_gauss_check(monkeypatch):
+    import warpcheck.scenes as scenes_mod
+
+    original = scenes_mod.gauss_residual
+
+    def nan_intrinsic(data, **kwargs):
+        return original(data, intrinsic=lambda *a: float("nan"), **kwargs)
+
+    monkeypatch.setattr(scenes_mod, "gauss_residual", nan_intrinsic)
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "real-space-form", "m": 5, "c": 1.0},
+            "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+            "checks": ["gauss_residual"],
+            "seed": 0,
+        }
+    )
+    (record,) = run(spec).records
+    assert record["pass"] is False
+    assert np.isnan(record["gauss_max"]) and np.isnan(record["kij_max"])
