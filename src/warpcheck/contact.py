@@ -2,9 +2,13 @@
 
 A ContactFrame is algebraic data in an orthonormal basis (the metric is the
 identity): the structure tensor phi, Reeb vector xi, contact form eta, the
-symmetric operator h and the constants kappa, mu.  Three curvature models are
-exposed as (0,4) oracles; each satisfies the standard tensor symmetries and
-the defining curvature-along-xi identity, which the test-suite pins down.
+symmetric operator h and the constants kappa, mu.  Each curvature model is one
+(0,4) array R[i,j,k,l], built once from products of I, phi, h and eta; a
+CurvatureOracle evaluates R(X,Y,Z,W) (`value`), the sectional-curvature table
+of a frame (`kij`), sectional curvatures and frame rotations (`rotated`) as
+contractions of that array.  Each model satisfies the standard tensor
+symmetries and the defining curvature-along-xi identity, which the test-suite
+pins down.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .errors import (
     InvalidFrameError,
     InvalidInputError,
     InvalidParameterError,
+    NumericalDomainError,
     SingularParameterError,
 )
 from .numeric import as_matrix, as_vector
@@ -122,8 +127,7 @@ def make_kmu_frame(m: int, kappa: float, mu: float, c: float | None = None) -> C
     kappa = 1 yields the degenerate h = 0 (Sasakian) frame; kappa > 1 is
     rejected.
     """
-    if m < 1:
-        raise InvalidParameterError("m must be >= 1")
+    _require_dim(m)
     if kappa > 1.0:
         raise InvalidParameterError(f"kappa = {kappa} > 1 is not admissible")
     d = 2 * m + 1
@@ -141,19 +145,43 @@ def make_kmu_frame(m: int, kappa: float, mu: float, c: float | None = None) -> C
     return ContactFrame(m=m, phi=phi, xi=xi, eta=xi.copy(), h=h, kappa=kappa, mu=mu, c=c)
 
 
+def _require_dim(m) -> None:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise InvalidParameterError(f"m must be an integer >= 1 (got {m!r})")
+
+
 @dataclass
 class CurvatureOracle:
-    """(0,4) ambient curvature model R(X,Y,Z,W) on frame-coordinate vectors.
+    """(0,4) ambient curvature model held as the array R[i,j,k,l] = R(e_i,e_j,e_k,e_l).
 
-    `value` evaluates the defining expression slot by slot; `kij` returns the
-    matrix of sectional curvatures K(v_i ^ v_j) for the columns of an
-    orthonormal V in one vectorized pass (same expression, batched).
+    `value`, `kij`, `sectional` and `rotated` are contractions of the one
+    tensor; `kij` returns the matrix of R(v_a, v_b, v_b, v_a) over the columns
+    of V, the sectional curvatures K(v_a ^ v_b) when V is orthonormal.
+    Instances stay mutable so a caller can rebind `value` or `kij` on one
+    oracle (call counting, fault injection).
     """
 
     provenance: str
-    value: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float]
-    kij: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
+    tensor: np.ndarray
+
+    def __post_init__(self):
+        R = self.tensor = np.asarray(self.tensor, dtype=float)
+        if R.ndim != 4 or len(set(R.shape)) != 1:
+            raise InvalidInputError(f"curvature tensor must be (d,d,d,d), got {R.shape}")
+        if not np.isfinite(R).all():
+            raise NumericalDomainError(f"{self.provenance} curvature tensor has non-finite entries")
+        # Q[(i,l),(j,k)] = R[i,j,k,l], so kij is one matrix sandwich
+        self._q = R.transpose(0, 3, 1, 2).reshape(R.shape[0] ** 2, -1)
+
+    def value(self, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray) -> float:
+        return float(X @ ((self.tensor @ W @ Z) @ Y))
+
+    def kij(self, V: np.ndarray) -> np.ndarray:
+        d, n = V.shape
+        P = (V[:, None, :] * V[None, :, :]).reshape(d * d, n)  # column a is v_a (x) v_a
+        out = P.T @ self._q @ P
+        np.fill_diagonal(out, 0.0)
+        return out
 
     def sectional(self, X: np.ndarray, Y: np.ndarray) -> float:
         xx, yy, xy = float(X @ X), float(Y @ Y), float(X @ Y)
@@ -162,132 +190,71 @@ class CurvatureOracle:
             raise InvalidInputError("degenerate plane for sectional curvature")
         return self.value(X, Y, Y, X) / denom
 
+    def rotated(self, F: np.ndarray) -> "CurvatureOracle":
+        """The same curvature in the coordinates a of the vectors F[:, a]:
+        rotated(F).value(a, b, c, d) = value(F a, F b, F c, F d)."""
+        R = self.tensor
+        for _ in range(4):  # contract the leading slot with F, its new index goes last
+            R = np.tensordot(R, F, (0, 0))
+        return CurvatureOracle(self.provenance, R)
+
+
+# The models are sums of the (0,4) products below; a bilinear form
+# A(X, Y) = X^T A Y is passed as its matrix A (the form <T X, Y> as T.T).
+
+
+def _pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """P(A,B)(X,Y,Z,W) = A(Y,Z) B(X,W) - A(X,Z) B(Y,W)."""
+    T = A[None, :, :, None] * B[:, None, None, :]
+    return T - T.transpose(1, 0, 2, 3)
+
+
+def _phi_block(phi: np.ndarray) -> np.ndarray:
+    """P(phi,phi) - 2 phi (x) phi, with phi(X, Y) = <X, phi Y>."""
+    return _pair(phi, phi) - 2.0 * np.multiply.outer(phi, phi)
+
 
 def curvature_real_space_form(dim: int, c: float) -> CurvatureOracle:
     """Constant-curvature model R(X,Y,Z,W) = c(<Y,Z><X,W> - <X,Z><Y,W>)."""
+    _require_dim(dim)
+    eye = np.eye(dim)
+    return CurvatureOracle("real-space-form", c * _pair(eye, eye))
 
-    def value(X, Y, Z, W) -> float:
-        return c * float((Y @ Z) * (X @ W) - (X @ Z) * (Y @ W))
 
-    def kij(V: np.ndarray) -> np.ndarray:
-        G = V.T @ V
-        Gd = G.diagonal()
-        out = c * (Gd[:, None] * Gd[None, :] - G * G)
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    return CurvatureOracle("real-space-form", value, kij, {"c": c, "dim": dim})
+def _kmu_tensor(phi, eta, h, kappa: float, mu: float, c: float) -> np.ndarray:
+    eye, E = np.eye(len(eta)), np.outer(eta, eta)
+    hb, phb = h.T, (phi @ h).T
+    return (
+        (c + 3.0) / 4.0 * _pair(eye, eye)
+        + (c - 1.0) / 4.0 * _phi_block(phi)
+        - (c + 3.0 - 4.0 * kappa) / 4.0 * (_pair(E, eye) + _pair(eye, E))
+        + 0.5 * (_pair(hb, hb) - _pair(phb, phb))
+        + _pair(phi.T @ phi, hb)
+        - _pair(hb, (phi @ phi).T)
+        + mu * (_pair(E, hb) + _pair(hb, E))
+    )
 
 
 def curvature_kmu_space_form(frame: ContactFrame, c: float | None = None) -> CurvatureOracle:
     """Curvature tensor of a contact space form with constant phi-sectional
     curvature c, carrying the h-dependent correction blocks."""
-    if c is None:
-        c = frame.c
+    c = frame.c if c is None else c
     if c is None:
         raise InvalidInputError("phi-sectional curvature c required")
-    phi, h, eta = frame.phi, frame.h, frame.eta
-    kappa, mu = frame.kappa, frame.mu
-    a1 = (c + 3.0) / 4.0
-    a2 = (c - 1.0) / 4.0
-    a3 = (c + 3.0 - 4.0 * kappa) / 4.0
-
-    def value(X, Y, Z, W) -> float:
-        pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
-        hX, hY = h @ X, h @ Y
-        phX, phY = phi @ hX, phi @ hY
-        p2X, p2Y = phi @ pX, phi @ pY
-        eX, eY, eZ, eW = eta @ X, eta @ Y, eta @ Z, eta @ W
-        t1 = a1 * ((Y @ Z) * (X @ W) - (X @ Z) * (Y @ W))
-        t2 = a2 * (2.0 * (X @ pY) * (pZ @ W) + (X @ pZ) * (pY @ W) - (Y @ pZ) * (pX @ W))
-        t3 = a3 * (
-            eX * eZ * (Y @ W) - eY * eZ * (X @ W) + (X @ Z) * eY * eW - (Y @ Z) * eX * eW
-        )
-        t4 = 0.5 * (
-            (hY @ Z) * (hX @ W) - (hX @ Z) * (hY @ W)
-            + (phX @ Z) * (phY @ W) - (phY @ Z) * (phX @ W)
-        )
-        t5 = (pY @ pZ) * (hX @ W) - (pX @ pZ) * (hY @ W)
-        t6 = (hX @ Z) * (p2Y @ W) - (hY @ Z) * (p2X @ W)
-        t7 = mu * (
-            eY * eZ * (hX @ W) - eX * eZ * (hY @ W) + (hY @ Z) * eX * eW - (hX @ Z) * eY * eW
-        )
-        return float(t1 + t2 + t3 + t4 + t5 + t6 + t7)
-
-    def kij(V: np.ndarray) -> np.ndarray:
-        G = V.T @ V
-        PhiV = phi @ V
-        HV = h @ V
-        F = V.T @ PhiV
-        Hm = V.T @ HV
-        PH = V.T @ (phi @ HV)
-        PP = PhiV.T @ PhiV
-        M2 = V.T @ (phi @ PhiV)
-        E = eta @ V
-        Gd, Fd, Hmd, PHd, PPd, M2d = (
-            G.diagonal(), F.diagonal(), Hm.diagonal(), PH.diagonal(), PP.diagonal(), M2.diagonal(),
-        )
-        E2 = E * E
-        EE = E[:, None] * E[None, :]
-        t1 = a1 * (Gd[:, None] * Gd[None, :] - G * G)
-        t2 = a2 * (3.0 * F * F - Fd[:, None] * Fd[None, :])
-        t3 = a3 * (2.0 * EE * G - Gd[:, None] * E2[None, :] - E2[:, None] * Gd[None, :])
-        t4 = 0.5 * (Hmd[:, None] * Hmd[None, :] - Hm * Hm + PH * PH - PHd[:, None] * PHd[None, :])
-        t5 = Hmd[:, None] * PPd[None, :] - PP * Hm
-        t6 = Hm * M2 - M2d[:, None] * Hmd[None, :]
-        t7 = mu * (Hmd[:, None] * E2[None, :] + E2[:, None] * Hmd[None, :] - 2.0 * EE * Hm)
-        out = t1 + t2 + t3 + t4 + t5 + t6 + t7
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    return CurvatureOracle(
-        "kmu-space-form", value, kij,
-        {"m": frame.m, "kappa": kappa, "mu": mu, "c": c},
-    )
+    R = _kmu_tensor(frame.phi, frame.eta, frame.h, frame.kappa, frame.mu, c)
+    return CurvatureOracle("kmu-space-form", R)
 
 
 def curvature_sasakian_space_form(frame: ContactFrame, c: float | None = None) -> CurvatureOracle:
-    """Sasakian space-form tensor (requires h = 0)."""
+    """Sasakian space-form tensor (requires h = 0): the (kappa, mu) space-form
+    tensor at h = 0, kappa = 1."""
     if not frame.is_sasakian():
         raise InvalidFrameError("Sasakian space-form oracle requires h = 0")
-    if c is None:
-        c = frame.c
+    c = frame.c if c is None else c
     if c is None:
         raise InvalidInputError("phi-sectional curvature c required")
-    phi, eta = frame.phi, frame.eta
-    a1 = (c + 3.0) / 4.0
-    a2 = (c - 1.0) / 4.0
-
-    def value(X, Y, Z, W) -> float:
-        pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
-        eX, eY, eZ, eW = eta @ X, eta @ Y, eta @ Z, eta @ W
-        t1 = a1 * ((Y @ Z) * (X @ W) - (X @ Z) * (Y @ W))
-        t2 = a2 * (
-            2.0 * (X @ pY) * (pZ @ W) + (X @ pZ) * (pY @ W) - (Y @ pZ) * (pX @ W)
-            + eX * eZ * (Y @ W) - eY * eZ * (X @ W)
-            + (X @ Z) * eY * eW - (Y @ Z) * eX * eW
-        )
-        return float(t1 + t2)
-
-    def kij(V: np.ndarray) -> np.ndarray:
-        G = V.T @ V
-        F = V.T @ (phi @ V)
-        E = eta @ V
-        Gd, Fd = G.diagonal(), F.diagonal()
-        E2 = E * E
-        EE = E[:, None] * E[None, :]
-        t1 = a1 * (Gd[:, None] * Gd[None, :] - G * G)
-        t2 = a2 * (
-            3.0 * F * F - Fd[:, None] * Fd[None, :]
-            + 2.0 * EE * G - Gd[:, None] * E2[None, :] - E2[:, None] * Gd[None, :]
-        )
-        out = t1 + t2
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    return CurvatureOracle(
-        "sasakian-space-form", value, kij, {"m": frame.m, "c": c}
-    )
+    R = _kmu_tensor(frame.phi, frame.eta, np.zeros_like(frame.h), 1.0, 0.0, c)
+    return CurvatureOracle("sasakian-space-form", R)
 
 
 def curvature_non_sasakian(frame: ContactFrame) -> CurvatureOracle:
@@ -298,64 +265,19 @@ def curvature_non_sasakian(frame: ContactFrame) -> CurvatureOracle:
     """
     kappa, mu = frame.kappa, frame.mu
     if kappa > 1.0 - 1e-8:
-        raise SingularParameterError(
-            f"non-Sasakian model needs kappa < 1 (got {kappa})"
-        )
-    phi, h, eta = frame.phi, frame.h, frame.eta
-    a = 1.0 - mu / 2.0
-    e1 = (1.0 - mu / 2.0) / (1.0 - kappa)
-    e2 = (kappa - mu / 2.0) / (1.0 - kappa)
-    b1 = kappa - 1.0 + mu / 2.0
-    b2 = mu - 1.0
-
-    def value(X, Y, Z, W) -> float:
-        pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
-        hX, hY = h @ X, h @ Y
-        phX, phY = phi @ hX, phi @ hY
-        eX, eY, eZ, eW = eta @ X, eta @ Y, eta @ Z, eta @ W
-        t1 = a * ((Y @ Z) * (X @ W) - (X @ Z) * (Y @ W))
-        t2 = -mu / 2.0 * (
-            2.0 * (X @ pY) * (pZ @ W) + (X @ pZ) * (pY @ W) - (Y @ pZ) * (pX @ W)
-        )
-        t3 = (
-            (Y @ Z) * (hX @ W) - (X @ Z) * (hY @ W)
-            - (Y @ W) * (hX @ Z) + (X @ W) * (hY @ Z)
-        )
-        t4 = e1 * ((hY @ Z) * (hX @ W) - (hX @ Z) * (hY @ W))
-        t5 = e2 * ((phY @ Z) * (phX @ W) - (phX @ Z) * (phY @ W))
-        t6 = eX * eW * (b1 * (Y @ Z) + b2 * (hY @ Z))
-        t7 = -eX * eZ * (b1 * (Y @ W) + b2 * (hY @ W))
-        t8 = eY * eZ * (b1 * (X @ W) + b2 * (hX @ W))
-        t9 = -eY * eW * (b1 * (X @ Z) + b2 * (hX @ Z))
-        return float(t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9)
-
-    def kij(V: np.ndarray) -> np.ndarray:
-        G = V.T @ V
-        PhiV = phi @ V
-        HV = h @ V
-        F = V.T @ PhiV
-        Hm = V.T @ HV
-        PH = V.T @ (phi @ HV)
-        E = eta @ V
-        Gd, Fd, Hmd, PHd = G.diagonal(), F.diagonal(), Hm.diagonal(), PH.diagonal()
-        t1 = a * (Gd[:, None] * Gd[None, :] - G * G)
-        t2 = -mu / 2.0 * (3.0 * F * F - Fd[:, None] * Fd[None, :])
-        t3 = Hmd[:, None] * Gd[None, :] + Gd[:, None] * Hmd[None, :] - 2.0 * G * Hm
-        t4 = e1 * (Hmd[:, None] * Hmd[None, :] - Hm * Hm)
-        t5 = e2 * (PHd[:, None] * PHd[None, :] - PH * PH)
-        E2 = E * E
-        EE = E[:, None] * E[None, :]
-        t69 = (
-            b1 * (E2[:, None] * Gd[None, :] + Gd[:, None] * E2[None, :] - 2.0 * EE * G)
-            + b2 * (E2[:, None] * Hmd[None, :] + Hmd[:, None] * E2[None, :] - 2.0 * EE * Hm)
-        )
-        out = t1 + t2 + t3 + t4 + t5 + t69
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    return CurvatureOracle(
-        "non-sasakian-kmu", value, kij, {"m": frame.m, "kappa": kappa, "mu": mu}
+        raise SingularParameterError(f"non-Sasakian model needs kappa < 1 (got {kappa})")
+    phi, hb, phb = frame.phi, frame.h.T, (frame.phi @ frame.h).T
+    eye, E = np.eye(frame.dim), np.outer(frame.eta, frame.eta)
+    B = (kappa - 1.0 + mu / 2.0) * eye + (mu - 1.0) * hb
+    R = (
+        (1.0 - mu / 2.0) * _pair(eye, eye)
+        - mu / 2.0 * _phi_block(phi)
+        + _pair(eye, hb) + _pair(hb, eye)
+        + (1.0 - mu / 2.0) / (1.0 - kappa) * _pair(hb, hb)
+        + (kappa - mu / 2.0) / (1.0 - kappa) * _pair(phb, phb)
+        + _pair(B, E) + _pair(E, B)
     )
+    return CurvatureOracle("non-sasakian-kmu", R)
 
 
 def check_km_condition(
@@ -407,9 +329,7 @@ class AmbientSpace:
 
 
 def _ambient_euclidean(m: int) -> AmbientSpace:
-    return AmbientSpace(
-        "euclidean", m, curvature_real_space_form(m, 0.0), params={"m": m}
-    )
+    return AmbientSpace("euclidean", m, curvature_real_space_form(m, 0.0), params={"m": m})
 
 
 def _ambient_real_space_form(m: int, c: float) -> AmbientSpace:
@@ -479,4 +399,6 @@ def make_ambient(kind: str, **params) -> AmbientSpace:
     catalog = ambient_catalog()
     if kind not in catalog:
         raise InvalidInputError(f"unknown ambient kind {kind!r}; known: {sorted(catalog)}")
-    return catalog[kind](**params)
+    # a non-finite parameter yields a non-finite tensor, which CurvatureOracle rejects
+    with np.errstate(invalid="ignore", over="ignore"):
+        return catalog[kind](**params)

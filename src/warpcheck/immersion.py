@@ -55,6 +55,7 @@ __all__ = [
     "plane_immersion",
     "cylinder_immersion",
     "dplus_leaf",
+    "dplus_leaf_in",
     "chart_immersion_catalog",
 ]
 
@@ -463,7 +464,6 @@ class ChartImmersion:
     n1: int
     n2: int
     warped: WarpedProductChart | None = None
-    oracle: CurvatureOracle | None = None  # closed-form ambient model, if any
     label: str = ""
     default_point: np.ndarray | None = None
 
@@ -495,26 +495,6 @@ def pullback_metric(im: ChartImmersion) -> ChartMetric:
         return J.T @ gx @ J
 
     return ChartMetric(im.n, g)
-
-
-def _chart_oracle(ambient: ChartMetric, x: np.ndarray, frame: np.ndarray) -> CurvatureOracle:
-    """Ambient curvature at x, conjugated into adapted-frame coordinates."""
-    r04 = riemann(ambient, x).riemann04
-
-    def value(a, b, c, d) -> float:
-        X, Y, Z, W = frame @ a, frame @ b, frame @ c, frame @ d
-        return float(np.einsum("ijkl,i,j,k,l->", r04, X, Y, Z, W))
-
-    def kij(V: np.ndarray) -> np.ndarray:
-        n = V.shape[1]
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = value(V[:, i], V[:, j], V[:, j], V[:, i])
-                out[j, i] = out[i, j]
-        return out
-
-    return CurvatureOracle("chart-numeric", value, kij)
 
 
 def second_fundamental_form(
@@ -566,20 +546,9 @@ def second_fundamental_form(
     asymmetry = float(np.max(np.abs(sigma - sigma.transpose(0, 2, 1))))
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
+    # ambient curvature at x, rotated into the adapted frame
     full_frame = np.column_stack([tangent_ambient, normal_ambient])
-    oracle = im.oracle or _chart_oracle(im.ambient, x, full_frame)
-    if im.oracle is not None:
-        # closed-form oracles act on ambient coordinates; conjugate them into
-        # the adapted frame so downstream components stay frame-based
-        base = im.oracle
-
-        def value(a, b, c, dd, _base=base, _F=full_frame):
-            return _base.value(_F @ a, _F @ b, _F @ c, _F @ dd)
-
-        def kij(V, _base=base, _F=full_frame):
-            return _base.kij(_F @ V)
-
-        oracle = CurvatureOracle(base.provenance, value, kij, dict(base.params))
+    oracle = CurvatureOracle("chart-numeric", riemann(im.ambient, x).riemann04).rotated(full_frame)
 
     eye = np.eye(d)
     return PointwiseImmersionData(
@@ -680,18 +649,23 @@ def dplus_leaf(
 ) -> PointwiseImmersionData:
     """Totally geodesic leaf of the positive h-eigendistribution (sigma = 0)."""
     ambient = make_ambient("non-sasakian-kmu", m=m, kappa=kappa, mu=mu)
+    return dplus_leaf_in(ambient, n1, n2, label=f"dplus-leaf(m={m},kappa={kappa},mu={mu})")
+
+
+def dplus_leaf_in(
+    ambient: AmbientSpace, n1: int = 1, n2: int = 1, label: str = "dplus-leaf"
+) -> PointwiseImmersionData:
+    """The dplus leaf drawn inside a given contact ambient."""
     tangent = dplus_frame(_frame_of(ambient), n1 + n2)
-    normal = complete_normal_frame(tangent)
-    sigma = np.zeros((ambient.dim - n1 - n2, n1 + n2, n1 + n2))
     return PointwiseImmersionData(
         n1=n1,
         n2=n2,
         tangent=tangent,
-        normal=normal,
-        sigma=sigma,
+        normal=complete_normal_frame(tangent),
+        sigma=np.zeros((ambient.dim - n1 - n2, n1 + n2, n1 + n2)),
         oracle=ambient.oracle,
         contact=ambient.frame,
-        label=f"dplus-leaf(m={m},kappa={kappa},mu={mu})",
+        label=label,
     )
 
 

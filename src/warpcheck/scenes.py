@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .contact import (
     AmbientSpace,
+    CurvatureOracle,
     ambient_catalog,
     check_km_condition,
     make_ambient,
@@ -28,12 +29,13 @@ from .contact import (
 )
 from .errors import SceneParseError, SceneValidationError
 from .immersion import (
+    ChartImmersion,
     PointwiseImmersionData,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
     complete_normal_frame,
-    dplus_frame,
+    dplus_leaf_in,
     gauss_residual,
     is_C_totally_real,
     pullback_metric,
@@ -223,6 +225,13 @@ def _ambient_of(spec: SceneSpec) -> AmbientSpace:
         raise SceneValidationError(f"bad ambient parameters for {kind!r}: {exc}") from exc
 
 
+def _immersion_of(src: dict) -> ChartImmersion:
+    try:
+        return chart_immersion_catalog()[src["key"]](**src.get("params", {}))
+    except TypeError as exc:
+        raise SceneValidationError(f"bad immersion parameters for {src['key']!r}: {exc}") from exc
+
+
 _CONTACT_CHECKS = {
     "kmu_space_form_inequality",
     "non_sasakian_inequality",
@@ -242,10 +251,17 @@ def _validate(spec: SceneSpec):
     _require(kind in known_sources, f"unknown source kind {kind!r}")
     if kind == "warped-chart":
         _require(src.get("key") in chart_catalog(), f"unknown chart key {src.get('key')!r}")
-    if kind == "chart-immersion":
+    if kind == "chart-immersion" and src.get("key") == "dplus-leaf":
+        _require(ambient.frame is not None, "dplus-leaf needs a contact ambient")
+    elif kind == "chart-immersion":
         _require(
-            src.get("key") in chart_immersion_catalog() or src.get("key") == "dplus-leaf",
-            f"unknown immersion key {src.get('key')!r}",
+            src.get("key") in chart_immersion_catalog(), f"unknown immersion key {src.get('key')!r}"
+        )
+        im_dim = _immersion_of(src).ambient.dim
+        _require(
+            im_dim == ambient.dim,
+            f"immersion {src['key']!r} maps into a {im_dim}-dimensional chart, "
+            f"the ambient is {ambient.dim}-dimensional",
         )
     if kind in ("synthetic", "explicit"):
         n1, n2 = int(src.get("n1", 1)), int(src.get("n2", 1))
@@ -369,27 +385,12 @@ def _build_context(spec: SceneSpec, tol: Tolerance, rng, samples: int) -> _Conte
         )
         _require(len(ctx.warped.sample_points) > 0, "explicit-warped source needs 'points'")
     elif kind == "chart-immersion":
-        key = src["key"]
-        params = src.get("params", {})
-        if key == "dplus-leaf":
+        if src["key"] == "dplus-leaf":
             # totally geodesic leaf drawn inside the declared contact ambient
-            if ambient.frame is None:
-                raise SceneValidationError("dplus-leaf needs a contact ambient")
-            n1, n2 = int(params.get("n1", 1)), int(params.get("n2", 1))
-            tangent = dplus_frame(ambient.frame, n1 + n2)
-            normal = complete_normal_frame(tangent)
-            ctx.fixed_data = PointwiseImmersionData(
-                n1=n1,
-                n2=n2,
-                tangent=tangent,
-                normal=normal,
-                sigma=np.zeros((ambient.dim - n1 - n2, n1 + n2, n1 + n2)),
-                oracle=ambient.oracle,
-                contact=ambient.frame,
-                label="dplus-leaf",
-            )
+            params = src.get("params", {})
+            ctx.fixed_data = dplus_leaf_in(ambient, int(params.get("n1", 1)), int(params.get("n2", 1)))
         else:
-            ctx.immersion = chart_immersion_catalog()[key](**params)
+            ctx.immersion = _immersion_of(src)
             ctx.warped = ctx.immersion.warped
             ctx.source_params = dict(src)
     elif kind == "synthetic":
@@ -489,13 +490,10 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         data = second_fundamental_form(im, p)
         # intrinsic curvature from the pulled-back metric, independent of sigma
         cp = riemann(pullback_metric(im), p)
-        coeff = data.extras["frame_coefficients"]
-
-        def intrinsic(a, b, c, d):
-            A, B, C, D = (coeff @ v for v in (a, b, c, d))
-            return float(np.einsum("ijkl,i,j,k,l->", cp.riemann04, A, B, C, D))
-
-        res = gauss_residual(data, intrinsic=intrinsic, rng=ctx.rng, samples=20)
+        intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
+            data.extras["frame_coefficients"]
+        )
+        res = gauss_residual(data, intrinsic=intrinsic.value, rng=ctx.rng, samples=20)
         threshold = 1e-4
     else:
         data = ctx.make_data()

@@ -279,8 +279,9 @@ def is_trivial(
     """True iff the warping function is constant over the sample set."""
     if len(samples) == 0:
         raise InvalidInputError("sample set must be nonempty")
-    values = [wp.warp.value(wp.split(p)[0]) for p in samples]
-    return max(abs(v - values[0]) for v in values) < tol
+    # a NaN compares false against tol, so non-finite values are rejected first
+    values = as_vector([wp.warp.value(wp.split(p)[0]) for p in samples])
+    return float(np.max(np.abs(values - values[0]))) < tol
 
 
 def flat_factor(dim: int) -> ChartMetric:

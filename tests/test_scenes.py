@@ -381,6 +381,59 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+ADMISSIBLE_AMBIENTS = {
+    "real-space-form": {"m": 3, "c": -1.0},
+    "sasakian-space-form": {"m": 2, "c": 0.5},
+    "kmu-space-form": {"m": 2, "kappa": 0.5, "mu": 0.3, "c": 0.7},
+    "non-sasakian-kmu": {"m": 2, "kappa": 0.5, "mu": 0.3},
+    "tangent-sphere-bundle": {"m": 2, "c": 0.5},
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind,key",
+    [(k, key) for k, p in ADMISSIBLE_AMBIENTS.items() for key in ("c", "kappa", "mu") if key in p],
+)
+def test_cli_rejects_non_finite_ambient_parameters(tmp_path, capsys, kind, key, bad):
+    ambient = dict(ADMISSIBLE_AMBIENTS[kind], kind=kind)
+    ambient[key] = bad
+    scene = {
+        "ambient": ambient,
+        "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+        "checks": ["general_inequality", "oracle_symmetries"],
+        "samples": 3,
+        "seed": 0,
+    }
+    assert cli_main(["verify", _write(tmp_path, scene)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, np.inf, True])
+@pytest.mark.parametrize("kind", ["euclidean", "real-space-form"])
+def test_cli_rejects_inadmissible_real_form_dimension(tmp_path, capsys, kind, m):
+    ambient = {"kind": kind, "m": m} if kind == "euclidean" else {"kind": kind, "m": m, "c": 1.0}
+    scene = dict(SPHERE_SCENE, ambient=ambient, checks=["oracle_symmetries", "general_inequality"])
+    assert cli_main(["verify", _write(tmp_path, scene)]) == 2
+    assert "m must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_chart_immersion_must_match_the_ambient_dimension(m):
+    with pytest.raises(SceneValidationError, match="3-dimensional chart"):
+        parse_scene(dict(SPHERE_SCENE, ambient={"kind": "euclidean", "m": m}))
+
+
+def test_dplus_leaf_needs_a_contact_ambient():
+    scene = {
+        "ambient": {"kind": "euclidean", "m": 5},
+        "source": {"kind": "chart-immersion", "key": "dplus-leaf"},
+        "checks": ["general_inequality"],
+    }
+    with pytest.raises(SceneValidationError, match="contact ambient"):
+        parse_scene(scene)
+
+
 def test_cli_writes_output_file(tmp_path):
     good = _write(tmp_path, SPHERE_SCENE)
     out = tmp_path / "report.json"

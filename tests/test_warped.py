@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from warpcheck.errors import InvalidInputError, InvalidWarpingError
+from warpcheck.errors import InvalidInputError, InvalidWarpingError, NumericalDomainError
 from warpcheck.inequality import chart_inequality
 from warpcheck.charts import riemann, sectional_curvature
 from warpcheck.immersion import sphere_in_euclidean
 from warpcheck.warped import (
+    WarpFunction,
     WarpedProductChart,
     build_metric,
     check_connection_identity,
@@ -166,6 +167,16 @@ def test_is_trivial_below_tolerance():
     wp = WarpedProductChart(flat_factor(1), flat_factor(1), warp)
     pts = [np.array([t, 0.0]) for t in (-1.0, 0.0, 1.0)]
     assert is_trivial(wp, pts)
+
+
+def test_is_trivial_rejects_a_nan_warp_value():
+    wp = flat_product_chart()
+    second = float(wp.sample_points[1][0])
+    wp.warp = WarpFunction(
+        "nan-at-second", lambda t: np.nan if t == second else 1.0, lambda t: 0.0, lambda t: 0.0
+    )
+    with pytest.raises(NumericalDomainError):
+        is_trivial(wp, wp.sample_points)
 
 
 def test_is_trivial_needs_samples():
