@@ -10,6 +10,7 @@ plain dot product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,7 +19,6 @@ import numpy as np
 from .charts import ChartMetric, christoffel, riemann
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle, make_ambient
 from .errors import (
-    DegenerateInputError,
     ImmersionDegeneracyError,
     InvalidConfigurationError,
     InvalidInputError,
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .numeric import (
     DEFAULT_TOLERANCE,
+    as_matrix,
     as_vector,
     cross_diff,
     gram_schmidt,
@@ -347,29 +348,46 @@ def force_xi_consistency(
 
 def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
     """Deterministic completion of a tangent frame by the standard basis,
-    orthonormal for the metric `gram` (identity when omitted): modified
-    Gram-Schmidt of the whole frame per candidate, skipping dependent ones."""
+    orthonormal for the metric `gram` (identity when omitted).
+
+    One pass over the candidates: the tangent columns, then e_0, e_1, ... .
+    Each candidate is projected against the frame accepted so far with one
+    matrix product, and the projection is repeated once (classical
+    Gram-Schmidt with one re-orthogonalization).  A remainder of `gram`-norm
+    at least 1e-8 is normalized and accepted; a smaller one is skipped, or
+    raises ImmersionDegeneracyError for a tangent column (dependent tangent).
+    Each normal column has its largest-magnitude entry positive.  Raises
+    NumericalDomainError on non-finite input and ImmersionDegeneracyError
+    when the frame cannot be completed.
+    """
+    tangent = as_matrix(tangent)
     d, n = tangent.shape
-    inner = None if gram is None else (lambda u, v: float(u @ gram @ v))
-    frame = list(tangent.T)
-    for a in range(d):
-        if len(frame) == d:
+    g = np.eye(d) if gram is None else as_matrix(gram, d, d)
+    if n >= d:
+        raise ImmersionDegeneracyError(f"{n} tangent vectors leave no normal direction in R^{d}")
+    candidates = np.vstack([tangent.T, np.eye(d)])
+    # accepted vectors u as rows of `frame`, with the rows u^T g beside them
+    frame, gframe = np.empty((d, d)), np.empty((d, d))
+    k = 0
+    for j, cand in enumerate(candidates):
+        if k == d:
             break
-        cand = np.zeros(d)
-        cand[a] = 1.0
-        try:
-            frame = gram_schmidt(frame + [cand], inner=inner, tol=1e-8)
-        except DegenerateInputError:
-            continue
-    if len(frame) != d:
+        accepted, gaccepted = frame[:k], gframe[:k]
+        w = cand - np.dot(np.dot(gaccepted, cand), accepted)
+        w -= np.dot(np.dot(gaccepted, w), accepted)
+        wg = np.dot(w, g)
+        norm = math.sqrt(max(float(np.dot(wg, w)), 0.0))
+        if norm >= 1e-8:
+            frame[k], gframe[k] = w / norm, wg / norm
+            k += 1
+        elif j < n:
+            raise ImmersionDegeneracyError(f"tangent column {j} depends on the previous ones")
+    if k != d:
         raise ImmersionDegeneracyError("failed to complete the normal frame")
-    normal = np.column_stack(frame[n:])
+    normal = frame[n:].T
     # deterministic sign: largest-magnitude entry positive
-    for r in range(normal.shape[1]):
-        k = int(np.argmax(np.abs(normal[:, r])))
-        if normal[k, r] < 0.0:
-            normal[:, r] = -normal[:, r]
-    return normal
+    peak = normal[np.argmax(np.abs(normal), axis=0), np.arange(d - n)]
+    return normal * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def random_data(

@@ -42,6 +42,7 @@ from .immersion import (
     mean_curvatures,
     second_fundamental_form,
 )
+from .numeric import DEFAULT_TOLERANCE
 
 __all__ = [
     "chen_lemma",
@@ -448,15 +449,17 @@ def chart_inequality(
     im: ChartImmersion,
     p: np.ndarray,
     equality_tol: float = CHART_EQUALITY_TOL,
+    h: float = DEFAULT_TOLERANCE.finite_difference,
 ) -> InequalityReport:
     """Run the general inequality on a chart immersion of a warped chart.
 
     Produces both left-hand sides (the genuine Delta f / f on the first factor
-    and the Gauss-equation proxy) and reports their agreement.
+    and the Gauss-equation proxy) and reports their agreement.  `h` is the
+    finite-difference step of the second fundamental form.
     """
     if im.warped is None:
         raise InvalidConfigurationError("chart immersion carries no warped structure")
-    data = second_fundamental_form(im, p)
+    data = second_fundamental_form(im, p, h=h)
     wp = im.warped
     x1 = np.asarray(p, dtype=float)[: wp.n1]
     f = wp.warp.value(x1)

@@ -100,6 +100,20 @@ class SceneSpec:
     tolerances: dict = field(default_factory=dict)
     samples: int = 100
     seed: int | None = None
+    _ambient_space: AmbientSpace | None = field(default=None, init=False, repr=False, compare=False)
+
+    def ambient_space(self) -> AmbientSpace:
+        """The declared ambient model, built on first use; validation and
+        every run of this spec share the one instance."""
+        if self._ambient_space is None:
+            amb = dict(self.ambient)
+            kind = amb.pop("kind", None)
+            _require(kind in ambient_catalog(), f"unknown ambient kind {kind!r}")
+            try:
+                self._ambient_space = make_ambient(kind, **amb)
+            except TypeError as exc:
+                raise SceneValidationError(f"bad ambient parameters for {kind!r}: {exc}") from exc
+        return self._ambient_space
 
     def to_dict(self) -> dict:
         return {
@@ -215,16 +229,6 @@ def parse_scene(path_or_dict) -> SceneSpec:
     return spec
 
 
-def _ambient_of(spec: SceneSpec) -> AmbientSpace:
-    amb = dict(spec.ambient)
-    kind = amb.pop("kind", None)
-    _require(kind in ambient_catalog(), f"unknown ambient kind {kind!r}")
-    try:
-        return make_ambient(kind, **amb)
-    except TypeError as exc:
-        raise SceneValidationError(f"bad ambient parameters for {kind!r}: {exc}") from exc
-
-
 def _immersion_of(src: dict) -> ChartImmersion:
     try:
         return chart_immersion_catalog()[src["key"]](**src.get("params", {}))
@@ -243,7 +247,7 @@ _CONTACT_CHECKS = {
 
 
 def _validate(spec: SceneSpec):
-    ambient = _ambient_of(spec)  # raises on bad kind/parameters
+    ambient = spec.ambient_space()  # raises on bad kind/parameters
     src = spec.source
     _require(isinstance(src, dict) and "kind" in src, "source needs a 'kind'")
     kind = src["kind"]
@@ -331,7 +335,7 @@ class _Context:
         if self.immersion is not None:
             p = self.source_params.get("point")
             p = np.asarray(p, float) if p is not None else self.immersion.default_point
-            return second_fundamental_form(self.immersion, p)
+            return second_fundamental_form(self.immersion, p, h=self.tol.finite_difference)
         n1 = int(self.source_params.get("n1", 1))
         n2 = int(self.source_params.get("n2", 1))
         scale = float(self.source_params.get("sigma_scale", 1.0))
@@ -369,7 +373,7 @@ class _Context:
 
 
 def _build_context(spec: SceneSpec, tol: Tolerance, rng, samples: int) -> _Context:
-    ambient = _ambient_of(spec)
+    ambient = spec.ambient_space()
     ctx = _Context(spec=spec, ambient=ambient, tol=tol, rng=rng, samples=samples)
     src = spec.source
     kind = src["kind"]
@@ -487,7 +491,7 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         im = ctx.immersion
         p = ctx.source_params.get("point")
         p = np.asarray(p, float) if p is not None else im.default_point
-        data = second_fundamental_form(im, p)
+        data = second_fundamental_form(im, p, h=ctx.tol.finite_difference)
         # intrinsic curvature from the pulled-back metric, independent of sigma
         cp = riemann(pullback_metric(im), p)
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
@@ -561,7 +565,7 @@ def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
     if ctx.immersion is not None and name == "general_inequality":
         p = ctx.source_params.get("point")
         p = np.asarray(p, float) if p is not None else ctx.immersion.default_point
-        rep = chart_inequality(ctx.immersion, p)
+        rep = chart_inequality(ctx.immersion, p, h=ctx.tol.finite_difference)
         ok = rep.gap >= -rep.equality_tol and rep.extras["lhs_agreement"] < 1e-3
         return {
             "pass": bool(ok),

@@ -1,0 +1,166 @@
+"""One-pass normal-frame completion against the per-candidate routine it
+replaced, plus its error paths."""
+
+import numpy as np
+import pytest
+
+from warpcheck.contact import make_kmu_frame
+from warpcheck.errors import (
+    DegenerateInputError,
+    ImmersionDegeneracyError,
+    NumericalDomainError,
+)
+from warpcheck.immersion import c_totally_real_frame, complete_normal_frame, dplus_frame
+from warpcheck.numeric import gram_schmidt
+
+PARITY = 1e-12
+
+
+def _reference_completion(tangent, gram=None):
+    """The previous routine, frozen: modified Gram-Schmidt of the whole frame
+    again for every standard-basis candidate, skipping dependent ones."""
+    d, n = tangent.shape
+    inner = None if gram is None else (lambda u, v: float(u @ gram @ v))
+    frame = list(tangent.T)
+    for a in range(d):
+        if len(frame) == d:
+            break
+        cand = np.zeros(d)
+        cand[a] = 1.0
+        try:
+            frame = gram_schmidt(frame + [cand], inner=inner, tol=1e-8)
+        except DegenerateInputError:
+            continue
+    if len(frame) != d:
+        raise ImmersionDegeneracyError("failed to complete the normal frame")
+    normal = np.column_stack(frame[n:])
+    for r in range(normal.shape[1]):
+        k = int(np.argmax(np.abs(normal[:, r])))
+        if normal[k, r] < 0.0:
+            normal[:, r] = -normal[:, r]
+    return normal
+
+
+def _assert_parity(tangent, gram=None):
+    got = complete_normal_frame(tangent, gram=gram)
+    want = _reference_completion(tangent, gram=gram)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= PARITY
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_parity_on_c_totally_real_tangents(m):
+    rng = np.random.default_rng(100 + m)
+    frame = make_kmu_frame(m, kappa=0.3, mu=0.5)
+    for n in range(1, m + 1):
+        for _ in range(10):
+            _assert_parity(c_totally_real_frame(rng, frame, n))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_parity_on_dplus_tangents_skips_the_dependent_candidates(m):
+    frame = make_kmu_frame(m, kappa=0.3, mu=0.5)
+    d = frame.dim
+    for n in range(1, m + 1):
+        tangent = dplus_frame(frame, n)
+        _assert_parity(tangent)
+        # e_1..e_n span the tangent, so the normal frame is e_0, e_{n+1}, ...
+        expected = np.eye(d)[:, [0] + list(range(n + 1, d))]
+        assert np.array_equal(complete_normal_frame(tangent), expected)
+
+
+@pytest.mark.parametrize("d", range(2, 14))
+def test_parity_on_random_orthonormal_tangents(d):
+    rng = np.random.default_rng(d)
+    for n in range(1, d):
+        for _ in range(5):
+            _assert_parity(np.linalg.qr(rng.normal(size=(d, d)))[0][:, :n])
+
+
+def test_parity_on_independent_non_orthonormal_tangents():
+    rng = np.random.default_rng(7)
+    for d in range(2, 10):
+        for n in range(1, d):
+            tangent = rng.normal(size=(d, n))
+            tangent[:, 0] *= 3.0
+            _assert_parity(tangent)
+
+
+def test_parity_under_an_spd_gram_with_gram_orthonormal_tangents():
+    rng = np.random.default_rng(8)
+    for d in range(2, 10):
+        a = rng.normal(size=(d, d))
+        g = a @ a.T + d * np.eye(d)
+        chol = np.linalg.cholesky(g)
+        for n in range(1, d):
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :n]
+            tangent = np.linalg.solve(chol.T, q)  # g-orthonormal columns
+            _assert_parity(tangent, gram=g)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-7])
+def test_reorthogonalization_keeps_nearly_dependent_candidates_orthogonal(eps):
+    # e_0 and e_2 lie within eps of the tangent plane, so their remainders
+    # are O(eps) and one projection pass would leave O(1e-16 / eps) overlap
+    tangent = np.array([[1.0, 0.0], [eps, eps], [0.0, 1.0]])
+    tangent = np.linalg.qr(tangent)[0]
+    full = np.hstack([tangent, complete_normal_frame(tangent)])
+    assert np.max(np.abs(full.T @ full - np.eye(3))) < 1e-14
+
+
+def test_candidate_with_remainder_below_the_threshold_is_skipped():
+    # e_0 is within 1e-10 of the tangent: its remainder (~1e-10, along
+    # e_1 + e_2) is skipped, so e_1 and e_2 are accepted on their own
+    tangent = np.array([[1.0], [1e-10], [1e-10], [0.0]])
+    tangent /= np.linalg.norm(tangent)
+    _assert_parity(tangent)
+    normal = complete_normal_frame(tangent)
+    assert np.max(np.abs(normal - np.eye(4)[:, 1:])) < 1e-9
+    assert np.array_equal(normal[:, 2], np.eye(4)[:, 3])
+
+
+def test_candidate_with_remainder_above_the_threshold_is_accepted():
+    # the remainder of e_0 has norm ~1.4e-7 >= 1e-8 and points along e_1 + e_2
+    tangent = np.array([[1.0], [1e-7], [1e-7], [0.0]])
+    tangent /= np.linalg.norm(tangent)
+    normal = complete_normal_frame(tangent)
+    along = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    assert np.max(np.abs(normal[:, 0] - along)) < 1e-6
+    full = np.hstack([tangent, normal])
+    assert np.max(np.abs(full.T @ full - np.eye(4))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "tangent",
+    [
+        np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]),  # parallel columns
+        np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),  # zero column
+        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ],
+)
+def test_dependent_tangent_raises(tangent):
+    with pytest.raises(ImmersionDegeneracyError):
+        complete_normal_frame(tangent)
+    with pytest.raises(ImmersionDegeneracyError):
+        complete_normal_frame(tangent, gram=2.0 * np.eye(4))
+
+
+def test_tangent_without_a_normal_direction_raises():
+    with pytest.raises(ImmersionDegeneracyError):
+        complete_normal_frame(np.eye(3))
+    with pytest.raises(ImmersionDegeneracyError):
+        complete_normal_frame(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    tangent = np.zeros((5, 2))
+    tangent[1, 0] = tangent[2, 1] = 1.0
+    broken = tangent.copy()
+    broken[3, 1] = bad
+    with pytest.raises(NumericalDomainError):
+        complete_normal_frame(broken)
+    gram = np.eye(5)
+    gram[4, 4] = bad
+    with pytest.raises(NumericalDomainError):
+        complete_normal_frame(tangent, gram=gram)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,3 +567,66 @@ def test_nan_intrinsic_curvature_fails_the_gauss_check(monkeypatch):
     (record,) = run(spec).records
     assert record["pass"] is False
     assert np.isnan(record["gauss_max"]) and np.isnan(record["kij_max"])
+
+
+SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def _dependent_columns():
+    tangent = np.zeros((7, 2))
+    tangent[1, 0] = tangent[1, 1] = 1.0  # both columns along e_1
+    return tangent.tolist()
+
+
+@pytest.mark.parametrize(
+    "tangent",
+    [_dependent_columns(), np.eye(7).tolist(), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+    ids=["dependent-columns", "no-normal-direction", "not-a-matrix"],
+)
+def test_cli_rejects_an_explicit_tangent_it_cannot_complete(tmp_path, capsys, tangent):
+    scene = {
+        "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.5, "mu": 0.3},
+        "source": {
+            "kind": "explicit",
+            "n1": 1,
+            "n2": 1,
+            "tangent": tangent,
+            "sigma": np.zeros((5, 2, 2)).tolist(),
+        },
+        "checks": ["general_inequality"],
+        "seed": 0,
+    }
+    assert cli_main(["verify", _write(tmp_path, scene), "--output", "text"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_builds_the_ambient_once(monkeypatch, tmp_path):
+    import warpcheck.scenes as scenes_mod
+
+    calls = []
+    original = scenes_mod.make_ambient
+
+    def counting(kind, **params):
+        calls.append(kind)
+        return original(kind, **params)
+
+    monkeypatch.setattr(scenes_mod, "make_ambient", counting)
+    argv = ["verify", str(SCENE_DIR / "tangent_sphere_bundle.json"), "--output", "json"]
+    assert cli_main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert calls == ["tangent-sphere-bundle"]
+
+
+def _gauss_record(out, *flags):
+    argv = ["verify", str(SCENE_DIR / "sphere.json"), "--output", "json", "--out", str(out)]
+    cli_main(argv + list(flags))
+    records = json.loads(out.read_text())["records"]
+    return out.read_bytes(), next(r for r in records if r["name"] == "gauss_residual")
+
+
+def test_tol_fd_reaches_the_chart_second_fundamental_form(tmp_path):
+    default_bytes, default = _gauss_record(tmp_path / "default.json")
+    same_bytes, _ = _gauss_record(tmp_path / "explicit.json", "--tol-fd", "1e-4")
+    assert same_bytes == default_bytes
+    _, coarse = _gauss_record(tmp_path / "coarse.json", "--tol-fd", "1e-3")
+    for key in ("gauss_max", "kij_max", "tau_identity_residual"):
+        assert coarse[key] != default[key], key
