@@ -30,12 +30,14 @@ from .numeric import (
     as_vector,
     cross_diff,
     gram_schmidt,
+    qr_q,
     sym_eigen,
 )
 from .warped import WarpedProductChart, flat_product_chart, sphere_chart
 
 __all__ = [
     "PointwiseImmersionData",
+    "PointwiseStack",
     "MeanCurvatureRecord",
     "ChartImmersion",
     "second_fundamental_form",
@@ -46,6 +48,7 @@ __all__ = [
     "a_xi_identity",
     "is_mixed_totally_geodesic",
     "random_data",
+    "random_stack",
     "c_totally_real_frame",
     "dplus_frame",
     "complete_normal_frame",
@@ -61,6 +64,39 @@ __all__ = [
 ]
 
 
+def _check_frames(
+    tangent: np.ndarray, normal: np.ndarray, sigma: np.ndarray, n: int, where
+) -> None:
+    """Validation shared by single samples and stacks: tangent (N, d, n),
+    normal (N, d, d - n), sigma (N, d - n, n, n); `where(i)` names sample i
+    in the error messages."""
+    N, d = tangent.shape[:2]
+    if tangent.shape != (N, d, n):
+        raise InvalidConfigurationError("tangent frame shape mismatch with n1 + n2")
+    if normal.shape != (N, d, d - n):
+        raise InvalidConfigurationError("normal frame must complete the ambient dimension")
+    if sigma.shape != (N, d - n, n, n):
+        raise InvalidConfigurationError("sigma shape mismatch")
+    full = np.concatenate([tangent, normal], axis=2)
+    # NaN residuals compare false against every bound below
+    if not np.isfinite(full).all():
+        i = int(np.argmax(~np.isfinite(full).all(axis=(1, 2))))
+        raise NumericalDomainError(f"tangent or normal frame has non-finite entries{where(i)}")
+    if not np.isfinite(sigma).all():
+        i = int(np.argmax(~np.isfinite(sigma).all(axis=(1, 2, 3))))
+        raise NumericalDomainError(f"sigma has non-finite entries{where(i)}")
+    ortho = np.abs(full.transpose(0, 2, 1) @ full - np.eye(d)).max(axis=(1, 2))
+    if ortho.max() > 1e-8:
+        i = int(np.argmax(ortho > 1e-8))
+        raise InvalidConfigurationError(
+            f"frame not orthonormal (residual {ortho[i]:.3e}){where(i)}"
+        )
+    sym = np.abs(sigma - sigma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
+    if sym.max() > 1e-8:
+        i = int(np.argmax(sym > 1e-8))
+        raise InvalidConfigurationError(f"sigma not symmetric (residual {sym[i]:.3e}){where(i)}")
+
+
 @dataclass
 class PointwiseImmersionData:
     """Adapted orthonormal frame, second-fundamental-form components and the
@@ -68,7 +104,8 @@ class PointwiseImmersionData:
 
     tangent: (ambient_dim, n) orthonormal columns, first n1 spanning the leaf
     block; normal: the orthonormal complement; sigma[r, i, j] are the
-    components <sigma(e_i, e_j), N_r>.
+    components <sigma(e_i, e_j), N_r>.  `checked=True` marks arrays already
+    validated (a row of a validated PointwiseStack).
     """
 
     n1: int
@@ -80,31 +117,16 @@ class PointwiseImmersionData:
     contact: ContactFrame | None = None
     label: str = ""
     extras: dict = field(default_factory=dict)
+    checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tangent = np.asarray(self.tangent, dtype=float)
         self.normal = np.asarray(self.normal, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        n = self.n
-        d = self.tangent.shape[0]
-        if self.tangent.shape != (d, n):
-            raise InvalidConfigurationError("tangent frame shape mismatch with n1 + n2")
-        if self.normal.shape != (d, d - n):
-            raise InvalidConfigurationError("normal frame must complete the ambient dimension")
-        if self.sigma.shape != (d - n, n, n):
-            raise InvalidConfigurationError("sigma shape mismatch")
-        full = np.hstack([self.tangent, self.normal])
-        # NaN residuals compare false against every bound below
-        if not np.isfinite(full).all():
-            raise NumericalDomainError("tangent or normal frame has non-finite entries")
-        if not np.isfinite(self.sigma).all():
-            raise NumericalDomainError("sigma has non-finite entries")
-        ortho_err = float(np.max(np.abs(full.T @ full - np.eye(d))))
-        if ortho_err > 1e-8:
-            raise InvalidConfigurationError(f"frame not orthonormal (residual {ortho_err:.3e})")
-        sym_err = float(np.max(np.abs(self.sigma - self.sigma.transpose(0, 2, 1))))
-        if sym_err > 1e-8:
-            raise InvalidConfigurationError(f"sigma not symmetric (residual {sym_err:.3e})")
+        if not self.checked:
+            arrays = (self.tangent[None], self.normal[None], self.sigma[None])
+            _check_frames(*arrays, self.n, lambda i: "")
+            self.checked = True
 
     @property
     def n(self) -> int:
@@ -125,50 +147,96 @@ class PointwiseImmersionData:
         """Ambient sectional curvatures K(e_i ^ e_j) over the tangent frame."""
         return self.oracle.kij(self.tangent)
 
+    def stack(self) -> PointwiseStack:
+        """This sample as a stack of one; the arrays are shared, not copied."""
+        return PointwiseStack(
+            self.n1, self.n2, self.tangent[None], self.normal[None], self.sigma[None],
+            self.oracle, self.contact, self.label, checked=True,
+        )
+
+
+@dataclass
+class PointwiseStack:
+    """N samples over one ambient and one (n1, n2), held as stacked arrays:
+    tangent (N, d, n), normal (N, d, d - n), sigma (N, d - n, n, n).  The
+    checks of PointwiseImmersionData run once for the whole stack, and an
+    error names the first offending sample by its index."""
+
+    n1: int
+    n2: int
+    tangent: np.ndarray
+    normal: np.ndarray
+    sigma: np.ndarray
+    oracle: CurvatureOracle
+    contact: ContactFrame | None = None
+    label: str = ""
+    checked: bool = field(default=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tangent = np.asarray(self.tangent, dtype=float)
+        self.normal = np.asarray(self.normal, dtype=float)
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        if not self.checked:
+            arrays = (self.tangent, self.normal, self.sigma)
+            _check_frames(*arrays, self.n, lambda i: f" in sample {i}")
+            self.checked = True
+
+    @property
+    def n(self) -> int:
+        return self.n1 + self.n2
+
+    def __len__(self) -> int:
+        return self.tangent.shape[0]
+
+    def sample(self, i: int) -> PointwiseImmersionData:
+        """Sample i, sharing this stack's arrays."""
+        return PointwiseImmersionData(
+            self.n1, self.n2, self.tangent[i], self.normal[i], self.sigma[i],
+            self.oracle, self.contact, self.label, checked=True,
+        )
+
 
 @dataclass
 class MeanCurvatureRecord:
-    """Mean curvature vector with its two partial (block) traces."""
+    """Lengths of the mean curvature vector and of its two partial (block)
+    traces, and H in the normal frame.  Floats and a (k,) vector for one
+    sample; (N,) and (N, k) arrays for a stack."""
 
-    H: np.ndarray
-    H1: np.ndarray
-    H2: np.ndarray
     norm_H: float
     norm_H1: float
     norm_H2: float
     components: np.ndarray  # H in the normal frame
 
 
-def mean_curvatures(data: PointwiseImmersionData) -> MeanCurvatureRecord:
-    """Trace parts of sigma: n H = n1 H1 + n2 H2 holds by construction."""
-    n, n1 = data.n, data.n1
-    diag = np.einsum("rii->ri", data.sigma)  # (num_normals, n)
-    h_comp = diag.sum(axis=1) / n
-    h1_comp = diag[:, :n1].sum(axis=1) / n1
-    h2_comp = diag[:, n1:].sum(axis=1) / data.n2
-    H = data.normal @ h_comp
-    H1 = data.normal @ h1_comp
-    H2 = data.normal @ h2_comp
-    return MeanCurvatureRecord(
-        H=H,
-        H1=H1,
-        H2=H2,
-        norm_H=float(np.linalg.norm(h_comp)),
-        norm_H1=float(np.linalg.norm(h1_comp)),
-        norm_H2=float(np.linalg.norm(h2_comp)),
-        components=h_comp,
-    )
+def mean_curvatures(data: PointwiseImmersionData | PointwiseStack) -> MeanCurvatureRecord:
+    """Trace parts of sigma, n H = n1 H1 + n2 H2, for a sample or a stack."""
+    stacked = isinstance(data, PointwiseStack)
+    sigma = data.sigma if stacked else data.sigma[None]
+    n, n1, n2 = data.n, data.n1, data.n2
+    # block traces (N, num_normals, 2), then H, H1, H2 as the columns of one product
+    traces = np.add.reduceat(np.einsum("...rii->...ri", sigma), [0, n1], axis=2)
+    parts = traces @ np.array([[1.0 / n, 1.0 / n1, 0.0], [1.0 / n, 0.0, 1.0 / n2]])
+    norms = np.sqrt((parts**2).sum(axis=1))  # (N, 3)
+    if stacked:
+        return MeanCurvatureRecord(*norms.T, components=parts[..., 0])
+    return MeanCurvatureRecord(*norms[0].tolist(), components=parts[0, :, 0])
 
 
-def intrinsic_kij(data: PointwiseImmersionData, ambient: np.ndarray | None = None) -> np.ndarray:
+def intrinsic_kij(
+    data: PointwiseImmersionData | PointwiseStack, ambient: np.ndarray | None = None
+) -> np.ndarray:
     """Sectional curvatures of the submanifold from the Gauss equation:
     K_ij = K~_ij + sum_r (sigma^r_ii sigma^r_jj - (sigma^r_ij)^2), over the
-    K~ table `ambient` when the caller holds it (data.ambient_kij() if not)."""
-    ambient = data.ambient_kij() if ambient is None else ambient
-    diag = np.einsum("rii->ri", data.sigma)
-    corr = np.einsum("ri,rj->ij", diag, diag) - np.einsum("rij,rij->ij", data.sigma, data.sigma)
+    K~ table `ambient` when the caller holds it (one oracle.kij call if not).
+    A stack gives one (n, n) table per sample."""
+    ambient = data.oracle.kij(data.tangent) if ambient is None else ambient
+    diag = np.einsum("...rii->...ri", data.sigma)
+    corr = np.einsum("...ri,...rj->...ij", diag, diag) - np.einsum(
+        "...rij,...rij->...ij", data.sigma, data.sigma
+    )
     out = ambient + corr
-    np.fill_diagonal(out, 0.0)
+    ar = np.arange(data.n)
+    out[..., ar, ar] = 0.0
     return out
 
 
@@ -235,61 +303,69 @@ def gauss_residual(
     }
 
 
-def _require_contact(data: PointwiseImmersionData) -> ContactFrame:
+def _require_contact(data: PointwiseImmersionData | PointwiseStack) -> ContactFrame:
     if data.contact is None:
         raise InvalidConfigurationError("operation requires an attached contact frame")
     return data.contact
 
 
+def _per_sample(x: np.ndarray):
+    """A one-sample (0-d) result as a Python scalar; a stack's array as is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def is_C_totally_real(
-    data: PointwiseImmersionData, tol: float = DEFAULT_TOLERANCE.algebraic
+    data: PointwiseImmersionData | PointwiseStack, tol: float = DEFAULT_TOLERANCE.algebraic
 ) -> tuple[bool, dict]:
-    """True iff xi is normal and phi maps the tangent space into the normal space."""
+    """True iff xi is normal and phi maps the tangent space into the normal
+    space; for a stack, a boolean and residual arrays with one entry per
+    sample."""
     frame = _require_contact(data)
-    xi_res = float(np.max(np.abs(frame.xi @ data.tangent)))
-    anti_res = float(np.max(np.abs(data.tangent.T @ (frame.phi @ data.tangent))))
-    ok = xi_res < tol and anti_res < tol
-    residuals = {"xi_tangency": xi_res, "anti_invariance": anti_res}
-    if ok and data.n > frame.m:
+    xi_res = np.abs(frame.xi @ data.tangent).max(axis=-1)
+    anti_res = np.abs(tangential_operator(data, frame.phi)).max(axis=(-2, -1))
+    ok = (xi_res < tol) & (anti_res < tol)
+    residuals = {"xi_tangency": _per_sample(xi_res), "anti_invariance": _per_sample(anti_res)}
+    if ok.any() and data.n > frame.m:
         # anti-invariance caps the dimension at m inside a (2m+1)-dim ambient
         raise InvalidConfigurationError(
             f"C-totally real data with n = {data.n} > m = {frame.m} is inconsistent"
         )
-    return ok, residuals
+    return _per_sample(ok), residuals
 
 
-def tangential_operator(data: PointwiseImmersionData, op: np.ndarray) -> np.ndarray:
-    """Matrix <op e_i, e_j> of an ambient operator restricted to the tangent frame."""
-    return data.tangent.T @ (op @ data.tangent)
+def tangential_operator(
+    data: PointwiseImmersionData | PointwiseStack, op: np.ndarray
+) -> np.ndarray:
+    """Matrix <op e_i, e_j> of an ambient operator restricted to the tangent
+    frame (one per sample of a stack)."""
+    return np.swapaxes(data.tangent, -1, -2) @ (op @ data.tangent)
 
 
 def _block_stats(mat: np.ndarray, n1: int) -> dict:
-    b1, b2 = mat[:n1, :n1], mat[n1:, n1:]
-    return {
-        "trace": float(np.trace(mat)),
-        "trace_1": float(np.trace(b1)),
-        "trace_2": float(np.trace(b2)),
-        "norm_sq": float(np.sum(mat**2)),
-        "norm_sq_1": float(np.sum(b1**2)),
-        "norm_sq_2": float(np.sum(b2**2)),
-    }
+    b1, b2 = mat[..., :n1, :n1], mat[..., n1:, n1:]
+    stats = {}
+    for suffix, block in (("", mat), ("_1", b1), ("_2", b2)):
+        stats["trace" + suffix] = _per_sample(np.trace(block, axis1=-2, axis2=-1))
+        stats["norm_sq" + suffix] = _per_sample((block**2).sum(axis=(-2, -1)))
+    return stats
 
 
-def a_xi_identity(data: PointwiseImmersionData) -> dict:
+def a_xi_identity(data: PointwiseImmersionData | PointwiseStack) -> dict:
     """Compare the xi-component of sigma with the tangential part of phi h.
 
     Returns the max entry residual together with the restricted traces and
     squared norms of h^T and A_xi over the two warped blocks (the quantities
-    the contact inequalities consume).
+    the contact inequalities consume); for a stack, each entry has one value
+    per sample.
     """
     frame = _require_contact(data)
     w = frame.xi @ data.normal  # xi in normal-frame coordinates
-    a_from_sigma = np.einsum("r,rij->ij", w, data.sigma)
+    a_from_sigma = np.einsum("...r,...rij->...ij", w, data.sigma)
     a_geometric = tangential_operator(data, frame.phi @ frame.h)
     h_tan = tangential_operator(data, frame.h)
-    residual = float(np.max(np.abs(a_from_sigma - a_geometric)))
+    residual = np.abs(a_from_sigma - a_geometric).max(axis=(-2, -1))
     return {
-        "residual": residual,
+        "residual": _per_sample(residual),
         "a_xi": a_geometric,
         "a_xi_from_sigma": a_from_sigma,
         "h_tan": h_tan,
@@ -299,10 +375,11 @@ def a_xi_identity(data: PointwiseImmersionData) -> dict:
 
 
 def is_mixed_totally_geodesic(
-    data: PointwiseImmersionData, tol: float = DEFAULT_TOLERANCE.algebraic
+    data: PointwiseImmersionData | PointwiseStack, tol: float = DEFAULT_TOLERANCE.algebraic
 ) -> bool:
-    """True iff sigma vanishes on all cross-block pairs."""
-    return float(np.max(np.abs(data.sigma[:, : data.n1, data.n1 :]))) < tol
+    """True iff sigma vanishes on all cross-block pairs (per sample of a stack)."""
+    cross = np.abs(data.sigma[..., : data.n1, data.n1 :]).max(axis=(-3, -2, -1))
+    return _per_sample(cross < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +395,29 @@ def symmetric_random_sigma(
 
 
 def balance_for_equality(sigma: np.ndarray, n1: int) -> np.ndarray:
-    """Project sigma onto the equality class: zero cross blocks and equal
-    block traces per normal direction."""
+    """Project sigma (one sample or a stack) onto the equality class: zero
+    cross blocks and equal block traces per normal direction."""
     out = sigma.copy()
-    n = sigma.shape[1]
-    n2 = n - n1
-    out[:, :n1, n1:] = 0.0
-    out[:, n1:, :n1] = 0.0
-    for r in range(out.shape[0]):
-        tr1 = float(np.trace(out[r, :n1, :n1]))
-        tr2 = float(np.trace(out[r, n1:, n1:]))
-        shift = (tr1 - tr2) / n2
-        out[r, n1:, n1:] += shift * np.eye(n2)
+    n2 = sigma.shape[-1] - n1
+    out[..., :n1, n1:] = 0.0
+    out[..., n1:, :n1] = 0.0
+    tr1 = np.trace(out[..., :n1, :n1], axis1=-2, axis2=-1)
+    tr2 = np.trace(out[..., n1:, n1:], axis1=-2, axis2=-1)
+    out[..., n1:, n1:] += ((tr1 - tr2) / n2)[..., None, None] * np.eye(n2)
     return out
 
 
 def force_xi_consistency(
     sigma: np.ndarray, data_frame: tuple[np.ndarray, np.ndarray], contact: ContactFrame
 ) -> np.ndarray:
-    """Correct sigma so its xi-component equals the tangential part of phi h."""
+    """Correct sigma so its xi-component equals the tangential part of phi h
+    (one sample, or a stack with stacked frames)."""
     tangent, normal = data_frame
     w = contact.xi @ normal
-    target = tangent.T @ (contact.phi @ (contact.h @ tangent))
-    target = 0.5 * (target + target.T)
-    current = np.einsum("r,rij->ij", w, sigma)
-    out = sigma + np.einsum("r,ij->rij", w, target - current)
-    return out
+    target = np.swapaxes(tangent, -1, -2) @ (contact.phi @ (contact.h @ tangent))
+    target = 0.5 * (target + np.swapaxes(target, -1, -2))
+    current = np.einsum("...r,...rij->...ij", w, sigma)
+    return sigma + np.einsum("...r,...ij->...rij", w, target - current)
 
 
 def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
@@ -359,35 +433,116 @@ def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -
     Each normal column has its largest-magnitude entry positive.  Raises
     NumericalDomainError on non-finite input and ImmersionDegeneracyError
     when the frame cannot be completed.
+
+    A stack of tangent frames (N, d, n) is completed in the same one pass,
+    each sample keeping its own count of accepted vectors (rows not yet
+    accepted are zero and project nothing); it returns (N, d, d - n), and an
+    error names the sample.
     """
-    tangent = as_matrix(tangent)
-    d, n = tangent.shape
-    g = np.eye(d) if gram is None else as_matrix(gram, d, d)
+    tangent = np.asarray(tangent, dtype=float)
+    stacked = tangent.ndim == 3
+    T = tangent if stacked else as_matrix(tangent)[None]
+    if not np.isfinite(T).all():
+        raise NumericalDomainError("tangent frame has non-finite entries")
+    N, d, n = T.shape
+    g = None if gram is None else as_matrix(gram, d, d)
     if n >= d:
         raise ImmersionDegeneracyError(f"{n} tangent vectors leave no normal direction in R^{d}")
-    candidates = np.vstack([tangent.T, np.eye(d)])
+    where = (lambda i: f" in sample {i}") if stacked else (lambda i: "")
     # accepted vectors u as rows of `frame`, with the rows u^T g beside them
-    frame, gframe = np.empty((d, d)), np.empty((d, d))
-    k = 0
-    for j, cand in enumerate(candidates):
-        if k == d:
+    frame = np.zeros((N, d, d))
+    gframe = frame if g is None else np.zeros((N, d, d))
+    count = np.zeros(N, dtype=int)
+    eye = np.eye(d)
+    for j in range(n + d):
+        if (count == d).all():
             break
-        accepted, gaccepted = frame[:k], gframe[:k]
-        w = cand - np.dot(np.dot(gaccepted, cand), accepted)
-        w -= np.dot(np.dot(gaccepted, w), accepted)
-        wg = np.dot(w, g)
-        norm = math.sqrt(max(float(np.dot(wg, w)), 0.0))
-        if norm >= 1e-8:
-            frame[k], gframe[k] = w / norm, wg / norm
-            k += 1
-        elif j < n:
-            raise ImmersionDegeneracyError(f"tangent column {j} depends on the previous ones")
-    if k != d:
-        raise ImmersionDegeneracyError("failed to complete the normal frame")
-    normal = frame[n:].T
+        w = T[:, :, j] if j < n else np.broadcast_to(eye[j - n], (N, d))
+        for _ in range(2):
+            coef = np.matmul(gframe, w[..., None])
+            w = w - np.matmul(np.swapaxes(coef, 1, 2), frame)[:, 0]
+        wg = w if g is None else w @ g
+        norm = np.sqrt(np.maximum(np.matmul(wg[:, None, :], w[:, :, None])[:, 0, 0], 0.0))
+        accept = (norm >= 1e-8) & (count < d)
+        if j < n and not accept.all():
+            i = int(np.argmin(accept))
+            raise ImmersionDegeneracyError(
+                f"tangent column {j} depends on the previous ones{where(i)}"
+            )
+        rows = np.flatnonzero(accept)
+        frame[rows, count[rows]] = w[rows] / norm[rows, None]
+        if g is not None:
+            gframe[rows, count[rows]] = wg[rows] / norm[rows, None]
+        count[rows] += 1
+    if (count != d).any():
+        i = int(np.argmin(count))
+        raise ImmersionDegeneracyError(f"failed to complete the normal frame{where(i)}")
+    normal = frame[:, n:].transpose(0, 2, 1)
     # deterministic sign: largest-magnitude entry positive
-    peak = normal[np.argmax(np.abs(normal), axis=0), np.arange(d - n)]
-    return normal * np.where(peak < 0.0, -1.0, 1.0)
+    peak = np.take_along_axis(normal, np.abs(normal).argmax(axis=1)[:, None, :], axis=1)
+    normal = normal * np.where(peak < 0.0, -1.0, 1.0)
+    return normal if stacked else normal[0]
+
+
+def random_stack(
+    rng: np.random.Generator,
+    ambient: AmbientSpace,
+    n1: int,
+    n2: int,
+    count: int,
+    sigma_scale: float = 1.0,
+    frame_kind: str = "generic",
+) -> PointwiseStack:
+    """`count` random samples over an ambient model as one PointwiseStack.
+
+    All samples come from one normal block drawn up front, one row per sample
+    in the order random_data draws them: a generic frame takes d^2 entries
+    (its QR factor gives tangent and normal), a c-totally-real frame 2 m n
+    (real part, then imaginary part of a complex m x n matrix), a dplus frame
+    none; then sigma_scale times k n^2 entries, symmetrized, give sigma.  So
+    the stack equals `count` sequential random_data calls bit for bit, and
+    leaves `rng` in the same state.  The frames are completed and validated
+    once for the whole stack.
+    """
+    n = n1 + n2
+    d = ambient.dim
+    if n >= d:
+        raise InvalidConfigurationError("need codimension >= 1")
+    if sigma_scale < 0.0:
+        raise InvalidInputError(f"sigma_scale must be non-negative (got {sigma_scale})")
+    k = d - n
+    if frame_kind == "generic":
+        frame_draws = d * d
+    elif frame_kind == "c-totally-real":
+        frame = _frame_of(ambient)
+        _require_anti_invariant_fit(frame, n)
+        frame_draws = 2 * frame.m * n
+    elif frame_kind == "dplus":
+        frame = _frame_of(ambient)
+        tangent, normal = dplus_frame(frame, n), _dplus_normal(frame, n)
+        tangent, normal = (np.repeat(a[None], count, axis=0) for a in (tangent, normal))
+        frame_draws = 0
+    else:
+        raise InvalidInputError(f"unknown frame kind {frame_kind!r}")
+    block = rng.normal(size=(count, frame_draws + k * n * n))
+    if frame_kind == "generic":
+        q = qr_q(block[:, :frame_draws].reshape(count, d, d))
+        tangent, normal = q[..., :n], q[..., n:]
+    elif frame_kind == "c-totally-real":
+        tangent = _c_totally_real_tangents(block[:, :frame_draws], frame, n)
+        normal = complete_normal_frame(tangent)
+    # loc + scale * z, the arithmetic of rng.normal(scale=sigma_scale)
+    raw = 0.0 + sigma_scale * block[:, frame_draws:].reshape(count, k, n, n)
+    return PointwiseStack(
+        n1=n1,
+        n2=n2,
+        tangent=tangent,
+        normal=normal,
+        sigma=0.5 * (raw + raw.transpose(0, 1, 3, 2)),
+        oracle=ambient.oracle,
+        contact=ambient.frame,
+        label=f"random-{frame_kind}",
+    )
 
 
 def random_data(
@@ -398,44 +553,36 @@ def random_data(
     sigma_scale: float = 1.0,
     frame_kind: str = "generic",
 ) -> PointwiseImmersionData:
-    """Random PointwiseImmersionData over an ambient model.
+    """Random PointwiseImmersionData over an ambient model: the one-sample
+    case of random_stack, so N sequential calls draw exactly the stack of N.
 
     frame_kind: 'generic' (any orthonormal frame), 'c-totally-real'
     (anti-invariant, xi normal) or 'dplus' (inside the positive h-eigenspace);
     the last two require a contact ambient.
     """
-    n = n1 + n2
-    d = ambient.dim
-    if n >= d:
-        raise InvalidConfigurationError("need codimension >= 1")
-    if frame_kind == "generic":
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        tangent, normal = q[:, :n], q[:, n:]
-    elif frame_kind == "c-totally-real":
-        tangent = c_totally_real_frame(rng, _frame_of(ambient), n)
-        normal = complete_normal_frame(tangent)
-    elif frame_kind == "dplus":
-        tangent = dplus_frame(_frame_of(ambient), n)
-        normal = complete_normal_frame(tangent)
-    else:
-        raise InvalidInputError(f"unknown frame kind {frame_kind!r}")
-    sigma = symmetric_random_sigma(rng, d - n, n, sigma_scale)
-    return PointwiseImmersionData(
-        n1=n1,
-        n2=n2,
-        tangent=tangent,
-        normal=normal,
-        sigma=sigma,
-        oracle=ambient.oracle,
-        contact=ambient.frame,
-        label=f"random-{frame_kind}",
-    )
+    return random_stack(rng, ambient, n1, n2, 1, sigma_scale, frame_kind).sample(0)
 
 
 def _frame_of(ambient: AmbientSpace) -> ContactFrame:
     if ambient.frame is None:
         raise InvalidConfigurationError(f"{ambient.kind} ambient carries no contact frame")
     return ambient.frame
+
+
+def _require_anti_invariant_fit(frame: ContactFrame, n: int) -> None:
+    if n > frame.m:
+        raise InvalidConfigurationError(f"anti-invariance requires n <= m (n={n}, m={frame.m})")
+
+
+def _c_totally_real_tangents(block: np.ndarray, frame: ContactFrame, n: int) -> np.ndarray:
+    """Stacked c_totally_real_frame from rows of 2 m n normal draws."""
+    m = frame.m
+    parts = block.reshape(len(block), 2, m, n)
+    q = qr_q(parts[:, 0] + 1j * parts[:, 1])
+    tangent = np.zeros((len(block), frame.dim, n))
+    tangent[:, 1 : m + 1, :] = q.real
+    tangent[:, m + 1 :, :] = q.imag
+    return tangent
 
 
 def c_totally_real_frame(
@@ -447,25 +594,21 @@ def c_totally_real_frame(
     real/imaginary parts populate the u_i / phi u_i slots, which makes the
     span automatically orthonormal and phi-anti-invariant.
     """
-    m = frame.m
-    if n > m:
-        raise InvalidConfigurationError(f"anti-invariance requires n <= m (n={n}, m={m})")
-    z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    q, _ = np.linalg.qr(z)
-    tangent = np.zeros((frame.dim, n))
-    tangent[1 : m + 1, :] = q.real
-    tangent[m + 1 :, :] = q.imag
-    return tangent
+    _require_anti_invariant_fit(frame, n)
+    return _c_totally_real_tangents(rng.normal(size=(1, 2 * frame.m * n)), frame, n)[0]
 
 
 def dplus_frame(frame: ContactFrame, n: int) -> np.ndarray:
-    """Tangent frame spanned by the first n positive h-eigenvectors."""
+    """Tangent frame spanned by the first n positive h-eigenvectors e_1..e_n."""
     if n > frame.m:
         raise InvalidConfigurationError(f"the positive eigenspace has dimension {frame.m}")
-    tangent = np.zeros((frame.dim, n))
-    for j in range(n):
-        tangent[1 + j, j] = 1.0
-    return tangent
+    return np.eye(frame.dim)[:, 1 : n + 1]
+
+
+def _dplus_normal(frame: ContactFrame, n: int) -> np.ndarray:
+    """Normal frame of dplus_frame in closed form: e_0, e_{n+1}, ..., the
+    completion complete_normal_frame computes for it."""
+    return np.eye(frame.dim)[:, [0, *range(n + 1, frame.dim)]]
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +817,12 @@ def dplus_leaf_in(
     ambient: AmbientSpace, n1: int = 1, n2: int = 1, label: str = "dplus-leaf"
 ) -> PointwiseImmersionData:
     """The dplus leaf drawn inside a given contact ambient."""
-    tangent = dplus_frame(_frame_of(ambient), n1 + n2)
+    frame = _frame_of(ambient)
     return PointwiseImmersionData(
         n1=n1,
         n2=n2,
-        tangent=tangent,
-        normal=complete_normal_frame(tangent),
+        tangent=dplus_frame(frame, n1 + n2),
+        normal=_dplus_normal(frame, n1 + n2),
         sigma=np.zeros((ambient.dim - n1 - n2, n1 + n2, n1 + n2)),
         oracle=ambient.oracle,
         contact=ambient.frame,

@@ -35,6 +35,7 @@ from .immersion import (
     ChartImmersion,
     MeanCurvatureRecord,
     PointwiseImmersionData,
+    PointwiseStack,
     a_xi_identity,
     intrinsic_kij,
     is_C_totally_real,
@@ -42,16 +43,21 @@ from .immersion import (
     mean_curvatures,
     second_fundamental_form,
 )
-from .numeric import DEFAULT_TOLERANCE
+from .numeric import DEFAULT_TOLERANCE, qr_q
 
 __all__ = [
     "chen_lemma",
     "ProofDecomposition",
     "decompose",
+    "decompose_stack",
     "InequalityReport",
+    "InequalityStack",
     "general_inequality",
+    "general_inequality_stack",
     "kmu_space_form_inequality",
+    "kmu_space_form_inequality_stack",
     "non_sasakian_inequality",
+    "non_sasakian_inequality_stack",
     "NONEXISTENCE",
     "WARPED_PRODUCT_IMMERSION",
     "UNOBSTRUCTED",
@@ -99,7 +105,10 @@ def chen_lemma(a: Sequence[float], b: float, tol: float = 1e-9) -> dict:
 @dataclass
 class ProofDecomposition:
     """Trace decomposition of sigma in the frame whose first normal direction
-    is parallel to the mean curvature vector."""
+    is parallel to the mean curvature vector.  For one sample the numbers are
+    floats and trace_residuals a list; decompose_stack gives (N,) arrays,
+    trace_residuals (N, k) and rotated_sigma (N, k, n, n), and row(i) is
+    sample i."""
 
     delta: float
     a1: float
@@ -112,6 +121,16 @@ class ProofDecomposition:
     trace_residuals: list[float]
     rotated_sigma: np.ndarray
 
+    def row(self, i: int) -> "ProofDecomposition":
+        """Sample i of a decompose_stack result."""
+        numbers = (self.delta, self.a1, self.a2, self.a3, self.b)
+        numbers += (self.ai_residual, self.lemma_slack, self.lemma_equality)
+        return ProofDecomposition(
+            *(v[i].item() for v in numbers),
+            trace_residuals=self.trace_residuals[i].tolist(),
+            rotated_sigma=self.rotated_sigma[i],
+        )
+
 
 @functools.cache
 def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,87 +142,129 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _rotate_normal_frame(sigma: np.ndarray, rec: MeanCurvatureRecord) -> np.ndarray:
-    """Sigma components after rotating the normal frame so that the first
-    direction is parallel to H; identity rotation when H = 0."""
-    k = sigma.shape[0]
-    if rec.norm_H < 1e-14 or k == 1:
-        return sigma.copy()
-    first = rec.components / np.linalg.norm(rec.components)
-    # QR of [H | I] yields an orthonormal basis whose first vector follows H
-    rot = np.linalg.qr(np.column_stack([first, np.eye(k)]))[0][:, :k]
-    if rot[:, 0] @ first < 0.0:
-        rot = -rot
-    return np.einsum("sr,sij->rij", rot, sigma)
+def _triu_sum(tables: np.ndarray) -> np.ndarray:
+    """Sum over i < j of each (n, n) table of a stack (N, n, n)."""
+    iu = _triu(tables.shape[-1])
+    return tables[:, iu[0], iu[1]].sum(axis=1)
 
 
-def _trace_conditions(rotated_sigma: np.ndarray, n1: int) -> list[float]:
-    """Per-direction residuals of the block-trace conditions in the frame
-    whose first normal direction follows H: |tr1 - tr2| along H, then
-    max(|tr1|, |tr2|) for the remaining directions."""
-    diag = np.einsum("rii->ri", rotated_sigma)
-    tr1 = diag[:, :n1].sum(axis=1)
-    tr2 = diag[:, n1:].sum(axis=1)
-    out = [abs(float(tr1[0] - tr2[0]))]
-    out.extend(max(abs(float(a)), abs(float(b))) for a, b in zip(tr1[1:], tr2[1:]))
+@functools.cache
+def _tau_index(n: int, n1: int) -> tuple[np.ndarray, int, int]:
+    """Flat indices into an (n, n) table of the pairs i < j, then of those
+    inside the first block, then inside the second; with the two split
+    points.  Built on first use per (n, n1) and shared read-only."""
+    flat = [np.ravel_multi_index(_triu(n), (n, n))]
+    for lo, size in ((0, n1), (n1, n - n1)):
+        iu = _triu(size)
+        flat.append(np.ravel_multi_index((iu[0] + lo, iu[1] + lo), (n, n)))
+    index = np.concatenate(flat)
+    index.flags.writeable = False
+    return index, len(flat[0]), len(flat[0]) + len(flat[1])
+
+
+def _rotate_normal_frames(
+    sigma: np.ndarray, norm_H: np.ndarray, components: np.ndarray
+) -> np.ndarray:
+    """Sigma components (N, k, n, n) after rotating each sample's normal frame
+    so that the first direction is parallel to H; identity rotation where
+    |H| < 1e-14 or k = 1.  The other rows get one stacked QR of [H | I]."""
+    out = sigma.copy()
+    k = sigma.shape[1]
+    rows = np.flatnonzero(~(norm_H < 1e-14)) if k > 1 else np.empty(0, dtype=int)
+    if rows.size:
+        comp = components[rows]
+        # the norm of each row as one BLAS dot, like np.linalg.norm of a vector
+        first = comp / np.sqrt(np.matmul(comp[:, None, :], comp[:, :, None])[:, 0])
+        # QR of [H | I] yields an orthonormal basis whose first vector follows H
+        eye = np.broadcast_to(np.eye(k), (rows.size, k, k))
+        rot = qr_q(np.concatenate([first[:, :, None], eye], axis=2))[:, :, :k]
+        flip = np.matmul(rot[:, None, :, 0], first[:, :, None])[:, 0, 0] < 0.0
+        rot[flip] = -rot[flip]
+        out[rows] = np.einsum("...sr,...sij->...rij", rot, sigma[rows])
     return out
 
 
-def decompose(
-    data: PointwiseImmersionData, tau_p: float | None = None
+def _trace_conditions(rotated_sigma: np.ndarray, n1: int) -> np.ndarray:
+    """Per-direction residuals of the block-trace conditions in the frame
+    whose first normal direction follows H: |tr1 - tr2| along H, then
+    max(|tr1|, |tr2|) for the remaining directions (last axis; leading axes
+    are samples)."""
+    diag = np.einsum("...rii->...ri", rotated_sigma)
+    tr1 = diag[..., :n1].sum(axis=-1)
+    tr2 = diag[..., n1:].sum(axis=-1)
+    along_h = np.abs(tr1[..., :1] - tr2[..., :1])
+    rest = np.maximum(np.abs(tr1[..., 1:]), np.abs(tr2[..., 1:]))
+    return np.concatenate([along_h, rest], axis=-1)
+
+
+def _partial_mean_residual(sigma: np.ndarray, n1: int) -> np.ndarray:
+    """max_r |tr_1 sigma^r - tr_2 sigma^r|, i.e. |n1 H1 - n2 H2| in the max
+    norm of the normal frame, per sample."""
+    diag = np.einsum("...rii->...ri", sigma)
+    return np.abs(diag[..., :n1].sum(axis=-1) - diag[..., n1:].sum(axis=-1)).max(axis=-1)
+
+
+def decompose_stack(
+    stack: PointwiseStack, tau_p: float | np.ndarray | None = None
 ) -> ProofDecomposition:
-    """Proof-level decomposition feeding the trace lemma with l = 3.
+    """Proof-level decomposition feeding the trace lemma with l = 3, for
+    every sample of a stack at once (one kij call, one stacked QR).
 
     tau_p defaults to the Gauss-equation intrinsic scalar curvature; a
-    chart-computed value may be supplied instead.
+    chart-computed value (or one per sample) may be supplied instead.
     """
-    n, n1 = data.n, data.n1
-    kij = data.ambient_kij()
-    rec = mean_curvatures(data)
-    sigma = _rotate_normal_frame(data.sigma, rec)
-    iu = _triu(n)
+    n, n1 = stack.n, stack.n1
+    kij = stack.oracle.kij(stack.tangent)
+    rec = mean_curvatures(stack)
+    sigma = _rotate_normal_frames(stack.sigma, rec.norm_H, rec.components)
     if tau_p is None:
-        tau_p = float(intrinsic_kij(data, ambient=kij)[iu].sum())
-    tau_ambient = float(kij[iu].sum())
+        tau_p = _triu_sum(intrinsic_kij(stack, ambient=kij))
+    tau_ambient = _triu_sum(kij)
     nh2 = n * n * rec.norm_H**2
     delta = 0.5 * (4.0 * tau_p - 4.0 * tau_ambient - nh2)
 
-    diag0 = np.diag(sigma[0])
-    a1 = float(diag0[0])
-    a2 = float(diag0[1:n1].sum())
-    a3 = float(diag0[n1:].sum())
+    diag0 = np.einsum("sii->si", sigma[:, 0])
+    a1 = diag0[:, 0]
+    a2 = diag0[:, 1:n1].sum(axis=1)
+    a3 = diag0[:, n1:].sum(axis=1)
 
-    off0 = float(np.sum(sigma[0] ** 2) - np.sum(diag0**2))
-    rest = float(np.sum(sigma[1:] ** 2))
-    pair1 = float(np.sum(np.outer(diag0[1:n1], diag0[1:n1])) - np.sum(diag0[1:n1] ** 2))
-    pair2 = float(np.sum(np.outer(diag0[n1:], diag0[n1:])) - np.sum(diag0[n1:] ** 2))
-    b = delta + off0 + rest - pair1 - pair2
+    def pair_sum(d):  # sum_{i != j} d_i d_j
+        return (d[:, :, None] * d[:, None, :]).sum(axis=(1, 2)) - (d**2).sum(axis=1)
+
+    off0 = (sigma[:, 0] ** 2).sum(axis=(1, 2)) - (diag0**2).sum(axis=1)
+    rest = (sigma[:, 1:] ** 2).sum(axis=(1, 2, 3))
+    b = delta + off0 + rest - pair_sum(diag0[:, 1:n1]) - pair_sum(diag0[:, n1:])
 
     total = a1 + a2 + a3
-    ai_residual = abs(total * total - 2.0 * (a1 * a1 + a2 * a2 + a3 * a3 + b))
-    slack = 2.0 * a1 * a2 - b
-
     return ProofDecomposition(
         delta=delta,
         a1=a1,
         a2=a2,
         a3=a3,
         b=b,
-        ai_residual=ai_residual,
-        lemma_slack=slack,
-        lemma_equality=abs(a1 + a2 - a3) < 1e-9 * max(1.0, abs(a3)),
+        ai_residual=np.abs(total * total - 2.0 * (a1 * a1 + a2 * a2 + a3 * a3 + b)),
+        lemma_slack=2.0 * a1 * a2 - b,
+        lemma_equality=np.abs(a1 + a2 - a3) < 1e-9 * np.maximum(1.0, np.abs(a3)),
         trace_residuals=_trace_conditions(sigma, n1),
         rotated_sigma=sigma,
     )
+
+
+def decompose(
+    data: PointwiseImmersionData, tau_p: float | None = None
+) -> ProofDecomposition:
+    """Proof-level decomposition of one sample: decompose_stack on a stack of
+    one."""
+    return decompose_stack(data.stack(), tau_p).row(0)
 
 
 @dataclass(eq=False)
 class _EqualityDiagnostics:
     """Inputs of the equality diagnostics, kept when a report is built (sigma
     is a copy: callers may change data.sigma afterwards).  The dict, with the
-    QR-rotated trace conditions, is built on first read of `table`."""
+    QR-rotated trace conditions, is built on first read of `table`; sigma and
+    n1 are read as a sample's."""
 
-    mixed_totally_geodesic: bool
     sigma: np.ndarray
     rec: MeanCurvatureRecord
     n1: int
@@ -211,16 +272,15 @@ class _EqualityDiagnostics:
 
     @functools.cached_property
     def table(self) -> dict:
-        diag = np.einsum("rii->ri", self.sigma)
-        tr1 = diag[:, : self.n1].sum(axis=1)  # n1 * H1 in the normal frame
-        tr2 = diag[:, self.n1 :].sum(axis=1)
-        partial_residual = float(np.max(np.abs(tr1 - tr2)))
-        rotated = _rotate_normal_frame(self.sigma, self.rec)
+        partial_residual = float(_partial_mean_residual(self.sigma, self.n1))
+        rotated = _rotate_normal_frames(
+            self.sigma[None], np.array([self.rec.norm_H]), self.rec.components[None]
+        )
         return {
-            "mixed_totally_geodesic": self.mixed_totally_geodesic,
+            "mixed_totally_geodesic": is_mixed_totally_geodesic(self, self.tol),
             "partial_mean_equal": partial_residual < self.tol,
             "partial_mean_residual": partial_residual,
-            "trace_conditions": _trace_conditions(rotated, self.n1),
+            "trace_conditions": _trace_conditions(rotated[0], self.n1).tolist(),
         }
 
 
@@ -252,6 +312,69 @@ class InequalityReport:
         return self._diagnostics.table
 
 
+@dataclass
+class InequalityStack:
+    """One inequality over every sample of a PointwiseStack: (N,) arrays of
+    both sides, the gap and the mean and ambient terms, and the mean
+    curvature record; extras hold the specialization's parameters and its
+    per-sample rhs cross-check.  The equality predicates are computed on
+    read, and report(i) builds sample i's InequalityReport, whose diagnostics
+    are computed on first read."""
+
+    name: str
+    stack: PointwiseStack
+    lhs: np.ndarray
+    rhs: np.ndarray
+    gap: np.ndarray
+    mean_term: np.ndarray
+    ambient_term: np.ndarray
+    rec: MeanCurvatureRecord
+    equality_tol: float
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def equality(self) -> np.ndarray:
+        return np.abs(self.gap) < self.equality_tol
+
+    @property
+    def mixed_totally_geodesic(self) -> np.ndarray:
+        return is_mixed_totally_geodesic(self.stack, self.equality_tol)
+
+    @property
+    def partial_mean_equal(self) -> np.ndarray:
+        """n1 H1 = n2 H2 per sample, the trace half of the equality case."""
+        return _partial_mean_residual(self.stack.sigma, self.stack.n1) < self.equality_tol
+
+    def report(self, i: int) -> InequalityReport:
+        rec = self.rec
+        row = MeanCurvatureRecord(
+            float(rec.norm_H[i]), float(rec.norm_H1[i]), float(rec.norm_H2[i]), rec.components[i]
+        )
+        gap = float(self.gap[i])
+        return InequalityReport(
+            name=self.name,
+            lhs=float(self.lhs[i]),
+            rhs=float(self.rhs[i]),
+            gap=gap,
+            equality=abs(gap) < self.equality_tol,
+            mean_term=float(self.mean_term[i]),
+            ambient_term=float(self.ambient_term[i]),
+            norm_H=row.norm_H,
+            n1=self.stack.n1,
+            n2=self.stack.n2,
+            equality_tol=self.equality_tol,
+            _diagnostics=_EqualityDiagnostics(
+                self.stack.sigma[i].copy(),
+                row,
+                self.stack.n1,
+                self.equality_tol,
+            ),
+            extras={
+                k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in self.extras.items()
+            },
+        )
+
+
 def _rebased(report: InequalityReport, lhs: float, rhs: float, **changes) -> InequalityReport:
     """Copy of `report` with new sides, its gap and equality flag recomputed."""
     gap = rhs - lhs
@@ -260,93 +383,103 @@ def _rebased(report: InequalityReport, lhs: float, rhs: float, **changes) -> Ine
     )
 
 
-def general_inequality(
-    data: PointwiseImmersionData,
-    lhs: float | None = None,
+def general_inequality_stack(
+    stack: PointwiseStack,
+    lhs: float | np.ndarray | None = None,
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
-) -> InequalityReport:
-    """The inequality for an arbitrary ambient model.
+) -> InequalityStack:
+    """The inequality for an arbitrary ambient model, on every sample of a
+    stack with one kij call.
 
     rhs = n^2/(4 n2) |H|^2 + [tau~(T_pM) - tau~(T_pM_1) - tau~(T_pM_2)] / n2;
-    lhs defaults to the Gauss-equation proxy.  Equality holds exactly when the
-    immersion data is mixed totally geodesic with n1 H1 = n2 H2.
+    lhs defaults to the Gauss-equation proxy (a float or one value per sample
+    may be supplied).  Equality holds exactly when the immersion data is
+    mixed totally geodesic with n1 H1 = n2 H2.
     """
-    n, n1, n2 = data.n, data.n1, data.n2
-    kij = data.ambient_kij()
-    tau_full = float(kij[_triu(n)].sum())
-    tau_1 = float(kij[:n1, :n1][_triu(n1)].sum())
-    tau_2 = float(kij[n1:, n1:][_triu(n2)].sum())
-    rec = mean_curvatures(data)
+    n, n1, n2 = stack.n, stack.n1, stack.n2
+    kij = stack.oracle.kij(stack.tangent)
+    index, s1, s2 = _tau_index(n, n1)
+    pairs = kij.reshape(len(kij), n * n)[:, index]
+    tau_full, tau_1, tau_2 = (pairs[:, a:b].sum(axis=1) for a, b in ((0, s1), (s1, s2), (s2, None)))
+    rec = mean_curvatures(stack)
     mean_term = n * n / (4.0 * n2) * rec.norm_H**2
     ambient_term = (tau_full - tau_1 - tau_2) / n2
     rhs = mean_term + ambient_term
     if lhs is None:
         # Gauss-equation proxy: the mixed-pair intrinsic curvatures, built on
-        # the ambient table above
-        lhs_val = float(intrinsic_kij(data, ambient=kij)[:n1, n1:].sum()) / n2
+        # the ambient tables above
+        lhs = intrinsic_kij(stack, ambient=kij)[:, :n1, n1:].sum(axis=(1, 2)) / n2
     else:
-        lhs_val = float(lhs)
-    gap = rhs - lhs_val
-    return InequalityReport(
+        lhs = np.broadcast_to(np.asarray(lhs, dtype=float), rhs.shape)
+    return InequalityStack(
         name="general_inequality",
-        lhs=lhs_val,
+        stack=stack,
+        lhs=lhs,
         rhs=rhs,
-        gap=gap,
-        equality=abs(gap) < equality_tol,
+        gap=rhs - lhs,
         mean_term=mean_term,
         ambient_term=ambient_term,
-        norm_H=rec.norm_H,
-        n1=n1,
-        n2=n2,
+        rec=rec,
         equality_tol=equality_tol,
-        _diagnostics=_EqualityDiagnostics(
-            is_mixed_totally_geodesic(data, equality_tol), data.sigma.copy(), rec, n1, equality_tol
-        ),
     )
 
 
-def _contact_rhs_inputs(data: PointwiseImmersionData):
-    ok, residuals = is_C_totally_real(data)
-    if not ok:
+def general_inequality(
+    data: PointwiseImmersionData,
+    lhs: float | None = None,
+    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
+) -> InequalityReport:
+    """The inequality for an arbitrary ambient model at one sample:
+    general_inequality_stack on a stack of one."""
+    return general_inequality_stack(data.stack(), lhs, equality_tol).report(0)
+
+
+def _contact_rhs_inputs(stack: PointwiseStack):
+    ok, residuals = is_C_totally_real(stack)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        row = {k: float(v[i]) for k, v in residuals.items()}
         raise InvalidConfigurationError(
-            f"data is not C-totally real: residuals {residuals}"
+            f"data is not C-totally real: residuals {row} in sample {i}"
         )
-    stats = a_xi_identity(data)
+    stats = a_xi_identity(stack)
     return stats["h_stats"], stats["a_stats"]
 
 
 def _specialized(
-    general: InequalityReport, name: str, curvature_term: float, **extras
-) -> InequalityReport:
+    general: InequalityStack, name: str, curvature_term: np.ndarray, **extras
+) -> InequalityStack:
     """A contact specialization: its own curvature term in place of the
-    general ambient term, on the general report's lhs, mean term and
+    general ambient term, on the general stack's lhs, mean term and
     diagnostics, with the rhs cross-check in the extras."""
     rhs = general.mean_term + curvature_term
-    extras.update(rhs_general=general.rhs, rhs_cross_residual=abs(rhs - general.rhs))
-    return _rebased(general, general.lhs, rhs, name=name, ambient_term=curvature_term, extras=extras)
+    extras.update(rhs_general=general.rhs, rhs_cross_residual=np.abs(rhs - general.rhs))
+    gap = rhs - general.lhs
+    return replace(general, name=name, rhs=rhs, gap=gap, ambient_term=curvature_term, extras=extras)
 
 
-def kmu_space_form_inequality(
-    data: PointwiseImmersionData,
+def kmu_space_form_inequality_stack(
+    stack: PointwiseStack,
     c: float | None = None,
-    lhs: float | None = None,
+    lhs: float | np.ndarray | None = None,
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
-) -> InequalityReport:
+) -> InequalityStack:
     """Specialized right-hand side for a constant-phi-sectional-curvature
-    contact ambient, in terms of the restricted traces of h^T and A_xi.
+    contact ambient, in terms of the restricted traces of h^T and A_xi, on
+    every sample of a stack.
 
     Cross-checks its RHS against the general inequality evaluated with the
-    same ambient oracle (stored as extras['rhs_cross_residual']).
+    same ambient oracle (extras['rhs_cross_residual'], one per sample).
     """
-    frame = data.contact
+    frame = stack.contact
     if frame is None:
         raise InvalidConfigurationError("contact frame required")
     if c is None:
         c = frame.c
     if c is None:
         raise InvalidInputError("phi-sectional curvature c required")
-    hs, As = _contact_rhs_inputs(data)
-    n1, n2 = data.n1, data.n2
+    hs, As = _contact_rhs_inputs(stack)
+    n1, n2 = stack.n1, stack.n2
     bracket = (
         hs["trace"] ** 2 - hs["trace_1"] ** 2 - hs["trace_2"] ** 2
         - As["trace"] ** 2 + As["trace_1"] ** 2 + As["trace_2"] ** 2
@@ -359,30 +492,40 @@ def kmu_space_form_inequality(
         + (n1 / n2) * hs["trace_2"]
         + bracket / (4.0 * n2)
     )
-    general = general_inequality(data, lhs=lhs, equality_tol=equality_tol)
+    general = general_inequality_stack(stack, lhs=lhs, equality_tol=equality_tol)
     return _specialized(general, "kmu_space_form_inequality", curvature_term, c=c)
 
 
-def non_sasakian_inequality(
+def kmu_space_form_inequality(
     data: PointwiseImmersionData,
+    c: float | None = None,
     lhs: float | None = None,
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
 ) -> InequalityReport:
+    """kmu_space_form_inequality_stack at one sample."""
+    return kmu_space_form_inequality_stack(data.stack(), c, lhs, equality_tol).report(0)
+
+
+def non_sasakian_inequality_stack(
+    stack: PointwiseStack,
+    lhs: float | np.ndarray | None = None,
+    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
+) -> InequalityStack:
     """Specialized right-hand side for an ambient whose curvature is
-    determined by (kappa, mu) with kappa < 1.
+    determined by (kappa, mu) with kappa < 1, on every sample of a stack.
 
     The A_xi bracket groups carry the signs forced by the ambient curvature
     tensor (so that this RHS is exactly the general one), which flips the
     A_xi groups relative to the h^T groups.
     """
-    frame = data.contact
+    frame = stack.contact
     if frame is None:
         raise InvalidConfigurationError("contact frame required")
     kappa, mu = frame.kappa, frame.mu
     if kappa > 1.0 - 1e-8:
         raise SingularParameterError("non-Sasakian inequality needs kappa < 1")
-    hs, As = _contact_rhs_inputs(data)
-    n1, n2 = data.n1, data.n2
+    hs, As = _contact_rhs_inputs(stack)
+    n1, n2 = stack.n1, stack.n2
     e1 = (1.0 - mu / 2.0) / (1.0 - kappa)
     e2 = (kappa - mu / 2.0) / (1.0 - kappa)
     trace_group_h = hs["trace"] ** 2 - hs["trace_1"] ** 2 - hs["trace_2"] ** 2
@@ -398,8 +541,17 @@ def non_sasakian_inequality(
         - e1 / (2.0 * n2) * norm_group_h
         - e2 / (2.0 * n2) * norm_group_a
     )
-    general = general_inequality(data, lhs=lhs, equality_tol=equality_tol)
+    general = general_inequality_stack(stack, lhs=lhs, equality_tol=equality_tol)
     return _specialized(general, "non_sasakian_inequality", curvature_term, kappa=kappa, mu=mu)
+
+
+def non_sasakian_inequality(
+    data: PointwiseImmersionData,
+    lhs: float | None = None,
+    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
+) -> InequalityReport:
+    """non_sasakian_inequality_stack at one sample."""
+    return non_sasakian_inequality_stack(data.stack(), lhs, equality_tol).report(0)
 
 
 NONEXISTENCE = "NONEXISTENCE"
@@ -450,16 +602,19 @@ def chart_inequality(
     p: np.ndarray,
     equality_tol: float = CHART_EQUALITY_TOL,
     h: float = DEFAULT_TOLERANCE.finite_difference,
+    data: PointwiseImmersionData | None = None,
 ) -> InequalityReport:
     """Run the general inequality on a chart immersion of a warped chart.
 
     Produces both left-hand sides (the genuine Delta f / f on the first factor
     and the Gauss-equation proxy) and reports their agreement.  `h` is the
-    finite-difference step of the second fundamental form.
+    finite-difference step of the second fundamental form; a caller that
+    already holds second_fundamental_form(im, p, h) passes it as `data`.
     """
     if im.warped is None:
         raise InvalidConfigurationError("chart immersion carries no warped structure")
-    data = second_fundamental_form(im, p, h=h)
+    if data is None:
+        data = second_fundamental_form(im, p, h=h)
     wp = im.warped
     x1 = np.asarray(p, dtype=float)[: wp.n1]
     f = wp.warp.value(x1)

@@ -21,6 +21,7 @@ __all__ = [
     "as_matrix",
     "gram_schmidt",
     "sym_eigen",
+    "qr_q",
     "central_diff",
     "second_diff",
     "cross_diff",
@@ -72,6 +73,14 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.all(np.isfinite(arr)):
         raise NumericalDomainError("matrix has non-finite entries")
     return arr
+
+
+def qr_q(a: np.ndarray) -> np.ndarray:
+    """Reduced QR factor Q of each matrix of a stack (N, m, n).  LAPACK runs
+    once per matrix either way, so the result is bit-identical to N separate
+    np.linalg.qr calls; a stack of one takes the 2-d call, which costs numpy
+    less."""
+    return np.linalg.qr(a[0])[0][None] if len(a) == 1 else np.linalg.qr(a)[0]
 
 
 def gram_schmidt(

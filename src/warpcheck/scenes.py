@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import SceneParseError, SceneValidationError
 from .immersion import (
     ChartImmersion,
     PointwiseImmersionData,
+    PointwiseStack,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
@@ -39,17 +40,20 @@ from .immersion import (
     gauss_residual,
     is_C_totally_real,
     pullback_metric,
-    random_data,
+    random_stack,
     second_fundamental_form,
     force_xi_consistency,
 )
 from .inequality import (
     chart_inequality,
     chen_lemma,
-    decompose,
+    decompose_stack,
     general_inequality,
+    general_inequality_stack,
     kmu_space_form_inequality,
+    kmu_space_form_inequality_stack,
     non_sasakian_inequality,
+    non_sasakian_inequality_stack,
     obstruction_check,
 )
 from .numeric import Tolerance
@@ -328,48 +332,57 @@ class _Context:
     generator: str | None = None
     source_params: dict = field(default_factory=dict)
 
-    def make_data(self, generator: str | None = None) -> PointwiseImmersionData:
-        """One data sample according to the declared source."""
-        if self.fixed_data is not None:
-            return self.fixed_data
-        if self.immersion is not None:
-            p = self.source_params.get("point")
-            p = np.asarray(p, float) if p is not None else self.immersion.default_point
-            return second_fundamental_form(self.immersion, p, h=self.tol.finite_difference)
+    def fixed_sample(self) -> PointwiseImmersionData | None:
+        """The source's one sample (explicit data, a dplus leaf or a chart
+        immersion at its point), computed once per scene; None for a
+        synthetic source."""
+        if self.fixed_data is None and self.immersion is not None:
+            self.fixed_data = second_fundamental_form(
+                self.immersion, self.chart_point(), h=self.tol.finite_difference
+            )
+        return self.fixed_data
+
+    def chart_point(self) -> np.ndarray:
+        p = self.source_params.get("point")
+        return np.asarray(p, float) if p is not None else self.immersion.default_point
+
+    def make_stack(self, count: int, generator: str | None = None) -> PointwiseStack:
+        """The samples of one sampled check: the fixed sample as a stack of
+        one, or `count` fresh draws of the declared generator in one block."""
+        fixed = self.fixed_sample()
+        if fixed is not None:
+            return fixed.stack()
         n1 = int(self.source_params.get("n1", 1))
         n2 = int(self.source_params.get("n2", 1))
         scale = float(self.source_params.get("sigma_scale", 1.0))
         gen = generator or self.generator or "random"
-        if gen == "random":
-            return random_data(self.rng, self.ambient, n1, n2, sigma_scale=scale)
-        if gen == "c-totally-real":
-            data = random_data(
-                self.rng, self.ambient, n1, n2, sigma_scale=scale, frame_kind="c-totally-real"
-            )
-            data.sigma = force_xi_consistency(
-                data.sigma, (data.tangent, data.normal), self.ambient.frame
-            )
-            return data
-        if gen == "equality":
-            frame_kind = "dplus" if self.ambient.frame is not None else "generic"
-            data = random_data(
-                self.rng, self.ambient, n1, n2, sigma_scale=scale, frame_kind=frame_kind
-            )
-            data.sigma = balance_for_equality(data.sigma, n1)
-            if self.ambient.frame is not None:
-                data.sigma = force_xi_consistency(
-                    data.sigma, (data.tangent, data.normal), self.ambient.frame
-                )
-            return data
+        contact = self.ambient.frame
+        frame_kind = {
+            "random": "generic",
+            "c-totally-real": "c-totally-real",
+            "equality": "dplus" if contact is not None else "generic",
+            "minimal": "c-totally-real" if contact is not None else "generic",
+        }.get(gen)
+        if frame_kind is None:
+            raise SceneValidationError(f"unknown generator {gen!r}")
         if gen == "minimal":
-            frame_kind = (
-                "c-totally-real" if self.ambient.frame is not None else "generic"
-            )
-            data = random_data(
-                self.rng, self.ambient, n1, n2, sigma_scale=0.0, frame_kind=frame_kind
-            )
-            return data
-        raise SceneValidationError(f"unknown generator {gen!r}")
+            scale = 0.0
+        stack = random_stack(self.rng, self.ambient, n1, n2, count, scale, frame_kind)
+        if gen == "equality":
+            stack.sigma = balance_for_equality(stack.sigma, n1)
+        if gen in ("c-totally-real", "equality") and contact is not None:
+            stack.sigma = force_xi_consistency(stack.sigma, (stack.tangent, stack.normal), contact)
+        return stack
+
+    def make_data(self, generator: str | None = None) -> PointwiseImmersionData:
+        """One data sample according to the declared source."""
+        fixed = self.fixed_sample()
+        return fixed if fixed is not None else self.make_stack(1, generator).sample(0)
+
+    def sampled_stack(self, generator: str | None = None) -> PointwiseStack:
+        """The stack a sampled check evaluates: `samples` draws (at least
+        one), or the fixed sample."""
+        return self.make_stack(max(1, self.samples), generator)
 
 
 def _build_context(spec: SceneSpec, tol: Tolerance, rng, samples: int) -> _Context:
@@ -487,20 +500,16 @@ def _check_trivial(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
+    data = ctx.make_data()
     if ctx.immersion is not None:
-        im = ctx.immersion
-        p = ctx.source_params.get("point")
-        p = np.asarray(p, float) if p is not None else im.default_point
-        data = second_fundamental_form(im, p, h=ctx.tol.finite_difference)
         # intrinsic curvature from the pulled-back metric, independent of sigma
-        cp = riemann(pullback_metric(im), p)
+        cp = riemann(pullback_metric(ctx.immersion), ctx.chart_point())
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
             data.extras["frame_coefficients"]
         )
         res = gauss_residual(data, intrinsic=intrinsic.value, rng=ctx.rng, samples=20)
         threshold = 1e-4
     else:
-        data = ctx.make_data()
         res = gauss_residual(data, rng=ctx.rng, samples=20)
         threshold = 1e-9
     worst = np.max(list(res.values()))
@@ -562,10 +571,12 @@ def _check_oracle_symmetries(ctx: _Context, opts: dict) -> dict:
 
 
 def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
+    """A sampled inequality check: `fn` maps the check's stack to an
+    InequalityStack; the record prints the last sample's report."""
     if ctx.immersion is not None and name == "general_inequality":
-        p = ctx.source_params.get("point")
-        p = np.asarray(p, float) if p is not None else ctx.immersion.default_point
-        rep = chart_inequality(ctx.immersion, p, h=ctx.tol.finite_difference)
+        rep = chart_inequality(
+            ctx.immersion, ctx.chart_point(), h=ctx.tol.finite_difference, data=ctx.fixed_sample()
+        )
         ok = rep.gap >= -rep.equality_tol and rep.extras["lhs_agreement"] < 1e-3
         return {
             "pass": bool(ok),
@@ -577,21 +588,15 @@ def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
             "lhs_proxy": rep.extras["lhs_proxy"],
             "lhs_agreement": rep.extras["lhs_agreement"],
         }
-    count = 1 if ctx.fixed_data is not None else max(1, ctx.samples)
-    # np.minimum / np.maximum propagate NaN, where min / max would drop it
-    min_gap = np.inf
-    worst_cross = 0.0
-    last = None
-    for _ in range(count):
-        data = ctx.make_data()
-        rep = fn(data)
-        min_gap = np.minimum(min_gap, rep.gap)
-        worst_cross = np.maximum(worst_cross, rep.extras.get("rhs_cross_residual", 0.0))
-        last = rep
+    batch = fn(ctx.sampled_stack())
+    # np.min / np.max propagate NaN, where min / max would drop it
+    min_gap = np.min(batch.gap)
+    worst_cross = np.max(batch.extras.get("rhs_cross_residual", 0.0))
+    last = batch.report(-1)
     ok = min_gap >= -1e-9 and worst_cross < 1e-9
     out = {
         "pass": bool(ok),
-        "samples": count,
+        "samples": len(batch.gap),
         "min_gap": float(min_gap),
         "lhs": last.lhs,
         "rhs": last.rhs,
@@ -604,41 +609,38 @@ def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
 
 
 def _check_general_inequality(ctx: _Context, opts: dict) -> dict:
-    return _run_inequality(ctx, opts, general_inequality, "general_inequality")
+    return _run_inequality(ctx, opts, general_inequality_stack, "general_inequality")
 
 
 def _check_kmu_inequality(ctx: _Context, opts: dict) -> dict:
     c = opts.get("c")
     return _run_inequality(
-        ctx, opts, lambda d: kmu_space_form_inequality(d, c=c), "kmu_space_form_inequality"
+        ctx, opts, lambda s: kmu_space_form_inequality_stack(s, c=c), "kmu_space_form_inequality"
     )
 
 
 def _check_non_sasakian_inequality(ctx: _Context, opts: dict) -> dict:
     return _run_inequality(
-        ctx, opts, non_sasakian_inequality, "non_sasakian_inequality"
+        ctx, opts, non_sasakian_inequality_stack, "non_sasakian_inequality"
     )
 
 
 def _check_equality_case(ctx: _Context, opts: dict) -> dict:
     """Equality-constructed samples must close the gap; a single cross-block
-    perturbation must reopen it and flip the diagnostics."""
-    miscount = 0
-    worst_eq = 0.0
-    worst_pert = np.inf
-    for _ in range(max(1, ctx.samples)):
-        data = ctx.make_data(generator="equality")
-        rep = general_inequality(data)
-        worst_eq = np.maximum(worst_eq, abs(rep.gap))
-        if not (rep.equality and rep.diagnostics["mixed_totally_geodesic"]
-                and rep.diagnostics["partial_mean_equal"]):
-            miscount += 1
-        data.sigma[0, 0, data.n1] += 1e-2
-        data.sigma[0, data.n1, 0] += 1e-2
-        rep2 = general_inequality(data)
-        worst_pert = np.minimum(worst_pert, rep2.gap)
-        if rep2.equality or rep2.diagnostics["mixed_totally_geodesic"]:
-            miscount += 1
+    perturbation (applied to a copy of each sample) must reopen it and flip
+    the diagnostics."""
+    stack = ctx.sampled_stack(generator="equality")
+    rep = general_inequality_stack(stack)
+    equal = rep.equality & rep.mixed_totally_geodesic & rep.partial_mean_equal
+    sigma = stack.sigma.copy()
+    sigma[:, 0, 0, stack.n1] += 1e-2
+    sigma[:, 0, stack.n1, 0] += 1e-2
+    rep2 = general_inequality_stack(replace(stack, sigma=sigma, checked=True))
+    reopened = ~rep2.equality & ~rep2.mixed_totally_geodesic
+    miscount = int(np.count_nonzero(~equal) + np.count_nonzero(~reopened))
+    # np.max / np.min keep a NaN gap
+    worst_eq = np.max(np.abs(rep.gap))
+    worst_pert = np.min(rep2.gap)
     ok = miscount == 0 and worst_eq < 1e-8 and worst_pert >= 1e-5
     return {
         "pass": bool(ok),
@@ -649,13 +651,9 @@ def _check_equality_case(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_decompose(ctx: _Context, opts: dict) -> dict:
-    worst_ai = 0.0
-    worst_slack = np.inf
-    count = 1 if ctx.fixed_data is not None else max(1, ctx.samples)
-    for _ in range(count):
-        dec = decompose(ctx.make_data())
-        worst_ai = np.maximum(worst_ai, dec.ai_residual)
-        worst_slack = np.minimum(worst_slack, dec.lemma_slack)
+    dec = decompose_stack(ctx.sampled_stack())
+    worst_ai = np.max(dec.ai_residual)
+    worst_slack = np.min(dec.lemma_slack)
     return {
         "pass": bool(worst_ai < 1e-9 and worst_slack >= -1e-9),
         "max_ai_residual": float(worst_ai),

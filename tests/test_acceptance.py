@@ -24,6 +24,7 @@ from warpcheck.immersion import (
     balance_for_equality,
     force_xi_consistency,
     random_data,
+    random_stack,
     sphere_in_euclidean,
 )
 from warpcheck.inequality import (
@@ -32,6 +33,7 @@ from warpcheck.inequality import (
     chart_inequality,
     chen_lemma,
     general_inequality,
+    general_inequality_stack,
     kmu_space_form_inequality,
     non_sasakian_inequality,
     obstruction_check,
@@ -86,6 +88,33 @@ def test_criterion_2_randomized_theorem():
     assert violations == 0, f"{violations} violations, min gap {min_gap:.3e}"
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _report(2, f"4x10^4 random data, min gap {min_gap:.3e}, {elapsed:.1f}s")
+
+
+def test_criterion_2_batched_sweep():
+    """Beside criterion 2 (the per-sample reference, which interleaves
+    rng.integers and so cannot be stacked): 10^5 random immersion data per
+    ambient oracle, one stacked block of 25,000 per (n1, n2): gap >= -1e-9."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(2025)
+    ambients = [
+        make_ambient("euclidean", m=7),
+        make_ambient("kmu-space-form", m=3, kappa=0.5, mu=-1.0, c=1.7),
+        make_ambient("sasakian-space-form", m=3, c=-2.0),
+        make_ambient("non-sasakian-kmu", m=3, kappa=0.2, mu=0.8),
+    ]
+    count = 0
+    min_gap = np.inf
+    for amb in ambients:
+        for n1 in (1, 2):
+            for n2 in (1, 2):
+                gap = general_inequality_stack(random_stack(rng, amb, n1, n2, 25_000)).gap
+                assert np.isfinite(gap).all()
+                min_gap = min(min_gap, float(gap.min()))
+                count += len(gap)
+    elapsed = time.perf_counter() - start
+    assert count == 4 * 100_000
+    assert min_gap >= -1e-9, f"min gap {min_gap:.3e}"
+    _report(2, f"batched 4x10^5 random data, min gap {min_gap:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_3_equality_characterization():

@@ -69,15 +69,24 @@ def test_cylinder_principal_values():
     assert abs(mean_curvatures(data).norm_H - 0.5) < 1e-5
 
 
+def _block_mean_components(data):
+    """H1 and H2 in the normal frame, from the block traces of sigma."""
+    diag = np.einsum("rii->ri", data.sigma)
+    return diag[:, : data.n1].sum(axis=1) / data.n1, diag[:, data.n1 :].sum(axis=1) / data.n2
+
+
 def test_trace_additivity_exact():
     rng = np.random.default_rng(0)
     amb = make_ambient("euclidean", m=7)
     for _ in range(50):
         data = random_data(rng, amb, 2, 3)
         rec = mean_curvatures(data)
-        lhs = data.n * rec.H
-        rhs = data.n1 * rec.H1 + data.n2 * rec.H2
+        h1, h2 = _block_mean_components(data)
+        lhs = data.n * rec.components
+        rhs = data.n1 * h1 + data.n2 * h2
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+        assert abs(rec.norm_H1 - np.linalg.norm(h1)) < 1e-12
+        assert abs(rec.norm_H2 - np.linalg.norm(h2)) < 1e-12
 
 
 def test_mean_curvature_zero_sigma():
@@ -96,7 +105,9 @@ def test_block_trace_only_in_first_block():
     data.sigma[0, 1, 1] = 1.0
     rec = mean_curvatures(data)
     assert rec.norm_H2 == 0.0
-    assert np.max(np.abs(data.n * rec.H - data.n1 * rec.H1)) < 1e-12
+    h1, _ = _block_mean_components(data)
+    assert np.max(np.abs(data.n * rec.components - data.n1 * h1)) < 1e-12
+    assert abs(rec.norm_H1 - np.linalg.norm(h1)) < 1e-12
 
 
 def test_gauss_residual_sphere_chart_intrinsic():

@@ -334,15 +334,14 @@ def test_cli_rejects_non_finite_explicit_sigma(tmp_path, capsys):
 def test_nan_gap_fails_the_sampled_inequality(monkeypatch):
     import warpcheck.scenes as scenes_mod
 
-    gaps = iter([0.5, float("nan"), 0.25])
-    original = scenes_mod.general_inequality
+    original = scenes_mod.general_inequality_stack
 
-    def nan_on_second_sample(data):
-        rep = original(data)
-        rep.gap = next(gaps)
-        return rep
+    def nan_on_second_sample(stack):
+        batch = original(stack)
+        batch.gap[:] = [0.5, float("nan"), 0.25]
+        return batch
 
-    monkeypatch.setattr(scenes_mod, "general_inequality", nan_on_second_sample)
+    monkeypatch.setattr(scenes_mod, "general_inequality_stack", nan_on_second_sample)
     spec = parse_scene(
         {
             "ambient": {"kind": "euclidean", "m": 5},
@@ -494,6 +493,8 @@ def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch):
     def nan_ambient(kind, **params):
         amb = original(kind, **params)
         amb.oracle.value = _nan_every_other_call(amb.oracle.value)
+        # km_condition contracts the tensor over the xi slot (xi = e_0)
+        amb.oracle.tensor[1, 2, 0, 3] = np.nan
         return amb
 
     monkeypatch.setattr(scenes_mod, "make_ambient", nan_ambient)
@@ -630,3 +631,53 @@ def test_tol_fd_reaches_the_chart_second_fundamental_form(tmp_path):
     _, coarse = _gauss_record(tmp_path / "coarse.json", "--tol-fd", "1e-3")
     for key in ("gauss_max", "kij_max", "tau_identity_residual"):
         assert coarse[key] != default[key], key
+
+
+def _explicit_zero_sigma_scene(checks):
+    """A 2-frame with zero sigma in a real space form: the equality case."""
+    tangent = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))[0][:, :2]
+    return {
+        "ambient": {"kind": "real-space-form", "m": 5, "c": 0.6},
+        "source": {
+            "kind": "explicit",
+            "n1": 1,
+            "n2": 1,
+            "tangent": tangent.tolist(),
+            "sigma": np.zeros((3, 2, 2)).tolist(),
+        },
+        "checks": checks,
+        "samples": 10,
+        "seed": 0,
+    }
+
+
+@pytest.mark.parametrize("earlier", ["equality_case", "decompose", "non_sasakian_inequality"])
+def test_a_record_does_not_depend_on_the_checks_before_it(earlier):
+    alone = run(parse_scene(_explicit_zero_sigma_scene(["general_inequality"]))).records
+    scene = _explicit_zero_sigma_scene([earlier, "general_inequality"])
+    if earlier == "non_sasakian_inequality":
+        scene["ambient"] = {"kind": "non-sasakian-kmu", "m": 2, "kappa": 0.3, "mu": 0.5}
+        alone = run(parse_scene({**scene, "checks": ["general_inequality"]})).records
+    after = run(parse_scene(scene)).records
+    assert after[1] == alone[0]
+    assert alone[0]["min_gap"] == 0.0 and alone[0]["diagnostics"]["mixed_totally_geodesic"]
+    if earlier == "equality_case":
+        assert after[0]["pass"] and after[0]["misclassifications"] == 0
+
+
+def test_chart_scene_computes_its_second_fundamental_form_once(monkeypatch, tmp_path):
+    import warpcheck.inequality as inequality_mod
+    import warpcheck.scenes as scenes_mod
+
+    calls = []
+    original = scenes_mod.second_fundamental_form
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (scenes_mod, inequality_mod):
+        monkeypatch.setattr(module, "second_fundamental_form", counting)
+    argv = ["verify", str(SCENE_DIR / "sphere.json"), "--output", "json"]
+    assert cli_main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1

@@ -1,0 +1,153 @@
+"""Export paired perfbench runs of a parent and a change commit as BENCH_<n>.json.
+
+perfbench (``python3 perfbench/run.py``) appends one record per run to
+``.perfbench-run/results.jsonl`` of the checkout it runs in.  Given the
+results file of the parent checkout and that of the change checkout, this
+script pairs the untraced runs by (workload, seed) and writes, per workload
+and end-to-end metric of BENCHMARK.json:
+
+* the median and quartiles of each side;
+* the number of pairs in which the change is better (ties count for
+  neither side);
+* whether the change's median is worse than the parent's by more than the
+  metric's bound, and whether the medians differ by more than the parent's
+  interquartile range.
+
+Traced runs (``--trace 1``) contribute the median of each per-layer metric
+per side.  The file also records the machine (Python, numpy, BLAS, core
+count), both commits and both ``src/`` line counts, as perfbench measured
+them.  Usage:
+
+    python3 tools/bench_export.py PARENT_RESULTS CHANGE_RESULTS --out BENCH_6.json \\
+        [--parent-commit SHA] [--change-commit SHA]
+
+The commits default to the ones perfbench recorded; a checkout made with
+``git archive`` has none, so pass them explicitly there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MACHINE_KEYS = ("python", "numpy", "blas", "nproc", "platform", "thread_caps")
+
+
+def read_runs(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def _pairs(parent: list[dict], change: list[dict]) -> dict[str, list[tuple[dict, dict]]]:
+    """Untraced runs paired by (workload, seed), in file order within a key."""
+    sides = []
+    for runs in (parent, change):
+        keyed = defaultdict(list)
+        for run in runs:
+            if not run.get("trace"):
+                keyed[(run["workload"], run["seed"])].append(run)
+        sides.append(keyed)
+    out = defaultdict(list)
+    for key in sorted(set(sides[0]) & set(sides[1])):
+        out[key[0]].extend(zip(sides[0][key], sides[1][key]))
+    return out
+
+
+def _end_to_end(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
+    name, lower = spec["name"], spec["better"] == "lower"
+    before = [p["metrics"][name]["value"] for p, _ in pairs]
+    after = [c["metrics"][name]["value"] for _, c in pairs]
+    wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+    p, c = _spread(before), _spread(after)
+    change = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
+    worse = change if lower else -change
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "bound": spec["bound"],
+        "parent": p,
+        "change": c,
+        "pairs": len(pairs),
+        "change_wins": wins,
+        "median_relative_change": change,
+        "within_bound": worse <= spec["bound"],
+        "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+    }
+
+
+def _per_layer(runs: list[dict], workload: str) -> dict:
+    traced = [r for r in runs if r.get("trace") and r["workload"] == workload]
+    names = sorted({k for r in traced for k in r["metrics"]})
+    return {
+        name: statistics.median(r["metrics"][name]["value"] for r in traced if name in r["metrics"])
+        for name in names
+    }
+
+
+def _side(runs: list[dict], commit: str | None) -> dict:
+    machine = runs[-1]["machine"]
+    return {"commit": commit or machine.get("git_commit"), "src_lines": machine.get("src_lines")}
+
+
+def export(parent: list[dict], change: list[dict], benchmark: dict, commits=(None, None)) -> dict:
+    if not parent or not change:
+        raise ValueError("both results files need at least one run")
+    workloads = {}
+    for workload, pairs in sorted(_pairs(parent, change).items()):
+        workloads[workload] = {
+            "seeds": [p["seed"] for p, _ in pairs],
+            "seconds": pairs[0][1]["seconds"],
+            "end_to_end": {m["name"]: _end_to_end(pairs, m) for m in benchmark["end_to_end"]},
+            "per_layer": {"parent": _per_layer(parent, workload), "change": _per_layer(change, workload)},
+        }
+    machine = change[-1]["machine"]
+    return {
+        "generated_by": "tools/bench_export.py",
+        "benchmark": " ".join(benchmark["command"]),
+        "parent": _side(parent, commits[0]),
+        "change": _side(change, commits[1]),
+        "machine": {k: machine[k] for k in MACHINE_KEYS if k in machine},
+        "workloads": workloads,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="results.jsonl of the parent checkout")
+    parser.add_argument("change", type=Path, help="results.jsonl of the change checkout")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--parent-commit")
+    parser.add_argument("--change-commit")
+    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
+    args = parser.parse_args(argv)
+    bench = export(
+        read_runs(args.parent),
+        read_runs(args.change),
+        json.loads(args.benchmark.read_text()),
+        (args.parent_commit, args.change_commit),
+    )
+    args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    for workload, block in bench["workloads"].items():
+        for name, m in block["end_to_end"].items():
+            print(
+                f"{workload:15s} {name:17s} parent {m['parent']['median']:.4g} "
+                f"change {m['change']['median']:.4g} wins {m['change_wins']}/{m['pairs']}"
+                f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
