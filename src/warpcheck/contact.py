@@ -183,12 +183,12 @@ class CurvatureOracle:
         pass: with P = (v_a (x) v_a) as (N, d^2, n), P^T Q P is one matrix
         product with Q for the whole stack and one batched product with P."""
         V = np.asarray(V, dtype=float)
-        N, d, n = (V if V.ndim == 3 else V[None]).shape
-        Vt = np.swapaxes(V, -1, -2).reshape(N, n, d)
-        Pt = (Vt[:, :, :, None] * Vt[:, :, None, :]).reshape(N, n, d * d)  # row a is v_a (x) v_a
-        out = (Pt.reshape(N * n, d * d) @ self._q).reshape(N, n, d * d) @ Pt.transpose(0, 2, 1)
-        out.reshape(N, n * n)[:, :: n + 1] = 0.0
-        return out if V.ndim == 3 else out[0]
+        d, n = V.shape[-2:]
+        Vt = np.swapaxes(V, -1, -2)
+        Pt = (Vt[..., :, None] * Vt[..., None, :]).reshape(*Vt.shape[:-1], d * d)  # v_a (x) v_a
+        out = (Pt.reshape(-1, d * d) @ self._q).reshape(Pt.shape) @ np.swapaxes(Pt, -1, -2)
+        out.reshape(-1, n * n)[:, :: n + 1] = 0.0  # the diagonal of each table
+        return out
 
     def sectional(self, X: np.ndarray, Y: np.ndarray) -> float:
         xx, yy, xy = float(X @ X), float(Y @ Y), float(X @ Y)

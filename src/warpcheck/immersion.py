@@ -104,8 +104,9 @@ class PointwiseImmersionData:
 
     tangent: (ambient_dim, n) orthonormal columns, first n1 spanning the leaf
     block; normal: the orthonormal complement; sigma[r, i, j] are the
-    components <sigma(e_i, e_j), N_r>.  `checked=True` marks arrays already
-    validated (a row of a validated PointwiseStack).
+    components <sigma(e_i, e_j), N_r>.  `checked=True` marks float arrays
+    already validated (a row of a validated PointwiseStack), taken as they
+    are.
     """
 
     n1: int
@@ -120,10 +121,10 @@ class PointwiseImmersionData:
     checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.tangent = np.asarray(self.tangent, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
         if not self.checked:
+            self.tangent = np.asarray(self.tangent, dtype=float)
+            self.normal = np.asarray(self.normal, dtype=float)
+            self.sigma = np.asarray(self.sigma, dtype=float)
             arrays = (self.tangent[None], self.normal[None], self.sigma[None])
             _check_frames(*arrays, self.n, lambda i: "")
             self.checked = True
@@ -173,10 +174,10 @@ class PointwiseStack:
     checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.tangent = np.asarray(self.tangent, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
         if not self.checked:
+            self.tangent = np.asarray(self.tangent, dtype=float)
+            self.normal = np.asarray(self.normal, dtype=float)
+            self.sigma = np.asarray(self.sigma, dtype=float)
             arrays = (self.tangent, self.normal, self.sigma)
             _check_frames(*arrays, self.n, lambda i: f" in sample {i}")
             self.checked = True
@@ -235,8 +236,7 @@ def intrinsic_kij(
         "...rij,...rij->...ij", data.sigma, data.sigma
     )
     out = ambient + corr
-    ar = np.arange(data.n)
-    out[..., ar, ar] = 0.0
+    out.reshape(-1, data.n**2)[:, :: data.n + 1] = 0.0  # the diagonal of each table
     return out
 
 
@@ -531,8 +531,9 @@ def random_stack(
     elif frame_kind == "c-totally-real":
         tangent = _c_totally_real_tangents(block[:, :frame_draws], frame, n)
         normal = complete_normal_frame(tangent)
-    # loc + scale * z, the arithmetic of rng.normal(scale=sigma_scale)
-    raw = 0.0 + sigma_scale * block[:, frame_draws:].reshape(count, k, n, n)
+    raw = block[:, frame_draws:].reshape(count, k, n, n)
+    if sigma_scale != 1.0:  # loc + scale * z, the arithmetic of rng.normal(scale=sigma_scale)
+        raw = 0.0 + sigma_scale * raw
     return PointwiseStack(
         n1=n1,
         n2=n2,
