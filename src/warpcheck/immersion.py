@@ -10,7 +10,6 @@ plain dot product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
