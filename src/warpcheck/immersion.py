@@ -48,10 +48,8 @@ __all__ = [
     "is_mixed_totally_geodesic",
     "random_data",
     "random_stack",
-    "c_totally_real_frame",
     "dplus_frame",
     "complete_normal_frame",
-    "symmetric_random_sigma",
     "balance_for_equality",
     "force_xi_consistency",
     "sphere_in_euclidean",
@@ -70,6 +68,8 @@ def _check_frames(
     normal (N, d, d - n), sigma (N, d - n, n, n); `where(i)` names sample i
     in the error messages."""
     N, d = tangent.shape[:2]
+    if N == 0:
+        raise InvalidInputError("a stack needs at least one sample")
     if tangent.shape != (N, d, n):
         raise InvalidConfigurationError("tangent frame shape mismatch with n1 + n2")
     if normal.shape != (N, d, d - n):
@@ -103,9 +103,7 @@ class PointwiseImmersionData:
 
     tangent: (ambient_dim, n) orthonormal columns, first n1 spanning the leaf
     block; normal: the orthonormal complement; sigma[r, i, j] are the
-    components <sigma(e_i, e_j), N_r>.  `checked=True` marks float arrays
-    already validated (a row of a validated PointwiseStack), taken as they
-    are.
+    components <sigma(e_i, e_j), N_r>.
     """
 
     n1: int
@@ -117,16 +115,12 @@ class PointwiseImmersionData:
     contact: ContactFrame | None = None
     label: str = ""
     extras: dict = field(default_factory=dict)
-    checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.checked:
-            self.tangent = np.asarray(self.tangent, dtype=float)
-            self.normal = np.asarray(self.normal, dtype=float)
-            self.sigma = np.asarray(self.sigma, dtype=float)
-            arrays = (self.tangent[None], self.normal[None], self.sigma[None])
-            _check_frames(*arrays, self.n, lambda i: "")
-            self.checked = True
+        self.tangent = np.asarray(self.tangent, dtype=float)
+        self.normal = np.asarray(self.normal, dtype=float)
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        _check_frames(self.tangent[None], self.normal[None], self.sigma[None], self.n, lambda i: "")
 
     @property
     def n(self) -> int:
@@ -149,9 +143,10 @@ class PointwiseImmersionData:
 
     def stack(self) -> PointwiseStack:
         """This sample as a stack of one; the arrays are shared, not copied."""
-        return PointwiseStack(
-            self.n1, self.n2, self.tangent[None], self.normal[None], self.sigma[None],
-            self.oracle, self.contact, self.label, checked=True,
+        return _from_validated(
+            PointwiseStack, n1=self.n1, n2=self.n2, tangent=self.tangent[None],
+            normal=self.normal[None], sigma=self.sigma[None], oracle=self.oracle,
+            contact=self.contact, label=self.label,
         )
 
 
@@ -170,16 +165,12 @@ class PointwiseStack:
     oracle: CurvatureOracle
     contact: ContactFrame | None = None
     label: str = ""
-    checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.checked:
-            self.tangent = np.asarray(self.tangent, dtype=float)
-            self.normal = np.asarray(self.normal, dtype=float)
-            self.sigma = np.asarray(self.sigma, dtype=float)
-            arrays = (self.tangent, self.normal, self.sigma)
-            _check_frames(*arrays, self.n, lambda i: f" in sample {i}")
-            self.checked = True
+        self.tangent = np.asarray(self.tangent, dtype=float)
+        self.normal = np.asarray(self.normal, dtype=float)
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        _check_frames(self.tangent, self.normal, self.sigma, self.n, lambda i: f" in sample {i}")
 
     @property
     def n(self) -> int:
@@ -190,10 +181,20 @@ class PointwiseStack:
 
     def sample(self, i: int) -> PointwiseImmersionData:
         """Sample i, sharing this stack's arrays."""
-        return PointwiseImmersionData(
-            self.n1, self.n2, self.tangent[i], self.normal[i], self.sigma[i],
-            self.oracle, self.contact, self.label, checked=True,
+        return _from_validated(
+            PointwiseImmersionData, n1=self.n1, n2=self.n2, tangent=self.tangent[i],
+            normal=self.normal[i], sigma=self.sigma[i], oracle=self.oracle,
+            contact=self.contact, label=self.label, extras={},
         )
+
+
+def _from_validated(cls, **fields):
+    """A cls instance over arrays cut from an already validated sample or
+    stack: every field given, __post_init__ not run.  Any other construction,
+    dataclasses.replace included, validates again."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass
@@ -386,13 +387,6 @@ def is_mixed_totally_geodesic(
 # ---------------------------------------------------------------------------
 
 
-def symmetric_random_sigma(
-    rng: np.random.Generator, num_normals: int, n: int, scale: float = 1.0
-) -> np.ndarray:
-    raw = rng.normal(scale=scale, size=(num_normals, n, n))
-    return 0.5 * (raw + raw.transpose(0, 2, 1))
-
-
 def balance_for_equality(sigma: np.ndarray, n1: int) -> np.ndarray:
     """Project sigma (one sample or a stack) onto the equality class: zero
     cross blocks and equal block traces per normal direction."""
@@ -507,6 +501,8 @@ def random_stack(
     d = ambient.dim
     if n >= d:
         raise InvalidConfigurationError("need codimension >= 1")
+    if count < 1:
+        raise InvalidInputError(f"count must be at least 1 (got {count})")
     if sigma_scale < 0.0:
         raise InvalidInputError(f"sigma_scale must be non-negative (got {sigma_scale})")
     k = d - n
@@ -514,7 +510,8 @@ def random_stack(
         frame_draws = d * d
     elif frame_kind == "c-totally-real":
         frame = _frame_of(ambient)
-        _require_anti_invariant_fit(frame, n)
+        if n > frame.m:
+            raise InvalidConfigurationError(f"anti-invariance requires n <= m (n={n}, m={frame.m})")
         frame_draws = 2 * frame.m * n
     elif frame_kind == "dplus":
         frame = _frame_of(ambient)
@@ -569,13 +566,14 @@ def _frame_of(ambient: AmbientSpace) -> ContactFrame:
     return ambient.frame
 
 
-def _require_anti_invariant_fit(frame: ContactFrame, n: int) -> None:
-    if n > frame.m:
-        raise InvalidConfigurationError(f"anti-invariance requires n <= m (n={n}, m={frame.m})")
-
-
 def _c_totally_real_tangents(block: np.ndarray, frame: ContactFrame, n: int) -> np.ndarray:
-    """Stacked c_totally_real_frame from rows of 2 m n normal draws."""
+    """Random anti-invariant tangent frames orthogonal to xi, one per row of
+    2 m n normal draws.
+
+    Columns are built from a complex m x n matrix with orthonormal columns:
+    the real/imaginary parts populate the u_i / phi u_i slots, which makes
+    the span automatically orthonormal and phi-anti-invariant.
+    """
     m = frame.m
     parts = block.reshape(len(block), 2, m, n)
     q = qr_q(parts[:, 0] + 1j * parts[:, 1])
@@ -583,19 +581,6 @@ def _c_totally_real_tangents(block: np.ndarray, frame: ContactFrame, n: int) -> 
     tangent[:, 1 : m + 1, :] = q.real
     tangent[:, m + 1 :, :] = q.imag
     return tangent
-
-
-def c_totally_real_frame(
-    rng: np.random.Generator, frame: ContactFrame, n: int
-) -> np.ndarray:
-    """Random anti-invariant tangent frame orthogonal to xi.
-
-    Columns are built from a complex matrix with orthonormal columns: the
-    real/imaginary parts populate the u_i / phi u_i slots, which makes the
-    span automatically orthonormal and phi-anti-invariant.
-    """
-    _require_anti_invariant_fit(frame, n)
-    return _c_totally_real_tangents(rng.normal(size=(1, 2 * frame.m * n)), frame, n)[0]
 
 
 def dplus_frame(frame: ContactFrame, n: int) -> np.ndarray:

@@ -635,7 +635,7 @@ def _check_equality_case(ctx: _Context, opts: dict) -> dict:
     sigma = stack.sigma.copy()
     sigma[:, 0, 0, stack.n1] += 1e-2
     sigma[:, 0, stack.n1, 0] += 1e-2
-    rep2 = general_inequality_stack(replace(stack, sigma=sigma, checked=True))
+    rep2 = general_inequality_stack(replace(stack, sigma=sigma))
     reopened = ~rep2.equality & ~rep2.mixed_totally_geodesic
     miscount = int(np.count_nonzero(~equal) + np.count_nonzero(~reopened))
     # np.max / np.min keep a NaN gap

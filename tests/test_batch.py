@@ -2,6 +2,8 @@
 parity of the stacked kernels with their one-sample entry points, a
 sigma-only oracle for the gap, and validation that names the bad sample."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from warpcheck.contact import make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
     InvalidConfigurationError,
+    InvalidInputError,
     NumericalDomainError,
 )
 from warpcheck.immersion import (
@@ -251,6 +254,27 @@ def test_stack_with_a_non_finite_sample_names_it(which):
     {"tangent": tangent, "normal": normal, "sigma": sigma}[which][3].flat[1] = np.nan
     with pytest.raises(NumericalDomainError, match="non-finite.*sample 3"):
         _build(amb, tangent, normal, sigma)
+
+
+def test_replace_validates_again():
+    amb, tangent, normal, sigma = _valid_arrays()
+    stack = _build(amb, tangent, normal, sigma)
+    bad = sigma.copy()
+    bad[0, 1, 0, 1] += 1e-6
+    with pytest.raises(InvalidConfigurationError, match="not symmetric.*sample 0"):
+        replace(stack, sigma=bad)
+    with pytest.raises(InvalidConfigurationError, match="not symmetric"):
+        replace(stack.sample(0), sigma=bad[0])
+    with pytest.raises(InvalidConfigurationError, match="not orthonormal"):
+        replace(stack.sample(1).stack(), tangent=2.0 * tangent[1:2])
+
+
+def test_empty_stack_is_rejected():
+    amb, tangent, normal, sigma = _valid_arrays()
+    with pytest.raises(InvalidInputError, match="at least one sample"):
+        _build(amb, tangent[:0], normal[:0], sigma[:0])
+    with pytest.raises(InvalidInputError, match="count must be at least 1"):
+        random_stack(np.random.default_rng(0), amb, 1, 2, 0)
 
 
 def test_stacked_completion_names_a_dependent_sample():

@@ -167,13 +167,13 @@ def test_km_condition_grid():
                 )
 
 
-def test_km_condition_keeps_a_nan_residual():
+def test_km_condition_keeps_a_nan_residual(nan_row_generator):
     frame = make_kmu_frame(2, 0.5, 0.3, c=0.7)
     oracle = curvature_kmu_space_form(frame)
-    # the check contracts the tensor over the xi slot (xi = e_0), so a NaN
-    # entry there reaches every sample's residual
-    oracle.tensor[1, 2, 0, 3] = np.nan
-    assert np.isnan(check_km_condition(oracle, frame, np.random.default_rng(0), 5))
+    assert check_km_condition(oracle, frame, np.random.default_rng(0), 5) < 1e-10
+    # one NaN sample among finite ones: a NaN-dropping fold would pass it
+    rng = nan_row_generator(np.random.default_rng(0), row=1)
+    assert np.isnan(check_km_condition(oracle, frame, rng, 5))
 
 
 def test_km_condition_sasakian_form():

@@ -15,7 +15,6 @@ from warpcheck.immersion import (
     PointwiseImmersionData,
     a_xi_identity,
     balance_for_equality,
-    c_totally_real_frame,
     complete_normal_frame,
     cylinder_immersion,
     dplus_frame,
@@ -28,9 +27,9 @@ from warpcheck.immersion import (
     plane_immersion,
     pullback_metric,
     random_data,
+    random_stack,
     second_fundamental_form,
     sphere_in_euclidean,
-    symmetric_random_sigma,
 )
 
 
@@ -236,7 +235,7 @@ def test_c_totally_real_frame_random():
     rng = np.random.default_rng(5)
     amb = make_ambient("kmu-space-form", m=4, kappa=0.6, mu=0.2, c=1.0)
     for n in (1, 2, 3, 4):
-        t = c_totally_real_frame(rng, amb.frame, n)
+        t = random_stack(rng, amb, 1, n - 1, 1, frame_kind="c-totally-real").tangent[0]
         assert np.max(np.abs(t.T @ t - np.eye(n))) < 1e-10
         assert np.max(np.abs(amb.frame.xi @ t)) < 1e-12
         assert np.max(np.abs(t.T @ (amb.frame.phi @ t))) < 1e-10
@@ -245,8 +244,8 @@ def test_c_totally_real_frame_random():
 def test_c_totally_real_frame_dimension_cap():
     rng = np.random.default_rng(6)
     amb = make_ambient("non-sasakian-kmu", m=2, kappa=0.1, mu=0.0)
-    with pytest.raises(InvalidConfigurationError):
-        c_totally_real_frame(rng, amb.frame, 3)
+    with pytest.raises(InvalidConfigurationError, match="anti-invariance"):
+        random_stack(rng, amb, 1, 2, 1, frame_kind="c-totally-real")
 
 
 def test_a_xi_sasakian_forces_zero():
@@ -296,7 +295,8 @@ def test_mixed_totally_geodesic_detection():
 
 def test_balance_for_equality_properties():
     rng = np.random.default_rng(10)
-    sigma = symmetric_random_sigma(rng, 3, 5)
+    raw = rng.normal(size=(3, 5, 5))
+    sigma = 0.5 * (raw + raw.transpose(0, 2, 1))
     out = balance_for_equality(sigma, 2)
     assert np.max(np.abs(out[:, :2, 2:])) == 0.0
     for r in range(3):

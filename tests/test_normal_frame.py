@@ -4,13 +4,13 @@ replaced, plus its error paths."""
 import numpy as np
 import pytest
 
-from warpcheck.contact import make_kmu_frame
+from warpcheck.contact import make_ambient, make_kmu_frame
 from warpcheck.errors import (
     DegenerateInputError,
     ImmersionDegeneracyError,
     NumericalDomainError,
 )
-from warpcheck.immersion import c_totally_real_frame, complete_normal_frame, dplus_frame
+from warpcheck.immersion import complete_normal_frame, dplus_frame, random_stack
 from warpcheck.numeric import gram_schmidt
 
 PARITY = 1e-12
@@ -51,10 +51,10 @@ def _assert_parity(tangent, gram=None):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_parity_on_c_totally_real_tangents(m):
     rng = np.random.default_rng(100 + m)
-    frame = make_kmu_frame(m, kappa=0.3, mu=0.5)
+    amb = make_ambient("non-sasakian-kmu", m=m, kappa=0.3, mu=0.5)
     for n in range(1, m + 1):
-        for _ in range(10):
-            _assert_parity(c_totally_real_frame(rng, frame, n))
+        for tangent in random_stack(rng, amb, 1, n - 1, 10, frame_kind="c-totally-real").tangent:
+            _assert_parity(tangent)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -485,19 +485,23 @@ def _nan_every_other_call(fn):
     return wrapped
 
 
-def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch):
+def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch, nan_row_generator):
     import warpcheck.scenes as scenes_mod
 
     original = scenes_mod.make_ambient
+    original_km = scenes_mod.check_km_condition
 
     def nan_ambient(kind, **params):
         amb = original(kind, **params)
         amb.oracle.value = _nan_every_other_call(amb.oracle.value)
-        # km_condition contracts the tensor over the xi slot (xi = e_0)
-        amb.oracle.tensor[1, 2, 0, 3] = np.nan
         return amb
 
+    def km_with_one_nan_sample(oracle, frame, rng, samples):
+        # km_condition contracts the tensor and never calls oracle.value
+        return original_km(oracle, frame, nan_row_generator(rng, row=1), samples)
+
     monkeypatch.setattr(scenes_mod, "make_ambient", nan_ambient)
+    monkeypatch.setattr(scenes_mod, "check_km_condition", km_with_one_nan_sample)
     spec = parse_scene(
         {
             "ambient": {"kind": "sasakian-space-form", "m": 2, "c": 0.5},
