@@ -6,6 +6,15 @@ Conventions used throughout the package:
   so the sectional curvature of a coordinate pair is K(e_i ^ e_j) = R_{ijji};
 * Laplacian: Delta = -div grad (the geometers' sign), so Delta f = -f'' on the
   Euclidean line.
+
+Stack contract: the geometry callables (ChartMetric.g and dg, the ``map`` of
+a chart immersion, the parts of a warping function) take a stack of points
+(..., n) and broadcast over its leading axes; a single point (n,) is the
+stack-of-none case.  ``christoffel`` and ``riemann`` accept stacks too, and
+each evaluates its whole nested stencil in one call of ``g``: ``riemann``
+runs ``christoffel`` once on the (..., 2n+1, n) stencil of its points, which
+evaluates ``g`` once on the (..., 2n+1, 2n+1, n) stencil of those.  Every
+metric a stencil evaluates is validated.
 """
 
 from __future__ import annotations
@@ -19,11 +28,16 @@ from .errors import DegenerateMetricError, DegeneratePlaneError
 from .numeric import (
     DEFAULT_TOLERANCE,
     as_matrix,
+    as_points,
     as_vector,
-    central_diff,
-    cross_diff,
+    axis_stencil,
+    central_differences,
+    cross_stencil,
     gram_schmidt,
-    sym_eigen,
+    pointwise_on_stencil,
+    require_positive_definite,
+    second_differences,
+    stack_values,
 )
 
 __all__ = [
@@ -46,9 +60,10 @@ GAMMA_DIFF_STEP = 1e-3
 class ChartMetric:
     """Riemannian metric given by a component function on a coordinate chart.
 
-    g(x) must return a symmetric positive-definite dim x dim matrix.  dg, when
-    supplied, returns the analytic derivative array dg[k][i][j] = d g_ij / dx_k
-    and spares one finite-difference level in curvature computations.
+    g maps points (..., dim) to symmetric positive-definite matrices
+    (..., dim, dim).  dg, when supplied, returns the analytic derivatives
+    (..., dim, dim, dim) with dg[..., k, i, j] = d g_ij / dx_k and spares one
+    finite-difference level in curvature computations.
     """
 
     dim: int
@@ -56,15 +71,12 @@ class ChartMetric:
     dg: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the metric and check positive definiteness."""
-        x = as_vector(x, self.dim)
-        gx = as_matrix(self.g(x), self.dim, self.dim)
-        evals, _ = sym_eigen(gx, tol=1e-8)
-        if evals[0] <= 1e-12:
-            raise DegenerateMetricError(
-                f"metric not positive definite at {x}: min eigenvalue {evals[0]:.3e}"
-            )
-        return gx
+        """Evaluate the metric on a point or stack and validate every matrix:
+        shape, finiteness, symmetry within 1e-8 and g - 1e-12*I positive
+        definite (a Cholesky attempt)."""
+        x = as_points(x, self.dim)
+        gx = stack_values(self.g(x), x, (self.dim, self.dim), "metric")
+        return require_positive_definite(gx, x, 1e-12, 1e-8, DegenerateMetricError, "metric")
 
     def inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return float(as_vector(u, self.dim) @ self.at(x) @ as_vector(v, self.dim))
@@ -72,10 +84,11 @@ class ChartMetric:
 
 @dataclass
 class CurvaturePoint:
-    """Christoffel symbols and the (0,4) curvature tensor at one point.
+    """Christoffel symbols and the (0,4) curvature tensor at a point or stack.
 
-    gamma[k][i][j] is the symbol with upper index k; riemann04[i][j][k][l] is
-    R(d_i, d_j, d_k, d_l) in the convention of this module.
+    gamma[..., k, i, j] is the symbol with upper index k;
+    riemann04[..., i, j, k, l] is R(d_i, d_j, d_k, d_l) in the convention of
+    this module.
     """
 
     x: np.ndarray
@@ -86,20 +99,37 @@ class CurvaturePoint:
 def euclidean_metric(dim: int) -> ChartMetric:
     eye = np.eye(dim)
     zeros = np.zeros((dim, dim, dim))
-    return ChartMetric(dim=dim, g=lambda x: eye, dg=lambda x: zeros)
+
+    def constant(value):
+        return lambda x: np.broadcast_to(
+            value.astype(np.result_type(x, float)), np.shape(x)[:-1] + value.shape
+        )
+
+    return ChartMetric(dim=dim, g=constant(eye), dg=constant(zeros))
 
 
-def _metric_derivatives(metric: ChartMetric, x: np.ndarray, h: float) -> np.ndarray:
-    if metric.dg is not None:
-        return np.asarray(metric.dg(x), dtype=float)
+def _metric_derivatives(metric: ChartMetric, x: np.ndarray, h: float):
+    """The metric and its first derivatives (..., n, n, n) on a validated
+    stack x (..., n): the analytic dg when given, else central differences
+    of one g evaluation on the (..., 2n+1, n) axis stencil, whose upper
+    triangles are mirrored so that each dg[..., k] is exactly symmetric."""
     n = metric.dim
-    iu = np.triu_indices(n)
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        upper = central_diff(metric.g, x, k, h)[iu]
-        dg[k][iu] = upper
-        dg[k][iu[::-1]] = upper
-    return dg
+    if metric.dg is not None:
+        return metric.at(x), stack_values(metric.dg(x), x, (n, n, n), "metric derivative")
+    pts, steps = axis_stencil(x, h)
+    gs = metric.at(pts)
+    dg = central_differences(gs, steps)
+    lo, up = np.tril_indices(n, -1)
+    dg[..., lo, up] = dg[..., up, lo]
+    return gs[..., 0, :, :], dg
+
+
+def _christoffel(metric: ChartMetric, x: np.ndarray, h: float):
+    gx, dg = _metric_derivatives(metric, x, h)
+    g_inv = np.linalg.inv(gx)
+    # bracket[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij   (dg[k,i,j] = d_k g_ij)
+    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, bracket), gx
 
 
 def christoffel(
@@ -107,14 +137,14 @@ def christoffel(
     x: np.ndarray,
     h: float = DEFAULT_TOLERANCE.finite_difference,
 ) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
-    x = as_vector(x, metric.dim)
-    gx = metric.at(x)
-    dg = _metric_derivatives(metric, x, h)
-    g_inv = np.linalg.inv(gx)
-    # bracket[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij   (dg[k,i,j] = d_k g_ij)
-    bracket = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", g_inv, bracket)
+    """Levi-Civita symbols Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
+    at a point (n, n, n) or a stack (..., n, n, n)."""
+    return _christoffel(metric, as_points(x, metric.dim), h)[0]
+
+
+def _last4(a: np.ndarray, *perm: int) -> np.ndarray:
+    lead = a.ndim - 4
+    return a.transpose(*range(lead), *(lead + p for p in perm))
 
 
 def riemann(
@@ -122,31 +152,23 @@ def riemann(
     x: np.ndarray,
     h: float = DEFAULT_TOLERANCE.finite_difference,
 ) -> CurvaturePoint:
-    """Curvature tensor from Gamma and its central differences, lowered with g(x).
+    """Curvature tensor from Gamma and its central differences, lowered with g(x),
+    at a point or a stack.
 
     R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
                 + Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm
+
+    Gamma is evaluated once, on the axis stencil of step GAMMA_DIFF_STEP.
     """
-    x = as_vector(x, metric.dim)
-    n = metric.dim
-    gamma = christoffel(metric, x, h)
-    dgamma = np.empty((n, n, n, n))  # dgamma[a] = d_a Gamma
-    for a in range(n):
-        ha = GAMMA_DIFF_STEP * max(1.0, abs(float(x[a])))
-        xp, xm = x.copy(), x.copy()
-        xp[a] += ha
-        xm[a] -= ha
-        dgamma[a] = (christoffel(metric, xp, h) - christoffel(metric, xm, h)) / (2.0 * ha)
+    x = as_points(x, metric.dim)
+    pts, steps = axis_stencil(x, GAMMA_DIFF_STEP)
+    gammas, gs = _christoffel(metric, pts, h)
+    gamma = gammas[..., 0, :, :, :]
+    dgamma = central_differences(gammas, steps)  # dgamma[..., a] = d_a Gamma
     # R^l_{ijk}; quad[l,i,j,k] = Gamma^m_jk Gamma^l_im
-    quad = np.einsum("mjk,lim->lijk", gamma, gamma)
-    r_up = (
-        dgamma.transpose(1, 0, 2, 3)
-        - dgamma.transpose(1, 2, 0, 3)
-        + quad
-        - quad.transpose(0, 2, 1, 3)
-    )
-    gx = metric.at(x)
-    r04 = np.einsum("lm,mijk->ijkl", gx, r_up)
+    quad = np.einsum("...mjk,...lim->...lijk", gamma, gamma)
+    r_up = _last4(dgamma, 1, 0, 2, 3) - _last4(dgamma, 1, 2, 0, 3) + quad - _last4(quad, 0, 2, 1, 3)
+    r04 = np.einsum("...lm,...mijk->...ijkl", gs[..., 0, :, :], r_up)
     return CurvaturePoint(x=x, gamma=gamma, riemann04=r04)
 
 
@@ -212,20 +234,11 @@ def laplacian(
     """
     x = as_vector(x, metric.dim)
     n = metric.dim
-    gx = metric.at(x)
-    gamma = christoffel(metric, x, h)
-    if grad is not None:
-        df = as_vector(grad(x), n)
-    else:
-        df = np.array([central_diff(f, x, i, h) for i in range(n)])
-    if hess is not None:
-        d2f = as_matrix(hess(x), n, n)
-    else:
-        d2f = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                d2f[i, j] = cross_diff(f, x, i, j, h)
-                d2f[j, i] = d2f[i, j]
+    gamma, gx = _christoffel(metric, x, h)
+    if grad is None or hess is None:
+        values, steps = pointwise_on_stencil(f, x, h, cross_stencil)
+    df = as_vector(grad(x), n) if grad is not None else central_differences(values, steps)
+    d2f = as_matrix(hess(x), n, n) if hess is not None else second_differences(values, steps)
     g_inv = np.linalg.inv(gx)
     hess_cov = d2f - np.einsum("kij,k->ij", gamma, df)
     return -float(np.einsum("ij,ij->", g_inv, hess_cov))

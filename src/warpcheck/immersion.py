@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import ChartMetric, christoffel, riemann
+from .charts import ChartMetric, euclidean_metric, riemann
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle, make_ambient
 from .errors import (
     ImmersionDegeneracyError,
@@ -27,10 +27,14 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     as_matrix,
     as_vector,
-    cross_diff,
+    axis_stencil,
+    central_differences,
+    cross_stencil,
     gram_schmidt,
     qr_q,
-    sym_eigen,
+    require_positive_definite,
+    second_differences,
+    stack_values,
 )
 from .warped import WarpedProductChart, flat_product_chart, sphere_chart
 
@@ -603,7 +607,11 @@ def _dplus_normal(frame: ContactFrame, n: int) -> np.ndarray:
 
 @dataclass
 class ChartImmersion:
-    """Map from an n-dim source chart into an ambient chart."""
+    """Map from an n-dim source chart into an ambient chart.
+
+    map takes source points (..., n) to ambient points (..., ambient.dim),
+    broadcasting over the leading axes (the stack contract of ``charts``).
+    """
 
     map: Callable[[np.ndarray], np.ndarray]
     ambient: ChartMetric
@@ -618,27 +626,27 @@ class ChartImmersion:
         return self.n1 + self.n2
 
 
-def _jacobian(im: ChartImmersion, p: np.ndarray, h: float) -> np.ndarray:
-    d = im.ambient.dim
-    n = im.n
-    J = np.empty((d, n))
-    for a in range(n):
-        ha = h * max(1.0, abs(float(p[a])))
-        pp, pm = p.copy(), p.copy()
-        pp[a] += ha
-        pm[a] -= ha
-        J[:, a] = (np.asarray(im.map(pp)) - np.asarray(im.map(pm))) / (2.0 * ha)
-    return J
+def _mapped(im: ChartImmersion, pts: np.ndarray) -> np.ndarray:
+    """The map on a stack of source points, checked for shape and finiteness."""
+    return stack_values(im.map(pts), pts, (im.ambient.dim,), "map")
 
 
-def pullback_metric(im: ChartImmersion) -> ChartMetric:
+def _jacobian(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """J (..., d, n) from map values on the axis stencil rows."""
+    return np.swapaxes(central_differences(values, steps), -1, -2)
+
+
+def pullback_metric(im: ChartImmersion, h: float = DEFAULT_TOLERANCE.finite_difference) -> ChartMetric:
     """Induced metric J^T g~ J on the source chart, with a central-difference
-    Jacobian (step 1e-4)."""
+    Jacobian of step h: one map call on the (..., 2n+1, n) axis stencil of
+    the points it is evaluated at."""
 
     def g(u: np.ndarray) -> np.ndarray:
-        J = _jacobian(im, np.asarray(u, float), 1e-4)
-        gx = im.ambient.at(np.asarray(im.map(u), float))
-        return J.T @ gx @ J
+        pts, steps = axis_stencil(np.asarray(u, float), h)
+        values = _mapped(im, pts)
+        J = _jacobian(values, steps)
+        gx = im.ambient.at(values[..., 0, :])
+        return np.swapaxes(J, -1, -2) @ gx @ J
 
     return ChartMetric(im.n, g)
 
@@ -654,19 +662,19 @@ def second_fundamental_form(
     (preserving the leaf/fibre split), the normal frame completes it from the
     ambient coordinate directions, and sigma is the normal part of the ambient
     acceleration of the immersion.  Downstream components live in the adapted
-    frame, where the effective metric is the identity.
+    frame, where the effective metric is the identity.  The map is evaluated
+    once, on the cross stencil of p that its first and second derivatives
+    share.
     """
     p = as_vector(p, im.n)
-    x = np.asarray(im.map(p), dtype=float)
     d, n = im.ambient.dim, im.n
-    J = _jacobian(im, p, h)
+    pts, steps = cross_stencil(p, h)
+    values = _mapped(im, pts)
+    x = values[0]
+    J = _jacobian(values, steps)
     gx = im.ambient.at(x)
     gram = J.T @ gx @ J
-    evals, _ = sym_eigen(gram, tol=1e-6)
-    if evals[0] < 1e-10:
-        raise ImmersionDegeneracyError(
-            f"Jacobian rank-deficient at {p}: min Gram eigenvalue {evals[0]:.3e}"
-        )
+    require_positive_definite(gram, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
     # Gram-Schmidt on pushforwards, tracking source-coordinate coefficients
     # through an augmented tail that the inner product ignores.
@@ -679,12 +687,10 @@ def second_fundamental_form(
     normal_ambient = complete_normal_frame(tangent_ambient, gram=gx)
 
     # ambient acceleration S_ab = d_a d_b x + Gamma~(J_a, J_b)
-    gamma = christoffel(im.ambient, x)
-    d2 = np.empty((n, n, d))
-    for a in range(n):
-        for b in range(a, n):
-            d2[a, b] = d2[b, a] = cross_diff(im.map, p, a, b, h)
-    S = d2 + np.einsum("kij,ia,jb->abk", gamma, J, J)
+    ambient_curvature = riemann(im.ambient, x)
+    S = second_differences(values, steps) + np.einsum(
+        "kij,ia,jb->abk", ambient_curvature.gamma, J, J
+    )
 
     # normal components, then transform source-coordinate indices to the frame
     sigma_coord = np.einsum("abk,kl,lr->rab", S, gx, normal_ambient)
@@ -694,7 +700,7 @@ def second_fundamental_form(
 
     # ambient curvature at x, rotated into the adapted frame
     full_frame = np.column_stack([tangent_ambient, normal_ambient])
-    oracle = CurvatureOracle("chart-numeric", riemann(im.ambient, x).riemann04).rotated(full_frame)
+    oracle = CurvatureOracle("chart-numeric", ambient_curvature.riemann04).rotated(full_frame)
 
     eye = np.eye(d)
     return PointwiseImmersionData(
@@ -723,15 +729,10 @@ def second_fundamental_form(
 
 
 def _spherical_point(angles: np.ndarray) -> np.ndarray:
-    """Unit vector in R^{k+1} from k nested angles."""
-    k = len(angles)
-    out = np.empty(k + 1)
-    acc = 1.0
-    for i in range(k):
-        out[i] = acc * np.cos(angles[i])
-        acc *= np.sin(angles[i])
-    out[k] = acc
-    return out
+    """Unit vectors in R^{k+1} from stacks of k nested angles (..., k)."""
+    sines = np.cumprod(np.sin(angles), axis=-1)
+    prefix = np.concatenate([np.ones_like(sines[..., :1]), sines[..., :-1]], axis=-1)
+    return np.concatenate([prefix * np.cos(angles), sines[..., -1:]], axis=-1)
 
 
 def sphere_in_euclidean(n: int = 2) -> ChartImmersion:
@@ -740,16 +741,12 @@ def sphere_in_euclidean(n: int = 2) -> ChartImmersion:
         raise InvalidInputError("need n >= 2")
 
     def mapping(u: np.ndarray) -> np.ndarray:
-        t = u[0]
-        fibre = _spherical_point(u[1:])
-        return np.concatenate([[np.sin(t)], np.cos(t) * fibre])
+        t = u[..., :1]
+        return np.concatenate([np.sin(t), np.cos(t) * _spherical_point(u[..., 1:])], axis=-1)
 
-    eye = np.eye(n + 1)
-    zeros = np.zeros((n + 1, n + 1, n + 1))
-    ambient = ChartMetric(n + 1, lambda x: eye, lambda x: zeros)
     return ChartImmersion(
         map=mapping,
-        ambient=ambient,
+        ambient=euclidean_metric(n + 1),
         n1=1,
         n2=n - 1,
         warped=sphere_chart(n2=n - 1),
@@ -760,12 +757,9 @@ def sphere_in_euclidean(n: int = 2) -> ChartImmersion:
 
 def plane_immersion() -> ChartImmersion:
     """Affine 2-plane in R^3 (totally geodesic)."""
-    eye = np.eye(3)
-    zeros = np.zeros((3, 3, 3))
-    ambient = ChartMetric(3, lambda x: eye, lambda x: zeros)
     return ChartImmersion(
-        map=lambda u: np.array([u[0], u[1], 0.0]),
-        ambient=ambient,
+        map=lambda u: np.stack([u[..., 0], u[..., 1], np.zeros_like(u[..., 0])], axis=-1),
+        ambient=euclidean_metric(3),
         n1=1,
         n2=1,
         warped=flat_product_chart(),
@@ -776,12 +770,9 @@ def plane_immersion() -> ChartImmersion:
 
 def cylinder_immersion() -> ChartImmersion:
     """Unit cylinder in R^3: principal curvatures (1, 0), |H| = 1/2."""
-    eye = np.eye(3)
-    zeros = np.zeros((3, 3, 3))
-    ambient = ChartMetric(3, lambda x: eye, lambda x: zeros)
     return ChartImmersion(
-        map=lambda u: np.array([np.cos(u[1]), np.sin(u[1]), u[0]]),
-        ambient=ambient,
+        map=lambda u: np.stack([np.cos(u[..., 1]), np.sin(u[..., 1]), u[..., 0]], axis=-1),
+        ambient=euclidean_metric(3),
         n1=1,
         n2=1,
         warped=flat_product_chart(),

@@ -1,6 +1,11 @@
 """Dense numeric substrate: small vectors/matrices, orthonormalization,
-a validated symmetric eigensolver (np.linalg.eigh) and finite-difference
-stencils over scalar- or array-valued functions.
+a validated symmetric eigensolver (np.linalg.eigh), validation of a
+callable's values on a stack of points (shape, finiteness, a Cholesky
+positive-definiteness test), and finite-difference stencils that lay out
+every point of a stencil (centre, axis shifts, cross corners) in one array,
+for one evaluation of a function that broadcasts over stacks; central_diff,
+second_diff and cross_diff evaluate a one-point function on the same
+stencils point by point.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -19,12 +24,20 @@ __all__ = [
     "Tolerance",
     "as_vector",
     "as_matrix",
+    "as_points",
+    "stack_values",
+    "require_positive_definite",
     "gram_schmidt",
     "sym_eigen",
     "qr_q",
     "central_diff",
     "second_diff",
     "cross_diff",
+    "axis_stencil",
+    "cross_stencil",
+    "central_differences",
+    "second_differences",
+    "pointwise_on_stencil",
 ]
 
 
@@ -73,6 +86,63 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.all(np.isfinite(arr)):
         raise NumericalDomainError("matrix has non-finite entries")
     return arr
+
+
+def as_points(x, dim: int) -> np.ndarray:
+    """Validate and return a finite float point (dim,) or stack of points (..., dim)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim < 1 or arr.shape[-1] != dim:
+        raise InvalidInputError(f"expected points of dimension {dim}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericalDomainError("point has non-finite entries")
+    return arr
+
+
+def _first_point(points: np.ndarray, mask: np.ndarray) -> str:
+    idx = tuple(int(i) for i in np.argwhere(mask)[0])
+    return f"{points[idx]}" + (f" (stack index {idx})" if idx else "")
+
+
+def stack_values(value, points: np.ndarray, value_shape: tuple, what: str) -> np.ndarray:
+    """A callable's result on the stack `points` (..., n) as a float array
+    (..., *value_shape).  Raises InvalidInputError unless it has that shape
+    (a callable that ignores the stack axis fails here), and
+    NumericalDomainError naming the first point with a non-finite value."""
+    arr = np.asarray(value, dtype=float)
+    lead = points.shape[:-1]
+    if arr.shape != lead + tuple(value_shape):
+        raise InvalidInputError(f"{what} returned shape {arr.shape}, expected {lead + tuple(value_shape)}")
+    finite = np.isfinite(arr).reshape(lead + (-1,)).all(axis=-1)
+    if not finite.all():
+        raise NumericalDomainError(f"{what} has non-finite entries at {_first_point(points, ~finite)}")
+    return arr
+
+
+def require_positive_definite(
+    m: np.ndarray, points: np.ndarray, margin: float, sym_tol: float, error: type, what: str
+) -> np.ndarray:
+    """Validate a stack (..., k, k) of finite symmetric matrices, one for each
+    point of `points` (..., n): symmetric within `sym_tol`
+    (InvalidInputError) and m - margin*I positive definite, tested by a
+    Cholesky attempt (`error`).  Each error names the first offending point."""
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1)) > sym_tol
+    if asym.any():
+        raise InvalidInputError(f"{what} not symmetric within {sym_tol:g} at {_first_point(points, asym)}")
+    shifted = m - margin * np.eye(m.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        failed = np.zeros(m.shape[:-2], dtype=bool)
+        for idx in np.ndindex(failed.shape):
+            try:
+                np.linalg.cholesky(shifted[idx])
+            except np.linalg.LinAlgError:
+                failed[idx] = True
+        raise error(
+            f"{what} not positive definite (least eigenvalue <= {margin:g}) "
+            f"at {_first_point(points, failed)}"
+        ) from None
+    return m
 
 
 def qr_q(a: np.ndarray) -> np.ndarray:
@@ -134,17 +204,110 @@ def sym_eigen(m: np.ndarray, tol: float = DEFAULT_TOLERANCE.algebraic):
     return np.linalg.eigh(0.5 * (a + a.T))
 
 
-def _check_finite(value):
-    """A scalar evaluation as a float, an array evaluation as a float array."""
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
+def _step(x: np.ndarray, h: float) -> np.ndarray:
+    """Step along each coordinate of a point or stack (..., n): h scaled by
+    the coordinate magnitude (charts here are O(1))."""
+    return h * np.maximum(1.0, np.abs(x))
+
+
+# ---------------------------------------------------------------------------
+# finite-difference stencils.  A stencil lays out all of its points in one
+# array, so that a function broadcasting over stacks is evaluated once per
+# stencil; central_differences / second_differences turn the values on it
+# into derivatives.
+# ---------------------------------------------------------------------------
+
+
+_CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def axis_stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and axis shifts of each point of x (..., n).
+
+    Returns (points, steps): points (..., 2n+1, n) hold x in row 0,
+    x + s_i e_i in row 1+i and x - s_i e_i in row 1+n+i, with the steps
+    s = _step(x, h) of shape (..., n).
+    """
+    n = x.shape[-1]
+    steps = _step(x, h)
+    pts = np.repeat(x[..., None, :], 2 * n + 1, axis=-2)
+    r = np.arange(n)
+    pts[..., 1 + r, r] += steps
+    pts[..., 1 + n + r, r] -= steps
+    return pts, steps
+
+
+def cross_stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """axis_stencil rows followed by the corners (+,+), (+,-), (-,+), (-,-)
+    of each coordinate pair i < j (pairs in np.triu_indices(n, 1) order):
+    points (..., 1 + 2n^2, n) and steps (..., n)."""
+    n = x.shape[-1]
+    axis, steps = axis_stencil(x, h)
+    i, j = np.triu_indices(n, 1)
+    corners = np.repeat(x[..., None, None, :], 4, axis=-3).repeat(len(i), axis=-2)
+    p = np.arange(len(i))
+    for c, (si, sj) in enumerate(_CORNERS):
+        corners[..., c, p, i] += si * steps[..., i]
+        corners[..., c, p, j] += sj * steps[..., j]
+    flat = corners.reshape(x.shape[:-1] + (4 * len(i), n))
+    return np.concatenate([axis, flat], axis=-2), steps
+
+
+def _rows(values: np.ndarray, steps: np.ndarray, rows) -> np.ndarray:
+    """Rows of the stencil axis of values (..., rows, *value_shape)."""
+    return values[(slice(None),) * (steps.ndim - 1) + (rows,)]
+
+
+def _per_step(steps: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """steps (..., n) broadcast against derivative arrays (..., n, *value_shape)."""
+    return steps.reshape(steps.shape + (1,) * (values.ndim - steps.ndim))
+
+
+def central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """First derivatives d_i f (..., n, *value_shape) from f on the rows of
+    axis_stencil (or the leading rows of cross_stencil), values
+    (..., rows, *value_shape)."""
+    n = steps.shape[-1]
+    plus = _rows(values, steps, slice(1, n + 1))
+    minus = _rows(values, steps, slice(n + 1, 2 * n + 1))
+    return (plus - minus) / (2.0 * _per_step(steps, plus))
+
+
+def second_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Second derivatives d_i d_j f (..., n, n, *value_shape) from f on the
+    rows of cross_stencil, values (..., 1 + 2n^2, *value_shape): the 3-point
+    stencil on the diagonal, the 4-point cross stencil off it."""
+    n = steps.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    m = len(i)
+    centre = _rows(values, steps, slice(0, 1))
+    plus = _rows(values, steps, slice(1, n + 1))
+    minus = _rows(values, steps, slice(n + 1, 2 * n + 1))
+    pp, pm, mp, mm = (_rows(values, steps, slice(2 * n + 1 + c * m, 2 * n + 1 + (c + 1) * m)) for c in range(4))
+    s = _per_step(steps, plus)
+    lead = (slice(None),) * (steps.ndim - 1)
+    out = np.empty(plus.shape[: len(lead)] + (n,) + plus.shape[len(lead) :], dtype=values.dtype)
+    r = np.arange(n)
+    out[lead + (r, r)] = (plus - 2.0 * centre + minus) / (s * s)
+    mixed = (pp - pm - mp + mm) / (4.0 * _rows(s, steps, i) * _rows(s, steps, j))
+    out[lead + (i, j)] = mixed
+    out[lead + (j, i)] = mixed
+    return out
+
+
+def pointwise_on_stencil(f: Callable[[np.ndarray], float | np.ndarray], x, h: float, stencil):
+    """An f that takes one point, evaluated point by point on `stencil`
+    (axis_stencil or cross_stencil) of the vector x: (values, steps), the
+    values checked for finiteness."""
+    pts, steps = stencil(as_vector(x), h)
+    values = np.asarray([f(p) for p in pts], dtype=float)
+    if not np.isfinite(values).all():
         raise NumericalDomainError("function evaluation returned a non-finite value")
+    return values, steps
+
+
+def _scalar_or_array(arr: np.ndarray) -> float | np.ndarray:
     return float(arr) if arr.ndim == 0 else arr
-
-
-def _step(x: np.ndarray, i: int, h: float) -> float:
-    # absolute step scaled by the coordinate magnitude; charts here are O(1)
-    return h * max(1.0, abs(float(x[i])))
 
 
 def central_diff(
@@ -153,16 +316,10 @@ def central_diff(
     i: int,
     h: float = DEFAULT_TOLERANCE.finite_difference,
 ) -> float | np.ndarray:
-    """Second-order central difference of f along coordinate i at x.
-
-    f may return a scalar or an array; an array is differenced entrywise.
-    """
-    x = as_vector(x)
-    hi = _step(x, i, h)
-    xp, xm = x.copy(), x.copy()
-    xp[i] += hi
-    xm[i] -= hi
-    return (_check_finite(f(xp)) - _check_finite(f(xm))) / (2.0 * hi)
+    """Second-order central difference of f along coordinate i at x, for an f
+    taking one point; f may return a scalar or an array (differenced
+    entrywise)."""
+    return _scalar_or_array(central_differences(*pointwise_on_stencil(f, x, h, axis_stencil))[i])
 
 
 def second_diff(
@@ -171,18 +328,8 @@ def second_diff(
     i: int,
     h: float = DEFAULT_TOLERANCE.finite_difference,
 ) -> float | np.ndarray:
-    """3-point stencil for the pure second derivative along coordinate i.
-
-    f may return a scalar or an array; an array is differenced entrywise.
-    """
-    x = as_vector(x)
-    hi = _step(x, i, h)
-    xp, xm = x.copy(), x.copy()
-    xp[i] += hi
-    xm[i] -= hi
-    return (
-        _check_finite(f(xp)) - 2.0 * _check_finite(f(x)) + _check_finite(f(xm))
-    ) / (hi * hi)
+    """3-point stencil for the pure second derivative along coordinate i."""
+    return cross_diff(f, x, i, i, h)
 
 
 def cross_diff(
@@ -192,24 +339,6 @@ def cross_diff(
     j: int,
     h: float = DEFAULT_TOLERANCE.finite_difference,
 ) -> float | np.ndarray:
-    """4-point cross stencil for the mixed second derivative along (i, j).
-
-    f may return a scalar or an array; an array is differenced entrywise.
-    """
-    if i == j:
-        return second_diff(f, x, i, h)
-    x = as_vector(x)
-    hi, hj = _step(x, i, h), _step(x, j, h)
-    xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-    xpp[[i, j]] += (hi, hj)
-    xpm[i] += hi
-    xpm[j] -= hj
-    xmp[i] -= hi
-    xmp[j] += hj
-    xmm[[i, j]] -= (hi, hj)
-    return (
-        _check_finite(f(xpp))
-        - _check_finite(f(xpm))
-        - _check_finite(f(xmp))
-        + _check_finite(f(xmm))
-    ) / (4.0 * hi * hj)
+    """Mixed second derivative along (i, j) at x (the 3-point stencil when
+    i == j), for an f taking one point; f may return a scalar or an array."""
+    return _scalar_or_array(second_differences(*pointwise_on_stencil(f, x, h, cross_stencil))[i, j])

@@ -503,7 +503,8 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
     data = ctx.make_data()
     if ctx.immersion is not None:
         # intrinsic curvature from the pulled-back metric, independent of sigma
-        cp = riemann(pullback_metric(ctx.immersion), ctx.chart_point())
+        h = ctx.tol.finite_difference
+        cp = riemann(pullback_metric(ctx.immersion, h=h), ctx.chart_point(), h=h)
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
             data.extras["frame_coefficients"]
         )

@@ -5,6 +5,11 @@ function is evaluated through them only.  A small closed catalog of warping
 functions (constant, cosine, exponential, polynomial, sums/products) carries
 analytic first and second derivatives so that curvature checks stay one
 finite-difference level deep.
+
+Every catalog callable (factor metrics, warping functions, the block metric)
+follows the stack contract of ``charts``: it takes a point or a stack of
+points (..., n), broadcasts over the leading axes and keeps the input's float
+or complex dtype.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartMetric, christoffel, laplacian, riemann, sectional_curvature
+from .charts import (
+    ChartMetric,
+    christoffel,
+    euclidean_metric,
+    laplacian,
+    riemann,
+    sectional_curvature,
+)
 from .errors import InvalidInputError, InvalidWarpingError
 from .numeric import DEFAULT_TOLERANCE, as_vector, gram_schmidt
 
@@ -45,29 +57,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WarpFunction:
-    """Scalar function of the first factor-1 coordinate with analytic t-derivatives."""
+    """Function of the first factor-1 coordinate t with analytic t-derivatives.
+
+    fn, d1 and d2 map an array of t values to an array of the same shape;
+    value, grad and hess take a factor-1 point or stack (..., n1).
+    """
 
     label: str
-    fn: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
 
-    def value(self, x1: np.ndarray) -> float:
-        return float(self.fn(float(x1[0])))
+    def value(self, x1: np.ndarray) -> np.ndarray:
+        return self.fn(np.asarray(x1)[..., 0])
 
     def grad(self, x1: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(x1))
-        out[0] = self.d1(float(x1[0]))
+        x1 = np.asarray(x1)
+        out = np.zeros(x1.shape, dtype=np.result_type(x1, float))
+        out[..., 0] = self.d1(x1[..., 0])
         return out
 
     def hess(self, x1: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(x1), len(x1)))
-        out[0, 0] = self.d2(float(x1[0]))
+        x1 = np.asarray(x1)
+        out = np.zeros(x1.shape + x1.shape[-1:], dtype=np.result_type(x1, float))
+        out[..., 0, 0] = self.d2(x1[..., 0])
         return out
 
 
+def _full(t: np.ndarray, a: float) -> np.ndarray:
+    return np.full(np.shape(t), a, dtype=np.result_type(t, float))
+
+
 def const_fn(a: float) -> WarpFunction:
-    return WarpFunction(f"const({a})", lambda t: a, lambda t: 0.0, lambda t: 0.0)
+    return WarpFunction(
+        f"const({a})", lambda t: _full(t, a), lambda t: _full(t, 0.0), lambda t: _full(t, 0.0)
+    )
 
 
 def cos_fn() -> WarpFunction:
@@ -126,14 +150,23 @@ class WarpedProductChart:
         return self.n1 + self.n2
 
     def split(self, x: np.ndarray):
-        x = as_vector(x, self.dim)
-        return x[: self.n1], x[self.n1 :]
+        """Factor coordinates (x1, x2) of a point or stack (..., dim)."""
+        x = np.asarray(x)
+        if x.ndim < 1 or x.shape[-1] != self.dim:
+            raise InvalidInputError(f"expected points of dimension {self.dim}, got shape {x.shape}")
+        return x[..., : self.n1], x[..., self.n1 :]
 
-    def warp_at(self, x: np.ndarray) -> float:
+    def warp_at(self, x: np.ndarray) -> np.ndarray:
+        """f at a point or stack; raises unless every value (its real part,
+        for a complex stack) is positive."""
         x1, _ = self.split(x)
         f = self.warp.value(x1)
-        if f <= 0.0:
-            raise InvalidWarpingError(f"warping function non-positive ({f}) at {x1}")
+        bad = np.real(f) <= 0.0
+        if np.any(bad):
+            idx = tuple(np.argwhere(bad)[0])
+            raise InvalidWarpingError(
+                f"warping function non-positive ({np.asarray(f)[idx]}) at {x1[idx]}"
+            )
         return f
 
 
@@ -144,10 +177,10 @@ def build_metric(wp: WarpedProductChart) -> ChartMetric:
 
     def g(x: np.ndarray) -> np.ndarray:
         x1, x2 = wp.split(x)
-        f = wp.warp_at(x)
-        out = np.zeros((n, n))
-        out[:n1, :n1] = wp.factor1.g(x1)
-        out[n1:, n1:] = (f * f) * wp.factor2.g(x2)
+        f = np.asarray(wp.warp_at(x))[..., None, None]
+        out = np.zeros(x1.shape[:-1] + (n, n), dtype=np.result_type(x1, float))
+        out[..., :n1, :n1] = wp.factor1.g(x1)
+        out[..., n1:, n1:] = (f * f) * wp.factor2.g(x2)
         return out
 
     dg = None
@@ -155,14 +188,14 @@ def build_metric(wp: WarpedProductChart) -> ChartMetric:
 
         def dg(x: np.ndarray) -> np.ndarray:
             x1, x2 = wp.split(x)
-            f = wp.warp_at(x)
+            f = np.asarray(wp.warp_at(x))[..., None, None]
             df = wp.warp.grad(x1)
             g2 = wp.factor2.g(x2)
-            out = np.zeros((n, n, n))
-            out[:n1, :n1, :n1] = wp.factor1.dg(x1)
-            out[n1:, n1:, n1:] = (f * f) * wp.factor2.dg(x2)
+            out = np.zeros(x1.shape[:-1] + (n, n, n), dtype=np.result_type(x1, float))
+            out[..., :n1, :n1, :n1] = wp.factor1.dg(x1)
+            out[..., n1:, n1:, n1:] = (f * f)[..., None] * wp.factor2.dg(x2)
             for k in range(n1):
-                out[k, n1:, n1:] += 2.0 * f * df[k] * g2
+                out[..., k, n1:, n1:] += 2.0 * f * df[..., k, None, None] * g2
             return out
 
     return ChartMetric(dim=n, g=g, dg=dg)
@@ -285,33 +318,37 @@ def is_trivial(
 
 
 def flat_factor(dim: int) -> ChartMetric:
-    eye = np.eye(dim)
-    zeros = np.zeros((dim, dim, dim))
-    return ChartMetric(dim=dim, g=lambda x: eye, dg=lambda x: zeros)
+    return euclidean_metric(dim)
 
 
 def round_sphere_factor(dim: int) -> ChartMetric:
-    """Round unit-sphere metric in nested spherical coordinates."""
+    """Round unit-sphere metric in nested spherical coordinates:
+    g = diag(1, s_0, s_0 s_1, ...) with s_j = sin^2 x_j."""
     if dim == 1:
         return flat_factor(1)
+    k, i = np.triu_indices(dim, 1)
+    diag = np.arange(1, dim)
+
+    def sin_prefix(x: np.ndarray):
+        # float_power squares through the C library's pow, as the scalar
+        # ** of numpy does; the SIMD square differs from it in the last bit
+        s = np.sin(x[..., :-1])
+        return s, np.cumprod(np.float_power(s, 2), axis=-1)
 
     def g(x: np.ndarray) -> np.ndarray:
-        out = np.eye(dim)
-        acc = 1.0
-        for i in range(1, dim):
-            acc *= np.sin(x[i - 1]) ** 2
-            out[i, i] = acc
+        x = np.asarray(x)
+        _, prod = sin_prefix(x)
+        out = np.zeros(x.shape + (dim,), dtype=prod.dtype)
+        out[..., 0, 0] = 1.0
+        out[..., diag, diag] = prod
         return out
 
     def dg(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((dim, dim, dim))
-        for k in range(dim - 1):
-            for i in range(k + 1, dim):
-                prod = 1.0
-                for j in range(i):
-                    prod *= np.sin(x[j]) ** 2
-                # derivative of prod w.r.t. x_k (k < i)
-                out[k, i, i] = prod * 2.0 * np.cos(x[k]) / np.sin(x[k])
+        # d_k g_ii = g_ii * 2 cos x_k / sin x_k for k < i
+        x = np.asarray(x)
+        s, prod = sin_prefix(x)
+        out = np.zeros(x.shape + (dim, dim), dtype=prod.dtype)
+        out[..., k, i, i] = prod[..., i - 1] * 2.0 * np.cos(x[..., k]) / s[..., k]
         return out
 
     return ChartMetric(dim=dim, g=g, dg=dg)

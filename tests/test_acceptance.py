@@ -275,13 +275,19 @@ def test_criterion_8_obstruction_table():
     _report(8, f"verdicts: c=-4 {v1}; c=-3 {v2}; c=-3, eigenvalue 0.5 {v3}")
 
 
+def _diag(*entries):
+    """Diagonal metrics (..., n, n) from n entries broadcasting over a stack."""
+    d = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return d[..., None] * np.eye(d.shape[-1])
+
+
 def test_criterion_9_numeric_geometry_floor():
     """Finite differences reproduce constant curvature within 1e-4 and the
     fibrewise Laplacian-ratio sums within 1e-3 on the whole chart catalog."""
     charts = {
-        1.0: ChartMetric(2, lambda x: np.diag([1.0, np.sin(x[0]) ** 2])),
+        1.0: ChartMetric(2, lambda x: _diag(1.0, np.sin(x[..., 0]) ** 2)),
         0.0: euclidean_metric(2),
-        -1.0: ChartMetric(2, lambda x: np.diag([1.0, np.cosh(x[0]) ** 2])),
+        -1.0: ChartMetric(2, lambda x: _diag(1.0, np.cosh(x[..., 0]) ** 2)),
     }
     for expected, metric in charts.items():
         x = np.array([0.9, 0.4])

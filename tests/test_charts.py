@@ -17,12 +17,18 @@ from warpcheck.immersion import pullback_metric, sphere_in_euclidean
 from warpcheck.warped import round_sphere_factor
 
 
+def diag(*entries):
+    """Diagonal metrics (..., n, n) from n entries broadcasting over a stack."""
+    d = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return d[..., None] * np.eye(d.shape[-1])
+
+
 def sphere_metric():
-    return ChartMetric(2, lambda x: np.diag([1.0, np.sin(x[0]) ** 2]))
+    return ChartMetric(2, lambda x: diag(1.0, np.sin(x[..., 0]) ** 2))
 
 
 def hyperbolic_metric():
-    return ChartMetric(2, lambda x: np.diag([1.0, np.cosh(x[0]) ** 2]))
+    return ChartMetric(2, lambda x: diag(1.0, np.cosh(x[..., 0]) ** 2))
 
 
 def test_christoffel_euclidean_zero():
@@ -31,7 +37,7 @@ def test_christoffel_euclidean_zero():
 
 
 def test_christoffel_polar():
-    polar = ChartMetric(2, lambda x: np.diag([1.0, x[0] ** 2]))
+    polar = ChartMetric(2, lambda x: diag(1.0, x[..., 0] ** 2))
     gamma = christoffel(polar, np.array([2.0, 0.3]))
     assert abs(gamma[0, 1, 1] + 2.0) < 1e-6
     assert abs(gamma[1, 0, 1] - 0.5) < 1e-6
@@ -90,7 +96,10 @@ def test_scalar_curvature_sphere_s2():
 
 def test_scalar_curvature_s3():
     s3 = ChartMetric(
-        3, lambda x: np.diag([1.0, np.sin(x[0]) ** 2, (np.sin(x[0]) * np.sin(x[1])) ** 2])
+        3,
+        lambda x: diag(
+            1.0, np.sin(x[..., 0]) ** 2, (np.sin(x[..., 0]) * np.sin(x[..., 1])) ** 2
+        ),
     )
     x = np.array([1.1, 0.9, 0.4])
     cp = riemann(s3, x)
@@ -120,13 +129,13 @@ def _random_analytic_metric(rng, dim):
     def g(x):
         out = np.eye(dim)
         for k in range(dim):
-            out = out + amps[:, :, k] * np.sin(x[k] + phases[:, :, k])
+            out = out + amps[:, :, k] * np.sin(x[..., k, None, None] + phases[:, :, k])
         return out
 
     def dg(x):
-        out = np.zeros((dim, dim, dim))
+        out = np.zeros(x.shape[:-1] + (dim, dim, dim))
         for k in range(dim):
-            out[k] = amps[:, :, k] * np.cos(x[k] + phases[:, :, k])
+            out[..., k, :, :] = amps[:, :, k] * np.cos(x[..., k, None, None] + phases[:, :, k])
         return out
 
     return ChartMetric(dim, g, dg)
@@ -176,7 +185,7 @@ def test_scalar_curvature_matches_ricci_half_trace():
 
 
 def test_degenerate_metric_rejected():
-    bad = ChartMetric(2, lambda x: np.diag([1.0, 0.0]))
+    bad = ChartMetric(2, lambda x: diag(1.0, 0.0 * x[..., 0]))
     with pytest.raises(DegenerateMetricError):
         christoffel(bad, np.zeros(2))
 
@@ -212,17 +221,22 @@ def test_laplacian_analytic_callbacks():
 
 
 def test_metric_derivatives_evaluate_metric_twice_per_coordinate():
-    # one metric evaluation per stencil point: 2n for the n coordinates
+    # one metric call whose stack holds the centre and exactly the 2n shifted
+    # points x +- s_k e_k, s_k = h max(1, |x_k|)
     for n in (2, 5, 8):
         calls = []
 
         def g(x, n=n):
-            calls.append(1)
-            return np.eye(n) + 0.1 * np.outer(x, x)
+            calls.append(x.copy())
+            return np.eye(n) + 0.1 * x[..., :, None] * x[..., None, :]
 
         x = np.linspace(-0.5, 0.6, n)
-        dg = _metric_derivatives(ChartMetric(n, g), x, 1e-4)
-        assert len(calls) == 2 * n
+        gx, dg = _metric_derivatives(ChartMetric(n, g), x, 1e-4)
+        assert len(calls) == 1
+        steps = 1e-4 * np.maximum(1.0, np.abs(x))
+        shifts = steps[:, None] * np.eye(n)
+        assert np.array_equal(calls[0], np.concatenate([x[None], x + shifts, x - shifts]))
+        assert np.array_equal(gx, g(x))
         # d_k (x_i x_j) = delta_ki x_j + x_i delta_kj
         eye = np.eye(n)
         exact = 0.1 * (np.einsum("ki,j->kij", eye, x) + np.einsum("i,kj->kij", x, eye))

@@ -305,9 +305,12 @@ def test_balance_for_equality_properties():
 
 def test_degenerate_immersion_rejected():
     eye = np.eye(3)
-    ambient = ChartMetric(3, lambda x: eye)
+    ambient = ChartMetric(3, lambda x: np.broadcast_to(eye, x.shape[:-1] + (3, 3)))
     collapsed = ChartImmersion(
-        map=lambda u: np.array([u[0], u[0], 0.0]), ambient=ambient, n1=1, n2=1
+        map=lambda u: np.stack([u[..., 0], u[..., 0], 0.0 * u[..., 0]], axis=-1),
+        ambient=ambient,
+        n1=1,
+        n2=1,
     )
     with pytest.raises(ImmersionDegeneracyError):
         second_fundamental_form(collapsed, np.array([0.1, 0.2]))

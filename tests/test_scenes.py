@@ -637,6 +637,33 @@ def test_tol_fd_reaches_the_chart_second_fundamental_form(tmp_path):
         assert coarse[key] != default[key], key
 
 
+def test_tol_fd_reaches_the_chart_pullback_metric(monkeypatch, tmp_path):
+    import warpcheck.scenes as scenes_mod
+
+    _, coarse = _gauss_record(tmp_path / "coarse.json", "--tol-fd", "1e-3")
+    # the same run with the pull-back and its curvature pinned to the default step
+    steps, pulled = [], []
+    original_pullback, original_riemann = scenes_mod.pullback_metric, scenes_mod.riemann
+
+    def pinned_pullback(im, h):
+        steps.append(("pullback", h))
+        pulled.append(original_pullback(im))
+        return pulled[-1]
+
+    def pinned_riemann(metric, x, h=None):
+        if not any(metric is m for m in pulled):
+            return original_riemann(metric, x) if h is None else original_riemann(metric, x, h)
+        steps.append(("riemann", h))
+        return original_riemann(metric, x)
+
+    monkeypatch.setattr(scenes_mod, "pullback_metric", pinned_pullback)
+    monkeypatch.setattr(scenes_mod, "riemann", pinned_riemann)
+    _, pinned = _gauss_record(tmp_path / "pinned.json", "--tol-fd", "1e-3")
+    assert steps == [("pullback", 1e-3), ("riemann", 1e-3)]
+    for key in ("gauss_max", "kij_max", "tau_identity_residual"):
+        assert coarse[key] != pinned[key], key
+
+
 def _explicit_zero_sigma_scene(checks):
     """A 2-frame with zero sigma in a real space form: the equality case."""
     tangent = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))[0][:, :2]
