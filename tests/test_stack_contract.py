@@ -95,9 +95,8 @@ def test_a_stack_of_stacks_keeps_its_leading_axes():
     assert np.array_equal(cp.riemann04[1, 2], riemann(metric, points[1, 2]).riemann04)
 
 
-def _step_metric(centre, threshold, bad):
-    """diag(1, 1) except where x_0 crosses `threshold` below `centre[0]`,
-    where the second entry becomes `bad`."""
+def _step_metric(threshold, bad):
+    """diag(1, 1), except that the second entry is `bad` where x_0 < threshold."""
 
     def g(x):
         second = np.where(x[..., 0] < threshold, bad, 1.0)
@@ -113,7 +112,7 @@ FD_STEP = 1e-4  # the default metric-derivative step; both |x_k| < 1
 @pytest.mark.parametrize("bad,error", [(0.0, DegenerateMetricError), (np.nan, NumericalDomainError)])
 def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error):
     # bad only at x - h e_0, the stencil row 1 + n + 0 = 3 of christoffel
-    metric = _step_metric(X0, X0[0] - 0.5 * FD_STEP, bad)
+    metric = _step_metric(X0[0] - 0.5 * FD_STEP, bad)
     assert np.array_equal(metric.at(X0), np.eye(2))
     with pytest.raises(error, match=r"stack index \(3,\)"):
         christoffel(metric, X0)
@@ -123,7 +122,7 @@ def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error):
 def test_a_bad_metric_on_the_nested_riemann_stencil_is_rejected(bad, error):
     # bad only beyond x - GAMMA_DIFF_STEP e_0: christoffel at x is clean,
     # riemann's stencil row 3 meets it through its own stencil row 0
-    metric = _step_metric(X0, X0[0] - 0.5 * GAMMA_DIFF_STEP, bad)
+    metric = _step_metric(X0[0] - 0.5 * GAMMA_DIFF_STEP, bad)
     christoffel(metric, X0)
     with pytest.raises(error, match=r"stack index \(3, 0\)"):
         riemann(metric, X0)
