@@ -10,9 +10,8 @@ import argparse
 import sys
 
 from .contact import ambient_catalog
-from .errors import SceneError, WarpcheckError
+from .errors import WarpcheckError
 from .immersion import chart_immersion_catalog
-from .numeric import Tolerance
 from .scenes import check_names, emit, parse_scene, run
 from .warped import chart_catalog
 
@@ -39,17 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     spec = parse_scene(args.scene)
-    tol = None
-    if args.tol_algebraic is not None or args.tol_fd is not None:
-        tol = Tolerance(
-            algebraic=args.tol_algebraic
-            if args.tol_algebraic is not None
-            else float(spec.tolerances.get("algebraic", 1e-10)),
-            finite_difference=args.tol_fd
-            if args.tol_fd is not None
-            else float(spec.tolerances.get("finite_difference", 1e-4)),
-            equality_gap=float(spec.tolerances.get("equality_gap", 1e-6)),
-        )
+    tol = spec.tolerance(algebraic=args.tol_algebraic, finite_difference=args.tol_fd)
     report = run(spec, tolerances=tol, seed=args.seed, samples=args.samples)
     payload = emit(report, args.output)
     if args.out:
@@ -85,9 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_catalog()
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WarpcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

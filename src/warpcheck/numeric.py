@@ -55,8 +55,9 @@ class Tolerance:
     equality_gap: float = 1e-6
 
     def __post_init__(self):
-        if min(self.algebraic, self.finite_difference, self.equality_gap) <= 0.0:
-            raise InvalidInputError("tolerances must be strictly positive")
+        values = (self.algebraic, self.finite_difference, self.equality_gap)
+        if not all(np.isfinite(v) and v > 0.0 for v in values):
+            raise InvalidInputError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOLERANCE = Tolerance()

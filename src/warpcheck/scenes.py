@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .contact import (
     make_ambient,
     phi_sectional,
 )
-from .errors import SceneParseError, SceneValidationError
+from .errors import InvalidInputError, SceneParseError, SceneValidationError, WarpcheckError
 from .immersion import (
     ChartImmersion,
     PointwiseImmersionData,
@@ -56,7 +57,7 @@ from .inequality import (
     non_sasakian_inequality_stack,
     obstruction_check,
 )
-from .numeric import Tolerance
+from .numeric import Tolerance, as_vector
 from .warped import (
     WarpedProductChart,
     WarpFunction,
@@ -91,7 +92,6 @@ __all__ = [
 ENV_SEED = "WARPCHECK_SEED"
 
 _SCENE_KEYS = {"ambient", "source", "checks", "tolerances", "samples", "seed"}
-_TOL_KEYS = {"algebraic", "finite_difference", "equality_gap"}
 
 
 @dataclass
@@ -105,6 +105,7 @@ class SceneSpec:
     samples: int = 100
     seed: int | None = None
     _ambient_space: AmbientSpace | None = field(default=None, init=False, repr=False, compare=False)
+    _source: _Source | None = field(default=None, init=False, repr=False, compare=False)
 
     def ambient_space(self) -> AmbientSpace:
         """The declared ambient model, built on first use; validation and
@@ -118,6 +119,31 @@ class SceneSpec:
             except TypeError as exc:
                 raise SceneValidationError(f"bad ambient parameters for {kind!r}: {exc}") from exc
         return self._ambient_space
+
+    def source_data(self) -> _Source:
+        """The declared source, validated and built on first use by its
+        `_SOURCES` entry; validation and every run of this spec share it."""
+        if self._source is None:
+            kind = self.source.get("kind")
+            _require(kind in _SOURCES, f"unknown source kind {kind!r}")
+            try:
+                self._source = _SOURCES[kind](self.source, self.ambient_space())
+            except SceneValidationError:
+                raise
+            # a value of the wrong type or form, or one a library constructor
+            # rejects, is bad scene input
+            except (TypeError, ValueError, WarpcheckError) as exc:
+                raise SceneValidationError(f"bad {kind!r} source: {exc}") from exc
+        return self._source
+
+    def tolerance(self, **overrides) -> Tolerance:
+        """The scene's `tolerances` laid over the `Tolerance` defaults, then
+        every override that is not None (the command-line flags)."""
+        values = {**self.tolerances, **{k: v for k, v in overrides.items() if v is not None}}
+        try:
+            return Tolerance(**{k: float(v) for k, v in values.items()})
+        except (TypeError, ValueError, InvalidInputError) as exc:
+            raise SceneValidationError(f"bad tolerances: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -147,6 +173,15 @@ class RunReport:
 def _require(cond: bool, msg: str):
     if not cond:
         raise SceneValidationError(msg)
+
+
+def _integer(value, what: str, low: int = 1) -> int:
+    """`value` as an int >= low; bools and non-integers are rejected."""
+    _require(
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low,
+        f"{what} must be an integer >= {low} (got {value!r})",
+    )
+    return int(value)
 
 
 def warp_from_descriptor(d: dict) -> WarpFunction:
@@ -203,12 +238,12 @@ def parse_scene(path_or_dict) -> SceneSpec:
         raise SceneValidationError("scene must be a JSON object")
     unknown = set(raw) - _SCENE_KEYS
     _require(not unknown, f"unknown scene keys: {sorted(unknown)}")
-    _require("ambient" in raw and "source" in raw, "scene needs 'ambient' and 'source'")
-
+    _require(
+        isinstance(raw.get("ambient"), dict) and isinstance(raw.get("source"), dict),
+        "scene needs 'ambient' and 'source' objects",
+    )
     tolerances = raw.get("tolerances", {})
     _require(isinstance(tolerances, dict), "'tolerances' must be an object")
-    bad = set(tolerances) - _TOL_KEYS
-    _require(not bad, f"unknown tolerance keys: {sorted(bad)}")
 
     checks_raw = raw.get("checks", [])
     _require(isinstance(checks_raw, list), "'checks' must be a list")
@@ -221,216 +256,196 @@ def parse_scene(path_or_dict) -> SceneSpec:
         else:
             raise SceneValidationError(f"bad check entry: {c!r}")
 
+    seed = raw.get("seed")
     spec = SceneSpec(
         ambient=dict(raw["ambient"]),
         source=dict(raw["source"]),
         checks=checks,
         tolerances=dict(tolerances),
-        samples=int(raw.get("samples", 100)),
-        seed=raw.get("seed"),
+        samples=_integer(raw.get("samples", 100), "samples"),
+        seed=None if seed is None else _integer(seed, "seed", 0),
     )
     _validate(spec)
     return spec
 
 
-def _immersion_of(src: dict) -> ChartImmersion:
-    try:
-        return chart_immersion_catalog()[src["key"]](**src.get("params", {}))
-    except TypeError as exc:
-        raise SceneValidationError(f"bad immersion parameters for {src['key']!r}: {exc}") from exc
-
-
-_CONTACT_CHECKS = {
-    "kmu_space_form_inequality",
-    "non_sasakian_inequality",
-    "a_xi_identity",
-    "c_totally_real",
-    "km_condition",
-    "phi_sectional",
-}
-
-
 def _validate(spec: SceneSpec):
-    ambient = spec.ambient_space()  # raises on bad kind/parameters
-    src = spec.source
-    _require(isinstance(src, dict) and "kind" in src, "source needs a 'kind'")
-    kind = src["kind"]
-    known_sources = {"warped-chart", "explicit-warped", "chart-immersion", "synthetic", "explicit"}
-    _require(kind in known_sources, f"unknown source kind {kind!r}")
-    if kind == "warped-chart":
-        _require(src.get("key") in chart_catalog(), f"unknown chart key {src.get('key')!r}")
-    if kind == "chart-immersion" and src.get("key") == "dplus-leaf":
-        _require(ambient.frame is not None, "dplus-leaf needs a contact ambient")
-    elif kind == "chart-immersion":
-        _require(
-            src.get("key") in chart_immersion_catalog(), f"unknown immersion key {src.get('key')!r}"
-        )
-        im_dim = _immersion_of(src).ambient.dim
-        _require(
-            im_dim == ambient.dim,
-            f"immersion {src['key']!r} maps into a {im_dim}-dimensional chart, "
-            f"the ambient is {ambient.dim}-dimensional",
-        )
-    if kind in ("synthetic", "explicit"):
-        n1, n2 = int(src.get("n1", 1)), int(src.get("n2", 1))
-        _require(n1 >= 1 and n2 >= 1, "need n1, n2 >= 1")
-        _require(
-            n1 + n2 < ambient.dim,
-            f"n = {n1 + n2} does not fit inside the {ambient.dim}-dimensional ambient",
-        )
-    if kind == "explicit":
-        _require(
-            "tangent" in src and "sigma" in src,
-            "explicit source needs 'tangent' and 'sigma' arrays",
-        )
-    if kind == "explicit-warped":
-        _require(
-            all(k in src for k in ("factor1", "factor2", "warping")),
-            "explicit-warped source needs 'factor1', 'factor2' and 'warping'",
-        )
-        _factor_from_descriptor(src["factor1"])
-        _factor_from_descriptor(src["factor2"])
-        warp_from_descriptor(src["warping"])
-        _require(len(src.get("points", [])) > 0, "explicit-warped source needs 'points'")
+    ambient, source = spec.ambient_space(), spec.source_data()  # raise on bad input
+    spec.tolerance()
     names = {c["name"] for c in spec.checks}
-    unknown = names - set(check_names())
+    unknown = names - set(_CHECKS)
     _require(not unknown, f"unknown checks: {sorted(unknown)}")
-    needs_contact = names & _CONTACT_CHECKS
-    if needs_contact and ambient.frame is None:
-        raise SceneValidationError(
-            f"checks {sorted(needs_contact)} require a contact ambient, got {ambient.kind!r}"
-        )
+    for requirement, (what, holds) in _REQUIREMENTS.items():
+        lacking = sorted(n for n in names if requirement in _CHECKS[n][1])
+        _require(not lacking or holds(ambient, source), f"checks {lacking} need {what}")
     if "non_sasakian_inequality" in names:
         kappa = ambient.params.get("kappa", 1.0)
         _require(
             kappa < 1.0 - 1e-8,
             "non_sasakian_inequality needs kappa < 1 (singular parameter)",
         )
-    wants_warped = names & {"connection_identity", "mixed_sectional", "laplacian_ratio", "trivial"}
-    if wants_warped:
-        _require(
-            kind in ("warped-chart", "explicit-warped", "chart-immersion"),
-            f"checks {sorted(wants_warped)} need a warped-chart source",
+
+
+# ---------------------------------------------------------------------------
+# sources
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Source:
+    """A built scene source: the warped chart it carries, a chart immersion
+    and its point, one fixed sample, or a synthetic generator's settings."""
+
+    warped: WarpedProductChart | None = None
+    immersion: ChartImmersion | None = None
+    point: np.ndarray | None = None
+    fixed: PointwiseImmersionData | None = None
+    generator: str | None = None
+    n1: int = 1
+    n2: int = 1
+    sigma_scale: float = 1.0
+
+
+def _dims(src: dict, ambient: AmbientSpace) -> tuple[int, int]:
+    n1, n2 = _integer(src.get("n1", 1), "n1"), _integer(src.get("n2", 1), "n2")
+    _require(
+        n1 + n2 < ambient.dim,
+        f"n = {n1 + n2} does not fit inside the {ambient.dim}-dimensional ambient",
+    )
+    return n1, n2
+
+
+def _warped_chart_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _require(src.get("key") in chart_catalog(), f"unknown chart key {src.get('key')!r}")
+    return _Source(warped=named_chart(src["key"], **src.get("params", {})))
+
+
+def _explicit_warped_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _require(
+        all(k in src for k in ("factor1", "factor2", "warping")),
+        "explicit-warped source needs 'factor1', 'factor2' and 'warping'",
+    )
+    _require(len(src.get("points", [])) > 0, "explicit-warped source needs 'points'")
+    factor1, factor2 = _factor_from_descriptor(src["factor1"]), _factor_from_descriptor(src["factor2"])
+    return _Source(
+        warped=WarpedProductChart(
+            factor1=factor1,
+            factor2=factor2,
+            warp=warp_from_descriptor(src["warping"]),
+            label="explicit",
+            sample_points=[as_vector(p, factor1.dim + factor2.dim) for p in src["points"]],
         )
+    )
 
 
-# ---------------------------------------------------------------------------
-# source construction
-# ---------------------------------------------------------------------------
+def _chart_immersion_source(src: dict, ambient: AmbientSpace) -> _Source:
+    key, params = src.get("key"), src.get("params", {})
+    if key == "dplus-leaf":
+        # totally geodesic leaf drawn inside the declared contact ambient
+        _require(ambient.frame is not None, "dplus-leaf needs a contact ambient")
+        return _Source(fixed=dplus_leaf_in(ambient, *_dims(params, ambient)))
+    _require(key in chart_immersion_catalog(), f"unknown immersion key {key!r}")
+    im = chart_immersion_catalog()[key](**params)
+    _require(
+        im.ambient.dim == ambient.dim,
+        f"immersion {key!r} maps into a {im.ambient.dim}-dimensional chart, "
+        f"the ambient is {ambient.dim}-dimensional",
+    )
+    point = as_vector(src["point"], im.n) if "point" in src else im.default_point
+    return _Source(warped=im.warped, immersion=im, point=point)
+
+
+# generator: the frame kind it draws in a contact ambient and in any other
+_GENERATORS = {
+    "random": ("generic", "generic"),
+    "c-totally-real": ("c-totally-real", "c-totally-real"),
+    "equality": ("dplus", "generic"),
+    "minimal": ("c-totally-real", "generic"),
+}
+
+
+def _synthetic_source(src: dict, ambient: AmbientSpace) -> _Source:
+    n1, n2 = _dims(src, ambient)
+    generator = src.get("generator", "random")
+    _require(generator in _GENERATORS, f"unknown generator {generator!r}")
+    return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=float(src.get("sigma_scale", 1.0)))
+
+
+def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _require("tangent" in src and "sigma" in src, "explicit source needs 'tangent' and 'sigma' arrays")
+    n1, n2 = _dims(src, ambient)
+    tangent = np.asarray(src["tangent"], float)
+    normal = np.asarray(src["normal"], float) if "normal" in src else complete_normal_frame(tangent)
+    data = PointwiseImmersionData(
+        n1=n1,
+        n2=n2,
+        tangent=tangent,
+        normal=normal,
+        sigma=np.asarray(src["sigma"], float),
+        oracle=ambient.oracle,
+        contact=ambient.frame,
+        label="explicit",
+    )
+    return _Source(fixed=data)
+
+
+_SOURCES: dict[str, Callable[[dict, AmbientSpace], _Source]] = {
+    "warped-chart": _warped_chart_source,
+    "explicit-warped": _explicit_warped_source,
+    "chart-immersion": _chart_immersion_source,
+    "synthetic": _synthetic_source,
+    "explicit": _explicit_source,
+}
+
+# requirement: (what it asks for, whether an (ambient, source) pair meets it)
+_REQUIREMENTS: dict[str, tuple[str, Callable[[AmbientSpace, _Source], bool]]] = {
+    "contact": ("a contact ambient", lambda ambient, src: ambient.frame is not None),
+    "warped": ("a source that carries a warped chart", lambda ambient, src: src.warped is not None),
+    "pointwise": (
+        "a synthetic, explicit or chart-immersion source",
+        lambda ambient, src: src.generator is not None or src.fixed is not None or src.immersion is not None,
+    ),
+}
 
 
 @dataclass
 class _Context:
-    spec: SceneSpec
     ambient: AmbientSpace
+    source: _Source
     tol: Tolerance
     rng: np.random.Generator
     samples: int
-    warped: WarpedProductChart | None = None
-    immersion: Any = None
-    fixed_data: PointwiseImmersionData | None = None
-    generator: str | None = None
-    source_params: dict = field(default_factory=dict)
 
-    def fixed_sample(self) -> PointwiseImmersionData | None:
-        """The source's one sample (explicit data, a dplus leaf or a chart
-        immersion at its point), computed once per scene; None for a
-        synthetic source."""
-        if self.fixed_data is None and self.immersion is not None:
-            self.fixed_data = second_fundamental_form(
-                self.immersion, self.chart_point(), h=self.tol.finite_difference
-            )
-        return self.fixed_data
+    @cached_property
+    def fixed(self) -> PointwiseImmersionData | None:
+        """The source's one sample: explicit data, a dplus leaf, or a chart
+        immersion's second fundamental form at its point (once per run, its
+        step is the run's `finite_difference`); None for a synthetic source."""
+        src = self.source
+        if src.immersion is None:
+            return src.fixed
+        return second_fundamental_form(src.immersion, src.point, h=self.tol.finite_difference)
 
-    def chart_point(self) -> np.ndarray:
-        p = self.source_params.get("point")
-        return np.asarray(p, float) if p is not None else self.immersion.default_point
-
-    def make_stack(self, count: int, generator: str | None = None) -> PointwiseStack:
+    def stack(self, generator: str | None = None, count: int | None = None) -> PointwiseStack:
         """The samples of one sampled check: the fixed sample as a stack of
-        one, or `count` fresh draws of the declared generator in one block."""
-        fixed = self.fixed_sample()
-        if fixed is not None:
-            return fixed.stack()
-        n1 = int(self.source_params.get("n1", 1))
-        n2 = int(self.source_params.get("n2", 1))
-        scale = float(self.source_params.get("sigma_scale", 1.0))
-        gen = generator or self.generator or "random"
-        contact = self.ambient.frame
-        frame_kind = {
-            "random": "generic",
-            "c-totally-real": "c-totally-real",
-            "equality": "dplus" if contact is not None else "generic",
-            "minimal": "c-totally-real" if contact is not None else "generic",
-        }.get(gen)
-        if frame_kind is None:
-            raise SceneValidationError(f"unknown generator {gen!r}")
-        if gen == "minimal":
-            scale = 0.0
-        stack = random_stack(self.rng, self.ambient, n1, n2, count, scale, frame_kind)
+        one, or `count` (default `samples`) fresh draws of `generator` (by
+        default the source's) in one block."""
+        if self.fixed is not None:
+            return self.fixed.stack()
+        src, contact = self.source, self.ambient.frame
+        gen = generator or src.generator
+        scale = 0.0 if gen == "minimal" else src.sigma_scale
+        frame_kind = _GENERATORS[gen][contact is None]
+        stack = random_stack(self.rng, self.ambient, src.n1, src.n2, count or self.samples, scale, frame_kind)
         if gen == "equality":
-            stack.sigma = balance_for_equality(stack.sigma, n1)
+            stack.sigma = balance_for_equality(stack.sigma, src.n1)
         if gen in ("c-totally-real", "equality") and contact is not None:
             stack.sigma = force_xi_consistency(stack.sigma, (stack.tangent, stack.normal), contact)
         return stack
 
-    def make_data(self, generator: str | None = None) -> PointwiseImmersionData:
-        """One data sample according to the declared source."""
-        fixed = self.fixed_sample()
-        return fixed if fixed is not None else self.make_stack(1, generator).sample(0)
-
-    def sampled_stack(self, generator: str | None = None) -> PointwiseStack:
-        """The stack a sampled check evaluates: `samples` draws (at least
-        one), or the fixed sample."""
-        return self.make_stack(max(1, self.samples), generator)
-
-
-def _build_context(spec: SceneSpec, tol: Tolerance, rng, samples: int) -> _Context:
-    ambient = spec.ambient_space()
-    ctx = _Context(spec=spec, ambient=ambient, tol=tol, rng=rng, samples=samples)
-    src = spec.source
-    kind = src["kind"]
-    if kind == "warped-chart":
-        ctx.warped = named_chart(src["key"], **src.get("params", {}))
-    elif kind == "explicit-warped":
-        ctx.warped = WarpedProductChart(
-            factor1=_factor_from_descriptor(src["factor1"]),
-            factor2=_factor_from_descriptor(src["factor2"]),
-            warp=warp_from_descriptor(src["warping"]),
-            label="explicit",
-            sample_points=[np.asarray(p, float) for p in src.get("points", [])],
-        )
-        _require(len(ctx.warped.sample_points) > 0, "explicit-warped source needs 'points'")
-    elif kind == "chart-immersion":
-        if src["key"] == "dplus-leaf":
-            # totally geodesic leaf drawn inside the declared contact ambient
-            params = src.get("params", {})
-            ctx.fixed_data = dplus_leaf_in(ambient, int(params.get("n1", 1)), int(params.get("n2", 1)))
-        else:
-            ctx.immersion = _immersion_of(src)
-            ctx.warped = ctx.immersion.warped
-            ctx.source_params = dict(src)
-    elif kind == "synthetic":
-        ctx.generator = src.get("generator", "random")
-        ctx.source_params = dict(src)
-    elif kind == "explicit":
-        tangent = np.asarray(src["tangent"], float)
-        normal = (
-            np.asarray(src["normal"], float)
-            if "normal" in src
-            else complete_normal_frame(tangent)
-        )
-        ctx.fixed_data = PointwiseImmersionData(
-            n1=int(src["n1"]),
-            n2=int(src["n2"]),
-            tangent=tangent,
-            normal=normal,
-            sigma=np.asarray(src["sigma"], float),
-            oracle=ctx.ambient.oracle,
-            contact=ctx.ambient.frame,
-            label="explicit",
-        )
-    return ctx
+    def sample(self) -> PointwiseImmersionData:
+        """One data sample: the fixed sample or one fresh draw."""
+        return self.fixed if self.fixed is not None else self.stack(count=1).sample(0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +453,14 @@ def _build_context(spec: SceneSpec, tol: Tolerance, rng, samples: int) -> _Conte
 # ---------------------------------------------------------------------------
 
 
-def _chart_points(ctx: _Context) -> list[np.ndarray]:
-    if ctx.warped is None:
-        raise SceneValidationError("check needs a warped-chart source")
-    pts = ctx.warped.sample_points
-    if not pts:
-        raise SceneValidationError("warped chart provides no sample points")
-    return pts
-
-
 # The folds below use np.maximum / np.minimum / np.ptp, which keep a NaN
 # residual where Python's max and min would drop it.
 
 
 def _check_connection_identity(ctx: _Context, opts: dict) -> dict:
-    wp = ctx.warped
+    wp = ctx.source.warped
     worst = 0.0
-    for p in _chart_points(ctx):
+    for p in wp.sample_points:
         X = np.zeros(wp.dim)
         X[: wp.n1] = ctx.rng.normal(size=wp.n1)
         Y = np.zeros(wp.dim)
@@ -464,10 +470,10 @@ def _check_connection_identity(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_mixed_sectional(ctx: _Context, opts: dict) -> dict:
-    wp = ctx.warped
+    wp = ctx.source.warped
     metric = build_metric(wp)
     worst = 0.0
-    for p in _chart_points(ctx):
+    for p in wp.sample_points:
         gx = metric.at(p)
         X = np.zeros(wp.dim)
         X[: wp.n1] = ctx.rng.normal(size=wp.n1)
@@ -485,26 +491,28 @@ def _check_mixed_sectional(ctx: _Context, opts: dict) -> dict:
 def _check_laplacian_ratio(ctx: _Context, opts: dict) -> dict:
     worst = 0.0
     payload = []
-    for p in _chart_points(ctx):
-        rep = check_laplacian_ratio(ctx.warped, p)
+    for p in ctx.source.warped.sample_points:
+        rep = check_laplacian_ratio(ctx.source.warped, p)
         worst = np.maximum(worst, rep["max_deviation"])
         payload.append(rep)
     return {"pass": bool(worst < 1e-3), "max_deviation": float(worst), "points": payload}
 
 
 def _check_trivial(ctx: _Context, opts: dict) -> dict:
-    flag = is_trivial(ctx.warped, _chart_points(ctx), tol=ctx.tol.algebraic)
+    wp = ctx.source.warped
+    flag = is_trivial(wp, wp.sample_points, tol=ctx.tol.algebraic)
     expected = opts.get("expect")
     ok = True if expected is None else (flag == bool(expected))
     return {"pass": ok, "trivial": flag}
 
 
 def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
-    data = ctx.make_data()
-    if ctx.immersion is not None:
+    data = ctx.sample()
+    im = ctx.source.immersion
+    if im is not None:
         # intrinsic curvature from the pulled-back metric, independent of sigma
         h = ctx.tol.finite_difference
-        cp = riemann(pullback_metric(ctx.immersion, h=h), ctx.chart_point(), h=h)
+        cp = riemann(pullback_metric(im, h=h), ctx.source.point, h=h)
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
             data.extras["frame_coefficients"]
         )
@@ -518,7 +526,7 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_c_totally_real(ctx: _Context, opts: dict) -> dict:
-    data = ctx.make_data()
+    data = ctx.sample()
     ok, residuals = is_C_totally_real(data, tol=ctx.tol.algebraic)
     expected = opts.get("expect")
     good = ok if expected is None else (ok == bool(expected))
@@ -526,7 +534,7 @@ def _check_c_totally_real(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_a_xi(ctx: _Context, opts: dict) -> dict:
-    data = ctx.make_data()
+    data = ctx.sample()
     res = a_xi_identity(data)
     return {"pass": res["residual"] < 1e-6, "residual": res["residual"]}
 
@@ -571,25 +579,10 @@ def _check_oracle_symmetries(ctx: _Context, opts: dict) -> dict:
     return {"pass": bool(worst < 1e-10), "max_residual": float(worst)}
 
 
-def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
+def _run_inequality(ctx: _Context, fn) -> dict:
     """A sampled inequality check: `fn` maps the check's stack to an
     InequalityStack; the record prints the last sample's report."""
-    if ctx.immersion is not None and name == "general_inequality":
-        rep = chart_inequality(
-            ctx.immersion, ctx.chart_point(), h=ctx.tol.finite_difference, data=ctx.fixed_sample()
-        )
-        ok = rep.gap >= -rep.equality_tol and rep.extras["lhs_agreement"] < 1e-3
-        return {
-            "pass": bool(ok),
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "gap": rep.gap,
-            "equality": rep.equality,
-            "diagnostics": rep.diagnostics,
-            "lhs_proxy": rep.extras["lhs_proxy"],
-            "lhs_agreement": rep.extras["lhs_agreement"],
-        }
-    batch = fn(ctx.sampled_stack())
+    batch = fn(ctx.stack())
     # np.min / np.max propagate NaN, where min / max would drop it
     min_gap = np.min(batch.gap)
     worst_cross = np.max(batch.extras.get("rhs_cross_residual", 0.0))
@@ -610,27 +603,37 @@ def _run_inequality(ctx: _Context, opts: dict, fn, name: str) -> dict:
 
 
 def _check_general_inequality(ctx: _Context, opts: dict) -> dict:
-    return _run_inequality(ctx, opts, general_inequality_stack, "general_inequality")
+    src = ctx.source
+    if src.immersion is None:
+        return _run_inequality(ctx, general_inequality_stack)
+    rep = chart_inequality(src.immersion, src.point, h=ctx.tol.finite_difference, data=ctx.fixed)
+    ok = rep.gap >= -rep.equality_tol and rep.extras["lhs_agreement"] < 1e-3
+    return {
+        "pass": bool(ok),
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+        "gap": rep.gap,
+        "equality": rep.equality,
+        "diagnostics": rep.diagnostics,
+        "lhs_proxy": rep.extras["lhs_proxy"],
+        "lhs_agreement": rep.extras["lhs_agreement"],
+    }
 
 
 def _check_kmu_inequality(ctx: _Context, opts: dict) -> dict:
     c = opts.get("c")
-    return _run_inequality(
-        ctx, opts, lambda s: kmu_space_form_inequality_stack(s, c=c), "kmu_space_form_inequality"
-    )
+    return _run_inequality(ctx, lambda s: kmu_space_form_inequality_stack(s, c=c))
 
 
 def _check_non_sasakian_inequality(ctx: _Context, opts: dict) -> dict:
-    return _run_inequality(
-        ctx, opts, non_sasakian_inequality_stack, "non_sasakian_inequality"
-    )
+    return _run_inequality(ctx, non_sasakian_inequality_stack)
 
 
 def _check_equality_case(ctx: _Context, opts: dict) -> dict:
     """Equality-constructed samples must close the gap; a single cross-block
     perturbation (applied to a copy of each sample) must reopen it and flip
     the diagnostics."""
-    stack = ctx.sampled_stack(generator="equality")
+    stack = ctx.stack(generator="equality")
     rep = general_inequality_stack(stack)
     equal = rep.equality & rep.mixed_totally_geodesic & rep.partial_mean_equal
     sigma = stack.sigma.copy()
@@ -652,7 +655,7 @@ def _check_equality_case(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_decompose(ctx: _Context, opts: dict) -> dict:
-    dec = decompose_stack(ctx.sampled_stack())
+    dec = decompose_stack(ctx.stack())
     worst_ai = np.max(dec.ai_residual)
     worst_slack = np.min(dec.lemma_slack)
     return {
@@ -664,7 +667,7 @@ def _check_decompose(ctx: _Context, opts: dict) -> dict:
 
 def _check_chen_lemma(ctx: _Context, opts: dict) -> dict:
     bad = 0
-    for _ in range(max(1, ctx.samples)):
+    for _ in range(ctx.samples):
         ell = int(ctx.rng.integers(2, 11))
         a = list(ctx.rng.normal(size=ell))
         if ctx.rng.random() < 0.5 and ell >= 3:
@@ -679,7 +682,7 @@ def _check_chen_lemma(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_obstruction(ctx: _Context, opts: dict) -> dict:
-    data = ctx.make_data()
+    data = ctx.sample()
     frame = ctx.ambient.frame
     if frame is not None and frame.is_sasakian():
         rep = kmu_space_form_inequality(data, c=ctx.ambient.params.get("c"))
@@ -699,24 +702,25 @@ def _check_obstruction(ctx: _Context, opts: dict) -> dict:
     return {"pass": ok, "verdict": verdict, "rhs_curvature_term": rep.rhs - rep.mean_term}
 
 
-_CHECKS: dict[str, Callable[[_Context, dict], dict]] = {
-    "connection_identity": _check_connection_identity,
-    "mixed_sectional": _check_mixed_sectional,
-    "laplacian_ratio": _check_laplacian_ratio,
-    "trivial": _check_trivial,
-    "gauss_residual": _check_gauss_residual,
-    "c_totally_real": _check_c_totally_real,
-    "a_xi_identity": _check_a_xi,
-    "km_condition": _check_km_condition,
-    "phi_sectional": _check_phi_sectional,
-    "oracle_symmetries": _check_oracle_symmetries,
-    "general_inequality": _check_general_inequality,
-    "kmu_space_form_inequality": _check_kmu_inequality,
-    "non_sasakian_inequality": _check_non_sasakian_inequality,
-    "equality_case": _check_equality_case,
-    "decompose": _check_decompose,
-    "chen_lemma": _check_chen_lemma,
-    "obstruction": _check_obstruction,
+# check: (its function, the `_REQUIREMENTS` a scene must meet to request it)
+_CHECKS: dict[str, tuple[Callable[[_Context, dict], dict], tuple[str, ...]]] = {
+    "connection_identity": (_check_connection_identity, ("warped",)),
+    "mixed_sectional": (_check_mixed_sectional, ("warped",)),
+    "laplacian_ratio": (_check_laplacian_ratio, ("warped",)),
+    "trivial": (_check_trivial, ("warped",)),
+    "gauss_residual": (_check_gauss_residual, ("pointwise",)),
+    "c_totally_real": (_check_c_totally_real, ("pointwise", "contact")),
+    "a_xi_identity": (_check_a_xi, ("pointwise", "contact")),
+    "km_condition": (_check_km_condition, ("contact",)),
+    "phi_sectional": (_check_phi_sectional, ("contact",)),
+    "oracle_symmetries": (_check_oracle_symmetries, ()),
+    "general_inequality": (_check_general_inequality, ("pointwise",)),
+    "kmu_space_form_inequality": (_check_kmu_inequality, ("pointwise", "contact")),
+    "non_sasakian_inequality": (_check_non_sasakian_inequality, ("pointwise", "contact")),
+    "equality_case": (_check_equality_case, ("pointwise",)),
+    "decompose": (_check_decompose, ("pointwise",)),
+    "chen_lemma": (_check_chen_lemma, ()),
+    "obstruction": (_check_obstruction, ("pointwise",)),
 }
 
 
@@ -726,7 +730,7 @@ def check_names() -> list[str]:
 
 def resolve_seed(spec: SceneSpec, override: int | None = None) -> int:
     if override is not None:
-        return int(override)
+        return _integer(override, "seed", 0)
     if spec.seed is not None:
         return int(spec.seed)
     env = os.environ.get(ENV_SEED)
@@ -740,26 +744,19 @@ def run(
     samples: int | None = None,
 ) -> RunReport:
     """Execute every requested check; failures are recorded, not raised."""
-    tol = tolerances or Tolerance(
-        algebraic=float(spec.tolerances.get("algebraic", 1e-10)),
-        finite_difference=float(spec.tolerances.get("finite_difference", 1e-4)),
-        equality_gap=float(spec.tolerances.get("equality_gap", 1e-6)),
-    )
+    tol = tolerances or spec.tolerance()
     used_seed = resolve_seed(spec, seed)
-    used_samples = int(samples) if samples is not None else spec.samples
+    used_samples = spec.samples if samples is None else _integer(samples, "samples")
     start = time.perf_counter()
     rng = np.random.default_rng(used_seed)
-    try:
-        ctx = _build_context(spec, tol, rng, used_samples)
-    except TypeError as exc:
-        raise SceneValidationError(f"bad source parameters: {exc}") from exc
+    ctx = _Context(spec.ambient_space(), spec.source_data(), tol, rng, used_samples)
     records = []
     for check in spec.checks:
         name = check["name"]
         opts = {k: v for k, v in check.items() if k != "name"}
         record = {"name": name}
         try:
-            record.update(_CHECKS[name](ctx, opts))
+            record.update(_CHECKS[name][0](ctx, opts))
         except Exception as exc:  # sibling checks must still run
             record.update({"pass": False, "error": f"{type(exc).__name__}: {exc}"})
         records.append(record)
@@ -768,11 +765,7 @@ def run(
         "version": __version__,
         "seed": used_seed,
         "samples": used_samples,
-        "tolerances": {
-            "algebraic": tol.algebraic,
-            "finite_difference": tol.finite_difference,
-            "equality_gap": tol.equality_gap,
-        },
+        "tolerances": asdict(tol),
         "ambient_notes": list(ctx.ambient.notes),
     }
     return RunReport(
@@ -785,36 +778,24 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _canonical_json(obj) -> str:
-    """Sorted keys; every float rendered as %.12e for byte-stable output."""
-    obj = _jsonable(obj)
+    """Keys sorted as strings; every float rendered as %.12e for byte-stable
+    output; numpy values are converted as they are rendered."""
     if isinstance(obj, dict):
-        items = ", ".join(
-            f"{json.dumps(k)}: {_canonical_json(v)}" for k, v in sorted(obj.items())
-        )
-        return "{" + items + "}"
-    if isinstance(obj, list):
+        items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
+        return "{" + ", ".join(f"{json.dumps(k)}: {_canonical_json(v)}" for k, v in items) + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if isinstance(obj, (bool, np.bool_)):
+        return json.dumps(bool(obj))
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None or isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, float):
-        return f"{obj:.12e}"
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.12e}"
     raise TypeError(f"cannot canonicalize {type(obj)}")
 
 

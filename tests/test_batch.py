@@ -32,7 +32,7 @@ from warpcheck.inequality import (
     non_sasakian_inequality,
     non_sasakian_inequality_stack,
 )
-from warpcheck.scenes import _build_context, parse_scene
+from warpcheck.scenes import _Context, parse_scene
 from warpcheck.numeric import Tolerance
 
 PARITY = 1e-12
@@ -122,8 +122,8 @@ def test_scene_generators_draw_the_sequential_stream(gen, ambient):
         "seed": 5,
     }
     spec = parse_scene(scene)
-    ctx = _build_context(spec, Tolerance(), np.random.default_rng(5), 60)
-    stack = ctx.sampled_stack()
+    ctx = _Context(spec.ambient_space(), spec.source_data(), Tolerance(), np.random.default_rng(5), 60)
+    stack = ctx.stack()
     ref_rng = np.random.default_rng(5)
     amb = spec.ambient_space()
     samples = [_sequential_generator(ref_rng, amb, gen, 2, 2, 0.7) for _ in range(60)]
