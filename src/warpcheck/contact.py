@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-10
+# Samples per pass of CurvatureOracle.kij on a stack: bounds its two
+# (samples * n) x d^2 intermediates, 4.8 MB each at d = 7, n = 6.
+_KIJ_BLOCK = 2048
 
 # The tangent-sphere-bundle parameter map below uses mu = -2c; the opposite
 # sign convention mu = +2c also circulates for the same construction, so runs
@@ -179,14 +182,27 @@ class CurvatureOracle:
 
     def kij(self, V: np.ndarray) -> np.ndarray:
         """Table R(v_a, v_b, v_b, v_a) over the columns of V (d, n), zero on
-        the diagonal.  A stack V (N, d, n) gives the N tables (N, n, n) in one
-        pass: with P = (v_a (x) v_a) as (N, d^2, n), P^T Q P is one matrix
-        product with Q for the whole stack and one batched product with P."""
+        the diagonal.  A stack V (N, d, n) gives the N tables (N, n, n): with
+        P = (v_a (x) v_a) as (N, d^2, n), P^T Q P is two batched matrix
+        products, one matrix product per sample each, so a sample's table is
+        the one it gets alone, whatever stack it is in.  A long stack is
+        evaluated in blocks of _KIJ_BLOCK samples, which keeps P^T and P^T Q
+        at (_KIJ_BLOCK n) x d^2 however long the stack is."""
         V = np.asarray(V, dtype=float)
+        if V.ndim < 3 or len(V) <= _KIJ_BLOCK:
+            return self._kij(V)
+        n = V.shape[-1]
+        out = np.empty(V.shape[:-2] + (n, n))
+        for start in range(0, len(V), _KIJ_BLOCK):
+            out[start : start + _KIJ_BLOCK] = self._kij(V[start : start + _KIJ_BLOCK])
+        return out
+
+    def _kij(self, V: np.ndarray) -> np.ndarray:
+        """kij of a frame or stack V in one pass."""
         d, n = V.shape[-2:]
-        Vt = np.swapaxes(V, -1, -2)
-        Pt = (Vt[..., :, None] * Vt[..., None, :]).reshape(*Vt.shape[:-1], d * d)  # v_a (x) v_a
-        out = (Pt.reshape(-1, d * d) @ self._q).reshape(Pt.shape) @ np.swapaxes(Pt, -1, -2)
+        Vt = V.swapaxes(-1, -2)
+        Pt = (Vt[..., :, None] * Vt[..., None, :]).reshape(Vt.shape[:-1] + (d * d,))  # v_a (x) v_a
+        out = (Pt @ self._q) @ Pt.swapaxes(-1, -2)
         out.reshape(-1, n * n)[:, :: n + 1] = 0.0  # the diagonal of each table
         return out
 

@@ -10,6 +10,7 @@ plain dot product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,12 +66,29 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built on first use per d and shared read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _check_frames(
     tangent: np.ndarray, normal: np.ndarray, sigma: np.ndarray, n: int, where
 ) -> None:
     """Validation shared by single samples and stacks: tangent (N, d, n),
     normal (N, d, d - n), sigma (N, d - n, n, n); `where(i)` names sample i
-    in the error messages."""
+    in the error messages.
+
+    Valid input costs one combined test over the whole stack: the largest
+    orthonormality residual of [tangent | normal] and the largest asymmetry
+    residual of sigma are both at most 1e-8.  A NaN or an infinity in a frame
+    makes its orthonormality residual NaN or infinite, and one in sigma does
+    the same to the asymmetry residual, so non-finite input fails the test
+    too.  Only a failed test runs the ordered checks (non-finite frame,
+    non-finite sigma, orthonormality, symmetry), which name the failure and
+    its first sample."""
     N, d = tangent.shape[:2]
     if N == 0:
         raise InvalidInputError("a stack needs at least one sample")
@@ -81,23 +99,34 @@ def _check_frames(
     if sigma.shape != (N, d - n, n, n):
         raise InvalidConfigurationError("sigma shape mismatch")
     full = np.concatenate([tangent, normal], axis=2)
-    # NaN residuals compare false against every bound below
+    # The combined test; a NaN residual compares false.  inf * 0 in the frame
+    # product and inf - inf in the asymmetry make the NaN that fails it, so
+    # their warnings would say nothing.  The reductions are ufunc calls: the
+    # ndarray methods add a Python layer that costs as much as the arithmetic
+    # on one sample.
+    with np.errstate(invalid="ignore"):
+        if (
+            np.maximum.reduce(np.abs(full.transpose(0, 2, 1) @ full - _identity(d)), None) <= 1e-8
+            and np.maximum.reduce(np.abs(sigma - sigma.transpose(0, 1, 3, 2)), None) <= 1e-8
+        ):
+            return
     if not np.isfinite(full).all():
         i = int(np.argmax(~np.isfinite(full).all(axis=(1, 2))))
         raise NumericalDomainError(f"tangent or normal frame has non-finite entries{where(i)}")
     if not np.isfinite(sigma).all():
         i = int(np.argmax(~np.isfinite(sigma).all(axis=(1, 2, 3))))
         raise NumericalDomainError(f"sigma has non-finite entries{where(i)}")
-    ortho = np.abs(full.transpose(0, 2, 1) @ full - np.eye(d)).max(axis=(1, 2))
-    if ortho.max() > 1e-8:
-        i = int(np.argmax(ortho > 1e-8))
+    # finite frames can still overflow to a NaN residual, which is rejected
+    ortho = np.abs(full.transpose(0, 2, 1) @ full - _identity(d)).max(axis=(1, 2))
+    if not (ortho <= 1e-8).all():
+        i = int(np.argmax(~(ortho <= 1e-8)))
         raise InvalidConfigurationError(
             f"frame not orthonormal (residual {ortho[i]:.3e}){where(i)}"
         )
+    # finite sigma gives no NaN asymmetry, so some sample exceeds the bound
     sym = np.abs(sigma - sigma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
-    if sym.max() > 1e-8:
-        i = int(np.argmax(sym > 1e-8))
-        raise InvalidConfigurationError(f"sigma not symmetric (residual {sym[i]:.3e}){where(i)}")
+    i = int(np.argmax(sym > 1e-8))
+    raise InvalidConfigurationError(f"sigma not symmetric (residual {sym[i]:.3e}){where(i)}")
 
 
 @dataclass
@@ -213,18 +242,38 @@ class MeanCurvatureRecord:
     components: np.ndarray  # H in the normal frame
 
 
+@functools.cache
+def _mean_weights(n1: int, n2: int) -> np.ndarray:
+    """Columns H, H1, H2 as weights of the two block traces, built on first
+    use per (n1, n2) and shared read-only."""
+    n = n1 + n2
+    weights = np.array([[1.0 / n, 1.0 / n1, 0.0], [1.0 / n, 0.0, 1.0 / n2]])
+    weights.flags.writeable = False
+    return weights
+
+
 def mean_curvatures(data: PointwiseImmersionData | PointwiseStack) -> MeanCurvatureRecord:
     """Trace parts of sigma, n H = n1 H1 + n2 H2, for a sample or a stack."""
     stacked = isinstance(data, PointwiseStack)
     sigma = data.sigma if stacked else data.sigma[None]
-    n, n1, n2 = data.n, data.n1, data.n2
+    n1 = data.n1
     # block traces (N, num_normals, 2), then H, H1, H2 as the columns of one product
-    traces = np.add.reduceat(np.einsum("...rii->...ri", sigma), [0, n1], axis=2)
-    parts = traces @ np.array([[1.0 / n, 1.0 / n1, 0.0], [1.0 / n, 0.0, 1.0 / n2]])
-    norms = np.sqrt((parts**2).sum(axis=1))  # (N, 3)
+    traces = np.add.reduceat(sigma.diagonal(0, 2, 3), [0, n1], axis=2)
+    parts = traces @ _mean_weights(n1, data.n2)
+    norms = np.sqrt(np.add.reduce(parts**2, 1))  # (N, 3)
     if stacked:
         return MeanCurvatureRecord(*norms.T, components=parts[..., 0])
     return MeanCurvatureRecord(*norms[0].tolist(), components=parts[0, :, 0])
+
+
+def _gauss_correction(sigma: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """sum_r (sigma^r_ii sigma^r_jj - (sigma^r_ij)^2) for i in `rows` and j
+    in `cols` of sigma (..., k, n, n), one table per sample."""
+    diag = sigma.diagonal(0, -2, -1)
+    block = sigma[..., rows, cols]
+    return np.einsum("...ri,...rj->...ij", diag[..., rows], diag[..., cols]) - np.einsum(
+        "...rij,...rij->...ij", block, block
+    )
 
 
 def intrinsic_kij(
@@ -235,11 +284,7 @@ def intrinsic_kij(
     K~ table `ambient` when the caller holds it (one oracle.kij call if not).
     A stack gives one (n, n) table per sample."""
     ambient = data.oracle.kij(data.tangent) if ambient is None else ambient
-    diag = np.einsum("...rii->...ri", data.sigma)
-    corr = np.einsum("...ri,...rj->...ij", diag, diag) - np.einsum(
-        "...rij,...rij->...ij", data.sigma, data.sigma
-    )
-    out = ambient + corr
+    out = ambient + _gauss_correction(data.sigma, slice(None), slice(None))
     out.reshape(-1, data.n**2)[:, :: data.n + 1] = 0.0  # the diagonal of each table
     return out
 

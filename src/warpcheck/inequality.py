@@ -36,6 +36,7 @@ from .immersion import (
     MeanCurvatureRecord,
     PointwiseImmersionData,
     PointwiseStack,
+    _gauss_correction,
     a_xi_identity,
     intrinsic_kij,
     is_C_totally_real,
@@ -348,17 +349,20 @@ class InequalityStack:
     def report(self, i: int) -> InequalityReport:
         rec = self.rec
         row = MeanCurvatureRecord(
-            float(rec.norm_H[i]), float(rec.norm_H1[i]), float(rec.norm_H2[i]), rec.components[i]
+            rec.norm_H.item(i), rec.norm_H1.item(i), rec.norm_H2.item(i), rec.components[i]
         )
-        gap = float(self.gap[i])
+        gap = self.gap.item(i)
+        extras = {}
+        if self.extras:
+            extras = {k: v.item(i) if isinstance(v, np.ndarray) else v for k, v in self.extras.items()}
         return InequalityReport(
             name=self.name,
-            lhs=float(self.lhs[i]),
-            rhs=float(self.rhs[i]),
+            lhs=self.lhs.item(i),
+            rhs=self.rhs.item(i),
             gap=gap,
             equality=abs(gap) < self.equality_tol,
-            mean_term=float(self.mean_term[i]),
-            ambient_term=float(self.ambient_term[i]),
+            mean_term=self.mean_term.item(i),
+            ambient_term=self.ambient_term.item(i),
             norm_H=row.norm_H,
             n1=self.stack.n1,
             n2=self.stack.n2,
@@ -369,9 +373,7 @@ class InequalityStack:
                 self.stack.n1,
                 self.equality_tol,
             ),
-            extras={
-                k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in self.extras.items()
-            },
+            extras=extras,
         )
 
 
@@ -399,16 +401,21 @@ def general_inequality_stack(
     n, n1, n2 = stack.n, stack.n1, stack.n2
     kij = stack.oracle.kij(stack.tangent)
     index, s1, s2 = _tau_index(n, n1)
-    pairs = kij.reshape(len(kij), n * n)[:, index]
-    tau_full, tau_1, tau_2 = (pairs[:, a:b].sum(axis=1) for a, b in ((0, s1), (s1, s2), (s2, None)))
+    # np.take keeps the rows C-ordered, so each row is summed in the order a
+    # stack of one sums it (kij[:, index] is column-major)
+    pairs = np.take(kij.reshape(len(kij), n * n), index, axis=1)
+    tau_full = np.add.reduce(pairs[:, :s1], 1)
+    tau_1 = np.add.reduce(pairs[:, s1:s2], 1)
+    tau_2 = np.add.reduce(pairs[:, s2:], 1)
     rec = mean_curvatures(stack)
     mean_term = n * n / (4.0 * n2) * rec.norm_H**2
     ambient_term = (tau_full - tau_1 - tau_2) / n2
     rhs = mean_term + ambient_term
     if lhs is None:
-        # Gauss-equation proxy: the mixed-pair intrinsic curvatures, built on
-        # the ambient tables above
-        lhs = intrinsic_kij(stack, ambient=kij)[:, :n1, n1:].sum(axis=(1, 2)) / n2
+        # Gauss-equation proxy: the mixed-pair intrinsic curvatures, the mixed
+        # block of the ambient tables above plus its Gauss correction
+        mixed = kij[:, :n1, n1:] + _gauss_correction(stack.sigma, slice(None, n1), slice(n1, None))
+        lhs = np.add.reduce(mixed, (1, 2)) / n2
     else:
         lhs = np.broadcast_to(np.asarray(lhs, dtype=float), rhs.shape)
     return InequalityStack(

@@ -743,7 +743,10 @@ def run(
     seed: int | None = None,
     samples: int | None = None,
 ) -> RunReport:
-    """Execute every requested check; failures are recorded, not raised."""
+    """Execute every requested check; failures are recorded, not raised.
+    A spec that parse_scene would reject raises SceneValidationError here
+    too, before any check runs."""
+    _validate(spec)
     tol = tolerances or spec.tolerance()
     used_seed = resolve_seed(spec, seed)
     used_samples = spec.samples if samples is None else _integer(samples, "samples")

@@ -2,12 +2,13 @@
 parity of the stacked kernels with their one-sample entry points, a
 sigma-only oracle for the gap, and validation that names the bad sample."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from warpcheck.contact import make_ambient
+from warpcheck.contact import _KIJ_BLOCK, CurvatureOracle, make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
     InvalidConfigurationError,
@@ -15,6 +16,7 @@ from warpcheck.errors import (
     NumericalDomainError,
 )
 from warpcheck.immersion import (
+    PointwiseImmersionData,
     PointwiseStack,
     balance_for_equality,
     complete_normal_frame,
@@ -158,8 +160,11 @@ def test_stacked_kernels_match_the_one_sample_calls(kind, params):
         for stack in stacks:
             rows = [stack.sample(i) for i in range(len(stack))]
             gen = general_inequality_stack(stack)
-            _close(gen.gap, [general_inequality(r).gap for r in rows])
-            _close(gen.lhs, [general_inequality(r).lhs for r in rows])
+            # one kernel: a sample alone gives the numbers it gives in the stack
+            reports = [general_inequality(r) for r in rows]
+            for name in ("gap", "lhs", "rhs", "mean_term", "ambient_term"):
+                assert np.array_equal(getattr(gen, name), [getattr(r, name) for r in reports]), name
+            assert np.array_equal(gen.rec.norm_H, [r.norm_H for r in reports])
             dec = decompose_stack(stack)
             ref = [decompose(r) for r in rows]
             _close(dec.ai_residual, [d.ai_residual for d in ref])
@@ -191,6 +196,17 @@ def test_report_rows_carry_each_sample_diagnostics():
         assert rep.diagnostics == general_inequality(stack.sample(i)).diagnostics
         assert rep.diagnostics["mixed_totally_geodesic"] == bool(batch.mixed_totally_geodesic[i])
         assert rep.diagnostics["partial_mean_equal"] == bool(batch.partial_mean_equal[i])
+
+
+def test_kij_evaluates_a_long_stack_in_blocks_equal_to_one_pass(monkeypatch):
+    amb = make_ambient("kmu-space-form", m=3, kappa=0.5, mu=-1.0, c=1.7)
+    tangent = random_stack(np.random.default_rng(46), amb, 2, 2, 2 * _KIJ_BLOCK + 17).tangent
+    one_pass = amb.oracle._kij(tangent)
+    blocks = []
+    one_block = CurvatureOracle._kij
+    monkeypatch.setattr(CurvatureOracle, "_kij", lambda self, V: blocks.append(len(V)) or one_block(self, V))
+    assert np.array_equal(amb.oracle.kij(tangent), one_pass)
+    assert blocks == [_KIJ_BLOCK, _KIJ_BLOCK, 17]
 
 
 # --- the sigma-only gap --------------------------------------------------------
@@ -248,12 +264,21 @@ def test_stack_with_a_non_symmetric_sample_names_it():
         _build(amb, tangent, normal, sigma)
 
 
+@pytest.mark.parametrize("axis_aligned", [False, True], ids=["generic", "axis-aligned"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("which", ["tangent", "normal", "sigma"])
-def test_stack_with_a_non_finite_sample_names_it(which):
+def test_stack_with_a_non_finite_sample_names_it(which, value, axis_aligned):
     amb, tangent, normal, sigma = _valid_arrays()
-    {"tangent": tangent, "normal": normal, "sigma": sigma}[which][3].flat[1] = np.nan
-    with pytest.raises(NumericalDomainError, match="non-finite.*sample 3"):
-        _build(amb, tangent, normal, sigma)
+    if axis_aligned:  # a frame of zeros and ones: an infinity meets inf * 0
+        tangent[:], normal[:] = np.eye(5)[:, :3], np.eye(5)[:, 3:]
+    {"tangent": tangent, "normal": normal, "sigma": sigma}[which][3].flat[1] = value
+    what = "sigma" if which == "sigma" else "tangent or normal frame"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the validation itself warns about nothing
+        with pytest.raises(NumericalDomainError, match=f"^{what} has non-finite entries in sample 3$"):
+            _build(amb, tangent, normal, sigma)
+        with pytest.raises(NumericalDomainError, match=f"^{what} has non-finite entries$"):
+            PointwiseImmersionData(1, 2, tangent[3], normal[3], sigma[3], amb.oracle)
 
 
 def test_replace_validates_again():

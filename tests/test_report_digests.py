@@ -1,0 +1,24 @@
+"""tools/report_digests.py on the example scenes: one line per scene, the
+same on every run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENES = sorted(p.name for p in (ROOT / "scenes").glob("*.json"))
+
+
+def _digests() -> list[str]:
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_digests.py"), "--seeds"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return out.stdout.splitlines()
+
+
+def test_example_scene_digests_are_deterministic():
+    first = _digests()
+    assert [line.split("  ", 1)[1] for line in first] == [f"scenes/{name}" for name in SCENES]
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+    assert _digests() == first

@@ -11,7 +11,7 @@ import pytest
 from warpcheck.cli import main as cli_main
 from warpcheck.errors import InvalidInputError, SceneValidationError
 from warpcheck.numeric import Tolerance
-from warpcheck.scenes import RunReport, emit, parse_scene, run
+from warpcheck.scenes import RunReport, SceneSpec, emit, parse_scene, run
 
 SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -214,6 +214,16 @@ def test_pointwise_checks_need_pointwise_data(tmp_path, capsys):
     }
     err = _rejected(tmp_path, capsys, scene)
     assert "['decompose', 'equality_case', 'gauss_residual', 'general_inequality']" in err
+
+
+def test_run_validates_a_spec_that_was_not_parsed():
+    spec = SceneSpec(
+        ambient={"kind": "euclidean", "m": 4},
+        source={"kind": "warped-chart", "key": "sphere"},
+        checks=[{"name": "general_inequality"}],
+    )
+    with pytest.raises(SceneValidationError, match=r"\['general_inequality'\] need"):
+        run(spec)
 
 
 def test_bad_source_parameters_exit_2(tmp_path, capsys):
