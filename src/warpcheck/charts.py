@@ -10,11 +10,11 @@ Conventions used throughout the package:
 Stack contract: the geometry callables (ChartMetric.g and dg, the ``map`` of
 a chart immersion, the parts of a warping function) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
-stack-of-none case.  ``christoffel`` and ``riemann`` accept stacks too, and
-each evaluates its whole nested stencil in one call of ``g``: ``riemann``
-runs ``christoffel`` once on the (..., 2n+1, n) stencil of its points, which
-evaluates ``g`` once on the (..., 2n+1, 2n+1, n) stencil of those.  Every
-metric a stencil evaluates is validated.
+stack-of-none case.  The functions below accept stacks too, and a point's
+numbers do not depend on its stack.  ``riemann`` runs ``christoffel`` once on
+the (..., 2n+1, n) stencil of its points, which evaluates ``g`` once on the
+(..., 2n+1, 2n+1, n) stencil of those.  Every metric a stencil evaluates is
+validated.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import numpy as np
 from .errors import DegenerateMetricError, DegeneratePlaneError
 from .numeric import (
     DEFAULT_TOLERANCE,
-    as_matrix,
+    _first_point,
     as_points,
     as_vector,
     axis_stencil,
+    bilinear,
     central_differences,
     cross_stencil,
     gram_schmidt,
@@ -84,16 +85,18 @@ class ChartMetric:
 
 @dataclass
 class CurvaturePoint:
-    """Christoffel symbols and the (0,4) curvature tensor at a point or stack.
+    """Christoffel symbols, the (0,4) curvature tensor and the metric at a
+    point or stack x (..., n).
 
-    gamma[..., k, i, j] is the symbol with upper index k;
-    riemann04[..., i, j, k, l] is R(d_i, d_j, d_k, d_l) in the convention of
-    this module.
+    gamma[..., k, i, j] is the symbol with upper index k; riemann04[..., i,
+    j, k, l] is R(d_i, d_j, d_k, d_l) in the convention of this module; g is
+    the validated metric at x.
     """
 
     x: np.ndarray
     gamma: np.ndarray
     riemann04: np.ndarray
+    g: np.ndarray
 
 
 def euclidean_metric(dim: int) -> ChartMetric:
@@ -168,12 +171,9 @@ def riemann(
     # R^l_{ijk}; quad[l,i,j,k] = Gamma^m_jk Gamma^l_im
     quad = np.einsum("...mjk,...lim->...lijk", gamma, gamma)
     r_up = _last4(dgamma, 1, 0, 2, 3) - _last4(dgamma, 1, 2, 0, 3) + quad - _last4(quad, 0, 2, 1, 3)
-    r04 = np.einsum("...lm,...mijk->...ijkl", gs[..., 0, :, :], r_up)
-    return CurvaturePoint(x=x, gamma=gamma, riemann04=r04)
-
-
-def _apply_r04(r04: np.ndarray, X, Y, Z, W) -> float:
-    return float(np.einsum("ijkl,i,j,k,l->", r04, X, Y, Z, W))
+    gx = gs[..., 0, :, :]
+    r04 = np.einsum("...lm,...mijk->...ijkl", gx, r_up)
+    return CurvaturePoint(x=x, gamma=gamma, riemann04=r04, g=gx)
 
 
 def sectional_curvature(
@@ -183,25 +183,26 @@ def sectional_curvature(
     X: np.ndarray,
     Y: np.ndarray,
     tol: float = DEFAULT_TOLERANCE.algebraic,
-) -> float:
-    """K(X ^ Y) = R(X,Y,Y,X) / (|X|^2 |Y|^2 - <X,Y>^2) at x."""
+) -> float | np.ndarray:
+    """K(X ^ Y) = R(X,Y,Y,X) / (|X|^2 |Y|^2 - <X,Y>^2) at the points x (..., n)
+    of cp, one plane X, Y (..., n) per point (extra leading axes: several
+    planes per point).  DegeneratePlaneError names the first point where X
+    and Y do not span a 2-plane."""
+    n = metric.dim
+    x = as_points(x, n)
     gx = metric.at(x)
-    X = as_vector(X, metric.dim)
-    Y = as_vector(Y, metric.dim)
-    xx = float(X @ gx @ X)
-    yy = float(Y @ gx @ Y)
-    xy = float(X @ gx @ Y)
-    denom = xx * yy - xy * xy
-    if denom < tol:
-        raise DegeneratePlaneError("X and Y do not span a 2-plane")
-    return _apply_r04(cp.riemann04, X, Y, Y, X) / denom
+    X, Y = as_points(X, n), as_points(Y, n)
+    xy = bilinear(gx, X, Y)
+    denom = bilinear(gx, X, X) * bilinear(gx, Y, Y) - xy * xy
+    flat = denom < tol
+    if np.any(flat):
+        at = _first_point(np.broadcast_to(x, flat.shape + (n,)), flat)
+        raise DegeneratePlaneError(f"X and Y do not span a 2-plane at {at}")
+    return (np.einsum("...ijkl,...i,...j,...k,...l->...", cp.riemann04, X, Y, Y, X) / denom)[()]
 
 
 def plane_scalar_curvature(
-    cp: CurvaturePoint,
-    metric: ChartMetric,
-    x: np.ndarray,
-    basis: list[np.ndarray],
+    cp: CurvaturePoint, metric: ChartMetric, x: np.ndarray, basis: list[np.ndarray]
 ) -> float:
     """Sum of K(e_i ^ e_j) over i < j of the orthonormalized basis.
 
@@ -209,14 +210,11 @@ def plane_scalar_curvature(
     """
     gx = metric.at(x)
     try:
-        frame = gram_schmidt(basis, inner=lambda u, v: float(u @ gx @ v))
+        frame = np.array(gram_schmidt(basis, inner=lambda u, v: float(u @ gx @ v)))
     except Exception as exc:  # degenerate span
         raise DegeneratePlaneError(str(exc)) from exc
-    total = 0.0
-    for i in range(len(frame)):
-        for j in range(i + 1, len(frame)):
-            total += _apply_r04(cp.riemann04, frame[i], frame[j], frame[j], frame[i])
-    return total
+    i, j = np.triu_indices(len(frame), 1)
+    return float(np.sum(sectional_curvature(cp, metric, x, frame[i], frame[j])))
 
 
 def laplacian(
@@ -226,19 +224,19 @@ def laplacian(
     h: float = DEFAULT_TOLERANCE.finite_difference,
     grad: Callable[[np.ndarray], np.ndarray] | None = None,
     hess: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Geometers' Laplacian: Delta f = -g^ij (d_i d_j f - Gamma^k_ij d_k f).
 
     Equals sum_j {(nabla_{e_j} e_j) f - e_j(e_j f)} over any orthonormal
-    frame; analytic gradient/Hessian callbacks are used when given.
+    frame; analytic gradient/Hessian callbacks (taking the stack) are used
+    when given, else f, taking one point, on each point of the cross stencil.
     """
-    x = as_vector(x, metric.dim)
     n = metric.dim
+    x = as_points(x, n)
     gamma, gx = _christoffel(metric, x, h)
     if grad is None or hess is None:
         values, steps = pointwise_on_stencil(f, x, h, cross_stencil)
-    df = as_vector(grad(x), n) if grad is not None else central_differences(values, steps)
-    d2f = as_matrix(hess(x), n, n) if hess is not None else second_differences(values, steps)
-    g_inv = np.linalg.inv(gx)
-    hess_cov = d2f - np.einsum("kij,k->ij", gamma, df)
-    return -float(np.einsum("ij,ij->", g_inv, hess_cov))
+    df = central_differences(values, steps) if grad is None else stack_values(grad(x), x, (n,), "gradient")
+    d2f = second_differences(values, steps) if hess is None else stack_values(hess(x), x, (n, n), "Hessian")
+    hess_cov = d2f - np.einsum("...kij,...k->...ij", gamma, df)
+    return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), hess_cov)[()]

@@ -144,9 +144,11 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _triu_sum(tables: np.ndarray) -> np.ndarray:
-    """Sum over i < j of each (n, n) table of a stack (N, n, n)."""
-    iu = _triu(tables.shape[-1])
-    return tables[:, iu[0], iu[1]].sum(axis=1)
+    """Sum over i < j of each (n, n) table of a stack (N, n, n); np.take keeps
+    the rows C-ordered, summed as in a stack of one (tables[:, i, j] is not)."""
+    n = tables.shape[-1]
+    index = np.ravel_multi_index(_triu(n), (n, n))
+    return np.add.reduce(np.take(tables.reshape(len(tables), n * n), index, axis=1), 1)
 
 
 @functools.cache

@@ -25,6 +25,7 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "as_points",
+    "bilinear",
     "stack_values",
     "require_positive_definite",
     "gram_schmidt",
@@ -97,6 +98,12 @@ def as_points(x, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericalDomainError("point has non-finite entries")
     return arr
+
+
+def bilinear(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^T m v for stacks m (..., k, k), u, v (..., k), broadcast; each value
+    is the one that `u @ m @ v` gives for its point alone."""
+    return (u[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
 
 
 def _first_point(points: np.ndarray, mask: np.ndarray) -> str:
@@ -298,10 +305,11 @@ def second_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 def pointwise_on_stencil(f: Callable[[np.ndarray], float | np.ndarray], x, h: float, stencil):
     """An f that takes one point, evaluated point by point on `stencil`
-    (axis_stencil or cross_stencil) of the vector x: (values, steps), the
-    values checked for finiteness."""
-    pts, steps = stencil(as_vector(x), h)
-    values = np.asarray([f(p) for p in pts], dtype=float)
+    (axis_stencil or cross_stencil) of the validated point or stack x:
+    (values, steps), the values checked for finiteness."""
+    pts, steps = stencil(x, h)
+    values = np.asarray([f(p) for p in pts.reshape(-1, x.shape[-1])], dtype=float)
+    values = values.reshape(pts.shape[:-1] + values.shape[1:])
     if not np.isfinite(values).all():
         raise NumericalDomainError("function evaluation returned a non-finite value")
     return values, steps
@@ -320,7 +328,8 @@ def central_diff(
     """Second-order central difference of f along coordinate i at x, for an f
     taking one point; f may return a scalar or an array (differenced
     entrywise)."""
-    return _scalar_or_array(central_differences(*pointwise_on_stencil(f, x, h, axis_stencil))[i])
+    values, steps = pointwise_on_stencil(f, as_vector(x), h, axis_stencil)
+    return _scalar_or_array(central_differences(values, steps)[i])
 
 
 def second_diff(
@@ -342,4 +351,5 @@ def cross_diff(
 ) -> float | np.ndarray:
     """Mixed second derivative along (i, j) at x (the 3-point stencil when
     i == j), for an f taking one point; f may return a scalar or an array."""
-    return _scalar_or_array(second_differences(*pointwise_on_stencil(f, x, h, cross_stencil))[i, j])
+    values, steps = pointwise_on_stencil(f, as_vector(x), h, cross_stencil)
+    return _scalar_or_array(second_differences(values, steps)[i, j])

@@ -57,7 +57,7 @@ from .inequality import (
     non_sasakian_inequality_stack,
     obstruction_check,
 )
-from .numeric import Tolerance, as_vector
+from .numeric import Tolerance, as_vector, bilinear
 from .warped import (
     WarpedProductChart,
     WarpFunction,
@@ -77,7 +77,7 @@ from .warped import (
     round_sphere_factor,
     sum_fn,
 )
-from .charts import riemann, sectional_curvature
+from .charts import ChartMetric, CurvaturePoint, riemann, sectional_curvature
 
 __all__ = [
     "SceneSpec",
@@ -426,6 +426,15 @@ class _Context:
             return src.fixed
         return second_fundamental_form(src.immersion, src.point, h=self.tol.finite_difference)
 
+    @cached_property
+    def warped_curvature(self) -> tuple[ChartMetric, np.ndarray, CurvaturePoint]:
+        """The warped chart's block metric, its sample points as one stack and
+        the one riemann there that every warped check of the run shares."""
+        wp = self.source.warped
+        metric = build_metric(wp)
+        points = np.stack(wp.sample_points)
+        return metric, points, riemann(metric, points)
+
     def stack(self, generator: str | None = None, count: int | None = None) -> PointwiseStack:
         """The samples of one sampled check: the fixed sample as a stack of
         one, or `count` (default `samples`) fresh draws of `generator` (by
@@ -453,48 +462,42 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-# The folds below use np.maximum / np.minimum / np.ptp, which keep a NaN
+# The folds below use np.max / np.ptp, which keep a NaN
 # residual where Python's max and min would drop it.
+
+
+def _leaf_fibre_draws(ctx: _Context, wp: WarpedProductChart) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf X and fibre Y per sample point, drawn in one (points, n1 + n2) block."""
+    draws = ctx.rng.normal(size=(len(wp.sample_points), wp.dim))
+    leaf = np.arange(wp.dim) < wp.n1
+    return np.where(leaf, draws, 0.0), np.where(leaf, 0.0, draws)
 
 
 def _check_connection_identity(ctx: _Context, opts: dict) -> dict:
     wp = ctx.source.warped
-    worst = 0.0
-    for p in wp.sample_points:
-        X = np.zeros(wp.dim)
-        X[: wp.n1] = ctx.rng.normal(size=wp.n1)
-        Y = np.zeros(wp.dim)
-        Y[wp.n1 :] = ctx.rng.normal(size=wp.n2)
-        worst = np.maximum(worst, check_connection_identity(wp, p, X, Y))
+    _, points, cp = ctx.warped_curvature
+    X, Y = _leaf_fibre_draws(ctx, wp)
+    worst = np.max(check_connection_identity(wp, points, X, Y, cp=cp))
     return {"pass": bool(worst < 1e-5), "max_residual": float(worst)}
 
 
 def _check_mixed_sectional(ctx: _Context, opts: dict) -> dict:
     wp = ctx.source.warped
-    metric = build_metric(wp)
-    worst = 0.0
-    for p in wp.sample_points:
-        gx = metric.at(p)
-        X = np.zeros(wp.dim)
-        X[: wp.n1] = ctx.rng.normal(size=wp.n1)
-        X /= np.sqrt(X @ gx @ X)
-        Z = np.zeros(wp.dim)
-        Z[wp.n1 :] = ctx.rng.normal(size=wp.n2)
-        Z /= np.sqrt(Z @ gx @ Z)
-        direct = mixed_sectional(wp, p, X, Z)
-        cp = riemann(metric, p)
-        via_riemann = sectional_curvature(cp, metric, p, X, Z)
-        worst = np.maximum(worst, abs(direct - via_riemann))
+    metric, points, cp = ctx.warped_curvature
+    X, Z = _leaf_fibre_draws(ctx, wp)
+    X /= np.sqrt(bilinear(cp.g, X, X))[:, None]
+    Z /= np.sqrt(bilinear(cp.g, Z, Z))[:, None]
+    direct = mixed_sectional(wp, points, X, Z, cp=cp)
+    via_riemann = sectional_curvature(cp, metric, points, X, Z)
+    worst = np.max(np.abs(direct - via_riemann))
     return {"pass": bool(worst < 1e-3), "max_residual": float(worst)}
 
 
 def _check_laplacian_ratio(ctx: _Context, opts: dict) -> dict:
-    worst = 0.0
-    payload = []
-    for p in ctx.source.warped.sample_points:
-        rep = check_laplacian_ratio(ctx.source.warped, p)
-        worst = np.maximum(worst, rep["max_deviation"])
-        payload.append(rep)
+    _, points, cp = ctx.warped_curvature
+    rep = check_laplacian_ratio(ctx.source.warped, points, cp=cp)
+    worst = np.max(rep["max_deviation"])
+    payload = [{key: value[i] for key, value in rep.items()} for i in range(len(points))]
     return {"pass": bool(worst < 1e-3), "max_deviation": float(worst), "points": payload}
 
 

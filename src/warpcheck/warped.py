@@ -9,7 +9,9 @@ finite-difference level deep.
 Every catalog callable (factor metrics, warping functions, the block metric)
 follows the stack contract of ``charts``: it takes a point or a stack of
 points (..., n), broadcasts over the leading axes and keeps the input's float
-or complex dtype.
+or complex dtype.  So do the three checks, validating every row; each takes
+an optional ``CurvaturePoint`` computed by ``riemann`` at exactly its points,
+so that the checks of one chart share one stacked curvature evaluation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .charts import (
     ChartMetric,
+    CurvaturePoint,
     christoffel,
     euclidean_metric,
     laplacian,
@@ -28,7 +31,7 @@ from .charts import (
     sectional_curvature,
 )
 from .errors import InvalidInputError, InvalidWarpingError
-from .numeric import DEFAULT_TOLERANCE, as_vector, gram_schmidt
+from .numeric import DEFAULT_TOLERANCE, _first_point, as_points, as_vector, bilinear
 
 __all__ = [
     "WarpFunction",
@@ -202,105 +205,116 @@ def build_metric(wp: WarpedProductChart) -> ChartMetric:
 
 
 def _check_blocks(wp: WarpedProductChart, X: np.ndarray, Y: np.ndarray):
-    X = as_vector(X, wp.dim)
-    Y = as_vector(Y, wp.dim)
-    if np.any(X[wp.n1 :] != 0.0):
-        raise InvalidInputError("X must be tangent to the first factor")
-    if np.any(Y[: wp.n1] != 0.0):
-        raise InvalidInputError("Y must be tangent to the second factor")
+    """X (..., n) in the leaf and Y in the fibre; an error names the first bad row."""
+    X, Y = as_points(X, wp.dim), as_points(Y, wp.dim)
+    off_leaf = np.any(X[..., wp.n1 :] != 0.0, axis=-1)
+    if np.any(off_leaf):
+        raise InvalidInputError(f"X must be tangent to the first factor: {_first_point(X, off_leaf)}")
+    off_fibre = np.any(Y[..., : wp.n1] != 0.0, axis=-1)
+    if np.any(off_fibre):
+        raise InvalidInputError(f"Y must be tangent to the second factor: {_first_point(Y, off_fibre)}")
     return X, Y
 
 
+def _at(cp: CurvaturePoint, x: np.ndarray) -> CurvaturePoint:
+    """cp, which must have been computed at exactly the points x."""
+    if not np.array_equal(cp.x, x):
+        raise InvalidInputError("the curvature point was computed at other points")
+    return cp
+
+
 def check_connection_identity(
-    wp: WarpedProductChart, x: np.ndarray, X: np.ndarray, Y: np.ndarray
-) -> float:
-    """Residual of nabla_X Y = (Xf/f) Y for X in the leaf and Y in the fibre.
+    wp: WarpedProductChart, x: np.ndarray, X: np.ndarray, Y: np.ndarray,
+    cp: CurvaturePoint | None = None,
+) -> float | np.ndarray:
+    """Residual of nabla_X Y = (Xf/f) Y for X in the leaf and Y in the fibre,
+    at a point or a stack x (..., n) with one X and Y per point.
 
     Both sides are evaluated via the Christoffel symbols of the full block
-    metric with constant-coefficient extensions of X and Y; returns the metric
-    norm of the difference.
+    metric (those of cp when given) with constant-coefficient extensions of
+    X and Y; returns the metric norm of the difference.
     """
     X, Y = _check_blocks(wp, X, Y)
-    metric = build_metric(wp)
-    x = as_vector(x, wp.dim)
-    gamma = christoffel(metric, x)
-    nabla = np.einsum("kij,i,j->k", gamma, X, Y)
-    x1, _ = wp.split(x)
-    f = wp.warp_at(x)
-    xf = float(X[: wp.n1] @ wp.warp.grad(x1))
-    diff = nabla - (xf / f) * Y
-    gx = metric.at(x)
-    return float(np.sqrt(max(diff @ gx @ diff, 0.0)))
+    x = as_points(x, wp.dim)
+    if cp is None:
+        metric = build_metric(wp)
+        gx, gamma = metric.at(x), christoffel(metric, x)
+    else:
+        gx, gamma = _at(cp, x).g, cp.gamma
+    nabla = np.einsum("...kij,...i,...j->...k", gamma, X, Y)
+    xf = (X[..., None, : wp.n1] @ wp.warp.grad(wp.split(x)[0])[..., :, None])[..., 0, 0]
+    diff = nabla - (xf / wp.warp_at(x))[..., None] * Y
+    return np.sqrt(np.maximum(bilinear(gx, diff, diff), 0.0))[()]
 
 
 def mixed_sectional(
-    wp: WarpedProductChart,
-    x: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-    tol: float = 1e-8,
-) -> float:
-    """K(X ^ Z) for unit X in the leaf and unit Z in the fibre.
+    wp: WarpedProductChart, x: np.ndarray, X: np.ndarray, Z: np.ndarray, tol: float = 1e-8,
+    cp: CurvaturePoint | None = None,
+) -> float | np.ndarray:
+    """K(X ^ Z) for unit X in the leaf and unit Z in the fibre, at a point or
+    a stack x (..., n) with one X and Z per point.
 
     Evaluates (1/f) { (nabla_X X) f - X(Xf) } on the first factor, which is
-    -Hess_{g1} f (X,X) / f; independent of Z.
+    -Hess_{g1} f (X,X) / f; independent of Z.  The unit test reads the
+    metric of cp when given.
     """
     X, Z = _check_blocks(wp, X, Z)
-    metric = build_metric(wp)
-    x = as_vector(x, wp.dim)
-    gx = metric.at(x)
-    if abs(float(X @ gx @ X) - 1.0) > tol or abs(float(Z @ gx @ Z) - 1.0) > tol:
-        raise InvalidInputError("X and Z must be unit vectors in the warped metric")
+    x = as_points(x, wp.dim)
+    gx = build_metric(wp).at(x) if cp is None else _at(cp, x).g
+    off_unit = (np.abs(bilinear(gx, X, X) - 1.0) > tol) | (np.abs(bilinear(gx, Z, Z) - 1.0) > tol)
+    if np.any(off_unit):
+        at = _first_point(x, off_unit)
+        raise InvalidInputError(f"X and Z must be unit vectors in the warped metric at {at}")
     x1, _ = wp.split(x)
-    f = wp.warp_at(x)
-    x1v = X[: wp.n1]
+    x1v = X[..., : wp.n1]
     gamma1 = christoffel(wp.factor1, x1)
-    hess = wp.warp.hess(x1) - np.einsum("kij,k->ij", gamma1, wp.warp.grad(x1))
-    return -float(x1v @ hess @ x1v) / f
+    hess = wp.warp.hess(x1) - np.einsum("...kij,...k->...ij", gamma1, wp.warp.grad(x1))
+    return (-bilinear(hess, x1v, x1v) / wp.warp_at(x))[()]
 
 
-def _adapted_frame(wp: WarpedProductChart, metric: ChartMetric, x: np.ndarray):
-    """Orthonormal frame adapted to the block split (leaf vectors first)."""
-    gx = metric.at(x)
-    inner = lambda u, v: float(u @ gx @ v)
-    n, n1 = wp.dim, wp.n1
-    basis1 = [np.eye(n)[i] for i in range(n1)]
-    basis2 = [np.eye(n)[i] for i in range(n1, n)]
-    return gram_schmidt(basis1, inner), gram_schmidt(basis2, inner)
+def _adapted_frame(wp: WarpedProductChart, gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frames (n1, ..., n) and (n2, ..., n) adapted to the block
+    split for each metric of gx (..., n, n): modified Gram-Schmidt of each
+    block's coordinate basis.  gx is validated positive definite, so no pivot
+    vanishes."""
+    blocks = []
+    for block in (range(wp.n1), range(wp.n1, wp.dim)):
+        frame: list[np.ndarray] = []
+        for i in block:
+            w = np.zeros(gx.shape[:-1])
+            w[..., i] = 1.0
+            for u in frame:
+                w -= bilinear(gx, u, w)[..., None] * u
+            frame.append(w / np.sqrt(np.maximum(bilinear(gx, w, w), 0.0))[..., None])
+        blocks.append(np.stack(frame))
+    return blocks[0], blocks[1]
 
 
-def check_laplacian_ratio(wp: WarpedProductChart, x: np.ndarray) -> dict:
-    """Compare Delta f / f on the first factor with the mixed-curvature sums.
+def check_laplacian_ratio(
+    wp: WarpedProductChart, x: np.ndarray, cp: CurvaturePoint | None = None
+) -> dict:
+    """Compare Delta f / f on the first factor with the mixed-curvature sums,
+    at a point or a stack x (..., n); cp, when given, is the curvature there.
 
     For every fibre frame direction e_s the sum over leaf directions
     sum_j K(e_j ^ e_s) must reproduce Delta f / f (geometers' sign); reports
-    all per-s sums, the maximal deviation and the s-independence spread.
+    all per-s sums (..., n2), the maximal deviation and the s-independence
+    spread (...).
     """
     metric = build_metric(wp)
-    x = as_vector(x, wp.dim)
-    x1, _ = wp.split(x)
-    f = wp.warp_at(x)
-    lap = laplacian(
-        wp.factor1,
-        lambda p: wp.warp.value(p),
-        x1,
-        grad=wp.warp.grad,
-        hess=wp.warp.hess,
-    )
-    ratio = lap / f
-    frame1, frame2 = _adapted_frame(wp, metric, x)
-    cp = riemann(metric, x)
-    per_s = []
-    for e_s in frame2:
-        per_s.append(
-            sum(sectional_curvature(cp, metric, x, e_j, e_s) for e_j in frame1)
-        )
-    per_s_arr = np.array(per_s)
+    x = as_points(x, wp.dim)
+    cp = riemann(metric, x) if cp is None else _at(cp, x)
+    lap = laplacian(wp.factor1, wp.warp.value, wp.split(x)[0], grad=wp.warp.grad, hess=wp.warp.hess)
+    ratio = lap / wp.warp_at(x)
+    frame1, frame2 = _adapted_frame(wp, cp.g)
+    # K[j, s] = K(e_j ^ e_s), summed over j in order
+    K = sectional_curvature(cp, metric, x, frame1[:, None], frame2[None])
+    per_s = np.moveaxis(sum(K), 0, -1)
     return {
         "laplacian_ratio": ratio,
         "per_s_sums": per_s,
-        "max_deviation": float(np.max(np.abs(per_s_arr - ratio))),
-        "spread": float(np.max(per_s_arr) - np.min(per_s_arr)),
+        "max_deviation": np.max(np.abs(per_s - np.asarray(ratio)[..., None]), axis=-1)[()],
+        "spread": (np.max(per_s, axis=-1) - np.min(per_s, axis=-1))[()],
     }
 
 

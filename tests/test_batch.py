@@ -185,6 +185,22 @@ def test_stacked_kernels_match_the_one_sample_calls(kind, params):
                 assert spec.report(-1) == ref[-1]
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_decompose_stack_is_exact_between_a_stack_and_a_stack_of_one(n):
+    # the tau sums of n >= 5 (10 or more pairs) read C-ordered rows, so a
+    # sample's numbers do not depend on the stack it is in
+    rng = np.random.default_rng(60 + n)
+    for kind, params in AMBIENTS:
+        amb = make_ambient(kind, **params)
+        for n1 in range(1, n):
+            stack = random_stack(rng, amb, n1, n - n1, 16)
+            dec = decompose_stack(stack)
+            for i in range(len(stack)):
+                one = decompose_stack(stack.sample(i).stack())
+                for name in ("delta", "b", "lemma_slack", "ai_residual"):
+                    assert np.array_equal(getattr(dec, name)[i : i + 1], getattr(one, name)), (kind, n1, i, name)
+
+
 def test_report_rows_carry_each_sample_diagnostics():
     rng = np.random.default_rng(42)
     amb = make_ambient("non-sasakian-kmu", m=3, kappa=0.2, mu=0.8)

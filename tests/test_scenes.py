@@ -527,17 +527,20 @@ def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch, nan_row_generator
     ],
 )
 def test_nan_residual_fails_the_warped_checks(monkeypatch, check, target, key):
+    # each warped check evaluates every sample point in one stacked call; the
+    # NaN lands in the second point's residual only
     import warpcheck.scenes as scenes_mod
 
     original = getattr(scenes_mod, target)
-    if target == "check_laplacian_ratio":
+    stacks = []
 
-        def patched(*args):
-            rep = original(*args)
-            return {**rep, "max_deviation": float("nan")}
+    def patched(wp, x, *args, **kwargs):
+        out = original(wp, x, *args, **kwargs)
+        stacks.append(np.shape(x))
+        values = np.array(out["max_deviation"] if target == "check_laplacian_ratio" else out)
+        values[1] = np.nan
+        return {**out, "max_deviation": values} if target == "check_laplacian_ratio" else values
 
-    else:
-        patched = _nan_every_other_call(original)
     monkeypatch.setattr(scenes_mod, target, patched)
     spec = parse_scene(
         {
@@ -548,6 +551,7 @@ def test_nan_residual_fails_the_warped_checks(monkeypatch, check, target, key):
         }
     )
     (record,) = run(spec).records
+    assert stacks == [(3, 3)]  # one call on the three sample points of sphere(n2=2)
     assert record["pass"] is False
     assert np.isnan(record[key])
 
