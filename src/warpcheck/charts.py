@@ -178,43 +178,38 @@ def riemann(
 
 def sectional_curvature(
     cp: CurvaturePoint,
-    metric: ChartMetric,
-    x: np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
     tol: float = DEFAULT_TOLERANCE.algebraic,
 ) -> float | np.ndarray:
-    """K(X ^ Y) = R(X,Y,Y,X) / (|X|^2 |Y|^2 - <X,Y>^2) at the points x (..., n)
-    of cp, one plane X, Y (..., n) per point (extra leading axes: several
-    planes per point).  DegeneratePlaneError names the first point where X
-    and Y do not span a 2-plane."""
-    n = metric.dim
-    x = as_points(x, n)
-    gx = metric.at(x)
+    """K(X ^ Y) = R(X,Y,Y,X) / (|X|^2 |Y|^2 - <X,Y>^2) at the points of cp,
+    one plane X, Y (..., n) per point (extra leading axes: several planes per
+    point).  DegeneratePlaneError names the first point where X and Y do not
+    span a 2-plane."""
+    n = cp.x.shape[-1]
     X, Y = as_points(X, n), as_points(Y, n)
-    xy = bilinear(gx, X, Y)
-    denom = bilinear(gx, X, X) * bilinear(gx, Y, Y) - xy * xy
+    xy = bilinear(cp.g, X, Y)
+    denom = bilinear(cp.g, X, X) * bilinear(cp.g, Y, Y) - xy * xy
     flat = denom < tol
     if np.any(flat):
-        at = _first_point(np.broadcast_to(x, flat.shape + (n,)), flat)
+        at = _first_point(np.broadcast_to(cp.x, flat.shape + (n,)), flat)
         raise DegeneratePlaneError(f"X and Y do not span a 2-plane at {at}")
     return (np.einsum("...ijkl,...i,...j,...k,...l->...", cp.riemann04, X, Y, Y, X) / denom)[()]
 
 
-def plane_scalar_curvature(
-    cp: CurvaturePoint, metric: ChartMetric, x: np.ndarray, basis: list[np.ndarray]
-) -> float:
-    """Sum of K(e_i ^ e_j) over i < j of the orthonormalized basis.
+def plane_scalar_curvature(cp: CurvaturePoint, basis: list[np.ndarray]) -> float:
+    """Sum of K(e_i ^ e_j) = R(e_i, e_j, e_j, e_i) over i < j of the basis
+    orthonormalized at the point of cp, in pair order.
 
-    With the full coordinate basis this is the scalar curvature at x.
+    With the full coordinate basis this is the scalar curvature there.
     """
-    gx = metric.at(x)
     try:
-        frame = np.array(gram_schmidt(basis, inner=lambda u, v: float(u @ gx @ v)))
+        frame = np.array(gram_schmidt(basis, inner=lambda u, v: bilinear(cp.g, u, v)))
     except Exception as exc:  # degenerate span
         raise DegeneratePlaneError(str(exc)) from exc
     i, j = np.triu_indices(len(frame), 1)
-    return float(np.sum(sectional_curvature(cp, metric, x, frame[i], frame[j])))
+    terms = np.einsum("ijkl,pi,pj,pk,pl->p", cp.riemann04, frame[i], frame[j], frame[j], frame[i])
+    return float(sum(terms))
 
 
 def laplacian(

@@ -161,40 +161,52 @@ def qr_q(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(a[0])[0][None] if len(a) == 1 else np.linalg.qr(a)[0]
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # for one pair of vectors the value of np.dot, over stacks too
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def gram_schmidt(
     vectors: Sequence[np.ndarray],
-    inner: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    inner: Callable[[np.ndarray, np.ndarray], float | np.ndarray] | None = None,
     tol: float = DEFAULT_TOLERANCE.algebraic,
 ) -> list[np.ndarray]:
     """Orthonormalize `vectors` with modified Gram-Schmidt.
 
-    `inner` is a positive-definite bilinear form; Euclidean dot product when
-    omitted.  Prefix spans are preserved.  Raises InvalidInputError unless
-    the inputs are 1-d vectors of one length, NumericalDomainError on a
-    non-finite entry and DegenerateInputError when a pivot norm falls below
-    `tol` (dependent input).
+    The vectors are arrays of one shape (..., n): single vectors (n,), or
+    one vector per point of a stack, orthonormalized point by point with the
+    arithmetic of a single vector.  `inner` is a positive-definite bilinear
+    form broadcasting over the stack (e.g. ``bilinear`` against a stacked
+    metric); Euclidean dot product when omitted.  Prefix spans are
+    preserved.  Raises InvalidInputError unless the inputs are arrays of one
+    shape with n >= 1, NumericalDomainError on a non-finite entry and
+    DegenerateInputError, naming the vector and the first point, when a
+    pivot norm falls below `tol` (dependent input).
     """
     if len(vectors) == 0:
         return []
     try:
         stacked = np.array(vectors, dtype=float)
     except ValueError as exc:  # ragged input
-        raise InvalidInputError(f"expected 1-d vectors of one length: {exc}") from exc
-    if stacked.ndim != 2 or stacked.shape[1] < 1:
-        raise InvalidInputError(f"expected 1-d vectors, got stacked shape {stacked.shape}")
+        raise InvalidInputError(f"expected vectors of one shape: {exc}") from exc
+    if stacked.ndim < 2 or stacked.shape[-1] < 1:
+        raise InvalidInputError(f"expected vectors (..., n), got stacked shape {stacked.shape}")
     if not np.isfinite(stacked).all():
         raise NumericalDomainError("vector has non-finite entries")
-    dot = np.dot if inner is None else inner
+    dot = _dot if inner is None else inner
     out: list[np.ndarray] = []
-    for w in stacked:  # rows of a private copy, updated in place
+    for w in stacked:  # private copies, updated in place
         for u in out:
-            w -= dot(u, w) * u
-        norm = np.sqrt(max(dot(w, w), 0.0))
-        if norm < tol:
+            w -= np.expand_dims(dot(u, w), -1) * u
+        norm = np.sqrt(np.maximum(dot(w, w), 0.0))
+        small = norm < tol
+        if np.any(small):
+            idx = tuple(int(i) for i in np.argwhere(small)[0])
+            at = f" (stack index {idx})" if idx else ""
             raise DegenerateInputError(
-                f"rank-deficient input at vector {len(out)}: pivot norm {norm:.3e}"
+                f"rank-deficient input at vector {len(out)}{at}: pivot norm {norm[idx]:.3e}"
             )
-        out.append(w / norm)
+        out.append(w / np.expand_dims(norm, -1))
     return out
 
 

@@ -77,7 +77,7 @@ from .warped import (
     round_sphere_factor,
     sum_fn,
 )
-from .charts import ChartMetric, CurvaturePoint, riemann, sectional_curvature
+from .charts import CurvaturePoint, riemann, sectional_curvature
 
 __all__ = [
     "SceneSpec",
@@ -427,13 +427,11 @@ class _Context:
         return second_fundamental_form(src.immersion, src.point, h=self.tol.finite_difference)
 
     @cached_property
-    def warped_curvature(self) -> tuple[ChartMetric, np.ndarray, CurvaturePoint]:
-        """The warped chart's block metric, its sample points as one stack and
-        the one riemann there that every warped check of the run shares."""
+    def warped_curvature(self) -> CurvaturePoint:
+        """riemann of the warped chart's block metric at its sample points, as
+        one stack, shared by every warped check of the run."""
         wp = self.source.warped
-        metric = build_metric(wp)
-        points = np.stack(wp.sample_points)
-        return metric, points, riemann(metric, points)
+        return riemann(build_metric(wp), np.stack(wp.sample_points))
 
     def stack(self, generator: str | None = None, count: int | None = None) -> PointwiseStack:
         """The samples of one sampled check: the fixed sample as a stack of
@@ -475,29 +473,25 @@ def _leaf_fibre_draws(ctx: _Context, wp: WarpedProductChart) -> tuple[np.ndarray
 
 def _check_connection_identity(ctx: _Context, opts: dict) -> dict:
     wp = ctx.source.warped
-    _, points, cp = ctx.warped_curvature
     X, Y = _leaf_fibre_draws(ctx, wp)
-    worst = np.max(check_connection_identity(wp, points, X, Y, cp=cp))
+    worst = np.max(check_connection_identity(wp, ctx.warped_curvature, X, Y))
     return {"pass": bool(worst < 1e-5), "max_residual": float(worst)}
 
 
 def _check_mixed_sectional(ctx: _Context, opts: dict) -> dict:
-    wp = ctx.source.warped
-    metric, points, cp = ctx.warped_curvature
+    wp, cp = ctx.source.warped, ctx.warped_curvature
     X, Z = _leaf_fibre_draws(ctx, wp)
     X /= np.sqrt(bilinear(cp.g, X, X))[:, None]
     Z /= np.sqrt(bilinear(cp.g, Z, Z))[:, None]
-    direct = mixed_sectional(wp, points, X, Z, cp=cp)
-    via_riemann = sectional_curvature(cp, metric, points, X, Z)
-    worst = np.max(np.abs(direct - via_riemann))
+    worst = np.max(np.abs(mixed_sectional(wp, cp, X, Z) - sectional_curvature(cp, X, Z)))
     return {"pass": bool(worst < 1e-3), "max_residual": float(worst)}
 
 
 def _check_laplacian_ratio(ctx: _Context, opts: dict) -> dict:
-    _, points, cp = ctx.warped_curvature
-    rep = check_laplacian_ratio(ctx.source.warped, points, cp=cp)
+    cp = ctx.warped_curvature
+    rep = check_laplacian_ratio(ctx.source.warped, cp)
     worst = np.max(rep["max_deviation"])
-    payload = [{key: value[i] for key, value in rep.items()} for i in range(len(points))]
+    payload = [{key: value[i] for key, value in rep.items()} for i in range(len(cp.x))]
     return {"pass": bool(worst < 1e-3), "max_deviation": float(worst), "points": payload}
 
 

@@ -9,14 +9,16 @@ finite-difference level deep.
 Every catalog callable (factor metrics, warping functions, the block metric)
 follows the stack contract of ``charts``: it takes a point or a stack of
 points (..., n), broadcasts over the leading axes and keeps the input's float
-or complex dtype.  So do the three checks, validating every row; each takes
-an optional ``CurvaturePoint`` computed by ``riemann`` at exactly its points,
-so that the checks of one chart share one stacked curvature evaluation.
+or complex dtype.  The three checks take, in place of points, the
+``CurvaturePoint`` that ``riemann(build_metric(wp), x)`` gives at a point or
+stack x, read its points, metric and Christoffel symbols, and validate every
+row; the checks of one chart share one stacked curvature evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,11 +29,10 @@ from .charts import (
     christoffel,
     euclidean_metric,
     laplacian,
-    riemann,
     sectional_curvature,
 )
 from .errors import InvalidInputError, InvalidWarpingError
-from .numeric import DEFAULT_TOLERANCE, _first_point, as_points, as_vector, bilinear
+from .numeric import DEFAULT_TOLERANCE, _first_point, as_points, as_vector, bilinear, gram_schmidt
 
 __all__ = [
     "WarpFunction",
@@ -216,52 +217,36 @@ def _check_blocks(wp: WarpedProductChart, X: np.ndarray, Y: np.ndarray):
     return X, Y
 
 
-def _at(cp: CurvaturePoint, x: np.ndarray) -> CurvaturePoint:
-    """cp, which must have been computed at exactly the points x."""
-    if not np.array_equal(cp.x, x):
-        raise InvalidInputError("the curvature point was computed at other points")
-    return cp
-
-
 def check_connection_identity(
-    wp: WarpedProductChart, x: np.ndarray, X: np.ndarray, Y: np.ndarray,
-    cp: CurvaturePoint | None = None,
+    wp: WarpedProductChart, cp: CurvaturePoint, X: np.ndarray, Y: np.ndarray
 ) -> float | np.ndarray:
     """Residual of nabla_X Y = (Xf/f) Y for X in the leaf and Y in the fibre,
-    at a point or a stack x (..., n) with one X and Y per point.
+    at the points of cp = riemann(build_metric(wp), x), one X and Y per point.
 
-    Both sides are evaluated via the Christoffel symbols of the full block
-    metric (those of cp when given) with constant-coefficient extensions of
-    X and Y; returns the metric norm of the difference.
+    Both sides are evaluated via cp's Christoffel symbols of the full block
+    metric with constant-coefficient extensions of X and Y; returns the
+    metric norm of the difference.
     """
     X, Y = _check_blocks(wp, X, Y)
-    x = as_points(x, wp.dim)
-    if cp is None:
-        metric = build_metric(wp)
-        gx, gamma = metric.at(x), christoffel(metric, x)
-    else:
-        gx, gamma = _at(cp, x).g, cp.gamma
-    nabla = np.einsum("...kij,...i,...j->...k", gamma, X, Y)
+    x = as_points(cp.x, wp.dim)
+    nabla = np.einsum("...kij,...i,...j->...k", cp.gamma, X, Y)
     xf = (X[..., None, : wp.n1] @ wp.warp.grad(wp.split(x)[0])[..., :, None])[..., 0, 0]
     diff = nabla - (xf / wp.warp_at(x))[..., None] * Y
-    return np.sqrt(np.maximum(bilinear(gx, diff, diff), 0.0))[()]
+    return np.sqrt(np.maximum(bilinear(cp.g, diff, diff), 0.0))[()]
 
 
 def mixed_sectional(
-    wp: WarpedProductChart, x: np.ndarray, X: np.ndarray, Z: np.ndarray, tol: float = 1e-8,
-    cp: CurvaturePoint | None = None,
+    wp: WarpedProductChart, cp: CurvaturePoint, X: np.ndarray, Z: np.ndarray, tol: float = 1e-8
 ) -> float | np.ndarray:
-    """K(X ^ Z) for unit X in the leaf and unit Z in the fibre, at a point or
-    a stack x (..., n) with one X and Z per point.
+    """K(X ^ Z) for unit X in the leaf and unit Z in the fibre, at the points
+    of cp = riemann(build_metric(wp), x), one X and Z per point.
 
     Evaluates (1/f) { (nabla_X X) f - X(Xf) } on the first factor, which is
-    -Hess_{g1} f (X,X) / f; independent of Z.  The unit test reads the
-    metric of cp when given.
+    -Hess_{g1} f (X,X) / f; independent of Z.
     """
     X, Z = _check_blocks(wp, X, Z)
-    x = as_points(x, wp.dim)
-    gx = build_metric(wp).at(x) if cp is None else _at(cp, x).g
-    off_unit = (np.abs(bilinear(gx, X, X) - 1.0) > tol) | (np.abs(bilinear(gx, Z, Z) - 1.0) > tol)
+    x = as_points(cp.x, wp.dim)
+    off_unit = (np.abs(bilinear(cp.g, X, X) - 1.0) > tol) | (np.abs(bilinear(cp.g, Z, Z) - 1.0) > tol)
     if np.any(off_unit):
         at = _first_point(x, off_unit)
         raise InvalidInputError(f"X and Z must be unit vectors in the warped metric at {at}")
@@ -274,41 +259,28 @@ def mixed_sectional(
 
 def _adapted_frame(wp: WarpedProductChart, gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal frames (n1, ..., n) and (n2, ..., n) adapted to the block
-    split for each metric of gx (..., n, n): modified Gram-Schmidt of each
-    block's coordinate basis.  gx is validated positive definite, so no pivot
-    vanishes."""
-    blocks = []
-    for block in (range(wp.n1), range(wp.n1, wp.dim)):
-        frame: list[np.ndarray] = []
-        for i in block:
-            w = np.zeros(gx.shape[:-1])
-            w[..., i] = 1.0
-            for u in frame:
-                w -= bilinear(gx, u, w)[..., None] * u
-            frame.append(w / np.sqrt(np.maximum(bilinear(gx, w, w), 0.0))[..., None])
-        blocks.append(np.stack(frame))
-    return blocks[0], blocks[1]
+    split for each metric of gx (..., n, n): each block's coordinate basis,
+    orthonormalized point by point."""
+    inner = partial(bilinear, gx)
+    basis = [np.broadcast_to(e, gx.shape[:-1]) for e in np.eye(wp.dim)]
+    return np.stack(gram_schmidt(basis[: wp.n1], inner)), np.stack(gram_schmidt(basis[wp.n1 :], inner))
 
 
-def check_laplacian_ratio(
-    wp: WarpedProductChart, x: np.ndarray, cp: CurvaturePoint | None = None
-) -> dict:
+def check_laplacian_ratio(wp: WarpedProductChart, cp: CurvaturePoint) -> dict:
     """Compare Delta f / f on the first factor with the mixed-curvature sums,
-    at a point or a stack x (..., n); cp, when given, is the curvature there.
+    at the points of cp = riemann(build_metric(wp), x).
 
     For every fibre frame direction e_s the sum over leaf directions
     sum_j K(e_j ^ e_s) must reproduce Delta f / f (geometers' sign); reports
     all per-s sums (..., n2), the maximal deviation and the s-independence
     spread (...).
     """
-    metric = build_metric(wp)
-    x = as_points(x, wp.dim)
-    cp = riemann(metric, x) if cp is None else _at(cp, x)
+    x = as_points(cp.x, wp.dim)
     lap = laplacian(wp.factor1, wp.warp.value, wp.split(x)[0], grad=wp.warp.grad, hess=wp.warp.hess)
     ratio = lap / wp.warp_at(x)
     frame1, frame2 = _adapted_frame(wp, cp.g)
     # K[j, s] = K(e_j ^ e_s), summed over j in order
-    K = sectional_curvature(cp, metric, x, frame1[:, None], frame2[None])
+    K = sectional_curvature(cp, frame1[:, None], frame2[None])
     per_s = np.moveaxis(sum(K), 0, -1)
     return {
         "laplacian_ratio": ratio,

@@ -39,7 +39,7 @@ from warpcheck.inequality import (
     obstruction_check,
 )
 from warpcheck.charts import ChartMetric, euclidean_metric, riemann, sectional_curvature
-from warpcheck.warped import chart_catalog, check_laplacian_ratio, named_chart
+from warpcheck.warped import build_metric, chart_catalog, check_laplacian_ratio, named_chart
 
 KAPPA_GRID = [-1.0, 0.0, 0.5, 0.99]
 MU_GRID = [-2.0, 0.0, 1.0, 3.0]
@@ -292,13 +292,13 @@ def test_criterion_9_numeric_geometry_floor():
     for expected, metric in charts.items():
         x = np.array([0.9, 0.4])
         cp = riemann(metric, x)
-        K = sectional_curvature(cp, metric, x, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        K = sectional_curvature(cp, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert abs(K - expected) < 1e-4, (expected, K)
     worst = 0.0
     for key in chart_catalog():
         wp = named_chart(key)
         for p in wp.sample_points:
-            rep = check_laplacian_ratio(wp, p)
+            rep = check_laplacian_ratio(wp, riemann(build_metric(wp), p))
             worst = max(worst, rep["max_deviation"])
     assert worst < 1e-3, worst
     _report(9, f"constant curvature within 1e-4; catalog ratio deviation {worst:.2e}")

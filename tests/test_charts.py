@@ -64,7 +64,7 @@ def test_riemann_euclidean_zero():
 def test_constant_curvature_charts(metric, expected, t):
     x = np.array([t, 0.7])
     cp = riemann(metric, x)
-    K = sectional_curvature(cp, metric, x, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    K = sectional_curvature(cp, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert abs(K - expected) < 1e-4
 
 
@@ -73,8 +73,8 @@ def test_sectional_scaling_invariance():
     x = np.array([1.0, 0.5])
     cp = riemann(metric, x)
     X, Y = np.array([1.0, 0.2]), np.array([0.1, 1.0])
-    k1 = sectional_curvature(cp, metric, x, X, Y)
-    k2 = sectional_curvature(cp, metric, x, 3.0 * X, Y)
+    k1 = sectional_curvature(cp, X, Y)
+    k2 = sectional_curvature(cp, 3.0 * X, Y)
     assert abs(k1 - k2) < 1e-12
 
 
@@ -83,14 +83,14 @@ def test_sectional_degenerate_plane():
     x = np.zeros(2)
     cp = riemann(metric, x)
     with pytest.raises(DegeneratePlaneError):
-        sectional_curvature(cp, metric, x, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        sectional_curvature(cp, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
 
 
 def test_scalar_curvature_sphere_s2():
     metric = sphere_metric()
     x = np.array([0.9, 0.4])
     cp = riemann(metric, x)
-    tau = plane_scalar_curvature(cp, metric, x, [np.eye(2)[0], np.eye(2)[1]])
+    tau = plane_scalar_curvature(cp, [np.eye(2)[0], np.eye(2)[1]])
     assert abs(tau - 1.0) < 1e-4
 
 
@@ -103,7 +103,7 @@ def test_scalar_curvature_s3():
     )
     x = np.array([1.1, 0.9, 0.4])
     cp = riemann(s3, x)
-    tau = plane_scalar_curvature(cp, s3, x, [np.eye(3)[i] for i in range(3)])
+    tau = plane_scalar_curvature(cp, [np.eye(3)[i] for i in range(3)])
     assert abs(tau - 3.0) < 1e-3
 
 
@@ -111,7 +111,7 @@ def test_flat_two_plane_zero():
     metric = euclidean_metric(3)
     x = np.zeros(3)
     cp = riemann(metric, x)
-    tau = plane_scalar_curvature(cp, metric, x, [np.eye(3)[0], np.eye(3)[2]])
+    tau = plane_scalar_curvature(cp, [np.eye(3)[0], np.eye(3)[2]])
     assert abs(tau) < 1e-10
 
 
@@ -180,7 +180,7 @@ def test_scalar_curvature_matches_ricci_half_trace():
                 np.einsum("ijkl,i,j,k,l->", cp.riemann04, frame[i], frame[j], frame[j], frame[i])
             )
     tau_indep = 0.5 * ricci_trace
-    tau = plane_scalar_curvature(cp, metric, x, [np.eye(3)[i] for i in range(3)])
+    tau = plane_scalar_curvature(cp, [np.eye(3)[i] for i in range(3)])
     assert abs(tau - tau_indep) < 1e-4
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from warpcheck.errors import DegenerateInputError, InvalidInputError, NumericalDomainError
 from warpcheck.numeric import (
     Tolerance,
+    bilinear,
     central_diff,
     cross_diff,
     gram_schmidt,
@@ -92,7 +93,7 @@ def test_gram_schmidt_matches_per_vector_reference_exactly():
     "vectors,error",
     [
         ([np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])], InvalidInputError),
-        ([np.eye(2)], InvalidInputError),
+        ([np.eye(2), np.ones(2)], InvalidInputError),  # a stack and a single vector
         ([np.array(1.0)], InvalidInputError),
         ([np.zeros(0)], InvalidInputError),
         ([np.array([1.0, 0.0]), np.array([0.0, np.nan])], NumericalDomainError),
@@ -106,6 +107,27 @@ def test_gram_schmidt_rejects_bad_input(vectors, error):
 
 def test_gram_schmidt_empty_input():
     assert gram_schmidt([]) == []
+
+
+def test_gram_schmidt_on_a_stack_equals_the_pointwise_calls_exactly():
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        d, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        a = rng.normal(size=(k, d, d))
+        g = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
+        vecs = list(rng.normal(size=(d, k, int(rng.integers(1, d + 1)))).T)  # (k, d) each
+        stacked = gram_schmidt(vecs, lambda u, v: bilinear(g, u, v))
+        plain = gram_schmidt(vecs)
+        for i in range(k):
+            one = gram_schmidt([v[i] for v in vecs], lambda u, v: float(u @ g[i] @ v))
+            assert all(np.array_equal(s[i], o) for s, o in zip(stacked, one))
+            assert all(np.array_equal(s[i], o) for s, o in zip(plain, gram_schmidt([v[i] for v in vecs])))
+
+
+def test_gram_schmidt_names_the_point_of_a_dependent_stack():
+    vecs = [np.ones((3, 2)), np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0]])]
+    with pytest.raises(DegenerateInputError, match=r"vector 1 \(stack index \(2,\)\)"):
+        gram_schmidt(vecs)
 
 
 def test_sym_eigen_identity():

@@ -534,9 +534,9 @@ def test_nan_residual_fails_the_warped_checks(monkeypatch, check, target, key):
     original = getattr(scenes_mod, target)
     stacks = []
 
-    def patched(wp, x, *args, **kwargs):
-        out = original(wp, x, *args, **kwargs)
-        stacks.append(np.shape(x))
+    def patched(wp, cp, *args, **kwargs):
+        out = original(wp, cp, *args, **kwargs)
+        stacks.append(np.shape(cp.x))
         values = np.array(out["max_deviation"] if target == "check_laplacian_ratio" else out)
         values[1] = np.nan
         return {**out, "max_deviation": values} if target == "check_laplacian_ratio" else values

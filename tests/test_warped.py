@@ -27,6 +27,11 @@ from warpcheck.warped import (
 )
 
 
+def _curvature(wp, x):
+    """The CurvaturePoint the warped checks read, at a point or stack x."""
+    return riemann(build_metric(wp), x)
+
+
 def test_build_metric_product():
     wp = flat_product_chart(2, 2)
     g = build_metric(wp).at(np.array([0.1, 0.2, 0.3, 0.4]))
@@ -54,7 +59,7 @@ def test_warping_positive_enforced():
 def test_connection_identity_constant_warp():
     wp = flat_product_chart()
     res = check_connection_identity(
-        wp, np.array([0.3, 0.4]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        wp, _curvature(wp, np.array([0.3, 0.4])), np.array([1.0, 0.0]), np.array([0.0, 1.0])
     )
     assert res < 1e-6
 
@@ -62,7 +67,7 @@ def test_connection_identity_constant_warp():
 def test_connection_identity_sphere():
     wp = sphere_chart()
     res = check_connection_identity(
-        wp, np.array([0.3, 0.2]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        wp, _curvature(wp, np.array([0.3, 0.2])), np.array([1.0, 0.0]), np.array([0.0, 1.0])
     )
     assert res < 1e-6
 
@@ -70,7 +75,7 @@ def test_connection_identity_sphere():
 def test_connection_identity_exponential():
     wp = hyperbolic_chart()
     res = check_connection_identity(
-        wp, np.array([0.2, 0.3]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        wp, _curvature(wp, np.array([0.2, 0.3])), np.array([1.0, 0.0]), np.array([0.0, 1.0])
     )
     assert res < 1e-6
 
@@ -79,13 +84,14 @@ def test_connection_identity_rejects_mixed_blocks():
     wp = sphere_chart()
     with pytest.raises(InvalidInputError):
         check_connection_identity(
-            wp, np.array([0.3, 0.2]), np.array([1.0, 1.0]), np.array([0.0, 1.0])
+            wp, _curvature(wp, np.array([0.3, 0.2])), np.array([1.0, 1.0]), np.array([0.0, 1.0])
         )
 
 
 def test_mixed_sectional_constant_warp_zero():
     wp = flat_product_chart()
-    val = mixed_sectional(wp, np.array([0.1, 0.2]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    cp = _curvature(wp, np.array([0.1, 0.2]))
+    val = mixed_sectional(wp, cp, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert abs(val) < 1e-10
 
 
@@ -94,20 +100,21 @@ def test_mixed_sectional_sphere_is_one(t):
     wp = sphere_chart()
     x = np.array([t, 0.3])
     Z = np.array([0.0, 1.0 / np.cos(t)])
-    assert abs(mixed_sectional(wp, x, np.array([1.0, 0.0]), Z) - 1.0) < 1e-4
+    assert abs(mixed_sectional(wp, _curvature(wp, x), np.array([1.0, 0.0]), Z) - 1.0) < 1e-4
 
 
 def test_mixed_sectional_exponential_is_minus_one():
     wp = hyperbolic_chart()
     x = np.array([0.4, 0.1])
     Z = np.array([0.0, np.exp(-0.4)])
-    assert abs(mixed_sectional(wp, x, np.array([1.0, 0.0]), Z) + 1.0) < 1e-4
+    assert abs(mixed_sectional(wp, _curvature(wp, x), np.array([1.0, 0.0]), Z) + 1.0) < 1e-4
 
 
 def test_mixed_sectional_requires_unit_vectors():
     wp = sphere_chart()
+    cp = _curvature(wp, np.array([0.3, 0.2]))
     with pytest.raises(InvalidInputError):
-        mixed_sectional(wp, np.array([0.3, 0.2]), np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+        mixed_sectional(wp, cp, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def test_mixed_sectional_cross_validates_riemann():
@@ -120,20 +127,22 @@ def test_mixed_sectional_cross_validates_riemann():
             X[0] = 1.0 / np.sqrt(gx[0, 0])
             Z = np.zeros(wp.dim)
             Z[wp.n1] = 1.0 / np.sqrt(gx[wp.n1, wp.n1])
-            direct = mixed_sectional(wp, p, X, Z)
             cp = riemann(metric, p)
-            via = sectional_curvature(cp, metric, p, X, Z)
+            direct = mixed_sectional(wp, cp, X, Z)
+            via = sectional_curvature(cp, X, Z)
             assert abs(direct - via) < 1e-3
 
 
 def test_laplacian_ratio_sphere():
-    rep = check_laplacian_ratio(sphere_chart(), np.array([0.2, 0.5]))
+    wp = sphere_chart()
+    rep = check_laplacian_ratio(wp, _curvature(wp, np.array([0.2, 0.5])))
     assert abs(rep["laplacian_ratio"] - 1.0) < 1e-6
     assert rep["max_deviation"] < 1e-3
 
 
 def test_laplacian_ratio_constant_warp_zero():
-    rep = check_laplacian_ratio(flat_product_chart(), np.array([0.1, 0.4]))
+    wp = flat_product_chart()
+    rep = check_laplacian_ratio(wp, _curvature(wp, np.array([0.1, 0.4])))
     assert abs(rep["laplacian_ratio"]) < 1e-10
     assert rep["max_deviation"] < 1e-6
 
@@ -141,7 +150,7 @@ def test_laplacian_ratio_constant_warp_zero():
 def test_laplacian_ratio_exponential_plane():
     # R x_{e^t} R^2: ratio -1 against both fibre directions
     wp = hyperbolic_chart(n2=2)
-    rep = check_laplacian_ratio(wp, np.array([0.3, 0.1, 0.2]))
+    rep = check_laplacian_ratio(wp, _curvature(wp, np.array([0.3, 0.1, 0.2])))
     assert abs(rep["laplacian_ratio"] + 1.0) < 1e-6
     assert rep["max_deviation"] < 1e-3
     assert rep["spread"] < 1e-3
@@ -152,7 +161,7 @@ def test_laplacian_ratio_catalog():
     for key in chart_catalog():
         wp = named_chart(key)
         for p in wp.sample_points:
-            rep = check_laplacian_ratio(wp, p)
+            rep = check_laplacian_ratio(wp, _curvature(wp, p))
             assert rep["max_deviation"] < 1e-3, (key, p)
 
 
@@ -210,14 +219,15 @@ def test_catalog_identities_random_points():
             X[: wp.n1] = rng.normal(size=wp.n1)
             Y = np.zeros(wp.dim)
             Y[wp.n1 :] = rng.normal(size=wp.n2)
-            assert check_connection_identity(wp, p, X, Y) < 1e-5, key
+            cp = riemann(metric, p)
+            assert check_connection_identity(wp, cp, X, Y) < 1e-5, key
             gx = metric.at(p)
             Xu = X / np.sqrt(X @ gx @ X)
             Yu = Y / np.sqrt(Y @ gx @ Y)
-            direct = mixed_sectional(wp, p, Xu, Yu)
-            via = sectional_curvature(riemann(metric, p), metric, p, Xu, Yu)
+            direct = mixed_sectional(wp, cp, Xu, Yu)
+            via = sectional_curvature(cp, Xu, Yu)
             assert abs(direct - via) < 1e-3, key
-            assert check_laplacian_ratio(wp, p)["spread"] < 1e-3, key
+            assert check_laplacian_ratio(wp, cp)["spread"] < 1e-3, key
 
 
 def test_chen_special_case_sphere():
