@@ -9,14 +9,13 @@ mean curvature, together with its equality cases and nonexistence corollaries.
 
 __version__ = "0.1.0"
 
-from .numeric import Tolerance, gram_schmidt, sym_eigen, central_diff
+from .numeric import Tolerance, gram_schmidt
 from .charts import (
     ChartMetric,
     CurvaturePoint,
     christoffel,
     riemann,
     sectional_curvature,
-    plane_scalar_curvature,
     laplacian,
 )
 from .warped import (

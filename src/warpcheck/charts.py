@@ -8,7 +8,8 @@ Conventions used throughout the package:
   Euclidean line.
 
 Stack contract: the geometry callables (ChartMetric.g and dg, the ``map`` of
-a chart immersion, the parts of a warping function) take a stack of points
+a chart immersion, the parts of a warping function, the function whose
+``laplacian`` is taken) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
 stack-of-none case.  The functions below accept stacks too, and a point's
 numbers do not depend on its stack.  ``riemann`` runs ``christoffel`` once on
@@ -29,13 +30,10 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     _first_point,
     as_points,
-    as_vector,
     axis_stencil,
     bilinear,
     central_differences,
     cross_stencil,
-    gram_schmidt,
-    pointwise_on_stencil,
     require_positive_definite,
     second_differences,
     stack_values,
@@ -47,7 +45,6 @@ __all__ = [
     "christoffel",
     "riemann",
     "sectional_curvature",
-    "plane_scalar_curvature",
     "laplacian",
     "euclidean_metric",
 ]
@@ -78,9 +75,6 @@ class ChartMetric:
         x = as_points(x, self.dim)
         gx = stack_values(self.g(x), x, (self.dim, self.dim), "metric")
         return require_positive_definite(gx, x, 1e-12, 1e-8, DegenerateMetricError, "metric")
-
-    def inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return float(as_vector(u, self.dim) @ self.at(x) @ as_vector(v, self.dim))
 
 
 @dataclass
@@ -197,24 +191,9 @@ def sectional_curvature(
     return (np.einsum("...ijkl,...i,...j,...k,...l->...", cp.riemann04, X, Y, Y, X) / denom)[()]
 
 
-def plane_scalar_curvature(cp: CurvaturePoint, basis: list[np.ndarray]) -> float:
-    """Sum of K(e_i ^ e_j) = R(e_i, e_j, e_j, e_i) over i < j of the basis
-    orthonormalized at the point of cp, in pair order.
-
-    With the full coordinate basis this is the scalar curvature there.
-    """
-    try:
-        frame = np.array(gram_schmidt(basis, inner=lambda u, v: bilinear(cp.g, u, v)))
-    except Exception as exc:  # degenerate span
-        raise DegeneratePlaneError(str(exc)) from exc
-    i, j = np.triu_indices(len(frame), 1)
-    terms = np.einsum("ijkl,pi,pj,pk,pl->p", cp.riemann04, frame[i], frame[j], frame[j], frame[i])
-    return float(sum(terms))
-
-
 def laplacian(
     metric: ChartMetric,
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     h: float = DEFAULT_TOLERANCE.finite_difference,
     grad: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -223,14 +202,16 @@ def laplacian(
     """Geometers' Laplacian: Delta f = -g^ij (d_i d_j f - Gamma^k_ij d_k f).
 
     Equals sum_j {(nabla_{e_j} e_j) f - e_j(e_j f)} over any orthonormal
-    frame; analytic gradient/Hessian callbacks (taking the stack) are used
-    when given, else f, taking one point, on each point of the cross stencil.
+    frame.  f, grad and hess take the stack; the analytic gradient/Hessian
+    callbacks are used when given, else one f call on the cross stencil of
+    every point.
     """
     n = metric.dim
     x = as_points(x, n)
     gamma, gx = _christoffel(metric, x, h)
     if grad is None or hess is None:
-        values, steps = pointwise_on_stencil(f, x, h, cross_stencil)
+        pts, steps = cross_stencil(x, h)
+        values = stack_values(f(pts), pts, (), "function")
     df = central_differences(values, steps) if grad is None else stack_values(grad(x), x, (n,), "gradient")
     d2f = second_differences(values, steps) if hess is None else stack_values(hess(x), x, (n, n), "Hessian")
     hess_cov = d2f - np.einsum("...kij,...k->...ij", gamma, df)

@@ -4,11 +4,14 @@ A ContactFrame is algebraic data in an orthonormal basis (the metric is the
 identity): the structure tensor phi, Reeb vector xi, contact form eta, the
 symmetric operator h and the constants kappa, mu.  Each curvature model is one
 (0,4) array R[i,j,k,l], built once from products of I, phi, h and eta; a
-CurvatureOracle evaluates R(X,Y,Z,W) (`value`), the sectional-curvature table
-of a frame (`kij`), sectional curvatures and frame rotations (`rotated`) as
-contractions of that array.  Each model satisfies the standard tensor
-symmetries and the defining curvature-along-xi identity, which the test-suite
-pins down.
+CurvatureOracle holds that array (`tensor`) and evaluates R(X,Y,Z,W) for one
+quadruple (`value`), the sectional-curvature table of a frame or a stack of
+frames (`kij`) and the same curvature in another frame (`rotated`) as
+contractions of it.  The checks of this package work on the array itself:
+the symmetry identities, R(X,Y)xi and the phi-sectional curvature of a
+stack of vectors are each one contraction, with no call per tuple.  Each
+model satisfies the standard tensor symmetries and the defining
+curvature-along-xi identity, which the test-suite pins down.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     NumericalDomainError,
     SingularParameterError,
 )
-from .numeric import as_matrix, as_vector
+from .numeric import as_matrix, as_points, as_vector, bilinear
 
 __all__ = [
     "ContactFrame",
@@ -157,8 +160,8 @@ def _require_dim(m) -> None:
 class CurvatureOracle:
     """(0,4) ambient curvature model held as the array R[i,j,k,l] = R(e_i,e_j,e_k,e_l).
 
-    `value`, `kij`, `sectional` and `rotated` are contractions of the one
-    tensor; `kij` returns the matrix of R(v_a, v_b, v_b, v_a) over the columns
+    `value`, `kij` and `rotated` are contractions of the one tensor; `kij`
+    returns the matrix of R(v_a, v_b, v_b, v_a) over the columns
     of V, the sectional curvatures K(v_a ^ v_b) when V is orthonormal, and
     one such matrix per frame for a stack of frames V (N, d, n).
     Instances stay mutable so a caller can rebind `value` or `kij` on one
@@ -206,16 +209,9 @@ class CurvatureOracle:
         out.reshape(-1, n * n)[:, :: n + 1] = 0.0  # the diagonal of each table
         return out
 
-    def sectional(self, X: np.ndarray, Y: np.ndarray) -> float:
-        xx, yy, xy = float(X @ X), float(Y @ Y), float(X @ Y)
-        denom = xx * yy - xy * xy
-        if denom <= 1e-14:
-            raise InvalidInputError("degenerate plane for sectional curvature")
-        return self.value(X, Y, Y, X) / denom
-
     def rotated(self, F: np.ndarray) -> "CurvatureOracle":
         """The same curvature in the coordinates a of the vectors F[:, a]:
-        rotated(F).value(a, b, c, d) = value(F a, F b, F c, F d)."""
+        rotated(F).tensor[a, b, c, d] = R(F[:, a], F[:, b], F[:, c], F[:, d])."""
         R = self.tensor
         for _ in range(4):  # contract the leading slot with F, its new index goes last
             R = np.tensordot(R, F, (0, 0))
@@ -327,13 +323,16 @@ def check_km_condition(
 
 def phi_sectional(
     oracle: CurvatureOracle, frame: ContactFrame, X: np.ndarray, tol: float = 1e-8
-) -> float:
-    """K(X ^ phi X) for a unit X orthogonal to xi."""
-    X = as_vector(X, frame.dim)
-    if abs(float(X @ X) - 1.0) > tol or abs(float(frame.eta @ X)) > tol:
+) -> float | np.ndarray:
+    """K(X ^ phi X) = R(X, phi X, phi X, X) for a unit X orthogonal to xi, or
+    for each X of a stack (..., d), contracting the tensor one slot at a
+    time; an X gets the value it gets alone, whatever stack it is in."""
+    X = as_points(X, frame.dim)
+    if np.any(np.abs(np.sum(X * X, axis=-1) - 1.0) > tol) or np.any(np.abs(X @ frame.eta) > tol):
         raise InvalidInputError("X must be unit and orthogonal to xi")
-    pX = frame.phi @ X
-    return float(oracle.value(X, pX, pX, X))
+    pX = X @ frame.phi.T
+    RX = np.einsum("...i,ijkl->...jkl", X, oracle.tensor)  # R(X, ., ., .), per X alone
+    return bilinear((RX @ X[..., None, :, None])[..., 0], pX, pX)[()]
 
 
 @dataclass

@@ -627,9 +627,7 @@ def chart_inequality(
     wp = im.warped
     x1 = np.asarray(p, dtype=float)[: wp.n1]
     f = wp.warp.value(x1)
-    lap = laplacian(
-        wp.factor1, lambda q: wp.warp.value(q), x1, grad=wp.warp.grad, hess=wp.warp.hess
-    )
+    lap = laplacian(wp.factor1, wp.warp.value, x1, grad=wp.warp.grad, hess=wp.warp.hess)
     lhs_chart = lap / f
     proxy = general_inequality(data, equality_tol=equality_tol)
     agreement = abs(lhs_chart - proxy.lhs)

@@ -1,11 +1,10 @@
 """Dense numeric substrate: small vectors/matrices, orthonormalization,
-a validated symmetric eigensolver (np.linalg.eigh), validation of a
-callable's values on a stack of points (shape, finiteness, a Cholesky
-positive-definiteness test), and finite-difference stencils that lay out
-every point of a stencil (centre, axis shifts, cross corners) in one array,
-for one evaluation of a function that broadcasts over stacks; central_diff,
-second_diff and cross_diff evaluate a one-point function on the same
-stencils point by point.
+validation of a callable's values on a stack of points (shape, finiteness,
+a Cholesky positive-definiteness test), and finite-difference stencils that
+lay out every point of a stencil (centre, axis shifts, cross corners) in one
+array, for one evaluation of a function that broadcasts over stacks, with
+the difference rules that turn the values on a stencil into first and
+second derivatives.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -29,16 +28,11 @@ __all__ = [
     "stack_values",
     "require_positive_definite",
     "gram_schmidt",
-    "sym_eigen",
     "qr_q",
-    "central_diff",
-    "second_diff",
-    "cross_diff",
     "axis_stencil",
     "cross_stencil",
     "central_differences",
     "second_differences",
-    "pointwise_on_stencil",
 ]
 
 
@@ -210,20 +204,6 @@ def gram_schmidt(
     return out
 
 
-def sym_eigen(m: np.ndarray, tol: float = DEFAULT_TOLERANCE.algebraic):
-    """Eigendecomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Raises
-    InvalidInputError if `m` is not square or not symmetric within `tol`.
-    """
-    a = as_matrix(m)
-    if a.shape[1] != a.shape[0]:
-        raise InvalidInputError("matrix must be square")
-    if np.max(np.abs(a - a.T)) > tol:
-        raise InvalidInputError("matrix not symmetric within tolerance")
-    return np.linalg.eigh(0.5 * (a + a.T))
-
-
 def _step(x: np.ndarray, h: float) -> np.ndarray:
     """Step along each coordinate of a point or stack (..., n): h scaled by
     the coordinate magnitude (charts here are O(1))."""
@@ -313,55 +293,3 @@ def second_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     out[lead + (i, j)] = mixed
     out[lead + (j, i)] = mixed
     return out
-
-
-def pointwise_on_stencil(f: Callable[[np.ndarray], float | np.ndarray], x, h: float, stencil):
-    """An f that takes one point, evaluated point by point on `stencil`
-    (axis_stencil or cross_stencil) of the validated point or stack x:
-    (values, steps), the values checked for finiteness."""
-    pts, steps = stencil(x, h)
-    values = np.asarray([f(p) for p in pts.reshape(-1, x.shape[-1])], dtype=float)
-    values = values.reshape(pts.shape[:-1] + values.shape[1:])
-    if not np.isfinite(values).all():
-        raise NumericalDomainError("function evaluation returned a non-finite value")
-    return values, steps
-
-
-def _scalar_or_array(arr: np.ndarray) -> float | np.ndarray:
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def central_diff(
-    f: Callable[[np.ndarray], float | np.ndarray],
-    x: np.ndarray,
-    i: int,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> float | np.ndarray:
-    """Second-order central difference of f along coordinate i at x, for an f
-    taking one point; f may return a scalar or an array (differenced
-    entrywise)."""
-    values, steps = pointwise_on_stencil(f, as_vector(x), h, axis_stencil)
-    return _scalar_or_array(central_differences(values, steps)[i])
-
-
-def second_diff(
-    f: Callable[[np.ndarray], float | np.ndarray],
-    x: np.ndarray,
-    i: int,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> float | np.ndarray:
-    """3-point stencil for the pure second derivative along coordinate i."""
-    return cross_diff(f, x, i, i, h)
-
-
-def cross_diff(
-    f: Callable[[np.ndarray], float | np.ndarray],
-    x: np.ndarray,
-    i: int,
-    j: int,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> float | np.ndarray:
-    """Mixed second derivative along (i, j) at x (the 3-point stencil when
-    i == j), for an f taking one point; f may return a scalar or an array."""
-    values, steps = pointwise_on_stencil(f, as_vector(x), h, cross_stencil)
-    return _scalar_or_array(second_differences(values, steps)[i, j])

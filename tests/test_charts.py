@@ -8,11 +8,15 @@ from warpcheck.charts import (
     christoffel,
     euclidean_metric,
     laplacian,
-    plane_scalar_curvature,
     riemann,
     sectional_curvature,
 )
-from warpcheck.errors import DegenerateMetricError, DegeneratePlaneError
+from warpcheck.errors import (
+    DegenerateMetricError,
+    DegeneratePlaneError,
+    InvalidInputError,
+    NumericalDomainError,
+)
 from warpcheck.immersion import pullback_metric, sphere_in_euclidean
 from warpcheck.warped import round_sphere_factor
 
@@ -86,11 +90,18 @@ def test_sectional_degenerate_plane():
         sectional_curvature(cp, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
 
 
+def scalar_curvature(cp, frame):
+    """Sum of K(e_i ^ e_j) over the pairs i < j of an orthogonal frame
+    (k, n), one stacked sectional_curvature call at the point of cp."""
+    i, j = np.triu_indices(len(frame), 1)
+    return float(np.sum(sectional_curvature(cp, frame[i], frame[j])))
+
+
 def test_scalar_curvature_sphere_s2():
     metric = sphere_metric()
     x = np.array([0.9, 0.4])
     cp = riemann(metric, x)
-    tau = plane_scalar_curvature(cp, [np.eye(2)[0], np.eye(2)[1]])
+    tau = scalar_curvature(cp, np.eye(2))
     assert abs(tau - 1.0) < 1e-4
 
 
@@ -103,7 +114,7 @@ def test_scalar_curvature_s3():
     )
     x = np.array([1.1, 0.9, 0.4])
     cp = riemann(s3, x)
-    tau = plane_scalar_curvature(cp, [np.eye(3)[i] for i in range(3)])
+    tau = scalar_curvature(cp, np.eye(3))  # the coordinate frame of a diagonal metric
     assert abs(tau - 3.0) < 1e-3
 
 
@@ -111,7 +122,7 @@ def test_flat_two_plane_zero():
     metric = euclidean_metric(3)
     x = np.zeros(3)
     cp = riemann(metric, x)
-    tau = plane_scalar_curvature(cp, [np.eye(3)[0], np.eye(3)[2]])
+    tau = scalar_curvature(cp, np.eye(3)[[0, 2]])
     assert abs(tau) < 1e-10
 
 
@@ -180,7 +191,7 @@ def test_scalar_curvature_matches_ricci_half_trace():
                 np.einsum("ijkl,i,j,k,l->", cp.riemann04, frame[i], frame[j], frame[j], frame[i])
             )
     tau_indep = 0.5 * ricci_trace
-    tau = plane_scalar_curvature(cp, [np.eye(3)[i] for i in range(3)])
+    tau = scalar_curvature(cp, np.array(frame))
     assert abs(tau - tau_indep) < 1e-4
 
 
@@ -192,10 +203,10 @@ def test_degenerate_metric_rejected():
 
 def test_laplacian_sign_convention():
     line = euclidean_metric(1)
-    assert abs(laplacian(line, lambda x: 5.0, np.array([0.3]))) < 1e-9
-    assert abs(laplacian(line, lambda x: float(x[0] ** 2), np.array([0.3])) + 2.0) < 1e-5
+    assert abs(laplacian(line, lambda x: np.full(x.shape[:-1], 5.0), np.array([0.3]))) < 1e-9
+    assert abs(laplacian(line, lambda x: x[..., 0] ** 2, np.array([0.3])) + 2.0) < 1e-5
     # Delta cos = +cos at 0, so Delta f / f = 1
-    assert abs(laplacian(line, lambda x: float(np.cos(x[0])), np.array([0.0])) - 1.0) < 1e-6
+    assert abs(laplacian(line, lambda x: np.cos(x[..., 0]), np.array([0.0])) - 1.0) < 1e-6
 
 
 def test_laplacian_on_curved_chart():
@@ -204,7 +215,7 @@ def test_laplacian_on_curved_chart():
     s2 = round_sphere_factor(2)
     for t in (0.4, 1.0, 2.2):
         x = np.array([t, 0.7])
-        val = laplacian(s2, lambda p: float(np.cos(p[0])), x)
+        val = laplacian(s2, lambda p: np.cos(p[..., 0]), x)
         assert abs(val - 2.0 * np.cos(t)) < 1e-5
 
 
@@ -212,12 +223,32 @@ def test_laplacian_analytic_callbacks():
     line = euclidean_metric(1)
     val = laplacian(
         line,
-        lambda x: float(np.cos(x[0])),
+        lambda x: np.cos(x[..., 0]),
         np.array([0.2]),
         grad=lambda x: np.array([-np.sin(x[0])]),
         hess=lambda x: np.array([[-np.cos(x[0])]]),
     )
     assert abs(val - np.cos(0.2)) < 1e-12
+
+
+def test_laplacian_evaluates_f_once_on_the_cross_stencil():
+    # f follows the stack contract: one call on the (..., 1 + 2n^2, n) stencil
+    # of every point, its values validated by stack_values
+    s2 = round_sphere_factor(2)
+    x = np.array([[0.4, 0.7], [1.0, 0.7], [2.2, -0.3]])
+    calls = []
+
+    def f(p):
+        calls.append(p.shape)
+        return np.cos(p[..., 0])
+
+    val = laplacian(s2, f, x)
+    assert calls == [(3, 9, 2)]
+    assert np.max(np.abs(val - 2.0 * np.cos(x[:, 0]))) < 1e-5
+    with pytest.raises(InvalidInputError, match="function returned shape"):
+        laplacian(s2, lambda p: 5.0, x)
+    with pytest.raises(NumericalDomainError, match=r"stack index \(1, 0\)"):
+        laplacian(s2, lambda p: np.where(p[..., 0] == 1.0, np.nan, 1.0), x)
 
 
 def test_metric_derivatives_evaluate_metric_twice_per_coordinate():

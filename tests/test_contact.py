@@ -262,6 +262,25 @@ def test_phi_sectional_rejects_bad_input():
         phi_sectional(oracle, frame, frame.xi)
 
 
+def test_phi_sectional_of_a_stack_equals_the_one_vector_calls_exactly():
+    rng = np.random.default_rng(15)
+    frame = make_kmu_frame(3, 0.3, 1.3, c=-1.6)
+    for oracle in (curvature_non_sasakian(frame), curvature_kmu_space_form(frame)):
+        X = rng.normal(size=(2, 50, frame.dim))
+        X -= (X @ frame.eta)[..., None] * frame.xi
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        values = phi_sectional(oracle, frame, X)
+        assert values.shape == (2, 50)
+        for idx in np.ndindex(2, 50):
+            one = phi_sectional(oracle, frame, X[idx])
+            assert one == values[idx]
+            pX = frame.phi @ X[idx]
+            assert abs(one - oracle.value(X[idx], pX, pX, X[idx])) < 1e-12
+        assert np.max(np.abs(values + 1.6)) < 1e-12  # constant phi-sectional curvature c
+    with pytest.raises(InvalidInputError):
+        phi_sectional(oracle, frame, np.stack([X[0, 0], frame.xi]))
+
+
 def test_tangent_sphere_bundle_parameters():
     amb = make_ambient("tangent-sphere-bundle", m=3, c=0.5)
     assert abs(amb.params["kappa"] - 0.75) < 1e-15
@@ -288,4 +307,4 @@ def test_real_space_form_constant_curvature():
     rng = np.random.default_rng(11)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-        assert abs(oracle.sectional(q[:, 0], q[:, 1]) + 1.0) < 1e-12
+        assert abs(oracle.kij(q)[0, 1] + 1.0) < 1e-12

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck.charts import ChartMetric, riemann
-from warpcheck.contact import make_ambient
+from warpcheck.contact import CurvatureOracle, make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
     InvalidConfigurationError,
+    InvalidInputError,
     NumericalDomainError,
 )
 from warpcheck.immersion import (
@@ -21,6 +22,7 @@ from warpcheck.immersion import (
     dplus_leaf,
     force_xi_consistency,
     gauss_residual,
+    intrinsic_kij,
     is_C_totally_real,
     is_mixed_totally_geodesic,
     mean_curvatures,
@@ -116,10 +118,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
 
     cp = riemann(pullback_metric(im), p)
     coeff = data.extras["frame_coefficients"]
-
-    def intrinsic(a, b, c, d):
-        A, B, C, D = (coeff @ v for v in (a, b, c, d))
-        return float(np.einsum("ijkl,i,j,k,l->", cp.riemann04, A, B, C, D))
+    intrinsic = np.einsum("ijkl,ia,jb,kc,ld->abcd", cp.riemann04, coeff, coeff, coeff, coeff)
 
     res = gauss_residual(data, intrinsic=intrinsic, rng=np.random.default_rng(3))
     assert res["gauss_max"] < 1e-4
@@ -130,12 +129,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
 def _chart_gauss_residual(im, p, rng):
     data = second_fundamental_form(im, p)
     cp = riemann(pullback_metric(im), p)
-    coeff = data.extras["frame_coefficients"]
-
-    def intrinsic(a, b, c, d):
-        A, B, C, D = (coeff @ v for v in (a, b, c, d))
-        return float(np.einsum("ijkl,i,j,k,l->", cp.riemann04, A, B, C, D))
-
+    intrinsic = CurvatureOracle("chart", cp.riemann04).rotated(data.extras["frame_coefficients"]).tensor
     return gauss_residual(data, intrinsic=intrinsic, rng=rng, samples=10)
 
 
@@ -166,10 +160,69 @@ def test_gauss_residual_definitional_closure():
 def test_gauss_residual_keeps_a_nan_intrinsic_value():
     rng = np.random.default_rng(4)
     amb = make_ambient("non-sasakian-kmu", m=3, kappa=0.4, mu=1.1)
-    res = gauss_residual(random_data(rng, amb, 1, 2), intrinsic=lambda *a: float("nan"))
+    res = gauss_residual(random_data(rng, amb, 1, 2), intrinsic=np.full((3, 3, 3, 3), np.nan))
     assert np.isnan(res["gauss_max"])
     assert np.isnan(res["kij_max"])
     assert np.isnan(res["tau_identity_residual"])
+
+
+@pytest.mark.parametrize("intrinsic", [1.0, np.zeros((3, 3)), np.zeros((3, 3, 3, 2)), np.zeros((2, 2, 2, 2))])
+def test_gauss_residual_rejects_an_intrinsic_of_another_shape(intrinsic):
+    # a scalar or a wrong shape would broadcast against the (n, n, n, n) Gauss tensor
+    data = random_data(np.random.default_rng(4), make_ambient("real-space-form", m=5, c=1.0), 1, 2)
+    with pytest.raises(InvalidInputError, match=r"\(3, 3, 3, 3\)"):
+        gauss_residual(data, intrinsic=intrinsic)
+
+
+def _gauss_reference(data, intrinsic, rng, samples):
+    """The scalar form of gauss_residual: each quadruple, each pair and tau
+    one tuple at a time through CurvatureOracle.value."""
+    n, s, T = data.n, data.sigma, data.tangent
+
+    def r_gauss(a, b, c, d):
+        amb = data.oracle.value(T @ a, T @ b, T @ c, T @ d)
+        return amb + float(np.einsum("rij,i,j->r", s, a, d) @ np.einsum("rij,i,j->r", s, b, c)) - float(
+            np.einsum("rij,i,j->r", s, a, c) @ np.einsum("rij,i,j->r", s, b, d)
+        )
+
+    def r_int(*v):
+        return float(np.einsum("ijkl,i,j,k,l->", intrinsic, *v))
+
+    worst = 0.0
+    for _ in range(samples):
+        quad = rng.normal(size=(4, n))
+        quad /= np.linalg.norm(quad, axis=1, keepdims=True)
+        worst = max(worst, abs(r_int(*quad) - r_gauss(*quad)))
+    eye, iu = np.eye(n), np.triu_indices(n, 1)
+    k_gauss = intrinsic_kij(data)
+    kij_worst = max(abs(r_int(eye[i], eye[j], eye[j], eye[i]) - k_gauss[i, j]) for i, j in zip(*iu))
+    tau = sum(r_int(eye[i], eye[j], eye[j], eye[i]) for i, j in zip(*iu))
+    rec = mean_curvatures(data)
+    tau_ambient = float(data.ambient_kij()[iu].sum())
+    tau_res = abs(2.0 * tau - (2.0 * tau_ambient + n * n * rec.norm_H**2 - data.sigma_norm_sq()))
+    return {"gauss_max": worst, "kij_max": kij_worst, "tau_identity_residual": tau_res}
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_gauss_residual_equals_the_scalar_contractions_and_keeps_the_stream(n1, n2):
+    # the tensor form against the one-tuple-at-a-time form through
+    # CurvatureOracle.value, on a perturbed intrinsic tensor, and the
+    # generator left as one (samples, 4, n) draw leaves it
+    rng = np.random.default_rng(21)
+    data = random_data(rng, make_ambient("non-sasakian-kmu", m=3, kappa=0.4, mu=1.1), n1, n2)
+    n = data.n
+    intrinsic = rng.normal(size=(n,) * 4)
+    state = rng.bit_generator.state
+    got = gauss_residual(data, intrinsic=intrinsic, rng=rng, samples=20)
+    after = rng.bit_generator.state
+    reference = np.random.default_rng()
+    reference.bit_generator.state = state
+    reference.normal(size=(20, 4, n))
+    assert after == reference.bit_generator.state
+    reference.bit_generator.state = state
+    expected = _gauss_reference(data, intrinsic, reference, 20)
+    for key, value in expected.items():
+        assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
 def test_complete_normal_frame_under_a_metric():
@@ -194,8 +247,6 @@ def test_sphere_gauss_numbers():
     # K = 0 + 1*1 - 0 and 2 tau = 0 + 4 |H|^2 - |sigma|^2 = 2
     im = sphere_in_euclidean(2)
     data = second_fundamental_form(im, im.default_point)
-    from warpcheck.immersion import intrinsic_kij
-
     assert abs(intrinsic_kij(data)[0, 1] - 1.0) < 1e-5
     assert abs(data.sigma_norm_sq() - 2.0) < 1e-5
 

@@ -7,11 +7,11 @@ from warpcheck.errors import DegenerateInputError, InvalidInputError, NumericalD
 from warpcheck.numeric import (
     Tolerance,
     bilinear,
-    central_diff,
-    cross_diff,
+    central_differences,
+    cross_stencil,
     gram_schmidt,
-    second_diff,
-    sym_eigen,
+    second_differences,
+    stack_values,
 )
 
 
@@ -130,52 +130,27 @@ def test_gram_schmidt_names_the_point_of_a_dependent_stack():
         gram_schmidt(vecs)
 
 
-def test_sym_eigen_identity():
-    evals, _ = sym_eigen(np.eye(3))
-    assert np.allclose(evals, [1, 1, 1])
-
-
-def test_sym_eigen_diagonal_sorted():
-    evals, _ = sym_eigen(np.diag([-1.0, 0.0, 1.0]))
-    assert np.allclose(evals, [-1, 0, 1])
-
-
-def test_sym_eigen_offdiagonal():
-    evals, vecs = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(evals, [-1, 1])
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) < 1e-12
-
-
-def test_sym_eigen_rejects_asymmetric():
-    with pytest.raises(InvalidInputError):
-        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sym_eigen_random_reconstruction():
-    # module invariant: |mV - V Lambda| < 1e-9 up to dim 15, 10^3 trials
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        n = int(rng.integers(2, 16))
-        a = rng.normal(size=(n, n))
-        m = 0.5 * (a + a.T)
-        evals, vecs = sym_eigen(m)
-        assert np.max(np.abs(m @ vecs - vecs * evals)) < 1e-9
-        assert np.max(np.abs(vecs @ np.diag(evals) @ vecs.T - m)) < 1e-10
+def _derivatives(f, x, value_shape=(), h=1e-4):
+    """First and second derivatives of f, taking a stack, from one f call on
+    the cross stencil of x, its values validated as the package does."""
+    pts, steps = cross_stencil(np.asarray(x, dtype=float), h)
+    values = stack_values(f(pts), pts, value_shape, "f")
+    return central_differences(values, steps), second_differences(values, steps)
 
 
 def test_central_diff_quadratic():
-    f = lambda x: float(x[0] ** 2)
-    assert abs(central_diff(f, np.array([1.0]), 0) - 2.0) < 1e-9
+    d1, _ = _derivatives(lambda x: x[..., 0] ** 2, [1.0])
+    assert abs(d1[0] - 2.0) < 1e-9
 
 
 def test_second_diff_cosine():
-    f = lambda x: float(np.cos(x[0]))
-    assert abs(second_diff(f, np.array([0.0]), 0) + 1.0) < 1e-6
+    _, d2 = _derivatives(lambda x: np.cos(x[..., 0]), [0.0])
+    assert abs(d2[0, 0] + 1.0) < 1e-6
 
 
 def test_central_diff_constant_zero():
-    f = lambda x: 3.5
-    assert central_diff(f, np.array([0.7]), 0) == 0.0
+    d1, _ = _derivatives(lambda x: np.full(x.shape[:-1], 3.5), [0.7])
+    assert d1[0] == 0.0
 
 
 def test_diff_exact_on_low_degree_polynomials():
@@ -183,68 +158,54 @@ def test_diff_exact_on_low_degree_polynomials():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a, b, c = rng.normal(size=3)
-        f = lambda x: float(a * x[0] ** 2 + b * x[0] + c)
         x = rng.normal(size=1)
-        assert abs(central_diff(f, x, 0) - (2 * a * x[0] + b)) < 1e-9
-        assert abs(second_diff(f, x, 0) - 2 * a) < 1e-5
+        d1, d2 = _derivatives(lambda p: a * p[..., 0] ** 2 + b * p[..., 0] + c, x)
+        assert abs(d1[0] - (2 * a * x[0] + b)) < 1e-9
+        assert abs(d2[0, 0] - 2 * a) < 1e-5
 
 
 def test_cross_diff_mixed_term():
-    f = lambda x: float(x[0] * x[1] ** 2)
-    val = cross_diff(f, np.array([0.4, 0.9]), 0, 1)
-    assert abs(val - 2 * 0.9) < 1e-6
+    _, d2 = _derivatives(lambda x: x[..., 0] * x[..., 1] ** 2, [0.4, 0.9])
+    assert abs(d2[0, 1] - 2 * 0.9) < 1e-6
+    assert d2[1, 0] == d2[0, 1]
 
 
 def test_non_finite_evaluation_raises():
-    f = lambda x: float(np.log(x[0]))
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
-        central_diff(f, np.array([0.0]), 0)
+        _derivatives(lambda x: np.log(x[..., 0]), [0.0])
 
 
 def _array_f(x):
-    # 3x2 array of smooth, distinct functions of a 3-vector
-    return np.array(
-        [
-            [np.sin(x[0]) * x[1], np.exp(0.3 * x[2])],
-            [x[0] * x[1] * x[2], np.cos(x[1] + 2.0 * x[2])],
-            [x[2] ** 3, 1.5],
-        ]
-    )
+    # 3x2 array of smooth, distinct functions of a 3-vector, per stack point
+    x0, x1, x2 = np.moveaxis(x, -1, 0)
+    rows = [
+        [np.sin(x0) * x1, np.exp(0.3 * x2)],
+        [x0 * x1 * x2, np.cos(x1 + 2.0 * x2)],
+        [x2**3, np.full_like(x0, 1.5)],
+    ]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def test_array_stencils_match_scalar_calls_bitwise():
     x = np.array([0.4, -1.3, 0.7])
-    for i in range(3):
-        arr = central_diff(_array_f, x, i)
-        assert arr.shape == (3, 2)
-        for idx in np.ndindex(3, 2):
-            scalar = central_diff(lambda p: float(_array_f(p)[idx]), x, i)
-            assert isinstance(scalar, float)
-            assert arr[idx] == scalar
-        for j in range(3):
-            arr = cross_diff(_array_f, x, i, j)
-            for idx in np.ndindex(3, 2):
-                scalar = cross_diff(lambda p: float(_array_f(p)[idx]), x, i, j)
-                assert isinstance(scalar, float)
-                assert arr[idx] == scalar
-        arr = second_diff(_array_f, x, i)
-        for idx in np.ndindex(3, 2):
-            assert arr[idx] == second_diff(lambda p: float(_array_f(p)[idx]), x, i)
+    d1, d2 = _derivatives(_array_f, x, (3, 2))
+    assert d1.shape == (3, 3, 2) and d2.shape == (3, 3, 3, 2)
+    for idx in np.ndindex(3, 2):
+        s1, s2 = _derivatives(lambda p: _array_f(p)[(...,) + idx], x)
+        assert np.array_equal(d1[(...,) + idx], s1)
+        assert np.array_equal(d2[(...,) + idx], s2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_array_stencils_raise_on_one_non_finite_entry(bad):
     x = np.array([0.4, -1.3, 0.7])
     for idx in np.ndindex(3, 2):
+        for row in (0, 1, 7, 18):  # the centre, an axis shift, corners
 
-        def f(p, idx=idx):
-            out = _array_f(p)
-            out[idx] = bad
-            return out
+            def f(p, idx=idx, row=row):
+                out = _array_f(p)
+                out[(row,) + idx] = bad
+                return out
 
-        with pytest.raises(NumericalDomainError):
-            central_diff(f, x, 0)
-        with pytest.raises(NumericalDomainError):
-            second_diff(f, x, 1)
-        with pytest.raises(NumericalDomainError):
-            cross_diff(f, x, 0, 2)
+            with pytest.raises(NumericalDomainError, match=f"stack index \\({row},\\)"):
+                _derivatives(f, x, (3, 2))

@@ -1,4 +1,3 @@
-import itertools
 import json
 from pathlib import Path
 
@@ -8,6 +7,8 @@ import pytest
 from warpcheck.cli import main as cli_main
 from warpcheck.errors import SceneParseError, SceneValidationError
 from warpcheck.scenes import SceneSpec, emit, parse_scene, run, warp_from_descriptor
+
+CONTACT_EXAMPLES = ["non_sasakian_random.json", "tangent_sphere_bundle.json", "sasakian_obstruction.json"]
 
 SPHERE_SCENE = {
     "ambient": {"kind": "euclidean", "m": 3},
@@ -475,16 +476,6 @@ def test_tolerance_override_spec():
     assert report.environment["tolerances"]["equality_gap"] == 1e-3
 
 
-def _nan_every_other_call(fn):
-    calls = itertools.count()
-
-    def wrapped(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        return float("nan") if next(calls) % 2 else out
-
-    return wrapped
-
-
 def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch, nan_row_generator):
     import warpcheck.scenes as scenes_mod
 
@@ -493,11 +484,12 @@ def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch, nan_row_generator
 
     def nan_ambient(kind, **params):
         amb = original(kind, **params)
-        amb.oracle.value = _nan_every_other_call(amb.oracle.value)
+        # R(u1, phi u1, phi u1, u1), an entry that every phi-sectional value reads
+        amb.oracle.tensor[1, 3, 3, 1] = np.nan
         return amb
 
     def km_with_one_nan_sample(oracle, frame, rng, samples):
-        # km_condition contracts the tensor and never calls oracle.value
+        # km_condition reads only the xi slot of the tensor, where the NaN entry is not
         return original_km(oracle, frame, nan_row_generator(rng, row=1), samples)
 
     monkeypatch.setattr(scenes_mod, "make_ambient", nan_ambient)
@@ -562,7 +554,7 @@ def test_nan_intrinsic_curvature_fails_the_gauss_check(monkeypatch):
     original = scenes_mod.gauss_residual
 
     def nan_intrinsic(data, **kwargs):
-        return original(data, intrinsic=lambda *a: float("nan"), **kwargs)
+        return original(data, intrinsic=np.full((data.n,) * 4, np.nan), **kwargs)
 
     monkeypatch.setattr(scenes_mod, "gauss_residual", nan_intrinsic)
     spec = parse_scene(
@@ -716,3 +708,105 @@ def test_chart_scene_computes_its_second_fundamental_form_once(monkeypatch, tmp_
     argv = ["verify", str(SCENE_DIR / "sphere.json"), "--output", "json"]
     assert cli_main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == 1
+
+
+def _oracle_symmetries(monkeypatch, entry, delta):
+    """The oracle_symmetries record of a (kappa, mu) space form whose tensor
+    has `delta` added to one entry (the unperturbed residual is round-off)."""
+    import warpcheck.scenes as scenes_mod
+
+    original = scenes_mod.make_ambient
+
+    def perturbed(kind, **params):
+        amb = original(kind, **params)
+        amb.oracle.tensor[entry] += delta
+        return amb
+
+    monkeypatch.setattr(scenes_mod, "make_ambient", perturbed)
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "kmu-space-form", "m": 2, "kappa": 0.4, "mu": -0.7, "c": 1.3},
+            "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+            "checks": ["oracle_symmetries"],
+            "seed": 0,
+        }
+    )
+    (record,) = run(spec).records
+    return record
+
+
+@pytest.mark.parametrize(
+    "entry,multiple",
+    [
+        # an entry whose repeated indices make its identity's residual the
+        # largest: 2 delta for R(X,Y,Z,W) = -R(Y,X,Z,W) at [0, 0, 1, 2], the
+        # other identities delta
+        ((0, 0, 1, 2), 2),
+        # 2 delta for R(X,Y,Z,W) = -R(X,Y,W,Z) at [1, 2, 0, 0]
+        ((1, 2, 0, 0), 2),
+        # R(X,Y,Z,W) = R(Z,W,X,Y) follows from the other three, so one entry
+        # moves them by delta too
+        ((1, 2, 3, 4), 1),
+        # 3 delta for the first Bianchi identity at [0, 0, 0, 1]
+        ((0, 0, 0, 1), 3),
+    ],
+    ids=["antisymmetry-ij", "antisymmetry-kl", "pair-symmetry", "bianchi"],
+)
+def test_oracle_symmetries_fail_on_one_perturbed_entry(monkeypatch, entry, multiple):
+    record = _oracle_symmetries(monkeypatch, entry, 1e-6)
+    assert record["pass"] is False
+    assert abs(record["max_residual"] - multiple * 1e-6) < 1e-12
+
+
+@pytest.mark.parametrize("samples,k", [(7, 7), (150, 100)])
+def test_phi_sectional_draws_one_block(samples, k):
+    # one (k, d) normal draw, k = min(samples, 100): the generator is left
+    # where that block leaves it, so later checks draw what they drew before
+    import warpcheck.scenes as scenes_mod
+
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "sasakian-space-form", "m": 2, "c": -2.5},
+            "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+            "checks": ["phi_sectional"],
+            "seed": 5,
+        }
+    )
+    rng = np.random.default_rng(5)
+    ctx = scenes_mod._Context(spec.ambient_space(), spec.source_data(), spec.tolerance(), rng, samples)
+    record = scenes_mod._check_phi_sectional(ctx, {"expect": -2.5})
+    assert record["pass"] is True and abs(record["value"] + 2.5) < 1e-12
+    reference = np.random.default_rng(5)
+    reference.normal(size=(k, 5))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_the_contact_example_scenes_never_call_oracle_value(monkeypatch):
+    # every ambient-curvature check contracts the (0,4) array; value stays
+    # the one-quadruple reference that the tests compare against
+    from warpcheck.contact import CurvatureOracle
+
+    calls = []
+    original = CurvatureOracle.value
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(CurvatureOracle, "value", counted)
+    specs = [parse_scene(str(SCENE_DIR / name)) for name in CONTACT_EXAMPLES]
+    specs += [
+        parse_scene(
+            {
+                "ambient": {"kind": "kmu-space-form", "m": 3, "kappa": 0.4, "mu": 1.4, "c": -1.8},
+                "source": {"kind": "synthetic", "generator": "c-totally-real", "n1": 1, "n2": 2},
+                "checks": ["general_inequality", "gauss_residual", "km_condition", "oracle_symmetries", "phi_sectional"],
+                "samples": 20,
+                "seed": 1,
+            }
+        ),
+        parse_scene(str(SCENE_DIR / "sphere.json")),  # the chart gauss_residual
+    ]
+    for spec in specs:
+        assert all(r["pass"] for r in run(spec).records)
+    assert calls == []

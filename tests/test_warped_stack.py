@@ -115,15 +115,15 @@ def test_sectional_curvature_and_laplacian_on_a_stack_equal_the_pointwise_calls(
     assert planes.shape == (len(points), len(points))
     x1 = points[:, : wp.n1]
     analytic = laplacian(wp.factor1, wp.warp.value, x1, grad=wp.warp.grad, hess=wp.warp.hess)
-    stencil = laplacian(wp.factor1, lambda q: float(wp.warp.value(q)), x1)
-    curved = laplacian(wp.factor2, lambda q: float(np.cos(q[0])), points[:, wp.n1 :])
+    stencil = laplacian(wp.factor1, wp.warp.value, x1)
+    curved = laplacian(wp.factor2, lambda q: np.cos(q[..., 0]), points[:, wp.n1 :])
     for i, p in enumerate(points):
         single = riemann(metric, p)
         for j in range(len(points)):
             assert planes[j, i] == sectional_curvature(single, X[j], Y[i])
         assert analytic[i] == laplacian(wp.factor1, wp.warp.value, x1[i], grad=wp.warp.grad, hess=wp.warp.hess)
-        assert stencil[i] == laplacian(wp.factor1, lambda q: float(wp.warp.value(q)), x1[i])
-        assert curved[i] == laplacian(wp.factor2, lambda q: float(np.cos(q[0])), points[i, wp.n1 :])
+        assert stencil[i] == laplacian(wp.factor1, wp.warp.value, x1[i])
+        assert curved[i] == laplacian(wp.factor2, lambda q: np.cos(q[..., 0]), points[i, wp.n1 :])
 
 
 def _count_calls(monkeypatch, name):
@@ -212,6 +212,26 @@ def test_a_scene_whose_warp_is_nan_at_one_point_fails_every_warped_check():
     assert [r["pass"] for r in records] == [False] * 3
     for r in records:
         assert r["error"].startswith("NumericalDomainError") and "stack index (1, 0)" in r["error"], r
+
+
+def test_a_failing_warped_curvature_is_evaluated_once_per_scene(monkeypatch):
+    # the shared riemann raises; each warped check re-raises its stored error
+    riemann_calls = _count_calls(monkeypatch, "riemann")
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": 3},
+            "source": {"kind": "warped-chart", "key": "flat-product"},
+            "checks": ["connection_identity", "mixed_sectional", "laplacian_ratio"],
+            "seed": 0,
+        }
+    )
+    wp = spec.source_data().warped
+    wp.warp = _nan_at_second_point().warp
+    with pytest.raises(NumericalDomainError) as direct:
+        riemann(build_metric(wp), np.stack(wp.sample_points))
+    records = run(spec).records
+    assert len(riemann_calls) == 1
+    assert [r["error"] for r in records] == [f"NumericalDomainError: {direct.value}"] * 3
 
 
 def test_a_degenerate_plane_in_a_stack_names_its_row():
