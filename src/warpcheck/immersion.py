@@ -524,16 +524,20 @@ def random_stack(
     none; then sigma_scale times k n^2 entries, symmetrized, give sigma.  So
     the stack equals `count` sequential random_data calls bit for bit, and
     leaves `rng` in the same state.  The frames are completed and validated
-    once for the whole stack.
+    once for the whole stack.  A `count` that is not an integer >= 1 or a
+    `sigma_scale` that is not finite and >= 0 raises InvalidInputError
+    before anything is drawn.
     """
     n = n1 + n2
     d = ambient.dim
     if n >= d:
         raise InvalidConfigurationError("need codimension >= 1")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise InvalidInputError(f"count must be an integer (got {count!r})")
     if count < 1:
         raise InvalidInputError(f"count must be at least 1 (got {count})")
-    if sigma_scale < 0.0:
-        raise InvalidInputError(f"sigma_scale must be non-negative (got {sigma_scale})")
+    if not 0.0 <= sigma_scale < np.inf:  # NaN fails too
+        raise InvalidInputError(f"sigma_scale must be finite and non-negative (got {sigma_scale})")
     k = d - n
     if frame_kind == "generic":
         frame_draws = d * d

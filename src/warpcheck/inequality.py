@@ -144,11 +144,11 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _triu_sum(tables: np.ndarray) -> np.ndarray:
-    """Sum over i < j of each (n, n) table of a stack (N, n, n); np.take keeps
+    """Sum over i < j of each (n, n) table of a stack (N, n, n); take keeps
     the rows C-ordered, summed as in a stack of one (tables[:, i, j] is not)."""
     n = tables.shape[-1]
     index = np.ravel_multi_index(_triu(n), (n, n))
-    return np.add.reduce(np.take(tables.reshape(len(tables), n * n), index, axis=1), 1)
+    return np.add.reduce(tables.reshape(len(tables), n * n).take(index, axis=1), 1)
 
 
 @functools.cache
@@ -403,9 +403,9 @@ def general_inequality_stack(
     n, n1, n2 = stack.n, stack.n1, stack.n2
     kij = stack.oracle.kij(stack.tangent)
     index, s1, s2 = _tau_index(n, n1)
-    # np.take keeps the rows C-ordered, so each row is summed in the order a
+    # take keeps the rows C-ordered, so each row is summed in the order a
     # stack of one sums it (kij[:, index] is column-major)
-    pairs = np.take(kij.reshape(len(kij), n * n), index, axis=1)
+    pairs = kij.reshape(len(kij), n * n).take(index, axis=1)
     tau_full = np.add.reduce(pairs[:, :s1], 1)
     tau_1 = np.add.reduce(pairs[:, s1:s2], 1)
     tau_2 = np.add.reduce(pairs[:, s2:], 1)

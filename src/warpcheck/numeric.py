@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalDomainError
 
@@ -147,12 +148,28 @@ def require_positive_definite(
     return m
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def qr_q(a: np.ndarray) -> np.ndarray:
-    """Reduced QR factor Q of each matrix of a stack (N, m, n).  LAPACK runs
-    once per matrix either way, so the result is bit-identical to N separate
-    np.linalg.qr calls; a stack of one takes the 2-d call, which costs numpy
-    less."""
-    return np.linalg.qr(a[0])[0][None] if len(a) == 1 else np.linalg.qr(a)[0]
+    """Reduced QR factor Q (..., m, min(m, n)) of each matrix of a float64 or
+    complex128 stack (..., m, n).
+
+    Runs the two LAPACK gufuncs that np.linalg.qr runs, on a private copy
+    (qr_r_raw overwrites its input with the Householder vectors and returns
+    tau; qr_reduced forms Q from them), under the error state np.linalg.qr
+    sets, so Q is bit-identical to np.linalg.qr(a)[0] and a LAPACK error
+    raises LinAlgError.  What is skipped is the wrapper's R (a triu that
+    Q's callers discard) and its second errstate.  The gufunc names and
+    signatures are those of numpy >= 2.0; tests/test_numeric.py pins the
+    identity.
+    """
+    t = "D" if np.iscomplexobj(a) else "d"
+    a = np.array(a, dtype=t)
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
+        return _umath_linalg.qr_reduced(a, tau, signature=f"{t}{t}->{t}")
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

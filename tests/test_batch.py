@@ -2,6 +2,7 @@
 parity of the stacked kernels with their one-sample entry points, a
 sigma-only oracle for the gap, and validation that names the bad sample."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -316,6 +317,30 @@ def test_empty_stack_is_rejected():
         _build(amb, tangent[:0], normal[:0], sigma[:0])
     with pytest.raises(InvalidInputError, match="count must be at least 1"):
         random_stack(np.random.default_rng(0), amb, 1, 2, 0)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1.0])
+def test_random_stack_rejects_a_bad_sigma_scale_before_drawing(scale):
+    amb = make_ambient("real-space-form", m=5, c=0.6)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = f"sigma_scale must be finite and non-negative (got {scale})"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        random_stack(rng, amb, 1, 2, 3, sigma_scale=scale)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.float64(3.0), "3"])
+def test_random_stack_rejects_a_count_that_is_not_an_integer(count):
+    amb = make_ambient("real-space-form", m=5, c=0.6)
+    with pytest.raises(InvalidInputError, match=re.escape(f"count must be an integer (got {count!r})")):
+        random_stack(np.random.default_rng(0), amb, 1, 2, count)
+
+
+def test_random_stack_takes_a_numpy_integer_count():
+    amb = make_ambient("real-space-form", m=5, c=0.6)
+    stack = random_stack(np.random.default_rng(0), amb, 1, 2, np.int64(3))
+    assert np.array_equal(stack.sigma, random_stack(np.random.default_rng(0), amb, 1, 2, 3).sigma)
 
 
 def test_stacked_completion_names_a_dependent_sample():

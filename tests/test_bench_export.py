@@ -1,7 +1,9 @@
-"""tools/bench_export.py on a tiny synthetic pair of perfbench results files."""
+"""tools/bench_export.py on a tiny synthetic pair of perfbench results files, and
+tools/suite_timings.py on synthetic suite runs."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_export", ROOT / "tools" / "bench_export.py")
 bench_export = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_export)
+sys.path.insert(0, str(ROOT / "tools"))  # suite_timings imports bench_export as a sibling
+import suite_timings  # noqa: E402
+
+sys.path.pop(0)
 
 BENCHMARK = {
     "command": ["python3", "perfbench/run.py"],
@@ -79,3 +85,40 @@ def test_a_worse_change_is_flagged_outside_its_bound():
 def test_empty_side_is_refused():
     with pytest.raises(ValueError):
         bench_export.export([], [_run("w", 1, 1.0, "c")], BENCHMARK)
+
+
+def _suite_run(side, suite, pair, wall, outcome="9 passed"):
+    return {"side": side, "workload": suite, "seed": pair, "trace": 0, "outcome": outcome,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+
+def test_suite_timings_merge_into_a_bench_file():
+    # tier-1 pairs (parent, change): 10, 8; 11, 9; 12, 13; 9, 7.  criterion-2 has one pair.
+    runs = [_suite_run(side, "tier-1", i, wall, f"{9 if side == 'parent' else 10} passed")
+            for i, walls in enumerate(((10.0, 8.0), (11.0, 9.0), (12.0, 13.0), (9.0, 7.0)))
+            for side, wall in zip(("parent", "change"), walls)]
+    runs += [_suite_run("change", "criterion-2", 0, 3.0), _suite_run("parent", "criterion-2", 0, 4.0)]
+    runs.append(_suite_run("parent", "tier-1", 7, 99.0))  # no partner on the change side
+    exported = {"workloads": {"w": {}}, "generated_by": "tools/bench_export.py"}
+    bench = suite_timings.merge(exported, runs, BENCHMARK["end_to_end"][0])
+    assert bench["workloads"] == {"w": {}} and bench["generated_by"] == "tools/bench_export.py"
+    assert sorted(bench["suites"]) == ["criterion-2", "tier-1"]
+    tier1 = bench["suites"]["tier-1"]
+    assert tier1["command"] == "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+    assert tier1["outcomes"] == {"parent": ["9 passed"], "change": ["10 passed"]}
+    wall = tier1["wall_s"]
+    assert wall["pairs"] == 4 and wall["change_wins"] == 3 and wall["bound"] == 0.25
+    assert wall["parent"] == {"median": 10.5, "q1": pytest.approx(9.75), "q3": pytest.approx(11.25), "runs": 4}
+    assert wall["change"]["median"] == 8.5
+    assert wall["median_relative_change"] == pytest.approx(8.5 / 10.5 - 1.0)
+    assert wall["within_bound"] and wall["median_gap_exceeds_parent_iqr"]
+    crit2 = bench["suites"]["criterion-2"]
+    assert crit2["command"].endswith("tests/test_acceptance.py::test_criterion_2_randomized_theorem")
+    assert crit2["wall_s"]["pairs"] == 1 and crit2["wall_s"]["change_wins"] == 1
+
+
+def test_suite_outcome_is_the_pytest_summary_without_its_time():
+    assert suite_timings._outcome("....\n719 passed in 13.41s\n") == "719 passed"
+    assert suite_timings._outcome("F.\n= 1 failed, 9 passed, 2 warnings in 1.02s (0:00:01) =\n") == (
+        "1 failed, 9 passed, 2 warnings"
+    )

@@ -10,6 +10,7 @@ from warpcheck.numeric import (
     central_differences,
     cross_stencil,
     gram_schmidt,
+    qr_q,
     second_differences,
     stack_values,
 )
@@ -136,6 +137,62 @@ def _derivatives(f, x, value_shape=(), h=1e-4):
     pts, steps = cross_stencil(np.asarray(x, dtype=float), h)
     values = stack_values(f(pts), pts, value_shape, "f")
     return central_differences(values, steps), second_differences(values, steps)
+
+
+def _qr_inputs(rng, m, complex_):
+    """Square, tall and wide m-row matrices (the k x (k + 1) [H | I] shape of
+    the equality diagnostics among them), alone and in stacks of 1 and 6."""
+    for cols in sorted({m, max(1, m // 2), max(1, m - 1), m + 1, m + 3}):
+        for lead in ((), (1,), (6,)):
+            a = rng.normal(size=lead + (m, cols))
+            yield a + 1j * rng.normal(size=a.shape) if complex_ else a
+
+
+def _numpy_q_or_error(a):
+    try:
+        return np.linalg.qr(a)[0]
+    except Exception as exc:  # the class is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", range(1, 12))
+def test_qr_q_is_numpy_qr_bit_for_bit(m, complex_):
+    rng = np.random.default_rng(100 + m)
+    for a in _qr_inputs(rng, m, complex_):
+        q, ref = qr_q(a), np.linalg.qr(a)[0]
+        assert q.dtype == ref.dtype and q.shape == ref.shape == a.shape[:-1] + (min(a.shape[-2:]),)
+        assert np.array_equal(q, ref), a.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_qr_q_follows_numpy_qr_on_non_finite_input(bad, complex_):
+    rng = np.random.default_rng(7)
+    for m in (1, 3, 7):
+        for a in _qr_inputs(rng, m, complex_):
+            a[..., m // 2, 0] = bad
+            ref = _numpy_q_or_error(a)
+            if isinstance(ref, type):
+                with pytest.raises(ref):
+                    qr_q(a)
+            else:
+                assert np.array_equal(qr_q(a), ref, equal_nan=True), a.shape
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_qr_q_leaves_the_callers_array_unchanged(complex_):
+    rng = np.random.default_rng(8)
+    block = rng.normal(size=(4, 60))
+    if complex_:
+        block = block + 1j * rng.normal(size=block.shape)
+    frames = block[:, :49].reshape(4, 7, 7)  # a view, as random_stack passes it
+    before = block.copy()
+    qr_q(frames)
+    assert np.array_equal(block, before)
+    frames = before[:, :49].reshape(4, 7, 7).copy()
+    frames.flags.writeable = False  # factored in a private copy, never in place
+    assert np.array_equal(qr_q(frames), np.linalg.qr(frames)[0])
 
 
 def test_central_diff_quadratic():

@@ -232,6 +232,16 @@ def test_bad_source_parameters_exit_2(tmp_path, capsys):
     _rejected(tmp_path, capsys, scene)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1])
+def test_synthetic_sigma_scale_must_be_finite_and_non_negative(tmp_path, capsys, scale):
+    err = _rejected(tmp_path, capsys, dict(REAL, source={**REAL["source"], "sigma_scale": scale}))
+    assert f"sigma_scale must be finite and non-negative (got {float(scale)!r})" in err
+
+
+def test_synthetic_sigma_scale_zero_is_accepted(tmp_path):
+    assert _verify(tmp_path, dict(REAL, source={**REAL["source"], "sigma_scale": 0})) == 0
+
+
 # --- one shared source ----------------------------------------------------
 
 
