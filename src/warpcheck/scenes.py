@@ -368,9 +368,12 @@ def _synthetic_source(src: dict, ambient: AmbientSpace) -> _Source:
     n1, n2 = _dims(src, ambient)
     generator = src.get("generator", "random")
     _require(generator in _GENERATORS, f"unknown generator {generator!r}")
-    sigma_scale = float(src.get("sigma_scale", 1.0))
-    _require(0.0 <= sigma_scale < np.inf, f"sigma_scale must be finite and non-negative (got {sigma_scale!r})")
-    return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=sigma_scale)
+    scale = src.get("sigma_scale", 1.0)
+    _require(
+        isinstance(scale, (int, float, np.integer)) and not isinstance(scale, bool) and 0.0 <= scale < np.inf,
+        f"sigma_scale must be a finite number >= 0 (got {scale!r})",
+    )
+    return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=float(scale))
 
 
 def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:

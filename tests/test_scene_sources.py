@@ -232,10 +232,10 @@ def test_bad_source_parameters_exit_2(tmp_path, capsys):
     _rejected(tmp_path, capsys, scene)
 
 
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1])
-def test_synthetic_sigma_scale_must_be_finite_and_non_negative(tmp_path, capsys, scale):
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1, True, "0.5"])
+def test_synthetic_sigma_scale_must_be_a_finite_non_negative_number(tmp_path, capsys, scale):
     err = _rejected(tmp_path, capsys, dict(REAL, source={**REAL["source"], "sigma_scale": scale}))
-    assert f"sigma_scale must be finite and non-negative (got {float(scale)!r})" in err
+    assert f"sigma_scale must be a finite number >= 0 (got {scale!r})" in err
 
 
 def test_synthetic_sigma_scale_zero_is_accepted(tmp_path):
