@@ -156,10 +156,10 @@ def qr_q(a: np.ndarray) -> np.ndarray:
     """Reduced QR factor Q (..., m, min(m, n)) of each matrix of a float64 or
     complex128 stack (..., m, n).
 
-    Runs the two LAPACK gufuncs that np.linalg.qr runs, on a private copy
+    Runs the two LAPACK gufuncs that numpy.linalg.qr runs, on a private copy
     (qr_r_raw overwrites its input with the Householder vectors and returns
-    tau; qr_reduced forms Q from them), under the error state np.linalg.qr
-    sets, so Q is bit-identical to np.linalg.qr(a)[0] and a LAPACK error
+    tau; qr_reduced forms Q from them), under the error state numpy.linalg.qr
+    sets, so Q is bit-identical to numpy.linalg.qr(a)[0] and a LAPACK error
     raises LinAlgError.  What is skipped is the wrapper's R (a triu that
     Q's callers discard) and its second errstate.  The gufunc names and
     signatures are those of numpy >= 2.0; tests/test_numeric.py pins the
