@@ -7,6 +7,7 @@ was violated, 2 invalid input (bad scene file, unknown keys, bad parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .contact import ambient_catalog
@@ -16,7 +17,11 @@ from .scenes import check_names, emit, parse_scene, run
 from .warped import chart_catalog
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Parsing
+    leaves it unchanged (each call fills a new namespace), so every call of
+    `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="warpcheck",
         description="verify warped-product curvature inequalities on declarative scenes",

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .charts import ChartMetric, euclidean_metric, riemann
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle, make_ambient
@@ -75,6 +76,20 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
+# inf * 0 in the frame product and inf - inf in the asymmetry make the NaN
+# that fails the test, so their warnings would say nothing.  The decorator
+# sets the error state with less work than a with-block per call.
+@np.errstate(invalid="ignore")
+def _frames_within_bounds(full: np.ndarray, sigma: np.ndarray, d: int) -> bool:
+    """The combined test of _check_frames; a NaN residual compares false.
+    The reductions are ufunc calls: the ndarray methods add a Python layer
+    that costs as much as the arithmetic on one sample."""
+    return (
+        np.maximum.reduce(np.abs(full.transpose(0, 2, 1) @ full - _identity(d)), None) <= 1e-8
+        and np.maximum.reduce(np.abs(sigma - sigma.transpose(0, 1, 3, 2)), None) <= 1e-8
+    )
+
+
 def _check_frames(
     tangent: np.ndarray, normal: np.ndarray, sigma: np.ndarray, n: int, where
 ) -> None:
@@ -100,17 +115,8 @@ def _check_frames(
     if sigma.shape != (N, d - n, n, n):
         raise InvalidConfigurationError("sigma shape mismatch")
     full = np.concatenate([tangent, normal], axis=2)
-    # The combined test; a NaN residual compares false.  inf * 0 in the frame
-    # product and inf - inf in the asymmetry make the NaN that fails it, so
-    # their warnings would say nothing.  The reductions are ufunc calls: the
-    # ndarray methods add a Python layer that costs as much as the arithmetic
-    # on one sample.
-    with np.errstate(invalid="ignore"):
-        if (
-            np.maximum.reduce(np.abs(full.transpose(0, 2, 1) @ full - _identity(d)), None) <= 1e-8
-            and np.maximum.reduce(np.abs(sigma - sigma.transpose(0, 1, 3, 2)), None) <= 1e-8
-        ):
-            return
+    if _frames_within_bounds(full, sigma, d):
+        return
     if not np.isfinite(full).all():
         i = int(np.argmax(~np.isfinite(full).all(axis=(1, 2))))
         raise NumericalDomainError(f"tangent or normal frame has non-finite entries{where(i)}")
@@ -249,13 +255,22 @@ def _mean_weights(n1: int, n2: int) -> np.ndarray:
     return weights
 
 
+@functools.cache
+def _block_starts(n1: int) -> np.ndarray:
+    """The reduceat indices [0, n1] of the two tangent blocks, built on first
+    use per n1 and shared read-only (a list would be converted per call)."""
+    starts = np.array([0, n1], dtype=np.intp)
+    starts.flags.writeable = False
+    return starts
+
+
 def mean_curvatures(data: PointwiseImmersionData | PointwiseStack) -> MeanCurvatureRecord:
     """Trace parts of sigma, n H = n1 H1 + n2 H2, for a sample or a stack."""
     stacked = isinstance(data, PointwiseStack)
     sigma = data.sigma if stacked else data.sigma[None]
     n1 = data.n1
     # block traces (N, num_normals, 2), then H, H1, H2 as the columns of one product
-    traces = np.add.reduceat(sigma.diagonal(0, 2, 3), [0, n1], axis=2)
+    traces = np.add.reduceat(sigma.diagonal(0, 2, 3), _block_starts(n1), axis=2)
     parts = traces @ _mean_weights(n1, data.n2)
     norms = np.sqrt(np.add.reduce(parts**2, 1))  # (N, 3)
     if stacked:
@@ -268,7 +283,8 @@ def _gauss_correction(sigma: np.ndarray, rows: slice, cols: slice) -> np.ndarray
     in `cols` of sigma (..., k, n, n), one table per sample."""
     diag = sigma.diagonal(0, -2, -1)
     block = sigma[..., rows, cols]
-    return np.einsum("...ri,...rj->...ij", diag[..., rows], diag[..., cols]) - np.einsum(
+    # c_einsum is what np.einsum runs without `optimize`, minus its Python layer
+    return c_einsum("...ri,...rj->...ij", diag[..., rows], diag[..., cols]) - c_einsum(
         "...rij,...rij->...ij", block, block
     )
 

@@ -166,10 +166,15 @@ def qr_q(a: np.ndarray) -> np.ndarray:
     identity.
     """
     t = "D" if np.iscomplexobj(a) else "d"
-    a = np.array(a, dtype=t)
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
-        return _umath_linalg.qr_reduced(a, tau, signature=f"{t}{t}->{t}")
+    return _qr_gufuncs(np.array(a, dtype=t), t)
+
+
+@np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _qr_gufuncs(a: np.ndarray, t: str) -> np.ndarray:
+    # the error state of numpy.linalg.qr, set by the decorator with less
+    # work than a with-block per call
+    tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
+    return _umath_linalg.qr_reduced(a, tau, signature=f"{t}{t}->{t}")
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

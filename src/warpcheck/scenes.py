@@ -11,10 +11,12 @@ excluded), so a fixed (scene, seed, tolerance) triple is byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable
 
 import numpy as np
@@ -184,35 +186,48 @@ def _integer(value, what: str, low: int = 1) -> int:
     return int(value)
 
 
-def warp_from_descriptor(d: dict) -> WarpFunction:
-    """Closed warping-function catalog; no general expression evaluation."""
-    _require(isinstance(d, dict) and "kind" in d, "warping descriptor needs a 'kind'")
+def _real(value, what: str, low: float = -np.inf) -> float:
+    """`value` as a finite float >= low; bools, strings and non-finite
+    numbers are rejected."""
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value) and value >= low
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    _require(ok, f"{what} must be a finite number{'' if low == -np.inf else f' >= {low:g}'} (got {value!r})")
+    return float(value)
+
+
+def warp_from_descriptor(d: dict, where: str = "warping") -> WarpFunction:
+    """Closed warping-function catalog; no general expression evaluation.
+    Every number is checked here; `where` names the descriptor in errors."""
+    _require(isinstance(d, dict) and "kind" in d, f"{where} descriptor needs a 'kind'")
     kind = d["kind"]
     if kind == "const":
-        return const_fn(float(d.get("a", 1.0)))
+        return const_fn(_real(d.get("a", 1.0), f"{where} const 'a'"))
     if kind == "cos":
         return cos_fn()
     if kind == "exp":
         return exp_fn()
     if kind == "polynomial":
-        _require("coeffs" in d, "polynomial warping needs 'coeffs'")
-        return poly_fn([float(v) for v in d["coeffs"]])
+        coeffs = d.get("coeffs")
+        _require(isinstance(coeffs, list) and coeffs, f"{where} polynomial needs a non-empty 'coeffs' list")
+        return poly_fn([_real(v, f"{where} polynomial coeffs[{i}]") for i, v in enumerate(coeffs)])
     if kind in ("sum", "product"):
         terms = d.get("terms", [])
-        _require(len(terms) >= 2, f"{kind} warping needs at least two terms")
+        _require(isinstance(terms, list) and len(terms) >= 2, f"{where} {kind} needs at least two terms")
         combine = sum_fn if kind == "sum" else product_fn
-        out = warp_from_descriptor(terms[0])
-        for t in terms[1:]:
-            out = combine(out, warp_from_descriptor(t))
+        out = warp_from_descriptor(terms[0], f"{where} {kind} terms[0]")
+        for i, t in enumerate(terms[1:], 1):
+            out = combine(out, warp_from_descriptor(t, f"{where} {kind} terms[{i}]"))
         return out
     raise SceneValidationError(f"unknown warping kind {kind!r}")
 
 
-def _factor_from_descriptor(d: dict):
-    _require(isinstance(d, dict) and "kind" in d, "factor descriptor needs a 'kind'")
+def _factor_from_descriptor(d: dict, which: str):
+    _require(isinstance(d, dict) and "kind" in d, f"{which} descriptor needs a 'kind'")
     kind = d["kind"]
-    dim = int(d.get("dim", 1))
-    _require(dim >= 1, "factor dimension must be >= 1")
+    dim = _integer(d.get("dim", 1), f"{which} 'dim'")
     if kind == "euclidean":
         return flat_factor(dim)
     if kind == "round-sphere":
@@ -326,7 +341,8 @@ def _explicit_warped_source(src: dict, ambient: AmbientSpace) -> _Source:
         "explicit-warped source needs 'factor1', 'factor2' and 'warping'",
     )
     _require(len(src.get("points", [])) > 0, "explicit-warped source needs 'points'")
-    factor1, factor2 = _factor_from_descriptor(src["factor1"]), _factor_from_descriptor(src["factor2"])
+    factor1 = _factor_from_descriptor(src["factor1"], "factor1")
+    factor2 = _factor_from_descriptor(src["factor2"], "factor2")
     return _Source(
         warped=WarpedProductChart(
             factor1=factor1,
@@ -368,12 +384,8 @@ def _synthetic_source(src: dict, ambient: AmbientSpace) -> _Source:
     n1, n2 = _dims(src, ambient)
     generator = src.get("generator", "random")
     _require(generator in _GENERATORS, f"unknown generator {generator!r}")
-    scale = src.get("sigma_scale", 1.0)
-    _require(
-        isinstance(scale, (int, float, np.integer)) and not isinstance(scale, bool) and 0.0 <= scale < np.inf,
-        f"sigma_scale must be a finite number >= 0 (got {scale!r})",
-    )
-    return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=float(scale))
+    scale = _real(src.get("sigma_scale", 1.0), "sigma_scale", low=0.0)
+    return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=scale)
 
 
 def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:
@@ -790,20 +802,24 @@ def run(
 
 def _canonical_json(obj) -> str:
     """Keys sorted as strings; every float rendered as %.12e for byte-stable
-    output; numpy values are converted as they are rendered."""
+    output; numpy values are converted as they are rendered.  Strings go
+    through the encoder that json.dumps runs for a str (ASCII output), so
+    keys and string values read exactly as json.dumps renders them."""
     if isinstance(obj, dict):
         items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
-        return "{" + ", ".join(f"{json.dumps(k)}: {_canonical_json(v)}" for k, v in items) + "}"
+        return "{" + ", ".join(f"{_json_string(k)}: {_canonical_json(v)}" for k, v in items) + "}"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_canonical_json(v) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)):
-        return json.dumps(bool(obj))
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if obj is None or isinstance(obj, str):
-        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return _json_string(obj)
     if isinstance(obj, (float, np.floating)):
         return f"{float(obj):.12e}"
     raise TypeError(f"cannot canonicalize {type(obj)}")

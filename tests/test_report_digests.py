@@ -1,6 +1,7 @@
 """tools/report_digests.py on the example scenes: one line per scene, the
 same on every run."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,14 @@ def test_example_scene_digests_are_deterministic():
     assert [line.split("  ", 1)[1] for line in first] == [f"scenes/{name}" for name in SCENES]
     assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
     assert _digests() == first
+
+
+def test_criterion_2_digest_is_deterministic():
+    spec = importlib.util.spec_from_file_location("report_digests", ROOT / "tools" / "report_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    first = tool.criterion_2_digest(samples=25)
+    assert len(first.split("  ", 1)[0]) == 64
+    assert "4x25 samples" in first
+    assert tool.criterion_2_digest(samples=25) == first
+    assert tool.criterion_2_digest(samples=26) != first

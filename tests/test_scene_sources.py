@@ -238,6 +238,78 @@ def test_synthetic_sigma_scale_must_be_a_finite_non_negative_number(tmp_path, ca
     assert f"sigma_scale must be a finite number >= 0 (got {scale!r})" in err
 
 
+EXPLICIT_WARPED = {
+    "ambient": {"kind": "euclidean", "m": 3},
+    "source": {
+        "kind": "explicit-warped",
+        "factor1": {"kind": "euclidean", "dim": 1},
+        "factor2": {"kind": "euclidean", "dim": 1},
+        "warping": {"kind": "exp"},
+        "points": [[0.3, 0.1]],
+    },
+    "checks": ["laplacian_ratio"],
+    "seed": 2,
+}
+
+
+def _explicit_warped(**source):
+    return dict(EXPLICIT_WARPED, source={**EXPLICIT_WARPED["source"], **source})
+
+
+@pytest.mark.parametrize("factor", ["factor1", "factor2"])
+@pytest.mark.parametrize("dim", [1.7, True, "2", 0])
+def test_explicit_warped_factor_dim_must_be_a_positive_integer(tmp_path, capsys, factor, dim):
+    err = _rejected(tmp_path, capsys, _explicit_warped(**{factor: {"kind": "euclidean", "dim": dim}}))
+    assert f"{factor} 'dim' must be an integer >= 1 (got {dim!r})" in err
+
+
+_WARPING_NUMBER_FIELDS = [
+    (lambda x: {"kind": "const", "a": x}, "warping const 'a'"),
+    (lambda x: {"kind": "polynomial", "coeffs": [1.0, x]}, "warping polynomial coeffs[1]"),
+    (
+        lambda x: {"kind": "sum", "terms": [{"kind": "exp"}, {"kind": "const", "a": x}]},
+        "warping sum terms[1] const 'a'",
+    ),
+    (
+        lambda x: {"kind": "product", "terms": [{"kind": "polynomial", "coeffs": [x]}, {"kind": "cos"}]},
+        "warping product terms[0] polynomial coeffs[0]",
+    ),
+]
+
+
+@pytest.mark.parametrize("field", _WARPING_NUMBER_FIELDS, ids=lambda f: f[1])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.5"])
+def test_warping_numbers_must_be_finite_numbers(tmp_path, capsys, field, value):
+    descriptor, name = field
+    err = _rejected(tmp_path, capsys, _explicit_warped(warping=descriptor(value)))
+    assert f"{name} must be a finite number (got {value!r})" in err
+
+
+def test_a_mixed_coefficient_list_is_rejected_at_its_first_bad_entry(tmp_path, capsys):
+    err = _rejected(tmp_path, capsys, _explicit_warped(warping={"kind": "polynomial", "coeffs": [1.0, "0.5", True]}))
+    assert "warping polynomial coeffs[1] must be a finite number (got '0.5')" in err
+
+
+@pytest.mark.parametrize(
+    "warping,message",
+    [
+        ({"kind": "polynomial", "coeffs": 3}, "warping polynomial needs a non-empty 'coeffs' list"),
+        ({"kind": "polynomial", "coeffs": []}, "warping polynomial needs a non-empty 'coeffs' list"),
+        ({"kind": "sum", "terms": 3}, "warping sum needs at least two terms"),
+    ],
+)
+def test_warping_lists_must_be_lists(tmp_path, capsys, warping, message):
+    assert message in _rejected(tmp_path, capsys, _explicit_warped(warping=warping))
+
+
+@pytest.mark.parametrize(
+    "warping",
+    [{"kind": "exp"}, {"kind": "sum", "terms": [{"kind": "const", "a": 2}, {"kind": "polynomial", "coeffs": [1, 0.5, -0.25]}]}],
+)
+def test_finite_warping_numbers_are_accepted(tmp_path, warping):
+    assert _verify(tmp_path, _explicit_warped(warping=warping)) == 0
+
+
 def test_synthetic_sigma_scale_zero_is_accepted(tmp_path):
     assert _verify(tmp_path, dict(REAL, source={**REAL["source"], "sigma_scale": 0})) == 0
 

@@ -6,7 +6,7 @@ import pytest
 
 from warpcheck.cli import main as cli_main
 from warpcheck.errors import SceneParseError, SceneValidationError
-from warpcheck.scenes import SceneSpec, emit, parse_scene, run, warp_from_descriptor
+from warpcheck.scenes import SceneSpec, _canonical_json, emit, parse_scene, run, warp_from_descriptor
 
 CONTACT_EXAMPLES = ["non_sasakian_random.json", "tangent_sphere_bundle.json", "sasakian_obstruction.json"]
 
@@ -810,3 +810,17 @@ def test_the_contact_example_scenes_never_call_oracle_value(monkeypatch):
     for spec in specs:
         assert all(r["pass"] for r in run(spec).records)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "plain", 'say "yes"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f", "κ μ", "κ_ij \"μ\" \\ \u2028 \U0001f600"],
+)
+def test_canonical_json_renders_strings_as_json_dumps(text):
+    assert _canonical_json({text: text}) == "{" + json.dumps(text) + ": " + json.dumps(text) + "}"
+    assert _canonical_json([text]) == "[" + json.dumps(text) + "]"
+
+
+def test_canonical_json_renders_booleans_and_none_as_literals():
+    assert _canonical_json([True, np.True_, False, np.False_, None]) == "[true, true, false, false, null]"
+    assert _canonical_json({"pass": np.bool_(True), "error": None}) == '{"error": null, "pass": true}'
