@@ -1,11 +1,11 @@
 """Submanifold machinery: second fundamental form, mean curvatures,
 Gauss-equation bookkeeping and the contact-tangency predicates.
 
-Two input flavors share one downstream representation.  Chart immersions are
-differentiated numerically and re-expressed in an adapted orthonormal frame;
-pointwise data is synthesized directly in the ambient model's orthonormal
-coordinates.  Downstream of PointwiseImmersionData every inner product is a
-plain dot product.
+Two input flavors share one downstream representation.  Chart immersions
+map into Euclidean space, are differentiated numerically and re-expressed in
+an adapted orthonormal frame; pointwise data is synthesized directly in the
+ambient model's orthonormal coordinates.  Downstream of
+PointwiseImmersionData every inner product is a plain dot product.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from .charts import ChartMetric, euclidean_metric, riemann
+from .charts import ChartMetric
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle, make_ambient
 from .errors import (
     ImmersionDegeneracyError,
@@ -458,15 +458,15 @@ def force_xi_consistency(
     return sigma + np.einsum("...r,...ij->...rij", w, target - current)
 
 
-def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic completion of a tangent frame by the standard basis,
-    orthonormal for the metric `gram` (identity when omitted).
+def complete_normal_frame(tangent: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal completion of a tangent frame by the
+    standard basis.
 
     One pass over the candidates: the tangent columns, then e_0, e_1, ... .
     Each candidate is projected against the frame accepted so far with one
     matrix product, and the projection is repeated once (classical
-    Gram-Schmidt with one re-orthogonalization).  A remainder of `gram`-norm
-    at least 1e-8 is normalized and accepted; a smaller one is skipped, or
+    Gram-Schmidt with one re-orthogonalization).  A remainder of norm at
+    least 1e-8 is normalized and accepted; a smaller one is skipped, or
     raises ImmersionDegeneracyError for a tangent column (dependent tangent).
     Each normal column has its largest-magnitude entry positive.  Raises
     NumericalDomainError on non-finite input and ImmersionDegeneracyError
@@ -483,13 +483,11 @@ def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -
     if not np.isfinite(T).all():
         raise NumericalDomainError("tangent frame has non-finite entries")
     N, d, n = T.shape
-    g = None if gram is None else as_matrix(gram, d, d)
     if n >= d:
         raise ImmersionDegeneracyError(f"{n} tangent vectors leave no normal direction in R^{d}")
     where = (lambda i: f" in sample {i}") if stacked else (lambda i: "")
-    # accepted vectors u as rows of `frame`, with the rows u^T g beside them
+    # accepted vectors as the rows of `frame`
     frame = np.zeros((N, d, d))
-    gframe = frame if g is None else np.zeros((N, d, d))
     count = np.zeros(N, dtype=int)
     eye = np.eye(d)
     for j in range(n + d):
@@ -497,10 +495,9 @@ def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -
             break
         w = T[:, :, j] if j < n else np.broadcast_to(eye[j - n], (N, d))
         for _ in range(2):
-            coef = np.matmul(gframe, w[..., None])
+            coef = np.matmul(frame, w[..., None])
             w = w - np.matmul(np.swapaxes(coef, 1, 2), frame)[:, 0]
-        wg = w if g is None else w @ g
-        norm = np.sqrt(np.maximum(np.matmul(wg[:, None, :], w[:, :, None])[:, 0, 0], 0.0))
+        norm = np.sqrt(np.maximum(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0], 0.0))
         accept = (norm >= 1e-8) & (count < d)
         if j < n and not accept.all():
             i = int(np.argmin(accept))
@@ -509,8 +506,6 @@ def complete_normal_frame(tangent: np.ndarray, gram: np.ndarray | None = None) -
             )
         rows = np.flatnonzero(accept)
         frame[rows, count[rows]] = w[rows] / norm[rows, None]
-        if g is not None:
-            gframe[rows, count[rows]] = wg[rows] / norm[rows, None]
         count[rows] += 1
     if (count != d).any():
         i = int(np.argmin(count))
@@ -652,14 +647,14 @@ def _dplus_normal(frame: ContactFrame, n: int) -> np.ndarray:
 
 @dataclass
 class ChartImmersion:
-    """Map from an n-dim source chart into an ambient chart.
+    """Map from an n-dim source chart into Euclidean R^ambient_dim.
 
-    map takes source points (..., n) to ambient points (..., ambient.dim),
+    map takes source points (..., n) to points (..., ambient_dim),
     broadcasting over the leading axes (the stack contract of ``charts``).
     """
 
     map: Callable[[np.ndarray], np.ndarray]
-    ambient: ChartMetric
+    ambient_dim: int
     n1: int
     n2: int
     warped: WarpedProductChart | None = None
@@ -673,7 +668,7 @@ class ChartImmersion:
 
 def _mapped(im: ChartImmersion, pts: np.ndarray) -> np.ndarray:
     """The map on a stack of source points, checked for shape and finiteness."""
-    return stack_values(im.map(pts), pts, (im.ambient.dim,), "map")
+    return stack_values(im.map(pts), pts, (im.ambient_dim,), "map")
 
 
 def _jacobian(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -682,16 +677,14 @@ def _jacobian(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def pullback_metric(im: ChartImmersion, h: float = DEFAULT_TOLERANCE.finite_difference) -> ChartMetric:
-    """Induced metric J^T g~ J on the source chart, with a central-difference
+    """Induced metric J^T J on the source chart, with a central-difference
     Jacobian of step h: one map call on the (..., 2n+1, n) axis stencil of
     the points it is evaluated at."""
 
     def g(u: np.ndarray) -> np.ndarray:
         pts, steps = axis_stencil(np.asarray(u, float), h)
-        values = _mapped(im, pts)
-        J = _jacobian(values, steps)
-        gx = im.ambient.at(values[..., 0, :])
-        return np.swapaxes(J, -1, -2) @ gx @ J
+        J = _jacobian(_mapped(im, pts), steps)
+        return np.swapaxes(J, -1, -2) @ J
 
     return ChartMetric(im.n, g)
 
@@ -705,47 +698,33 @@ def second_fundamental_form(
 
     The tangent frame orthonormalizes the pushed-forward coordinate basis
     (preserving the leaf/fibre split), the normal frame completes it from the
-    ambient coordinate directions, and sigma is the normal part of the ambient
-    acceleration of the immersion.  Downstream components live in the adapted
-    frame, where the effective metric is the identity.  The map is evaluated
-    once, on the cross stencil of p that its first and second derivatives
-    share.
+    coordinate directions of R^d, and sigma is the normal part of the second
+    derivatives of the map.  Downstream components live in the adapted frame,
+    where the ambient curvature is zero.  The map is evaluated once, on the
+    cross stencil of p that its first and second derivatives share.
     """
     p = as_vector(p, im.n)
-    d, n = im.ambient.dim, im.n
+    d, n = im.ambient_dim, im.n
     pts, steps = cross_stencil(p, h)
     values = _mapped(im, pts)
-    x = values[0]
     J = _jacobian(values, steps)
-    gx = im.ambient.at(x)
-    gram = J.T @ gx @ J
-    require_positive_definite(gram, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
+    require_positive_definite(J.T @ J, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
     # Gram-Schmidt on pushforwards, tracking source-coordinate coefficients
     # through an augmented tail that the inner product ignores.
     augmented = [np.concatenate([J[:, a], np.eye(n)[a]]) for a in range(n)]
-    ortho = gram_schmidt(augmented, inner=lambda u, v: float(u[:d] @ gx @ v[:d]), tol=1e-8)
+    ortho = gram_schmidt(augmented, inner=lambda u, v: float(u[:d] @ v[:d]), tol=1e-8)
     tangent_ambient = np.column_stack([w[:d] for w in ortho])
     coeff = np.column_stack([w[d:] for w in ortho])  # e_i = sum_a coeff[a,i] d_a
 
-    # complete to an ambient-orthonormal frame with coordinate directions
-    normal_ambient = complete_normal_frame(tangent_ambient, gram=gx)
+    normal_ambient = complete_normal_frame(tangent_ambient)
 
-    # ambient acceleration S_ab = d_a d_b x + Gamma~(J_a, J_b)
-    ambient_curvature = riemann(im.ambient, x)
-    S = second_differences(values, steps) + np.einsum(
-        "kij,ia,jb->abk", ambient_curvature.gamma, J, J
-    )
-
-    # normal components, then transform source-coordinate indices to the frame
-    sigma_coord = np.einsum("abk,kl,lr->rab", S, gx, normal_ambient)
+    # normal components of S_ab = d_a d_b x, then source-coordinate indices to the frame
+    S = second_differences(values, steps)
+    sigma_coord = np.einsum("abk,kr->rab", S, normal_ambient)
     sigma = np.einsum("ai,bj,rab->rij", coeff, coeff, sigma_coord)
     asymmetry = float(np.max(np.abs(sigma - sigma.transpose(0, 2, 1))))
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
-
-    # ambient curvature at x, rotated into the adapted frame
-    full_frame = np.column_stack([tangent_ambient, normal_ambient])
-    oracle = CurvatureOracle("chart-numeric", ambient_curvature.riemann04).rotated(full_frame)
 
     eye = np.eye(d)
     return PointwiseImmersionData(
@@ -754,12 +733,12 @@ def second_fundamental_form(
         tangent=eye[:, :n],
         normal=eye[:, n:],
         sigma=sigma,
-        oracle=oracle,
+        oracle=CurvatureOracle("euclidean", np.zeros((d,) * 4)),
         contact=None,
         label=im.label,
         extras={
             "point": p,
-            "ambient_point": x,
+            "ambient_point": values[0],
             "tangent_ambient": tangent_ambient,
             "normal_ambient": normal_ambient,
             "frame_coefficients": coeff,
@@ -791,7 +770,7 @@ def sphere_in_euclidean(n: int = 2) -> ChartImmersion:
 
     return ChartImmersion(
         map=mapping,
-        ambient=euclidean_metric(n + 1),
+        ambient_dim=n + 1,
         n1=1,
         n2=n - 1,
         warped=sphere_chart(n2=n - 1),
@@ -804,7 +783,7 @@ def plane_immersion() -> ChartImmersion:
     """Affine 2-plane in R^3 (totally geodesic)."""
     return ChartImmersion(
         map=lambda u: np.stack([u[..., 0], u[..., 1], np.zeros_like(u[..., 0])], axis=-1),
-        ambient=euclidean_metric(3),
+        ambient_dim=3,
         n1=1,
         n2=1,
         warped=flat_product_chart(),
@@ -817,7 +796,7 @@ def cylinder_immersion() -> ChartImmersion:
     """Unit cylinder in R^3: principal curvatures (1, 0), |H| = 1/2."""
     return ChartImmersion(
         map=lambda u: np.stack([np.cos(u[..., 1]), np.sin(u[..., 1]), u[..., 0]], axis=-1),
-        ambient=euclidean_metric(3),
+        ambient_dim=3,
         n1=1,
         n2=1,
         warped=flat_product_chart(),

@@ -307,7 +307,6 @@ class InequalityReport:
     n2: int
     equality_tol: float
     _diagnostics: _EqualityDiagnostics = field(repr=False, compare=False)
-    verdict: str | None = None
     extras: dict = field(default_factory=dict)
 
     @property

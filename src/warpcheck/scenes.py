@@ -363,9 +363,14 @@ def _chart_immersion_source(src: dict, ambient: AmbientSpace) -> _Source:
     _require(key in chart_immersion_catalog(), f"unknown immersion key {key!r}")
     im = chart_immersion_catalog()[key](**params)
     _require(
-        im.ambient.dim == ambient.dim,
-        f"immersion {key!r} maps into a {im.ambient.dim}-dimensional chart, "
+        im.ambient_dim == ambient.dim,
+        f"immersion {key!r} maps into a {im.ambient_dim}-dimensional chart, "
         f"the ambient is {ambient.dim}-dimensional",
+    )
+    _require(
+        not ambient.oracle.tensor.any(),
+        f"immersion {key!r} maps into flat R^{im.ambient_dim}, "
+        f"but the {ambient.kind!r} ambient is curved",
     )
     point = as_vector(src["point"], im.n) if "point" in src else im.default_point
     return _Source(warped=im.warped, immersion=im, point=point)
@@ -715,7 +720,6 @@ def _check_obstruction(ctx: _Context, opts: dict) -> dict:
         eigenvalue=opts.get("eigenvalue"),
         minimal=bool(opts.get("minimal", False)),
     )
-    rep.verdict = verdict
     expected = opts.get("expect")
     ok = True if expected is None else (verdict == expected)
     return {"pass": ok, "verdict": verdict, "rhs_curvature_term": rep.rhs - rep.mean_term}
@@ -753,7 +757,10 @@ def resolve_seed(spec: SceneSpec, override: int | None = None) -> int:
     if spec.seed is not None:
         return int(spec.seed)
     env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+    if not env:
+        return 0
+    _require(env.isascii() and env.isdigit(), f"{ENV_SEED} must be an integer >= 0 (got {env!r})")
+    return int(env)
 
 
 def run(

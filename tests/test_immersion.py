@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck.charts import ChartMetric, riemann
+from warpcheck.charts import riemann
 from warpcheck.contact import CurvatureOracle, make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
@@ -16,6 +16,7 @@ from warpcheck.immersion import (
     PointwiseImmersionData,
     a_xi_identity,
     balance_for_equality,
+    chart_immersion_catalog,
     complete_normal_frame,
     cylinder_immersion,
     dplus_frame,
@@ -33,6 +34,7 @@ from warpcheck.immersion import (
     second_fundamental_form,
     sphere_in_euclidean,
 )
+from warpcheck.warped import build_metric
 
 
 def test_plane_totally_geodesic():
@@ -225,30 +227,34 @@ def test_gauss_residual_equals_the_scalar_contractions_and_keeps_the_stream(n1, 
         assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
-def test_complete_normal_frame_under_a_metric():
-    rng = np.random.default_rng(5)
-    for d, n in [(3, 2), (5, 2), (7, 3)]:
-        tangent = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :n]
-        assert np.array_equal(
-            complete_normal_frame(tangent, gram=np.eye(d)), complete_normal_frame(tangent)
-        )
-        a = rng.normal(size=(d, d))
-        g = a @ a.T + d * np.eye(d)
-        t_g = np.linalg.solve(np.linalg.cholesky(g).T, tangent)  # g-orthonormal columns
-        normal = complete_normal_frame(t_g, gram=g)
-        assert normal.shape == (d, d - n)
-        assert np.max(np.abs(normal.T @ g @ normal - np.eye(d - n))) < 1e-10
-        assert np.max(np.abs(t_g.T @ g @ normal)) < 1e-10
-        for r in range(d - n):
-            assert normal[np.argmax(np.abs(normal[:, r])), r] > 0.0
-
-
 def test_sphere_gauss_numbers():
     # K = 0 + 1*1 - 0 and 2 tau = 0 + 4 |H|^2 - |sigma|^2 = 2
     im = sphere_in_euclidean(2)
     data = second_fundamental_form(im, im.default_point)
     assert abs(intrinsic_kij(data)[0, 1] - 1.0) < 1e-5
     assert abs(data.sigma_norm_sq() - 2.0) < 1e-5
+
+
+def test_pullback_metric_matches_the_analytic_warped_metric():
+    # J^T J of the sphere's map against g1 + cos^2(t) g_{S^(n-1)}
+    for n in range(2, 9):
+        im = sphere_in_euclidean(n)
+        pts = np.stack([im.default_point, *im.warped.sample_points])
+        got = pullback_metric(im).at(pts)
+        want = build_metric(im.warped).at(pts)
+        assert np.max(np.abs(got - want)) < 1e-8, n
+
+
+def test_chart_immersion_data_has_a_zero_ambient_tensor():
+    # the ambient of a chart immersion is flat R^d: every entry +0.0, at the
+    # default point and the warped chart's sample points, sphere n = 2..8
+    for key, build in chart_immersion_catalog().items():
+        for params in ({"n": n} for n in range(2, 9)) if key == "sphere-in-euclidean" else ({},):
+            im = build(**params)
+            for p in [im.default_point, *im.warped.sample_points]:
+                tensor = second_fundamental_form(im, p).oracle.tensor
+                assert tensor.shape == (im.ambient_dim,) * 4
+                assert not tensor.any() and not np.signbit(tensor).any(), im.label
 
 
 def test_dplus_leaf_c_totally_real():
@@ -355,11 +361,9 @@ def test_balance_for_equality_properties():
 
 
 def test_degenerate_immersion_rejected():
-    eye = np.eye(3)
-    ambient = ChartMetric(3, lambda x: np.broadcast_to(eye, x.shape[:-1] + (3, 3)))
     collapsed = ChartImmersion(
         map=lambda u: np.stack([u[..., 0], u[..., 0], 0.0 * u[..., 0]], axis=-1),
-        ambient=ambient,
+        ambient_dim=3,
         n1=1,
         n2=1,
     )
