@@ -35,6 +35,7 @@ from .numeric import (
     cross_stencil,
     gram_schmidt,
     qr_q,
+    qr_q_complete,
     require_positive_definite,
     second_differences,
     stack_values,
@@ -534,10 +535,11 @@ def random_stack(
     (real part, then imaginary part of a complex m x n matrix), a dplus frame
     none; then sigma_scale times k n^2 entries, symmetrized, give sigma.  So
     the stack equals `count` sequential random_data calls bit for bit, and
-    leaves `rng` in the same state.  The frames are completed and validated
-    once for the whole stack.  A `count` that is not an integer >= 1 or a
-    `sigma_scale` that is not finite and >= 0 raises InvalidInputError
-    before anything is drawn.
+    leaves `rng` in the same state.  Every frame kind gives its normal frame
+    in closed form, with no Gram-Schmidt completion, and the frames are
+    validated once for the whole stack.  A `count` that is not an integer
+    >= 1 or a `sigma_scale` that is not finite and >= 0 raises
+    InvalidInputError before anything is drawn.
     """
     n = n1 + n2
     d = ambient.dim
@@ -569,8 +571,7 @@ def random_stack(
         q = qr_q(block[:, :frame_draws].reshape(count, d, d))
         tangent, normal = q[..., :n], q[..., n:]
     elif frame_kind == "c-totally-real":
-        tangent = _c_totally_real_tangents(block[:, :frame_draws], frame, n)
-        normal = complete_normal_frame(tangent)
+        tangent, normal = _c_totally_real_frames(block[:, :frame_draws], frame, n)
     raw = block[:, frame_draws:].reshape(count, k, n, n)
     if sigma_scale != 1.0:  # loc + scale * z, the arithmetic of rng.normal(scale=sigma_scale)
         raw = 0.0 + sigma_scale * raw
@@ -610,21 +611,32 @@ def _frame_of(ambient: AmbientSpace) -> ContactFrame:
     return ambient.frame
 
 
-def _c_totally_real_tangents(block: np.ndarray, frame: ContactFrame, n: int) -> np.ndarray:
-    """Random anti-invariant tangent frames orthogonal to xi, one per row of
-    2 m n normal draws.
+def _c_totally_real_frames(block: np.ndarray, frame: ContactFrame, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random anti-invariant tangent frames orthogonal to xi and their normal
+    frames, one pair per row of 2 m n normal draws.
 
-    Columns are built from a complex m x n matrix with orthonormal columns:
-    the real/imaginary parts populate the u_i / phi u_i slots, which makes
-    the span automatically orthonormal and phi-anti-invariant.
+    With iota(v) = [0; Re v; Im v], an isometry of C^m onto the orthogonal
+    complement of xi with phi iota(v) = iota(i v), the tangent is iota(q) for
+    the reduced QR factor q (m x n) of a complex matrix, so its span is
+    orthonormal and phi-anti-invariant.  The last m - n columns c of the
+    complete factor of the same factorization give the normal frame in
+    closed form: [xi | phi T | iota(c) | phi iota(c)], where the first two
+    blocks span <xi> + phi(TM) and the last two the phi-invariant rest.
     """
-    m = frame.m
-    parts = block.reshape(len(block), 2, m, n)
-    q = qr_q(parts[:, 0] + 1j * parts[:, 1])
-    tangent = np.zeros((len(block), frame.dim, n))
+    m, d, count = frame.m, frame.dim, len(block)
+    parts = block.reshape(count, 2, m, n)
+    q, full = qr_q_complete(parts[:, 0] + 1j * parts[:, 1])
+    tangent = np.zeros((count, d, n))
     tangent[:, 1 : m + 1, :] = q.real
     tangent[:, m + 1 :, :] = q.imag
-    return tangent
+    c = full[..., n:]
+    # iota(i q) = phi T, iota(c), iota(i c) = phi iota(c): the columns after xi
+    spans = np.concatenate([1j * q, c, 1j * c], axis=2)
+    normal = np.zeros((count, d, d - n))
+    normal[:, 0, 0] = 1.0
+    normal[:, 1 : m + 1, 1:] = spans.real
+    normal[:, m + 1 :, 1:] = spans.imag
+    return tangent, normal
 
 
 def dplus_frame(frame: ContactFrame, n: int) -> np.ndarray:

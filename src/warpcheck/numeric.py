@@ -30,6 +30,7 @@ __all__ = [
     "require_positive_definite",
     "gram_schmidt",
     "qr_q",
+    "qr_q_complete",
     "axis_stencil",
     "cross_stencil",
     "central_differences",
@@ -166,15 +167,33 @@ def qr_q(a: np.ndarray) -> np.ndarray:
     identity.
     """
     t = "D" if np.iscomplexobj(a) else "d"
-    return _qr_gufuncs(np.array(a, dtype=t), t)
+    return _qr_gufuncs(np.array(a, dtype=t), t, False)[0]
+
+
+def qr_q_complete(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced factor Q of qr_q and the complete factor Q (..., m, m) of
+    each matrix of a float64 or complex128 stack (..., m, n), both formed
+    from one Householder factorization.
+
+    Each is bit-identical to numpy.linalg.qr(a, mode)[0] for its mode,
+    "reduced" and "complete": the complete one comes from qr_complete, the
+    gufunc numpy.linalg.qr runs for it when m > n.  When m <= n the two
+    factors coincide and the one array is returned twice.
+    """
+    t = "D" if np.iscomplexobj(a) else "d"
+    return _qr_gufuncs(np.array(a, dtype=t), t, True)
 
 
 @np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _qr_gufuncs(a: np.ndarray, t: str) -> np.ndarray:
+def _qr_gufuncs(a: np.ndarray, t: str, complete: bool) -> tuple[np.ndarray, np.ndarray]:
     # the error state of numpy.linalg.qr, set by the decorator with less
-    # work than a with-block per call
+    # work than a with-block per call; qr_reduced and qr_complete read the
+    # Householder vectors in `a` without changing them
     tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
-    return _umath_linalg.qr_reduced(a, tau, signature=f"{t}{t}->{t}")
+    q = _umath_linalg.qr_reduced(a, tau, signature=f"{t}{t}->{t}")
+    if not complete or a.shape[-2] <= a.shape[-1]:
+        return q, q
+    return q, _umath_linalg.qr_complete(a, tau, signature=f"{t}{t}->{t}")
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

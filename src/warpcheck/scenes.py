@@ -48,6 +48,9 @@ from .immersion import (
     force_xi_consistency,
 )
 from .inequality import (
+    NONEXISTENCE,
+    UNOBSTRUCTED,
+    WARPED_PRODUCT_IMMERSION,
     chart_inequality,
     chen_lemma,
     decompose_stack,
@@ -198,6 +201,30 @@ def _real(value, what: str, low: float = -np.inf) -> float:
     return float(value)
 
 
+def _boolean(value, what: str) -> bool:
+    """`value` as a bool; only true and false are accepted, not 0, 1 or a
+    string such as "false"."""
+    _require(isinstance(value, (bool, np.bool_)), f"{what} must be true or false (got {value!r})")
+    return bool(value)
+
+
+def _positive(value, what: str) -> float:
+    """`value` as a finite float > 0 (the rules of `_real`)."""
+    x = _real(value, what)
+    _require(x > 0.0, f"{what} must be a number > 0 (got {value!r})")
+    return x
+
+
+_VERDICTS = (NONEXISTENCE, WARPED_PRODUCT_IMMERSION, UNOBSTRUCTED)
+
+
+def _verdict(value, what: str) -> str:
+    _require(
+        isinstance(value, str) and value in _VERDICTS, f"{what} must be one of {list(_VERDICTS)} (got {value!r})"
+    )
+    return value
+
+
 def warp_from_descriptor(d: dict, where: str = "warping") -> WarpFunction:
     """Closed warping-function catalog; no general expression evaluation.
     Every number is checked here; `where` names the descriptor in errors."""
@@ -290,6 +317,16 @@ def _validate(spec: SceneSpec):
     names = {c["name"] for c in spec.checks}
     unknown = names - set(_CHECKS)
     _require(not unknown, f"unknown checks: {sorted(unknown)}")
+    for check in spec.checks:
+        name, readers = check["name"], _CHECKS[check["name"]][2]
+        for key, value in check.items():
+            if key == "name":
+                continue
+            _require(
+                key in readers,
+                f"check {name!r} has no option {key!r} (its options: {sorted(readers) or 'none'})",
+            )
+            readers[key](value, f"check {name!r} option {key!r}")
     for requirement, (what, holds) in _REQUIREMENTS.items():
         lacking = sorted(n for n in names if requirement in _CHECKS[n][1])
         _require(not lacking or holds(ambient, source), f"checks {lacking} need {what}")
@@ -533,7 +570,7 @@ def _check_trivial(ctx: _Context, opts: dict) -> dict:
     wp = ctx.source.warped
     flag = is_trivial(wp, wp.sample_points, tol=ctx.tol.algebraic)
     expected = opts.get("expect")
-    ok = True if expected is None else (flag == bool(expected))
+    ok = True if expected is None else (flag == expected)
     return {"pass": ok, "trivial": flag}
 
 
@@ -560,7 +597,7 @@ def _check_c_totally_real(ctx: _Context, opts: dict) -> dict:
     data = ctx.sample()
     ok, residuals = is_C_totally_real(data, tol=ctx.tol.algebraic)
     expected = opts.get("expect")
-    good = ok if expected is None else (ok == bool(expected))
+    good = ok if expected is None else (ok == expected)
     return {"pass": good, "c_totally_real": ok, **residuals}
 
 
@@ -716,34 +753,41 @@ def _check_obstruction(ctx: _Context, opts: dict) -> dict:
         rep = general_inequality(data)
     verdict = obstruction_check(
         rep,
-        harmonic=bool(opts.get("harmonic", False)),
+        harmonic=opts.get("harmonic", False),
         eigenvalue=opts.get("eigenvalue"),
-        minimal=bool(opts.get("minimal", False)),
+        minimal=opts.get("minimal", False),
     )
     expected = opts.get("expect")
     ok = True if expected is None else (verdict == expected)
     return {"pass": ok, "verdict": verdict, "rhs_curvature_term": rep.rhs - rep.mean_term}
 
 
-# check: (its function, the `_REQUIREMENTS` a scene must meet to request it)
-_CHECKS: dict[str, tuple[Callable[[_Context, dict], dict], tuple[str, ...]]] = {
-    "connection_identity": (_check_connection_identity, ("warped",)),
-    "mixed_sectional": (_check_mixed_sectional, ("warped",)),
-    "laplacian_ratio": (_check_laplacian_ratio, ("warped",)),
-    "trivial": (_check_trivial, ("warped",)),
-    "gauss_residual": (_check_gauss_residual, ("pointwise",)),
-    "c_totally_real": (_check_c_totally_real, ("pointwise", "contact")),
-    "a_xi_identity": (_check_a_xi, ("pointwise", "contact")),
-    "km_condition": (_check_km_condition, ("contact",)),
-    "phi_sectional": (_check_phi_sectional, ("contact",)),
-    "oracle_symmetries": (_check_oracle_symmetries, ()),
-    "general_inequality": (_check_general_inequality, ("pointwise",)),
-    "kmu_space_form_inequality": (_check_kmu_inequality, ("pointwise", "contact")),
-    "non_sasakian_inequality": (_check_non_sasakian_inequality, ("pointwise", "contact")),
-    "equality_case": (_check_equality_case, ("pointwise",)),
-    "decompose": (_check_decompose, ("pointwise",)),
-    "chen_lemma": (_check_chen_lemma, ()),
-    "obstruction": (_check_obstruction, ("pointwise",)),
+_BOOLEAN_EXPECT = {"expect": _boolean}
+
+# check: (its function, the `_REQUIREMENTS` a scene must meet to request it,
+# a reader for each option it takes; `_validate` rejects any other key)
+_CHECKS: dict[str, tuple[Callable[[_Context, dict], dict], tuple[str, ...], dict[str, Callable]]] = {
+    "connection_identity": (_check_connection_identity, ("warped",), {}),
+    "mixed_sectional": (_check_mixed_sectional, ("warped",), {}),
+    "laplacian_ratio": (_check_laplacian_ratio, ("warped",), {}),
+    "trivial": (_check_trivial, ("warped",), _BOOLEAN_EXPECT),
+    "gauss_residual": (_check_gauss_residual, ("pointwise",), {}),
+    "c_totally_real": (_check_c_totally_real, ("pointwise", "contact"), _BOOLEAN_EXPECT),
+    "a_xi_identity": (_check_a_xi, ("pointwise", "contact"), {}),
+    "km_condition": (_check_km_condition, ("contact",), {}),
+    "phi_sectional": (_check_phi_sectional, ("contact",), {"expect": _real}),
+    "oracle_symmetries": (_check_oracle_symmetries, (), {}),
+    "general_inequality": (_check_general_inequality, ("pointwise",), {}),
+    "kmu_space_form_inequality": (_check_kmu_inequality, ("pointwise", "contact"), {"c": _real}),
+    "non_sasakian_inequality": (_check_non_sasakian_inequality, ("pointwise", "contact"), {}),
+    "equality_case": (_check_equality_case, ("pointwise",), {}),
+    "decompose": (_check_decompose, ("pointwise",), {}),
+    "chen_lemma": (_check_chen_lemma, (), {}),
+    "obstruction": (
+        _check_obstruction,
+        ("pointwise",),
+        {"harmonic": _boolean, "minimal": _boolean, "eigenvalue": _positive, "expect": _verdict},
+    ),
 }
 
 

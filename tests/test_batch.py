@@ -59,6 +59,7 @@ def _assert_same_draws(stack, samples):
     assert len(stack) == len(samples)
     for i, data in enumerate(samples):
         assert np.array_equal(stack.tangent[i], data.tangent), i
+        assert np.array_equal(stack.normal[i], data.normal), i
         assert np.array_equal(stack.sigma[i], data.sigma), i
 
 

@@ -96,3 +96,65 @@ def test_the_seed_environment_variable_reads_like_the_seed_flag(tmp_path, monkey
     assert report() == flagged
     monkeypatch.setenv("WARPCHECK_SEED", "")
     assert report() == report("--seed", "0")
+
+
+WARPED = {"ambient": {"kind": "euclidean", "m": 5}, "source": {"kind": "warped-chart", "key": "flat-product"}}
+CONTACT = {
+    "ambient": {"kind": "sasakian-space-form", "m": 3, "c": -4.0},
+    "source": {"kind": "synthetic", "generator": "minimal", "n1": 1, "n2": 1},
+    "samples": 4,
+}
+
+
+def _verify(tmp_path, base, check, *flags) -> int:
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**base, "checks": [check]}))
+    return cli_main(["verify", str(path), *flags])
+
+
+@pytest.mark.parametrize(
+    "base,check,message",
+    [
+        (WARPED, {"name": "trivial", "expect": "false"}, "check 'trivial' option 'expect' must be true or false"),
+        (WARPED, {"name": "trivial", "expect": 0}, "check 'trivial' option 'expect' must be true or false"),
+        (WARPED, {"name": "trivial", "expectt": False}, "check 'trivial' has no option 'expectt'"),
+        (WARPED, {"name": "connection_identity", "expect": True}, "check 'connection_identity' has no option 'expect'"),
+        (CONTACT, {"name": "c_totally_real", "expect": "true"}, "check 'c_totally_real' option 'expect' must be true or false"),
+        (CONTACT, {"name": "phi_sectional", "expect": "1"}, "check 'phi_sectional' option 'expect' must be a finite number"),
+        (CONTACT, {"name": "phi_sectional", "expect": True}, "check 'phi_sectional' option 'expect' must be a finite number"),
+        (CONTACT, {"name": "kmu_space_form_inequality", "c": "x"}, "check 'kmu_space_form_inequality' option 'c' must be a finite number"),
+        (CONTACT, {"name": "kmu_space_form_inequality", "c": None}, "check 'kmu_space_form_inequality' option 'c' must be a finite number"),
+        (CONTACT, {"name": "obstruction", "harmonic": 1, "minimal": True}, "check 'obstruction' option 'harmonic' must be true or false"),
+        (CONTACT, {"name": "obstruction", "harmonic": True, "minimal": "yes"}, "check 'obstruction' option 'minimal' must be true or false"),
+        (CONTACT, {"name": "obstruction", "eigenvalue": 0, "minimal": True}, "check 'obstruction' option 'eigenvalue' must be a number > 0"),
+        (CONTACT, {"name": "obstruction", "eigenvalue": "2", "minimal": True}, "check 'obstruction' option 'eigenvalue' must be a finite number"),
+        (CONTACT, {"name": "obstruction", "harmonic": True, "minimal": True, "expect": "nonexistence"}, "check 'obstruction' option 'expect' must be one of"),
+        (CONTACT, {"name": "chen_lemma", "samples": 3}, "check 'chen_lemma' has no option 'samples'"),
+    ],
+)
+def test_a_bad_check_option_exits_2_and_names_the_check_and_the_key(tmp_path, capsys, base, check, message):
+    assert _verify(tmp_path, base, check) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expect,status", [(False, 1), (True, 0)])
+def test_a_boolean_expect_sets_the_verdict_of_trivial(tmp_path, expect, status):
+    assert _verify(tmp_path, WARPED, {"name": "trivial", "expect": expect}) == status
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"name": "phi_sectional", "expect": -4},
+        {"name": "kmu_space_form_inequality", "c": -4},
+        {"name": "obstruction", "eigenvalue": 1, "minimal": True},
+        {"name": "obstruction", "harmonic": True, "minimal": True, "expect": "NONEXISTENCE"},
+        {"name": "c_totally_real", "expect": True},
+    ],
+)
+def test_well_typed_options_run_and_the_report_keeps_them_as_written(tmp_path, check):
+    out = tmp_path / "report.json"
+    assert _verify(tmp_path, CONTACT, check, "--output", "json", "--out", str(out)) == 0
+    report = json.loads(out.read_bytes())
+    assert report["scene"]["checks"] == [check]
+    assert report["records"][0]["pass"] is True

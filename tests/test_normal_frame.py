@@ -1,5 +1,6 @@
 """One-pass normal-frame completion against the per-candidate routine it
-replaced, plus its error paths."""
+replaced, plus its error paths, and the closed-form normal frames of
+random_stack, which never call it."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from warpcheck.errors import (
     ImmersionDegeneracyError,
     NumericalDomainError,
 )
+from warpcheck import immersion
 from warpcheck.immersion import complete_normal_frame, dplus_frame, random_stack
 from warpcheck.numeric import gram_schmidt
 
@@ -144,3 +146,41 @@ def test_non_finite_input_raises(bad):
     tangent[3, 1] = bad
     with pytest.raises(NumericalDomainError):
         complete_normal_frame(tangent)
+
+
+# --- closed-form normal frames of random_stack ----------------------------
+
+
+def _c_totally_real_cases():
+    for m in range(1, 6):
+        for n in range(1, m + 1):
+            for n1 in range(1, n + 1):
+                yield m, n1, n - n1
+
+
+@pytest.mark.parametrize("m,n1,n2", list(_c_totally_real_cases()))
+def test_closed_form_c_totally_real_normal_frame(m, n1, n2):
+    amb = make_ambient("non-sasakian-kmu", m=m, kappa=0.3, mu=0.5)
+    frame, d = amb.frame, amb.dim
+    stack = random_stack(np.random.default_rng(10 * m + n1), amb, n1, n2, 20, frame_kind="c-totally-real")
+    T, N = stack.tangent, stack.normal
+    full = np.concatenate([T, N], axis=2)
+    assert np.max(np.abs(full.transpose(0, 2, 1) @ full - np.eye(d))) <= PARITY
+    assert np.array_equal(N[:, :, 0], np.broadcast_to(frame.xi, (len(stack), d)))
+    phi_t = frame.phi @ T
+    assert np.max(np.abs(phi_t - N @ (N.transpose(0, 2, 1) @ phi_t))) <= PARITY
+    # the normal frame is read only as xi @ normal, and that is the same
+    # bytes as for the Gram-Schmidt completion of the same tangents
+    assert (frame.xi @ N).tobytes() == (frame.xi @ complete_normal_frame(T)).tobytes()
+
+
+@pytest.mark.parametrize("frame_kind", ["generic", "c-totally-real", "dplus"])
+def test_random_stack_never_completes_a_frame_by_gram_schmidt(monkeypatch, frame_kind):
+    def fail(tangent):
+        raise AssertionError("complete_normal_frame called")
+
+    monkeypatch.setattr(immersion, "complete_normal_frame", fail)
+    amb = make_ambient("kmu-space-form", m=3, kappa=0.5, mu=-1.0, c=1.7)
+    for n1, n2 in ((1, 1), (1, 2), (2, 1)):
+        stack = random_stack(np.random.default_rng(5), amb, n1, n2, 8, frame_kind=frame_kind)
+        assert stack.normal.shape == (8, amb.dim, amb.dim - n1 - n2)

@@ -11,6 +11,7 @@ from warpcheck.numeric import (
     cross_stencil,
     gram_schmidt,
     qr_q,
+    qr_q_complete,
     second_differences,
     stack_values,
 )
@@ -163,6 +164,19 @@ def test_qr_q_is_numpy_qr_bit_for_bit(m, complex_):
         q, ref = qr_q(a), np.linalg.qr(a)[0]
         assert q.dtype == ref.dtype and q.shape == ref.shape == a.shape[:-1] + (min(a.shape[-2:]),)
         assert np.array_equal(q, ref), a.shape
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", range(1, 12))
+def test_qr_q_complete_is_numpy_qr_in_both_modes_bit_for_bit(m, complex_):
+    rng = np.random.default_rng(200 + m)
+    for a in _qr_inputs(rng, m, complex_):
+        before = a.copy()
+        q, full = qr_q_complete(a)
+        assert np.array_equal(a, before)
+        assert q.dtype == full.dtype == a.dtype
+        assert np.array_equal(q, np.linalg.qr(a)[0]), a.shape
+        assert np.array_equal(full, np.linalg.qr(a, mode="complete")[0]), a.shape
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
