@@ -112,23 +112,30 @@ def _verify(tmp_path, base, check, *flags) -> int:
     return cli_main(["verify", str(path), *flags])
 
 
+BOOLEAN, NUMBER, POSITIVE = "must be true or false", "must be a finite number", "must be a number > 0"
+
+
 @pytest.mark.parametrize(
     "base,check,message",
     [
-        (WARPED, {"name": "trivial", "expect": "false"}, "check 'trivial' option 'expect' must be true or false"),
-        (WARPED, {"name": "trivial", "expect": 0}, "check 'trivial' option 'expect' must be true or false"),
+        (WARPED, {"name": "trivial", "expect": "false"}, f"check 'trivial' option 'expect' {BOOLEAN}"),
+        (WARPED, {"name": "trivial", "expect": 0}, f"check 'trivial' option 'expect' {BOOLEAN}"),
         (WARPED, {"name": "trivial", "expectt": False}, "check 'trivial' has no option 'expectt'"),
         (WARPED, {"name": "connection_identity", "expect": True}, "check 'connection_identity' has no option 'expect'"),
-        (CONTACT, {"name": "c_totally_real", "expect": "true"}, "check 'c_totally_real' option 'expect' must be true or false"),
-        (CONTACT, {"name": "phi_sectional", "expect": "1"}, "check 'phi_sectional' option 'expect' must be a finite number"),
-        (CONTACT, {"name": "phi_sectional", "expect": True}, "check 'phi_sectional' option 'expect' must be a finite number"),
-        (CONTACT, {"name": "kmu_space_form_inequality", "c": "x"}, "check 'kmu_space_form_inequality' option 'c' must be a finite number"),
-        (CONTACT, {"name": "kmu_space_form_inequality", "c": None}, "check 'kmu_space_form_inequality' option 'c' must be a finite number"),
-        (CONTACT, {"name": "obstruction", "harmonic": 1, "minimal": True}, "check 'obstruction' option 'harmonic' must be true or false"),
-        (CONTACT, {"name": "obstruction", "harmonic": True, "minimal": "yes"}, "check 'obstruction' option 'minimal' must be true or false"),
-        (CONTACT, {"name": "obstruction", "eigenvalue": 0, "minimal": True}, "check 'obstruction' option 'eigenvalue' must be a number > 0"),
-        (CONTACT, {"name": "obstruction", "eigenvalue": "2", "minimal": True}, "check 'obstruction' option 'eigenvalue' must be a finite number"),
-        (CONTACT, {"name": "obstruction", "harmonic": True, "minimal": True, "expect": "nonexistence"}, "check 'obstruction' option 'expect' must be one of"),
+        (CONTACT, {"name": "c_totally_real", "expect": "true"}, f"check 'c_totally_real' option 'expect' {BOOLEAN}"),
+        (CONTACT, {"name": "phi_sectional", "expect": "1"}, f"check 'phi_sectional' option 'expect' {NUMBER}"),
+        (CONTACT, {"name": "phi_sectional", "expect": True}, f"check 'phi_sectional' option 'expect' {NUMBER}"),
+        (CONTACT, {"name": "kmu_space_form_inequality", "c": "x"}, f"check 'kmu_space_form_inequality' option 'c' {NUMBER}"),
+        (CONTACT, {"name": "kmu_space_form_inequality", "c": None}, f"check 'kmu_space_form_inequality' option 'c' {NUMBER}"),
+        (CONTACT, {"name": "obstruction", "harmonic": 1, "minimal": True}, f"check 'obstruction' option 'harmonic' {BOOLEAN}"),
+        (CONTACT, {"name": "obstruction", "harmonic": True, "minimal": "yes"}, f"check 'obstruction' option 'minimal' {BOOLEAN}"),
+        (CONTACT, {"name": "obstruction", "eigenvalue": 0, "minimal": True}, f"check 'obstruction' option 'eigenvalue' {POSITIVE}"),
+        (CONTACT, {"name": "obstruction", "eigenvalue": "2", "minimal": True}, f"check 'obstruction' option 'eigenvalue' {NUMBER}"),
+        (
+            CONTACT,
+            {"name": "obstruction", "harmonic": True, "minimal": True, "expect": "nonexistence"},
+            "check 'obstruction' option 'expect' must be one of",
+        ),
         (CONTACT, {"name": "chen_lemma", "samples": 3}, "check 'chen_lemma' has no option 'samples'"),
     ],
 )
