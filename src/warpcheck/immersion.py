@@ -162,6 +162,7 @@ class PointwiseImmersionData:
         self.normal = np.asarray(self.normal, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         _check_frames(self.tangent[None], self.normal[None], self.sigma[None], self.n, lambda i: "")
+        self.tangent.setflags(write=False)  # its stack() keeps a K~ table of it
 
     @property
     def n(self) -> int:
@@ -192,7 +193,8 @@ class PointwiseStack:
     """N samples over one ambient and one (n1, n2), held as stacked arrays:
     tangent (N, d, n), normal (N, d, d - n), sigma (N, d - n, n, n).  The
     checks of PointwiseImmersionData run once for the whole stack, and an
-    error names the first offending sample by its index."""
+    error names the first offending sample by its index.  The tangent array
+    is read-only: the K~ table of ambient_kij is built from it once."""
 
     n1: int
     n2: int
@@ -202,12 +204,26 @@ class PointwiseStack:
     oracle: CurvatureOracle
     contact: ContactFrame | None = None
     label: str = ""
+    # (tangent, oracle, table) of ambient_kij; dataclasses.replace carries it
+    # to a copy, which uses it only while it holds the same tangent and oracle
+    _ambient_kij: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.tangent = np.asarray(self.tangent, dtype=float)
         self.normal = np.asarray(self.normal, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         _check_frames(self.tangent, self.normal, self.sigma, self.n, lambda i: f" in sample {i}")
+        self.tangent.setflags(write=False)
+
+    def ambient_kij(self) -> np.ndarray:
+        """Ambient sectional curvatures K(e_i ^ e_j) over each tangent frame,
+        (N, n, n): one oracle.kij call on first use, then kept.  The table is
+        keyed to the tangent array and the oracle it was built from, so a
+        stack holding others builds its own."""
+        cached = self._ambient_kij
+        if cached is None or cached[0] is not self.tangent or cached[1] is not self.oracle:
+            cached = self._ambient_kij = (self.tangent, self.oracle, self.oracle.kij(self.tangent))
+        return cached[2]
 
     @property
     def n(self) -> int:
@@ -295,16 +311,43 @@ def intrinsic_kij(
 ) -> np.ndarray:
     """Sectional curvatures of the submanifold from the Gauss equation:
     K_ij = K~_ij + sum_r (sigma^r_ii sigma^r_jj - (sigma^r_ij)^2), over the
-    K~ table `ambient` when the caller holds it (one oracle.kij call if not).
+    K~ table `ambient` when the caller holds it (data.ambient_kij() if not).
     A stack gives one (n, n) table per sample."""
-    ambient = data.oracle.kij(data.tangent) if ambient is None else ambient
+    ambient = data.ambient_kij() if ambient is None else ambient
     out = ambient + _gauss_correction(data.sigma, slice(None), slice(None))
     out.reshape(-1, data.n**2)[:, :: data.n + 1] = 0.0  # the diagonal of each table
     return out
 
 
+@functools.cache
+def _triu_flat(n: int) -> np.ndarray:
+    """Flat indices of the pairs i < j of an (n, n) table, built on first use
+    per n and shared read-only."""
+    index = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+    index.flags.writeable = False
+    return index
+
+
+def _triu_sum(tables: np.ndarray) -> np.ndarray:
+    """Sum over i < j of each (n, n) table of a stack (N, n, n); take keeps
+    the rows C-ordered, summed as in a stack of one (tables[:, i, j] is not)."""
+    n = tables.shape[-1]
+    return np.add.reduce(tables.reshape(len(tables), n * n).take(_triu_flat(n), axis=1), 1)
+
+
+def _tangent_tensor(oracle: CurvatureOracle, tangent: np.ndarray) -> np.ndarray:
+    """R~(e_a, e_b, e_c, e_d) over each frame of a stack (N, d, n), as
+    (N, n, n, n, n): oracle.rotated's four one-slot contractions, each one
+    matrix product per sample."""
+    N, d, n = tangent.shape
+    out = oracle.tensor.reshape(d, -1).T  # the leading slot last: (d^3, d)
+    for _ in range(3):  # contract the leading slot, its new index goes last
+        out = np.matmul(out, tangent).reshape(N, d, -1).swapaxes(1, 2)
+    return np.matmul(out, tangent).reshape(N, n, n, n, n)
+
+
 def gauss_residual(
-    data: PointwiseImmersionData,
+    data: PointwiseImmersionData | PointwiseStack,
     intrinsic: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     samples: int = 30,
@@ -313,40 +356,57 @@ def gauss_residual(
     trace identity 2 tau = 2 tau~ + n^2 |H|^2 - |sigma|^2.
 
     `intrinsic` is the intrinsic (0,4) tensor in the tangent frame, shape
-    (n, n, n, n); when omitted the intrinsic curvature is defined through the
-    Gauss equation itself and the quadruple residual is definitionally zero.
-    The Gauss tensor R~(e_a, e_b, e_c, e_d) + <s_ad, s_bc> - <s_ac, s_bd> is
-    built once; the equation is tested on `samples` random unit quadruples
-    (one (samples, 4, n) draw from `rng`), the sectional form and tau on the
-    entries [i, j, j, i].
+    (n, n, n, n), or for a stack one per sample (N, n, n, n, n); when omitted
+    the intrinsic curvature is defined through the Gauss equation itself and
+    the quadruple residual is definitionally zero.  The Gauss tensor
+    R~(e_a, e_b, e_c, e_d) + <s_ad, s_bc> - <s_ac, s_bd> is built once per
+    sample; the equation is tested on `samples` random unit quadruples, the
+    sectional form and tau on the entries [i, j, j, i].
+
+    A stack gives each residual as an (N,) array, one sample gives floats.
+    The quadruples are one (N, samples, 4, n) draw from `rng`, which is what
+    N one-sample calls in a row draw, and each sample's residuals are the
+    ones it gets alone.
     """
     rng = rng or np.random.default_rng(0)
-    n, s = data.n, data.sigma
+    stacked = isinstance(data, PointwiseStack)
+    stack = data if stacked else data.stack()
+    N, n, s = len(stack), stack.n, stack.sigma
     gauss = (
-        data.oracle.rotated(data.tangent).tensor
-        + np.einsum("rad,rbc->abcd", s, s)
-        - np.einsum("rac,rbd->abcd", s, s)
+        _tangent_tensor(stack.oracle, stack.tangent)
+        + c_einsum("...rad,...rbc->...abcd", s, s)
+        - c_einsum("...rac,...rbd->...abcd", s, s)
     )
-    intrinsic = gauss if intrinsic is None else np.asarray(intrinsic, dtype=float)
-    if intrinsic.shape != (n,) * 4:
-        raise InvalidInputError(f"intrinsic curvature must have shape {(n,) * 4}, got {intrinsic.shape}")
+    if intrinsic is None:
+        intrinsic = gauss
+    else:
+        intrinsic = np.asarray(intrinsic, dtype=float)
+        shapes = [(n,) * 4] + [(N,) + (n,) * 4] * stacked
+        if intrinsic.shape not in shapes:
+            raise InvalidInputError(
+                f"intrinsic curvature must have shape {' or '.join(map(str, shapes))}, got {intrinsic.shape}"
+            )
+        intrinsic = np.broadcast_to(intrinsic, gauss.shape)
 
-    quads = rng.normal(size=(samples, 4, n))
-    quads /= np.linalg.norm(quads, axis=2, keepdims=True)
-    a, b, c, d = quads.transpose(1, 0, 2)
+    quads = rng.normal(size=(N, samples, 4, n))
+    quads /= np.linalg.norm(quads, axis=3, keepdims=True)
+    a, b, c, d = np.moveaxis(quads, 2, 0)
     # contract one slot at a time, the last first
-    res = np.einsum("ijkl,sl->sijk", intrinsic - gauss, d)
-    res = bilinear(np.einsum("sijk,sk->sij", res, c), a, b)
+    res = c_einsum("...ijkl,...sl->...sijk", intrinsic - gauss, d)
+    res = bilinear(c_einsum("...sijk,...sk->...sij", res, c), a, b)
     # np.max keeps a NaN residual, where max would drop it
-    worst = np.max(np.abs(res), initial=0.0)
+    worst = np.max(np.abs(res), axis=1, initial=0.0)
 
-    ambient = data.ambient_kij()
-    iu = np.triu_indices(n, k=1)
-    k_intrinsic = np.einsum("ijji->ij", intrinsic)[iu]
-    kij_worst = np.max(np.abs(k_intrinsic - intrinsic_kij(data, ambient=ambient)[iu]), initial=0.0)
-    tau_gauss = 2.0 * ambient[iu].sum() + n * n * mean_curvatures(data).norm_H**2 - data.sigma_norm_sq()
-    tau_res = abs(2.0 * k_intrinsic.sum() - tau_gauss)
-    return {"gauss_max": float(worst), "kij_max": float(kij_worst), "tau_identity_residual": float(tau_res)}
+    index = _triu_flat(n)
+    ambient = stack.ambient_kij()
+    k_intrinsic = c_einsum("...ijji->...ij", intrinsic).reshape(N, n * n).take(index, axis=1)
+    k_gauss = intrinsic_kij(stack, ambient=ambient).reshape(N, n * n).take(index, axis=1)
+    kij_worst = np.max(np.abs(k_intrinsic - k_gauss), axis=1, initial=0.0)
+    sigma_sq = np.add.reduce((s**2).reshape(N, -1), 1)
+    tau_gauss = 2.0 * _triu_sum(ambient) + n * n * mean_curvatures(stack).norm_H**2 - sigma_sq
+    tau_res = np.abs(2.0 * np.add.reduce(k_intrinsic, 1) - tau_gauss)
+    out = {"gauss_max": worst, "kij_max": kij_worst, "tau_identity_residual": tau_res}
+    return out if stacked else {key: value.item(0) for key, value in out.items()}
 
 
 def _require_contact(data: PointwiseImmersionData | PointwiseStack) -> ContactFrame:

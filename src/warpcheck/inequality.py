@@ -37,6 +37,7 @@ from .immersion import (
     PointwiseImmersionData,
     PointwiseStack,
     _gauss_correction,
+    _triu_sum,
     a_xi_identity,
     intrinsic_kij,
     is_C_totally_real,
@@ -143,14 +144,6 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _triu_sum(tables: np.ndarray) -> np.ndarray:
-    """Sum over i < j of each (n, n) table of a stack (N, n, n); take keeps
-    the rows C-ordered, summed as in a stack of one (tables[:, i, j] is not)."""
-    n = tables.shape[-1]
-    index = np.ravel_multi_index(_triu(n), (n, n))
-    return np.add.reduce(tables.reshape(len(tables), n * n).take(index, axis=1), 1)
-
-
 @functools.cache
 def _tau_index(n: int, n1: int) -> tuple[np.ndarray, int, int]:
     """Flat indices into an (n, n) table of the pairs i < j, then of those
@@ -211,13 +204,13 @@ def decompose_stack(
     stack: PointwiseStack, tau_p: float | np.ndarray | None = None
 ) -> ProofDecomposition:
     """Proof-level decomposition feeding the trace lemma with l = 3, for
-    every sample of a stack at once (one kij call, one stacked QR).
+    every sample of a stack at once (the stack's K~ table, one stacked QR).
 
     tau_p defaults to the Gauss-equation intrinsic scalar curvature; a
     chart-computed value (or one per sample) may be supplied instead.
     """
     n, n1 = stack.n, stack.n1
-    kij = stack.oracle.kij(stack.tangent)
+    kij = stack.ambient_kij()
     rec = mean_curvatures(stack)
     sigma = _rotate_normal_frames(stack.sigma, rec.norm_H, rec.components)
     if tau_p is None:
@@ -339,6 +332,10 @@ class InequalityStack:
         return np.abs(self.gap) < self.equality_tol
 
     @property
+    def norm_H(self) -> np.ndarray:
+        return self.rec.norm_H
+
+    @property
     def mixed_totally_geodesic(self) -> np.ndarray:
         return is_mixed_totally_geodesic(self.stack, self.equality_tol)
 
@@ -392,7 +389,7 @@ def general_inequality_stack(
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
 ) -> InequalityStack:
     """The inequality for an arbitrary ambient model, on every sample of a
-    stack with one kij call.
+    stack, over the stack's K~ table (stack.ambient_kij).
 
     rhs = n^2/(4 n2) |H|^2 + [tau~(T_pM) - tau~(T_pM_1) - tau~(T_pM_2)] / n2;
     lhs defaults to the Gauss-equation proxy (a float or one value per sample
@@ -400,7 +397,7 @@ def general_inequality_stack(
     mixed totally geodesic with n1 H1 = n2 H2.
     """
     n, n1, n2 = stack.n, stack.n1, stack.n2
-    kij = stack.oracle.kij(stack.tangent)
+    kij = stack.ambient_kij()
     index, s1, s2 = _tau_index(n, n1)
     # take keeps the rows C-ordered, so each row is summed in the order a
     # stack of one sums it (kij[:, index] is column-major)
@@ -568,12 +565,12 @@ UNOBSTRUCTED = "UNOBSTRUCTED"
 
 
 def obstruction_check(
-    report: InequalityReport,
+    report: InequalityReport | InequalityStack,
     harmonic: bool = False,
     eigenvalue: float | None = None,
     minimal: bool = False,
     tol: float = 1e-8,
-) -> str:
+) -> str | np.ndarray:
     """Existence verdict for minimal immersions with harmonic or eigenfunction
     warping.
 
@@ -583,6 +580,9 @@ def obstruction_check(
     (NONEXISTENCE).  A harmonic warping with vanishing curvature term pins the
     equality case, which flags the immersion as a warped-product immersion
     (flag only; the decomposition theorem is cited, not re-proved).
+
+    A report gives one verdict; an InequalityStack gives an array of them,
+    one per sample, from its (N,) arrays (no per-sample report is built).
     """
     if harmonic and eigenvalue is not None:
         raise InvalidConfigurationError("harmonic and eigenvalue flags are exclusive")
@@ -592,17 +592,22 @@ def obstruction_check(
         raise InvalidConfigurationError("eigenvalue must be positive")
     if not minimal:
         raise InvalidConfigurationError("obstruction verdicts apply to minimal immersions")
-    if report.norm_H > 1e-6:
+    norm_H = np.asarray(report.norm_H)
+    inconsistent = ~(norm_H <= 1e-6)  # a NaN |H| is inconsistent too
+    if inconsistent.any():
+        i = int(np.argmax(inconsistent))
+        where = f" in sample {i}" if norm_H.ndim else ""
         raise InvalidConfigurationError(
-            f"minimal flag inconsistent with |H| = {report.norm_H:.3e}"
+            f"minimal flag inconsistent with |H| = {norm_H.flat[i]:.3e}{where}"
         )
-    curvature_term = report.rhs - report.mean_term
+    curvature_term = np.asarray(report.rhs - report.mean_term)
     lhs_required = 0.0 if harmonic else float(eigenvalue)
-    if lhs_required > curvature_term + tol:
-        return NONEXISTENCE
-    if harmonic and abs(curvature_term) <= tol:
-        return WARPED_PRODUCT_IMMERSION
-    return UNOBSTRUCTED
+    verdict = np.where(
+        lhs_required > curvature_term + tol,
+        NONEXISTENCE,
+        np.where(harmonic & (np.abs(curvature_term) <= tol), WARPED_PRODUCT_IMMERSION, UNOBSTRUCTED),
+    )
+    return verdict.item() if verdict.ndim == 0 else verdict
 
 
 def chart_inequality(

@@ -54,11 +54,8 @@ from .inequality import (
     chart_inequality,
     chen_lemma,
     decompose_stack,
-    general_inequality,
     general_inequality_stack,
-    kmu_space_form_inequality,
     kmu_space_form_inequality_stack,
-    non_sasakian_inequality,
     non_sasakian_inequality_stack,
     obstruction_check,
 )
@@ -327,6 +324,15 @@ def _validate(spec: SceneSpec):
                 f"check {name!r} has no option {key!r} (its options: {sorted(readers) or 'none'})",
             )
             readers[key](value, f"check {name!r} option {key!r}")
+        if name == "obstruction":  # combinations that can never give a verdict
+            _require(
+                check.get("harmonic", False) != ("eigenvalue" in check),
+                "check 'obstruction' needs exactly one of 'harmonic': true and an 'eigenvalue'",
+            )
+            _require(
+                check.get("minimal", False),
+                "check 'obstruction' needs 'minimal': true (its verdicts apply to minimal immersions)",
+            )
     for requirement, (what, holds) in _REQUIREMENTS.items():
         lacking = sorted(n for n in names if requirement in _CHECKS[n][1])
         _require(not lacking or holds(ambient, source), f"checks {lacking} need {what}")
@@ -430,17 +436,36 @@ def _synthetic_source(src: dict, ambient: AmbientSpace) -> _Source:
     return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=scale)
 
 
+def _real_array(value, what: str) -> np.ndarray:
+    """Nested lists of numbers as a float array; every entry must pass
+    `_real`, and an error names the entry by its index, as in what[2][0]."""
+
+    def check(v, where: str):
+        if isinstance(v, list):
+            for i, entry in enumerate(v):
+                check(entry, f"{where}[{i}]")
+        else:
+            _require(not isinstance(v, float) or math.isfinite(v), f"{where} is non-finite (got {v!r})")
+            _real(v, where)
+
+    check(value, what)
+    return np.asarray(value, dtype=float)
+
+
 def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:
     _require("tangent" in src and "sigma" in src, "explicit source needs 'tangent' and 'sigma' arrays")
     n1, n2 = _dims(src, ambient)
-    tangent = np.asarray(src["tangent"], float)
-    normal = np.asarray(src["normal"], float) if "normal" in src else complete_normal_frame(tangent)
+    tangent = _real_array(src["tangent"], "explicit source 'tangent'")
+    if "normal" in src:
+        normal = _real_array(src["normal"], "explicit source 'normal'")
+    else:
+        normal = complete_normal_frame(tangent)
     data = PointwiseImmersionData(
         n1=n1,
         n2=n2,
         tangent=tangent,
         normal=normal,
-        sigma=np.asarray(src["sigma"], float),
+        sigma=_real_array(src["sigma"], "explicit source 'sigma'"),
         oracle=ambient.oracle,
         contact=ambient.frame,
         label="explicit",
@@ -474,6 +499,7 @@ class _Context:
     tol: Tolerance
     rng: np.random.Generator
     samples: int
+    _stacks: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def fixed(self) -> PointwiseImmersionData | None:
@@ -504,26 +530,26 @@ class _Context:
             raise cp
         return cp
 
-    def stack(self, generator: str | None = None, count: int | None = None) -> PointwiseStack:
-        """The samples of one sampled check: the fixed sample as a stack of
-        one, or `count` (default `samples`) fresh draws of `generator` (by
-        default the source's) in one block."""
-        if self.fixed is not None:
-            return self.fixed.stack()
+    def stack(self, generator: str | None = None) -> PointwiseStack:
+        """The run's samples of `generator` (by default the source's): the
+        fixed sample as a stack of one, or `samples` draws in one block.  Each
+        is built on first use and then shared, with its K~ table, by every
+        sampled check of the run; a fixed source has only the one."""
+        key = None if self.fixed is not None else generator or self.source.generator
+        if key not in self._stacks:
+            self._stacks[key] = self.fixed.stack() if key is None else self._draw(key)
+        return self._stacks[key]
+
+    def _draw(self, gen: str) -> PointwiseStack:
         src, contact = self.source, self.ambient.frame
-        gen = generator or src.generator
         scale = 0.0 if gen == "minimal" else src.sigma_scale
         frame_kind = _GENERATORS[gen][contact is None]
-        stack = random_stack(self.rng, self.ambient, src.n1, src.n2, count or self.samples, scale, frame_kind)
+        stack = random_stack(self.rng, self.ambient, src.n1, src.n2, self.samples, scale, frame_kind)
         if gen == "equality":
             stack.sigma = balance_for_equality(stack.sigma, src.n1)
         if gen in ("c-totally-real", "equality") and contact is not None:
             stack.sigma = force_xi_consistency(stack.sigma, (stack.tangent, stack.normal), contact)
         return stack
-
-    def sample(self) -> PointwiseImmersionData:
-        """One data sample: the fixed sample or one fresh draw."""
-        return self.fixed if self.fixed is not None else self.stack(count=1).sample(0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,36 +601,42 @@ def _check_trivial(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
-    data = ctx.sample()
     im = ctx.source.immersion
     if im is not None:
         # intrinsic curvature from the pulled-back metric, independent of sigma
-        h = ctx.tol.finite_difference
+        data, h = ctx.fixed, ctx.tol.finite_difference
         cp = riemann(pullback_metric(im, h=h), ctx.source.point, h=h)
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
             data.extras["frame_coefficients"]
         )
         res = gauss_residual(data, intrinsic=intrinsic.tensor, rng=ctx.rng, samples=20)
-        threshold = 1e-4
-    else:
-        res = gauss_residual(data, rng=ctx.rng, samples=20)
-        threshold = 1e-9
-    worst = np.max(list(res.values()))
-    return {"pass": bool(worst < threshold), **res}
+        worst = np.max(list(res.values()))
+        return {"pass": bool(worst < 1e-4), **res}
+    res = gauss_residual(ctx.stack(), rng=ctx.rng, samples=20)
+    worst = np.max(list(res.values()), axis=0)
+    i = int(np.argmax(worst))  # the first NaN, if there is one
+    return {"pass": bool(worst[i] < 1e-9), **{k: float(v[i]) for k, v in res.items()}, "worst_sample": i}
 
 
 def _check_c_totally_real(ctx: _Context, opts: dict) -> dict:
-    data = ctx.sample()
-    ok, residuals = is_C_totally_real(data, tol=ctx.tol.algebraic)
+    ok, residuals = is_C_totally_real(ctx.stack(), tol=ctx.tol.algebraic)
     expected = opts.get("expect")
     good = ok if expected is None else (ok == expected)
-    return {"pass": good, "c_totally_real": ok, **residuals}
+    residual = np.maximum(residuals["xi_tangency"], residuals["anti_invariance"])
+    # the sample farthest from C-total reality, or the nearest when it is not expected
+    i = int(np.argmin(residual) if expected is False else np.argmax(residual))
+    return {
+        "pass": bool(good.all()),
+        "c_totally_real": bool(ok[i]),
+        **{k: float(v[i]) for k, v in residuals.items()},
+        "worst_sample": i,
+    }
 
 
 def _check_a_xi(ctx: _Context, opts: dict) -> dict:
-    data = ctx.sample()
-    res = a_xi_identity(data)
-    return {"pass": res["residual"] < 1e-6, "residual": res["residual"]}
+    residual = a_xi_identity(ctx.stack())["residual"]
+    i = int(np.argmax(residual))  # the first NaN, if there is one
+    return {"pass": bool(residual[i] < 1e-6), "residual": float(residual[i]), "worst_sample": i}
 
 
 def _check_km_condition(ctx: _Context, opts: dict) -> dict:
@@ -743,23 +775,32 @@ def _check_chen_lemma(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_obstruction(ctx: _Context, opts: dict) -> dict:
-    data = ctx.sample()
-    frame = ctx.ambient.frame
+    """A verdict per sample and their counts.  The worst sample is the first
+    that misses `expect`, or else the one whose curvature term lies nearest
+    the required Delta f / f (0, or the eigenvalue): the closest call."""
+    stack, frame = ctx.stack(), ctx.ambient.frame
     if frame is not None and frame.is_sasakian():
-        rep = kmu_space_form_inequality(data, c=ctx.ambient.params.get("c"))
+        batch = kmu_space_form_inequality_stack(stack, c=ctx.ambient.params.get("c"))
     elif frame is not None:
-        rep = non_sasakian_inequality(data)
+        batch = non_sasakian_inequality_stack(stack)
     else:
-        rep = general_inequality(data)
-    verdict = obstruction_check(
-        rep,
-        harmonic=opts.get("harmonic", False),
-        eigenvalue=opts.get("eigenvalue"),
-        minimal=opts.get("minimal", False),
+        batch = general_inequality_stack(stack)
+    harmonic, eigenvalue = opts.get("harmonic", False), opts.get("eigenvalue")
+    verdicts = obstruction_check(
+        batch, harmonic=harmonic, eigenvalue=eigenvalue, minimal=opts.get("minimal", False)
     )
+    curvature = batch.rhs - batch.mean_term
     expected = opts.get("expect")
-    ok = True if expected is None else (verdict == expected)
-    return {"pass": ok, "verdict": verdict, "rhs_curvature_term": rep.rhs - rep.mean_term}
+    missed = np.zeros(len(verdicts), bool) if expected is None else verdicts != expected
+    required = 0.0 if harmonic else eigenvalue
+    i = int(np.argmax(missed) if missed.any() else np.argmin(np.abs(curvature - required)))
+    return {
+        "pass": not missed.any(),
+        "verdict": str(verdicts[i]),
+        "verdicts": {v: int(np.count_nonzero(verdicts == v)) for v in _VERDICTS},
+        "rhs_curvature_term": float(curvature[i]),
+        "worst_sample": i,
+    }
 
 
 _BOOLEAN_EXPECT = {"expect": _boolean}

@@ -122,3 +122,45 @@ def test_suite_outcome_is_the_pytest_summary_without_its_time():
     assert suite_timings._outcome("F.\n= 1 failed, 9 passed, 2 warnings in 1.02s (0:00:01) =\n") == (
         "1 failed, 9 passed, 2 warnings"
     )
+
+
+def _write_spans(path, spans):
+    import gzip
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with gzip.open(path, "wt") as fh:
+        fh.write("id,parent,name,start_ns,end_ns,context\n")
+        for span in spans:
+            fh.write(",".join(map(str, span)) + "\n")
+
+
+def test_span_stats_subtract_the_direct_children(tmp_path):
+    # a (0..100) holds b (10..40) and c (50..60); b holds a (15..25)
+    spans = [(0, -1, "a", 0, 100, ""), (1, 0, "b", 10, 40, ""), (2, 1, "a", 15, 25, ""), (3, 0, "c", 50, 60, "")]
+    path = tmp_path / "spans.csv.gz"
+    _write_spans(path, spans)
+    stats = bench_export.span_stats(path, ["a", "b", "z"])
+    assert stats == {"a.calls": 2, "a.self_s": (100 - 40 + 10) / 1e9, "b.calls": 1, "b.self_s": 20 / 1e9,
+                     "z.calls": 0, "z.self_s": 0.0}
+
+
+def test_spans_are_the_median_over_the_traced_runs_of_each_side(tmp_path):
+    sides = {}
+    for side, commit, counts in (("parent", "p", (6, 7, 9)), ("change", "c", (2, 2, 3))):
+        root = tmp_path / side
+        runs = [_run("w", 1, 1.0, commit)]
+        for seed, count in zip((3, 4, 5), counts):
+            runs.append(_run("w", seed, 0.0, commit, trace=1, calls=count))
+            spans = [(i, -1, "immersion.random_stack", 0, 10, "") for i in range(count)]
+            _write_spans(root / f"w-seed{seed}" / "spans.csv.gz", spans)
+        sides[side] = _write(root / "results.jsonl", runs)
+    out = tmp_path / "BENCH.json"
+    (tmp_path / "bench.json").write_text(json.dumps(BENCHMARK))
+    bench_export.main([str(sides["parent"]), str(sides["change"]), "--out", str(out),
+                       "--benchmark", str(tmp_path / "bench.json")])
+    spans = json.loads(out.read_text())["workloads"]["w"]["spans"]
+    assert spans["parent"]["immersion.random_stack.calls"] == 7
+    assert spans["parent"]["immersion.random_stack.self_s"] == 70 / 1e9
+    assert spans["change"]["immersion.random_stack.calls"] == 2
+    assert spans["change"]["immersion.random_stack.self_s"] == 20 / 1e9
+    assert spans["change"]["immersion.gauss_residual.calls"] == 0

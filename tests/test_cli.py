@@ -165,3 +165,86 @@ def test_well_typed_options_run_and_the_report_keeps_them_as_written(tmp_path, c
     report = json.loads(out.read_bytes())
     assert report["scene"]["checks"] == [check]
     assert report["records"][0]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"name": "obstruction", "harmonic": True},
+        {"name": "obstruction", "harmonic": True, "minimal": False},
+        {"name": "obstruction", "eigenvalue": 1, "harmonic": False},
+        {"name": "obstruction", "harmonic": True, "eigenvalue": 1, "minimal": True},
+        {"name": "obstruction", "minimal": True},
+        {"name": "obstruction", "harmonic": False, "minimal": True},
+    ],
+)
+def test_obstruction_options_that_never_give_a_verdict_exit_2(tmp_path, capsys, check):
+    # each used to run and become a FAIL record with exit 1
+    assert _verify(tmp_path, CONTACT, check) == 2
+    assert "check 'obstruction' needs" in capsys.readouterr().err
+
+
+def _explicit_scene(**arrays) -> dict:
+    tangent = [[0.0, 0.0] for _ in range(7)]
+    tangent[1][0] = tangent[2][1] = 1.0
+    source = {"kind": "explicit", "n1": 1, "n2": 1, "tangent": tangent, "sigma": [[[0.0, 0.0], [0.0, 0.0]]] * 5}
+    source.update(arrays)
+    return {
+        "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.5, "mu": 0.3},
+        "source": source,
+        "checks": ["general_inequality", "gauss_residual"],
+        "seed": 0,
+    }
+
+
+def _with_entry(array, index, value):
+    out = json.loads(json.dumps(array))
+    target = out
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "field,index,value,message",
+    [
+        ("tangent", (1, 0), True, "explicit source 'tangent'[1][0] must be a finite number (got True)"),
+        ("tangent", (2, 1), "1", "explicit source 'tangent'[2][1] must be a finite number (got '1')"),
+        ("tangent", (3, 0), None, "explicit source 'tangent'[3][0] must be a finite number (got None)"),
+        ("sigma", (0, 0, 0), "0.5", "explicit source 'sigma'[0][0][0] must be a finite number (got '0.5')"),
+        ("sigma", (4, 1, 1), False, "explicit source 'sigma'[4][1][1] must be a finite number (got False)"),
+        ("sigma", (2, 0, 1), 10**400, "explicit source 'sigma'[2][0][1] must be a finite number"),
+        ("normal", (0, 0), "x", "explicit source 'normal'[0][0] must be a finite number (got 'x')"),
+        ("normal", (5, 4), {"a": 1}, "explicit source 'normal'[5][4] must be a finite number"),
+    ],
+    ids=["true", "string-1", "null", "string-0.5", "false", "beyond-float", "string-x", "object"],
+)
+def test_an_explicit_array_entry_that_is_not_a_number_exits_2_and_is_named(
+    tmp_path, capsys, field, index, value, message
+):
+    # before, true, "1" and "0.5" were read as 1.0, 1.0 and 0.5 and the scene passed
+    scene = _explicit_scene()
+    if field == "normal":
+        scene["source"]["normal"] = [[float(i == c) for c in (0, 3, 4, 5, 6)] for i in range(7)]
+    scene["source"][field] = _with_entry(scene["source"][field], index, value)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert cli_main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_an_explicit_source_of_finite_numbers_runs_as_before(tmp_path):
+    # integers are numbers: [0, 1] reads like [0.0, 1.0]
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(_explicit_scene()))
+    ints = tmp_path / "ints.json"
+    scene = _explicit_scene()
+    scene["source"]["tangent"] = [[int(v) for v in row] for row in scene["source"]["tangent"]]
+    ints.write_text(json.dumps(scene))
+    outs = []
+    for path in (floats, ints):
+        out = tmp_path / f"{path.stem}.report.json"
+        assert cli_main(["verify", str(path), "--output", "json", "--out", str(out)]) == 0
+        outs.append(json.loads(out.read_text())["records"])
+    assert outs[0] == outs[1]

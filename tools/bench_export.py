@@ -23,11 +23,20 @@ them.  Usage:
 
 The commits default to the ones perfbench recorded; a checkout made with
 ``git archive`` has none, so pass them explicitly there.
+
+For the spans in ``SPANS`` (perfbench traces them but does not report
+them) the file also gives, per workload and side, the calls and self time,
+the median over the traced runs.  They are read from the ``spans.csv.gz``
+that a traced run writes beside the results file, which holds the run's
+first traced round; a workload whose traced runs left no such file has no
+``spans`` block.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import gzip
 import json
 import statistics
 import sys
@@ -36,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINE_KEYS = ("python", "numpy", "blas", "nproc", "platform", "thread_caps")
+SPANS = ("immersion.random_stack", "immersion.gauss_residual")
 
 
 def read_runs(path: Path) -> list[dict]:
@@ -96,6 +106,34 @@ def _per_layer(runs: list[dict], workload: str) -> dict:
     }
 
 
+def span_stats(path: Path, names) -> dict:
+    """Calls and self seconds of each named span in one spans.csv.gz; a span's
+    self time is its duration minus that of its direct children."""
+    with gzip.open(path, "rt") as fh:
+        rows = list(csv.DictReader(fh))
+    duration = {row["id"]: int(row["end_ns"]) - int(row["start_ns"]) for row in rows}
+    children = defaultdict(int)
+    for row in rows:
+        children[row["parent"]] += duration[row["id"]]
+    out = {}
+    for name in names:
+        ids = [row["id"] for row in rows if row["name"] == name]
+        out[f"{name}.calls"] = len(ids)
+        out[f"{name}.self_s"] = sum(duration[i] - children[i] for i in ids) / 1e9
+    return out
+
+
+def _spans(results: Path, runs: list[dict], workload: str) -> dict:
+    """The median of span_stats over the traced runs of `workload`."""
+    stats = [
+        span_stats(path, SPANS)
+        for run in runs
+        if run.get("trace") and run["workload"] == workload
+        and (path := results.parent / f"{workload}-seed{run['seed']}" / "spans.csv.gz").exists()
+    ]
+    return {key: statistics.median(s[key] for s in stats) for key in (stats[0] if stats else {})}
+
+
 def _side(runs: list[dict], commit: str | None) -> dict:
     machine = runs[-1]["machine"]
     return {"commit": commit or machine.get("git_commit"), "src_lines": machine.get("src_lines")}
@@ -132,12 +170,13 @@ def main(argv=None) -> int:
     parser.add_argument("--change-commit")
     parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = parser.parse_args(argv)
-    bench = export(
-        read_runs(args.parent),
-        read_runs(args.change),
-        json.loads(args.benchmark.read_text()),
-        (args.parent_commit, args.change_commit),
-    )
+    runs = read_runs(args.parent), read_runs(args.change)
+    bench = export(*runs, json.loads(args.benchmark.read_text()), (args.parent_commit, args.change_commit))
+    for workload, block in bench["workloads"].items():
+        sides = zip(("parent", "change"), (args.parent, args.change), runs)
+        spans = {side: _spans(path, side_runs, workload) for side, path, side_runs in sides}
+        if all(spans.values()):
+            block["spans"] = spans
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     for workload, block in bench["workloads"].items():
         for name, m in block["end_to_end"].items():
