@@ -2,7 +2,7 @@
 
 The package builds warped-product metrics and contact-metric ambient models,
 computes submanifold invariants (second fundamental form, mean curvatures,
-scalar curvatures) by finite differences or closed-form oracles, and verifies
+scalar curvatures) from exact complex-step derivatives or closed-form oracles, and verifies
 the sharp inequality between the warping function's Laplacian and the squared
 mean curvature, together with its equality cases and nonexistence corollaries.
 """

@@ -1,4 +1,4 @@
-"""Finite-difference Riemannian geometry on a coordinate chart.
+"""Riemannian geometry on a coordinate chart.
 
 Conventions used throughout the package:
 
@@ -11,11 +11,14 @@ Stack contract: the geometry callables (ChartMetric.g and dg, the ``map`` of
 a chart immersion, the parts of a warping function, the function whose
 ``laplacian`` is taken) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
-stack-of-none case.  The functions below accept stacks too, and a point's
-numbers do not depend on its stack.  ``riemann`` runs ``christoffel`` once on
-the (..., 2n+1, n) stencil of its points, which evaluates ``g`` once on the
-(..., 2n+1, 2n+1, n) stencil of those.  Every metric a stencil evaluates is
-validated.
+stack-of-none case.  Those that are differentiated numerically also take
+complex points and keep their imaginary part.  The functions below accept
+stacks too, and a point's numbers do not depend on its stack.
+
+Derivatives follow the one rule of ``numeric``: the metric derivatives are
+exact (the analytic dg, else the complex step of g), and ``riemann`` takes
+the one central difference, of the Christoffel symbols on the (..., 2n+1, n)
+axis stencil of step h.  Every metric a stencil evaluates is validated.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .numeric import (
     axis_stencil,
     bilinear,
     central_differences,
-    cross_stencil,
+    complex_step,
+    jet,
     require_positive_definite,
-    second_differences,
     stack_values,
 )
 
@@ -49,19 +52,14 @@ __all__ = [
     "euclidean_metric",
 ]
 
-# step for differentiating Christoffel symbols (one nesting level above the
-# metric-derivative step); widened to balance truncation vs cancellation
-GAMMA_DIFF_STEP = 1e-3
-
-
 @dataclass
 class ChartMetric:
     """Riemannian metric given by a component function on a coordinate chart.
 
     g maps points (..., dim) to symmetric positive-definite matrices
     (..., dim, dim).  dg, when supplied, returns the analytic derivatives
-    (..., dim, dim, dim) with dg[..., k, i, j] = d g_ij / dx_k and spares one
-    finite-difference level in curvature computations.
+    (..., dim, dim, dim) with dg[..., k, i, j] = d g_ij / dx_k; without it
+    they are the complex step of g, which must then keep complex points.
     """
 
     dim: int
@@ -73,8 +71,11 @@ class ChartMetric:
         shape, finiteness, symmetry within 1e-8 and g - 1e-12*I positive
         definite (a Cholesky attempt)."""
         x = as_points(x, self.dim)
-        gx = stack_values(self.g(x), x, (self.dim, self.dim), "metric")
-        return require_positive_definite(gx, x, 1e-12, 1e-8, DegenerateMetricError, "metric")
+        return _require_metric(stack_values(self.g(x), x, (self.dim, self.dim), "metric"), x)
+
+
+def _require_metric(gx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return require_positive_definite(gx, x, 1e-12, 1e-8, DegenerateMetricError, "metric")
 
 
 @dataclass
@@ -105,38 +106,29 @@ def euclidean_metric(dim: int) -> ChartMetric:
     return ChartMetric(dim=dim, g=constant(eye), dg=constant(zeros))
 
 
-def _metric_derivatives(metric: ChartMetric, x: np.ndarray, h: float):
-    """The metric and its first derivatives (..., n, n, n) on a validated
-    stack x (..., n): the analytic dg when given, else central differences
-    of one g evaluation on the (..., 2n+1, n) axis stencil, whose upper
-    triangles are mirrored so that each dg[..., k] is exactly symmetric."""
+def _metric_derivatives(metric: ChartMetric, x: np.ndarray):
+    """The validated metric and its exact first derivatives (..., n, n, n) on
+    a stack x (..., n): the analytic dg when given, else the complex step of
+    one g call, symmetrized in its last two axes."""
     n = metric.dim
     if metric.dg is not None:
         return metric.at(x), stack_values(metric.dg(x), x, (n, n, n), "metric derivative")
-    pts, steps = axis_stencil(x, h)
-    gs = metric.at(pts)
-    dg = central_differences(gs, steps)
-    lo, up = np.tril_indices(n, -1)
-    dg[..., lo, up] = dg[..., up, lo]
-    return gs[..., 0, :, :], dg
+    gx, dg = complex_step(metric.g, x, (n, n), "metric")
+    return _require_metric(gx, x), 0.5 * (dg + np.swapaxes(dg, -1, -2))
 
 
-def _christoffel(metric: ChartMetric, x: np.ndarray, h: float):
-    gx, dg = _metric_derivatives(metric, x, h)
+def _christoffel(metric: ChartMetric, x: np.ndarray):
+    gx, dg = _metric_derivatives(metric, x)
     g_inv = np.linalg.inv(gx)
     # bracket[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij   (dg[k,i,j] = d_k g_ij)
     bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
     return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, bracket), gx
 
 
-def christoffel(
-    metric: ChartMetric,
-    x: np.ndarray,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> np.ndarray:
+def christoffel(metric: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
     at a point (n, n, n) or a stack (..., n, n, n)."""
-    return _christoffel(metric, as_points(x, metric.dim), h)[0]
+    return _christoffel(metric, as_points(x, metric.dim))[0]
 
 
 def _last4(a: np.ndarray, *perm: int) -> np.ndarray:
@@ -155,11 +147,11 @@ def riemann(
     R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
                 + Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm
 
-    Gamma is evaluated once, on the axis stencil of step GAMMA_DIFF_STEP.
+    Gamma is evaluated once, on the axis stencil of step h.
     """
     x = as_points(x, metric.dim)
-    pts, steps = axis_stencil(x, GAMMA_DIFF_STEP)
-    gammas, gs = _christoffel(metric, pts, h)
+    pts, steps = axis_stencil(x, h)
+    gammas, gs = _christoffel(metric, pts)
     gamma = gammas[..., 0, :, :, :]
     dgamma = central_differences(gammas, steps)  # dgamma[..., a] = d_a Gamma
     # R^l_{ijk}; quad[l,i,j,k] = Gamma^m_jk Gamma^l_im
@@ -203,16 +195,17 @@ def laplacian(
 
     Equals sum_j {(nabla_{e_j} e_j) f - e_j(e_j f)} over any orthonormal
     frame.  f, grad and hess take the stack; the analytic gradient/Hessian
-    callbacks are used when given, else one f call on the cross stencil of
-    every point.
+    callbacks are used when given, else the jet of f (numeric.jet, step h):
+    one f call on the complex step of the axis stencil of every point.
     """
     n = metric.dim
     x = as_points(x, n)
-    gamma, gx = _christoffel(metric, x, h)
+    gamma, gx = _christoffel(metric, x)
     if grad is None or hess is None:
-        pts, steps = cross_stencil(x, h)
-        values = stack_values(f(pts), pts, (), "function")
-    df = central_differences(values, steps) if grad is None else stack_values(grad(x), x, (n,), "gradient")
-    d2f = second_differences(values, steps) if hess is None else stack_values(hess(x), x, (n, n), "Hessian")
+        _, df, d2f = jet(f, x, h, (), "function")
+    if grad is not None:
+        df = stack_values(grad(x), x, (n,), "gradient")
+    if hess is not None:
+        d2f = stack_values(hess(x), x, (n, n), "Hessian")
     hess_cov = d2f - np.einsum("...kij,...k->...ij", gamma, df)
     return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), hess_cov)[()]

@@ -29,16 +29,12 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     as_matrix,
     as_vector,
-    axis_stencil,
-    bilinear,
-    central_differences,
-    cross_stencil,
+    complex_step,
     gram_schmidt,
+    jet,
     qr_q,
     qr_q_complete,
     require_positive_definite,
-    second_differences,
-    stack_values,
 )
 from .warped import WarpedProductChart, flat_product_chart, sphere_chart
 
@@ -346,40 +342,35 @@ def _tangent_tensor(oracle: CurvatureOracle, tangent: np.ndarray) -> np.ndarray:
     return np.matmul(out, tangent).reshape(N, n, n, n, n)
 
 
-def gauss_residual(
-    data: PointwiseImmersionData | PointwiseStack,
-    intrinsic: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-    samples: int = 30,
-) -> dict:
+def gauss_residual(data: PointwiseImmersionData | PointwiseStack, intrinsic: np.ndarray | None = None) -> dict:
     """Residuals of the Gauss equation, its sectional form and the global
     trace identity 2 tau = 2 tau~ + n^2 |H|^2 - |sigma|^2.
 
     `intrinsic` is the intrinsic (0,4) tensor in the tangent frame, shape
     (n, n, n, n), or for a stack one per sample (N, n, n, n, n); when omitted
-    the intrinsic curvature is defined through the Gauss equation itself and
-    the quadruple residual is definitionally zero.  The Gauss tensor
+    the intrinsic curvature is defined through the Gauss equation itself, and
+    the equation's two residuals are 0.  The Gauss tensor
     R~(e_a, e_b, e_c, e_d) + <s_ad, s_bc> - <s_ac, s_bd> is built once per
-    sample; the equation is tested on `samples` random unit quadruples, the
-    sectional form and tau on the entries [i, j, j, i].
+    sample.  gauss_max is the largest |intrinsic - Gauss| over all n^4
+    entries, kij_max the largest over the sectional entries [i, j, j, i],
+    i < j, and the trace identity sums the intrinsic sectional entries
+    against the [i, j, j, i] entries of R~.
 
-    A stack gives each residual as an (N,) array, one sample gives floats.
-    The quadruples are one (N, samples, 4, n) draw from `rng`, which is what
-    N one-sample calls in a row draw, and each sample's residuals are the
-    ones it gets alone.
+    A stack gives each residual as an (N,) array, one sample gives floats;
+    each sample's residuals are the ones it gets alone.
     """
-    rng = rng or np.random.default_rng(0)
     stacked = isinstance(data, PointwiseStack)
     stack = data if stacked else data.stack()
     N, n, s = len(stack), stack.n, stack.sigma
-    gauss = (
-        _tangent_tensor(stack.oracle, stack.tangent)
-        + c_einsum("...rad,...rbc->...abcd", s, s)
-        - c_einsum("...rac,...rbd->...abcd", s, s)
-    )
-    if intrinsic is None:
-        intrinsic = gauss
-    else:
+    ambient = _tangent_tensor(stack.oracle, stack.tangent)
+    gauss = ambient + c_einsum("...rad,...rbc->...abcd", s, s) - c_einsum("...rac,...rbd->...abcd", s, s)
+
+    def sectional(tensor):  # the entries [i, j, j, i], i < j, of each sample: (N, n(n-1)/2)
+        return c_einsum("...ijji->...ij", tensor).reshape(N, n * n).take(_triu_flat(n), axis=1)
+
+    k_gauss = sectional(gauss)
+    k_intrinsic, worst, kij_worst = k_gauss, np.zeros(N), np.zeros(N)
+    if intrinsic is not None:
         intrinsic = np.asarray(intrinsic, dtype=float)
         shapes = [(n,) * 4] + [(N,) + (n,) * 4] * stacked
         if intrinsic.shape not in shapes:
@@ -387,23 +378,12 @@ def gauss_residual(
                 f"intrinsic curvature must have shape {' or '.join(map(str, shapes))}, got {intrinsic.shape}"
             )
         intrinsic = np.broadcast_to(intrinsic, gauss.shape)
-
-    quads = rng.normal(size=(N, samples, 4, n))
-    quads /= np.linalg.norm(quads, axis=3, keepdims=True)
-    a, b, c, d = np.moveaxis(quads, 2, 0)
-    # contract one slot at a time, the last first
-    res = c_einsum("...ijkl,...sl->...sijk", intrinsic - gauss, d)
-    res = bilinear(c_einsum("...sijk,...sk->...sij", res, c), a, b)
-    # np.max keeps a NaN residual, where max would drop it
-    worst = np.max(np.abs(res), axis=1, initial=0.0)
-
-    index = _triu_flat(n)
-    ambient = stack.ambient_kij()
-    k_intrinsic = c_einsum("...ijji->...ij", intrinsic).reshape(N, n * n).take(index, axis=1)
-    k_gauss = intrinsic_kij(stack, ambient=ambient).reshape(N, n * n).take(index, axis=1)
-    kij_worst = np.max(np.abs(k_intrinsic - k_gauss), axis=1, initial=0.0)
+        # np.max keeps a NaN residual, where max would drop it
+        worst = np.max(np.abs(intrinsic - gauss).reshape(N, -1), axis=1)
+        k_intrinsic = sectional(intrinsic)
+        kij_worst = np.max(np.abs(k_intrinsic - k_gauss), axis=1, initial=0.0)
     sigma_sq = np.add.reduce((s**2).reshape(N, -1), 1)
-    tau_gauss = 2.0 * _triu_sum(ambient) + n * n * mean_curvatures(stack).norm_H**2 - sigma_sq
+    tau_gauss = 2.0 * np.add.reduce(sectional(ambient), 1) + n * n * mean_curvatures(stack).norm_H**2 - sigma_sq
     tau_res = np.abs(2.0 * np.add.reduce(k_intrinsic, 1) - tau_gauss)
     out = {"gauss_max": worst, "kij_max": kij_worst, "tau_identity_residual": tau_res}
     return out if stacked else {key: value.item(0) for key, value in out.items()}
@@ -722,7 +702,8 @@ class ChartImmersion:
     """Map from an n-dim source chart into Euclidean R^ambient_dim.
 
     map takes source points (..., n) to points (..., ambient_dim),
-    broadcasting over the leading axes (the stack contract of ``charts``).
+    broadcasting over the leading axes and keeping complex points complex
+    (the stack contract of ``charts``).
     """
 
     map: Callable[[np.ndarray], np.ndarray]
@@ -738,27 +719,23 @@ class ChartImmersion:
         return self.n1 + self.n2
 
 
-def _mapped(im: ChartImmersion, pts: np.ndarray) -> np.ndarray:
-    """The map on a stack of source points, checked for shape and finiteness."""
-    return stack_values(im.map(pts), pts, (im.ambient_dim,), "map")
-
-
-def _jacobian(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """J (..., d, n) from map values on the axis stencil rows."""
-    return np.swapaxes(central_differences(values, steps), -1, -2)
-
-
 def pullback_metric(im: ChartImmersion, h: float = DEFAULT_TOLERANCE.finite_difference) -> ChartMetric:
-    """Induced metric J^T J on the source chart, with a central-difference
-    Jacobian of step h: one map call on the (..., 2n+1, n) axis stencil of
-    the points it is evaluated at."""
+    """Induced metric g = J^T J on the source chart, with its derivatives
+    d_k g = (d_k J)^T J + J^T d_k J.  g takes the complex-step Jacobian, one
+    map call on the (..., n, n) complex points of the points it is evaluated
+    at; dg takes the jet of the map (numeric.jet, step h), one call on
+    (..., 2n+1, n, n)."""
 
     def g(u: np.ndarray) -> np.ndarray:
-        pts, steps = axis_stencil(np.asarray(u, float), h)
-        J = _jacobian(_mapped(im, pts), steps)
-        return np.swapaxes(J, -1, -2) @ J
+        _, jt = complex_step(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
+        return jt @ np.swapaxes(jt, -1, -2)
 
-    return ChartMetric(im.n, g)
+    def dg(u: np.ndarray) -> np.ndarray:
+        _, jt, hess = jet(im.map, np.asarray(u, float), h, (im.ambient_dim,), "map")
+        half = hess @ np.swapaxes(jt, -1, -2)[..., None, :, :]  # (d_k J)^T J
+        return half + np.swapaxes(half, -1, -2)
+
+    return ChartMetric(im.n, g, dg)
 
 
 def second_fundamental_form(
@@ -772,19 +749,17 @@ def second_fundamental_form(
     (preserving the leaf/fibre split), the normal frame completes it from the
     coordinate directions of R^d, and sigma is the normal part of the second
     derivatives of the map.  Downstream components live in the adapted frame,
-    where the ambient curvature is zero.  The map is evaluated once, on the
-    cross stencil of p that its first and second derivatives share.
+    where the ambient curvature is zero.  The map is evaluated once, for its
+    jet at p (numeric.jet, step h): the exact Jacobian and the Hessian.
     """
     p = as_vector(p, im.n)
     d, n = im.ambient_dim, im.n
-    pts, steps = cross_stencil(p, h)
-    values = _mapped(im, pts)
-    J = _jacobian(values, steps)
-    require_positive_definite(J.T @ J, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
+    point, jt, S = jet(im.map, p, h, (d,), "map")  # jt[a] = d_a x, the columns of J
+    require_positive_definite(jt @ jt.T, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
     # Gram-Schmidt on pushforwards, tracking source-coordinate coefficients
     # through an augmented tail that the inner product ignores.
-    augmented = [np.concatenate([J[:, a], np.eye(n)[a]]) for a in range(n)]
+    augmented = [np.concatenate([jt[a], np.eye(n)[a]]) for a in range(n)]
     ortho = gram_schmidt(augmented, inner=lambda u, v: float(u[:d] @ v[:d]), tol=1e-8)
     tangent_ambient = np.column_stack([w[:d] for w in ortho])
     coeff = np.column_stack([w[d:] for w in ortho])  # e_i = sum_a coeff[a,i] d_a
@@ -792,7 +767,6 @@ def second_fundamental_form(
     normal_ambient = complete_normal_frame(tangent_ambient)
 
     # normal components of S_ab = d_a d_b x, then source-coordinate indices to the frame
-    S = second_differences(values, steps)
     sigma_coord = np.einsum("abk,kr->rab", S, normal_ambient)
     sigma = np.einsum("ai,bj,rab->rij", coeff, coeff, sigma_coord)
     asymmetry = float(np.max(np.abs(sigma - sigma.transpose(0, 2, 1))))
@@ -810,7 +784,7 @@ def second_fundamental_form(
         label=im.label,
         extras={
             "point": p,
-            "ambient_point": values[0],
+            "ambient_point": point,
             "tangent_ambient": tangent_ambient,
             "normal_ambient": normal_ambient,
             "frame_coefficients": coeff,

@@ -1,10 +1,11 @@
 """Dense numeric substrate: small vectors/matrices, orthonormalization,
 validation of a callable's values on a stack of points (shape, finiteness,
-a Cholesky positive-definiteness test), and finite-difference stencils that
-lay out every point of a stencil (centre, axis shifts, cross corners) in one
-array, for one evaluation of a function that broadcasts over stacks, with
-the difference rules that turn the values on a stencil into first and
-second derivatives.
+a Cholesky positive-definiteness test), and the one derivative rule of the
+package.  First derivatives are exact: the complex step
+d_a f(x) = Im f(x + i eps e_a) / eps has no cancellation error.  Second
+derivatives are one central difference of those, on the axis stencil
+(centre and axis shifts) of each point.  Each rule evaluates a function
+that broadcasts over stacks once, on all of its complex points.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -32,9 +33,9 @@ __all__ = [
     "qr_q",
     "qr_q_complete",
     "axis_stencil",
-    "cross_stencil",
     "central_differences",
-    "second_differences",
+    "complex_step",
+    "jet",
 ]
 
 
@@ -43,7 +44,7 @@ class Tolerance:
     """Tolerance policy shared across the package.
 
     algebraic: exact-identity checks on frame-level algebra.
-    finite_difference: default step / acceptance band for stencil-based geometry.
+    finite_difference: the step of the one central difference of chart geometry.
     equality_gap: |rhs - lhs| band under which an inequality is reported as equality.
     """
 
@@ -107,15 +108,21 @@ def _first_point(points: np.ndarray, mask: np.ndarray) -> str:
     return f"{points[idx]}" + (f" (stack index {idx})" if idx else "")
 
 
-def stack_values(value, points: np.ndarray, value_shape: tuple, what: str) -> np.ndarray:
+def stack_values(value, points: np.ndarray, value_shape: tuple, what: str, complex_: bool = False) -> np.ndarray:
     """A callable's result on the stack `points` (..., n) as a float array
-    (..., *value_shape).  Raises InvalidInputError unless it has that shape
-    (a callable that ignores the stack axis fails here), and
+    (..., *value_shape), or as it is when `complex_`.  Raises
+    InvalidInputError unless it has that shape (a callable that ignores the
+    stack axis fails here) and, when `complex_`, a complex dtype (a callable
+    that casts its points to float drops the imaginary part); then
     NumericalDomainError naming the first point with a non-finite value."""
-    arr = np.asarray(value, dtype=float)
+    arr = np.asarray(value) if complex_ else np.asarray(value, dtype=float)
     lead = points.shape[:-1]
     if arr.shape != lead + tuple(value_shape):
         raise InvalidInputError(f"{what} returned shape {arr.shape}, expected {lead + tuple(value_shape)}")
+    if complex_ and not np.iscomplexobj(arr):
+        raise InvalidInputError(
+            f"{what} returned {arr.dtype} values for complex points: it must keep their imaginary part"
+        )
     finite = np.isfinite(arr).reshape(lead + (-1,)).all(axis=-1)
     if not finite.all():
         raise NumericalDomainError(f"{what} has non-finite entries at {_first_point(points, ~finite)}")
@@ -252,14 +259,11 @@ def _step(x: np.ndarray, h: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference stencils.  A stencil lays out all of its points in one
-# array, so that a function broadcasting over stacks is evaluated once per
-# stencil; central_differences / second_differences turn the values on it
-# into derivatives.
+# derivatives.  A stencil lays out all of its points in one array, so that a
+# function broadcasting over stacks is evaluated once per stencil.
 # ---------------------------------------------------------------------------
 
-
-_CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+COMPLEX_STEP = 1e-30
 
 
 def axis_stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,59 +282,45 @@ def axis_stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return pts, steps
 
 
-def cross_stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """axis_stencil rows followed by the corners (+,+), (+,-), (-,+), (-,-)
-    of each coordinate pair i < j (pairs in np.triu_indices(n, 1) order):
-    points (..., 1 + 2n^2, n) and steps (..., n)."""
-    n = x.shape[-1]
-    axis, steps = axis_stencil(x, h)
-    i, j = np.triu_indices(n, 1)
-    corners = np.repeat(x[..., None, None, :], 4, axis=-3).repeat(len(i), axis=-2)
-    p = np.arange(len(i))
-    for c, (si, sj) in enumerate(_CORNERS):
-        corners[..., c, p, i] += si * steps[..., i]
-        corners[..., c, p, j] += sj * steps[..., j]
-    flat = corners.reshape(x.shape[:-1] + (4 * len(i), n))
-    return np.concatenate([axis, flat], axis=-2), steps
-
-
-def _rows(values: np.ndarray, steps: np.ndarray, rows) -> np.ndarray:
-    """Rows of the stencil axis of values (..., rows, *value_shape)."""
-    return values[(slice(None),) * (steps.ndim - 1) + (rows,)]
-
-
-def _per_step(steps: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """steps (..., n) broadcast against derivative arrays (..., n, *value_shape)."""
-    return steps.reshape(steps.shape + (1,) * (values.ndim - steps.ndim))
-
-
 def central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """First derivatives d_i f (..., n, *value_shape) from f on the rows of
-    axis_stencil (or the leading rows of cross_stencil), values
-    (..., rows, *value_shape)."""
+    axis_stencil, values (..., 2n+1, *value_shape)."""
     n = steps.shape[-1]
-    plus = _rows(values, steps, slice(1, n + 1))
-    minus = _rows(values, steps, slice(n + 1, 2 * n + 1))
-    return (plus - minus) / (2.0 * _per_step(steps, plus))
-
-
-def second_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Second derivatives d_i d_j f (..., n, n, *value_shape) from f on the
-    rows of cross_stencil, values (..., 1 + 2n^2, *value_shape): the 3-point
-    stencil on the diagonal, the 4-point cross stencil off it."""
-    n = steps.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    m = len(i)
-    centre = _rows(values, steps, slice(0, 1))
-    plus = _rows(values, steps, slice(1, n + 1))
-    minus = _rows(values, steps, slice(n + 1, 2 * n + 1))
-    pp, pm, mp, mm = (_rows(values, steps, slice(2 * n + 1 + c * m, 2 * n + 1 + (c + 1) * m)) for c in range(4))
-    s = _per_step(steps, plus)
     lead = (slice(None),) * (steps.ndim - 1)
-    out = np.empty(plus.shape[: len(lead)] + (n,) + plus.shape[len(lead) :], dtype=values.dtype)
-    r = np.arange(n)
-    out[lead + (r, r)] = (plus - 2.0 * centre + minus) / (s * s)
-    mixed = (pp - pm - mp + mm) / (4.0 * _rows(s, steps, i) * _rows(s, steps, j))
-    out[lead + (i, j)] = mixed
-    out[lead + (j, i)] = mixed
-    return out
+    plus, minus = values[lead + (slice(1, n + 1),)], values[lead + (slice(n + 1, 2 * n + 1),)]
+    return (plus - minus) / (2.0 * steps.reshape(steps.shape + (1,) * (plus.ndim - steps.ndim)))
+
+
+def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """f and its exact first derivatives on a float stack x (..., n), from
+    one call of f on the complex points x + i eps e_a (..., n, n), with
+    eps = COMPLEX_STEP.
+
+    Returns the value (..., *value_shape), the real part of f at the first
+    of those points, and d_a f = Im f(x + i eps e_a) / eps (..., n,
+    *value_shape).  The values are validated by stack_values: a wrong shape
+    or a real dtype raises InvalidInputError, a non-finite entry
+    NumericalDomainError naming the stack index (..., a) of its point.
+    """
+    z = x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(x.shape[-1])
+    values = stack_values(f(z), z.real, value_shape, what, complex_=True)
+    return np.take(values.real, 0, axis=x.ndim - 1), values.imag / COMPLEX_STEP
+
+
+def jet(f: Callable, x: np.ndarray, h: float, value_shape: tuple, what: str):
+    """Value, first and second derivatives of f on a float stack x (..., n),
+    from one call of f on the complex step of axis_stencil(x, h), the
+    points (..., 2n+1, n, n).
+
+    Returns (value, first, second): value (..., *value_shape); first
+    (..., n, *value_shape), exact; second (..., n, n, *value_shape), the
+    central differences (step h max(1, |x_k|)) of the exact first
+    derivatives, symmetrized.  Errors as complex_step, whose stack index of
+    a non-finite value is (..., row, a).
+    """
+    pts, steps = axis_stencil(x, h)
+    values, first = complex_step(f, pts, value_shape, what)
+    second = central_differences(first, steps)  # second[..., k, a] = d_k d_a f
+    axis = x.ndim - 1
+    second = 0.5 * (second + np.swapaxes(second, axis, axis + 1))
+    return np.take(values, 0, axis=axis), np.take(first, 0, axis=axis), second

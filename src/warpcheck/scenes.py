@@ -516,15 +516,16 @@ class _Context:
         # the error too: a cached_property does not cache a raise
         wp = self.source.warped
         try:
-            return riemann(build_metric(wp), np.stack(wp.sample_points))
+            return riemann(build_metric(wp), np.stack(wp.sample_points), h=self.tol.finite_difference)
         except Exception as exc:
             return exc
 
     @property
     def warped_curvature(self) -> CurvaturePoint:
         """riemann of the warped chart's block metric at its sample points, as
-        one stack, shared by every warped check of the run; evaluated once,
-        and when it fails every warped check raises its error."""
+        one stack at the run's `finite_difference` step, shared by every
+        warped check of the run; evaluated once, and when it fails every
+        warped check raises its error."""
         cp = self._warped_curvature
         if isinstance(cp, Exception):
             raise cp
@@ -609,10 +610,10 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
             data.extras["frame_coefficients"]
         )
-        res = gauss_residual(data, intrinsic=intrinsic.tensor, rng=ctx.rng, samples=20)
+        res = gauss_residual(data, intrinsic=intrinsic.tensor)
         worst = np.max(list(res.values()))
         return {"pass": bool(worst < 1e-4), **res}
-    res = gauss_residual(ctx.stack(), rng=ctx.rng, samples=20)
+    res = gauss_residual(ctx.stack())
     worst = np.max(list(res.values()), axis=0)
     i = int(np.argmax(worst))  # the first NaN, if there is one
     return {"pass": bool(worst[i] < 1e-9), **{k: float(v[i]) for k, v in res.items()}, "worst_sample": i}

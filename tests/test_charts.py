@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from warpcheck.charts import (
-    GAMMA_DIFF_STEP,
     ChartMetric,
     _metric_derivatives,
     christoffel,
@@ -203,7 +202,7 @@ def test_degenerate_metric_rejected():
 
 def test_laplacian_sign_convention():
     line = euclidean_metric(1)
-    assert abs(laplacian(line, lambda x: np.full(x.shape[:-1], 5.0), np.array([0.3]))) < 1e-9
+    assert abs(laplacian(line, lambda x: np.full(x.shape[:-1], 5.0, dtype=x.dtype), np.array([0.3]))) < 1e-9
     assert abs(laplacian(line, lambda x: x[..., 0] ** 2, np.array([0.3])) + 2.0) < 1e-5
     # Delta cos = +cos at 0, so Delta f / f = 1
     assert abs(laplacian(line, lambda x: np.cos(x[..., 0]), np.array([0.0])) - 1.0) < 1e-6
@@ -231,9 +230,10 @@ def test_laplacian_analytic_callbacks():
     assert abs(val - np.cos(0.2)) < 1e-12
 
 
-def test_laplacian_evaluates_f_once_on_the_cross_stencil():
-    # f follows the stack contract: one call on the (..., 1 + 2n^2, n) stencil
-    # of every point, its values validated by stack_values
+def test_laplacian_evaluates_f_once_on_its_jet_stencil():
+    # f follows the stack contract: one call on the complex step of the
+    # (..., 2n+1, n) axis stencil of every point, (..., 2n+1, n, n), its
+    # values validated by stack_values
     s2 = round_sphere_factor(2)
     x = np.array([[0.4, 0.7], [1.0, 0.7], [2.2, -0.3]])
     calls = []
@@ -243,17 +243,20 @@ def test_laplacian_evaluates_f_once_on_the_cross_stencil():
         return np.cos(p[..., 0])
 
     val = laplacian(s2, f, x)
-    assert calls == [(3, 9, 2)]
-    assert np.max(np.abs(val - 2.0 * np.cos(x[:, 0]))) < 1e-5
+    assert calls == [(3, 5, 2, 2)]
+    assert np.max(np.abs(val - 2.0 * np.cos(x[:, 0]))) < 1e-7
     with pytest.raises(InvalidInputError, match="function returned shape"):
         laplacian(s2, lambda p: 5.0, x)
-    with pytest.raises(NumericalDomainError, match=r"stack index \(1, 0\)"):
-        laplacian(s2, lambda p: np.where(p[..., 0] == 1.0, np.nan, 1.0), x)
+    with pytest.raises(InvalidInputError, match="function returned float64 values for complex points"):
+        laplacian(s2, lambda p: np.cos(p.real[..., 0]), x)
+    # the centre row of point 1, both complex-step directions
+    with pytest.raises(NumericalDomainError, match=r"stack index \(1, 0, 0\)"):
+        laplacian(s2, lambda p: np.where(p[..., 0].real == 1.0, np.nan, np.cos(p[..., 0])), x)
 
 
-def test_metric_derivatives_evaluate_metric_twice_per_coordinate():
-    # one metric call whose stack holds the centre and exactly the 2n shifted
-    # points x +- s_k e_k, s_k = h max(1, |x_k|)
+def test_metric_derivatives_are_the_complex_step_of_one_metric_call():
+    # one metric call whose stack holds, for each point, x + i eps e_k for
+    # the n coordinates k, eps = 1e-30
     for n in (2, 5, 8):
         calls = []
 
@@ -262,31 +265,42 @@ def test_metric_derivatives_evaluate_metric_twice_per_coordinate():
             return np.eye(n) + 0.1 * x[..., :, None] * x[..., None, :]
 
         x = np.linspace(-0.5, 0.6, n)
-        gx, dg = _metric_derivatives(ChartMetric(n, g), x, 1e-4)
-        assert len(calls) == 1
-        steps = 1e-4 * np.maximum(1.0, np.abs(x))
-        shifts = steps[:, None] * np.eye(n)
-        assert np.array_equal(calls[0], np.concatenate([x[None], x + shifts, x - shifts]))
+        gx, dg = _metric_derivatives(ChartMetric(n, g), x)
+        assert len(calls) == 1 and calls[0].dtype == np.complex128
+        assert np.array_equal(calls[0], x + 1e-30j * np.eye(n))
         assert np.array_equal(gx, g(x))
-        # d_k (x_i x_j) = delta_ki x_j + x_i delta_kj
+        # d_k (x_i x_j) = delta_ki x_j + x_i delta_kj, exact
         eye = np.eye(n)
         exact = 0.1 * (np.einsum("ki,j->kij", eye, x) + np.einsum("i,kj->kij", x, eye))
-        assert np.max(np.abs(dg - exact)) < 1e-9
+        assert np.max(np.abs(dg - exact)) < 1e-15
         assert np.array_equal(dg, dg.transpose(0, 2, 1))
+
+
+def test_a_metric_that_drops_the_imaginary_part_is_rejected():
+    # a float-casting g would read as a flat metric
+    cast = ChartMetric(2, lambda x: diag(1.0, np.sin(x.real[..., 0]) ** 2))
+    x = np.array([0.9, 0.4])
+    assert np.array_equal(cast.at(x), sphere_metric().at(x))
+    for fn in (christoffel, riemann):
+        with pytest.raises(InvalidInputError, match="metric returned float64 values for complex points"):
+            fn(cast, x)
+    # a real result that also ignores the stack axis fails on its shape first
+    with pytest.raises(InvalidInputError, match="shape"):
+        christoffel(ChartMetric(2, lambda x: np.eye(2)), x)
 
 
 def _riemann_reference(metric, x, h=1e-4):
     """R(d_i, d_j, d_k, d_l) by the explicit index loop over Gamma and its
     central differences."""
     n = metric.dim
-    gamma = christoffel(metric, x, h)
+    gamma = christoffel(metric, x)
     dgamma = np.empty((n, n, n, n))
     for a in range(n):
-        ha = GAMMA_DIFF_STEP * max(1.0, abs(float(x[a])))
+        ha = h * max(1.0, abs(float(x[a])))
         xp, xm = x.copy(), x.copy()
         xp[a] += ha
         xm[a] -= ha
-        dgamma[a] = (christoffel(metric, xp, h) - christoffel(metric, xm, h)) / (2.0 * ha)
+        dgamma[a] = (christoffel(metric, xp) - christoffel(metric, xm)) / (2.0 * ha)
     r_up = np.empty((n, n, n, n))
     for l in range(n):
         for i in range(n):

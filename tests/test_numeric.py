@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,11 @@ from warpcheck.errors import DegenerateInputError, InvalidInputError, NumericalD
 from warpcheck.numeric import (
     Tolerance,
     bilinear,
-    central_differences,
-    cross_stencil,
+    complex_step,
     gram_schmidt,
+    jet,
     qr_q,
     qr_q_complete,
-    second_differences,
-    stack_values,
 )
 
 
@@ -133,11 +133,10 @@ def test_gram_schmidt_names_the_point_of_a_dependent_stack():
 
 
 def _derivatives(f, x, value_shape=(), h=1e-4):
-    """First and second derivatives of f, taking a stack, from one f call on
-    the cross stencil of x, its values validated as the package does."""
-    pts, steps = cross_stencil(np.asarray(x, dtype=float), h)
-    values = stack_values(f(pts), pts, value_shape, "f")
-    return central_differences(values, steps), second_differences(values, steps)
+    """First and second derivatives of f, taking a stack, from its jet: one
+    f call on the complex step of the axis stencil of x, validated."""
+    _, d1, d2 = jet(f, np.asarray(x, dtype=float), h, value_shape, "f")
+    return d1, d2
 
 
 def _qr_inputs(rng, m, complex_):
@@ -211,7 +210,7 @@ def test_qr_q_leaves_the_callers_array_unchanged(complex_):
 
 def test_central_diff_quadratic():
     d1, _ = _derivatives(lambda x: x[..., 0] ** 2, [1.0])
-    assert abs(d1[0] - 2.0) < 1e-9
+    assert d1[0] == 2.0  # the complex step is exact
 
 
 def test_second_diff_cosine():
@@ -220,8 +219,8 @@ def test_second_diff_cosine():
 
 
 def test_central_diff_constant_zero():
-    d1, _ = _derivatives(lambda x: np.full(x.shape[:-1], 3.5), [0.7])
-    assert d1[0] == 0.0
+    d1, d2 = _derivatives(lambda x: np.full(x.shape[:-1], 3.5, dtype=x.dtype), [0.7])
+    assert d1[0] == 0.0 and d2[0, 0] == 0.0
 
 
 def test_diff_exact_on_low_degree_polynomials():
@@ -242,8 +241,59 @@ def test_cross_diff_mixed_term():
 
 
 def test_non_finite_evaluation_raises():
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
-        _derivatives(lambda x: np.log(x[..., 0]), [0.0])
+    # the complex step keeps log finite at 0; exp overflows at 800
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
+        _derivatives(lambda x: np.exp(x[..., 0]), [800.0])
+
+
+def test_complex_step_is_exact_where_a_difference_is_not():
+    # d/dx x^-20 at 1e-3: a central difference of step 1e-4 is off by 102%
+    x = np.array([[1e-3], [2.0]])
+    value, d1 = complex_step(lambda p: p[..., 0] ** -20, x, (), "f")
+    assert np.allclose(value, x[:, 0] ** -20, rtol=1e-15, atol=0.0)
+    assert np.allclose(d1[:, 0], -20.0 * x[:, 0] ** -21, rtol=1e-14, atol=0.0)
+
+
+def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
+    # rows: x, x + s_k e_k, x - s_k e_k with s_k = h max(1, |x_k|); each row
+    # stepped by i eps along every coordinate
+    calls = []
+
+    def f(p):
+        calls.append(p.copy())
+        return np.sin(p[..., 0]) * p[..., 1] ** 2
+
+    x = np.array([[0.4, -1.3], [2.0, 0.5]])
+    value, d1, d2 = jet(f, x, 1e-3, (), "f")
+    assert len(calls) == 1 and calls[0].shape == (2, 5, 2, 2)
+    steps = 1e-3 * np.maximum(1.0, np.abs(x))
+    shifts = steps[:, :, None] * np.eye(2)
+    rows = np.concatenate([x[:, None], x[:, None] + shifts, x[:, None] - shifts], axis=1)
+    assert np.array_equal(calls[0].real, np.broadcast_to(rows[:, :, None], (2, 5, 2, 2)))
+    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(2), (2, 5, 2, 2)))
+    s, c, y = np.sin(x[:, 0]), np.cos(x[:, 0]), x[:, 1]
+    assert np.allclose(value, s * y**2, rtol=1e-15)
+    assert np.allclose(d1, np.stack([c * y**2, 2.0 * s * y], axis=-1), rtol=1e-15)
+    hess = np.stack([np.stack([-s * y**2, 2 * c * y], -1), np.stack([2 * c * y, 2 * s], -1)], -2)
+    assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
+    assert np.max(np.abs(d2 - hess)) < 1e-5
+
+
+def _as_float(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        return np.asarray(p, dtype=float)
+
+
+@pytest.mark.parametrize("cast", [np.real, np.abs, _as_float], ids=["real", "abs", "asarray-float"])
+def test_a_function_that_drops_the_imaginary_part_is_rejected(cast):
+    # its derivative would read 0; the shape is checked first
+    x = np.array([0.4, 0.9])
+    for rule in (lambda f: complex_step(f, x, (), "f"), lambda f: jet(f, x, 1e-4, (), "f")):
+        with pytest.raises(InvalidInputError, match="f returned float64 values for complex points"):
+            rule(lambda p: np.sin(cast(p)[..., 0]))
+        with pytest.raises(InvalidInputError, match="shape"):
+            rule(lambda p: np.sin(cast(p)))
 
 
 def _array_f(x):
@@ -267,16 +317,17 @@ def test_array_stencils_match_scalar_calls_bitwise():
         assert np.array_equal(d2[(...,) + idx], s2)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_array_stencils_raise_on_one_non_finite_entry(bad):
     x = np.array([0.4, -1.3, 0.7])
     for idx in np.ndindex(3, 2):
-        for row in (0, 1, 7, 18):  # the centre, an axis shift, corners
+        # (stencil row, complex-step direction): the centre, axis shifts
+        for row, a in ((0, 0), (1, 2), (6, 1)):
 
-            def f(p, idx=idx, row=row):
+            def f(p, idx=idx, row=row, a=a):
                 out = _array_f(p)
-                out[(row,) + idx] = bad
+                out[(row, a) + idx] = bad
                 return out
 
-            with pytest.raises(NumericalDomainError, match=f"stack index \\({row},\\)"):
+            with pytest.raises(NumericalDomainError, match=f"stack index \\({row}, {a}\\)"):
                 _derivatives(f, x, (3, 2))

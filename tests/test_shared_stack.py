@@ -156,18 +156,16 @@ def test_stacked_gauss_residual_equals_the_per_sample_calls(kind, params, frame_
     intrinsic = None
     if perturbed:
         intrinsic = np.random.default_rng(32).normal(size=(9,) + (3,) * 4)
-    got = gauss_residual(stack, intrinsic=intrinsic, rng=np.random.default_rng(5), samples=20)
-    rng = np.random.default_rng(5)  # N one-sample calls in a row draw the stacked block
+    got = gauss_residual(stack, intrinsic=intrinsic)
     for i in range(len(stack)):
-        one = gauss_residual(
-            stack.sample(i), intrinsic=None if intrinsic is None else intrinsic[i], rng=rng, samples=20
-        )
+        one = gauss_residual(stack.sample(i), intrinsic=None if intrinsic is None else intrinsic[i])
         assert set(one) == set(got) == {"gauss_max", "kij_max", "tau_identity_residual"}
         for key, value in one.items():
             assert isinstance(value, float)
             assert np.array_equal(got[key][i], value), (key, i)
     if not perturbed:
-        assert not got["gauss_max"].any()  # definitional closure: exactly zero
+        # definitional closure: exactly zero
+        assert not got["gauss_max"].any() and not got["kij_max"].any()
 
 
 def test_stacked_gauss_residual_broadcasts_one_intrinsic_tensor():

@@ -2,13 +2,17 @@
 
 Geometry callables take a stack of points (..., n) and broadcast over its
 leading axes; `christoffel` and `riemann` evaluate whole stacks, and each
-evaluates its nested stencil in one call, validating every metric on it.
+evaluates its stencil (the complex step of every point, and for `riemann`
+the axis shifts of step h that it differences the symbols on) in one call,
+validating every metric on it.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from warpcheck.charts import GAMMA_DIFF_STEP, ChartMetric, christoffel, euclidean_metric, riemann
+from warpcheck.charts import ChartMetric, christoffel, euclidean_metric, riemann
 from warpcheck.errors import DegenerateMetricError, InvalidInputError, NumericalDomainError
 from warpcheck.immersion import (
     ChartImmersion,
@@ -61,7 +65,7 @@ def _metrics(dim):
         "euclidean": (euclidean_metric(dim), rng.uniform(-1.0, 1.0, size=(3, dim))),
         "round-sphere": (round_sphere_factor(dim), rng.uniform(0.4, 1.2, size=(3, dim))),
         "random-analytic": (_random_metric(rng, dim), rng.uniform(-1.0, 1.0, size=(3, dim))),
-        "random-fd": (_random_metric(rng, dim, analytic=False), rng.uniform(-1.0, 1.0, size=(3, dim))),
+        "random-complex-step": (_random_metric(rng, dim, analytic=False), rng.uniform(-1.0, 1.0, size=(3, dim))),
         "sphere-pullback": (
             pullback_metric(sphere_in_euclidean(dim)),
             sphere_in_euclidean(dim).default_point + rng.uniform(-0.2, 0.2, size=(3, dim)),
@@ -95,36 +99,43 @@ def test_a_stack_of_stacks_keeps_its_leading_axes():
     assert np.array_equal(cp.riemann04[1, 2], riemann(metric, points[1, 2]).riemann04)
 
 
-def _step_metric(threshold, bad):
-    """diag(1, 1), except that the second entry is `bad` where x_0 < threshold."""
+def _bad_metric(mask, bad):
+    """diag(1, 1), except that the second entry is `bad` where mask(x); a
+    complex stack stays complex."""
 
     def g(x):
-        second = np.where(x[..., 0] < threshold, bad, 1.0)
+        second = np.where(mask(x), bad, 1.0) + 0.0 * x[..., 0]
         return np.stack(np.broadcast_arrays(1.0, second), axis=-1)[..., None] * np.eye(2)
 
     return ChartMetric(2, g)
 
 
 X0 = np.array([0.3, 0.1])
-FD_STEP = 1e-4  # the default metric-derivative step; both |x_k| < 1
+FD_STEP = 1e-4  # the default step of riemann's difference; both |x_k| < 1
 
 
-@pytest.mark.parametrize("bad,error", [(0.0, DegenerateMetricError), (np.nan, NumericalDomainError)])
-def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error):
-    # bad only at x - h e_0, the stencil row 1 + n + 0 = 3 of christoffel
-    metric = _step_metric(X0[0] - 0.5 * FD_STEP, bad)
+@pytest.mark.parametrize(
+    "bad,error,index", [(0.0, DegenerateMetricError, "(3,)"), (np.nan, NumericalDomainError, "(3, 0)")]
+)
+def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error, index):
+    # bad only at x - h e_0, the stencil row 1 + n + 0 = 3 of riemann, where
+    # a non-finite value is met first in complex-step direction 0
+    metric = _bad_metric(lambda x: x[..., 0].real < X0[0] - 0.5 * FD_STEP, bad)
     assert np.array_equal(metric.at(X0), np.eye(2))
-    with pytest.raises(error, match=r"stack index \(3,\)"):
-        christoffel(metric, X0)
-
-
-@pytest.mark.parametrize("bad,error", [(0.0, DegenerateMetricError), (np.nan, NumericalDomainError)])
-def test_a_bad_metric_on_the_nested_riemann_stencil_is_rejected(bad, error):
-    # bad only beyond x - GAMMA_DIFF_STEP e_0: christoffel at x is clean,
-    # riemann's stencil row 3 meets it through its own stencil row 0
-    metric = _step_metric(X0[0] - 0.5 * GAMMA_DIFF_STEP, bad)
     christoffel(metric, X0)
-    with pytest.raises(error, match=r"stack index \(3, 0\)"):
+    with pytest.raises(error, match=rf"stack index {re.escape(index)}"):
+        riemann(metric, X0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan)], ids=["nan", "nan-derivative"])
+def test_a_bad_metric_on_the_complex_step_is_rejected(bad):
+    # bad only at x + i eps e_1, complex-step direction 1 of each point; a
+    # NaN in the imaginary part alone is a NaN derivative
+    metric = _bad_metric(lambda x: x[..., 1].imag != 0.0, bad)
+    assert np.array_equal(metric.g(X0), np.eye(2))
+    with pytest.raises(NumericalDomainError, match=r"stack index \(1,\)"):
+        christoffel(metric, X0)
+    with pytest.raises(NumericalDomainError, match=r"stack index \(0, 1\)"):
         riemann(metric, X0)
 
 
@@ -152,6 +163,23 @@ def test_a_map_that_ignores_the_stack_axis_is_rejected():
         second_fundamental_form(cylinder, p)
     with pytest.raises(InvalidInputError, match="shape"):
         pullback_metric(cylinder).at(p)
+
+
+def test_a_map_that_drops_the_imaginary_part_is_rejected():
+    # a float-casting map would read as a constant one: J = 0
+    cylinder = ChartImmersion(
+        map=lambda u: np.stack([np.cos(u.real[..., 1]), np.sin(u.real[..., 1]), u.real[..., 0]], axis=-1),
+        ambient_dim=3,
+        n1=1,
+        n2=1,
+    )
+    p = np.array([0.1, 0.7])
+    assert np.array_equal(cylinder.map(p), chart_immersion_catalog()["cylinder"]().map(p))
+    with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
+        second_fundamental_form(cylinder, p)
+    for evaluate in (lambda m: m.at(p), lambda m: m.dg(p), lambda m: riemann(m, p)):
+        with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
+            evaluate(pullback_metric(cylinder))
 
 
 def _complex_stack(rng, shape, lo, hi):

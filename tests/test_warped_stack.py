@@ -272,14 +272,15 @@ def test_mixed_sectional_checks_every_row_is_unit():
 
 
 def test_a_point_valid_for_christoffel_but_not_for_riemann_fails_every_warped_check():
-    # f(t) = t is positive at t = 5e-4 but not at t - GAMMA_DIFF_STEP, where
-    # riemann's stencil differentiates the symbols; the checks share that riemann
+    # f(t) = t is positive at t = 5e-5 but not at t - h (h = 1e-4, the
+    # run's step), where riemann's stencil differentiates the symbols; the
+    # checks share that riemann
     source = {
         "kind": "explicit-warped",
         "factor1": {"kind": "euclidean", "dim": 1},
         "factor2": {"kind": "euclidean", "dim": 1},
         "warping": {"kind": "polynomial", "coeffs": [0.0, 1.0]},
-        "points": [[5e-4, 0.3]],
+        "points": [[5e-5, 0.3]],
     }
     spec = parse_scene(
         {
