@@ -12,13 +12,17 @@ a chart immersion, the parts of a warping function, the function whose
 ``laplacian`` is taken) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
 stack-of-none case.  Those that are differentiated numerically also take
-complex points and keep their imaginary part.  The functions below accept
-stacks too, and a point's numbers do not depend on its stack.
+complex points: each must be the complex-analytic extension of its real
+formula, with no abs, max/min, comparison or real-part cast of the points.
+The functions below accept stacks too, and a point's numbers do not depend
+on its stack.
 
 Derivatives follow the one rule of ``numeric``: the metric derivatives are
 exact (the analytic dg, else the complex step of g), and ``riemann`` takes
-the one central difference, of the Christoffel symbols on the (..., 2n+1, n)
-axis stencil of step h.  Every metric a stencil evaluates is validated.
+one central difference, of the Christoffel symbols on the (..., 2n+1, n)
+axis stencil of step h.  A pull-back metric is the exception: its dg is
+itself a central difference of the exact Jacobian.  Every metric a stencil
+evaluates is validated.
 """
 
 from __future__ import annotations
@@ -59,12 +63,16 @@ class ChartMetric:
     g maps points (..., dim) to symmetric positive-definite matrices
     (..., dim, dim).  dg, when supplied, returns the analytic derivatives
     (..., dim, dim, dim) with dg[..., k, i, j] = d g_ij / dx_k; without it
-    they are the complex step of g, which must then keep complex points.
+    they are the complex step of g, which must then be the complex-analytic
+    extension of its real formula (see numeric.complex_step).  g_dg, when
+    supplied, returns (g, dg) from one evaluation, and the derivative code
+    calls it in place of the two.
     """
 
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray] | None = None
+    g_dg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the metric on a point or stack and validate every matrix:
@@ -108,9 +116,13 @@ def euclidean_metric(dim: int) -> ChartMetric:
 
 def _metric_derivatives(metric: ChartMetric, x: np.ndarray):
     """The validated metric and its exact first derivatives (..., n, n, n) on
-    a stack x (..., n): the analytic dg when given, else the complex step of
-    one g call, symmetrized in its last two axes."""
+    a stack x (..., n): from one g_dg call, or the analytic dg, else the
+    complex step of one g call, symmetrized in its last two axes."""
     n = metric.dim
+    if metric.g_dg is not None:
+        gx, dg = metric.g_dg(x)
+        gx = _require_metric(stack_values(gx, x, (n, n), "metric"), x)
+        return gx, stack_values(dg, x, (n, n, n), "metric derivative")
     if metric.dg is not None:
         return metric.at(x), stack_values(metric.dg(x), x, (n, n, n), "metric derivative")
     gx, dg = complex_step(metric.g, x, (n, n), "metric")

@@ -702,8 +702,10 @@ class ChartImmersion:
     """Map from an n-dim source chart into Euclidean R^ambient_dim.
 
     map takes source points (..., n) to points (..., ambient_dim),
-    broadcasting over the leading axes and keeping complex points complex
-    (the stack contract of ``charts``).
+    broadcasting over the leading axes (the stack contract of ``charts``).
+    It is differentiated by the complex step, so it must be the
+    complex-analytic extension of its real formula (see
+    numeric.complex_step).
     """
 
     map: Callable[[np.ndarray], np.ndarray]
@@ -722,20 +724,23 @@ class ChartImmersion:
 def pullback_metric(im: ChartImmersion, h: float = DEFAULT_TOLERANCE.finite_difference) -> ChartMetric:
     """Induced metric g = J^T J on the source chart, with its derivatives
     d_k g = (d_k J)^T J + J^T d_k J.  g takes the complex-step Jacobian, one
-    map call on the (..., n, n) complex points of the points it is evaluated
-    at; dg takes the jet of the map (numeric.jet, step h), one call on
-    (..., 2n+1, n, n)."""
+    map call on the (..., n+1, n) complex points of the points it is
+    evaluated at.  g_dg takes both from the jet of the map (numeric.jet,
+    step h), one call on (..., 2n+1, n+1, n): J is exact, and d_k J is its
+    central difference, so riemann of this metric differences twice (J to
+    dg, then Gamma)."""
 
     def g(u: np.ndarray) -> np.ndarray:
         _, jt = complex_step(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
         return jt @ np.swapaxes(jt, -1, -2)
 
-    def dg(u: np.ndarray) -> np.ndarray:
+    def g_dg(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, jt, hess = jet(im.map, np.asarray(u, float), h, (im.ambient_dim,), "map")
-        half = hess @ np.swapaxes(jt, -1, -2)[..., None, :, :]  # (d_k J)^T J
-        return half + np.swapaxes(half, -1, -2)
+        j = np.swapaxes(jt, -1, -2)
+        half = hess @ j[..., None, :, :]  # (d_k J)^T J
+        return jt @ j, half + np.swapaxes(half, -1, -2)
 
-    return ChartMetric(im.n, g, dg)
+    return ChartMetric(im.n, g, lambda u: g_dg(u)[1], g_dg)
 
 
 def second_fundamental_form(

@@ -2,7 +2,8 @@
 validation of a callable's values on a stack of points (shape, finiteness,
 a Cholesky positive-definiteness test), and the one derivative rule of the
 package.  First derivatives are exact: the complex step
-d_a f(x) = Im f(x + i eps e_a) / eps has no cancellation error.  Second
+d_a f(x) = Im f(x + i eps e_a) / eps has no cancellation error, and f(x)
+itself, evaluated alongside, must be real.  Second
 derivatives are one central difference of those, on the axis stencil
 (centre and axis shifts) of each point.  Each rule evaluates a function
 that broadcasts over stacks once, on all of its complex points.
@@ -293,30 +294,40 @@ def central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
     """f and its exact first derivatives on a float stack x (..., n), from
-    one call of f on the complex points x + i eps e_a (..., n, n), with
-    eps = COMPLEX_STEP.
+    one call of f on the complex points (..., n+1, n): x itself, then
+    x + i eps e_a, with eps = COMPLEX_STEP.
 
-    Returns the value (..., *value_shape), the real part of f at the first
-    of those points, and d_a f = Im f(x + i eps e_a) / eps (..., n,
-    *value_shape).  The values are validated by stack_values: a wrong shape
-    or a real dtype raises InvalidInputError, a non-finite entry
-    NumericalDomainError naming the stack index (..., a) of its point.
+    Returns the value f(x) (..., *value_shape) and d_a f = Im f(x + i eps
+    e_a) / eps (..., n, *value_shape).  The values are validated by
+    stack_values: a wrong shape or a real dtype raises InvalidInputError, a
+    non-finite entry NumericalDomainError naming the stack index (..., r) of
+    its point (r = 0 for x, 1 + a for the step along e_a).  So does an
+    imaginary part at x itself, where f has left its real domain.
+
+    f must be the complex-analytic extension of its real formula: abs,
+    max/min, comparisons or real-part casts of the points give a wrong
+    derivative, with no error unless the result is wholly real.
     """
-    z = x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(x.shape[-1])
+    z = x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(x.shape[-1] + 1, x.shape[-1], -1)
     values = stack_values(f(z), z.real, value_shape, what, complex_=True)
-    return np.take(values.real, 0, axis=x.ndim - 1), values.imag / COMPLEX_STEP
+    value = np.take(values, 0, axis=x.ndim - 1)
+    off = (value.imag != 0).reshape(x.shape[:-1] + (-1,)).any(axis=-1)
+    if off.any():
+        raise NumericalDomainError(f"{what} is not real at the real point {_first_point(x, off)}")
+    steps = values.imag[(slice(None),) * (x.ndim - 1) + (slice(1, None),)]
+    return value.real, steps / COMPLEX_STEP
 
 
 def jet(f: Callable, x: np.ndarray, h: float, value_shape: tuple, what: str):
     """Value, first and second derivatives of f on a float stack x (..., n),
     from one call of f on the complex step of axis_stencil(x, h), the
-    points (..., 2n+1, n, n).
+    points (..., 2n+1, n+1, n).
 
     Returns (value, first, second): value (..., *value_shape); first
     (..., n, *value_shape), exact; second (..., n, n, *value_shape), the
     central differences (step h max(1, |x_k|)) of the exact first
     derivatives, symmetrized.  Errors as complex_step, whose stack index of
-    a non-finite value is (..., row, a).
+    a bad value is (..., row, r).
     """
     pts, steps = axis_stencil(x, h)
     values, first = complex_step(f, pts, value_shape, what)

@@ -232,7 +232,7 @@ def test_laplacian_analytic_callbacks():
 
 def test_laplacian_evaluates_f_once_on_its_jet_stencil():
     # f follows the stack contract: one call on the complex step of the
-    # (..., 2n+1, n) axis stencil of every point, (..., 2n+1, n, n), its
+    # (..., 2n+1, n) axis stencil of every point, (..., 2n+1, n+1, n), its
     # values validated by stack_values
     s2 = round_sphere_factor(2)
     x = np.array([[0.4, 0.7], [1.0, 0.7], [2.2, -0.3]])
@@ -243,20 +243,25 @@ def test_laplacian_evaluates_f_once_on_its_jet_stencil():
         return np.cos(p[..., 0])
 
     val = laplacian(s2, f, x)
-    assert calls == [(3, 5, 2, 2)]
+    assert calls == [(3, 5, 3, 2)]
     assert np.max(np.abs(val - 2.0 * np.cos(x[:, 0]))) < 1e-7
     with pytest.raises(InvalidInputError, match="function returned shape"):
         laplacian(s2, lambda p: 5.0, x)
     with pytest.raises(InvalidInputError, match="function returned float64 values for complex points"):
         laplacian(s2, lambda p: np.cos(p.real[..., 0]), x)
-    # the centre row of point 1, both complex-step directions
+    # the centre row of point 1, met first at the real point itself
     with pytest.raises(NumericalDomainError, match=r"stack index \(1, 0, 0\)"):
         laplacian(s2, lambda p: np.where(p[..., 0].real == 1.0, np.nan, np.cos(p[..., 0])), x)
+    # log is singular at 0, and not real below it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, match in ((1.0, "non-finite"), (0.5, "not real at the real point")):
+            with pytest.raises(NumericalDomainError, match=match):
+                laplacian(s2, lambda p: np.log(p[..., 0] - t), x)
 
 
 def test_metric_derivatives_are_the_complex_step_of_one_metric_call():
-    # one metric call whose stack holds, for each point, x + i eps e_k for
-    # the n coordinates k, eps = 1e-30
+    # one metric call whose stack holds, for each point, x and then
+    # x + i eps e_k for the n coordinates k, eps = 1e-30
     for n in (2, 5, 8):
         calls = []
 
@@ -267,7 +272,7 @@ def test_metric_derivatives_are_the_complex_step_of_one_metric_call():
         x = np.linspace(-0.5, 0.6, n)
         gx, dg = _metric_derivatives(ChartMetric(n, g), x)
         assert len(calls) == 1 and calls[0].dtype == np.complex128
-        assert np.array_equal(calls[0], x + 1e-30j * np.eye(n))
+        assert np.array_equal(calls[0], x + 1e-30j * np.eye(n + 1, n, -1))
         assert np.array_equal(gx, g(x))
         # d_k (x_i x_j) = delta_ki x_j + x_i delta_kj, exact
         eye = np.eye(n)

@@ -251,6 +251,24 @@ def test_pullback_metric_matches_the_analytic_warped_metric():
         assert np.max(np.abs(dg - warped.dg(pts))) < 1e-8, n
 
 
+def test_riemann_of_a_pullback_metric_evaluates_the_map_once():
+    # g and dg come from one jet of the map, on the (2n+1, 2n+1, n+1, n)
+    # complex points of riemann's Gamma stencil; g is the complex-step g
+    im = sphere_in_euclidean(3)
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape)
+        return im.map(u)
+
+    pull = pullback_metric(ChartImmersion(counted, im.ambient_dim, im.n1, im.n2))
+    cp = riemann(pull, im.default_point)
+    assert calls == [(7, 7, 4, 3)]
+    assert np.array_equal(cp.g, pull.at(im.default_point))
+    g, dg = pull.g_dg(im.default_point)
+    assert np.array_equal(g, cp.g) and np.array_equal(dg, pull.dg(im.default_point))
+
+
 def test_chart_immersion_data_has_a_zero_ambient_tensor():
     # the ambient of a chart immersion is flat R^d: every entry +0.0, at the
     # default point and the warped chart's sample points, sphere n = 2..8

@@ -241,9 +241,24 @@ def test_cross_diff_mixed_term():
 
 
 def test_non_finite_evaluation_raises():
-    # the complex step keeps log finite at 0; exp overflows at 800
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
-        _derivatives(lambda x: np.exp(x[..., 0]), [800.0])
+    # log is singular at 0 (the complex step alone would read it as finite);
+    # exp overflows at 800
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for f, x in ((np.log, 0.0), (np.exp, 800.0)):
+            with pytest.raises(NumericalDomainError, match="non-finite"):
+                _derivatives(lambda p: f(p[..., 0]), [x])
+
+
+@pytest.mark.parametrize("f", [np.sqrt, np.log, np.arcsin], ids=["sqrt", "log", "arcsin"])
+def test_leaving_the_real_domain_raises(f):
+    # at x = -2 the complex extension is finite but not real: the complex
+    # step alone would return a finite derivative
+    for x, index in (([-2.0], ""), ([[0.5], [-2.0]], r" \(stack index \(1,\)\)")):
+        x = np.array(x)
+        with pytest.raises(NumericalDomainError, match=r"f is not real at the real point \[-2\.\]" + index):
+            complex_step(lambda p: f(p[..., 0]), x, (), "f")
+    with pytest.raises(NumericalDomainError, match=r"stack index \(0,\)"):
+        _derivatives(lambda p: f(p[..., 0]), [-2.0])
 
 
 def test_complex_step_is_exact_where_a_difference_is_not():
@@ -256,7 +271,7 @@ def test_complex_step_is_exact_where_a_difference_is_not():
 
 def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
     # rows: x, x + s_k e_k, x - s_k e_k with s_k = h max(1, |x_k|); each row
-    # stepped by i eps along every coordinate
+    # taken as it is, then stepped by i eps along every coordinate
     calls = []
 
     def f(p):
@@ -265,12 +280,12 @@ def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
 
     x = np.array([[0.4, -1.3], [2.0, 0.5]])
     value, d1, d2 = jet(f, x, 1e-3, (), "f")
-    assert len(calls) == 1 and calls[0].shape == (2, 5, 2, 2)
+    assert len(calls) == 1 and calls[0].shape == (2, 5, 3, 2)
     steps = 1e-3 * np.maximum(1.0, np.abs(x))
     shifts = steps[:, :, None] * np.eye(2)
     rows = np.concatenate([x[:, None], x[:, None] + shifts, x[:, None] - shifts], axis=1)
-    assert np.array_equal(calls[0].real, np.broadcast_to(rows[:, :, None], (2, 5, 2, 2)))
-    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(2), (2, 5, 2, 2)))
+    assert np.array_equal(calls[0].real, np.broadcast_to(rows[:, :, None], (2, 5, 3, 2)))
+    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(3, 2, -1), (2, 5, 3, 2)))
     s, c, y = np.sin(x[:, 0]), np.cos(x[:, 0]), x[:, 1]
     assert np.allclose(value, s * y**2, rtol=1e-15)
     assert np.allclose(d1, np.stack([c * y**2, 2.0 * s * y], axis=-1), rtol=1e-15)
@@ -321,8 +336,8 @@ def test_array_stencils_match_scalar_calls_bitwise():
 def test_array_stencils_raise_on_one_non_finite_entry(bad):
     x = np.array([0.4, -1.3, 0.7])
     for idx in np.ndindex(3, 2):
-        # (stencil row, complex-step direction): the centre, axis shifts
-        for row, a in ((0, 0), (1, 2), (6, 1)):
+        # (stencil row, complex-step row): the real point, steps along e_a
+        for row, a in ((0, 0), (1, 3), (6, 1)):
 
             def f(p, idx=idx, row=row, a=a):
                 out = _array_f(p)

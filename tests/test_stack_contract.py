@@ -119,7 +119,7 @@ FD_STEP = 1e-4  # the default step of riemann's difference; both |x_k| < 1
 )
 def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error, index):
     # bad only at x - h e_0, the stencil row 1 + n + 0 = 3 of riemann, where
-    # a non-finite value is met first in complex-step direction 0
+    # a non-finite value is met first at the real point, complex-step row 0
     metric = _bad_metric(lambda x: x[..., 0].real < X0[0] - 0.5 * FD_STEP, bad)
     assert np.array_equal(metric.at(X0), np.eye(2))
     christoffel(metric, X0)
@@ -129,13 +129,13 @@ def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error, index):
 
 @pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan)], ids=["nan", "nan-derivative"])
 def test_a_bad_metric_on_the_complex_step_is_rejected(bad):
-    # bad only at x + i eps e_1, complex-step direction 1 of each point; a
+    # bad only at x + i eps e_1, complex-step row 1 + 1 of each point; a
     # NaN in the imaginary part alone is a NaN derivative
     metric = _bad_metric(lambda x: x[..., 1].imag != 0.0, bad)
     assert np.array_equal(metric.g(X0), np.eye(2))
-    with pytest.raises(NumericalDomainError, match=r"stack index \(1,\)"):
+    with pytest.raises(NumericalDomainError, match=r"stack index \(2,\)"):
         christoffel(metric, X0)
-    with pytest.raises(NumericalDomainError, match=r"stack index \(0, 1\)"):
+    with pytest.raises(NumericalDomainError, match=r"stack index \(0, 2\)"):
         riemann(metric, X0)
 
 
@@ -163,6 +163,25 @@ def test_a_map_that_ignores_the_stack_axis_is_rejected():
         second_fundamental_form(cylinder, p)
     with pytest.raises(InvalidInputError, match="shape"):
         pullback_metric(cylinder).at(p)
+
+
+def test_a_callable_that_leaves_its_real_domain_is_rejected():
+    # sqrt of a negative coordinate is finite but not real; the complex step
+    # alone would read a finite derivative there
+    root = ChartMetric(2, lambda x: np.eye(2) * np.sqrt(x[..., 0])[..., None, None])
+    christoffel(root, np.array([0.5, 0.1]))
+    for fn in (christoffel, riemann):
+        with pytest.raises(NumericalDomainError, match="metric is not real at the real point"):
+            fn(root, np.array([-0.5, 0.1]))
+    im = ChartImmersion(lambda u: np.stack([u[..., 0], np.sqrt(u[..., 1]), u[..., 1]], axis=-1), 3, 1, 1)
+    for evaluate in (
+        lambda p: second_fundamental_form(im, p),
+        lambda p: pullback_metric(im).at(p),
+        lambda p: riemann(pullback_metric(im), p),
+    ):
+        evaluate(np.array([0.2, 0.5]))
+        with pytest.raises(NumericalDomainError, match="map is not real at the real point"):
+            evaluate(np.array([0.2, -0.5]))
 
 
 def test_a_map_that_drops_the_imaginary_part_is_rejected():
