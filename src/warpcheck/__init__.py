@@ -41,7 +41,7 @@ from .contact import (
     make_ambient,
 )
 from .immersion import (
-    PointwiseImmersionData,
+    PointwiseStack,
     MeanCurvatureRecord,
     ChartImmersion,
     second_fundamental_form,

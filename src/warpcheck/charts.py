@@ -52,6 +52,7 @@ __all__ = [
     "christoffel",
     "riemann",
     "sectional_curvature",
+    "covariant_hessian",
     "laplacian",
     "euclidean_metric",
 ]
@@ -195,6 +196,16 @@ def sectional_curvature(
     return (np.einsum("...ijkl,...i,...j,...k,...l->...", cp.riemann04, X, Y, Y, X) / denom)[()]
 
 
+def covariant_hessian(gamma: np.ndarray, x: np.ndarray, df, d2f) -> np.ndarray:
+    """Hess f = d_i d_j f - Gamma^k_ij d_k f on a stack x (..., n), from the
+    Christoffel symbols gamma (..., n, n, n) at x, the gradient df (..., n)
+    and the coordinate Hessian d2f (..., n, n), both validated first."""
+    n = x.shape[-1]
+    df = stack_values(df, x, (n,), "gradient")
+    d2f = stack_values(d2f, x, (n, n), "Hessian")
+    return d2f - np.einsum("...kij,...k->...ij", gamma, df)
+
+
 def laplacian(
     metric: ChartMetric,
     f: Callable[[np.ndarray], np.ndarray],
@@ -215,9 +226,6 @@ def laplacian(
     gamma, gx = _christoffel(metric, x)
     if grad is None or hess is None:
         _, df, d2f = jet(f, x, h, (), "function")
-    if grad is not None:
-        df = stack_values(grad(x), x, (n,), "gradient")
-    if hess is not None:
-        d2f = stack_values(hess(x), x, (n, n), "Hessian")
-    hess_cov = d2f - np.einsum("...kij,...k->...ij", gamma, df)
-    return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), hess_cov)[()]
+    df = df if grad is None else grad(x)
+    d2f = d2f if hess is None else hess(x)
+    return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), covariant_hessian(gamma, x, df, d2f))[()]

@@ -1,17 +1,19 @@
 """Submanifold machinery: second fundamental form, mean curvatures,
 Gauss-equation bookkeeping and the contact-tangency predicates.
 
-Two input flavors share one downstream representation.  Chart immersions
-map into Euclidean space, are differentiated numerically and re-expressed in
-an adapted orthonormal frame; pointwise data is synthesized directly in the
-ambient model's orthonormal coordinates.  Downstream of
-PointwiseImmersionData every inner product is a plain dot product.
+Two input flavors share one downstream representation, the PointwiseStack
+of N samples; one sample is a stack of one.  Chart immersions map into
+Euclidean space, are differentiated numerically and re-expressed in an
+adapted orthonormal frame; pointwise data is synthesized directly in the
+ambient model's orthonormal coordinates.  Downstream of PointwiseStack every
+inner product is a plain dot product, and every invariant gives one value per
+sample.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -39,7 +41,6 @@ from .numeric import (
 from .warped import WarpedProductChart, flat_product_chart, sphere_chart
 
 __all__ = [
-    "PointwiseImmersionData",
     "PointwiseStack",
     "MeanCurvatureRecord",
     "ChartImmersion",
@@ -87,12 +88,10 @@ def _frames_within_bounds(full: np.ndarray, sigma: np.ndarray, d: int) -> bool:
     )
 
 
-def _check_frames(
-    tangent: np.ndarray, normal: np.ndarray, sigma: np.ndarray, n: int, where
-) -> None:
-    """Validation shared by single samples and stacks: tangent (N, d, n),
-    normal (N, d, d - n), sigma (N, d - n, n, n); `where(i)` names sample i
-    in the error messages.
+def _check_frames(tangent: np.ndarray, normal: np.ndarray, sigma: np.ndarray, n: int) -> None:
+    """Validation of a stack: tangent (N, d, n), normal (N, d, d - n), sigma
+    (N, d - n, n, n); the error messages of a stack of more than one name
+    the sample.
 
     Valid input costs one combined test over the whole stack: the largest
     orthonormality residual of [tangent | normal] and the largest asymmetry
@@ -105,6 +104,7 @@ def _check_frames(
     N, d = tangent.shape[:2]
     if N == 0:
         raise InvalidInputError("a stack needs at least one sample")
+    where = (lambda i: f" in sample {i}") if N > 1 else (lambda i: "")
     if tangent.shape != (N, d, n):
         raise InvalidConfigurationError("tangent frame shape mismatch with n1 + n2")
     if normal.shape != (N, d, d - n):
@@ -134,14 +134,15 @@ def _check_frames(
 
 
 @dataclass
-class PointwiseImmersionData:
-    """Adapted orthonormal frame, second-fundamental-form components and the
-    ambient curvature oracle at a single point.
-
-    tangent: (d, n) orthonormal columns, first n1 spanning the leaf
-    block; normal: the orthonormal complement; sigma[r, i, j] are the
-    components <sigma(e_i, e_j), N_r>.
-    """
+class PointwiseStack:
+    """N samples over one ambient and one (n1, n2), held as stacked arrays:
+    tangent (N, d, n) orthonormal columns, the first n1 spanning the leaf
+    block; normal (N, d, d - n), their orthonormal complement; sigma
+    (N, d - n, n, n), the components <sigma(e_i, e_j), N_r>.  One sample is
+    a stack of one.  The frames are validated once for the whole stack, and
+    an error names the first offending sample by its index.  The tangent
+    array is read-only: the K~ table of ambient_kij is built from it once.
+    extras holds what a chart sample carries beside its frames."""
 
     n1: int
     n2: int
@@ -152,54 +153,6 @@ class PointwiseImmersionData:
     contact: ContactFrame | None = None
     label: str = ""
     extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.tangent = np.asarray(self.tangent, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        _check_frames(self.tangent[None], self.normal[None], self.sigma[None], self.n, lambda i: "")
-        self.tangent.setflags(write=False)  # its stack() keeps a K~ table of it
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def num_normals(self) -> int:
-        return self.normal.shape[1]
-
-    def sigma_norm_sq(self) -> float:
-        return float(np.sum(self.sigma**2))
-
-    def ambient_kij(self) -> np.ndarray:
-        """Ambient sectional curvatures K(e_i ^ e_j) over the tangent frame."""
-        return self.oracle.kij(self.tangent)
-
-    def stack(self) -> PointwiseStack:
-        """This sample as a stack of one; the arrays are shared, not copied."""
-        return _from_validated(
-            PointwiseStack, n1=self.n1, n2=self.n2, tangent=self.tangent[None],
-            normal=self.normal[None], sigma=self.sigma[None], oracle=self.oracle,
-            contact=self.contact, label=self.label,
-        )
-
-
-@dataclass
-class PointwiseStack:
-    """N samples over one ambient and one (n1, n2), held as stacked arrays:
-    tangent (N, d, n), normal (N, d, d - n), sigma (N, d - n, n, n).  The
-    checks of PointwiseImmersionData run once for the whole stack, and an
-    error names the first offending sample by its index.  The tangent array
-    is read-only: the K~ table of ambient_kij is built from it once."""
-
-    n1: int
-    n2: int
-    tangent: np.ndarray
-    normal: np.ndarray
-    sigma: np.ndarray
-    oracle: CurvatureOracle
-    contact: ContactFrame | None = None
-    label: str = ""
     # (tangent, oracle, table) of ambient_kij; dataclasses.replace carries it
     # to a copy, which uses it only while it holds the same tangent and oracle
     _ambient_kij: tuple | None = field(default=None, repr=False, compare=False)
@@ -208,7 +161,7 @@ class PointwiseStack:
         self.tangent = np.asarray(self.tangent, dtype=float)
         self.normal = np.asarray(self.normal, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        _check_frames(self.tangent, self.normal, self.sigma, self.n, lambda i: f" in sample {i}")
+        _check_frames(self.tangent, self.normal, self.sigma, self.n)
         self.tangent.setflags(write=False)
 
     def ambient_kij(self) -> np.ndarray:
@@ -228,33 +181,23 @@ class PointwiseStack:
     def __len__(self) -> int:
         return self.tangent.shape[0]
 
-    def sample(self, i: int) -> PointwiseImmersionData:
-        """Sample i, sharing this stack's arrays."""
-        return _from_validated(
-            PointwiseImmersionData, n1=self.n1, n2=self.n2, tangent=self.tangent[i],
-            normal=self.normal[i], sigma=self.sigma[i], oracle=self.oracle,
-            contact=self.contact, label=self.label, extras={},
-        )
-
-
-def _from_validated(cls, **fields):
-    """A cls instance over arrays cut from an already validated sample or
-    stack: every field given, __post_init__ not run.  Any other construction,
-    dataclasses.replace included, validates again."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
+    def sample(self, i: int) -> PointwiseStack:
+        """Sample i as a stack of one over views of this stack's arrays."""
+        i = range(len(self))[i]  # IndexError beyond the stack
+        rows = slice(i, i + 1)
+        return replace(self, tangent=self.tangent[rows], normal=self.normal[rows], sigma=self.sigma[rows])
 
 
 @dataclass
 class MeanCurvatureRecord:
     """Lengths of the mean curvature vector and of its two partial (block)
-    traces, and H in the normal frame.  Floats and a (k,) vector for one
-    sample; (N,) and (N, k) arrays for a stack."""
+    traces, and H in the normal frame: (N,) and (N, k) arrays, one row per
+    sample of a stack (InequalityStack.report holds one row as floats and a
+    (k,) vector)."""
 
-    norm_H: float
-    norm_H1: float
-    norm_H2: float
+    norm_H: np.ndarray
+    norm_H1: np.ndarray
+    norm_H2: np.ndarray
     components: np.ndarray  # H in the normal frame
 
 
@@ -277,18 +220,14 @@ def _block_starts(n1: int) -> np.ndarray:
     return starts
 
 
-def mean_curvatures(data: PointwiseImmersionData | PointwiseStack) -> MeanCurvatureRecord:
-    """Trace parts of sigma, n H = n1 H1 + n2 H2, for a sample or a stack."""
-    stacked = isinstance(data, PointwiseStack)
-    sigma = data.sigma if stacked else data.sigma[None]
+def mean_curvatures(data: PointwiseStack) -> MeanCurvatureRecord:
+    """Trace parts of sigma, n H = n1 H1 + n2 H2, per sample."""
     n1 = data.n1
     # block traces (N, num_normals, 2), then H, H1, H2 as the columns of one product
-    traces = np.add.reduceat(sigma.diagonal(0, 2, 3), _block_starts(n1), axis=2)
+    traces = np.add.reduceat(data.sigma.diagonal(0, 2, 3), _block_starts(n1), axis=2)
     parts = traces @ _mean_weights(n1, data.n2)
     norms = np.sqrt(np.add.reduce(parts**2, 1))  # (N, 3)
-    if stacked:
-        return MeanCurvatureRecord(*norms.T, components=parts[..., 0])
-    return MeanCurvatureRecord(*norms[0].tolist(), components=parts[0, :, 0])
+    return MeanCurvatureRecord(*norms.T, components=parts[..., 0])
 
 
 def _gauss_correction(sigma: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
@@ -302,13 +241,11 @@ def _gauss_correction(sigma: np.ndarray, rows: slice, cols: slice) -> np.ndarray
     )
 
 
-def intrinsic_kij(
-    data: PointwiseImmersionData | PointwiseStack, ambient: np.ndarray | None = None
-) -> np.ndarray:
+def intrinsic_kij(data: PointwiseStack, ambient: np.ndarray | None = None) -> np.ndarray:
     """Sectional curvatures of the submanifold from the Gauss equation:
     K_ij = K~_ij + sum_r (sigma^r_ii sigma^r_jj - (sigma^r_ij)^2), over the
     K~ table `ambient` when the caller holds it (data.ambient_kij() if not).
-    A stack gives one (n, n) table per sample."""
+    One (n, n) table per sample."""
     ambient = data.ambient_kij() if ambient is None else ambient
     out = ambient + _gauss_correction(data.sigma, slice(None), slice(None))
     out.reshape(-1, data.n**2)[:, :: data.n + 1] = 0.0  # the diagonal of each table
@@ -342,12 +279,12 @@ def _tangent_tensor(oracle: CurvatureOracle, tangent: np.ndarray) -> np.ndarray:
     return np.matmul(out, tangent).reshape(N, n, n, n, n)
 
 
-def gauss_residual(data: PointwiseImmersionData | PointwiseStack, intrinsic: np.ndarray | None = None) -> dict:
+def gauss_residual(data: PointwiseStack, intrinsic: np.ndarray | None = None) -> dict:
     """Residuals of the Gauss equation, its sectional form and the global
     trace identity 2 tau = 2 tau~ + n^2 |H|^2 - |sigma|^2.
 
     `intrinsic` is the intrinsic (0,4) tensor in the tangent frame, shape
-    (n, n, n, n), or for a stack one per sample (N, n, n, n, n); when omitted
+    (n, n, n, n) for every sample or (N, n, n, n, n), one per sample; when omitted
     the intrinsic curvature is defined through the Gauss equation itself, and
     the equation's two residuals are 0.  The Gauss tensor
     R~(e_a, e_b, e_c, e_d) + <s_ad, s_bc> - <s_ac, s_bd> is built once per
@@ -356,13 +293,11 @@ def gauss_residual(data: PointwiseImmersionData | PointwiseStack, intrinsic: np.
     i < j, and the trace identity sums the intrinsic sectional entries
     against the [i, j, j, i] entries of R~.
 
-    A stack gives each residual as an (N,) array, one sample gives floats;
-    each sample's residuals are the ones it gets alone.
+    Each residual is an (N,) array; each sample's residuals are the ones it
+    gets alone.
     """
-    stacked = isinstance(data, PointwiseStack)
-    stack = data if stacked else data.stack()
-    N, n, s = len(stack), stack.n, stack.sigma
-    ambient = _tangent_tensor(stack.oracle, stack.tangent)
+    N, n, s = len(data), data.n, data.sigma
+    ambient = _tangent_tensor(data.oracle, data.tangent)
     gauss = ambient + c_einsum("...rad,...rbc->...abcd", s, s) - c_einsum("...rac,...rbd->...abcd", s, s)
 
     def sectional(tensor):  # the entries [i, j, j, i], i < j, of each sample: (N, n(n-1)/2)
@@ -372,7 +307,7 @@ def gauss_residual(data: PointwiseImmersionData | PointwiseStack, intrinsic: np.
     k_intrinsic, worst, kij_worst = k_gauss, np.zeros(N), np.zeros(N)
     if intrinsic is not None:
         intrinsic = np.asarray(intrinsic, dtype=float)
-        shapes = [(n,) * 4] + [(N,) + (n,) * 4] * stacked
+        shapes = [(n,) * 4, (N,) + (n,) * 4]
         if intrinsic.shape not in shapes:
             raise InvalidInputError(
                 f"intrinsic curvature must have shape {' or '.join(map(str, shapes))}, got {intrinsic.shape}"
@@ -383,47 +318,39 @@ def gauss_residual(data: PointwiseImmersionData | PointwiseStack, intrinsic: np.
         k_intrinsic = sectional(intrinsic)
         kij_worst = np.max(np.abs(k_intrinsic - k_gauss), axis=1, initial=0.0)
     sigma_sq = np.add.reduce((s**2).reshape(N, -1), 1)
-    tau_gauss = 2.0 * np.add.reduce(sectional(ambient), 1) + n * n * mean_curvatures(stack).norm_H**2 - sigma_sq
+    tau_gauss = 2.0 * np.add.reduce(sectional(ambient), 1) + n * n * mean_curvatures(data).norm_H**2 - sigma_sq
     tau_res = np.abs(2.0 * np.add.reduce(k_intrinsic, 1) - tau_gauss)
-    out = {"gauss_max": worst, "kij_max": kij_worst, "tau_identity_residual": tau_res}
-    return out if stacked else {key: value.item(0) for key, value in out.items()}
+    return {"gauss_max": worst, "kij_max": kij_worst, "tau_identity_residual": tau_res}
 
 
-def _require_contact(data: PointwiseImmersionData | PointwiseStack) -> ContactFrame:
+def _require_contact(data: PointwiseStack) -> ContactFrame:
     if data.contact is None:
         raise InvalidConfigurationError("operation requires an attached contact frame")
     return data.contact
 
 
-def _per_sample(x: np.ndarray):
-    """A one-sample (0-d) result as a Python scalar; a stack's array as is."""
-    return x.item() if np.ndim(x) == 0 else x
-
-
 def is_C_totally_real(
-    data: PointwiseImmersionData | PointwiseStack, tol: float = DEFAULT_TOLERANCE.algebraic
-) -> tuple[bool, dict]:
-    """True iff xi is normal and phi maps the tangent space into the normal
-    space; for a stack, a boolean and residual arrays with one entry per
+    data: PointwiseStack, tol: float = DEFAULT_TOLERANCE.algebraic
+) -> tuple[np.ndarray, dict]:
+    """Per sample: True iff xi is normal and phi maps the tangent space into
+    the normal space; a boolean array and residual arrays, one entry per
     sample."""
     frame = _require_contact(data)
     xi_res = np.abs(frame.xi @ data.tangent).max(axis=-1)
     anti_res = np.abs(tangential_operator(data, frame.phi)).max(axis=(-2, -1))
     ok = (xi_res < tol) & (anti_res < tol)
-    residuals = {"xi_tangency": _per_sample(xi_res), "anti_invariance": _per_sample(anti_res)}
+    residuals = {"xi_tangency": xi_res, "anti_invariance": anti_res}
     if ok.any() and data.n > frame.m:
         # anti-invariance caps the dimension at m inside a (2m+1)-dim ambient
         raise InvalidConfigurationError(
             f"C-totally real data with n = {data.n} > m = {frame.m} is inconsistent"
         )
-    return _per_sample(ok), residuals
+    return ok, residuals
 
 
-def tangential_operator(
-    data: PointwiseImmersionData | PointwiseStack, op: np.ndarray
-) -> np.ndarray:
+def tangential_operator(data: PointwiseStack, op: np.ndarray) -> np.ndarray:
     """Matrix <op e_i, e_j> of an ambient operator restricted to the tangent
-    frame (one per sample of a stack)."""
+    frame, one per sample."""
     return np.swapaxes(data.tangent, -1, -2) @ (op @ data.tangent)
 
 
@@ -431,18 +358,17 @@ def _block_stats(mat: np.ndarray, n1: int) -> dict:
     b1, b2 = mat[..., :n1, :n1], mat[..., n1:, n1:]
     stats = {}
     for suffix, block in (("", mat), ("_1", b1), ("_2", b2)):
-        stats["trace" + suffix] = _per_sample(np.trace(block, axis1=-2, axis2=-1))
-        stats["norm_sq" + suffix] = _per_sample((block**2).sum(axis=(-2, -1)))
+        stats["trace" + suffix] = np.trace(block, axis1=-2, axis2=-1)
+        stats["norm_sq" + suffix] = (block**2).sum(axis=(-2, -1))
     return stats
 
 
-def a_xi_identity(data: PointwiseImmersionData | PointwiseStack) -> dict:
+def a_xi_identity(data: PointwiseStack) -> dict:
     """Compare the xi-component of sigma with the tangential part of phi h.
 
     Returns the max entry residual together with the restricted traces and
     squared norms of h^T and A_xi over the two warped blocks (the quantities
-    the contact inequalities consume); for a stack, each entry has one value
-    per sample.
+    the contact inequalities consume); each entry has one value per sample.
     """
     frame = _require_contact(data)
     w = frame.xi @ data.normal  # xi in normal-frame coordinates
@@ -451,7 +377,7 @@ def a_xi_identity(data: PointwiseImmersionData | PointwiseStack) -> dict:
     h_tan = tangential_operator(data, frame.h)
     residual = np.abs(a_from_sigma - a_geometric).max(axis=(-2, -1))
     return {
-        "residual": _per_sample(residual),
+        "residual": residual,
         "a_xi": a_geometric,
         "a_xi_from_sigma": a_from_sigma,
         "h_tan": h_tan,
@@ -460,12 +386,10 @@ def a_xi_identity(data: PointwiseImmersionData | PointwiseStack) -> dict:
     }
 
 
-def is_mixed_totally_geodesic(
-    data: PointwiseImmersionData | PointwiseStack, tol: float = DEFAULT_TOLERANCE.algebraic
-) -> bool:
-    """True iff sigma vanishes on all cross-block pairs (per sample of a stack)."""
+def is_mixed_totally_geodesic(data: PointwiseStack, tol: float = DEFAULT_TOLERANCE.algebraic) -> np.ndarray:
+    """Per sample: True iff sigma vanishes on all cross-block pairs."""
     cross = np.abs(data.sigma[..., : data.n1, data.n1 :]).max(axis=(-3, -2, -1))
-    return _per_sample(cross < tol)
+    return cross < tol
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +558,16 @@ def random_data(
     n2: int,
     sigma_scale: float = 1.0,
     frame_kind: str = "generic",
-) -> PointwiseImmersionData:
-    """Random PointwiseImmersionData over an ambient model: the one-sample
-    case of random_stack, so N sequential calls draw exactly the stack of N.
+) -> PointwiseStack:
+    """One random sample over an ambient model, as a stack of one: the
+    one-sample case of random_stack, so N sequential calls draw exactly the
+    stack of N.
 
     frame_kind: 'generic' (any orthonormal frame), 'c-totally-real'
     (anti-invariant, xi normal) or 'dplus' (inside the positive h-eigenspace);
     the last two require a contact ambient.
     """
-    return random_stack(rng, ambient, n1, n2, 1, sigma_scale, frame_kind).sample(0)
+    return random_stack(rng, ambient, n1, n2, 1, sigma_scale, frame_kind)
 
 
 def _frame_of(ambient: AmbientSpace) -> ContactFrame:
@@ -747,8 +672,9 @@ def second_fundamental_form(
     im: ChartImmersion,
     p: np.ndarray,
     h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> PointwiseImmersionData:
-    """Adapted frame and second-fundamental-form components at p.
+) -> PointwiseStack:
+    """Adapted frame and second-fundamental-form components at p, as a stack
+    of one.
 
     The tangent frame orthonormalizes the pushed-forward coordinate basis
     (preserving the leaf/fibre split), the normal frame completes it from the
@@ -778,12 +704,12 @@ def second_fundamental_form(
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
     eye = np.eye(d)
-    return PointwiseImmersionData(
+    return PointwiseStack(
         n1=im.n1,
         n2=im.n2,
-        tangent=eye[:, :n],
-        normal=eye[:, n:],
-        sigma=sigma,
+        tangent=eye[None, :, :n],
+        normal=eye[None, :, n:],
+        sigma=sigma[None],
         oracle=CurvatureOracle("euclidean", np.zeros((d,) * 4)),
         contact=None,
         label=im.label,
@@ -856,25 +782,21 @@ def cylinder_immersion() -> ChartImmersion:
     )
 
 
-def dplus_leaf(
-    m: int, kappa: float, mu: float, n1: int = 1, n2: int = 1
-) -> PointwiseImmersionData:
+def dplus_leaf(m: int, kappa: float, mu: float, n1: int = 1, n2: int = 1) -> PointwiseStack:
     """Totally geodesic leaf of the positive h-eigendistribution (sigma = 0)."""
     ambient = make_ambient("non-sasakian-kmu", m=m, kappa=kappa, mu=mu)
     return dplus_leaf_in(ambient, n1, n2, label=f"dplus-leaf(m={m},kappa={kappa},mu={mu})")
 
 
-def dplus_leaf_in(
-    ambient: AmbientSpace, n1: int = 1, n2: int = 1, label: str = "dplus-leaf"
-) -> PointwiseImmersionData:
-    """The dplus leaf drawn inside a given contact ambient."""
+def dplus_leaf_in(ambient: AmbientSpace, n1: int = 1, n2: int = 1, label: str = "dplus-leaf") -> PointwiseStack:
+    """The dplus leaf drawn inside a given contact ambient, as a stack of one."""
     frame = _frame_of(ambient)
-    return PointwiseImmersionData(
+    return PointwiseStack(
         n1=n1,
         n2=n2,
-        tangent=dplus_frame(frame, n1 + n2),
-        normal=_dplus_normal(frame, n1 + n2),
-        sigma=np.zeros((ambient.dim - n1 - n2, n1 + n2, n1 + n2)),
+        tangent=dplus_frame(frame, n1 + n2)[None],
+        normal=_dplus_normal(frame, n1 + n2)[None],
+        sigma=np.zeros((1, ambient.dim - n1 - n2, n1 + n2, n1 + n2)),
         oracle=ambient.oracle,
         contact=ambient.frame,
         label=label,

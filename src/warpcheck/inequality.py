@@ -34,7 +34,6 @@ from .errors import (
 from .immersion import (
     ChartImmersion,
     MeanCurvatureRecord,
-    PointwiseImmersionData,
     PointwiseStack,
     _gauss_correction,
     _triu_sum,
@@ -246,12 +245,16 @@ def decompose_stack(
     )
 
 
-def decompose(
-    data: PointwiseImmersionData, tau_p: float | None = None
-) -> ProofDecomposition:
-    """Proof-level decomposition of one sample: decompose_stack on a stack of
-    one."""
-    return decompose_stack(data.stack(), tau_p).row(0)
+def _one_sample(data: PointwiseStack) -> PointwiseStack:
+    """`data` when it holds one sample; InvalidInputError naming its length if not."""
+    if len(data) != 1:
+        raise InvalidInputError(f"expected a stack of one sample, got {len(data)} samples")
+    return data
+
+
+def decompose(data: PointwiseStack, tau_p: float | None = None) -> ProofDecomposition:
+    """Proof-level decomposition of a stack of one, with float numbers."""
+    return decompose_stack(_one_sample(data), tau_p).row(0)
 
 
 @dataclass(eq=False)
@@ -273,7 +276,7 @@ class _EqualityDiagnostics:
             self.sigma[None], np.array([self.rec.norm_H]), self.rec.components[None]
         )
         return {
-            "mixed_totally_geodesic": is_mixed_totally_geodesic(self, self.tol),
+            "mixed_totally_geodesic": bool(is_mixed_totally_geodesic(self, self.tol)),
             "partial_mean_equal": partial_residual < self.tol,
             "partial_mean_residual": partial_residual,
             "trace_conditions": _trace_conditions(rotated[0], self.n1).tolist(),
@@ -430,13 +433,13 @@ def general_inequality_stack(
 
 
 def general_inequality(
-    data: PointwiseImmersionData,
+    data: PointwiseStack,
     lhs: float | None = None,
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
 ) -> InequalityReport:
-    """The inequality for an arbitrary ambient model at one sample:
-    general_inequality_stack on a stack of one."""
-    return general_inequality_stack(data.stack(), lhs, equality_tol).report(0)
+    """The inequality for an arbitrary ambient model on a stack of one, as a
+    report with float numbers."""
+    return general_inequality_stack(_one_sample(data), lhs, equality_tol).report(0)
 
 
 def _contact_rhs_inputs(stack: PointwiseStack):
@@ -502,13 +505,13 @@ def kmu_space_form_inequality_stack(
 
 
 def kmu_space_form_inequality(
-    data: PointwiseImmersionData,
+    data: PointwiseStack,
     c: float | None = None,
     lhs: float | None = None,
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
 ) -> InequalityReport:
-    """kmu_space_form_inequality_stack at one sample."""
-    return kmu_space_form_inequality_stack(data.stack(), c, lhs, equality_tol).report(0)
+    """kmu_space_form_inequality_stack on a stack of one, as a report."""
+    return kmu_space_form_inequality_stack(_one_sample(data), c, lhs, equality_tol).report(0)
 
 
 def non_sasakian_inequality_stack(
@@ -551,12 +554,12 @@ def non_sasakian_inequality_stack(
 
 
 def non_sasakian_inequality(
-    data: PointwiseImmersionData,
+    data: PointwiseStack,
     lhs: float | None = None,
     equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
 ) -> InequalityReport:
-    """non_sasakian_inequality_stack at one sample."""
-    return non_sasakian_inequality_stack(data.stack(), lhs, equality_tol).report(0)
+    """non_sasakian_inequality_stack on a stack of one, as a report."""
+    return non_sasakian_inequality_stack(_one_sample(data), lhs, equality_tol).report(0)
 
 
 NONEXISTENCE = "NONEXISTENCE"
@@ -615,14 +618,15 @@ def chart_inequality(
     p: np.ndarray,
     equality_tol: float = CHART_EQUALITY_TOL,
     h: float = DEFAULT_TOLERANCE.finite_difference,
-    data: PointwiseImmersionData | None = None,
+    data: PointwiseStack | None = None,
 ) -> InequalityReport:
     """Run the general inequality on a chart immersion of a warped chart.
 
     Produces both left-hand sides (the genuine Delta f / f on the first factor
     and the Gauss-equation proxy) and reports their agreement.  `h` is the
     finite-difference step of the second fundamental form; a caller that
-    already holds second_fundamental_form(im, p, h) passes it as `data`.
+    already holds second_fundamental_form(im, p, h), a stack of one, passes
+    it as `data`.
     """
     if im.warped is None:
         raise InvalidConfigurationError("chart immersion carries no warped structure")

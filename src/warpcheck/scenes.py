@@ -33,7 +33,6 @@ from .contact import (
 from .errors import InvalidInputError, SceneParseError, SceneValidationError, WarpcheckError
 from .immersion import (
     ChartImmersion,
-    PointwiseImmersionData,
     PointwiseStack,
     a_xi_identity,
     balance_for_equality,
@@ -116,6 +115,7 @@ class SceneSpec:
             amb = dict(self.ambient)
             kind = amb.pop("kind", None)
             _require(kind in ambient_catalog(), f"unknown ambient kind {kind!r}")
+            amb = _read_numbers(amb, _AMBIENT_NUMBERS, "ambient parameter")
             try:
                 self._ambient_space = make_ambient(kind, **amb)
             except TypeError as exc:
@@ -203,6 +203,17 @@ def _boolean(value, what: str) -> bool:
     string such as "false"."""
     _require(isinstance(value, (bool, np.bool_)), f"{what} must be true or false (got {value!r})")
     return bool(value)
+
+
+# the readers of the ambient parameters and of the dimensions in a source's 'params'
+_AMBIENT_NUMBERS = {"m": _integer, "c": _real, "kappa": _real, "mu": _real}
+_DIMENSIONS = {"n": _integer, "n1": _integer, "n2": _integer}
+
+
+def _read_numbers(values: dict, readers: dict, where: str) -> dict:
+    """`values` with each key that has a reader read by it; any other key is
+    passed on as it is, for the constructor to reject."""
+    return {k: readers[k](v, f"{where} {k}") if k in readers else v for k, v in values.items()}
 
 
 def _positive(value, what: str) -> float:
@@ -352,12 +363,13 @@ def _validate(spec: SceneSpec):
 @dataclass(frozen=True)
 class _Source:
     """A built scene source: the warped chart it carries, a chart immersion
-    and its point, one fixed sample, or a synthetic generator's settings."""
+    and its point, one fixed sample (a stack of one), or a synthetic
+    generator's settings."""
 
     warped: WarpedProductChart | None = None
     immersion: ChartImmersion | None = None
     point: np.ndarray | None = None
-    fixed: PointwiseImmersionData | None = None
+    fixed: PointwiseStack | None = None
     generator: str | None = None
     n1: int = 1
     n2: int = 1
@@ -373,9 +385,16 @@ def _dims(src: dict, ambient: AmbientSpace) -> tuple[int, int]:
     return n1, n2
 
 
+def _params(src: dict) -> dict:
+    """A source's 'params' object, its dimensions read by `_integer`."""
+    params = src.get("params", {})
+    _require(isinstance(params, dict), f"source 'params' must be an object (got {params!r})")
+    return _read_numbers(params, _DIMENSIONS, "source parameter")
+
+
 def _warped_chart_source(src: dict, ambient: AmbientSpace) -> _Source:
     _require(src.get("key") in chart_catalog(), f"unknown chart key {src.get('key')!r}")
-    return _Source(warped=named_chart(src["key"], **src.get("params", {})))
+    return _Source(warped=named_chart(src["key"], **_params(src)))
 
 
 def _explicit_warped_source(src: dict, ambient: AmbientSpace) -> _Source:
@@ -383,22 +402,24 @@ def _explicit_warped_source(src: dict, ambient: AmbientSpace) -> _Source:
         all(k in src for k in ("factor1", "factor2", "warping")),
         "explicit-warped source needs 'factor1', 'factor2' and 'warping'",
     )
-    _require(len(src.get("points", [])) > 0, "explicit-warped source needs 'points'")
+    points = src.get("points")
+    _require(isinstance(points, list) and points, "explicit-warped source needs a non-empty 'points' list")
     factor1 = _factor_from_descriptor(src["factor1"], "factor1")
     factor2 = _factor_from_descriptor(src["factor2"], "factor2")
+    where, dim = "explicit-warped source 'points'", factor1.dim + factor2.dim
     return _Source(
         warped=WarpedProductChart(
             factor1=factor1,
             factor2=factor2,
             warp=warp_from_descriptor(src["warping"]),
             label="explicit",
-            sample_points=[as_vector(p, factor1.dim + factor2.dim) for p in src["points"]],
+            sample_points=[as_vector(_real_array(p, f"{where}[{i}]"), dim) for i, p in enumerate(points)],
         )
     )
 
 
 def _chart_immersion_source(src: dict, ambient: AmbientSpace) -> _Source:
-    key, params = src.get("key"), src.get("params", {})
+    key, params = src.get("key"), _params(src)
     if key == "dplus-leaf":
         # totally geodesic leaf drawn inside the declared contact ambient
         _require(ambient.frame is not None, "dplus-leaf needs a contact ambient")
@@ -415,7 +436,9 @@ def _chart_immersion_source(src: dict, ambient: AmbientSpace) -> _Source:
         f"immersion {key!r} maps into flat R^{im.ambient_dim}, "
         f"but the {ambient.kind!r} ambient is curved",
     )
-    point = as_vector(src["point"], im.n) if "point" in src else im.default_point
+    point = im.default_point
+    if "point" in src:
+        point = as_vector(_real_array(src["point"], "chart-immersion source 'point'"), im.n)
     return _Source(warped=im.warped, immersion=im, point=point)
 
 
@@ -460,12 +483,12 @@ def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:
         normal = _real_array(src["normal"], "explicit source 'normal'")
     else:
         normal = complete_normal_frame(tangent)
-    data = PointwiseImmersionData(
+    data = PointwiseStack(
         n1=n1,
         n2=n2,
-        tangent=tangent,
-        normal=normal,
-        sigma=_real_array(src["sigma"], "explicit source 'sigma'"),
+        tangent=tangent[None],
+        normal=normal[None],
+        sigma=_real_array(src["sigma"], "explicit source 'sigma'")[None],
         oracle=ambient.oracle,
         contact=ambient.frame,
         label="explicit",
@@ -502,10 +525,11 @@ class _Context:
     _stacks: dict = field(default_factory=dict, repr=False)
 
     @cached_property
-    def fixed(self) -> PointwiseImmersionData | None:
-        """The source's one sample: explicit data, a dplus leaf, or a chart
-        immersion's second fundamental form at its point (once per run, its
-        step is the run's `finite_difference`); None for a synthetic source."""
+    def fixed(self) -> PointwiseStack | None:
+        """The source's one sample, as a stack of one: explicit data, a dplus
+        leaf, or a chart immersion's second fundamental form at its point
+        (once per run, its step is the run's `finite_difference`); None for a
+        synthetic source."""
         src = self.source
         if src.immersion is None:
             return src.fixed
@@ -533,12 +557,12 @@ class _Context:
 
     def stack(self, generator: str | None = None) -> PointwiseStack:
         """The run's samples of `generator` (by default the source's): the
-        fixed sample as a stack of one, or `samples` draws in one block.  Each
-        is built on first use and then shared, with its K~ table, by every
-        sampled check of the run; a fixed source has only the one."""
+        fixed sample, or `samples` draws in one block.  Each is built on
+        first use and then shared, with its K~ table, by every sampled check
+        of the run; a fixed source has only the one."""
         key = None if self.fixed is not None else generator or self.source.generator
         if key not in self._stacks:
-            self._stacks[key] = self.fixed.stack() if key is None else self._draw(key)
+            self._stacks[key] = self.fixed if key is None else self._draw(key)
         return self._stacks[key]
 
     def _draw(self, gen: str) -> PointwiseStack:
@@ -610,7 +634,7 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
             data.extras["frame_coefficients"]
         )
-        res = gauss_residual(data, intrinsic=intrinsic.tensor)
+        res = {k: v.item() for k, v in gauss_residual(data, intrinsic=intrinsic.tensor).items()}
         worst = np.max(list(res.values()))
         return {"pass": bool(worst < 1e-4), **res}
     res = gauss_residual(ctx.stack())

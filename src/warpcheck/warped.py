@@ -27,6 +27,7 @@ from .charts import (
     ChartMetric,
     CurvaturePoint,
     christoffel,
+    covariant_hessian,
     euclidean_metric,
     laplacian,
     sectional_curvature,
@@ -252,8 +253,7 @@ def mixed_sectional(
         raise InvalidInputError(f"X and Z must be unit vectors in the warped metric at {at}")
     x1, _ = wp.split(x)
     x1v = X[..., : wp.n1]
-    gamma1 = christoffel(wp.factor1, x1)
-    hess = wp.warp.hess(x1) - np.einsum("...kij,...k->...ij", gamma1, wp.warp.grad(x1))
+    hess = covariant_hessian(christoffel(wp.factor1, x1), x1, wp.warp.grad(x1), wp.warp.hess(x1))
     return (-bilinear(hess, x1v, x1v) / wp.warp_at(x))[()]
 
 

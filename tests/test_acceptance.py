@@ -138,8 +138,8 @@ def test_criterion_3_equality_characterization():
             and rep.diagnostics["partial_mean_equal"]
         ):
             mis += 1
-        data.sigma[0, 0, n1] += 1e-2
-        data.sigma[0, n1, 0] += 1e-2
+        data.sigma[0, 0, 0, n1] += 1e-2
+        data.sigma[0, 0, n1, 0] += 1e-2
         rep2 = general_inequality(data)
         min_pert_gap = min(min_pert_gap, rep2.gap)
         if not (

@@ -1,6 +1,7 @@
 """Stacked sampled algebra: stream preservation of the stacked generators,
-parity of the stacked kernels with their one-sample entry points, a
-sigma-only oracle for the gap, and validation that names the bad sample."""
+parity of the stacked kernels with their one-sample entry points (on stacks
+of one), a sigma-only oracle for the gap, and validation that names the bad
+sample."""
 
 import re
 import warnings
@@ -17,15 +18,22 @@ from warpcheck.errors import (
     NumericalDomainError,
 )
 from warpcheck.immersion import (
-    PointwiseImmersionData,
     PointwiseStack,
+    a_xi_identity,
     balance_for_equality,
     complete_normal_frame,
     force_xi_consistency,
+    gauss_residual,
+    is_C_totally_real,
+    is_mixed_totally_geodesic,
+    mean_curvatures,
     random_data,
     random_stack,
+    second_fundamental_form,
+    sphere_in_euclidean,
 )
 from warpcheck.inequality import (
+    chart_inequality,
     decompose,
     decompose_stack,
     general_inequality,
@@ -58,9 +66,9 @@ BLOCKS = [(n1, n2) for n1 in (1, 2, 3) for n2 in (1, 2, 3)]
 def _assert_same_draws(stack, samples):
     assert len(stack) == len(samples)
     for i, data in enumerate(samples):
-        assert np.array_equal(stack.tangent[i], data.tangent), i
-        assert np.array_equal(stack.normal[i], data.normal), i
-        assert np.array_equal(stack.sigma[i], data.sigma), i
+        assert np.array_equal(stack.tangent[i : i + 1], data.tangent), i
+        assert np.array_equal(stack.normal[i : i + 1], data.normal), i
+        assert np.array_equal(stack.sigma[i : i + 1], data.sigma), i
 
 
 @pytest.mark.parametrize(
@@ -198,9 +206,62 @@ def test_decompose_stack_is_exact_between_a_stack_and_a_stack_of_one(n):
             stack = random_stack(rng, amb, n1, n - n1, 16)
             dec = decompose_stack(stack)
             for i in range(len(stack)):
-                one = decompose_stack(stack.sample(i).stack())
+                one = decompose_stack(stack.sample(i))
                 for name in ("delta", "b", "lemma_slack", "ai_residual"):
                     assert np.array_equal(getattr(dec, name)[i : i + 1], getattr(one, name)), (kind, n1, i, name)
+
+
+def test_a_sample_is_a_stack_of_one_over_the_stack_arrays_with_its_row_of_every_kernel():
+    amb = make_ambient("kmu-space-form", m=3, kappa=0.5, mu=-1.0, c=1.7)
+    stack = _ctr_stack(np.random.default_rng(47), amb, 1, 2, 5)
+    kernels = {
+        "general": lambda s: vars(general_inequality_stack(s)),
+        "kmu": lambda s: vars(kmu_space_form_inequality_stack(s)),
+        "decompose": lambda s: vars(decompose_stack(s)),
+        "mean": lambda s: vars(mean_curvatures(s)),
+        "gauss": gauss_residual,
+        "c_totally_real": lambda s: {"ok": is_C_totally_real(s)[0], **is_C_totally_real(s)[1]},
+        "a_xi": lambda s: {k: v for k, v in a_xi_identity(s).items() if not k.endswith("_stats")},
+        "a_xi_stats": lambda s: {**a_xi_identity(s)["h_stats"], **a_xi_identity(s)["a_stats"]},
+        "mixed": lambda s: {"mixed": is_mixed_totally_geodesic(s)},
+    }
+    whole = {name: kernel(stack) for name, kernel in kernels.items()}
+    for i in (0, 3, -1):
+        one = stack.sample(i)
+        assert len(one) == 1 and one.oracle is stack.oracle and one.contact is stack.contact
+        for field_name in ("tangent", "normal", "sigma"):
+            mine, theirs = getattr(one, field_name), getattr(stack, field_name)
+            assert mine.shape == (1,) + theirs.shape[1:]
+            assert np.shares_memory(mine, theirs) and np.array_equal(mine[0], theirs[i])
+        row = slice(i, i + 1 or None)
+        for name, kernel in kernels.items():
+            for key, value in kernel(one).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, whole[name][key][row]), (name, key, i)
+    with pytest.raises(IndexError):
+        stack.sample(5)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [general_inequality, kmu_space_form_inequality, non_sasakian_inequality, decompose],
+    ids=lambda f: f.__name__,
+)
+def test_the_one_sample_entry_points_reject_a_stack_of_two(fn):
+    amb = make_ambient("kmu-space-form", m=3, kappa=0.5, mu=-1.0, c=1.7)
+    stack = _ctr_stack(np.random.default_rng(48), amb, 1, 2, 3)
+    with pytest.raises(InvalidInputError, match="expected a stack of one sample, got 2 samples"):
+        fn(replace(stack, tangent=stack.tangent[:2], normal=stack.normal[:2], sigma=stack.sigma[:2]))
+    fn(stack.sample(2))
+
+
+def test_chart_inequality_rejects_a_stack_of_two_as_its_data():
+    im = sphere_in_euclidean(3)
+    data = second_fundamental_form(im, im.default_point)
+    two = replace(data, **{k: np.concatenate([getattr(data, k)] * 2) for k in ("tangent", "normal", "sigma")})
+    with pytest.raises(InvalidInputError, match="expected a stack of one sample, got 2 samples"):
+        chart_inequality(im, im.default_point, data=two)
+    assert chart_inequality(im, im.default_point, data=data) == chart_inequality(im, im.default_point)
 
 
 def test_report_rows_carry_each_sample_diagnostics():
@@ -296,7 +357,7 @@ def test_stack_with_a_non_finite_sample_names_it(which, value, axis_aligned):
         with pytest.raises(NumericalDomainError, match=f"^{what} has non-finite entries in sample 3$"):
             _build(amb, tangent, normal, sigma)
         with pytest.raises(NumericalDomainError, match=f"^{what} has non-finite entries$"):
-            PointwiseImmersionData(1, 2, tangent[3], normal[3], sigma[3], amb.oracle)
+            _build(amb, tangent[3:4], normal[3:4], sigma[3:4])
 
 
 def test_replace_validates_again():
@@ -307,9 +368,9 @@ def test_replace_validates_again():
     with pytest.raises(InvalidConfigurationError, match="not symmetric.*sample 0"):
         replace(stack, sigma=bad)
     with pytest.raises(InvalidConfigurationError, match="not symmetric"):
-        replace(stack.sample(0), sigma=bad[0])
+        replace(stack.sample(0), sigma=bad[0:1])
     with pytest.raises(InvalidConfigurationError, match="not orthonormal"):
-        replace(stack.sample(1).stack(), tangent=2.0 * tangent[1:2])
+        replace(stack.sample(1), tangent=2.0 * tangent[1:2])
 
 
 def test_empty_stack_is_rejected():

@@ -248,3 +248,61 @@ def test_an_explicit_source_of_finite_numbers_runs_as_before(tmp_path):
         assert cli_main(["verify", str(path), "--output", "json", "--out", str(out)]) == 0
         outs.append(json.loads(out.read_text())["records"])
     assert outs[0] == outs[1]
+
+
+
+SYNTHETIC = {
+    "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.5, "mu": 0.3},
+    "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
+    "checks": ["general_inequality"],
+}
+REAL_FORM = dict(SYNTHETIC, ambient={"kind": "real-space-form", "m": 5, "c": 0.5})
+SPHERE = {
+    "ambient": {"kind": "euclidean", "m": 3},
+    "source": {"kind": "chart-immersion", "key": "sphere-in-euclidean", "params": {"n": 2}, "point": [0.3, 0.8]},
+    "checks": ["general_inequality"],
+}
+WARPED_SPHERE = {
+    "ambient": {"kind": "euclidean", "m": 5},
+    "source": {"kind": "warped-chart", "key": "sphere", "params": {"n2": 2}},
+    "checks": ["laplacian_ratio"],
+}
+FLAT_PRODUCT = dict(WARPED_SPHERE, source={"kind": "warped-chart", "key": "flat-product", "params": {"n1": 2}})
+EXPLICIT_WARPED = dict(
+    WARPED_SPHERE,
+    source={
+        "kind": "explicit-warped",
+        "factor1": {"kind": "euclidean", "dim": 1},
+        "factor2": {"kind": "round-sphere", "dim": 2},
+        "warping": {"kind": "cos"},
+        "points": [[0.2, 0.8, 0.5]],
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "base,index,bad,message",
+    [
+        (REAL_FORM, ("ambient", "m"), True, "ambient parameter m must be an integer >= 1 (got True)"),
+        (REAL_FORM, ("ambient", "c"), True, "ambient parameter c must be a finite number (got True)"),
+        (SYNTHETIC, ("ambient", "kappa"), "0.5", "ambient parameter kappa must be a finite number (got '0.5')"),
+        (SYNTHETIC, ("ambient", "mu"), True, "ambient parameter mu must be a finite number (got True)"),
+        (SPHERE, ("source", "params", "n"), 2.0, "source parameter n must be an integer >= 1 (got 2.0)"),
+        (FLAT_PRODUCT, ("source", "params", "n1"), True, "source parameter n1 must be an integer >= 1 (got True)"),
+        (WARPED_SPHERE, ("source", "params", "n2"), True, "source parameter n2 must be an integer >= 1 (got True)"),
+        (SPHERE, ("source", "point", 0), True, "chart-immersion source 'point'[0] must be a finite number (got True)"),
+        (
+            EXPLICIT_WARPED, ("source", "points", 0, 0), True,
+            "explicit-warped source 'points'[0][0] must be a finite number (got True)",
+        ),
+    ],
+    ids=["ambient-m", "ambient-c", "ambient-kappa", "ambient-mu", "params-n", "params-n1", "params-n2", "point", "points"],
+)
+def test_a_scene_number_that_is_not_one_exits_2_and_names_its_key(tmp_path, capsys, base, index, bad, message):
+    # before, a boolean was read as 1: each of these but m and n ran and passed
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**base, "seed": 0}))
+    assert cli_main(["verify", str(path)]) == 0
+    path.write_text(json.dumps({**_with_entry(base, index, bad), "seed": 0}))
+    assert cli_main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -13,7 +13,7 @@ from warpcheck.errors import (
 )
 from warpcheck.immersion import (
     ChartImmersion,
-    PointwiseImmersionData,
+    PointwiseStack,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
@@ -52,7 +52,7 @@ def test_sphere_umbilic():
     N = data.extras["normal_ambient"][:, 0]
     inward = -data.extras["ambient_point"]
     sign = np.sign(N @ inward)
-    assert np.max(np.abs(data.sigma[0] - sign * np.eye(2))) < 1e-5
+    assert np.max(np.abs(data.sigma[0, 0] - sign * np.eye(2))) < 1e-5
     rec = mean_curvatures(data)
     assert abs(rec.norm_H - 1.0) < 1e-5
     assert abs(rec.norm_H1 - 1.0) < 1e-5 and abs(rec.norm_H2 - 1.0) < 1e-5
@@ -67,14 +67,15 @@ def test_sigma_symmetric_within_fd_tolerance():
 def test_cylinder_principal_values():
     im = cylinder_immersion()
     data = second_fundamental_form(im, im.default_point)
-    vals = np.sort(np.abs(np.linalg.eigvalsh(data.sigma[0])))
+    vals = np.sort(np.abs(np.linalg.eigvalsh(data.sigma[0, 0])))
     assert np.allclose(vals, [0.0, 1.0], atol=1e-5)
     assert abs(mean_curvatures(data).norm_H - 0.5) < 1e-5
 
 
 def _block_mean_components(data):
-    """H1 and H2 in the normal frame, from the block traces of sigma."""
-    diag = np.einsum("rii->ri", data.sigma)
+    """H1 and H2 in the normal frame, from the block traces of the sigma of
+    a stack of one."""
+    diag = np.einsum("rii->ri", data.sigma[0])
     return diag[:, : data.n1].sum(axis=1) / data.n1, diag[:, data.n1 :].sum(axis=1) / data.n2
 
 
@@ -104,8 +105,8 @@ def test_block_trace_only_in_first_block():
     rng = np.random.default_rng(2)
     amb = make_ambient("euclidean", m=6)
     data = random_data(rng, amb, 2, 2, sigma_scale=0.0)
-    data.sigma[0, 0, 0] = 1.0
-    data.sigma[0, 1, 1] = 1.0
+    data.sigma[0, 0, 0, 0] = 1.0
+    data.sigma[0, 0, 1, 1] = 1.0
     rec = mean_curvatures(data)
     assert rec.norm_H2 == 0.0
     h1, _ = _block_mean_components(data)
@@ -190,8 +191,9 @@ def test_gauss_residual_rejects_an_intrinsic_of_another_shape(intrinsic):
 
 def _gauss_reference(data, intrinsic):
     """The scalar form of gauss_residual: each entry, each pair and tau one
-    tuple of frame vectors at a time through CurvatureOracle.value."""
-    n, s, T = data.n, data.sigma, data.tangent
+    tuple of frame vectors at a time through CurvatureOracle.value, for the
+    one sample of a stack of one."""
+    n, s, T = data.n, data.sigma[0], data.tangent[0]
     eye, iu = np.eye(n), np.triu_indices(n, 1)
 
     def r_gauss(a, b, c, d):
@@ -204,12 +206,12 @@ def _gauss_reference(data, intrinsic):
         return float(np.einsum("ijkl,i,j,k,l->", intrinsic, *v))
 
     worst = max(abs(r_int(*eye[list(q)]) - r_gauss(*eye[list(q)])) for q in np.ndindex((n,) * 4))
-    k_gauss = intrinsic_kij(data)
+    k_gauss = intrinsic_kij(data)[0]
     kij_worst = max(abs(r_int(eye[i], eye[j], eye[j], eye[i]) - k_gauss[i, j]) for i, j in zip(*iu))
     tau = sum(r_int(eye[i], eye[j], eye[j], eye[i]) for i, j in zip(*iu))
-    rec = mean_curvatures(data)
-    tau_ambient = float(data.ambient_kij()[iu].sum())
-    tau_res = abs(2.0 * tau - (2.0 * tau_ambient + n * n * rec.norm_H**2 - data.sigma_norm_sq()))
+    norm_H = mean_curvatures(data).norm_H.item()
+    tau_ambient = float(data.ambient_kij()[0][iu].sum())
+    tau_res = abs(2.0 * tau - (2.0 * tau_ambient + n * n * norm_H**2 - float(np.sum(s**2))))
     return {"gauss_max": worst, "kij_max": kij_worst, "tau_identity_residual": tau_res}
 
 
@@ -234,8 +236,8 @@ def test_sphere_gauss_numbers():
     # K = 0 + 1*1 - 0 and 2 tau = 0 + 4 |H|^2 - |sigma|^2 = 2
     im = sphere_in_euclidean(2)
     data = second_fundamental_form(im, im.default_point)
-    assert abs(intrinsic_kij(data)[0, 1] - 1.0) < 1e-5
-    assert abs(data.sigma_norm_sq() - 2.0) < 1e-5
+    assert abs(intrinsic_kij(data)[0, 0, 1] - 1.0) < 1e-5
+    assert abs(np.sum(data.sigma**2) - 2.0) < 1e-5
 
 
 def test_pullback_metric_matches_the_analytic_warped_metric():
@@ -295,8 +297,8 @@ def test_xi_tangent_frame_rejected():
     t = np.zeros((9, 2))
     t[0, 0] = 1.0  # xi itself
     t[1, 1] = 1.0
-    data = PointwiseImmersionData(
-        1, 1, t, complete_normal_frame(t), np.zeros((7, 2, 2)), amb.oracle, amb.frame
+    data = PointwiseStack(
+        1, 1, t[None], complete_normal_frame(t)[None], np.zeros((1, 7, 2, 2)), amb.oracle, amb.frame
     )
     assert not is_C_totally_real(data)[0]
 
@@ -306,8 +308,8 @@ def test_phi_invariant_frame_rejected():
     t = np.zeros((9, 2))
     t[1, 0] = 1.0  # u_1
     t[5, 1] = 1.0  # phi u_1
-    data = PointwiseImmersionData(
-        1, 1, t, complete_normal_frame(t), np.zeros((7, 2, 2)), amb.oracle, amb.frame
+    data = PointwiseStack(
+        1, 1, t[None], complete_normal_frame(t)[None], np.zeros((1, 7, 2, 2)), amb.oracle, amb.frame
     )
     assert not is_C_totally_real(data)[0]
 
@@ -338,15 +340,15 @@ def test_a_xi_sasakian_forces_zero():
     assert res["residual"] < 1e-12
     assert np.max(np.abs(res["a_xi"])) < 1e-12  # (phi h)^T = 0 when h = 0
     w = amb.frame.xi @ data.normal
-    xi_component = np.einsum("r,rij->ij", w, data.sigma)
+    xi_component = np.einsum("...r,...rij->...ij", w, data.sigma)
     assert np.max(np.abs(xi_component)) < 1e-12
 
 
 def test_a_xi_dplus_frame_vanishes():
     amb = make_ambient("non-sasakian-kmu", m=3, kappa=0.0, mu=0.4)
     t = dplus_frame(amb.frame, 2)
-    data = PointwiseImmersionData(
-        1, 1, t, complete_normal_frame(t), np.zeros((5, 2, 2)), amb.oracle, amb.frame
+    data = PointwiseStack(
+        1, 1, t[None], complete_normal_frame(t)[None], np.zeros((1, 5, 2, 2)), amb.oracle, amb.frame
     )
     res = a_xi_identity(data)
     assert np.max(np.abs(res["a_xi"])) < 1e-12
@@ -366,11 +368,11 @@ def test_mixed_totally_geodesic_detection():
     amb = make_ambient("euclidean", m=6)
     data = random_data(rng, amb, 2, 2, sigma_scale=0.0)
     assert is_mixed_totally_geodesic(data)
-    umbilic = np.einsum("r,ij->rij", rng.normal(size=data.num_normals), np.eye(4))
-    data.sigma = umbilic
+    umbilic = np.einsum("r,ij->rij", rng.normal(size=data.sigma.shape[1]), np.eye(4))
+    data.sigma = umbilic[None]
     assert is_mixed_totally_geodesic(data)
-    data.sigma[1, 0, 3] = 0.1
-    data.sigma[1, 3, 0] = 0.1
+    data.sigma[0, 1, 0, 3] = 0.1
+    data.sigma[0, 1, 3, 0] = 0.1
     assert not is_mixed_totally_geodesic(data)
 
 
@@ -401,7 +403,7 @@ def test_frame_orthonormality_enforced():
     t[0, 0] = 1.0
     t[0, 1] = 1.0  # duplicated direction
     with pytest.raises(InvalidConfigurationError):
-        PointwiseImmersionData(1, 1, t, np.eye(4)[:, 2:], np.zeros((2, 2, 2)), amb.oracle)
+        PointwiseStack(1, 1, t[None], np.eye(4)[None, :, 2:], np.zeros((1, 2, 2, 2)), amb.oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,4 +419,4 @@ def test_non_finite_frame_or_sigma_rejected(name, seed, bad):
     target = arrays[name]
     target[np.unravel_index(int(rng.integers(target.size)), target.shape)] = bad
     with pytest.raises(NumericalDomainError):
-        PointwiseImmersionData(n1=1, n2=2, oracle=data.oracle, **arrays)
+        PointwiseStack(n1=1, n2=2, oracle=data.oracle, **arrays)

@@ -334,7 +334,8 @@ def test_dplus_leaf_inequality():
 #
 # Frozen reference: the formulas of the engine in which every entry point
 # derived its own kij table, mean curvature record and normal-frame rotation.
-# The engine must reproduce them exactly (==), not approximately.
+# The engine must reproduce them exactly (==), not approximately.  Each
+# reference reads the one sample of a stack of one: row 0 of its arrays.
 
 SWEEP_AMBIENTS = [
     ("euclidean", {"m": 7}),
@@ -347,18 +348,19 @@ BLOCKS = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 def _ref_rotated_sigma(data):
     rec = mean_curvatures(data)
-    k = data.num_normals
-    if rec.norm_H < 1e-14 or k == 1:
-        return data.sigma.copy()
-    first = rec.components / np.linalg.norm(rec.components)
+    sigma, components = data.sigma[0], rec.components[0]
+    k = sigma.shape[0]
+    if rec.norm_H.item() < 1e-14 or k == 1:
+        return sigma.copy()
+    first = components / np.linalg.norm(components)
     rot = np.linalg.qr(np.column_stack([first, np.eye(k)]))[0][:, :k]
     if rot[:, 0] @ first < 0.0:
         rot = -rot
-    return np.einsum("sr,sij->rij", rot, data.sigma)
+    return np.einsum("sr,sij->rij", rot, sigma)
 
 
 def _ref_diagnostics(data, tol=1e-8):
-    diag = np.einsum("rii->ri", data.sigma)
+    diag = np.einsum("rii->ri", data.sigma[0])
     tr1 = diag[:, : data.n1].sum(axis=1)
     tr2 = diag[:, data.n1 :].sum(axis=1)
     partial_residual = float(np.max(np.abs(tr1 - tr2)))
@@ -368,7 +370,7 @@ def _ref_diagnostics(data, tol=1e-8):
     conditions = [abs(float(rtr1[0] - rtr2[0]))]
     conditions.extend(max(abs(float(a)), abs(float(b))) for a, b in zip(rtr1[1:], rtr2[1:]))
     return {
-        "mixed_totally_geodesic": is_mixed_totally_geodesic(data, tol),
+        "mixed_totally_geodesic": bool(is_mixed_totally_geodesic(data, tol).item()),
         "partial_mean_equal": partial_residual < tol,
         "partial_mean_residual": partial_residual,
         "trace_conditions": conditions,
@@ -377,21 +379,21 @@ def _ref_diagnostics(data, tol=1e-8):
 
 def _ref_general(data, lhs=None, tol=1e-8):
     n, n1, n2 = data.n, data.n1, data.n2
-    kij = data.ambient_kij()
+    kij = data.ambient_kij()[0]
     tau_full = float(kij[np.triu_indices(n, k=1)].sum())
     tau_1 = float(kij[:n1, :n1][np.triu_indices(n1, k=1)].sum())
     tau_2 = float(kij[n1:, n1:][np.triu_indices(n2, k=1)].sum())
-    rec = mean_curvatures(data)
-    mean_term = n * n / (4.0 * n2) * rec.norm_H**2
+    norm_H = mean_curvatures(data).norm_H.item()
+    mean_term = n * n / (4.0 * n2) * norm_H**2
     rhs = mean_term + (tau_full - tau_1 - tau_2) / n2
     if lhs is None:
-        lhs = float(intrinsic_kij(data)[:n1, n1:].sum()) / n2
+        lhs = float(intrinsic_kij(data)[0, :n1, n1:].sum()) / n2
     return {
         "lhs": float(lhs),
         "rhs": rhs,
         "gap": rhs - float(lhs),
         "mean_term": mean_term,
-        "norm_H": rec.norm_H,
+        "norm_H": norm_H,
         "diagnostics": _ref_diagnostics(data, tol),
     }
 
@@ -400,9 +402,9 @@ def _ref_decompose(data):
     n, n1 = data.n, data.n1
     sigma = _ref_rotated_sigma(data)
     iu = np.triu_indices(n, k=1)
-    tau_p = float(intrinsic_kij(data)[iu].sum())
-    tau_ambient = float(data.ambient_kij()[iu].sum())
-    delta = 0.5 * (4.0 * tau_p - 4.0 * tau_ambient - n * n * mean_curvatures(data).norm_H ** 2)
+    tau_p = float(intrinsic_kij(data)[0][iu].sum())
+    tau_ambient = float(data.ambient_kij()[0][iu].sum())
+    delta = 0.5 * (4.0 * tau_p - 4.0 * tau_ambient - n * n * mean_curvatures(data).norm_H.item() ** 2)
     diag0 = np.diag(sigma[0])
     a1, a2, a3 = float(diag0[0]), float(diag0[1:n1].sum()), float(diag0[n1:].sum())
     off0 = float(np.sum(sigma[0] ** 2) - np.sum(diag0**2))
@@ -516,8 +518,8 @@ def test_diagnostics_snapshot_survives_sigma_mutation():
     expected = _ref_diagnostics(data)
     rep = general_inequality(data)
     special = non_sasakian_inequality(data)
-    data.sigma[0, 0, data.n1] += 0.5
-    data.sigma[0, data.n1, 0] += 0.5
+    data.sigma[0, 0, 0, data.n1] += 0.5
+    data.sigma[0, 0, data.n1, 0] += 0.5
     data.sigma *= 3.0
     assert rep.diagnostics == expected
     assert special.diagnostics == expected

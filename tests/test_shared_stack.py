@@ -122,7 +122,7 @@ def test_a_copy_with_other_frames_or_another_oracle_builds_its_own_table():
 def test_the_tangent_of_a_stack_or_a_sample_cannot_be_written_in_place():
     stack = _stack()
     stack.ambient_kij()
-    for tangent in (stack.tangent, stack.sample(2).tangent, stack.sample(2).stack().tangent):
+    for tangent in (stack.tangent, stack.sample(2).tangent, stack.sample(-1).tangent):
         with pytest.raises(ValueError, match="read-only"):
             tangent[0, 0] = 1.0
 
@@ -161,8 +161,8 @@ def test_stacked_gauss_residual_equals_the_per_sample_calls(kind, params, frame_
         one = gauss_residual(stack.sample(i), intrinsic=None if intrinsic is None else intrinsic[i])
         assert set(one) == set(got) == {"gauss_max", "kij_max", "tau_identity_residual"}
         for key, value in one.items():
-            assert isinstance(value, float)
-            assert np.array_equal(got[key][i], value), (key, i)
+            assert value.shape == (1,)
+            assert np.array_equal(got[key][i : i + 1], value), (key, i)
     if not perturbed:
         # definitional closure: exactly zero
         assert not got["gauss_max"].any() and not got["kij_max"].any()
