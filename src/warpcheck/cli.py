@@ -1,13 +1,19 @@
 """Command-line interface: batch scene verification and catalog listing.
 
 Exit codes: 0 all checks passed, 1 at least one check failed or an identity
-was violated, 2 invalid input (bad scene file, unknown keys, bad parameters).
+was violated, 2 invalid input (bad scene file, unknown keys, bad parameters)
+or an `--out` that cannot be written.
+
+`--out` is overwritten in place: the report is written over the file's old
+bytes, and a regular file is then cut at the report's end.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from .contact import ambient_catalog
@@ -35,10 +41,31 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=None, metavar="N")
     verify.add_argument("--seed", type=int, default=None, metavar="S")
     verify.add_argument("--output", choices=("json", "text"), default="text")
-    verify.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
+    verify.add_argument(
+        "--out", default=None, metavar="PATH", help="write the report here instead of stdout, overwriting it in place"
+    )
 
     sub.add_parser("catalog", help="list named ambients, charts, immersions and checks")
     return parser
+
+
+# write-only, created if missing, never truncated on open: on ext4
+# (auto_da_alloc) a file truncated to zero and rewritten starts writeback of
+# its new blocks when it closes, which costs more than emitting the report
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write_report(path: str, payload: bytes) -> None:
+    """Write `payload` over `path` in place, then cut a regular file at the
+    payload's end so no stale tail stays.  A FIFO or a device (a terminal,
+    /dev/stdout, /dev/null) just receives the bytes: it has no end to cut."""
+    try:
+        with open(os.open(path, _OUT_FLAGS, 0o666), "wb") as fh:
+            fh.write(payload)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise WarpcheckError(f"cannot write report: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -47,8 +74,7 @@ def _cmd_verify(args) -> int:
     report = run(spec, tolerances=tol, seed=args.seed, samples=args.samples)
     payload = emit(report, args.output)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        _write_report(args.out, payload)
     else:
         sys.stdout.buffer.write(payload)
     return 0 if report.all_passed else 1

@@ -626,12 +626,17 @@ def chart_inequality(
     and the Gauss-equation proxy) and reports their agreement.  `h` is the
     finite-difference step of the second fundamental form; a caller that
     already holds second_fundamental_form(im, p, h), a stack of one, passes
-    it as `data`.
+    it as `data`; data of other dimensions or of another point is refused.
     """
     if im.warped is None:
         raise InvalidConfigurationError("chart immersion carries no warped structure")
     if data is None:
         data = second_fundamental_form(im, p, h=h)
+    elif (data.n1, data.n2) != (im.n1, im.n2) or not np.array_equal(data.extras.get("point"), p):
+        raise InvalidInputError(
+            f"data of dimensions ({data.n1}, {data.n2}) at {data.extras.get('point')} is not "
+            f"second_fundamental_form of this ({im.n1}, {im.n2}) immersion at {p}"
+        )
     wp = im.warped
     x1 = np.asarray(p, dtype=float)[: wp.n1]
     f = wp.warp.value(x1)

@@ -376,6 +376,13 @@ class _Source:
     sigma_scale: float = 1.0
 
 
+def _only_keys(obj: dict, where: str, *keys: str) -> None:
+    """Reject any key of `obj` (the object `where` names) that is not one of
+    `keys`, the keys its reader reads."""
+    unknown = set(obj) - set(keys)
+    _require(not unknown, f"unknown keys in the {where}: {sorted(unknown)} (its keys: {sorted(keys)})")
+
+
 def _dims(src: dict, ambient: AmbientSpace) -> tuple[int, int]:
     n1, n2 = _integer(src.get("n1", 1), "n1"), _integer(src.get("n2", 1), "n2")
     _require(
@@ -393,11 +400,13 @@ def _params(src: dict) -> dict:
 
 
 def _warped_chart_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _only_keys(src, "'warped-chart' source", "kind", "key", "params")
     _require(src.get("key") in chart_catalog(), f"unknown chart key {src.get('key')!r}")
     return _Source(warped=named_chart(src["key"], **_params(src)))
 
 
 def _explicit_warped_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _only_keys(src, "'explicit-warped' source", "kind", "factor1", "factor2", "warping", "points")
     _require(
         all(k in src for k in ("factor1", "factor2", "warping")),
         "explicit-warped source needs 'factor1', 'factor2' and 'warping'",
@@ -422,8 +431,11 @@ def _chart_immersion_source(src: dict, ambient: AmbientSpace) -> _Source:
     key, params = src.get("key"), _params(src)
     if key == "dplus-leaf":
         # totally geodesic leaf drawn inside the declared contact ambient
+        _only_keys(src, "dplus-leaf source", "kind", "key", "params")
+        _only_keys(params, "dplus-leaf 'params'", "n1", "n2")
         _require(ambient.frame is not None, "dplus-leaf needs a contact ambient")
         return _Source(fixed=dplus_leaf_in(ambient, *_dims(params, ambient)))
+    _only_keys(src, "'chart-immersion' source", "kind", "key", "params", "point")
     _require(key in chart_immersion_catalog(), f"unknown immersion key {key!r}")
     im = chart_immersion_catalog()[key](**params)
     _require(
@@ -452,6 +464,7 @@ _GENERATORS = {
 
 
 def _synthetic_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _only_keys(src, "'synthetic' source", "kind", "n1", "n2", "generator", "sigma_scale")
     n1, n2 = _dims(src, ambient)
     generator = src.get("generator", "random")
     _require(generator in _GENERATORS, f"unknown generator {generator!r}")
@@ -476,6 +489,7 @@ def _real_array(value, what: str) -> np.ndarray:
 
 
 def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:
+    _only_keys(src, "'explicit' source", "kind", "n1", "n2", "tangent", "normal", "sigma")
     _require("tangent" in src and "sigma" in src, "explicit source needs 'tangent' and 'sigma' arrays")
     n1, n2 = _dims(src, ambient)
     tangent = _real_array(src["tangent"], "explicit source 'tangent'")

@@ -1,8 +1,11 @@
 """The command line builds one argument parser per process and shares it
 between calls: no flag of one call reaches the next.  Bad input, in a scene
-file or in the environment, exits 2."""
+file or in the environment, exits 2, and so does an `--out` that cannot be
+written.  `--out` is overwritten in place."""
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from warpcheck.cli import _build_parser, main as cli_main
 from warpcheck.scenes import emit, parse_scene, run
 
-SCENE = Path(__file__).resolve().parent.parent / "scenes" / "non_sasakian_random.json"
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+SCENE = SCENES / "non_sasakian_random.json"
 
 
 def _report(tmp_path, *flags) -> bytes:
@@ -304,5 +308,84 @@ def test_a_scene_number_that_is_not_one_exits_2_and_names_its_key(tmp_path, caps
     path.write_text(json.dumps({**base, "seed": 0}))
     assert cli_main(["verify", str(path)]) == 0
     path.write_text(json.dumps({**_with_entry(base, index, bad), "seed": 0}))
+    assert cli_main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _write_json(scene: Path, out: Path) -> int:
+    return cli_main(["verify", str(scene), "--output", "json", "--out", str(out)])
+
+
+def test_a_shorter_report_over_a_longer_one_leaves_only_its_own_bytes(tmp_path):
+    short = SCENES / "sasakian_obstruction.json"
+    out, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+    assert _write_json(SCENE, out) in (0, 1)
+    longer = out.stat().st_size
+    assert _write_json(short, out) == _write_json(short, fresh)
+    assert fresh.stat().st_size < longer
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="the platform has no named pipes")
+def test_a_report_written_into_a_fifo_arrives_whole(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received, status = [], []
+    threads = [
+        threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True),
+        threading.Thread(target=lambda: status.append(_write_json(SCENE, fifo)), daemon=True),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert status[0] in (0, 1)
+    assert received == [_report(tmp_path)]
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", ""], ids=["missing-directory", "directory"])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    # before, a missing directory ended in a FileNotFoundError traceback and exit 1
+    assert _write_json(SCENE, tmp_path / where) == 2
+    assert "error: cannot write report: " in capsys.readouterr().err
+
+
+DPLUS_LEAF = {
+    "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.5, "mu": 0.7},
+    "source": {"kind": "chart-immersion", "key": "dplus-leaf", "params": {"n1": 1, "n2": 1}},
+    "checks": ["general_inequality"],
+}
+SEVEN_DIMENSIONAL = {
+    "ambient": {"kind": "euclidean", "m": 7},
+    "source": {"kind": "synthetic", "generator": "random", "n2": 2},
+    "checks": ["general_inequality"],
+}
+
+
+@pytest.mark.parametrize(
+    "base,where,key,value,message",
+    [
+        (SEVEN_DIMENSIONAL, ("source",), "n_1", 3, "unknown keys in the 'synthetic' source: ['n_1']"),
+        (_explicit_scene(), ("source",), "normals", [], "unknown keys in the 'explicit' source: ['normals']"),
+        (SPHERE, ("source",), "points", [[0.3, 0.8]], "unknown keys in the 'chart-immersion' source: ['points']"),
+        (DPLUS_LEAF, ("source",), "point", [0.1, 0.2], "unknown keys in the dplus-leaf source: ['point']"),
+        (DPLUS_LEAF, ("source", "params"), "n", 3, "unknown keys in the dplus-leaf 'params': ['n']"),
+        (WARPED_SPHERE, ("source",), "point", [0.2, 0.8, 0.5], "unknown keys in the 'warped-chart' source: ['point']"),
+        (EXPLICIT_WARPED, ("source",), "warp", {"kind": "exp"}, "unknown keys in the 'explicit-warped' source: ['warp']"),
+    ],
+    ids=["synthetic", "explicit", "chart-immersion", "dplus-leaf", "dplus-leaf-params", "warped-chart", "explicit-warped"],
+)
+def test_a_source_key_its_kind_does_not_read_exits_2_and_is_named(tmp_path, capsys, base, where, key, value, message):
+    # before, each ran without the key: the synthetic one with n1 = 1, and passed
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**base, "seed": 0}))
+    assert cli_main(["verify", str(path)]) == 0
+    scene = json.loads(json.dumps(base))
+    target = scene
+    for k in where:
+        target = target[k]
+    target[key] = value
+    path.write_text(json.dumps({**scene, "seed": 0}))
     assert cli_main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck.contact import make_ambient
-from warpcheck.errors import InadmissibleTupleError, InvalidConfigurationError, SingularParameterError
+from warpcheck.errors import (
+    InadmissibleTupleError,
+    InvalidConfigurationError,
+    InvalidInputError,
+    SingularParameterError,
+)
 from warpcheck.immersion import (
     balance_for_equality,
     dplus_leaf,
@@ -565,3 +570,16 @@ def test_chart_inequality_matches_reference_exactly():
     _assert_matches(rep, ref)
     assert rep.rhs == ref["rhs"] and rep.gap == ref["gap"]
     assert rep.extras["lhs_proxy"] == _ref_general(data)["lhs"]
+
+
+def test_chart_inequality_refuses_data_of_another_immersion_or_point():
+    from warpcheck.immersion import cylinder_immersion, second_fundamental_form, sphere_in_euclidean
+
+    im = sphere_in_euclidean(3)
+    p, q = im.default_point, np.array([0.1, 0.7, 0.2])
+    # before, the cylinder's data gave a gap of -0.75 with no error
+    for other in (second_fundamental_form(cylinder_immersion(), q[:2]), second_fundamental_form(im, q)):
+        with pytest.raises(InvalidInputError, match="is not second_fundamental_form of this"):
+            chart_inequality(im, p, data=other)
+    own = second_fundamental_form(im, p.tolist())
+    assert chart_inequality(im, p, data=own) == chart_inequality(im, p)
