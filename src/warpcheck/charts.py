@@ -53,6 +53,7 @@ __all__ = [
     "riemann",
     "sectional_curvature",
     "covariant_hessian",
+    "trace_laplacian",
     "laplacian",
     "euclidean_metric",
 ]
@@ -206,6 +207,11 @@ def covariant_hessian(gamma: np.ndarray, x: np.ndarray, df, d2f) -> np.ndarray:
     return d2f - np.einsum("...kij,...k->...ij", gamma, df)
 
 
+def trace_laplacian(gx: np.ndarray, gamma: np.ndarray, x: np.ndarray, df, d2f) -> float | np.ndarray:
+    """Geometers' Laplacian -g^ij Hess f_ij from the metric gx at x and covariant_hessian's inputs."""
+    return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), covariant_hessian(gamma, x, df, d2f))[()]
+
+
 def laplacian(
     metric: ChartMetric,
     f: Callable[[np.ndarray], np.ndarray],
@@ -221,11 +227,10 @@ def laplacian(
     callbacks are used when given, else the jet of f (numeric.jet, step h):
     one f call on the complex step of the axis stencil of every point.
     """
-    n = metric.dim
-    x = as_points(x, n)
+    x = as_points(x, metric.dim)
     gamma, gx = _christoffel(metric, x)
     if grad is None or hess is None:
         _, df, d2f = jet(f, x, h, (), "function")
     df = df if grad is None else grad(x)
     d2f = d2f if hess is None else hess(x)
-    return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), covariant_hessian(gamma, x, df, d2f))[()]
+    return trace_laplacian(gx, gamma, x, df, d2f)

@@ -28,7 +28,7 @@ from .errors import (
     NumericalDomainError,
     SingularParameterError,
 )
-from .numeric import as_matrix, as_points, as_vector, bilinear
+from .numeric import as_matrix, as_points, as_vector, bilinear, frame_tensor
 
 __all__ = [
     "ContactFrame",
@@ -212,10 +212,7 @@ class CurvatureOracle:
     def rotated(self, F: np.ndarray) -> "CurvatureOracle":
         """The same curvature in the coordinates a of the vectors F[:, a]:
         rotated(F).tensor[a, b, c, d] = R(F[:, a], F[:, b], F[:, c], F[:, d])."""
-        R = self.tensor
-        for _ in range(4):  # contract the leading slot with F, its new index goes last
-            R = np.tensordot(R, F, (0, 0))
-        return CurvatureOracle(self.provenance, R)
+        return CurvatureOracle(self.provenance, frame_tensor(self.tensor, np.asarray(F)[None])[0])
 
 
 # The models are sums of the (0,4) products below; a bilinear form

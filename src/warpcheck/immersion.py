@@ -32,6 +32,7 @@ from .numeric import (
     as_matrix,
     as_vector,
     complex_step,
+    frame_tensor,
     gram_schmidt,
     jet,
     qr_q,
@@ -268,17 +269,6 @@ def _triu_sum(tables: np.ndarray) -> np.ndarray:
     return np.add.reduce(tables.reshape(len(tables), n * n).take(_triu_flat(n), axis=1), 1)
 
 
-def _tangent_tensor(oracle: CurvatureOracle, tangent: np.ndarray) -> np.ndarray:
-    """R~(e_a, e_b, e_c, e_d) over each frame of a stack (N, d, n), as
-    (N, n, n, n, n): oracle.rotated's four one-slot contractions, each one
-    matrix product per sample."""
-    N, d, n = tangent.shape
-    out = oracle.tensor.reshape(d, -1).T  # the leading slot last: (d^3, d)
-    for _ in range(3):  # contract the leading slot, its new index goes last
-        out = np.matmul(out, tangent).reshape(N, d, -1).swapaxes(1, 2)
-    return np.matmul(out, tangent).reshape(N, n, n, n, n)
-
-
 def gauss_residual(data: PointwiseStack, intrinsic: np.ndarray | None = None) -> dict:
     """Residuals of the Gauss equation, its sectional form and the global
     trace identity 2 tau = 2 tau~ + n^2 |H|^2 - |sigma|^2.
@@ -297,7 +287,7 @@ def gauss_residual(data: PointwiseStack, intrinsic: np.ndarray | None = None) ->
     gets alone.
     """
     N, n, s = len(data), data.n, data.sigma
-    ambient = _tangent_tensor(data.oracle, data.tangent)
+    ambient = frame_tensor(data.oracle.tensor, data.tangent)
     gauss = ambient + c_einsum("...rad,...rbc->...abcd", s, s) - c_einsum("...rac,...rbd->...abcd", s, s)
 
     def sectional(tensor):  # the entries [i, j, j, i], i < j, of each sample: (N, n(n-1)/2)

@@ -28,6 +28,7 @@ __all__ = [
     "as_matrix",
     "as_points",
     "bilinear",
+    "frame_tensor",
     "stack_values",
     "require_positive_definite",
     "gram_schmidt",
@@ -102,6 +103,16 @@ def bilinear(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u^T m v for stacks m (..., k, k), u, v (..., k), broadcast; each value
     is the one that `u @ m @ v` gives for its point alone."""
     return (u[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
+
+
+def frame_tensor(R: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """R(F_a, F_b, F_c, F_d) of a (0,4) tensor R (d, d, d, d) over each frame F of a stack (N, d, n),
+    as (N, n, n, n, n): four one-slot contractions, one matrix product per frame each."""
+    N, d, n = frames.shape
+    out = R.reshape(d, -1).T  # the leading slot last: (d^3, d)
+    for _ in range(3):  # contract the leading slot, its new index goes last
+        out = np.matmul(out, frames).reshape(N, d, -1).swapaxes(1, 2)
+    return np.matmul(out, frames).reshape(N, n, n, n, n)
 
 
 def _first_point(points: np.ndarray, mask: np.ndarray) -> str:

@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .contact import (
     AmbientSpace,
-    CurvatureOracle,
     ambient_catalog,
     check_km_condition,
     make_ambient,
@@ -58,7 +57,7 @@ from .inequality import (
     non_sasakian_inequality_stack,
     obstruction_check,
 )
-from .numeric import Tolerance, as_vector, bilinear
+from .numeric import Tolerance, as_vector, bilinear, frame_tensor
 from .warped import (
     WarpedProductChart,
     WarpFunction,
@@ -645,10 +644,8 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
         # intrinsic curvature from the pulled-back metric, independent of sigma
         data, h = ctx.fixed, ctx.tol.finite_difference
         cp = riemann(pullback_metric(im, h=h), ctx.source.point, h=h)
-        intrinsic = CurvatureOracle("chart-pullback", cp.riemann04).rotated(
-            data.extras["frame_coefficients"]
-        )
-        res = {k: v.item() for k, v in gauss_residual(data, intrinsic=intrinsic.tensor).items()}
+        intrinsic = frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])
+        res = {k: v.item() for k, v in gauss_residual(data, intrinsic=intrinsic).items()}
         worst = np.max(list(res.values()))
         return {"pass": bool(worst < 1e-4), **res}
     res = gauss_residual(ctx.stack())

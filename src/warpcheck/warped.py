@@ -10,9 +10,10 @@ Every catalog callable (factor metrics, warping functions, the block metric)
 follows the stack contract of ``charts``: it takes a point or a stack of
 points (..., n), broadcasts over the leading axes and keeps the input's float
 or complex dtype.  The three checks take, in place of points, the
-``CurvaturePoint`` that ``riemann(build_metric(wp), x)`` gives at a point or
-stack x, read its points, metric and Christoffel symbols, and validate every
-row; the checks of one chart share one stacked curvature evaluation.
+``CurvaturePoint`` cp that ``riemann(build_metric(wp), x)`` gives at a point
+or stack x, validate every row and evaluate no metric: the checks of one chart
+share cp.  g1 and its Christoffel symbols are cp's leaf blocks g[..., :n1, :n1]
+and gamma[..., :n1, :n1, :n1], since the block metric's leaf block is g1(x1).
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import numpy as np
 from .charts import (
     ChartMetric,
     CurvaturePoint,
-    christoffel,
     covariant_hessian,
     euclidean_metric,
-    laplacian,
     sectional_curvature,
+    trace_laplacian,
 )
 from .errors import InvalidInputError, InvalidWarpingError
 from .numeric import DEFAULT_TOLERANCE, _first_point, as_points, as_vector, bilinear, gram_schmidt
@@ -246,14 +246,13 @@ def mixed_sectional(
     -Hess_{g1} f (X,X) / f; independent of Z.
     """
     X, Z = _check_blocks(wp, X, Z)
-    x = as_points(cp.x, wp.dim)
+    x, n1 = as_points(cp.x, wp.dim), wp.n1
     off_unit = (np.abs(bilinear(cp.g, X, X) - 1.0) > tol) | (np.abs(bilinear(cp.g, Z, Z) - 1.0) > tol)
     if np.any(off_unit):
         at = _first_point(x, off_unit)
         raise InvalidInputError(f"X and Z must be unit vectors in the warped metric at {at}")
-    x1, _ = wp.split(x)
-    x1v = X[..., : wp.n1]
-    hess = covariant_hessian(christoffel(wp.factor1, x1), x1, wp.warp.grad(x1), wp.warp.hess(x1))
+    x1, x1v = x[..., :n1], X[..., :n1]
+    hess = covariant_hessian(cp.gamma[..., :n1, :n1, :n1], x1, wp.warp.grad(x1), wp.warp.hess(x1))
     return (-bilinear(hess, x1v, x1v) / wp.warp_at(x))[()]
 
 
@@ -275,9 +274,9 @@ def check_laplacian_ratio(wp: WarpedProductChart, cp: CurvaturePoint) -> dict:
     all per-s sums (..., n2), the maximal deviation and the s-independence
     spread (...).
     """
-    x = as_points(cp.x, wp.dim)
-    lap = laplacian(wp.factor1, wp.warp.value, wp.split(x)[0], grad=wp.warp.grad, hess=wp.warp.hess)
-    ratio = lap / wp.warp_at(x)
+    x, n1 = as_points(cp.x, wp.dim), wp.n1
+    x1, g1, gamma1 = x[..., :n1], cp.g[..., :n1, :n1], cp.gamma[..., :n1, :n1, :n1]
+    ratio = trace_laplacian(g1, gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1)) / wp.warp_at(x)
     frame1, frame2 = _adapted_frame(wp, cp.g)
     # K[j, s] = K(e_j ^ e_s), summed over j in order
     K = sectional_curvature(cp, frame1[:, None], frame2[None])

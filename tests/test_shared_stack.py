@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 import warpcheck.scenes as scenes_mod
+from warpcheck.charts import riemann
 from warpcheck.contact import CurvatureOracle, make_ambient
 from warpcheck.errors import InvalidConfigurationError, InvalidInputError
-from warpcheck.immersion import _tangent_tensor, gauss_residual, is_C_totally_real, random_stack
+from warpcheck.immersion import (
+    gauss_residual,
+    is_C_totally_real,
+    pullback_metric,
+    random_stack,
+    second_fundamental_form,
+    sphere_in_euclidean,
+)
 from warpcheck.inequality import (
     NONEXISTENCE,
     UNOBSTRUCTED,
@@ -21,6 +29,7 @@ from warpcheck.inequality import (
     non_sasakian_inequality_stack,
     obstruction_check,
 )
+from warpcheck.numeric import frame_tensor
 from warpcheck.scenes import parse_scene, run
 
 SCENE_DIR = Path(__file__).resolve().parent.parent / "scenes"
@@ -127,13 +136,55 @@ def test_the_tangent_of_a_stack_or_a_sample_cannot_be_written_in_place():
             tangent[0, 0] = 1.0
 
 
+def _tensordot_frame(R, F):
+    """R(F[:, a], F[:, b], F[:, c], F[:, d]) as four one-slot tensordots, the
+    reference for numeric.frame_tensor."""
+    for _ in range(4):  # contract the leading slot with F, its new index goes last
+        R = np.tensordot(R, F, (0, 0))
+    return R
+
+
 def test_the_tangent_tensor_is_the_rotated_oracle():
     stack = _stack()
-    tensor = _tangent_tensor(stack.oracle, stack.tangent)
+    tensor = frame_tensor(stack.oracle.tensor, stack.tangent)
     for i in range(len(stack)):
-        assert np.allclose(tensor[i], stack.oracle.rotated(stack.tangent[i]).tensor, rtol=0.0, atol=1e-14)
-        one = _tangent_tensor(stack.oracle, stack.tangent[i : i + 1])[0]
+        assert np.array_equal(tensor[i], _tensordot_frame(stack.oracle.tensor, stack.tangent[i]))
+        assert np.array_equal(tensor[i], stack.oracle.rotated(stack.tangent[i]).tensor)
+        one = frame_tensor(stack.oracle.tensor, stack.tangent[i : i + 1])[0]
         assert np.array_equal(tensor[i], one)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_chart_pullback_tensor_in_its_frame_is_the_rotated_oracle(n):
+    # the chart gauss_residual rotates the pull-back tensor into the frame of
+    # second_fundamental_form, at the default point and the sample points
+    im = sphere_in_euclidean(n)
+    for p in [im.default_point, *im.warped.sample_points]:
+        coeff = second_fundamental_form(im, p).extras["frame_coefficients"]
+        R = riemann(pullback_metric(im), p).riemann04
+        expected = _tensordot_frame(R, coeff)
+        assert np.array_equal(frame_tensor(R, coeff[None])[0], expected)
+        assert np.array_equal(CurvatureOracle("chart-pullback", R).rotated(coeff).tensor, expected)
+
+
+def test_a_non_finite_pullback_tensor_fails_the_chart_gauss_record(monkeypatch):
+    original = scenes_mod.riemann
+
+    def poisoned(*args, **kwargs):
+        cp = original(*args, **kwargs)
+        cp.riemann04[0, 1, 1, 0] = np.nan
+        return cp
+
+    monkeypatch.setattr(scenes_mod, "riemann", poisoned)
+    scene = {
+        "ambient": {"kind": "euclidean", "m": 3},
+        "source": {"kind": "chart-immersion", "key": "sphere-in-euclidean", "params": {"n": 2}},
+        "checks": ["general_inequality", "gauss_residual"],
+    }
+    general, gauss = run(parse_scene(scene)).records
+    assert general["pass"] is True
+    assert gauss["pass"] is False
+    assert np.isnan(gauss["gauss_max"]) and np.isnan(gauss["kij_max"])
 
 
 # --- gauss_residual on a stack -------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import warpcheck.scenes as scenes_mod
-from warpcheck.charts import christoffel, laplacian, riemann, sectional_curvature
+from warpcheck.charts import christoffel, covariant_hessian, laplacian, riemann, sectional_curvature
 from warpcheck.errors import DegeneratePlaneError, InvalidInputError, NumericalDomainError
 from warpcheck.numeric import bilinear, gram_schmidt
 from warpcheck.scenes import parse_scene, run
@@ -166,6 +166,74 @@ def test_a_scene_run_evaluates_its_warped_curvature_once(monkeypatch, source):
     records = run(spec).records
     assert all(r["pass"] for r in records), records
     assert len(riemann_calls) == 1 and len(metric_calls) == 1
+
+
+# round-sphere first factors, whose Christoffel symbols are not zero (every
+# catalog chart has a flat first factor), under the warp 1 + 0.3 t - 0.2 t^2
+CURVED_LEAF_POINTS = {
+    2: [[0.7, 0.4, 0.9, 0.6], [1.1, -0.3, 0.5, 1.0], [0.9, 0.8, 1.2, 0.4]],
+    3: [[0.7, 0.5, 0.4, 0.9, 0.6], [1.1, 0.8, -0.3, 0.5, 1.0], [0.9, 1.3, 0.8, 1.2, 0.4]],
+}
+
+
+def _curved_leaf_source(n1: int) -> dict:
+    return {
+        "kind": "explicit-warped",
+        "factor1": {"kind": "round-sphere", "dim": n1},
+        "factor2": {"kind": "round-sphere", "dim": 2},
+        "warping": {"kind": "polynomial", "coeffs": [1.0, 0.3, -0.2]},
+        "points": CURVED_LEAF_POINTS[n1],
+    }
+
+
+@pytest.mark.parametrize("n1", sorted(CURVED_LEAF_POINTS))
+def test_a_curved_first_factor_gives_the_numbers_of_its_own_metric(n1):
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": n1 + 3},
+            "source": _curved_leaf_source(n1),
+            "checks": ["laplacian_ratio", "connection_identity", "mixed_sectional"],
+            "seed": 11,
+        }
+    )
+    records = run(spec).records
+    assert all(r["pass"] for r in records), records
+    wp = spec.source_data().warped
+    x = np.stack(wp.sample_points)
+    x1 = x[:, :n1]
+    gamma1 = christoffel(wp.factor1, x1)
+    assert np.abs(gamma1).max() > 0.1
+    cp = riemann(build_metric(wp), x)
+    lap = laplacian(wp.factor1, wp.warp.value, x1, grad=wp.warp.grad, hess=wp.warp.hess)
+    assert np.array_equal(check_laplacian_ratio(wp, cp)["laplacian_ratio"], lap / wp.warp_at(x))
+    X, Z = _unit_leaf_fibre(wp, cp.g, seed=n1)
+    hess = covariant_hessian(gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1))
+    mixed = mixed_sectional(wp, cp, X, Z)
+    assert np.array_equal(mixed, -bilinear(hess, X[:, :n1], X[:, :n1]) / wp.warp_at(x))
+    assert np.max(np.abs(mixed - sectional_curvature(cp, X, Z))) < 1e-3
+
+
+@pytest.mark.parametrize("n1", sorted(CURVED_LEAF_POINTS))
+def test_the_warped_checks_evaluate_no_metric_of_the_first_factor(monkeypatch, n1):
+    scene = {"ambient": {"kind": "euclidean", "m": n1 + 3}, "source": _curved_leaf_source(n1), "checks": ["trivial"]}
+    wp = parse_scene(scene).source_data().warped
+    cp = riemann(build_metric(wp), np.stack(wp.sample_points))
+    calls = []
+
+    def counting(name, f):
+        def counted(x):
+            calls.append(name)
+            return f(x)
+
+        return counted
+
+    for name in ("g", "dg"):
+        monkeypatch.setattr(wp.factor1, name, counting(name, getattr(wp.factor1, name)))
+    X, Z = _unit_leaf_fibre(wp, cp.g, seed=n1)
+    check_connection_identity(wp, cp, X, Z)
+    mixed_sectional(wp, cp, X, Z)
+    check_laplacian_ratio(wp, cp)
+    assert calls == []
 
 
 def _nan_at_second_point() -> WarpedProductChart:
