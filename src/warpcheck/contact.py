@@ -8,8 +8,9 @@ CurvatureOracle holds that array (`tensor`) and evaluates R(X,Y,Z,W) for one
 quadruple (`value`), the sectional-curvature table of a frame or a stack of
 frames (`kij`) and the same curvature in another frame (`rotated`) as
 contractions of it.  The checks of this package work on the array itself:
-the symmetry identities, R(X,Y)xi and the phi-sectional curvature of a
-stack of vectors are each one contraction, with no call per tuple.  Each
+the symmetry identities, the (kappa, mu)-nullity of R(X,Y)xi and the
+constancy of the phi-sectional curvature are each decided exactly on the
+array's entries, with no random vectors and no call per tuple.  Each
 model satisfies the standard tensor symmetries and the defining
 curvature-along-xi identity, which the test-suite pins down.
 """
@@ -17,6 +18,7 @@ curvature-along-xi identity, which the test-suite pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -28,7 +30,7 @@ from .errors import (
     NumericalDomainError,
     SingularParameterError,
 )
-from .numeric import as_matrix, as_points, as_vector, bilinear, frame_tensor
+from .numeric import as_matrix, as_points, as_vector, bilinear, frame_tensor, qr_q_complete
 
 __all__ = [
     "ContactFrame",
@@ -39,6 +41,7 @@ __all__ = [
     "curvature_sasakian_space_form",
     "curvature_non_sasakian",
     "check_km_condition",
+    "phi_sectional_constant",
     "phi_sectional",
     "AmbientSpace",
     "ambient_catalog",
@@ -296,26 +299,37 @@ def curvature_non_sasakian(frame: ContactFrame) -> CurvatureOracle:
     return CurvatureOracle("non-sasakian-kmu", R)
 
 
-def check_km_condition(
-    oracle: CurvatureOracle,
-    frame: ContactFrame,
-    rng: np.random.Generator | None = None,
-    samples: int = 20,
-) -> float:
+def check_km_condition(oracle: CurvatureOracle, frame: ContactFrame) -> float:
     """Max residual of R(X,Y)xi = (kappa I + mu h)(eta(Y) X - eta(X) Y).
 
-    R(X,Y)xi, as the covector R(X, Y, xi, .), comes from one contraction of
-    the (0,4) tensor over the xi slot, for all `samples` random pairs (X, Y)
-    at once; the pairs are drawn X, Y, X, Y, ... from `rng`.
+    Both sides are bilinear in (X, Y), so the d^3 basis entries decide the
+    identity: R(e_i, e_j, xi, e_l), one contraction of the (0,4) tensor over
+    the xi slot, against op[l,i] eta_j - op[l,j] eta_i with op = kappa I + mu h.
     """
-    rng = rng or np.random.default_rng(0)
-    d = frame.dim
-    X, Y = rng.normal(size=(samples, 2, d)).transpose(1, 0, 2)
+    eta = frame.eta
     r_xi = np.tensordot(oracle.tensor, frame.xi, axes=(2, 0))  # [i, j, l]
-    lhs = np.einsum("si,sj,ijl->sl", X, Y, r_xi)
-    op = frame.kappa * np.eye(d) + frame.mu * frame.h
-    rhs = ((Y @ frame.eta)[:, None] * X - (X @ frame.eta)[:, None] * Y) @ op.T
-    return float(np.max(np.abs(lhs - rhs)))  # keeps a NaN
+    op_t = (frame.kappa * np.eye(frame.dim) + frame.mu * frame.h).T  # op_t[i, l] = op[l, i]
+    rhs = op_t[:, None, :] * eta[None, :, None] - eta[:, None, None] * op_t[None, :, :]
+    return float(np.max(np.abs(r_xi - rhs)))  # keeps a NaN
+
+
+def phi_sectional_constant(oracle: CurvatureOracle, frame: ContactFrame) -> tuple[float, float]:
+    """The phi-sectional curvature c and how far K(X ^ phi X) is from constant.
+
+    Over an orthonormal basis B of xi-perp, T[i,j,k,l] = R(Be_i, phi Be_j,
+    phi Be_k, Be_l) is one frame contraction of the tensor, and K(X ^ phi X)
+    is the quartic form T(x,x,x,x) of a unit X = Bx.  It is the constant c
+    exactly when Sym T = c Sym(delta (x) delta); returns the least-squares c
+    and max |Sym T - c Sym(delta (x) delta)| (NaN when the tensor has one).
+    """
+    B = qr_q_complete(frame.xi[:, None])[1][:, 1:]  # the complement of xi
+    n = B.shape[1]
+    T = frame_tensor(oracle.tensor, np.hstack([B, frame.phi @ B])[None])[0][:n, n:, n:, :n]
+    sym_t = sum(T.transpose(p) for p in permutations(range(4))) / 24.0
+    dd = np.multiply.outer(np.eye(n), np.eye(n))
+    sym_dd = (dd + dd.transpose(0, 2, 1, 3) + dd.transpose(0, 2, 3, 1)) / 3.0
+    c = np.sum(sym_t * sym_dd) / np.sum(sym_dd * sym_dd)
+    return float(c), float(np.max(np.abs(sym_t - c * sym_dd)))
 
 
 def phi_sectional(

@@ -182,7 +182,7 @@ def test_criterion_5_curvature_model_identities():
             if kappa < 1.0 - 1e-8:
                 oracles.append(curvature_non_sasakian(frame))
             for orc in oracles:
-                assert check_km_condition(orc, frame, rng, samples=8) < 1e-10
+                assert check_km_condition(orc, frame) < 1e-10
                 for _ in range(1000 // (len(KAPPA_GRID) * len(MU_GRID))):
                     X, Y, Z, W = rng.normal(size=(4, frame.dim))
                     v = orc.value(X, Y, Z, W)

@@ -4,6 +4,7 @@ import pytest
 
 from warpcheck.contact import (
     ContactFrame,
+    CurvatureOracle,
     check_km_condition,
     curvature_kmu_space_form,
     curvature_non_sasakian,
@@ -12,6 +13,7 @@ from warpcheck.contact import (
     make_ambient,
     make_kmu_frame,
     phi_sectional,
+    phi_sectional_constant,
 )
 from warpcheck.errors import (
     InvalidFrameError,
@@ -156,31 +158,92 @@ def test_non_sasakian_rejects_near_sasakian():
 
 
 def test_km_condition_grid():
-    rng = np.random.default_rng(7)
     for kappa in KAPPA_GRID:
         for mu in MU_GRID:
             frame = make_kmu_frame(2, kappa, mu, c=0.7)
-            assert check_km_condition(curvature_kmu_space_form(frame), frame, rng, 10) < 1e-10
+            assert check_km_condition(curvature_kmu_space_form(frame), frame) < 1e-10
             if kappa < 1.0 - 1e-8:
-                assert (
-                    check_km_condition(curvature_non_sasakian(frame), frame, rng, 10) < 1e-10
-                )
+                assert check_km_condition(curvature_non_sasakian(frame), frame) < 1e-10
 
 
-def test_km_condition_keeps_a_nan_residual(nan_row_generator):
+def test_km_condition_keeps_a_nan_residual():
     frame = make_kmu_frame(2, 0.5, 0.3, c=0.7)
     oracle = curvature_kmu_space_form(frame)
-    assert check_km_condition(oracle, frame, np.random.default_rng(0), 5) < 1e-10
-    # one NaN sample among finite ones: a NaN-dropping fold would pass it
-    rng = nan_row_generator(np.random.default_rng(0), row=1)
-    assert np.isnan(check_km_condition(oracle, frame, rng, 5))
+    assert check_km_condition(oracle, frame) < 1e-10
+    # one NaN entry in the xi slot among finite ones: a NaN-dropping fold would pass it
+    oracle.tensor[1, 3, 0, 2] = np.nan
+    assert np.isnan(check_km_condition(oracle, frame))
 
 
 def test_km_condition_sasakian_form():
     # with kappa = 1, h = 0 the condition is R(X,Y)xi = eta(Y)X - eta(X)Y
     frame = make_kmu_frame(2, 1.0, 0.9, c=2.0)
     oracle = curvature_sasakian_space_form(frame)
-    assert check_km_condition(oracle, frame, np.random.default_rng(8), 20) < 1e-10
+    assert check_km_condition(oracle, frame) < 1e-10
+
+
+def _ambient_cases():
+    """(ambient, its phi-sectional curvature or None when it is not constant)
+    for every contact kind at m = 1..4."""
+    cases = []
+    for m in (1, 2, 3, 4):
+        generic = make_ambient("non-sasakian-kmu", m=m, kappa=-0.4, mu=0.7)
+        bundle = make_ambient("tangent-sphere-bundle", m=m, c=0.5)
+        for name, amb, c in [
+            ("sasakian", make_ambient("sasakian-space-form", m=m, c=-1.7), -1.7),
+            ("kmu-space-form", make_ambient("kmu-space-form", m=m, kappa=0.35, mu=-1.2, c=2.4), 2.4),
+            ("non-sasakian-mu=kappa+1", make_ambient("non-sasakian-kmu", m=m, kappa=0.2, mu=1.2), -1.4),
+            # at m = 1 every X ^ phi X is the one plane xi-perp, so K is constant
+            ("non-sasakian", generic, phi_sectional(generic.oracle, generic.frame, np.eye(3)[1]) if m == 1 else None),
+            ("tangent-sphere-bundle", bundle, phi_sectional(bundle.oracle, bundle.frame, np.eye(3)[1]) if m == 1 else None),
+        ]:
+            cases.append(pytest.param(amb, c, id=f"{name}-m{m}"))
+    return cases
+
+
+@pytest.mark.parametrize("amb,c", _ambient_cases())
+def test_every_contact_kind_holds_km_and_phi_exactly(amb, c):
+    assert check_km_condition(amb.oracle, amb.frame) < 1e-14
+    value, deviation = phi_sectional_constant(amb.oracle, amb.frame)
+    # the pointwise reference at unit vectors orthogonal to xi
+    X = np.random.default_rng(amb.dim).normal(size=(40, amb.dim))
+    X -= (X @ amb.frame.eta)[:, None] * amb.frame.xi
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    pointwise = phi_sectional(amb.oracle, amb.frame, X)
+    if c is None:
+        assert deviation > 1e-3
+        assert np.ptp(pointwise) > 1e-3
+    else:
+        assert deviation < 1e-14
+        assert abs(value - c) < 1e-12
+        assert np.max(np.abs(pointwise - value)) < 1e-13
+
+
+def _algebraic_perturbation(dim: int, eps: float) -> np.ndarray:
+    """eps S(Y,Z) S(X,W) - eps S(X,Z) S(Y,W) for a fixed symmetric S: a tensor
+    with every curvature symmetry and the first Bianchi identity."""
+    S = np.random.default_rng(99).normal(size=(dim, dim))
+    S = S + S.T
+    T = S[None, :, :, None] * S[:, None, None, :]
+    return eps * (T - T.transpose(1, 0, 2, 3))
+
+
+def test_a_perturbation_with_the_symmetries_fails_km_and_phi():
+    amb = make_ambient("kmu-space-form", m=2, kappa=0.35, mu=-1.2, c=2.4)
+    perturbed = CurvatureOracle("perturbed", amb.oracle.tensor + _algebraic_perturbation(amb.dim, 1e-6))
+    R = perturbed.tensor
+    assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-15
+    assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-15
+    assert np.max(np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3))) < 1e-14
+    assert check_km_condition(perturbed, amb.frame) > 1e-7
+    assert phi_sectional_constant(perturbed, amb.frame)[1] > 1e-7
+
+
+def test_phi_sectional_constant_keeps_a_nan():
+    amb = make_ambient("sasakian-space-form", m=2, c=0.5)
+    amb.oracle.tensor[1, 3, 3, 1] = np.nan
+    value, deviation = phi_sectional_constant(amb.oracle, amb.frame)
+    assert np.isnan(value) and np.isnan(deviation)
 
 
 def _symmetry_bianchi_worst(oracle, dim, rng, samples):

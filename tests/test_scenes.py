@@ -476,24 +476,19 @@ def test_tolerance_override_spec():
     assert report.environment["tolerances"]["equality_gap"] == 1e-3
 
 
-def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch, nan_row_generator):
+def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch):
     import warpcheck.scenes as scenes_mod
 
     original = scenes_mod.make_ambient
-    original_km = scenes_mod.check_km_condition
 
     def nan_ambient(kind, **params):
         amb = original(kind, **params)
-        # R(u1, phi u1, phi u1, u1), an entry that every phi-sectional value reads
-        amb.oracle.tensor[1, 3, 3, 1] = np.nan
+        # R(u1, phi u1, xi, u1): an entry of the xi slot, which km_condition
+        # reads; the phi-sectional contraction carries it into every entry
+        amb.oracle.tensor[1, 3, 0, 1] = np.nan
         return amb
 
-    def km_with_one_nan_sample(oracle, frame, rng, samples):
-        # km_condition reads only the xi slot of the tensor, where the NaN entry is not
-        return original_km(oracle, frame, nan_row_generator(rng, row=1), samples)
-
     monkeypatch.setattr(scenes_mod, "make_ambient", nan_ambient)
-    monkeypatch.setattr(scenes_mod, "check_km_condition", km_with_one_nan_sample)
     spec = parse_scene(
         {
             "ambient": {"kind": "sasakian-space-form", "m": 2, "c": 0.5},
@@ -508,6 +503,35 @@ def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch, nan_row_generator
     assert np.isnan(records["km_condition"]["residual"])
     assert np.isnan(records["oracle_symmetries"]["max_residual"])
     assert np.isnan(records["phi_sectional"]["spread"])
+
+
+def test_a_perturbation_with_the_symmetries_fails_km_and_phi_in_a_scene(monkeypatch):
+    # eps S(Y,Z) S(X,W) - eps S(X,Z) S(Y,W), S symmetric, has every symmetry
+    # of a curvature tensor, so oracle_symmetries still passes
+    import warpcheck.scenes as scenes_mod
+
+    original = scenes_mod.make_ambient
+
+    def perturbed_ambient(kind, **params):
+        amb = original(kind, **params)
+        S = np.random.default_rng(3).normal(size=(amb.dim, amb.dim))
+        S = S + S.T
+        T = S[None, :, :, None] * S[:, None, None, :]
+        amb.oracle.tensor += 1e-6 * (T - T.transpose(1, 0, 2, 3))
+        return amb
+
+    monkeypatch.setattr(scenes_mod, "make_ambient", perturbed_ambient)
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.2, "mu": 1.2},
+            "source": {"kind": "synthetic", "n1": 1, "n2": 1},
+            "checks": ["km_condition", "oracle_symmetries", {"name": "phi_sectional", "expect": -1.4}],
+        }
+    )
+    records = {r["name"]: r for r in run(spec).records}
+    assert records["oracle_symmetries"]["pass"] is True
+    assert records["km_condition"]["pass"] is False and records["km_condition"]["residual"] > 1e-7
+    assert records["phi_sectional"]["pass"] is False and records["phi_sectional"]["spread"] > 1e-7
 
 
 @pytest.mark.parametrize(
@@ -758,27 +782,47 @@ def test_oracle_symmetries_fail_on_one_perturbed_entry(monkeypatch, entry, multi
     assert abs(record["max_residual"] - multiple * 1e-6) < 1e-12
 
 
-@pytest.mark.parametrize("samples,k", [(7, 7), (150, 100)])
-def test_phi_sectional_draws_one_block(samples, k):
-    # one (k, d) normal draw, k = min(samples, 100): the generator is left
-    # where that block leaves it, so later checks draw what they drew before
+def test_the_identity_checks_leave_the_random_stream_where_it_was():
     import warpcheck.scenes as scenes_mod
 
-    spec = parse_scene(
+    contact = parse_scene(
         {
             "ambient": {"kind": "sasakian-space-form", "m": 2, "c": -2.5},
             "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 1},
-            "checks": ["phi_sectional"],
-            "seed": 5,
+            "checks": ["km_condition", {"name": "phi_sectional", "expect": -2.5}],
         }
     )
-    rng = np.random.default_rng(5)
-    ctx = scenes_mod._Context(spec.ambient_space(), spec.source_data(), spec.tolerance(), rng, samples)
-    record = scenes_mod._check_phi_sectional(ctx, {"expect": -2.5})
-    assert record["pass"] is True and abs(record["value"] + 2.5) < 1e-12
-    reference = np.random.default_rng(5)
-    reference.normal(size=(k, 5))
-    assert rng.bit_generator.state == reference.bit_generator.state
+    warped = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": 5},
+            "source": {"kind": "warped-chart", "key": "sphere", "params": {"n2": 3}},
+            "checks": ["connection_identity", "mixed_sectional"],
+        }
+    )
+    for spec in (contact, warped):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        ctx = scenes_mod._Context(spec.ambient_space(), spec.source_data(), spec.tolerance(), rng, 150)
+        for check in spec.checks:
+            opts = {k: v for k, v in check.items() if k != "name"}
+            assert scenes_mod._CHECKS[check["name"]][0](ctx, opts)["pass"] is True
+        assert rng.bit_generator.state == before
+
+
+def test_moving_the_contact_identity_checks_leaves_every_other_record_byte_identical():
+    sampled = ["general_inequality", "decompose", "c_totally_real", "a_xi_identity", "equality_case", "chen_lemma"]
+    identities = ["km_condition", {"name": "phi_sectional", "expect": -1.4}]
+    scene = {
+        "ambient": {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.2, "mu": 1.2},
+        "source": {"kind": "synthetic", "generator": "c-totally-real", "n1": 1, "n2": 2},
+        "samples": 30,
+        "seed": 17,
+    }
+    first = run(parse_scene({**scene, "checks": identities + sampled})).records
+    last = run(parse_scene({**scene, "checks": sampled + identities})).records
+    assert all(r["pass"] for r in first + last)
+    assert [_canonical_json(r) for r in first[2:]] == [_canonical_json(r) for r in last[:-2]]
+    assert [_canonical_json(r) for r in first[:2]] == [_canonical_json(r) for r in last[-2:]]
 
 
 def test_the_contact_example_scenes_never_call_oracle_value(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,81 +58,55 @@ def test_warping_positive_enforced():
         build_metric(wp).g(np.array([-1.0, 0.0]))
 
 
-def test_connection_identity_constant_warp():
-    wp = flat_product_chart()
-    res = check_connection_identity(
-        wp, _curvature(wp, np.array([0.3, 0.4])), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    )
-    assert res < 1e-6
+@pytest.mark.parametrize(
+    "wp,x",
+    [(flat_product_chart(), [0.3, 0.4]), (sphere_chart(), [0.3, 0.2]), (hyperbolic_chart(), [0.2, 0.3])],
+    ids=["constant", "sphere", "exponential"],
+)
+def test_connection_identity_holds_on_the_catalog(wp, x):
+    assert check_connection_identity(wp, _curvature(wp, np.array(x))) < 1e-12
 
 
-def test_connection_identity_sphere():
-    wp = sphere_chart()
-    res = check_connection_identity(
-        wp, _curvature(wp, np.array([0.3, 0.2])), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    )
-    assert res < 1e-6
-
-
-def test_connection_identity_exponential():
-    wp = hyperbolic_chart()
-    res = check_connection_identity(
-        wp, _curvature(wp, np.array([0.2, 0.3])), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    )
-    assert res < 1e-6
-
-
-def test_connection_identity_rejects_mixed_blocks():
-    wp = sphere_chart()
-    with pytest.raises(InvalidInputError):
-        check_connection_identity(
-            wp, _curvature(wp, np.array([0.3, 0.2])), np.array([1.0, 1.0]), np.array([0.0, 1.0])
-        )
+def test_connection_identity_fails_with_a_wrong_warp_gradient():
+    # the metric is that of cos t, the gradient the identity reads is off by 1e-3
+    wp = sphere_chart(n2=2)
+    cp = _curvature(wp, np.stack(wp.sample_points))
+    wrong = WarpFunction("cos+", np.cos, lambda t: -np.sin(t) + 1e-3, lambda t: -np.cos(t))
+    assert np.max(check_connection_identity(wp, cp)) < 1e-12
+    residual = check_connection_identity(replace(wp, warp=wrong), cp)
+    assert residual.shape == (3,)
+    assert np.all(np.abs(residual - 1e-3 / np.cos(cp.x[:, 0])) < 1e-12)  # |d_t f| / f over |d_t|
 
 
 def test_mixed_sectional_constant_warp_zero():
-    wp = flat_product_chart()
-    cp = _curvature(wp, np.array([0.1, 0.2]))
-    val = mixed_sectional(wp, cp, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert abs(val) < 1e-10
+    wp = flat_product_chart(2, 1)
+    form = mixed_sectional(wp, _curvature(wp, np.array([0.1, 0.2, -0.3])))
+    assert form.shape == (2, 2)
+    assert np.all(form == 0.0)
 
 
 @pytest.mark.parametrize("t", [-0.4, 0.0, 0.6])
 def test_mixed_sectional_sphere_is_one(t):
     wp = sphere_chart()
-    x = np.array([t, 0.3])
-    Z = np.array([0.0, 1.0 / np.cos(t)])
-    assert abs(mixed_sectional(wp, _curvature(wp, x), np.array([1.0, 0.0]), Z) - 1.0) < 1e-4
+    assert abs(mixed_sectional(wp, _curvature(wp, np.array([t, 0.3])))[0, 0] - 1.0) < 1e-12
 
 
 def test_mixed_sectional_exponential_is_minus_one():
     wp = hyperbolic_chart()
-    x = np.array([0.4, 0.1])
-    Z = np.array([0.0, np.exp(-0.4)])
-    assert abs(mixed_sectional(wp, _curvature(wp, x), np.array([1.0, 0.0]), Z) + 1.0) < 1e-4
-
-
-def test_mixed_sectional_requires_unit_vectors():
-    wp = sphere_chart()
-    cp = _curvature(wp, np.array([0.3, 0.2]))
-    with pytest.raises(InvalidInputError):
-        mixed_sectional(wp, cp, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+    assert abs(mixed_sectional(wp, _curvature(wp, np.array([0.4, 0.1])))[0, 0] + 1.0) < 1e-12
 
 
 def test_mixed_sectional_cross_validates_riemann():
+    # the form at a unit leaf X is K(X ^ Z) for every unit fibre Z
     for key in ("sphere", "hyperbolic", "cone"):
         wp = named_chart(key)
-        metric = build_metric(wp)
-        for p in wp.sample_points:
-            gx = metric.at(p)
-            X = np.zeros(wp.dim)
-            X[0] = 1.0 / np.sqrt(gx[0, 0])
-            Z = np.zeros(wp.dim)
-            Z[wp.n1] = 1.0 / np.sqrt(gx[wp.n1, wp.n1])
-            cp = riemann(metric, p)
-            direct = mixed_sectional(wp, cp, X, Z)
-            via = sectional_curvature(cp, X, Z)
-            assert abs(direct - via) < 1e-3
+        cp = riemann(build_metric(wp), np.stack(wp.sample_points))
+        X = np.zeros((len(cp.x), wp.dim))
+        X[:, 0] = 1.0 / np.sqrt(cp.g[:, 0, 0])
+        Z = np.zeros((len(cp.x), wp.dim))
+        Z[:, wp.n1] = 1.0 / np.sqrt(cp.g[:, wp.n1, wp.n1])
+        form = mixed_sectional(wp, cp)[:, 0, 0] / cp.g[:, 0, 0]
+        assert np.max(np.abs(form - sectional_curvature(cp, X, Z))) < 1e-7
 
 
 def test_laplacian_ratio_sphere():
@@ -201,8 +177,9 @@ def test_warp_function_calculus():
 
 
 def test_catalog_identities_random_points():
-    # connection residual < 1e-5, direct vs Riemann mixed curvature < 1e-3,
-    # and fibrewise sums pairwise within 1e-3, at random chart points
+    # connection residual < 1e-12, the mixed form against the Riemann
+    # tensor's sectional curvature < 1e-3, and fibrewise sums pairwise
+    # within 1e-3, at random chart points
     rng = np.random.default_rng(21)
     domains = {
         "sphere": lambda: np.array([rng.uniform(-1.2, 1.2), rng.uniform(0.0, 3.0)]),
@@ -212,22 +189,12 @@ def test_catalog_identities_random_points():
     }
     for key, draw in domains.items():
         wp = named_chart(key)
-        metric = build_metric(wp)
-        for _ in range(25):
-            p = draw()
-            X = np.zeros(wp.dim)
-            X[: wp.n1] = rng.normal(size=wp.n1)
-            Y = np.zeros(wp.dim)
-            Y[wp.n1 :] = rng.normal(size=wp.n2)
-            cp = riemann(metric, p)
-            assert check_connection_identity(wp, cp, X, Y) < 1e-5, key
-            gx = metric.at(p)
-            Xu = X / np.sqrt(X @ gx @ X)
-            Yu = Y / np.sqrt(Y @ gx @ Y)
-            direct = mixed_sectional(wp, cp, Xu, Yu)
-            via = sectional_curvature(cp, Xu, Yu)
-            assert abs(direct - via) < 1e-3, key
-            assert check_laplacian_ratio(wp, cp)["spread"] < 1e-3, key
+        cp = riemann(build_metric(wp), np.stack([draw() for _ in range(25)]))
+        assert np.max(check_connection_identity(wp, cp)) < 1e-12, key
+        X, Z = np.eye(wp.dim)[0] / np.sqrt(cp.g[:, :1, 0]), np.eye(wp.dim)[1] / np.sqrt(cp.g[:, 1:2, 1])
+        direct = mixed_sectional(wp, cp)[:, 0, 0] / cp.g[:, 0, 0]
+        assert np.max(np.abs(direct - sectional_curvature(cp, X, Z))) < 1e-3, key
+        assert np.max(check_laplacian_ratio(wp, cp)["spread"]) < 1e-3, key
 
 
 def test_chen_special_case_sphere():

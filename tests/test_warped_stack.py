@@ -50,18 +50,20 @@ def _unit_leaf_fibre(wp, g, seed):
     return X / np.sqrt(bilinear(g, X, X))[:, None], Y / np.sqrt(bilinear(g, Y, Y))[:, None]
 
 
-def _reference_checks(wp, p, X, Y):
-    """The three checks at one point, written as the one-point loops that the
-    stacked checks replaced: (connection residual, mixed sectional curvature,
-    Laplacian ratio, per-s sums)."""
+def _reference_checks(wp, p):
+    """The three checks at one point, written as one-point loops: (connection
+    residual over the coordinate pairs, the mixed form -Hess f / f, Laplacian
+    ratio, per-s sums)."""
     metric = build_metric(wp)
     gx, cp = metric.at(p), riemann(metric, p)
     x1, f = p[: wp.n1], wp.warp.value(p[: wp.n1])
-    nabla = np.einsum("kij,i,j->k", christoffel(metric, p), X, Y)
-    diff = nabla - (float(X[: wp.n1] @ wp.warp.grad(x1)) / f) * Y
-    connection = float(np.sqrt(max(diff @ gx @ diff, 0.0)))
-    hess = wp.warp.hess(x1) - np.einsum("kij,k->ij", christoffel(wp.factor1, x1), wp.warp.grad(x1))
-    mixed = -float(X[: wp.n1] @ hess @ X[: wp.n1]) / f
+    gamma, df = christoffel(metric, p), wp.warp.grad(x1)
+    connection = 0.0
+    for i in range(wp.n1):
+        for s in range(wp.n1, wp.dim):
+            diff = gamma[:, i, s] - np.eye(wp.dim)[s] * (df[i] / f)
+            connection = max(connection, np.sqrt(diff @ gx @ diff) / np.sqrt(gx[i, i] * gx[s, s]))
+    hess = wp.warp.hess(x1) - np.einsum("kij,k->ij", christoffel(wp.factor1, x1), df)
     lap = -float(np.einsum("ij,ij->", np.linalg.inv(wp.factor1.at(x1)), hess))
     inner = lambda u, v: float(u @ gx @ v)
     frame1 = gram_schmidt([np.eye(wp.dim)[i] for i in range(wp.n1)], inner)
@@ -72,7 +74,7 @@ def _reference_checks(wp, p, X, Y):
         return float(np.einsum("ijkl,i,j,k,l->", cp.riemann04, u, v, v, u)) / denom
 
     per_s = [sum(K(e_j, e_s) for e_j in frame1) for e_s in frame2]
-    return connection, mixed, lap / f, per_s
+    return connection, -hess / f, lap / f, per_s
 
 
 @pytest.mark.parametrize("key", sorted(CHARTS))
@@ -82,20 +84,23 @@ def test_stacked_warped_checks_equal_the_pointwise_calls_exactly(key):
     points = np.stack(wp.sample_points)
     cp = riemann(metric, points)
     X, Y = _unit_leaf_fibre(wp, cp.g, seed=len(key))
-    connection = check_connection_identity(wp, cp, X, Y)
-    mixed = mixed_sectional(wp, cp, X, Y)
+    connection = check_connection_identity(wp, cp)
+    mixed = mixed_sectional(wp, cp)
     K = sectional_curvature(cp, X, Y)
     ratio = check_laplacian_ratio(wp, cp)
-    assert connection.shape == mixed.shape == K.shape == (len(points),)
+    assert connection.shape == K.shape == (len(points),)
+    assert mixed.shape == (len(points), wp.n1, wp.n1)
     assert ratio["per_s_sums"].shape == (len(points), wp.n2)
     for i, p in enumerate(points):
-        reference = _reference_checks(wp, p, X[i], Y[i])
-        assert (connection[i], mixed[i], ratio["laplacian_ratio"][i]) == reference[:3]
+        reference = _reference_checks(wp, p)
+        assert abs(connection[i] - reference[0]) < 1e-15
+        assert np.array_equal(mixed[i], reference[1])
+        assert ratio["laplacian_ratio"][i] == reference[2]
         assert np.array_equal(ratio["per_s_sums"][i], reference[3])
         single = riemann(metric, p)
         assert np.array_equal(single.g, metric.at(p))
-        assert connection[i] == check_connection_identity(wp, single, X[i], Y[i])
-        assert mixed[i] == mixed_sectional(wp, single, X[i], Y[i])
+        assert connection[i] == check_connection_identity(wp, single)
+        assert np.array_equal(mixed[i], mixed_sectional(wp, single))
         assert K[i] == sectional_curvature(single, X[i], Y[i])
         alone = check_laplacian_ratio(wp, single)
         assert alone.keys() == ratio.keys()
@@ -208,9 +213,11 @@ def test_a_curved_first_factor_gives_the_numbers_of_its_own_metric(n1):
     assert np.array_equal(check_laplacian_ratio(wp, cp)["laplacian_ratio"], lap / wp.warp_at(x))
     X, Z = _unit_leaf_fibre(wp, cp.g, seed=n1)
     hess = covariant_hessian(gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1))
-    mixed = mixed_sectional(wp, cp, X, Z)
-    assert np.array_equal(mixed, -bilinear(hess, X[:, :n1], X[:, :n1]) / wp.warp_at(x))
-    assert np.max(np.abs(mixed - sectional_curvature(cp, X, Z))) < 1e-3
+    mixed = mixed_sectional(wp, cp)
+    assert np.array_equal(mixed, -hess / wp.warp_at(x)[:, None, None])
+    # the form at a unit leaf X is K(X ^ Z) for any unit fibre Z
+    K = bilinear(mixed, X[:, :n1], X[:, :n1])
+    assert np.max(np.abs(K - sectional_curvature(cp, X, Z))) < 1e-7
 
 
 @pytest.mark.parametrize("n1", sorted(CURVED_LEAF_POINTS))
@@ -229,9 +236,8 @@ def test_the_warped_checks_evaluate_no_metric_of_the_first_factor(monkeypatch, n
 
     for name in ("g", "dg"):
         monkeypatch.setattr(wp.factor1, name, counting(name, getattr(wp.factor1, name)))
-    X, Z = _unit_leaf_fibre(wp, cp.g, seed=n1)
-    check_connection_identity(wp, cp, X, Z)
-    mixed_sectional(wp, cp, X, Z)
+    check_connection_identity(wp, cp)
+    mixed_sectional(wp, cp)
     check_laplacian_ratio(wp, cp)
     assert calls == []
 
@@ -257,13 +263,12 @@ def test_a_warp_that_is_nan_at_one_point_fails_naming_it():
         riemann(build_metric(wp), points)
     # a NaN warp under a finite curvature point stays in its row of every check
     cp = riemann(build_metric(named_chart("flat-product")), points)
-    X, Y = np.array([[1.0, 0.0]] * 2), np.array([[0.0, 1.0]] * 2)
     for values in (
-        check_connection_identity(wp, cp, X, Y),
-        mixed_sectional(wp, cp, X, Y),
+        check_connection_identity(wp, cp),
+        mixed_sectional(wp, cp),
         check_laplacian_ratio(wp, cp)["max_deviation"],
     ):
-        assert np.isfinite(values[0]) and np.isnan(values[1]), values
+        assert np.isfinite(values[0]).all() and np.isnan(values[1]).all(), values
 
 
 def test_a_scene_whose_warp_is_nan_at_one_point_fails_every_warped_check():
@@ -313,30 +318,35 @@ def test_a_degenerate_plane_in_a_stack_names_its_row():
         sectional_curvature(cp, X, Y)
 
 
-def test_a_mixed_block_vector_in_a_stack_names_its_row():
-    wp = CHARTS["polynomial"]
-    points = np.stack(wp.sample_points)
-    cp = riemann(build_metric(wp), points)
-    X, Y = _unit_leaf_fibre(wp, cp.g, seed=5)
-    mixed_X, mixed_Y = X.copy(), Y.copy()
-    mixed_X[2, wp.n1] = 0.5
-    mixed_Y[2, 0] = 0.5
-    with pytest.raises(InvalidInputError, match=r"X must be tangent to the first factor.*stack index \(2,\)"):
-        check_connection_identity(wp, cp, mixed_X, Y)
-    with pytest.raises(InvalidInputError, match=r"X must be tangent to the first factor.*stack index \(2,\)"):
-        mixed_sectional(wp, cp, mixed_X, Y)
-    with pytest.raises(InvalidInputError, match=r"Y must be tangent to the second factor.*stack index \(2,\)"):
-        check_connection_identity(wp, cp, X, mixed_Y)
+def _wrong_hessian(wp: WarpedProductChart, delta: float) -> WarpFunction:
+    """wp's warp with its t-Hessian off by delta; the metric, which reads
+    only the value and the gradient, is unchanged."""
+    w = wp.warp
+    return WarpFunction(f"{w.label}+hess", w.fn, w.d1, lambda t: w.d2(t) + delta)
 
 
-def test_mixed_sectional_checks_every_row_is_unit():
-    wp = CHARTS["polynomial"]
-    points = np.stack(wp.sample_points)
-    cp = riemann(build_metric(wp), points)
-    X, Z = _unit_leaf_fibre(wp, cp.g, seed=6)
-    Z[1] *= 1.5
-    with pytest.raises(InvalidInputError, match=r"unit vectors.*stack index \(1,\)"):
-        mixed_sectional(wp, cp, X, Z)
+def test_a_wrong_warp_hessian_fails_mixed_sectional_in_a_scene():
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": 5},
+            "source": _curved_leaf_source(2),
+            "checks": ["connection_identity", "mixed_sectional", "laplacian_ratio"],
+            "seed": 0,
+        }
+    )
+    wp = spec.source_data().warped
+    cp = riemann(build_metric(wp), np.stack(wp.sample_points))
+    right = mixed_sectional(wp, cp)
+    wp.warp = _wrong_hessian(wp, 1e-2)
+    # the form moves by exactly -delta / f in its tt entry
+    moved = mixed_sectional(wp, cp) - right
+    assert np.max(np.abs(moved[:, 0, 0] + 1e-2 / wp.warp_at(cp.x))) < 1e-15
+    assert np.all(moved[:, 1:, :] == 0.0) and np.all(moved[:, :, 1:] == 0.0)
+    records = {r["name"]: r for r in run(spec).records}
+    assert records["connection_identity"]["pass"] is True
+    assert records["mixed_sectional"]["pass"] is False
+    assert records["mixed_sectional"]["max_residual"] > 5e-3
+    assert records["laplacian_ratio"]["pass"] is False
 
 
 def test_a_point_valid_for_christoffel_but_not_for_riemann_fails_every_warped_check():
