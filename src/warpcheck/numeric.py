@@ -47,15 +47,13 @@ class Tolerance:
 
     algebraic: exact-identity checks on frame-level algebra.
     finite_difference: the step of the one central difference of chart geometry.
-    equality_gap: |rhs - lhs| band under which an inequality is reported as equality.
     """
 
     algebraic: float = 1e-10
     finite_difference: float = 1e-4
-    equality_gap: float = 1e-6
 
     def __post_init__(self):
-        values = (self.algebraic, self.finite_difference, self.equality_gap)
+        values = (self.algebraic, self.finite_difference)
         if not all(np.isfinite(v) and v > 0.0 for v in values):
             raise InvalidInputError("tolerances must be finite and strictly positive")
 

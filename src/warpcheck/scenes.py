@@ -4,8 +4,10 @@ A scene is a JSON object with keys "ambient", "source", "checks",
 "tolerances", "samples" and "seed".  Running a scene executes each requested
 check against the declared ambient model and data source; per-check failures
 are captured in the report and never abort sibling checks.  Reports serialize
-to canonical JSON (sorted keys, floats rendered as %.12e, volatile wall time
-excluded), so a fixed (scene, seed, tolerance) triple is byte-reproducible.
+to canonical JSON (sorted keys, finite floats rendered as %.12e and the
+non-finite ones as the strings "NaN", "Infinity" and "-Infinity", volatile
+wall time excluded), so a fixed (scene, seed, tolerance) triple is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -917,11 +919,17 @@ def run(
 # ---------------------------------------------------------------------------
 
 
+# a non-finite float as the JSON string of its name; %.12e gives no other text
+_NON_FINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
+
+
 def _canonical_json(obj) -> str:
-    """Keys sorted as strings; every float rendered as %.12e for byte-stable
-    output; numpy values are converted as they are rendered.  Strings go
-    through the encoder that json.dumps runs for a str (ASCII output), so
-    keys and string values read exactly as json.dumps renders them."""
+    """Keys sorted as strings; every finite float rendered as %.12e for
+    byte-stable output, and NaN, +inf and -inf as the strings "NaN",
+    "Infinity" and "-Infinity", so every report is JSON; numpy values are
+    converted as they are rendered.  Strings go through the encoder that
+    json.dumps runs for a str (ASCII output), so keys and string values read
+    exactly as json.dumps renders them."""
     if isinstance(obj, dict):
         items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
         return "{" + ", ".join(f"{_json_string(k)}: {_canonical_json(v)}" for k, v in items) + "}"
@@ -938,7 +946,8 @@ def _canonical_json(obj) -> str:
     if isinstance(obj, str):
         return _json_string(obj)
     if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.12e}"
+        text = f"{float(obj):.12e}"
+        return _NON_FINITE.get(text, text)
     raise TypeError(f"cannot canonicalize {type(obj)}")
 
 

@@ -96,12 +96,13 @@ def test_a_null_seed_is_accepted(tmp_path):
 @pytest.mark.parametrize(
     "tolerances",
     [{"algebraic": "x"}, {"algebraic": float("nan")}, {"finite_difference": float("inf")},
-     {"equality_gap": 0.0}, {"algebraic": -1e-10}, {"step": 1e-3}],
-    ids=["string", "nan", "inf", "zero", "negative", "unknown-key"],
+     {"finite_difference": 0.0}, {"algebraic": -1e-10}, {"step": 1e-3}, {"equality_gap": 1e-6}],
+    ids=["string", "nan", "inf", "zero", "negative", "unknown-key", "removed-equality-gap"],
 )
 def test_bad_scene_tolerances_exit_2(tmp_path, capsys, tolerances):
     err = _rejected(tmp_path, capsys, dict(REAL, tolerances=tolerances))
     assert "bad tolerances" in err
+    assert not set(tolerances) - {"algebraic", "finite_difference"} or f"'{next(iter(tolerances))}'" in err
 
 
 @pytest.mark.parametrize("flag", ["--tol-algebraic", "--tol-fd"])
@@ -111,7 +112,7 @@ def test_bad_tolerance_flags_exit_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("name", ["algebraic", "finite_difference", "equality_gap"])
+@pytest.mark.parametrize("name", ["algebraic", "finite_difference"])
 def test_tolerance_rejects_non_finite_values(name, value):
     with pytest.raises(InvalidInputError, match="finite"):
         Tolerance(**{name: value})
@@ -126,7 +127,6 @@ def test_scene_tolerances_lie_over_the_defaults_and_flags_over_both():
     assert run(spec).environment["tolerances"] == {
         "algebraic": Tolerance().algebraic,
         "finite_difference": 1e-3,
-        "equality_gap": Tolerance().equality_gap,
     }
 
 

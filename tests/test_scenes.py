@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -468,12 +469,14 @@ def test_tolerance_override_spec():
         ambient={"kind": "euclidean", "m": 3},
         source={"kind": "chart-immersion", "key": "plane"},
         checks=[{"name": "general_inequality"}],
-        tolerances={"equality_gap": 1e-3},
+        tolerances={"algebraic": 1e-8},
         samples=1,
         seed=0,
     )
     report = run(spec)
-    assert report.environment["tolerances"]["equality_gap"] == 1e-3
+    assert report.environment["tolerances"] == {"algebraic": 1e-8, "finite_difference": 1e-4}
+    with pytest.raises(SceneValidationError, match="equality_gap"):
+        run(replace(spec, tolerances={"equality_gap": 1e-3}))
 
 
 def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch):
@@ -498,11 +501,16 @@ def test_nan_oracle_values_fail_the_oracle_checks(monkeypatch):
             "seed": 0,
         }
     )
-    records = {r["name"]: r for r in run(spec).records}
+    report = run(spec)
+    records = {r["name"]: r for r in report.records}
     assert not any(r["pass"] for r in records.values())
     assert np.isnan(records["km_condition"]["residual"])
     assert np.isnan(records["oracle_symmetries"]["max_residual"])
     assert np.isnan(records["phi_sectional"]["spread"])
+    # the emitted report is JSON: each NaN reads back as the string "NaN"
+    emitted = {r["name"]: r for r in json.loads(emit(report))["records"]}
+    assert emitted["km_condition"] == {"name": "km_condition", "pass": False, "residual": "NaN"}
+    assert emitted["phi_sectional"]["spread"] == "NaN" and emitted["phi_sectional"]["pass"] is False
 
 
 def test_a_perturbation_with_the_symmetries_fails_km_and_phi_in_a_scene(monkeypatch):
@@ -863,6 +871,15 @@ def test_the_contact_example_scenes_never_call_oracle_value(monkeypatch):
 def test_canonical_json_renders_strings_as_json_dumps(text):
     assert _canonical_json({text: text}) == "{" + json.dumps(text) + ": " + json.dumps(text) + "}"
     assert _canonical_json([text]) == "[" + json.dumps(text) + "]"
+
+
+def test_canonical_json_renders_non_finite_floats_as_json_strings():
+    values = [float("nan"), np.float64(-np.nan), float("inf"), np.float32(-np.inf), 1.5, -0.0]
+    text = _canonical_json(values)
+    assert text == '["NaN", "NaN", "Infinity", "-Infinity", 1.500000000000e+00, -0.000000000000e+00]'
+    assert json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name}")) == [
+        "NaN", "NaN", "Infinity", "-Infinity", 1.5, -0.0
+    ]
 
 
 def test_canonical_json_renders_booleans_and_none_as_literals():
