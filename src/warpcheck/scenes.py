@@ -701,21 +701,23 @@ def _check_oracle_symmetries(ctx: _Context, opts: dict) -> dict:
 
 def _run_inequality(ctx: _Context, fn) -> dict:
     """A sampled inequality check: `fn` maps the check's stack to an
-    InequalityStack; the record prints the last sample's report."""
+    InequalityStack; the record prints the report of the sample with the
+    least gap, the first NaN gap if there is one, as `worst_sample`."""
     batch = fn(ctx.stack())
-    # np.min / np.max propagate NaN, where min / max would drop it
-    min_gap = np.min(batch.gap)
+    i = int(np.argmin(batch.gap))
+    worst = batch.report(i)
+    # np.max propagates NaN, where max would drop it
     worst_cross = np.max(batch.extras.get("rhs_cross_residual", 0.0))
-    last = batch.report(-1)
-    ok = min_gap >= -1e-9 and worst_cross < 1e-9
+    ok = worst.gap >= -1e-9 and worst_cross < 1e-9
     out = {
         "pass": bool(ok),
         "samples": len(batch.gap),
-        "min_gap": float(min_gap),
-        "lhs": last.lhs,
-        "rhs": last.rhs,
-        "equality": last.equality,
-        "diagnostics": last.diagnostics,
+        "min_gap": worst.gap,
+        "lhs": worst.lhs,
+        "rhs": worst.rhs,
+        "equality": worst.equality,
+        "diagnostics": worst.diagnostics,
+        "worst_sample": i,
     }
     if worst_cross:
         out["max_rhs_cross_residual"] = float(worst_cross)

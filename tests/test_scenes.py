@@ -356,6 +356,43 @@ def test_nan_gap_fails_the_sampled_inequality(monkeypatch):
     (record,) = run(spec).records
     assert record["pass"] is False
     assert np.isnan(record["min_gap"])
+    assert record["worst_sample"] == 1
+
+
+@pytest.mark.parametrize(
+    "ambient,check,stack_fn",
+    [
+        ({"kind": "real-space-form", "m": 6, "c": 0.4}, "general_inequality", "general_inequality_stack"),
+        (
+            {"kind": "kmu-space-form", "m": 3, "kappa": 0.4, "mu": 1.4, "c": -1.8},
+            "kmu_space_form_inequality",
+            "kmu_space_form_inequality_stack",
+        ),
+        ({"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.25, "mu": -0.8}, "non_sasakian_inequality", "non_sasakian_inequality_stack"),
+    ],
+)
+def test_an_inequality_record_describes_its_worst_sample(ambient, check, stack_fn):
+    import warpcheck.scenes as scenes_mod
+
+    spec = parse_scene(
+        {
+            "ambient": ambient,
+            "source": {"kind": "synthetic", "generator": "c-totally-real" if "mu" in ambient else "random", "n1": 1, "n2": 2},
+            "checks": [check],
+            "samples": 40,
+            "seed": 9,
+        }
+    )
+    (record,) = run(spec).records
+    ctx = scenes_mod._Context(spec.ambient_space(), spec.source_data(), spec.tolerance(), np.random.default_rng(9), 40)
+    batch = getattr(scenes_mod, stack_fn)(ctx.stack())
+    i = int(np.argmin(batch.gap))
+    assert i != 39  # the last sample, which the record described before, is not the worst here
+    worst = batch.report(i)
+    assert record["worst_sample"] == i
+    assert record["min_gap"] == worst.gap == np.min(batch.gap)
+    assert (record["lhs"], record["rhs"], record["equality"]) == (worst.lhs, worst.rhs, worst.equality)
+    assert record["diagnostics"] == worst.diagnostics
 
 
 def test_cli_exit_codes(tmp_path, capsys):
