@@ -597,7 +597,7 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-# The folds below use np.max / np.ptp, which keep a NaN
+# The folds below use np.max / np.min, which keep a NaN
 # residual where Python's max and min would drop it.
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import warpcheck.scenes as scenes_mod
 from warpcheck.charts import christoffel, covariant_hessian, laplacian, riemann, sectional_curvature
-from warpcheck.errors import DegeneratePlaneError, InvalidInputError, NumericalDomainError
+from warpcheck.errors import DegeneratePlaneError, NumericalDomainError
 from warpcheck.numeric import bilinear, gram_schmidt
 from warpcheck.scenes import parse_scene, run
 from warpcheck.warped import (
