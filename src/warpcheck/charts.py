@@ -7,9 +7,8 @@ Conventions used throughout the package:
 * Laplacian: Delta = -div grad (the geometers' sign), so Delta f = -f'' on the
   Euclidean line.
 
-Stack contract: the geometry callables (ChartMetric.g and dg, the ``map`` of
-a chart immersion, the parts of a warping function, the function whose
-``laplacian`` is taken) take a stack of points
+Stack contract: the geometry callables (ChartMetric.g and g_dg, the ``map``
+of a chart immersion, the parts of a warping function) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
 stack-of-none case.  Those that are differentiated numerically also take
 complex points: each must be the complex-analytic extension of its real
@@ -18,16 +17,17 @@ The functions below accept stacks too, and a point's numbers do not depend
 on its stack.
 
 Derivatives follow the one rule of ``numeric``: the metric derivatives are
-exact (the analytic dg, else the complex step of g), and ``riemann`` takes
-one central difference, of the Christoffel symbols on the (..., 2n+1, n)
-axis stencil of step h.  A pull-back metric is the exception: its dg is
-itself a central difference of the exact Jacobian.  Every metric a stencil
-evaluates is validated.
+exact (those of g_dg, else the complex step of g), and ``riemann`` takes one
+central difference, of the Christoffel symbols on the (..., 2n+1, n) axis
+stencil of the fixed step numeric.FD_STEP.  A pull-back metric is the
+exception: its dg is itself a central difference of the exact Jacobian.
+Every metric a stencil evaluates is validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ from .numeric import (
     bilinear,
     central_differences,
     complex_step,
-    jet,
     require_positive_definite,
     stack_values,
 )
@@ -63,17 +62,15 @@ class ChartMetric:
     """Riemannian metric given by a component function on a coordinate chart.
 
     g maps points (..., dim) to symmetric positive-definite matrices
-    (..., dim, dim).  dg, when supplied, returns the analytic derivatives
-    (..., dim, dim, dim) with dg[..., k, i, j] = d g_ij / dx_k; without it
-    they are the complex step of g, which must then be the complex-analytic
-    extension of its real formula (see numeric.complex_step).  g_dg, when
-    supplied, returns (g, dg) from one evaluation, and the derivative code
-    calls it in place of the two.
+    (..., dim, dim).  g_dg, when supplied, returns (g, dg) from one
+    evaluation, dg (..., dim, dim, dim) the exact derivatives with
+    dg[..., k, i, j] = d g_ij / dx_k; without it they are the complex step
+    of g, which must then be the complex-analytic extension of its real
+    formula (see numeric.complex_step).
     """
 
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
-    dg: Callable[[np.ndarray], np.ndarray] | None = None
     g_dg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
@@ -108,25 +105,24 @@ def euclidean_metric(dim: int) -> ChartMetric:
     eye = np.eye(dim)
     zeros = np.zeros((dim, dim, dim))
 
-    def constant(value):
-        return lambda x: np.broadcast_to(
-            value.astype(np.result_type(x, float)), np.shape(x)[:-1] + value.shape
-        )
+    def constant(value, x):
+        return np.broadcast_to(value.astype(np.result_type(x, float)), np.shape(x)[:-1] + value.shape)
 
-    return ChartMetric(dim=dim, g=constant(eye), dg=constant(zeros))
+    def g_dg(x):
+        return constant(eye, x), constant(zeros, x)
+
+    return ChartMetric(dim=dim, g=partial(constant, eye), g_dg=g_dg)
 
 
 def _metric_derivatives(metric: ChartMetric, x: np.ndarray):
     """The validated metric and its exact first derivatives (..., n, n, n) on
-    a stack x (..., n): from one g_dg call, or the analytic dg, else the
-    complex step of one g call, symmetrized in its last two axes."""
+    a stack x (..., n): from one g_dg call, else the complex step of one g
+    call, symmetrized in its last two axes."""
     n = metric.dim
     if metric.g_dg is not None:
         gx, dg = metric.g_dg(x)
         gx = _require_metric(stack_values(gx, x, (n, n), "metric"), x)
         return gx, stack_values(dg, x, (n, n, n), "metric derivative")
-    if metric.dg is not None:
-        return metric.at(x), stack_values(metric.dg(x), x, (n, n, n), "metric derivative")
     gx, dg = complex_step(metric.g, x, (n, n), "metric")
     return _require_metric(gx, x), 0.5 * (dg + np.swapaxes(dg, -1, -2))
 
@@ -150,21 +146,17 @@ def _last4(a: np.ndarray, *perm: int) -> np.ndarray:
     return a.transpose(*range(lead), *(lead + p for p in perm))
 
 
-def riemann(
-    metric: ChartMetric,
-    x: np.ndarray,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> CurvaturePoint:
+def riemann(metric: ChartMetric, x: np.ndarray) -> CurvaturePoint:
     """Curvature tensor from Gamma and its central differences, lowered with g(x),
     at a point or a stack.
 
     R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
                 + Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm
 
-    Gamma is evaluated once, on the axis stencil of step h.
+    Gamma is evaluated once, on the axis stencil of x (numeric.axis_stencil).
     """
     x = as_points(x, metric.dim)
-    pts, steps = axis_stencil(x, h)
+    pts, steps = axis_stencil(x)
     gammas, gs = _christoffel(metric, pts)
     gamma = gammas[..., 0, :, :, :]
     dgamma = central_differences(gammas, steps)  # dgamma[..., a] = d_a Gamma
@@ -214,23 +206,16 @@ def trace_laplacian(gx: np.ndarray, gamma: np.ndarray, x: np.ndarray, df, d2f) -
 
 def laplacian(
     metric: ChartMetric,
-    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-    grad: Callable[[np.ndarray], np.ndarray] | None = None,
-    hess: Callable[[np.ndarray], np.ndarray] | None = None,
+    grad: Callable[[np.ndarray], np.ndarray],
+    hess: Callable[[np.ndarray], np.ndarray],
 ) -> float | np.ndarray:
     """Geometers' Laplacian: Delta f = -g^ij (d_i d_j f - Gamma^k_ij d_k f).
 
     Equals sum_j {(nabla_{e_j} e_j) f - e_j(e_j f)} over any orthonormal
-    frame.  f, grad and hess take the stack; the analytic gradient/Hessian
-    callbacks are used when given, else the jet of f (numeric.jet, step h):
-    one f call on the complex step of the axis stencil of every point.
+    frame.  grad and hess, the analytic gradient and coordinate Hessian of
+    f, take the stack.
     """
     x = as_points(x, metric.dim)
     gamma, gx = _christoffel(metric, x)
-    if grad is None or hess is None:
-        _, df, d2f = jet(f, x, h, (), "function")
-    df = df if grad is None else grad(x)
-    d2f = d2f if hess is None else hess(x)
-    return trace_laplacian(gx, gamma, x, df, d2f)
+    return trace_laplacian(gx, gamma, x, grad(x), hess(x))

@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the checks declared in a scene file")
     verify.add_argument("scene", help="path to a JSON scene file")
     verify.add_argument("--tol-algebraic", type=float, default=None, metavar="R")
-    verify.add_argument("--tol-fd", type=float, default=None, metavar="R")
     verify.add_argument("--samples", type=int, default=None, metavar="N")
     verify.add_argument("--seed", type=int, default=None, metavar="S")
     verify.add_argument("--output", choices=("json", "text"), default="text")
@@ -70,7 +69,7 @@ def _write_report(path: str, payload: bytes) -> None:
 
 def _cmd_verify(args) -> int:
     spec = parse_scene(args.scene)
-    tol = spec.tolerance(algebraic=args.tol_algebraic, finite_difference=args.tol_fd)
+    tol = spec.tolerance(algebraic=args.tol_algebraic)
     report = run(spec, tolerances=tol, seed=args.seed, samples=args.samples)
     payload = emit(report, args.output)
     if args.out:

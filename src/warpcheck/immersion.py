@@ -636,33 +636,29 @@ class ChartImmersion:
         return self.n1 + self.n2
 
 
-def pullback_metric(im: ChartImmersion, h: float = DEFAULT_TOLERANCE.finite_difference) -> ChartMetric:
+def pullback_metric(im: ChartImmersion) -> ChartMetric:
     """Induced metric g = J^T J on the source chart, with its derivatives
     d_k g = (d_k J)^T J + J^T d_k J.  g takes the complex-step Jacobian, one
     map call on the (..., n+1, n) complex points of the points it is
-    evaluated at.  g_dg takes both from the jet of the map (numeric.jet,
-    step h), one call on (..., 2n+1, n+1, n): J is exact, and d_k J is its
-    central difference, so riemann of this metric differences twice (J to
-    dg, then Gamma)."""
+    evaluated at.  g_dg takes both from the jet of the map (numeric.jet),
+    one call on (..., 2n+1, n+1, n): J is exact, and d_k J is its central
+    difference, so riemann of this metric differences twice (J to dg, then
+    Gamma)."""
 
     def g(u: np.ndarray) -> np.ndarray:
         _, jt = complex_step(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
         return jt @ np.swapaxes(jt, -1, -2)
 
     def g_dg(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, jt, hess = jet(im.map, np.asarray(u, float), h, (im.ambient_dim,), "map")
+        _, jt, hess = jet(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
         j = np.swapaxes(jt, -1, -2)
         half = hess @ j[..., None, :, :]  # (d_k J)^T J
         return jt @ j, half + np.swapaxes(half, -1, -2)
 
-    return ChartMetric(im.n, g, lambda u: g_dg(u)[1], g_dg)
+    return ChartMetric(im.n, g, g_dg=g_dg)
 
 
-def second_fundamental_form(
-    im: ChartImmersion,
-    p: np.ndarray,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
-) -> PointwiseStack:
+def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack:
     """Adapted frame and second-fundamental-form components at p, as a stack
     of one.
 
@@ -671,11 +667,11 @@ def second_fundamental_form(
     coordinate directions of R^d, and sigma is the normal part of the second
     derivatives of the map.  Downstream components live in the adapted frame,
     where the ambient curvature is zero.  The map is evaluated once, for its
-    jet at p (numeric.jet, step h): the exact Jacobian and the Hessian.
+    jet at p (numeric.jet): the exact Jacobian and the Hessian.
     """
     p = as_vector(p, im.n)
     d, n = im.ambient_dim, im.n
-    point, jt, S = jet(im.map, p, h, (d,), "map")  # jt[a] = d_a x, the columns of J
+    point, jt, S = jet(im.map, p, (d,), "map")  # jt[a] = d_a x, the columns of J
     require_positive_definite(jt @ jt.T, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
     # Gram-Schmidt on pushforwards, tracking source-coordinate coefficients

@@ -36,6 +36,7 @@ from .immersion import (
     MeanCurvatureRecord,
     PointwiseStack,
     _gauss_correction,
+    _triu_flat,
     _triu_sum,
     a_xi_identity,
     intrinsic_kij,
@@ -44,7 +45,7 @@ from .immersion import (
     mean_curvatures,
     second_fundamental_form,
 )
-from .numeric import DEFAULT_TOLERANCE, qr_q
+from .numeric import qr_q
 
 __all__ = [
     "chen_lemma",
@@ -134,24 +135,14 @@ class ProofDecomposition:
 
 
 @functools.cache
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict upper-triangle index pairs of an n x n table, built on first use
-    and shared read-only."""
-    iu = np.triu_indices(n, k=1)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
-
-
-@functools.cache
 def _tau_index(n: int, n1: int) -> tuple[np.ndarray, int, int]:
     """Flat indices into an (n, n) table of the pairs i < j, then of those
     inside the first block, then inside the second; with the two split
     points.  Built on first use per (n, n1) and shared read-only."""
-    flat = [np.ravel_multi_index(_triu(n), (n, n))]
+    flat = [_triu_flat(n)]
     for lo, size in ((0, n1), (n1, n - n1)):
-        iu = _triu(size)
-        flat.append(np.ravel_multi_index((iu[0] + lo, iu[1] + lo), (n, n)))
+        i, j = np.divmod(_triu_flat(size), size)
+        flat.append((i + lo) * n + j + lo)
     index = np.concatenate(flat)
     index.flags.writeable = False
     return index, len(flat[0]), len(flat[0]) + len(flat[1])
@@ -617,21 +608,20 @@ def chart_inequality(
     im: ChartImmersion,
     p: np.ndarray,
     equality_tol: float = CHART_EQUALITY_TOL,
-    h: float = DEFAULT_TOLERANCE.finite_difference,
     data: PointwiseStack | None = None,
 ) -> InequalityReport:
     """Run the general inequality on a chart immersion of a warped chart.
 
     Produces both left-hand sides (the genuine Delta f / f on the first factor
-    and the Gauss-equation proxy) and reports their agreement.  `h` is the
-    finite-difference step of the second fundamental form; a caller that
-    already holds second_fundamental_form(im, p, h), a stack of one, passes
-    it as `data`; data of other dimensions or of another point is refused.
+    and the Gauss-equation proxy) and reports their agreement.  A caller
+    that already holds second_fundamental_form(im, p), a stack of one,
+    passes it as `data`; data of other dimensions or of another point is
+    refused.
     """
     if im.warped is None:
         raise InvalidConfigurationError("chart immersion carries no warped structure")
     if data is None:
-        data = second_fundamental_form(im, p, h=h)
+        data = second_fundamental_form(im, p)
     elif (data.n1, data.n2) != (im.n1, im.n2) or not np.array_equal(data.extras.get("point"), p):
         raise InvalidInputError(
             f"data of dimensions ({data.n1}, {data.n2}) at {data.extras.get('point')} is not "
@@ -640,7 +630,7 @@ def chart_inequality(
     wp = im.warped
     x1 = np.asarray(p, dtype=float)[: wp.n1]
     f = wp.warp.value(x1)
-    lap = laplacian(wp.factor1, wp.warp.value, x1, grad=wp.warp.grad, hess=wp.warp.hess)
+    lap = laplacian(wp.factor1, x1, wp.warp.grad, wp.warp.hess)
     lhs_chart = lap / f
     proxy = general_inequality(data, equality_tol=equality_tol)
     agreement = abs(lhs_chart - proxy.lhs)

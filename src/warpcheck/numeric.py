@@ -5,8 +5,9 @@ package.  First derivatives are exact: the complex step
 d_a f(x) = Im f(x + i eps e_a) / eps has no cancellation error, and f(x)
 itself, evaluated alongside, must be real.  Second
 derivatives are one central difference of those, on the axis stencil
-(centre and axis shifts) of each point.  Each rule evaluates a function
-that broadcasts over stacks once, on all of its complex points.
+(centre and axis shifts) of each point, at the fixed step FD_STEP scaled
+by max(1, |x_k|).  Each rule evaluates a function that broadcasts over
+stacks once, on all of its complex points.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -46,15 +47,12 @@ class Tolerance:
     """Tolerance policy shared across the package.
 
     algebraic: exact-identity checks on frame-level algebra.
-    finite_difference: the step of the one central difference of chart geometry.
     """
 
     algebraic: float = 1e-10
-    finite_difference: float = 1e-4
 
     def __post_init__(self):
-        values = (self.algebraic, self.finite_difference)
-        if not all(np.isfinite(v) and v > 0.0 for v in values):
+        if not (np.isfinite(self.algebraic) and self.algebraic > 0.0):
             raise InvalidInputError("tolerances must be finite and strictly positive")
 
 
@@ -262,29 +260,24 @@ def gram_schmidt(
     return out
 
 
-def _step(x: np.ndarray, h: float) -> np.ndarray:
-    """Step along each coordinate of a point or stack (..., n): h scaled by
-    the coordinate magnitude (charts here are O(1))."""
-    return h * np.maximum(1.0, np.abs(x))
-
-
 # ---------------------------------------------------------------------------
 # derivatives.  A stencil lays out all of its points in one array, so that a
 # function broadcasting over stacks is evaluated once per stencil.
 # ---------------------------------------------------------------------------
 
 COMPLEX_STEP = 1e-30
+FD_STEP = 1e-4
 
 
-def axis_stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def axis_stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre and axis shifts of each point of x (..., n).
 
     Returns (points, steps): points (..., 2n+1, n) hold x in row 0,
     x + s_i e_i in row 1+i and x - s_i e_i in row 1+n+i, with the steps
-    s = _step(x, h) of shape (..., n).
+    s = FD_STEP max(1, |x_i|) of shape (..., n) (charts here are O(1)).
     """
     n = x.shape[-1]
-    steps = _step(x, h)
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
     pts = np.repeat(x[..., None, :], 2 * n + 1, axis=-2)
     r = np.arange(n)
     pts[..., 1 + r, r] += steps
@@ -327,18 +320,18 @@ def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> t
     return value.real, steps / COMPLEX_STEP
 
 
-def jet(f: Callable, x: np.ndarray, h: float, value_shape: tuple, what: str):
+def jet(f: Callable, x: np.ndarray, value_shape: tuple, what: str):
     """Value, first and second derivatives of f on a float stack x (..., n),
-    from one call of f on the complex step of axis_stencil(x, h), the
-    points (..., 2n+1, n+1, n).
+    from one call of f on the complex step of axis_stencil(x), the points
+    (..., 2n+1, n+1, n).
 
     Returns (value, first, second): value (..., *value_shape); first
     (..., n, *value_shape), exact; second (..., n, n, *value_shape), the
-    central differences (step h max(1, |x_k|)) of the exact first
+    central differences (step FD_STEP max(1, |x_k|)) of the exact first
     derivatives, symmetrized.  Errors as complex_step, whose stack index of
     a bad value is (..., row, r).
     """
-    pts, steps = axis_stencil(x, h)
+    pts, steps = axis_stencil(x)
     values, first = complex_step(f, pts, value_shape, what)
     second = central_differences(first, steps)  # second[..., k, a] = d_k d_a f
     axis = x.ndim - 1

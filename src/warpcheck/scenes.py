@@ -532,6 +532,10 @@ _REQUIREMENTS: dict[str, tuple[str, Callable[[AmbientSpace, _Source], bool]]] = 
 
 @dataclass
 class _Context:
+    """One run's ambient, source, tolerances, generator and sample count.
+    What several checks share (the fixed sample, the warped curvature, the
+    drawn stacks) is built on first use."""
+
     ambient: AmbientSpace
     source: _Source
     tol: Tolerance
@@ -543,28 +547,26 @@ class _Context:
     def fixed(self) -> PointwiseStack | None:
         """The source's one sample, as a stack of one: explicit data, a dplus
         leaf, or a chart immersion's second fundamental form at its point
-        (once per run, its step is the run's `finite_difference`); None for a
-        synthetic source."""
+        (once per run); None for a synthetic source."""
         src = self.source
         if src.immersion is None:
             return src.fixed
-        return second_fundamental_form(src.immersion, src.point, h=self.tol.finite_difference)
+        return second_fundamental_form(src.immersion, src.point)
 
     @cached_property
     def _warped_curvature(self) -> CurvaturePoint | Exception:
         # the error too: a cached_property does not cache a raise
         wp = self.source.warped
         try:
-            return riemann(build_metric(wp), np.stack(wp.sample_points), h=self.tol.finite_difference)
+            return riemann(build_metric(wp), np.stack(wp.sample_points))
         except Exception as exc:
             return exc
 
     @property
     def warped_curvature(self) -> CurvaturePoint:
         """riemann of the warped chart's block metric at its sample points, as
-        one stack at the run's `finite_difference` step, shared by every
-        warped check of the run; evaluated once, and when it fails every
-        warped check raises its error."""
+        one stack shared by every warped check of the run; evaluated once,
+        and when it fails every warped check raises its error."""
         cp = self._warped_curvature
         if isinstance(cp, Exception):
             raise cp
@@ -640,8 +642,8 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
     im = ctx.source.immersion
     if im is not None:
         # intrinsic curvature from the pulled-back metric, independent of sigma
-        data, h = ctx.fixed, ctx.tol.finite_difference
-        cp = riemann(pullback_metric(im, h=h), ctx.source.point, h=h)
+        data = ctx.fixed
+        cp = riemann(pullback_metric(im), ctx.source.point)
         intrinsic = frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])
         res = {k: v.item() for k, v in gauss_residual(data, intrinsic=intrinsic).items()}
         worst = np.max(list(res.values()))
@@ -728,7 +730,7 @@ def _check_general_inequality(ctx: _Context, opts: dict) -> dict:
     src = ctx.source
     if src.immersion is None:
         return _run_inequality(ctx, general_inequality_stack)
-    rep = chart_inequality(src.immersion, src.point, h=ctx.tol.finite_difference, data=ctx.fixed)
+    rep = chart_inequality(src.immersion, src.point, data=ctx.fixed)
     ok = rep.gap >= -rep.equality_tol and rep.extras["lhs_agreement"] < 1e-3
     return {
         "pass": bool(ok),

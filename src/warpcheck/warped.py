@@ -39,7 +39,7 @@ from .charts import (
     trace_laplacian,
 )
 from .errors import InvalidInputError, InvalidWarpingError
-from .numeric import DEFAULT_TOLERANCE, as_points, as_vector, bilinear, gram_schmidt
+from .numeric import DEFAULT_TOLERANCE, as_points, as_vector, bilinear, complex_step, gram_schmidt
 
 __all__ = [
     "WarpFunction",
@@ -194,22 +194,26 @@ def build_metric(wp: WarpedProductChart) -> ChartMetric:
         out[..., n1:, n1:] = (f * f) * wp.factor2.g(x2)
         return out
 
-    dg = None
-    if wp.factor1.dg is not None and wp.factor2.dg is not None:
+    if wp.factor1.g_dg is None or wp.factor2.g_dg is None:
+        return ChartMetric(dim=n, g=g)
 
-        def dg(x: np.ndarray) -> np.ndarray:
-            x1, x2 = wp.split(x)
-            f = np.asarray(wp.warp_at(x))[..., None, None]
-            df = wp.warp.grad(x1)
-            g2 = wp.factor2.g(x2)
-            out = np.zeros(x1.shape[:-1] + (n, n, n), dtype=np.result_type(x1, float))
-            out[..., :n1, :n1, :n1] = wp.factor1.dg(x1)
-            out[..., n1:, n1:, n1:] = (f * f)[..., None] * wp.factor2.dg(x2)
-            for k in range(n1):
-                out[..., k, n1:, n1:] += 2.0 * f * df[..., k, None, None] * g2
-            return out
+    def g_dg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x1, x2 = wp.split(x)
+        f = np.asarray(wp.warp_at(x))[..., None, None]
+        df = wp.warp.grad(x1)
+        (g1, dg1), (g2, dg2) = wp.factor1.g_dg(x1), wp.factor2.g_dg(x2)
+        dtype = np.result_type(x1, float)
+        out = np.zeros(x1.shape[:-1] + (n, n), dtype=dtype)
+        out[..., :n1, :n1] = g1
+        out[..., n1:, n1:] = (f * f) * g2
+        dout = np.zeros(x1.shape[:-1] + (n, n, n), dtype=dtype)
+        dout[..., :n1, :n1, :n1] = dg1
+        dout[..., n1:, n1:, n1:] = (f * f)[..., None] * dg2
+        for k in range(n1):
+            dout[..., k, n1:, n1:] += 2.0 * f * df[..., k, None, None] * g2
+        return out, dout
 
-    return ChartMetric(dim=n, g=g, dg=dg)
+    return ChartMetric(dim=n, g=g, g_dg=g_dg)
 
 
 def check_connection_identity(wp: WarpedProductChart, cp: CurvaturePoint) -> float | np.ndarray:
@@ -218,10 +222,14 @@ def check_connection_identity(wp: WarpedProductChart, cp: CurvaturePoint) -> flo
 
     The identity is bilinear in (X, Y), so the coordinate pairs decide it:
     for each leaf i and fibre s the vector Gamma^k_is - delta^k_s d_i f / f,
-    its g-norm over |d_i| |d_s|.  Returns the largest per point.
+    its g-norm over |d_i| |d_s|.  Returns the largest per point.  d_i f is
+    the complex step of the warp's value (numeric.complex_step), not its
+    analytic d1, which the block metric's derivative reads: a d1 that
+    disagrees with fn shows here.
     """
     x, n1 = as_points(cp.x, wp.dim), wp.n1
-    df_f = wp.warp.grad(x[..., :n1]) / wp.warp_at(x)[..., None]
+    f, df = complex_step(wp.warp.value, x[..., :n1], (), "warping function")
+    df_f = df / f[..., None]
     diff = cp.gamma[..., :, :n1, n1:] - np.eye(wp.dim)[:, None, n1:] * df_f[..., None, :, None]
     norm2 = np.einsum("...kl,...kis,...lis->...is", cp.g, diff, diff)
     lengths = np.sqrt(np.diagonal(cp.g, axis1=-2, axis2=-1))
@@ -307,23 +315,24 @@ def round_sphere_factor(dim: int) -> ChartMetric:
         s = np.sin(x[..., :-1])
         return s, np.cumprod(np.float_power(s, 2), axis=-1)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        _, prod = sin_prefix(x)
-        out = np.zeros(x.shape + (dim,), dtype=prod.dtype)
+    def metric(prod: np.ndarray) -> np.ndarray:
+        out = np.zeros(prod.shape[:-1] + (dim, dim), dtype=prod.dtype)
         out[..., 0, 0] = 1.0
         out[..., diag, diag] = prod
         return out
 
-    def dg(x: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray) -> np.ndarray:
+        return metric(sin_prefix(np.asarray(x))[1])
+
+    def g_dg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # d_k g_ii = g_ii * 2 cos x_k / sin x_k for k < i
         x = np.asarray(x)
         s, prod = sin_prefix(x)
-        out = np.zeros(x.shape + (dim, dim), dtype=prod.dtype)
-        out[..., k, i, i] = prod[..., i - 1] * 2.0 * np.cos(x[..., k]) / s[..., k]
-        return out
+        dg = np.zeros(x.shape + (dim, dim), dtype=prod.dtype)
+        dg[..., k, i, i] = prod[..., i - 1] * 2.0 * np.cos(x[..., k]) / s[..., k]
+        return metric(prod), dg
 
-    return ChartMetric(dim=dim, g=g, dg=dg)
+    return ChartMetric(dim=dim, g=g, g_dg=g_dg)
 
 
 def chart_catalog() -> dict[str, Callable[..., WarpedProductChart]]:

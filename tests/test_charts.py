@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,10 @@ from warpcheck.errors import (
     InvalidInputError,
     NumericalDomainError,
 )
-from warpcheck.immersion import pullback_metric, sphere_in_euclidean
-from warpcheck.warped import round_sphere_factor
+from warpcheck.immersion import pullback_metric, second_fundamental_form, sphere_in_euclidean
+from warpcheck.inequality import chart_inequality
+from warpcheck.numeric import FD_STEP, Tolerance, axis_stencil, jet
+from warpcheck.warped import WarpFunction, const_fn, cos_fn, poly_fn, round_sphere_factor
 
 
 def diag(*entries):
@@ -32,6 +37,21 @@ def sphere_metric():
 
 def hyperbolic_metric():
     return ChartMetric(2, lambda x: diag(1.0, np.cosh(x[..., 0]) ** 2))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [axis_stencil, jet, riemann, laplacian, pullback_metric, second_fundamental_form, chart_inequality],
+    ids=lambda fn: fn.__name__,
+)
+def test_no_chart_derivative_takes_a_step(fn):
+    # the one central difference has the fixed step FD_STEP
+    assert "h" not in inspect.signature(fn).parameters
+
+
+def test_a_chart_metric_has_one_derivative_callable_and_the_tolerance_one_bound():
+    assert [f.name for f in fields(ChartMetric)] == ["dim", "g", "g_dg"]
+    assert [f.name for f in fields(Tolerance)] == ["algebraic"]
 
 
 def test_christoffel_euclidean_zero():
@@ -148,7 +168,7 @@ def _random_analytic_metric(rng, dim):
             out[..., k, :, :] = amps[:, :, k] * np.cos(x[..., k, None, None] + phases[:, :, k])
         return out
 
-    return ChartMetric(dim, g, dg)
+    return ChartMetric(dim, g, g_dg=lambda x: (g(x), dg(x)))
 
 
 def test_riemann_symmetries_random_metrics():
@@ -202,19 +222,22 @@ def test_degenerate_metric_rejected():
 
 def test_laplacian_sign_convention():
     line = euclidean_metric(1)
-    assert abs(laplacian(line, lambda x: np.full(x.shape[:-1], 5.0, dtype=x.dtype), np.array([0.3]))) < 1e-9
-    assert abs(laplacian(line, lambda x: x[..., 0] ** 2, np.array([0.3])) + 2.0) < 1e-5
+    # the analytic gradient and Hessian of a function of x_0 (WarpFunction)
+    five, square, cosine = const_fn(5.0), poly_fn([0.0, 0.0, 1.0]), cos_fn()
+    assert abs(laplacian(line, np.array([0.3]), five.grad, five.hess)) < 1e-9
+    assert abs(laplacian(line, np.array([0.3]), square.grad, square.hess) + 2.0) < 1e-5
     # Delta cos = +cos at 0, so Delta f / f = 1
-    assert abs(laplacian(line, lambda x: np.cos(x[..., 0]), np.array([0.0])) - 1.0) < 1e-6
+    assert abs(laplacian(line, np.array([0.0]), cosine.grad, cosine.hess) - 1.0) < 1e-6
 
 
 def test_laplacian_on_curved_chart():
     # on the round 2-sphere, cos(polar angle) is an eigenfunction: using the
     # -div grad sign, Delta cos t = 2 cos t
     s2 = round_sphere_factor(2)
+    cosine = cos_fn()
     for t in (0.4, 1.0, 2.2):
         x = np.array([t, 0.7])
-        val = laplacian(s2, lambda p: np.cos(p[..., 0]), x)
+        val = laplacian(s2, x, cosine.grad, cosine.hess)
         assert abs(val - 2.0 * np.cos(t)) < 1e-5
 
 
@@ -222,7 +245,6 @@ def test_laplacian_analytic_callbacks():
     line = euclidean_metric(1)
     val = laplacian(
         line,
-        lambda x: np.cos(x[..., 0]),
         np.array([0.2]),
         grad=lambda x: np.array([-np.sin(x[0])]),
         hess=lambda x: np.array([[-np.cos(x[0])]]),
@@ -230,33 +252,33 @@ def test_laplacian_analytic_callbacks():
     assert abs(val - np.cos(0.2)) < 1e-12
 
 
-def test_laplacian_evaluates_f_once_on_its_jet_stencil():
-    # f follows the stack contract: one call on the complex step of the
-    # (..., 2n+1, n) axis stencil of every point, (..., 2n+1, n+1, n), its
-    # values validated by stack_values
+def test_laplacian_evaluates_grad_and_hess_once_on_the_stack():
+    # grad and hess follow the stack contract: one call each on the points
+    # (..., n), their values validated by stack_values
     s2 = round_sphere_factor(2)
     x = np.array([[0.4, 0.7], [1.0, 0.7], [2.2, -0.3]])
     calls = []
+    cosine = cos_fn()
+    grad, hess = cosine.grad, cosine.hess
 
-    def f(p):
-        calls.append(p.shape)
-        return np.cos(p[..., 0])
+    def counted(fn):
+        def wrapped(p):
+            calls.append(p.shape)
+            return fn(p)
 
-    val = laplacian(s2, f, x)
-    assert calls == [(3, 5, 3, 2)]
+        return wrapped
+
+    val = laplacian(s2, x, counted(grad), counted(hess))
+    assert calls == [(3, 2), (3, 2)]
     assert np.max(np.abs(val - 2.0 * np.cos(x[:, 0]))) < 1e-7
-    with pytest.raises(InvalidInputError, match="function returned shape"):
-        laplacian(s2, lambda p: 5.0, x)
-    with pytest.raises(InvalidInputError, match="function returned float64 values for complex points"):
-        laplacian(s2, lambda p: np.cos(p.real[..., 0]), x)
-    # the centre row of point 1, met first at the real point itself
-    with pytest.raises(NumericalDomainError, match=r"stack index \(1, 0, 0\)"):
-        laplacian(s2, lambda p: np.where(p[..., 0].real == 1.0, np.nan, np.cos(p[..., 0])), x)
-    # log is singular at 0, and not real below it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t, match in ((1.0, "non-finite"), (0.5, "not real at the real point")):
-            with pytest.raises(NumericalDomainError, match=match):
-                laplacian(s2, lambda p: np.log(p[..., 0] - t), x)
+    with pytest.raises(InvalidInputError, match="gradient returned shape"):
+        laplacian(s2, x, lambda p: 5.0, hess)
+    with pytest.raises(InvalidInputError, match="Hessian returned shape"):
+        laplacian(s2, x, grad, grad)
+    # the row of point 1
+    nan_at_one = WarpFunction("nan-at-one", np.cos, lambda t: np.where(t == 1.0, np.nan, -np.sin(t)), np.cos)
+    with pytest.raises(NumericalDomainError, match=r"gradient has non-finite entries at .*\(stack index \(1,\)\)"):
+        laplacian(s2, x, nan_at_one.grad, nan_at_one.hess)
 
 
 def test_metric_derivatives_are_the_complex_step_of_one_metric_call():
@@ -294,14 +316,14 @@ def test_a_metric_that_drops_the_imaginary_part_is_rejected():
         christoffel(ChartMetric(2, lambda x: np.eye(2)), x)
 
 
-def _riemann_reference(metric, x, h=1e-4):
+def _riemann_reference(metric, x):
     """R(d_i, d_j, d_k, d_l) by the explicit index loop over Gamma and its
     central differences."""
     n = metric.dim
     gamma = christoffel(metric, x)
     dgamma = np.empty((n, n, n, n))
     for a in range(n):
-        ha = h * max(1.0, abs(float(x[a])))
+        ha = FD_STEP * max(1.0, abs(float(x[a])))
         xp, xm = x.copy(), x.copy()
         xp[a] += ha
         xm[a] -= ha

@@ -28,7 +28,7 @@ def test_the_parser_is_built_once():
 
 
 def test_no_flag_leaks_into_the_next_call(tmp_path):
-    flagged = _report(tmp_path, "--seed", "5", "--samples", "3", "--tol-fd", "2e-4")
+    flagged = _report(tmp_path, "--seed", "5", "--samples", "3", "--tol-algebraic", "2e-10")
     plain = _report(tmp_path)
     assert plain == emit(run(parse_scene(str(SCENE))))
     assert flagged != plain

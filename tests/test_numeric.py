@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from warpcheck.errors import DegenerateInputError, InvalidInputError, NumericalDomainError
 from warpcheck.numeric import (
+    FD_STEP,
     Tolerance,
     bilinear,
     complex_step,
@@ -132,10 +133,10 @@ def test_gram_schmidt_names_the_point_of_a_dependent_stack():
         gram_schmidt(vecs)
 
 
-def _derivatives(f, x, value_shape=(), h=1e-4):
+def _derivatives(f, x, value_shape=()):
     """First and second derivatives of f, taking a stack, from its jet: one
     f call on the complex step of the axis stencil of x, validated."""
-    _, d1, d2 = jet(f, np.asarray(x, dtype=float), h, value_shape, "f")
+    _, d1, d2 = jet(f, np.asarray(x, dtype=float), value_shape, "f")
     return d1, d2
 
 
@@ -224,7 +225,7 @@ def test_central_diff_constant_zero():
 
 
 def test_diff_exact_on_low_degree_polynomials():
-    # exact up to 1e-9 with the default step for degree <= 2
+    # exact up to 1e-9 with the step FD_STEP for degree <= 2
     rng = np.random.default_rng(1)
     for _ in range(20):
         a, b, c = rng.normal(size=3)
@@ -270,7 +271,7 @@ def test_complex_step_is_exact_where_a_difference_is_not():
 
 
 def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
-    # rows: x, x + s_k e_k, x - s_k e_k with s_k = h max(1, |x_k|); each row
+    # rows: x, x + s_k e_k, x - s_k e_k with s_k = FD_STEP max(1, |x_k|); each row
     # taken as it is, then stepped by i eps along every coordinate
     calls = []
 
@@ -279,9 +280,9 @@ def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
         return np.sin(p[..., 0]) * p[..., 1] ** 2
 
     x = np.array([[0.4, -1.3], [2.0, 0.5]])
-    value, d1, d2 = jet(f, x, 1e-3, (), "f")
+    value, d1, d2 = jet(f, x, (), "f")
     assert len(calls) == 1 and calls[0].shape == (2, 5, 3, 2)
-    steps = 1e-3 * np.maximum(1.0, np.abs(x))
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
     shifts = steps[:, :, None] * np.eye(2)
     rows = np.concatenate([x[:, None], x[:, None] + shifts, x[:, None] - shifts], axis=1)
     assert np.array_equal(calls[0].real, np.broadcast_to(rows[:, :, None], (2, 5, 3, 2)))
@@ -304,7 +305,7 @@ def _as_float(p):
 def test_a_function_that_drops_the_imaginary_part_is_rejected(cast):
     # its derivative would read 0; the shape is checked first
     x = np.array([0.4, 0.9])
-    for rule in (lambda f: complex_step(f, x, (), "f"), lambda f: jet(f, x, 1e-4, (), "f")):
+    for rule in (lambda f: complex_step(f, x, (), "f"), lambda f: jet(f, x, (), "f")):
         with pytest.raises(InvalidInputError, match="f returned float64 values for complex points"):
             rule(lambda p: np.sin(cast(p)[..., 0]))
         with pytest.raises(InvalidInputError, match="shape"):

@@ -95,39 +95,43 @@ def test_a_null_seed_is_accepted(tmp_path):
 
 @pytest.mark.parametrize(
     "tolerances",
-    [{"algebraic": "x"}, {"algebraic": float("nan")}, {"finite_difference": float("inf")},
-     {"finite_difference": 0.0}, {"algebraic": -1e-10}, {"step": 1e-3}, {"equality_gap": 1e-6}],
-    ids=["string", "nan", "inf", "zero", "negative", "unknown-key", "removed-equality-gap"],
+    [{"algebraic": "x"}, {"algebraic": float("nan")}, {"algebraic": float("inf")},
+     {"algebraic": 0.0}, {"algebraic": -1e-10}, {"step": 1e-3}, {"equality_gap": 1e-6},
+     {"finite_difference": 1e-4}],
+    ids=["string", "nan", "inf", "zero", "negative", "unknown-key", "removed-equality-gap",
+         "removed-finite-difference"],
 )
 def test_bad_scene_tolerances_exit_2(tmp_path, capsys, tolerances):
     err = _rejected(tmp_path, capsys, dict(REAL, tolerances=tolerances))
     assert "bad tolerances" in err
-    assert not set(tolerances) - {"algebraic", "finite_difference"} or f"'{next(iter(tolerances))}'" in err
+    assert not set(tolerances) - {"algebraic"} or f"'{next(iter(tolerances))}'" in err
 
 
-@pytest.mark.parametrize("flag", ["--tol-algebraic", "--tol-fd"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.0001"])
-def test_bad_tolerance_flags_exit_2(tmp_path, capsys, flag, value):
-    _rejected(tmp_path, capsys, REAL, flag, value)
+def test_bad_tolerance_flags_exit_2(tmp_path, capsys, value):
+    _rejected(tmp_path, capsys, REAL, "--tol-algebraic", value)
+
+
+def test_the_removed_step_flag_exits_2(tmp_path, capsys):
+    # the central difference has a fixed step, numeric.FD_STEP
+    with pytest.raises(SystemExit) as exc:
+        _verify(tmp_path, REAL, "--tol-fd", "1e-4")
+    assert exc.value.code == 2
+    assert "--tol-fd" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("name", ["algebraic", "finite_difference"])
-def test_tolerance_rejects_non_finite_values(name, value):
+def test_tolerance_rejects_non_finite_values(value):
     with pytest.raises(InvalidInputError, match="finite"):
-        Tolerance(**{name: value})
+        Tolerance(algebraic=value)
 
 
 def test_scene_tolerances_lie_over_the_defaults_and_flags_over_both():
-    spec = parse_scene(dict(REAL, tolerances={"finite_difference": 1e-3}))
-    assert spec.tolerance() == Tolerance(finite_difference=1e-3)
-    assert spec.tolerance(algebraic=1e-8, finite_difference=None) == Tolerance(
-        algebraic=1e-8, finite_difference=1e-3
-    )
-    assert run(spec).environment["tolerances"] == {
-        "algebraic": Tolerance().algebraic,
-        "finite_difference": 1e-3,
-    }
+    spec = parse_scene(dict(REAL, tolerances={"algebraic": 1e-9}))
+    assert spec.tolerance() == Tolerance(algebraic=1e-9)
+    assert spec.tolerance(algebraic=None) == Tolerance(algebraic=1e-9)
+    assert spec.tolerance(algebraic=1e-8) == Tolerance(algebraic=1e-8)
+    assert run(spec).environment["tolerances"] == {"algebraic": 1e-9}
 
 
 # --- source descriptors ---------------------------------------------------
@@ -339,12 +343,11 @@ def test_verify_builds_the_chart_immersion_once(monkeypatch, tmp_path):
 def test_runs_of_one_spec_match_fresh_parses(name):
     path = SCENE_DIR / name
     spec = parse_scene(str(path))
-    coarse = spec.tolerance(finite_difference=1e-3)
+    coarse = spec.tolerance(algebraic=1e-8)
     shared = [emit(run(spec), "json"), emit(run(spec, tolerances=coarse), "json"), emit(run(spec), "json")]
     fresh = [emit(run(parse_scene(str(path))), "json"), emit(run(parse_scene(str(path)), tolerances=coarse), "json")]
     assert shared == [fresh[0], fresh[1], fresh[0]]
-    if name == "sphere.json":
-        assert fresh[1] != fresh[0]  # the step reaches the chart records
+    assert fresh[1] != fresh[0]  # the tolerance reaches the report
 
 
 # --- emission -------------------------------------------------------------

@@ -3,8 +3,8 @@
 Geometry callables take a stack of points (..., n) and broadcast over its
 leading axes; `christoffel` and `riemann` evaluate whole stacks, and each
 evaluates its stencil (the complex step of every point, and for `riemann`
-the axis shifts of step h that it differences the symbols on) in one call,
-validating every metric on it.
+the axis shifts of step FD_STEP that it differences the symbols on) in one
+call, validating every metric on it.
 """
 
 import re
@@ -21,6 +21,7 @@ from warpcheck.immersion import (
     second_fundamental_form,
     sphere_in_euclidean,
 )
+from warpcheck.numeric import FD_STEP
 from warpcheck.warped import (
     build_metric,
     chart_catalog,
@@ -56,7 +57,7 @@ def _random_metric(rng, dim, analytic=True):
             out[..., k, :, :] = dm @ np.swapaxes(m, -1, -2) + m @ np.swapaxes(dm, -1, -2)
         return out
 
-    return ChartMetric(dim, g, dg if analytic else None)
+    return ChartMetric(dim, g, g_dg=(lambda x: (g(x), dg(x))) if analytic else None)
 
 
 def _metrics(dim):
@@ -110,8 +111,7 @@ def _bad_metric(mask, bad):
     return ChartMetric(2, g)
 
 
-X0 = np.array([0.3, 0.1])
-FD_STEP = 1e-4  # the default step of riemann's difference; both |x_k| < 1
+X0 = np.array([0.3, 0.1])  # both |x_k| < 1: riemann's step is FD_STEP
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,8 @@ def test_a_metric_that_ignores_the_stack_axis_is_rejected():
     for fn in (christoffel, riemann):
         with pytest.raises(InvalidInputError, match="shape"):
             fn(eye, X0)
-    flat_dg = ChartMetric(2, euclidean_metric(2).g, lambda x: np.zeros((2, 2, 2)))
+    flat = euclidean_metric(2)
+    flat_dg = ChartMetric(2, flat.g, g_dg=lambda x: (flat.g(x), np.zeros((2, 2, 2))))
     with pytest.raises(InvalidInputError, match="shape"):
         riemann(flat_dg, X0)
 
@@ -196,7 +197,7 @@ def test_a_map_that_drops_the_imaginary_part_is_rejected():
     assert np.array_equal(cylinder.map(p), chart_immersion_catalog()["cylinder"]().map(p))
     with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
         second_fundamental_form(cylinder, p)
-    for evaluate in (lambda m: m.at(p), lambda m: m.dg(p), lambda m: riemann(m, p)):
+    for evaluate in (lambda m: m.at(p), lambda m: m.g_dg(p), lambda m: riemann(m, p)):
         with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
             evaluate(pullback_metric(cylinder))
 
@@ -226,13 +227,15 @@ def test_catalog_maps_and_metrics_keep_the_input_dtype():
         factor = round_sphere_factor(dim)
         z = _complex_stack(rng, (5, dim), 0.2, 1.2)
         _assert_keeps_dtype(factor.g, z, f"round-sphere({dim}).g")
-        _assert_keeps_dtype(factor.dg, z, f"round-sphere({dim}).dg")
+        for part in (0, 1):
+            _assert_keeps_dtype(lambda x: factor.g_dg(x)[part], z, f"round-sphere({dim}).g_dg[{part}]")
     for key in chart_catalog():
         wp = named_chart(key)
         metric = build_metric(wp)
         z = np.stack(wp.sample_points).astype(np.complex128)
         _assert_keeps_dtype(metric.g, z, f"{key}.g")
-        _assert_keeps_dtype(metric.dg, z, f"{key}.dg")
+        for part in (0, 1):
+            _assert_keeps_dtype(lambda x: metric.g_dg(x)[part], z, f"{key}.g_dg[{part}]")
     t = _complex_stack(rng, (6,), -0.5, 0.5)
     warps = [const_fn(1.5), cos_fn(), exp_fn(), poly_fn([1.0, 0.2, -0.3])]
     warps += [sum_fn(cos_fn(), exp_fn()), product_fn(poly_fn([1.0, 0.5]), cos_fn())]
@@ -279,7 +282,8 @@ def test_stacked_catalog_callables_equal_their_scalar_loops_exactly(dim):
     points = np.random.default_rng(dim).uniform(0.2, 1.4, size=(500, dim))
     factor = round_sphere_factor(dim)
     sphere_map = sphere_in_euclidean(dim).map
-    g, dg, mapped = factor.g(points), factor.dg(points), sphere_map(points)
+    (g, dg), mapped = factor.g_dg(points), sphere_map(points)
+    assert np.array_equal(factor.g(points), g)
     for i, x in enumerate(points):
         g_loop, dg_loop = _round_sphere_loops(dim, x)
         assert np.array_equal(g[i], g_loop)

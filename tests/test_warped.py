@@ -68,12 +68,14 @@ def test_connection_identity_holds_on_the_catalog(wp, x):
 
 
 def test_connection_identity_fails_with_a_wrong_warp_gradient():
-    # the metric is that of cos t, the gradient the identity reads is off by 1e-3
+    # the block metric's derivative reads a d1 off by 1e-3 from the derivative
+    # of cos t, and the identity the complex step of cos t itself
     wp = sphere_chart(n2=2)
-    cp = _curvature(wp, np.stack(wp.sample_points))
-    wrong = WarpFunction("cos+", np.cos, lambda t: -np.sin(t) + 1e-3, lambda t: -np.cos(t))
-    assert np.max(check_connection_identity(wp, cp)) < 1e-12
-    residual = check_connection_identity(replace(wp, warp=wrong), cp)
+    points = np.stack(wp.sample_points)
+    assert np.max(check_connection_identity(wp, _curvature(wp, points))) < 1e-12
+    wrong = replace(wp, warp=WarpFunction("cos+", np.cos, lambda t: -np.sin(t) + 1e-3, lambda t: -np.cos(t)))
+    cp = _curvature(wrong, points)
+    residual = check_connection_identity(wrong, cp)
     assert residual.shape == (3,)
     assert np.all(np.abs(residual - 1e-3 / np.cos(cp.x[:, 0])) < 1e-12)  # |d_t f| / f over |d_t|
 

@@ -8,7 +8,7 @@ import pytest
 import warpcheck.scenes as scenes_mod
 from warpcheck.charts import christoffel, covariant_hessian, laplacian, riemann, sectional_curvature
 from warpcheck.errors import DegeneratePlaneError, NumericalDomainError
-from warpcheck.numeric import bilinear, gram_schmidt
+from warpcheck.numeric import bilinear, gram_schmidt, jet
 from warpcheck.scenes import parse_scene, run
 from warpcheck.warped import (
     WarpedProductChart,
@@ -108,6 +108,11 @@ def test_stacked_warped_checks_equal_the_pointwise_calls_exactly(key):
             assert np.array_equal(ratio[name][i], value), name
 
 
+def _jet_derivatives(f):
+    """Gradient and Hessian callables of f from its jet (numeric.jet)."""
+    return (lambda x: jet(f, x, (), "function")[1]), (lambda x: jet(f, x, (), "function")[2])
+
+
 @pytest.mark.parametrize("key", sorted(CHARTS))
 def test_sectional_curvature_and_laplacian_on_a_stack_equal_the_pointwise_calls(key):
     wp = CHARTS[key]
@@ -119,16 +124,17 @@ def test_sectional_curvature_and_laplacian_on_a_stack_equal_the_pointwise_calls(
     planes = sectional_curvature(cp, X[:, None], Y[None])
     assert planes.shape == (len(points), len(points))
     x1 = points[:, : wp.n1]
-    analytic = laplacian(wp.factor1, wp.warp.value, x1, grad=wp.warp.grad, hess=wp.warp.hess)
-    stencil = laplacian(wp.factor1, wp.warp.value, x1)
-    curved = laplacian(wp.factor2, lambda q: np.cos(q[..., 0]), points[:, wp.n1 :])
+    warp_jet, cos_jet = _jet_derivatives(wp.warp.value), _jet_derivatives(lambda q: np.cos(q[..., 0]))
+    analytic = laplacian(wp.factor1, x1, wp.warp.grad, wp.warp.hess)
+    stencil = laplacian(wp.factor1, x1, *warp_jet)
+    curved = laplacian(wp.factor2, points[:, wp.n1 :], *cos_jet)
     for i, p in enumerate(points):
         single = riemann(metric, p)
         for j in range(len(points)):
             assert planes[j, i] == sectional_curvature(single, X[j], Y[i])
-        assert analytic[i] == laplacian(wp.factor1, wp.warp.value, x1[i], grad=wp.warp.grad, hess=wp.warp.hess)
-        assert stencil[i] == laplacian(wp.factor1, wp.warp.value, x1[i])
-        assert curved[i] == laplacian(wp.factor2, lambda q: np.cos(q[..., 0]), points[i, wp.n1 :])
+        assert analytic[i] == laplacian(wp.factor1, x1[i], wp.warp.grad, wp.warp.hess)
+        assert stencil[i] == laplacian(wp.factor1, x1[i], *warp_jet)
+        assert curved[i] == laplacian(wp.factor2, points[i, wp.n1 :], *cos_jet)
 
 
 def _count_calls(monkeypatch, name):
@@ -209,7 +215,7 @@ def test_a_curved_first_factor_gives_the_numbers_of_its_own_metric(n1):
     gamma1 = christoffel(wp.factor1, x1)
     assert np.abs(gamma1).max() > 0.1
     cp = riemann(build_metric(wp), x)
-    lap = laplacian(wp.factor1, wp.warp.value, x1, grad=wp.warp.grad, hess=wp.warp.hess)
+    lap = laplacian(wp.factor1, x1, wp.warp.grad, wp.warp.hess)
     assert np.array_equal(check_laplacian_ratio(wp, cp)["laplacian_ratio"], lap / wp.warp_at(x))
     X, Z = _unit_leaf_fibre(wp, cp.g, seed=n1)
     hess = covariant_hessian(gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1))
@@ -234,7 +240,7 @@ def test_the_warped_checks_evaluate_no_metric_of_the_first_factor(monkeypatch, n
 
         return counted
 
-    for name in ("g", "dg"):
+    for name in ("g", "g_dg"):
         monkeypatch.setattr(wp.factor1, name, counting(name, getattr(wp.factor1, name)))
     check_connection_identity(wp, cp)
     mixed_sectional(wp, cp)
@@ -249,7 +255,7 @@ def _nan_at_second_point() -> WarpedProductChart:
     second = float(wp.sample_points[1][0])
     wp.warp = WarpFunction(
         "nan-at-second",
-        lambda t: np.where(t == second, np.nan, 1.0),
+        lambda t: np.where(t == second, np.nan, 1.0 + 0.0 * t),  # complex for complex t
         lambda t: np.zeros(np.shape(t)),
         lambda t: np.zeros(np.shape(t)),
     )
@@ -261,14 +267,15 @@ def test_a_warp_that_is_nan_at_one_point_fails_naming_it():
     points = np.stack(wp.sample_points)
     with pytest.raises(NumericalDomainError, match=r"\[-0\.4 -0\.4\] \(stack index \(1, 0"):
         riemann(build_metric(wp), points)
-    # a NaN warp under a finite curvature point stays in its row of every check
+    # a NaN warp under a finite curvature point stays in its row of the checks
+    # that read the analytic warp; the connection identity, which takes the
+    # complex step of its value, names the point
     cp = riemann(build_metric(named_chart("flat-product")), points)
-    for values in (
-        check_connection_identity(wp, cp),
-        mixed_sectional(wp, cp),
-        check_laplacian_ratio(wp, cp)["max_deviation"],
-    ):
+    for values in (mixed_sectional(wp, cp), check_laplacian_ratio(wp, cp)["max_deviation"]):
         assert np.isfinite(values[0]).all() and np.isnan(values[1]).all(), values
+    at_second = r"warping function has non-finite entries at \[-0\.4\] \(stack index \(1, 0\)\)"
+    with pytest.raises(NumericalDomainError, match=at_second):
+        check_connection_identity(wp, cp)
 
 
 def test_a_scene_whose_warp_is_nan_at_one_point_fails_every_warped_check():
@@ -349,9 +356,29 @@ def test_a_wrong_warp_hessian_fails_mixed_sectional_in_a_scene():
     assert records["laplacian_ratio"]["pass"] is False
 
 
+def test_a_wrong_warp_gradient_fails_the_connection_identity_in_a_scene():
+    # the block metric's derivative reads d1, off by 1e-2; the identity reads
+    # the complex step of the warp's value
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "euclidean", "m": 4},
+            "source": {"kind": "warped-chart", "key": "sphere", "params": {"n2": 2}},
+            "checks": ["connection_identity"],
+            "seed": 0,
+        }
+    )
+    assert run(spec).records[0]["pass"] is True
+    wp = spec.source_data().warped
+    wp.warp = WarpFunction("cos+", np.cos, lambda t: -np.sin(t) + 1e-2, lambda t: -np.cos(t))
+    (record,) = run(spec).records
+    assert record["pass"] is False
+    # |d1 - f'| / f = 1e-2 / cos t over the sample points t
+    assert record["max_residual"] == pytest.approx(1e-2 / np.cos(0.9), rel=1e-9)
+
+
 def test_a_point_valid_for_christoffel_but_not_for_riemann_fails_every_warped_check():
-    # f(t) = t is positive at t = 5e-5 but not at t - h (h = 1e-4, the
-    # run's step), where riemann's stencil differentiates the symbols; the
+    # f(t) = t is positive at t = 5e-5 but not at t - h (h = FD_STEP = 1e-4),
+    # where riemann's stencil differentiates the symbols; the
     # checks share that riemann
     source = {
         "kind": "explicit-warped",
