@@ -168,21 +168,17 @@ def riemann(metric: ChartMetric, x: np.ndarray) -> CurvaturePoint:
     return CurvaturePoint(x=x, gamma=gamma, riemann04=r04, g=gx)
 
 
-def sectional_curvature(
-    cp: CurvaturePoint,
-    X: np.ndarray,
-    Y: np.ndarray,
-    tol: float = DEFAULT_TOLERANCE.algebraic,
-) -> float | np.ndarray:
+def sectional_curvature(cp: CurvaturePoint, X: np.ndarray, Y: np.ndarray) -> float | np.ndarray:
     """K(X ^ Y) = R(X,Y,Y,X) / (|X|^2 |Y|^2 - <X,Y>^2) at the points of cp,
     one plane X, Y (..., n) per point (extra leading axes: several planes per
     point).  DegeneratePlaneError names the first point where X and Y do not
-    span a 2-plane."""
+    span a 2-plane, i.e. where the Gram determinant is below
+    DEFAULT_TOLERANCE.algebraic."""
     n = cp.x.shape[-1]
     X, Y = as_points(X, n), as_points(Y, n)
     xy = bilinear(cp.g, X, Y)
     denom = bilinear(cp.g, X, X) * bilinear(cp.g, Y, Y) - xy * xy
-    flat = denom < tol
+    flat = denom < DEFAULT_TOLERANCE.algebraic
     if np.any(flat):
         at = _first_point(np.broadcast_to(cp.x, flat.shape + (n,)), flat)
         raise DegeneratePlaneError(f"X and Y do not span a 2-plane at {at}")

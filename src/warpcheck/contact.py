@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-10
+# The non-Sasakian (kappa, mu) formulas divide by 1 - kappa; a kappa above
+# this is refused as singular by the library and by scenes alike.
+KAPPA_SINGULAR = 1.0 - 1e-8
+# How far from unit length and from orthogonal to xi phi_sectional lets X be.
+_UNIT_TOL = 1e-8
 # Samples per pass of CurvatureOracle.kij on a stack: bounds its two
 # (samples * n) x d^2 intermediates, 4.8 MB each at d = 7, n = 6.
 _KIJ_BLOCK = 2048
@@ -280,10 +285,10 @@ def curvature_non_sasakian(frame: ContactFrame) -> CurvatureOracle:
     """Curvature tensor determined by (kappa, mu) alone in the non-Sasakian case.
 
     Requires kappa strictly below 1 (the 1/(1-kappa) blocks); refuses
-    kappa > 1 - 1e-8 rather than evaluating near-singular denominators.
+    kappa > KAPPA_SINGULAR rather than evaluating near-singular denominators.
     """
     kappa, mu = frame.kappa, frame.mu
-    if kappa > 1.0 - 1e-8:
+    if kappa > KAPPA_SINGULAR:
         raise SingularParameterError(f"non-Sasakian model needs kappa < 1 (got {kappa})")
     phi, hb, phb = frame.phi, frame.h.T, (frame.phi @ frame.h).T
     eye, E = np.eye(frame.dim), np.outer(frame.eta, frame.eta)
@@ -332,14 +337,12 @@ def phi_sectional_constant(oracle: CurvatureOracle, frame: ContactFrame) -> tupl
     return float(c), float(np.max(np.abs(sym_t - c * sym_dd)))
 
 
-def phi_sectional(
-    oracle: CurvatureOracle, frame: ContactFrame, X: np.ndarray, tol: float = 1e-8
-) -> float | np.ndarray:
+def phi_sectional(oracle: CurvatureOracle, frame: ContactFrame, X: np.ndarray) -> float | np.ndarray:
     """K(X ^ phi X) = R(X, phi X, phi X, X) for a unit X orthogonal to xi, or
     for each X of a stack (..., d), contracting the tensor one slot at a
     time; an X gets the value it gets alone, whatever stack it is in."""
     X = as_points(X, frame.dim)
-    if np.any(np.abs(np.sum(X * X, axis=-1) - 1.0) > tol) or np.any(np.abs(X @ frame.eta) > tol):
+    if np.any(np.abs(np.sum(X * X, axis=-1) - 1.0) > _UNIT_TOL) or np.any(np.abs(X @ frame.eta) > _UNIT_TOL):
         raise InvalidInputError("X must be unit and orthogonal to xi")
     pX = X @ frame.phi.T
     RX = np.einsum("...i,ijkl->...jkl", X, oracle.tensor)  # R(X, ., ., .), per X alone

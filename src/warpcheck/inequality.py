@@ -10,10 +10,11 @@ obstruction verdicts.  All reports are normalized to Delta f / f units (the
 general statement divided by n2), so the general and specialized right-hand
 sides are directly comparable.
 
-For pointwise-algebraic data the left-hand side is the Gauss-equation proxy
+Every stacked kernel takes as left-hand side the Gauss-equation proxy
 n2 * Delta f / f := tau(p) - tau(T_pM_1) - tau(T_pM_2), with the intrinsic
-scalar curvatures reconstructed from the ambient model and sigma.  For chart
-data callers may pass the genuine Delta f / f computed on the first factor.
+scalar curvatures reconstructed from the ambient model and sigma.  The one
+place a genuine Delta f / f, computed on the first factor, enters is
+chart_inequality.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .charts import laplacian
+from .contact import KAPPA_SINGULAR
 from .errors import (
     InadmissibleTupleError,
     InvalidConfigurationError,
@@ -190,21 +192,15 @@ def _partial_mean_residual(sigma: np.ndarray, n1: int) -> np.ndarray:
     return np.abs(diag[..., :n1].sum(axis=-1) - diag[..., n1:].sum(axis=-1)).max(axis=-1)
 
 
-def decompose_stack(
-    stack: PointwiseStack, tau_p: float | np.ndarray | None = None
-) -> ProofDecomposition:
+def decompose_stack(stack: PointwiseStack) -> ProofDecomposition:
     """Proof-level decomposition feeding the trace lemma with l = 3, for
-    every sample of a stack at once (the stack's K~ table, one stacked QR).
-
-    tau_p defaults to the Gauss-equation intrinsic scalar curvature; a
-    chart-computed value (or one per sample) may be supplied instead.
-    """
+    every sample of a stack at once (the stack's K~ table, one stacked QR),
+    with tau(p) the Gauss-equation intrinsic scalar curvature."""
     n, n1 = stack.n, stack.n1
     kij = stack.ambient_kij()
     rec = mean_curvatures(stack)
     sigma = _rotate_normal_frames(stack.sigma, rec.norm_H, rec.components)
-    if tau_p is None:
-        tau_p = _triu_sum(intrinsic_kij(stack, ambient=kij))
+    tau_p = _triu_sum(intrinsic_kij(stack, ambient=kij))
     tau_ambient = _triu_sum(kij)
     nh2 = n * n * rec.norm_H**2
     delta = 0.5 * (4.0 * tau_p - 4.0 * tau_ambient - nh2)
@@ -243,9 +239,9 @@ def _one_sample(data: PointwiseStack) -> PointwiseStack:
     return data
 
 
-def decompose(data: PointwiseStack, tau_p: float | None = None) -> ProofDecomposition:
+def decompose(data: PointwiseStack) -> ProofDecomposition:
     """Proof-level decomposition of a stack of one, with float numbers."""
-    return decompose_stack(_one_sample(data), tau_p).row(0)
+    return decompose_stack(_one_sample(data)).row(0)
 
 
 @dataclass(eq=False)
@@ -378,17 +374,14 @@ def _rebased(report: InequalityReport, lhs: float, rhs: float, **changes) -> Ine
 
 
 def general_inequality_stack(
-    stack: PointwiseStack,
-    lhs: float | np.ndarray | None = None,
-    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
+    stack: PointwiseStack, equality_tol: float = ALGEBRAIC_EQUALITY_TOL
 ) -> InequalityStack:
     """The inequality for an arbitrary ambient model, on every sample of a
     stack, over the stack's K~ table (stack.ambient_kij).
 
     rhs = n^2/(4 n2) |H|^2 + [tau~(T_pM) - tau~(T_pM_1) - tau~(T_pM_2)] / n2;
-    lhs defaults to the Gauss-equation proxy (a float or one value per sample
-    may be supplied).  Equality holds exactly when the immersion data is
-    mixed totally geodesic with n1 H1 = n2 H2.
+    lhs is the Gauss-equation proxy.  Equality holds exactly when the
+    immersion data is mixed totally geodesic with n1 H1 = n2 H2.
     """
     n, n1, n2 = stack.n, stack.n1, stack.n2
     kij = stack.ambient_kij()
@@ -403,13 +396,10 @@ def general_inequality_stack(
     mean_term = n * n / (4.0 * n2) * rec.norm_H**2
     ambient_term = (tau_full - tau_1 - tau_2) / n2
     rhs = mean_term + ambient_term
-    if lhs is None:
-        # Gauss-equation proxy: the mixed-pair intrinsic curvatures, the mixed
-        # block of the ambient tables above plus its Gauss correction
-        mixed = kij[:, :n1, n1:] + _gauss_correction(stack.sigma, slice(None, n1), slice(n1, None))
-        lhs = np.add.reduce(mixed, (1, 2)) / n2
-    else:
-        lhs = np.broadcast_to(np.asarray(lhs, dtype=float), rhs.shape)
+    # Gauss-equation proxy: the mixed-pair intrinsic curvatures, the mixed
+    # block of the ambient tables above plus its Gauss correction
+    mixed = kij[:, :n1, n1:] + _gauss_correction(stack.sigma, slice(None, n1), slice(n1, None))
+    lhs = np.add.reduce(mixed, (1, 2)) / n2
     return InequalityStack(
         name="general_inequality",
         stack=stack,
@@ -424,13 +414,11 @@ def general_inequality_stack(
 
 
 def general_inequality(
-    data: PointwiseStack,
-    lhs: float | None = None,
-    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
+    data: PointwiseStack, equality_tol: float = ALGEBRAIC_EQUALITY_TOL
 ) -> InequalityReport:
     """The inequality for an arbitrary ambient model on a stack of one, as a
     report with float numbers."""
-    return general_inequality_stack(_one_sample(data), lhs, equality_tol).report(0)
+    return general_inequality_stack(_one_sample(data), equality_tol).report(0)
 
 
 def _contact_rhs_inputs(stack: PointwiseStack):
@@ -457,12 +445,7 @@ def _specialized(
     return replace(general, name=name, rhs=rhs, gap=gap, ambient_term=curvature_term, extras=extras)
 
 
-def kmu_space_form_inequality_stack(
-    stack: PointwiseStack,
-    c: float | None = None,
-    lhs: float | np.ndarray | None = None,
-    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
-) -> InequalityStack:
+def kmu_space_form_inequality_stack(stack: PointwiseStack, c: float | None = None) -> InequalityStack:
     """Specialized right-hand side for a constant-phi-sectional-curvature
     contact ambient, in terms of the restricted traces of h^T and A_xi, on
     every sample of a stack.
@@ -491,25 +474,16 @@ def kmu_space_form_inequality_stack(
         + (n1 / n2) * hs["trace_2"]
         + bracket / (4.0 * n2)
     )
-    general = general_inequality_stack(stack, lhs=lhs, equality_tol=equality_tol)
+    general = general_inequality_stack(stack)
     return _specialized(general, "kmu_space_form_inequality", curvature_term, c=c)
 
 
-def kmu_space_form_inequality(
-    data: PointwiseStack,
-    c: float | None = None,
-    lhs: float | None = None,
-    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
-) -> InequalityReport:
+def kmu_space_form_inequality(data: PointwiseStack, c: float | None = None) -> InequalityReport:
     """kmu_space_form_inequality_stack on a stack of one, as a report."""
-    return kmu_space_form_inequality_stack(_one_sample(data), c, lhs, equality_tol).report(0)
+    return kmu_space_form_inequality_stack(_one_sample(data), c).report(0)
 
 
-def non_sasakian_inequality_stack(
-    stack: PointwiseStack,
-    lhs: float | np.ndarray | None = None,
-    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
-) -> InequalityStack:
+def non_sasakian_inequality_stack(stack: PointwiseStack) -> InequalityStack:
     """Specialized right-hand side for an ambient whose curvature is
     determined by (kappa, mu) with kappa < 1, on every sample of a stack.
 
@@ -521,7 +495,7 @@ def non_sasakian_inequality_stack(
     if frame is None:
         raise InvalidConfigurationError("contact frame required")
     kappa, mu = frame.kappa, frame.mu
-    if kappa > 1.0 - 1e-8:
+    if kappa > KAPPA_SINGULAR:
         raise SingularParameterError("non-Sasakian inequality needs kappa < 1")
     hs, As = _contact_rhs_inputs(stack)
     n1, n2 = stack.n1, stack.n2
@@ -540,17 +514,13 @@ def non_sasakian_inequality_stack(
         - e1 / (2.0 * n2) * norm_group_h
         - e2 / (2.0 * n2) * norm_group_a
     )
-    general = general_inequality_stack(stack, lhs=lhs, equality_tol=equality_tol)
+    general = general_inequality_stack(stack)
     return _specialized(general, "non_sasakian_inequality", curvature_term, kappa=kappa, mu=mu)
 
 
-def non_sasakian_inequality(
-    data: PointwiseStack,
-    lhs: float | None = None,
-    equality_tol: float = ALGEBRAIC_EQUALITY_TOL,
-) -> InequalityReport:
+def non_sasakian_inequality(data: PointwiseStack) -> InequalityReport:
     """non_sasakian_inequality_stack on a stack of one, as a report."""
-    return non_sasakian_inequality_stack(_one_sample(data), lhs, equality_tol).report(0)
+    return non_sasakian_inequality_stack(_one_sample(data)).report(0)
 
 
 NONEXISTENCE = "NONEXISTENCE"
@@ -563,7 +533,6 @@ def obstruction_check(
     harmonic: bool = False,
     eigenvalue: float | None = None,
     minimal: bool = False,
-    tol: float = 1e-8,
 ) -> str | np.ndarray:
     """Existence verdict for minimal immersions with harmonic or eigenfunction
     warping.
@@ -596,6 +565,7 @@ def obstruction_check(
         )
     curvature_term = np.asarray(report.rhs - report.mean_term)
     lhs_required = 0.0 if harmonic else float(eigenvalue)
+    tol = ALGEBRAIC_EQUALITY_TOL
     verdict = np.where(
         lhs_required > curvature_term + tol,
         NONEXISTENCE,
@@ -605,10 +575,7 @@ def obstruction_check(
 
 
 def chart_inequality(
-    im: ChartImmersion,
-    p: np.ndarray,
-    equality_tol: float = CHART_EQUALITY_TOL,
-    data: PointwiseStack | None = None,
+    im: ChartImmersion, p: np.ndarray, data: PointwiseStack | None = None
 ) -> InequalityReport:
     """Run the general inequality on a chart immersion of a warped chart.
 
@@ -632,7 +599,7 @@ def chart_inequality(
     f = wp.warp.value(x1)
     lap = laplacian(wp.factor1, x1, wp.warp.grad, wp.warp.hess)
     lhs_chart = lap / f
-    proxy = general_inequality(data, equality_tol=equality_tol)
+    proxy = general_inequality(data, CHART_EQUALITY_TOL)
     agreement = abs(lhs_chart - proxy.lhs)
     extras = {"lhs_chart": lhs_chart, "lhs_proxy": proxy.lhs, "lhs_agreement": agreement}
     return _rebased(proxy, float(lhs_chart), proxy.rhs, extras=extras)

@@ -12,6 +12,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -25,13 +26,14 @@ import numpy as np
 
 from . import __version__
 from .contact import (
+    KAPPA_SINGULAR,
     AmbientSpace,
     ambient_catalog,
     check_km_condition,
     make_ambient,
     phi_sectional_constant,
 )
-from .errors import InvalidInputError, SceneParseError, SceneValidationError, WarpcheckError
+from .errors import SceneParseError, SceneValidationError, WarpcheckError
 from .immersion import (
     ChartImmersion,
     PointwiseStack,
@@ -106,46 +108,54 @@ class SceneSpec:
     tolerances: dict = field(default_factory=dict)
     samples: int = 100
     seed: int | None = None
-    _ambient_space: AmbientSpace | None = field(default=None, init=False, repr=False, compare=False)
-    _source: _Source | None = field(default=None, init=False, repr=False, compare=False)
+    # each cache holds a deep copy of the dict it was built from (the source's
+    # also the ambient it was built on), then what was built
+    _ambient_space: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def ambient_space(self) -> AmbientSpace:
-        """The declared ambient model, built on first use; validation and
-        every run of this spec share the one instance."""
-        if self._ambient_space is None:
+        """The declared ambient model, built on first use and rebuilt when
+        `ambient` has changed since; validation and every run of this spec
+        share the one instance."""
+        if self._ambient_space is None or self._ambient_space[0] != self.ambient:
             amb = dict(self.ambient)
             kind = amb.pop("kind", None)
             _require(kind in ambient_catalog(), f"unknown ambient kind {kind!r}")
             amb = _read_numbers(amb, _AMBIENT_NUMBERS, "ambient parameter")
             try:
-                self._ambient_space = make_ambient(kind, **amb)
+                built = make_ambient(kind, **amb)
             except TypeError as exc:
                 raise SceneValidationError(f"bad ambient parameters for {kind!r}: {exc}") from exc
-        return self._ambient_space
+            self._ambient_space = (copy.deepcopy(self.ambient), built)
+        return self._ambient_space[1]
 
     def source_data(self) -> _Source:
         """The declared source, validated and built on first use by its
-        `_SOURCES` entry; validation and every run of this spec share it."""
-        if self._source is None:
+        `_SOURCES` entry, and rebuilt when `source` or the ambient has
+        changed since; validation and every run of this spec share it."""
+        ambient = self.ambient_space()
+        cached = self._source
+        if cached is None or cached[0] != self.source or cached[1] is not ambient:
             kind = self.source.get("kind")
             _require(kind in _SOURCES, f"unknown source kind {kind!r}")
             try:
-                self._source = _SOURCES[kind](self.source, self.ambient_space())
+                built = _SOURCES[kind](self.source, ambient)
             except SceneValidationError:
                 raise
             # a value of the wrong type or form, or one a library constructor
             # rejects, is bad scene input
             except (TypeError, ValueError, WarpcheckError) as exc:
                 raise SceneValidationError(f"bad {kind!r} source: {exc}") from exc
-        return self._source
+            self._source = (copy.deepcopy(self.source), ambient, built)
+        return self._source[2]
 
     def tolerance(self, **overrides) -> Tolerance:
         """The scene's `tolerances` laid over the `Tolerance` defaults, then
         every override that is not None (the command-line flags)."""
         values = {**self.tolerances, **{k: v for k, v in overrides.items() if v is not None}}
         try:
-            return Tolerance(**{k: float(v) for k, v in values.items()})
-        except (TypeError, ValueError, InvalidInputError) as exc:
+            return Tolerance(**{k: _positive(v, f"tolerance {k!r}") for k, v in values.items()})
+        except (TypeError, SceneValidationError) as exc:
             raise SceneValidationError(f"bad tolerances: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -351,7 +361,7 @@ def _validate(spec: SceneSpec):
     if "non_sasakian_inequality" in names:
         kappa = ambient.params.get("kappa", 1.0)
         _require(
-            kappa < 1.0 - 1e-8,
+            not kappa > KAPPA_SINGULAR,
             "non_sasakian_inequality needs kappa < 1 (singular parameter)",
         )
 

@@ -1,14 +1,18 @@
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck.contact import make_ambient
+from warpcheck import charts, contact, inequality
+from warpcheck.contact import KAPPA_SINGULAR, make_ambient
 from warpcheck.errors import (
     InadmissibleTupleError,
     InvalidConfigurationError,
     InvalidInputError,
+    SceneValidationError,
     SingularParameterError,
 )
 from warpcheck.immersion import (
@@ -32,6 +36,7 @@ from warpcheck.inequality import (
     non_sasakian_inequality,
     obstruction_check,
 )
+from warpcheck.scenes import parse_scene
 
 
 # --- the trace lemma -------------------------------------------------------
@@ -265,6 +270,27 @@ def test_non_sasakian_rejects_sasakian_parameters():
         non_sasakian_inequality(data)
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_library_and_scenes_share_the_singular_kappa_bound(above):
+    # at kappa = 0.99999999 the library returned a gap while a scene exited 2
+    kappa = np.nextafter(KAPPA_SINGULAR, 2.0) if above else 0.99999999
+    params = {"m": 3, "kappa": float(kappa), "mu": 0.5, "c": 1.0}
+    data = _consistent_ctr_data(np.random.default_rng(36), make_ambient("kmu-space-form", **params), 1, 2)
+    scene = {
+        "ambient": {"kind": "kmu-space-form", **params},
+        "source": {"kind": "synthetic", "generator": "c-totally-real", "n1": 1, "n2": 2},
+        "checks": ["non_sasakian_inequality"],
+    }
+    if above:
+        with pytest.raises(SingularParameterError):
+            non_sasakian_inequality(data)
+        with pytest.raises(SceneValidationError, match="kappa < 1"):
+            parse_scene(scene)
+    else:
+        assert np.isfinite(non_sasakian_inequality(data).gap)
+        assert parse_scene(scene).ambient_space().params["kappa"] == kappa
+
+
 # --- obstructions ----------------------------------------------------------
 
 
@@ -469,10 +495,6 @@ def test_general_inequality_matches_reference_exactly(kind, params):
                 _assert_matches(rep, ref)
                 assert rep.rhs == ref["rhs"] and rep.gap == ref["gap"]
                 assert rep.equality == (abs(ref["gap"]) < 1e-8)
-                supplied = general_inequality(data, lhs=0.37)
-                ref = _ref_general(data, lhs=0.37)
-                _assert_matches(supplied, ref)
-                assert supplied.gap == ref["gap"]
 
 
 @pytest.mark.parametrize("kind,params", SWEEP_AMBIENTS)
@@ -583,3 +605,34 @@ def test_chart_inequality_refuses_data_of_another_immersion_or_point():
             chart_inequality(im, p, data=other)
     own = second_fundamental_form(im, p.tolist())
     assert chart_inequality(im, p, data=own) == chart_inequality(im, p)
+
+
+# --- signatures ------------------------------------------------------------
+
+
+def test_no_parameter_with_one_value_in_use():
+    # each of these had a single value in use, now the module's constant
+    removed = {
+        inequality.general_inequality: {"lhs"},
+        inequality.general_inequality_stack: {"lhs"},
+        inequality.kmu_space_form_inequality: {"lhs", "equality_tol"},
+        inequality.kmu_space_form_inequality_stack: {"lhs", "equality_tol"},
+        inequality.non_sasakian_inequality: {"lhs", "equality_tol"},
+        inequality.non_sasakian_inequality_stack: {"lhs", "equality_tol"},
+        inequality.decompose: {"tau_p"},
+        inequality.decompose_stack: {"tau_p"},
+        inequality.chart_inequality: {"equality_tol"},
+        inequality.obstruction_check: {"tol"},
+        charts.sectional_curvature: {"tol"},
+        contact.phi_sectional: {"tol"},
+    }
+    assert sum(map(len, removed.values())) == 16
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__name__
+    # two values in use: chart_inequality's 1e-3 and acceptance criterion 4's 1e-10
+    for fn, name in [
+        (inequality.general_inequality, "equality_tol"),
+        (inequality.general_inequality_stack, "equality_tol"),
+        (inequality.chen_lemma, "tol"),
+    ]:
+        assert name in inspect.signature(fn).parameters, fn.__name__

@@ -97,9 +97,9 @@ def test_a_null_seed_is_accepted(tmp_path):
     "tolerances",
     [{"algebraic": "x"}, {"algebraic": float("nan")}, {"algebraic": float("inf")},
      {"algebraic": 0.0}, {"algebraic": -1e-10}, {"step": 1e-3}, {"equality_gap": 1e-6},
-     {"finite_difference": 1e-4}],
+     {"finite_difference": 1e-4}, {"algebraic": True}, {"algebraic": "1e-3"}],
     ids=["string", "nan", "inf", "zero", "negative", "unknown-key", "removed-equality-gap",
-         "removed-finite-difference"],
+         "removed-finite-difference", "true", "numeric-string"],
 )
 def test_bad_scene_tolerances_exit_2(tmp_path, capsys, tolerances):
     err = _rejected(tmp_path, capsys, dict(REAL, tolerances=tolerances))
@@ -348,6 +348,26 @@ def test_runs_of_one_spec_match_fresh_parses(name):
     fresh = [emit(run(parse_scene(str(path))), "json"), emit(run(parse_scene(str(path)), tolerances=coarse), "json")]
     assert shared == [fresh[0], fresh[1], fresh[0]]
     assert fresh[1] != fresh[0]  # the tolerance reaches the report
+
+
+def test_a_changed_spec_runs_what_its_report_names():
+    sphere = {"kind": "warped-chart", "key": "sphere"}
+    hyperbolic = {"kind": "warped-chart", "key": "hyperbolic"}
+    scene = {"ambient": {"kind": "real-space-form", "m": 5, "c": 1.0}, "checks": ["connection_identity"]}
+    fresh = run(parse_scene(dict(scene, source=hyperbolic)))
+    # the sphere built at parse time gives 2.78e-17 here, the hyperbolic source 0.0
+    reassigned = parse_scene(dict(scene, source=sphere))
+    reassigned.source = dict(hyperbolic)
+    edited = parse_scene(dict(scene, source=sphere))
+    edited.source["key"] = "hyperbolic"
+    for spec in (reassigned, edited):
+        report = run(spec)
+        assert report.scene["source"] == hyperbolic
+        assert report.records == fresh.records
+    edited.ambient["c"] = 2.0
+    rebuilt = parse_scene(dict(scene, ambient=edited.ambient, source=hyperbolic)).ambient_space()
+    assert edited.ambient_space().params == rebuilt.params
+    assert edited.ambient_space().params["c"] == 2.0
 
 
 # --- emission -------------------------------------------------------------
