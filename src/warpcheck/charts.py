@@ -7,19 +7,19 @@ Conventions used throughout the package:
 * Laplacian: Delta = -div grad (the geometers' sign), so Delta f = -f'' on the
   Euclidean line.
 
-Stack contract: the geometry callables (ChartMetric.g and g_dg, the ``map``
-of a chart immersion, the parts of a warping function) take a stack of points
+Stack contract: the geometry callables (ChartMetric.g_dg, the ``map`` of a
+chart immersion, the parts of a warping function) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
-stack-of-none case.  Those that are differentiated numerically also take
-complex points: each must be the complex-analytic extension of its real
-formula, with no abs, max/min, comparison or real-part cast of the points.
-The functions below accept stacks too, and a point's numbers do not depend
-on its stack.
+stack-of-none case.  g_dg and those that are differentiated numerically
+also take complex points: each must be the complex-analytic extension of
+its real formula, with no abs, max/min, comparison or real-part cast of the
+points.  The functions below accept stacks too, and a point's numbers do
+not depend on its stack.
 
 Derivatives follow the one rule of ``numeric``: the metric derivatives are
-exact (those of g_dg, else the complex step of g), and ``riemann`` takes one
-central difference, of the Christoffel symbols on the (..., 2n+1, n) axis
-stencil of the fixed step numeric.FD_STEP.  A pull-back metric is the
+exact, from the one g_dg call that gives the metric, and ``riemann`` takes
+one central difference, of the Christoffel symbols on the (..., 2n+1, n)
+axis stencil of the fixed step numeric.FD_STEP.  A pull-back metric is the
 exception: its dg is itself a central difference of the exact Jacobian.
 Every metric a stencil evaluates is validated.
 """
@@ -27,12 +27,11 @@ Every metric a stencil evaluates is validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DegeneratePlaneError
+from .errors import DegenerateMetricError, DegeneratePlaneError, InvalidInputError
 from .numeric import (
     DEFAULT_TOLERANCE,
     _first_point,
@@ -40,7 +39,6 @@ from .numeric import (
     axis_stencil,
     bilinear,
     central_differences,
-    complex_step,
     require_positive_definite,
     stack_values,
 )
@@ -59,26 +57,22 @@ __all__ = [
 
 @dataclass
 class ChartMetric:
-    """Riemannian metric given by a component function on a coordinate chart.
+    """Riemannian metric on a coordinate chart, given by one callable.
 
-    g maps points (..., dim) to symmetric positive-definite matrices
-    (..., dim, dim).  g_dg, when supplied, returns (g, dg) from one
-    evaluation, dg (..., dim, dim, dim) the exact derivatives with
-    dg[..., k, i, j] = d g_ij / dx_k; without it they are the complex step
-    of g, which must then be the complex-analytic extension of its real
-    formula (see numeric.complex_step).
+    g_dg maps points (..., dim) to the pair (g, dg) from one evaluation: g
+    (..., dim, dim) symmetric positive definite, and dg (..., dim, dim, dim)
+    its exact derivatives, dg[..., k, i, j] = d g_ij / dx_k.  A complex
+    stack gives a complex pair (the stack contract above).
     """
 
     dim: int
-    g: Callable[[np.ndarray], np.ndarray]
-    g_dg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    g_dg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the metric on a point or stack and validate every matrix:
-        shape, finiteness, symmetry within 1e-8 and g - 1e-12*I positive
-        definite (a Cholesky attempt)."""
-        x = as_points(x, self.dim)
-        return _require_metric(stack_values(self.g(x), x, (self.dim, self.dim), "metric"), x)
+        """The metric at a point or stack, validated as every metric the
+        package evaluates: shape, finiteness, symmetry within 1e-8 and
+        g - 1e-12*I positive definite (a Cholesky attempt)."""
+        return _metric_derivatives(self, as_points(x, self.dim))[0]
 
 
 def _require_metric(gx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -111,20 +105,18 @@ def euclidean_metric(dim: int) -> ChartMetric:
     def g_dg(x):
         return constant(eye, x), constant(zeros, x)
 
-    return ChartMetric(dim=dim, g=partial(constant, eye), g_dg=g_dg)
+    return ChartMetric(dim=dim, g_dg=g_dg)
 
 
 def _metric_derivatives(metric: ChartMetric, x: np.ndarray):
-    """The validated metric and its exact first derivatives (..., n, n, n) on
-    a stack x (..., n): from one g_dg call, else the complex step of one g
-    call, symmetrized in its last two axes."""
+    """The validated metric and its exact first derivatives (..., n, n, n)
+    on a stack x (..., n), from one g_dg call."""
     n = metric.dim
-    if metric.g_dg is not None:
-        gx, dg = metric.g_dg(x)
-        gx = _require_metric(stack_values(gx, x, (n, n), "metric"), x)
-        return gx, stack_values(dg, x, (n, n, n), "metric derivative")
-    gx, dg = complex_step(metric.g, x, (n, n), "metric")
-    return _require_metric(gx, x), 0.5 * (dg + np.swapaxes(dg, -1, -2))
+    pair = metric.g_dg(x)
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise InvalidInputError(f"g_dg returned {type(pair).__name__}, expected the pair (g, dg)")
+    gx = _require_metric(stack_values(pair[0], x, (n, n), "metric"), x)
+    return gx, stack_values(pair[1], x, (n, n, n), "metric derivative")
 
 
 def _christoffel(metric: ChartMetric, x: np.ndarray):

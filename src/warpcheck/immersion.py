@@ -31,7 +31,6 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     as_matrix,
     as_vector,
-    complex_step,
     frame_tensor,
     gram_schmidt,
     jet,
@@ -638,16 +637,10 @@ class ChartImmersion:
 
 def pullback_metric(im: ChartImmersion) -> ChartMetric:
     """Induced metric g = J^T J on the source chart, with its derivatives
-    d_k g = (d_k J)^T J + J^T d_k J.  g takes the complex-step Jacobian, one
-    map call on the (..., n+1, n) complex points of the points it is
-    evaluated at.  g_dg takes both from the jet of the map (numeric.jet),
-    one call on (..., 2n+1, n+1, n): J is exact, and d_k J is its central
-    difference, so riemann of this metric differences twice (J to dg, then
-    Gamma)."""
-
-    def g(u: np.ndarray) -> np.ndarray:
-        _, jt = complex_step(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
-        return jt @ np.swapaxes(jt, -1, -2)
+    d_k g = (d_k J)^T J + J^T d_k J, both from the jet of the map
+    (numeric.jet), one call on (..., 2n+1, n+1, n): J is exact, and d_k J
+    is its central difference, so riemann of this metric differences twice
+    (J to dg, then Gamma).  Its g_dg takes real points only."""
 
     def g_dg(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, jt, hess = jet(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
@@ -655,7 +648,7 @@ def pullback_metric(im: ChartImmersion) -> ChartMetric:
         half = hess @ j[..., None, :, :]  # (d_k J)^T J
         return jt @ j, half + np.swapaxes(half, -1, -2)
 
-    return ChartMetric(im.n, g, g_dg=g_dg)
+    return ChartMetric(im.n, g_dg)
 
 
 def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack:

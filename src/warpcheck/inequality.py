@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 ALGEBRAIC_EQUALITY_TOL = 1e-8
-CHART_EQUALITY_TOL = 1e-3
+CHART_EQUALITY_TOL = 1e-6
 
 
 def chen_lemma(a: Sequence[float], b: float, tol: float = 1e-9) -> dict:

@@ -186,17 +186,6 @@ def build_metric(wp: WarpedProductChart) -> ChartMetric:
     n1, n2 = wp.n1, wp.n2
     n = n1 + n2
 
-    def g(x: np.ndarray) -> np.ndarray:
-        x1, x2 = wp.split(x)
-        f = np.asarray(wp.warp_at(x))[..., None, None]
-        out = np.zeros(x1.shape[:-1] + (n, n), dtype=np.result_type(x1, float))
-        out[..., :n1, :n1] = wp.factor1.g(x1)
-        out[..., n1:, n1:] = (f * f) * wp.factor2.g(x2)
-        return out
-
-    if wp.factor1.g_dg is None or wp.factor2.g_dg is None:
-        return ChartMetric(dim=n, g=g)
-
     def g_dg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x1, x2 = wp.split(x)
         f = np.asarray(wp.warp_at(x))[..., None, None]
@@ -213,7 +202,7 @@ def build_metric(wp: WarpedProductChart) -> ChartMetric:
             dout[..., k, n1:, n1:] += 2.0 * f * df[..., k, None, None] * g2
         return out, dout
 
-    return ChartMetric(dim=n, g=g, g_dg=g_dg)
+    return ChartMetric(dim=n, g_dg=g_dg)
 
 
 def check_connection_identity(wp: WarpedProductChart, cp: CurvaturePoint) -> float | np.ndarray:
@@ -309,30 +298,21 @@ def round_sphere_factor(dim: int) -> ChartMetric:
     k, i = np.triu_indices(dim, 1)
     diag = np.arange(1, dim)
 
-    def sin_prefix(x: np.ndarray):
+    def g_dg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.asarray(x)
+        s = np.sin(x[..., :-1])
         # float_power squares through the C library's pow, as the scalar
         # ** of numpy does; the SIMD square differs from it in the last bit
-        s = np.sin(x[..., :-1])
-        return s, np.cumprod(np.float_power(s, 2), axis=-1)
-
-    def metric(prod: np.ndarray) -> np.ndarray:
-        out = np.zeros(prod.shape[:-1] + (dim, dim), dtype=prod.dtype)
-        out[..., 0, 0] = 1.0
-        out[..., diag, diag] = prod
-        return out
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return metric(sin_prefix(np.asarray(x))[1])
-
-    def g_dg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        prod = np.cumprod(np.float_power(s, 2), axis=-1)
+        g = np.zeros(prod.shape[:-1] + (dim, dim), dtype=prod.dtype)
+        g[..., 0, 0] = 1.0
+        g[..., diag, diag] = prod
         # d_k g_ii = g_ii * 2 cos x_k / sin x_k for k < i
-        x = np.asarray(x)
-        s, prod = sin_prefix(x)
         dg = np.zeros(x.shape + (dim, dim), dtype=prod.dtype)
         dg[..., k, i, i] = prod[..., i - 1] * 2.0 * np.cos(x[..., k]) / s[..., k]
-        return metric(prod), dg
+        return g, dg
 
-    return ChartMetric(dim=dim, g=g, g_dg=g_dg)
+    return ChartMetric(dim=dim, g_dg=g_dg)
 
 
 def chart_catalog() -> dict[str, Callable[..., WarpedProductChart]]:

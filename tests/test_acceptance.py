@@ -275,19 +275,27 @@ def test_criterion_8_obstruction_table():
     _report(8, f"verdicts: c=-4 {v1}; c=-3 {v2}; c=-3, eigenvalue 0.5 {v3}")
 
 
-def _diag(*entries):
-    """Diagonal metrics (..., n, n) from n entries broadcasting over a stack."""
-    d = np.stack(np.broadcast_arrays(*entries), axis=-1)
-    return d[..., None] * np.eye(d.shape[-1])
+def _line_warped_metric(w, dw):
+    """diag(1, w(x_0)^2) with its exact derivative d_0 g_11 = 2 w w'."""
+
+    def g_dg(x):
+        t = x[..., 0]
+        g = np.zeros(x.shape + (2,))
+        g[..., 0, 0], g[..., 1, 1] = 1.0, w(t) ** 2
+        dg = np.zeros(x.shape + (2, 2))
+        dg[..., 0, 1, 1] = 2.0 * w(t) * dw(t)
+        return g, dg
+
+    return ChartMetric(2, g_dg)
 
 
 def test_criterion_9_numeric_geometry_floor():
     """Finite differences reproduce constant curvature within 1e-4 and the
     fibrewise Laplacian-ratio sums within 1e-3 on the whole chart catalog."""
     charts = {
-        1.0: ChartMetric(2, lambda x: _diag(1.0, np.sin(x[..., 0]) ** 2)),
+        1.0: _line_warped_metric(np.sin, np.cos),
         0.0: euclidean_metric(2),
-        -1.0: ChartMetric(2, lambda x: _diag(1.0, np.cosh(x[..., 0]) ** 2)),
+        -1.0: _line_warped_metric(np.cosh, np.sinh),
     }
     for expected, metric in charts.items():
         x = np.array([0.9, 0.4])

@@ -1,5 +1,5 @@
 import inspect
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -21,8 +21,17 @@ from warpcheck.errors import (
 )
 from warpcheck.immersion import pullback_metric, second_fundamental_form, sphere_in_euclidean
 from warpcheck.inequality import chart_inequality
-from warpcheck.numeric import FD_STEP, Tolerance, axis_stencil, jet
-from warpcheck.warped import WarpFunction, const_fn, cos_fn, poly_fn, round_sphere_factor
+from warpcheck.numeric import FD_STEP, Tolerance, axis_stencil, complex_step, jet
+from warpcheck.warped import (
+    WarpFunction,
+    build_metric,
+    chart_catalog,
+    const_fn,
+    cos_fn,
+    named_chart,
+    poly_fn,
+    round_sphere_factor,
+)
 
 
 def diag(*entries):
@@ -31,12 +40,24 @@ def diag(*entries):
     return d[..., None] * np.eye(d.shape[-1])
 
 
+def line_warped_metric(w, dw):
+    """diag(1, w(x_0)^2) with its exact derivative d_0 g_11 = 2 w w'."""
+
+    def g_dg(x):
+        t = x[..., 0]
+        dg = np.zeros(x.shape + (2, 2), dtype=np.result_type(x, float))
+        dg[..., 0, 1, 1] = 2.0 * w(t) * dw(t)
+        return diag(1.0, w(t) ** 2), dg
+
+    return ChartMetric(2, g_dg)
+
+
 def sphere_metric():
-    return ChartMetric(2, lambda x: diag(1.0, np.sin(x[..., 0]) ** 2))
+    return line_warped_metric(np.sin, np.cos)
 
 
 def hyperbolic_metric():
-    return ChartMetric(2, lambda x: diag(1.0, np.cosh(x[..., 0]) ** 2))
+    return line_warped_metric(np.cosh, np.sinh)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +71,8 @@ def test_no_chart_derivative_takes_a_step(fn):
 
 
 def test_a_chart_metric_has_one_derivative_callable_and_the_tolerance_one_bound():
-    assert [f.name for f in fields(ChartMetric)] == ["dim", "g", "g_dg"]
+    assert [f.name for f in fields(ChartMetric)] == ["dim", "g_dg"]
+    assert fields(ChartMetric)[1].default is MISSING
     assert [f.name for f in fields(Tolerance)] == ["algebraic"]
 
 
@@ -60,7 +82,7 @@ def test_christoffel_euclidean_zero():
 
 
 def test_christoffel_polar():
-    polar = ChartMetric(2, lambda x: diag(1.0, x[..., 0] ** 2))
+    polar = line_warped_metric(lambda t: t, np.ones_like)
     gamma = christoffel(polar, np.array([2.0, 0.3]))
     assert abs(gamma[0, 1, 1] + 2.0) < 1e-6
     assert abs(gamma[1, 0, 1] - 0.5) < 1e-6
@@ -125,12 +147,15 @@ def test_scalar_curvature_sphere_s2():
 
 
 def test_scalar_curvature_s3():
-    s3 = ChartMetric(
-        3,
-        lambda x: diag(
-            1.0, np.sin(x[..., 0]) ** 2, (np.sin(x[..., 0]) * np.sin(x[..., 1])) ** 2
-        ),
-    )
+    def s3_g_dg(x):
+        (s0, s1), (c0, c1) = np.sin(x[..., :2].T), np.cos(x[..., :2].T)
+        dg = np.zeros(x.shape + (3, 3))
+        dg[..., 0, 1, 1] = 2.0 * s0 * c0
+        dg[..., 0, 2, 2] = 2.0 * s0 * c0 * s1**2
+        dg[..., 1, 2, 2] = 2.0 * s0**2 * s1 * c1
+        return diag(1.0, s0**2, (s0 * s1) ** 2), dg
+
+    s3 = ChartMetric(3, s3_g_dg)
     x = np.array([1.1, 0.9, 0.4])
     cp = riemann(s3, x)
     tau = scalar_curvature(cp, np.eye(3))  # the coordinate frame of a diagonal metric
@@ -168,7 +193,7 @@ def _random_analytic_metric(rng, dim):
             out[..., k, :, :] = amps[:, :, k] * np.cos(x[..., k, None, None] + phases[:, :, k])
         return out
 
-    return ChartMetric(dim, g, g_dg=lambda x: (g(x), dg(x)))
+    return ChartMetric(dim, lambda x: (g(x), dg(x)))
 
 
 def test_riemann_symmetries_random_metrics():
@@ -215,7 +240,7 @@ def test_scalar_curvature_matches_ricci_half_trace():
 
 
 def test_degenerate_metric_rejected():
-    bad = ChartMetric(2, lambda x: diag(1.0, 0.0 * x[..., 0]))
+    bad = line_warped_metric(lambda t: 0.0 * t, lambda t: 0.0 * t)
     with pytest.raises(DegenerateMetricError):
         christoffel(bad, np.zeros(2))
 
@@ -281,39 +306,60 @@ def test_laplacian_evaluates_grad_and_hess_once_on_the_stack():
         laplacian(s2, x, nan_at_one.grad, nan_at_one.hess)
 
 
-def test_metric_derivatives_are_the_complex_step_of_one_metric_call():
-    # one metric call whose stack holds, for each point, x and then
-    # x + i eps e_k for the n coordinates k, eps = 1e-30
-    for n in (2, 5, 8):
-        calls = []
+def test_metric_derivatives_are_one_validated_g_dg_call():
+    # one g_dg call on the stack itself; its pair is validated, never symmetrized
+    calls = []
+    sphere = round_sphere_factor(3)
 
-        def g(x, n=n):
-            calls.append(x.copy())
-            return np.eye(n) + 0.1 * x[..., :, None] * x[..., None, :]
+    def counted(x):
+        calls.append(x.copy())
+        return sphere.g_dg(x)
 
-        x = np.linspace(-0.5, 0.6, n)
-        gx, dg = _metric_derivatives(ChartMetric(n, g), x)
-        assert len(calls) == 1 and calls[0].dtype == np.complex128
-        assert np.array_equal(calls[0], x + 1e-30j * np.eye(n + 1, n, -1))
-        assert np.array_equal(gx, g(x))
-        # d_k (x_i x_j) = delta_ki x_j + x_i delta_kj, exact
-        eye = np.eye(n)
-        exact = 0.1 * (np.einsum("ki,j->kij", eye, x) + np.einsum("i,kj->kij", x, eye))
-        assert np.max(np.abs(dg - exact)) < 1e-15
-        assert np.array_equal(dg, dg.transpose(0, 2, 1))
+    x = np.array([[0.9, 0.4, 1.2], [0.5, 1.1, 0.3]])
+    gx, dg = _metric_derivatives(ChartMetric(3, counted), x)
+    assert len(calls) == 1 and np.array_equal(calls[0], x)
+    g_ref, dg_ref = sphere.g_dg(x)
+    assert np.array_equal(gx, g_ref) and np.array_equal(dg, dg_ref)
 
 
-def test_a_metric_that_drops_the_imaginary_part_is_rejected():
-    # a float-casting g would read as a flat metric
-    cast = ChartMetric(2, lambda x: diag(1.0, np.sin(x.real[..., 0]) ** 2))
-    x = np.array([0.9, 0.4])
-    assert np.array_equal(cast.at(x), sphere_metric().at(x))
-    for fn in (christoffel, riemann):
-        with pytest.raises(InvalidInputError, match="metric returned float64 values for complex points"):
-            fn(cast, x)
-    # a real result that also ignores the stack axis fails on its shape first
-    with pytest.raises(InvalidInputError, match="shape"):
-        christoffel(ChartMetric(2, lambda x: np.eye(2)), x)
+@pytest.mark.parametrize(
+    "g_dg",
+    [lambda x: np.eye(2), lambda x: [np.eye(2), np.zeros((2, 2, 2))], lambda x: (np.eye(2),)],
+    ids=["matrix", "list", "one-tuple"],
+)
+def test_a_g_dg_that_does_not_return_a_pair_is_rejected(g_dg):
+    # an old-style g-only metric would otherwise unpack its matrix rows
+    metric = ChartMetric(2, g_dg)
+    for evaluate in (metric.at, lambda x: christoffel(metric, x), lambda x: riemann(metric, x)):
+        with pytest.raises(InvalidInputError, match=r"g_dg returned \w+, expected the pair \(g, dg\)"):
+            evaluate(np.array([0.9, 0.4]))
+
+
+def _analytic_metrics():
+    """The package's metrics whose g_dg is complex-analytic (all but the
+    pull-back), each with a stack of points."""
+
+    def points(lo, hi, d):
+        return np.linspace(lo, hi, 3 * d).reshape(3, d)
+
+    cases = []
+    for d in range(1, 5):
+        cases.append(pytest.param(euclidean_metric(d), points(-0.7, 0.8, d), id=f"euclidean({d})"))
+    for d in range(1, 6):
+        cases.append(pytest.param(round_sphere_factor(d), points(0.3, 1.3, d), id=f"round-sphere({d})"))
+    for key in chart_catalog():
+        for params in ({"n2": 1}, {"n2": 3}) if key in ("sphere", "hyperbolic") else ({},):
+            wp = named_chart(key, **params)
+            cases.append(pytest.param(build_metric(wp), np.stack(wp.sample_points), id=wp.label))
+    return cases
+
+
+@pytest.mark.parametrize("metric,points", _analytic_metrics())
+def test_the_analytic_dg_is_the_complex_step_of_the_metrics_own_g(metric, points):
+    # the pull-back is left out: its g_dg takes real points only
+    dg = metric.g_dg(points)[1]
+    reference = complex_step(lambda z: metric.g_dg(z)[0], points, (metric.dim, metric.dim), "metric")[1]
+    assert np.max(np.abs(dg - reference)) <= 1e-14 * max(1.0, np.max(np.abs(reference)))
 
 
 def _riemann_reference(metric, x):

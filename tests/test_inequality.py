@@ -16,6 +16,8 @@ from warpcheck.errors import (
     SingularParameterError,
 )
 from warpcheck.immersion import (
+    ChartImmersion,
+    _spherical_point,
     balance_for_equality,
     dplus_leaf,
     force_xi_consistency,
@@ -37,6 +39,7 @@ from warpcheck.inequality import (
     obstruction_check,
 )
 from warpcheck.scenes import parse_scene
+from warpcheck.warped import WarpedProductChart, const_fn, cos_fn, flat_factor, round_sphere_factor, sum_fn
 
 
 # --- the trace lemma -------------------------------------------------------
@@ -588,7 +591,7 @@ def test_chart_inequality_matches_reference_exactly():
     im = sphere_in_euclidean(3)
     data = second_fundamental_form(im, im.default_point)
     rep = chart_inequality(im, im.default_point)
-    ref = _ref_general(data, lhs=rep.extras["lhs_chart"], tol=1e-3)
+    ref = _ref_general(data, lhs=rep.extras["lhs_chart"], tol=inequality.CHART_EQUALITY_TOL)
     _assert_matches(rep, ref)
     assert rep.rhs == ref["rhs"] and rep.gap == ref["gap"]
     assert rep.extras["lhs_proxy"] == _ref_general(data)["lhs"]
@@ -605,6 +608,38 @@ def test_chart_inequality_refuses_data_of_another_immersion_or_point():
             chart_inequality(im, p, data=other)
     own = second_fundamental_form(im, p.tolist())
     assert chart_inequality(im, p, data=own) == chart_inequality(im, p)
+
+
+def _torus(n: int, R: float = 2.0):
+    """x(t, theta) = ((R + cos t) S^{n-1}(theta), sin t) in R^{n+1}, the
+    warped chart R x_{R + cos t} S^{n-1}: principal curvatures 1 along t and
+    k = cos t / (R + cos t) along the n - 1 sphere directions."""
+    def mapping(u):
+        t = u[..., :1]
+        return np.concatenate([(R + np.cos(t)) * _spherical_point(u[..., 1:]), np.sin(t)], axis=-1)
+
+    wp = WarpedProductChart(flat_factor(1), round_sphere_factor(n - 1), sum_fn(const_fn(R), cos_fn()))
+    return ChartImmersion(mapping, n + 1, 1, n - 1, warped=wp, label=f"torus({n})")
+
+
+def _torus_gap(n: int, t: float, R: float = 2.0) -> float:
+    """n^2 H^2 / (4 (n - 1)) - Delta f / f, with Delta f / f = k."""
+    k = np.cos(t) / (R + np.cos(t))
+    H = (1.0 + (n - 1) * k) / n
+    return n * n * H * H / (4.0 * (n - 1)) - k
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_chart_equality_band_separates_a_torus_level_set_from_nearby_strict_points(n):
+    # equality holds exactly where k = 1/(n - 1), i.e. cos t = R/(n - 2)
+    im = _torus(n)
+    level = float(np.arccos(2.0 / (n - 2)))
+    strict = {8: [1.2], 4: [0.3], 6: [-1.0], 7: [1.2]}.get(n, [])
+    for t in [level, *strict, 0.6]:
+        rep = chart_inequality(im, np.array([t] + [0.8] * (n - 1)))
+        assert abs(rep.gap - _torus_gap(n, t)) <= 1e-8, (n, t)
+        assert rep.equality == (t == level), (n, t, rep.gap)
+        assert rep.diagnostics["partial_mean_equal"] == (t == level), (n, t)
 
 
 # --- signatures ------------------------------------------------------------
@@ -629,7 +664,7 @@ def test_no_parameter_with_one_value_in_use():
     assert sum(map(len, removed.values())) == 16
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__
-    # two values in use: chart_inequality's 1e-3 and acceptance criterion 4's 1e-10
+    # two values in use: chart_inequality's 1e-6 and acceptance criterion 4's 1e-10
     for fn, name in [
         (inequality.general_inequality, "equality_tol"),
         (inequality.general_inequality_stack, "equality_tol"),

@@ -55,7 +55,7 @@ def test_build_metric_exponential():
 def test_warping_positive_enforced():
     wp = WarpedProductChart(flat_factor(1), flat_factor(1), poly_fn([0.0, 1.0]))
     with pytest.raises(InvalidWarpingError):
-        build_metric(wp).g(np.array([-1.0, 0.0]))
+        build_metric(wp).g_dg(np.array([-1.0, 0.0]))
 
 
 @pytest.mark.parametrize(

@@ -240,7 +240,7 @@ def test_the_warped_checks_evaluate_no_metric_of_the_first_factor(monkeypatch, n
 
         return counted
 
-    for name in ("g", "g_dg"):
+    for name in ("at", "g_dg"):
         monkeypatch.setattr(wp.factor1, name, counting(name, getattr(wp.factor1, name)))
     check_connection_identity(wp, cp)
     mixed_sectional(wp, cp)
