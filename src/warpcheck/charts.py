@@ -13,8 +13,9 @@ chart immersion, the parts of a warping function) take a stack of points
 stack-of-none case.  g_dg and those that are differentiated numerically
 also take complex points: each must be the complex-analytic extension of
 its real formula, with no abs, max/min, comparison or real-part cast of the
-points.  The functions below accept stacks too, and a point's numbers do
-not depend on its stack.
+points.  A callable may be called on any flattened stack, such as the
+distinct points of a stencil (numeric.jet).  The functions below accept
+stacks too, and a point's numbers do not depend on its stack.
 
 Derivatives follow the one rule of ``numeric``: the metric derivatives are
 exact, from the one g_dg call that gives the metric, and ``riemann`` takes
@@ -174,7 +175,11 @@ def sectional_curvature(cp: CurvaturePoint, X: np.ndarray, Y: np.ndarray) -> flo
     if np.any(flat):
         at = _first_point(np.broadcast_to(cp.x, flat.shape + (n,)), flat)
         raise DegeneratePlaneError(f"X and Y do not span a 2-plane at {at}")
-    return (np.einsum("...ijkl,...i,...j,...k,...l->...", cp.riemann04, X, Y, Y, X) / denom)[()]
+    # R(X, ., ., .), then Y into the next slot, then Y and X: one slot at a time, per point alone
+    R = cp.riemann04.reshape(cp.riemann04.shape[:-4] + (n, n**3))
+    RX = X[..., None, :] @ R
+    RXY = Y[..., None, :] @ RX.reshape(RX.shape[:-2] + (n, n * n))
+    return (bilinear(RXY.reshape(RXY.shape[:-2] + (n, n)), Y, X) / denom)[()]
 
 
 def covariant_hessian(gamma: np.ndarray, x: np.ndarray, df, d2f) -> np.ndarray:

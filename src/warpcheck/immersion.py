@@ -616,8 +616,9 @@ class ChartImmersion:
     """Map from an n-dim source chart into Euclidean R^ambient_dim.
 
     map takes source points (..., n) to points (..., ambient_dim),
-    broadcasting over the leading axes (the stack contract of ``charts``).
-    It is differentiated by the complex step, so it must be the
+    broadcasting over the leading axes (the stack contract of ``charts``);
+    it may be called on any flattened stack, such as the distinct points of
+    a stencil.  It is differentiated by the complex step, so it must be the
     complex-analytic extension of its real formula (see
     numeric.complex_step).
     """
@@ -638,9 +639,10 @@ class ChartImmersion:
 def pullback_metric(im: ChartImmersion) -> ChartMetric:
     """Induced metric g = J^T J on the source chart, with its derivatives
     d_k g = (d_k J)^T J + J^T d_k J, both from the jet of the map
-    (numeric.jet), one call on (..., 2n+1, n+1, n): J is exact, and d_k J
-    is its central difference, so riemann of this metric differences twice
-    (J to dg, then Gamma).  Its g_dg takes real points only."""
+    (numeric.jet), one call on the complex steps of the distinct points of
+    its stencils: J is exact, and d_k J is its central difference, so
+    riemann of this metric differences twice (J to dg, then Gamma).  Its
+    g_dg takes real points only."""
 
     def g_dg(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, jt, hess = jet(im.map, np.asarray(u, float), (im.ambient_dim,), "map")

@@ -152,6 +152,9 @@ def test_spans_are_the_median_over_the_traced_runs_of_each_side(tmp_path):
         for seed, count in zip((3, 4, 5), counts):
             runs.append(_run("w", seed, 0.0, commit, trace=1, calls=count))
             spans = [(i, -1, "immersion.random_stack", 0, 10, "") for i in range(count)]
+            # one jet per random_stack, inside it, and one sectional_curvature at the top
+            spans += [(count + i, i, "numeric.jet", 2, 5, "") for i in range(count)]
+            spans.append((2 * count, -1, "charts.sectional_curvature", 0, 4 * count, ""))
             _write_spans(root / f"w-seed{seed}" / "spans.csv.gz", spans)
         sides[side] = _write(root / "results.jsonl", runs)
     out = tmp_path / "BENCH.json"
@@ -160,7 +163,12 @@ def test_spans_are_the_median_over_the_traced_runs_of_each_side(tmp_path):
                        "--benchmark", str(tmp_path / "bench.json")])
     spans = json.loads(out.read_text())["workloads"]["w"]["spans"]
     assert spans["parent"]["immersion.random_stack.calls"] == 7
-    assert spans["parent"]["immersion.random_stack.self_s"] == 70 / 1e9
+    assert spans["parent"]["immersion.random_stack.self_s"] == 7 * 7 / 1e9
     assert spans["change"]["immersion.random_stack.calls"] == 2
-    assert spans["change"]["immersion.random_stack.self_s"] == 20 / 1e9
+    assert spans["change"]["immersion.random_stack.self_s"] == 2 * 7 / 1e9
     assert spans["change"]["immersion.gauss_residual.calls"] == 0
+    for side, count in (("parent", 7), ("change", 2)):
+        assert spans[side]["numeric.jet.calls"] == count
+        assert spans[side]["numeric.jet.self_s"] == count * 3 / 1e9
+        assert spans[side]["charts.sectional_curvature.calls"] == 1
+        assert spans[side]["charts.sectional_curvature.self_s"] == count * 4 / 1e9

@@ -19,11 +19,17 @@ from warpcheck.errors import (
     InvalidInputError,
     NumericalDomainError,
 )
-from warpcheck.immersion import pullback_metric, second_fundamental_form, sphere_in_euclidean
+from warpcheck.immersion import (
+    chart_immersion_catalog,
+    pullback_metric,
+    second_fundamental_form,
+    sphere_in_euclidean,
+)
 from warpcheck.inequality import chart_inequality
-from warpcheck.numeric import FD_STEP, Tolerance, axis_stencil, complex_step, jet
+from warpcheck.numeric import FD_STEP, Tolerance, axis_stencil, bilinear, complex_step, jet
 from warpcheck.warped import (
     WarpFunction,
+    _adapted_frame,
     build_metric,
     chart_catalog,
     const_fn,
@@ -129,6 +135,50 @@ def test_sectional_degenerate_plane():
     cp = riemann(metric, x)
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(cp, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+
+
+def _sectional_cases():
+    """The warped catalog (sphere and hyperbolic at n2 = 1..7) and the warped
+    charts of the chart immersions (sphere-in-euclidean at n = 2..8)."""
+    for key in ("sphere", "hyperbolic"):
+        for n2 in range(1, 8):
+            yield pytest.param(named_chart(key, n2=n2), id=f"{key}-{n2}")
+    for key in ("cone", "flat-product"):
+        yield pytest.param(named_chart(key), id=key)
+    for key, build in chart_immersion_catalog().items():
+        for params in ({"n": n} for n in range(2, 9)) if key == "sphere-in-euclidean" else ({},):
+            yield pytest.param(build(**params).warped, id="-".join([key, *map(str, params.values())]))
+
+
+def _five_operand_sectional(cp, X, Y):
+    """K(X ^ Y) with R(X, Y, Y, X) as one 5-operand einsum, and the sum of
+    the absolute values of its terms over the same Gram determinant."""
+    xy = bilinear(cp.g, X, Y)
+    denom = bilinear(cp.g, X, X) * bilinear(cp.g, Y, Y) - xy * xy
+    terms = [cp.riemann04, X, Y, Y, X]
+    value, absolute = (np.einsum("...ijkl,...i,...j,...k,...l->...", *t) for t in (terms, map(np.abs, terms)))
+    return value / denom, absolute / denom
+
+
+@pytest.mark.parametrize("wp", _sectional_cases())
+def test_sectional_curvature_contracts_as_the_five_operand_einsum(wp):
+    # on the adapted frames, coordinate-aligned, every sum has one nonzero
+    # term: equal bit for bit; on random planes within round-off of the sum
+    # of the absolute terms; a point's values are those of its one-point call
+    points = np.array(wp.sample_points)
+    cp = riemann(build_metric(wp), points)
+    frame1, frame2 = _adapted_frame(wp, cp.g)
+    adapted = sectional_curvature(cp, frame1[:, None], frame2[None])
+    assert np.array_equal(adapted, _five_operand_sectional(cp, frame1[:, None], frame2[None])[0])
+    X, Y = np.random.default_rng(5).normal(size=(2, 20) + points.shape)
+    K = sectional_curvature(cp, X, Y)
+    ref, absolute = _five_operand_sectional(cp, X, Y)
+    assert np.all(np.abs(K - ref) <= 1e-13 * absolute)
+    for i, p in enumerate(points):
+        single = riemann(build_metric(wp), p)
+        assert np.array_equal(sectional_curvature(single, X[:, i], Y[:, i]), K[:, i])
+        f1, f2 = _adapted_frame(wp, single.g)
+        assert np.array_equal(sectional_curvature(single, f1[:, None], f2[None]), adapted[..., i])
 
 
 def scalar_curvature(cp, frame):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck.charts import riemann
+from warpcheck.charts import ChartMetric, riemann
 from warpcheck.contact import CurvatureOracle, make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
@@ -254,8 +254,10 @@ def test_pullback_metric_matches_the_analytic_warped_metric():
 
 
 def test_riemann_of_a_pullback_metric_evaluates_the_map_once():
-    # g and dg come from one jet of the map, on the (2n+1, 2n+1, n+1, n)
-    # complex points of riemann's Gamma stencil; g is the complex-step g
+    # g and dg come from one jet of the map on riemann's (2n+1, n) Gamma
+    # stencil: its (2n+1)^2 nested stencil points hold 2n^2 + 2n + 1 distinct
+    # ones (x + s_a e_a + s_b e_b twice, x + s_a e_a - s_a e_a is x), and the
+    # map is called once on their complex steps (25, n+1, n)
     im = sphere_in_euclidean(3)
     calls = []
 
@@ -265,10 +267,40 @@ def test_riemann_of_a_pullback_metric_evaluates_the_map_once():
 
     pull = pullback_metric(ChartImmersion(counted, im.ambient_dim, im.n1, im.n2))
     cp = riemann(pull, im.default_point)
-    assert calls == [(7, 7, 4, 3)]
+    assert calls == [(25, 4, 3)]
     assert np.array_equal(cp.g, pull.at(im.default_point))
     g, dg = pull.g_dg(im.default_point)
     assert np.array_equal(g, cp.g) and np.array_equal(dg, pull.g_dg(im.default_point[None])[1][0])
+
+
+def _pointwise_pullback(im: ChartImmersion) -> ChartMetric:
+    """The pull-back metric of im with one jet per point: each point's map
+    call covers its own (2n+1, n+1, n) stencil, as a stack of one."""
+    pull = pullback_metric(im)
+
+    def g_dg(u):
+        pairs = [pull.g_dg(p) for p in u.reshape(-1, im.n)]
+        return tuple(np.stack(part).reshape(u.shape[:-1] + part[0].shape) for part in zip(*pairs))
+
+    return ChartMetric(im.n, g_dg)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pullback_riemann_on_distinct_points_equals_the_pointwise_jets(n):
+    im = sphere_in_euclidean(n)
+    rows = []
+
+    def counted(u):
+        rows.append(u.shape)
+        return im.map(u)
+
+    cp = riemann(pullback_metric(ChartImmersion(counted, im.ambient_dim, im.n1, im.n2)), im.default_point)
+    assert rows == [(2 * n * n + 2 * n + 1, n + 1, n)]
+    if n == 8:
+        assert np.prod(rows[0][:-1]) == 1305  # against (2n+1)^2 (n+1) = 2601 on the nested stencil
+    ref = riemann(_pointwise_pullback(im), im.default_point)
+    for field in ("x", "gamma", "riemann04", "g"):
+        assert np.array_equal(getattr(cp, field), getattr(ref, field)), field
 
 
 def test_chart_immersion_data_has_a_zero_ambient_tensor():

@@ -9,6 +9,7 @@ from warpcheck.errors import DegenerateInputError, InvalidInputError, NumericalD
 from warpcheck.numeric import (
     FD_STEP,
     Tolerance,
+    axis_stencil,
     bilinear,
     complex_step,
     gram_schmidt,
@@ -125,6 +126,19 @@ def test_gram_schmidt_on_a_stack_equals_the_pointwise_calls_exactly():
             one = gram_schmidt([v[i] for v in vecs], lambda u, v: float(u @ g[i] @ v))
             assert all(np.array_equal(s[i], o) for s, o in zip(stacked, one))
             assert all(np.array_equal(s[i], o) for s, o in zip(plain, gram_schmidt([v[i] for v in vecs])))
+
+
+def test_gram_schmidt_rejects_a_nan_pivot():
+    # a NaN inner product compares false against tol: it is a degenerate pivot
+    e = np.eye(2)
+    with pytest.raises(DegenerateInputError, match="vector 0: pivot norm nan"):
+        gram_schmidt([e[0], e[1]], inner=lambda u, v: float("nan"))
+    # a metric holding inf: 0 * inf is NaN at the second vector of point 1
+    g = np.stack([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], np.eye(2)])
+    with np.errstate(invalid="ignore"), pytest.raises(
+        DegenerateInputError, match=r"vector 1 \(stack index \(1,\)\): pivot norm nan"
+    ):
+        gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], lambda u, v: bilinear(g, u, v))
 
 
 def test_gram_schmidt_names_the_point_of_a_dependent_stack():
@@ -272,7 +286,8 @@ def test_complex_step_is_exact_where_a_difference_is_not():
 
 def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
     # rows: x, x + s_k e_k, x - s_k e_k with s_k = FD_STEP max(1, |x_k|); each row
-    # taken as it is, then stepped by i eps along every coordinate
+    # taken as it is, then stepped by i eps along every coordinate.  The two
+    # stencils share no point, so f sees all 10 rows
     calls = []
 
     def f(p):
@@ -281,18 +296,69 @@ def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
 
     x = np.array([[0.4, -1.3], [2.0, 0.5]])
     value, d1, d2 = jet(f, x, (), "f")
-    assert len(calls) == 1 and calls[0].shape == (2, 5, 3, 2)
+    assert len(calls) == 1 and calls[0].shape == (10, 3, 2)
     steps = FD_STEP * np.maximum(1.0, np.abs(x))
     shifts = steps[:, :, None] * np.eye(2)
-    rows = np.concatenate([x[:, None], x[:, None] + shifts, x[:, None] - shifts], axis=1)
-    assert np.array_equal(calls[0].real, np.broadcast_to(rows[:, :, None], (2, 5, 3, 2)))
-    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(3, 2, -1), (2, 5, 3, 2)))
+    rows = np.concatenate([x[:, None], x[:, None] + shifts, x[:, None] - shifts], axis=1).reshape(10, 2)
+    seen = calls[0].real[:, 0]
+    assert np.array_equal(seen[np.lexsort(seen.T)], rows[np.lexsort(rows.T)])
+    assert np.array_equal(calls[0].real, np.broadcast_to(seen[:, None], (10, 3, 2)))
+    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(3, 2, -1), (10, 3, 2)))
     s, c, y = np.sin(x[:, 0]), np.cos(x[:, 0]), x[:, 1]
     assert np.allclose(value, s * y**2, rtol=1e-15)
     assert np.allclose(d1, np.stack([c * y**2, 2.0 * s * y], axis=-1), rtol=1e-15)
     hess = np.stack([np.stack([-s * y**2, 2 * c * y], -1), np.stack([2 * c * y, 2 * s], -1)], -2)
     assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
     assert np.max(np.abs(d2 - hess)) < 1e-5
+
+
+def test_the_jet_of_one_point_evaluates_its_whole_stencil():
+    # a single point's 2n+1 stencil rows are distinct: one call on all of them
+    calls = []
+    x = np.array([0.4, -1.3, 2.5])
+    jet(lambda p: calls.append(p.shape) or _array_f(p), x, (3, 2), "f")
+    assert calls == [(7, 4, 3)]
+
+
+def test_a_point_held_twice_in_a_stack_gets_its_own_jet():
+    calls = []
+
+    def f(p):
+        calls.append(p.shape)
+        return _array_f(p)
+
+    x = np.array([0.4, -1.3, 2.5])
+    alone = jet(f, x, (3, 2), "f")
+    for stack in (np.array([x, x]), np.array([[x, x + 0.3], [x, x]])):
+        calls.clear()
+        twice = jet(f, stack, (3, 2), "f")
+        assert calls == [(7 * len(np.unique(stack.reshape(-1, 3), axis=0)), 4, 3)]
+        for idx in np.ndindex(stack.shape[:-1]):
+            if np.array_equal(stack[idx], x):
+                assert all(np.array_equal(t[idx], a) for t, a in zip(twice, alone))
+
+
+def test_a_non_finite_value_at_a_shared_stencil_point_names_its_first_stencil_index():
+    # the stencils of x + s_0 e_0 (row 1) and x + s_1 e_1 (row 2) of the
+    # stencil of x both hold x + s_0 e_0 + s_1 e_1: at (1, 2) and at (2, 1)
+    x = np.array([0.4, -1.3])
+    pts = axis_stencil(x)[0]
+    shared = pts[1] + np.array([0.0, FD_STEP * 1.3])
+    assert np.array_equal(axis_stencil(pts)[0][1, 2], shared) and np.array_equal(axis_stencil(pts)[0][2, 1], shared)
+
+    def f(p):
+        at = (p.real == shared).all(axis=-1)
+        return np.where(at, np.nan, np.sin(p[..., 0]) * p[..., 1])
+
+    with pytest.raises(NumericalDomainError, match=r"f has non-finite entries at .* \(stack index \(1, 2, 0\)\)"):
+        jet(f, pts, (), "f")
+
+
+def test_a_jet_stack_whose_f_ignores_the_stack_axis_is_rejected_on_its_one_call():
+    # the shape is checked on the call on the distinct points (U, n+1, n)
+    x = np.array([[0.4, -1.3], [0.4, -1.3]])
+    with pytest.raises(InvalidInputError, match=r"f returned shape \(3,\), expected \(5, 3\)"):
+        jet(lambda p: np.sin(p[0, :, 0]), x, (), "f")
 
 
 def _as_float(p):

@@ -45,7 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINE_KEYS = ("python", "numpy", "blas", "nproc", "platform", "thread_caps")
-SPANS = ("immersion.random_stack", "immersion.gauss_residual")
+SPANS = ("immersion.random_stack", "immersion.gauss_residual", "numeric.jet", "charts.sectional_curvature")
 
 
 def read_runs(path: Path) -> list[dict]:
