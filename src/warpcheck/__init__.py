@@ -13,10 +13,8 @@ from .numeric import Tolerance, gram_schmidt
 from .charts import (
     ChartMetric,
     CurvaturePoint,
-    christoffel,
     riemann,
     sectional_curvature,
-    laplacian,
 )
 from .warped import (
     WarpedProductChart,
@@ -36,7 +34,7 @@ from .contact import (
     curvature_sasakian_space_form,
     curvature_non_sasakian,
     check_km_condition,
-    phi_sectional,
+    phi_sectional_constant,
     AmbientSpace,
     make_ambient,
 )

@@ -7,6 +7,9 @@ Conventions used throughout the package:
 * Laplacian: Delta = -div grad (the geometers' sign), so Delta f = -f'' on the
   Euclidean line.
 
+Every check takes Gamma, R and g from riemann (a CurvaturePoint), and
+sectional_curvature, covariant_hessian and trace_laplacian work from those.
+
 Stack contract: the geometry callables (ChartMetric.g_dg, the ``map`` of a
 chart immersion, the parts of a warping function) take a stack of points
 (..., n) and broadcast over its leading axes; a single point (n,) is the
@@ -47,12 +50,10 @@ from .numeric import (
 __all__ = [
     "ChartMetric",
     "CurvaturePoint",
-    "christoffel",
     "riemann",
     "sectional_curvature",
     "covariant_hessian",
     "trace_laplacian",
-    "laplacian",
     "euclidean_metric",
 ]
 
@@ -121,17 +122,13 @@ def _metric_derivatives(metric: ChartMetric, x: np.ndarray):
 
 
 def _christoffel(metric: ChartMetric, x: np.ndarray):
+    """Levi-Civita symbols Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
+    (..., n, n, n) and the validated metric on a stack x (..., n)."""
     gx, dg = _metric_derivatives(metric, x)
     g_inv = np.linalg.inv(gx)
     # bracket[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij   (dg[k,i,j] = d_k g_ij)
     bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
     return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, bracket), gx
-
-
-def christoffel(metric: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-    at a point (n, n, n) or a stack (..., n, n, n)."""
-    return _christoffel(metric, as_points(x, metric.dim))[0]
 
 
 def _last4(a: np.ndarray, *perm: int) -> np.ndarray:
@@ -196,19 +193,3 @@ def trace_laplacian(gx: np.ndarray, gamma: np.ndarray, x: np.ndarray, df, d2f) -
     """Geometers' Laplacian -g^ij Hess f_ij from the metric gx at x and covariant_hessian's inputs."""
     return -np.einsum("...ij,...ij->...", np.linalg.inv(gx), covariant_hessian(gamma, x, df, d2f))[()]
 
-
-def laplacian(
-    metric: ChartMetric,
-    x: np.ndarray,
-    grad: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray], np.ndarray],
-) -> float | np.ndarray:
-    """Geometers' Laplacian: Delta f = -g^ij (d_i d_j f - Gamma^k_ij d_k f).
-
-    Equals sum_j {(nabla_{e_j} e_j) f - e_j(e_j f)} over any orthonormal
-    frame.  grad and hess, the analytic gradient and coordinate Hessian of
-    f, take the stack.
-    """
-    x = as_points(x, metric.dim)
-    gamma, gx = _christoffel(metric, x)
-    return trace_laplacian(gx, gamma, x, grad(x), hess(x))

@@ -30,7 +30,7 @@ from .errors import (
     NumericalDomainError,
     SingularParameterError,
 )
-from .numeric import as_matrix, as_points, as_vector, bilinear, frame_tensor, qr_q_complete
+from .numeric import as_matrix, as_vector, frame_tensor, qr_q_complete
 
 __all__ = [
     "ContactFrame",
@@ -42,7 +42,6 @@ __all__ = [
     "curvature_non_sasakian",
     "check_km_condition",
     "phi_sectional_constant",
-    "phi_sectional",
     "AmbientSpace",
     "ambient_catalog",
     "make_ambient",
@@ -53,8 +52,6 @@ FRAME_TOL = 1e-10
 # The non-Sasakian (kappa, mu) formulas divide by 1 - kappa; a kappa above
 # this is refused as singular by the library and by scenes alike.
 KAPPA_SINGULAR = 1.0 - 1e-8
-# How far from unit length and from orthogonal to xi phi_sectional lets X be.
-_UNIT_TOL = 1e-8
 # Samples per pass of CurvatureOracle.kij on a stack: bounds its two
 # (samples * n) x d^2 intermediates, 4.8 MB each at d = 7, n = 6.
 _KIJ_BLOCK = 2048
@@ -335,18 +332,6 @@ def phi_sectional_constant(oracle: CurvatureOracle, frame: ContactFrame) -> tupl
     sym_dd = (dd + dd.transpose(0, 2, 1, 3) + dd.transpose(0, 2, 3, 1)) / 3.0
     c = np.sum(sym_t * sym_dd) / np.sum(sym_dd * sym_dd)
     return float(c), float(np.max(np.abs(sym_t - c * sym_dd)))
-
-
-def phi_sectional(oracle: CurvatureOracle, frame: ContactFrame, X: np.ndarray) -> float | np.ndarray:
-    """K(X ^ phi X) = R(X, phi X, phi X, X) for a unit X orthogonal to xi, or
-    for each X of a stack (..., d), contracting the tensor one slot at a
-    time; an X gets the value it gets alone, whatever stack it is in."""
-    X = as_points(X, frame.dim)
-    if np.any(np.abs(np.sum(X * X, axis=-1) - 1.0) > _UNIT_TOL) or np.any(np.abs(X @ frame.eta) > _UNIT_TOL):
-        raise InvalidInputError("X must be unit and orthogonal to xi")
-    pX = X @ frame.phi.T
-    RX = np.einsum("...i,ijkl->...jkl", X, oracle.tensor)  # R(X, ., ., .), per X alone
-    return bilinear((RX @ X[..., None, :, None])[..., 0], pX, pX)[()]
 
 
 @dataclass

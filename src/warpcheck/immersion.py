@@ -20,7 +20,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum
 
 from .charts import ChartMetric
-from .contact import AmbientSpace, ContactFrame, CurvatureOracle, make_ambient
+from .contact import AmbientSpace, ContactFrame, CurvatureOracle
 from .errors import (
     ImmersionDegeneracyError,
     InvalidConfigurationError,
@@ -60,7 +60,6 @@ __all__ = [
     "sphere_in_euclidean",
     "plane_immersion",
     "cylinder_immersion",
-    "dplus_leaf",
     "dplus_leaf_in",
     "chart_immersion_catalog",
 ]
@@ -763,14 +762,9 @@ def cylinder_immersion() -> ChartImmersion:
     )
 
 
-def dplus_leaf(m: int, kappa: float, mu: float, n1: int = 1, n2: int = 1) -> PointwiseStack:
-    """Totally geodesic leaf of the positive h-eigendistribution (sigma = 0)."""
-    ambient = make_ambient("non-sasakian-kmu", m=m, kappa=kappa, mu=mu)
-    return dplus_leaf_in(ambient, n1, n2, label=f"dplus-leaf(m={m},kappa={kappa},mu={mu})")
-
-
-def dplus_leaf_in(ambient: AmbientSpace, n1: int = 1, n2: int = 1, label: str = "dplus-leaf") -> PointwiseStack:
-    """The dplus leaf drawn inside a given contact ambient, as a stack of one."""
+def dplus_leaf_in(ambient: AmbientSpace, n1: int = 1, n2: int = 1) -> PointwiseStack:
+    """Totally geodesic leaf of the positive h-eigendistribution (sigma = 0)
+    inside a given contact ambient, as a stack of one."""
     frame = _frame_of(ambient)
     return PointwiseStack(
         n1=n1,
@@ -780,7 +774,7 @@ def dplus_leaf_in(ambient: AmbientSpace, n1: int = 1, n2: int = 1, label: str = 
         sigma=np.zeros((1, ambient.dim - n1 - n2, n1 + n2, n1 + n2)),
         oracle=ambient.oracle,
         contact=ambient.frame,
-        label=label,
+        label="dplus-leaf",
     )
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import laplacian
+from .charts import _christoffel, trace_laplacian
 from .contact import KAPPA_SINGULAR
 from .errors import (
     InadmissibleTupleError,
@@ -47,7 +47,7 @@ from .immersion import (
     mean_curvatures,
     second_fundamental_form,
 )
-from .numeric import qr_q
+from .numeric import as_points, qr_q
 
 __all__ = [
     "chen_lemma",
@@ -595,10 +595,9 @@ def chart_inequality(
             f"second_fundamental_form of this ({im.n1}, {im.n2}) immersion at {p}"
         )
     wp = im.warped
-    x1 = np.asarray(p, dtype=float)[: wp.n1]
-    f = wp.warp.value(x1)
-    lap = laplacian(wp.factor1, x1, wp.warp.grad, wp.warp.hess)
-    lhs_chart = lap / f
+    x1 = as_points(np.asarray(p, dtype=float)[: wp.n1], wp.factor1.dim)
+    gamma1, g1 = _christoffel(wp.factor1, x1)  # Delta f on the first factor, as check_laplacian_ratio
+    lhs_chart = trace_laplacian(g1, gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1)) / wp.warp.value(x1)
     proxy = general_inequality(data, CHART_EQUALITY_TOL)
     agreement = abs(lhs_chart - proxy.lhs)
     extras = {"lhs_chart": lhs_chart, "lhs_proxy": proxy.lhs, "lhs_agreement": agreement}

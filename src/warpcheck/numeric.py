@@ -229,9 +229,9 @@ def gram_schmidt(
     form broadcasting over the stack (e.g. ``bilinear`` against a stacked
     metric); Euclidean dot product when omitted.  Prefix spans are
     preserved.  Raises InvalidInputError unless the inputs are arrays of one
-    shape with n >= 1, NumericalDomainError on a non-finite entry and
-    DegenerateInputError, naming the vector and the first point, when a
-    pivot norm falls below `tol` (dependent input).
+    shape with n >= 1, NumericalDomainError on a non-finite entry or an
+    infinite pivot norm and DegenerateInputError when a pivot norm is NaN or
+    below `tol` (dependent input), each naming the vector and the first point.
     """
     if len(vectors) == 0:
         return []
@@ -249,10 +249,12 @@ def gram_schmidt(
         for u in out:
             w -= np.asarray(dot(u, w))[..., None] * u
         norm = np.sqrt(np.maximum(dot(w, w), 0.0))
-        small = ~(norm >= tol)  # a NaN pivot is degenerate too
-        if small.any():
-            idx = tuple(int(i) for i in np.argwhere(small)[0])
+        bad = ~((norm >= tol) & (norm < np.inf))  # a NaN pivot is degenerate too
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
             at = f" (stack index {idx})" if idx else ""
+            if norm[idx] == np.inf:  # w / inf would be a zero vector
+                raise NumericalDomainError(f"non-finite pivot norm at vector {len(out)}{at}: {norm[idx]}")
             raise DegenerateInputError(
                 f"rank-deficient input at vector {len(out)}{at}: pivot norm {norm[idx]:.3e}"
             )

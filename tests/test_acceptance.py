@@ -17,7 +17,6 @@ from warpcheck.contact import (
     curvature_sasakian_space_form,
     make_ambient,
     make_kmu_frame,
-    phi_sectional,
     check_km_condition,
 )
 from warpcheck.immersion import (
@@ -210,6 +209,10 @@ def test_criterion_6_phi_sectional_constancy():
         X = rng.normal(size=frame.dim)
         X -= (frame.eta @ X) * frame.xi
         return X / np.linalg.norm(X)
+
+    def phi_sectional(oracle, frame, X):
+        pX = frame.phi @ X
+        return oracle.value(X, pX, pX, X)
 
     frame = make_kmu_frame(3, 0.4, -0.9, c=1.9)
     orc = curvature_kmu_space_form(frame)

@@ -7,11 +7,10 @@ import pytest
 from warpcheck.charts import (
     ChartMetric,
     _metric_derivatives,
-    christoffel,
     euclidean_metric,
-    laplacian,
     riemann,
     sectional_curvature,
+    trace_laplacian,
 )
 from warpcheck.errors import (
     DegenerateMetricError,
@@ -68,7 +67,7 @@ def hyperbolic_metric():
 
 @pytest.mark.parametrize(
     "fn",
-    [axis_stencil, jet, riemann, laplacian, pullback_metric, second_fundamental_form, chart_inequality],
+    [axis_stencil, jet, riemann, trace_laplacian, pullback_metric, second_fundamental_form, chart_inequality],
     ids=lambda fn: fn.__name__,
 )
 def test_no_chart_derivative_takes_a_step(fn):
@@ -82,20 +81,27 @@ def test_a_chart_metric_has_one_derivative_callable_and_the_tolerance_one_bound(
     assert [f.name for f in fields(Tolerance)] == ["algebraic"]
 
 
+def laplacian(metric, x, grad, hess):
+    """Delta f at a point or stack x by the checks' path: Gamma and g from
+    riemann, then trace_laplacian of the analytic gradient and Hessian."""
+    cp = riemann(metric, x)
+    return trace_laplacian(cp.g, cp.gamma, cp.x, grad(cp.x), hess(cp.x))
+
+
 def test_christoffel_euclidean_zero():
-    gamma = christoffel(euclidean_metric(3), np.array([0.4, -1.0, 2.0]))
+    gamma = riemann(euclidean_metric(3), np.array([0.4, -1.0, 2.0])).gamma
     assert np.max(np.abs(gamma)) < 1e-12
 
 
 def test_christoffel_polar():
     polar = line_warped_metric(lambda t: t, np.ones_like)
-    gamma = christoffel(polar, np.array([2.0, 0.3]))
+    gamma = riemann(polar, np.array([2.0, 0.3])).gamma
     assert abs(gamma[0, 1, 1] + 2.0) < 1e-6
     assert abs(gamma[1, 0, 1] - 0.5) < 1e-6
 
 
 def test_christoffel_sphere():
-    gamma = christoffel(sphere_metric(), np.array([np.pi / 4, 0.2]))
+    gamma = riemann(sphere_metric(), np.array([np.pi / 4, 0.2])).gamma
     assert abs(gamma[0, 1, 1] + 0.5) < 1e-6  # -sin(pi/4)cos(pi/4)
 
 
@@ -292,7 +298,7 @@ def test_scalar_curvature_matches_ricci_half_trace():
 def test_degenerate_metric_rejected():
     bad = line_warped_metric(lambda t: 0.0 * t, lambda t: 0.0 * t)
     with pytest.raises(DegenerateMetricError):
-        christoffel(bad, np.zeros(2))
+        riemann(bad, np.zeros(2))
 
 
 def test_laplacian_sign_convention():
@@ -327,24 +333,14 @@ def test_laplacian_analytic_callbacks():
     assert abs(val - np.cos(0.2)) < 1e-12
 
 
-def test_laplacian_evaluates_grad_and_hess_once_on_the_stack():
-    # grad and hess follow the stack contract: one call each on the points
-    # (..., n), their values validated by stack_values
+def test_trace_laplacian_validates_the_gradient_and_hessian_of_a_stack():
+    # grad and hess follow the stack contract: their values on the points
+    # (..., n) are validated by stack_values
     s2 = round_sphere_factor(2)
     x = np.array([[0.4, 0.7], [1.0, 0.7], [2.2, -0.3]])
-    calls = []
     cosine = cos_fn()
     grad, hess = cosine.grad, cosine.hess
-
-    def counted(fn):
-        def wrapped(p):
-            calls.append(p.shape)
-            return fn(p)
-
-        return wrapped
-
-    val = laplacian(s2, x, counted(grad), counted(hess))
-    assert calls == [(3, 2), (3, 2)]
+    val = laplacian(s2, x, grad, hess)
     assert np.max(np.abs(val - 2.0 * np.cos(x[:, 0]))) < 1e-7
     with pytest.raises(InvalidInputError, match="gradient returned shape"):
         laplacian(s2, x, lambda p: 5.0, hess)
@@ -380,7 +376,7 @@ def test_metric_derivatives_are_one_validated_g_dg_call():
 def test_a_g_dg_that_does_not_return_a_pair_is_rejected(g_dg):
     # an old-style g-only metric would otherwise unpack its matrix rows
     metric = ChartMetric(2, g_dg)
-    for evaluate in (metric.at, lambda x: christoffel(metric, x), lambda x: riemann(metric, x)):
+    for evaluate in (metric.at, lambda x: riemann(metric, x)):
         with pytest.raises(InvalidInputError, match=r"g_dg returned \w+, expected the pair \(g, dg\)"):
             evaluate(np.array([0.9, 0.4]))
 
@@ -416,14 +412,14 @@ def _riemann_reference(metric, x):
     """R(d_i, d_j, d_k, d_l) by the explicit index loop over Gamma and its
     central differences."""
     n = metric.dim
-    gamma = christoffel(metric, x)
+    gamma = riemann(metric, x).gamma
     dgamma = np.empty((n, n, n, n))
     for a in range(n):
         ha = FD_STEP * max(1.0, abs(float(x[a])))
         xp, xm = x.copy(), x.copy()
         xp[a] += ha
         xm[a] -= ha
-        dgamma[a] = (christoffel(metric, xp) - christoffel(metric, xm)) / (2.0 * ha)
+        dgamma[a] = (riemann(metric, xp).gamma - riemann(metric, xm).gamma) / (2.0 * ha)
     r_up = np.empty((n, n, n, n))
     for l in range(n):
         for i in range(n):

@@ -20,7 +20,7 @@ from warpcheck.immersion import (
     complete_normal_frame,
     cylinder_immersion,
     dplus_frame,
-    dplus_leaf,
+    dplus_leaf_in,
     force_xi_consistency,
     gauss_residual,
     intrinsic_kij,
@@ -316,7 +316,7 @@ def test_chart_immersion_data_has_a_zero_ambient_tensor():
 
 
 def test_dplus_leaf_c_totally_real():
-    leaf = dplus_leaf(3, 0.5, 0.7, 1, 1)
+    leaf = dplus_leaf_in(make_ambient("non-sasakian-kmu", m=3, kappa=0.5, mu=0.7), 1, 1)
     ok, residuals = is_C_totally_real(leaf)
     assert ok
     assert residuals["xi_tangency"] < 1e-12

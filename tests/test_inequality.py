@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck import charts, contact, inequality
+from warpcheck import charts, immersion, inequality
 from warpcheck.contact import KAPPA_SINGULAR, make_ambient
 from warpcheck.errors import (
     InadmissibleTupleError,
@@ -19,7 +19,7 @@ from warpcheck.immersion import (
     ChartImmersion,
     _spherical_point,
     balance_for_equality,
-    dplus_leaf,
+    dplus_leaf_in,
     force_xi_consistency,
     intrinsic_kij,
     is_mixed_totally_geodesic,
@@ -358,7 +358,7 @@ def _make_nonminimal(rng, amb):
 
 
 def test_dplus_leaf_inequality():
-    leaf = dplus_leaf(3, 0.5, 0.7, 1, 1)
+    leaf = dplus_leaf_in(make_ambient("non-sasakian-kmu", m=3, kappa=0.5, mu=0.7), 1, 1)
     rep = non_sasakian_inequality(leaf)
     assert rep.gap >= -1e-9
     assert rep.extras["rhs_cross_residual"] < 1e-9
@@ -659,7 +659,7 @@ def test_no_parameter_with_one_value_in_use():
         inequality.chart_inequality: {"equality_tol"},
         inequality.obstruction_check: {"tol"},
         charts.sectional_curvature: {"tol"},
-        contact.phi_sectional: {"tol"},
+        immersion.dplus_leaf_in: {"label"},
     }
     assert sum(map(len, removed.values())) == 16
     for fn, names in removed.items():

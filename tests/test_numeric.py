@@ -133,12 +133,29 @@ def test_gram_schmidt_rejects_a_nan_pivot():
     e = np.eye(2)
     with pytest.raises(DegenerateInputError, match="vector 0: pivot norm nan"):
         gram_schmidt([e[0], e[1]], inner=lambda u, v: float("nan"))
-    # a metric holding inf: 0 * inf is NaN at the second vector of point 1
-    g = np.stack([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], np.eye(2)])
-    with np.errstate(invalid="ignore"), pytest.raises(
-        DegenerateInputError, match=r"vector 1 \(stack index \(1,\)\): pivot norm nan"
-    ):
+    # a metric holding NaN at point 1
+    g = np.stack([np.eye(2), [[1.0, 0.0], [0.0, np.nan]], np.eye(2)])
+    with pytest.raises(DegenerateInputError, match=r"vector 0 \(stack index \(1,\)\): pivot norm nan"):
         gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], lambda u, v: bilinear(g, u, v))
+
+
+def test_gram_schmidt_rejects_an_infinite_pivot():
+    # w / inf would be a zero vector, so an inner product that overflows is out of domain
+    e = np.eye(2)
+    with pytest.raises(NumericalDomainError, match=r"non-finite pivot norm at vector 0: inf"):
+        gram_schmidt([e[0], e[1]], inner=lambda u, v: float("inf") if (u == v).all() else 0.0)
+    # a metric holding inf at point 1
+    g = np.stack([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], np.eye(2)])
+    with pytest.raises(NumericalDomainError, match=r"at vector 0 \(stack index \(1,\)\): inf"):
+        gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], lambda u, v: bilinear(g, u, v))
+    # the second vector's pivot overflows at point 1
+    overflow = np.arange(3) == 1
+
+    def inner(u, v):
+        return np.where(overflow & (u[..., 1] != 0) & (v[..., 1] != 0), np.inf, np.sum(u * v, axis=-1))
+
+    with pytest.raises(NumericalDomainError, match=r"at vector 1 \(stack index \(1,\)\): inf"):
+        gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], inner)
 
 
 def test_gram_schmidt_names_the_point_of_a_dependent_stack():

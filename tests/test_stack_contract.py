@@ -1,10 +1,9 @@
 """The stack contract of the chart layer.
 
 Geometry callables take a stack of points (..., n) and broadcast over its
-leading axes; `christoffel` and `riemann` evaluate whole stacks, and each
-evaluates its points (for `riemann`, with the axis shifts of step FD_STEP
-that it differences the symbols on) in one g_dg call, validating every
-metric on it.
+leading axes; `riemann` evaluates whole stacks, with the axis shifts of
+step FD_STEP that it differences the symbols on, in one g_dg call,
+validating every metric on it.
 """
 
 import re
@@ -12,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from warpcheck.charts import ChartMetric, christoffel, euclidean_metric, riemann
+from warpcheck.charts import ChartMetric, _metric_derivatives, euclidean_metric, riemann
 from warpcheck.errors import DegenerateMetricError, InvalidInputError, NumericalDomainError
 from warpcheck.immersion import (
     ChartImmersion,
@@ -81,12 +80,10 @@ def _metrics(dim):
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_stacked_geometry_equals_the_pointwise_calls_exactly(dim):
     for name, (metric, points) in _metrics(dim).items():
-        gamma = christoffel(metric, points)
         cp = riemann(metric, points)
-        assert gamma.shape == (len(points), dim, dim, dim), name
+        assert cp.gamma.shape == (len(points), dim, dim, dim), name
         assert cp.riemann04.shape == (len(points), dim, dim, dim, dim), name
         for i, x in enumerate(points):
-            assert np.array_equal(gamma[i], christoffel(metric, x)), name
             single = riemann(metric, x)
             assert np.array_equal(cp.gamma[i], single.gamma), name
             assert np.array_equal(cp.riemann04[i], single.riemann04), name
@@ -120,7 +117,6 @@ def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error):
     # bad only at x - h e_0, the stencil row 1 + n + 0 = 3 of riemann
     metric = _bad_metric(lambda x: x[..., 0] < X0[0] - 0.5 * FD_STEP, bad)
     assert np.array_equal(metric.at(X0), np.eye(2))
-    christoffel(metric, X0)
     with pytest.raises(error, match=r"stack index \(3,\)"):
         riemann(metric, X0)
 
@@ -128,19 +124,19 @@ def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error):
 def test_a_non_finite_metric_derivative_is_rejected():
     # NaN only at x + h e_1, the stencil row 1 + 1 of riemann
     metric = _bad_metric(lambda x: x[..., 1] > X0[1] + 0.5 * FD_STEP, np.nan, part=1)
-    christoffel(metric, X0)
+    _metric_derivatives(metric, X0)
     with pytest.raises(NumericalDomainError, match=r"metric derivative has non-finite entries .*stack index \(2,\)"):
         riemann(metric, X0)
     with pytest.raises(NumericalDomainError, match=r"stack index \(1,\)"):
-        christoffel(metric, np.stack([X0, X0 + 0.1]))
+        _metric_derivatives(metric, np.stack([X0, X0 + 0.1]))
 
 
 def test_a_metric_that_ignores_the_stack_axis_is_rejected():
     eye = ChartMetric(2, lambda x: (np.eye(2), np.zeros((2, 2, 2))))
     assert np.array_equal(eye.at(X0), np.eye(2))  # a single point is well-formed
-    christoffel(eye, X0)
+    _metric_derivatives(eye, X0)
     with pytest.raises(InvalidInputError, match="metric returned shape"):
-        christoffel(eye, np.stack([X0, X0]))
+        _metric_derivatives(eye, np.stack([X0, X0]))
     with pytest.raises(InvalidInputError, match="metric returned shape"):
         riemann(eye, X0)
     flat = euclidean_metric(2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import warpcheck.scenes as scenes_mod
-from warpcheck.charts import christoffel, covariant_hessian, laplacian, riemann, sectional_curvature
+from warpcheck.charts import _christoffel, covariant_hessian, riemann, sectional_curvature, trace_laplacian
 from warpcheck.errors import DegeneratePlaneError, NumericalDomainError
 from warpcheck.numeric import bilinear, gram_schmidt, jet
 from warpcheck.scenes import parse_scene, run
@@ -57,13 +57,13 @@ def _reference_checks(wp, p):
     metric = build_metric(wp)
     gx, cp = metric.at(p), riemann(metric, p)
     x1, f = p[: wp.n1], wp.warp.value(p[: wp.n1])
-    gamma, df = christoffel(metric, p), wp.warp.grad(x1)
+    gamma, df = cp.gamma, wp.warp.grad(x1)
     connection = 0.0
     for i in range(wp.n1):
         for s in range(wp.n1, wp.dim):
             diff = gamma[:, i, s] - np.eye(wp.dim)[s] * (df[i] / f)
             connection = max(connection, np.sqrt(diff @ gx @ diff) / np.sqrt(gx[i, i] * gx[s, s]))
-    hess = wp.warp.hess(x1) - np.einsum("kij,k->ij", christoffel(wp.factor1, x1), df)
+    hess = wp.warp.hess(x1) - np.einsum("kij,k->ij", riemann(wp.factor1, x1).gamma, df)
     lap = -float(np.einsum("ij,ij->", np.linalg.inv(wp.factor1.at(x1)), hess))
     inner = lambda u, v: float(u @ gx @ v)
     frame1 = gram_schmidt([np.eye(wp.dim)[i] for i in range(wp.n1)], inner)
@@ -106,6 +106,13 @@ def test_stacked_warped_checks_equal_the_pointwise_calls_exactly(key):
         assert alone.keys() == ratio.keys()
         for name, value in alone.items():
             assert np.array_equal(ratio[name][i], value), name
+
+
+def laplacian(metric, x, grad, hess):
+    """Delta f at a point or stack x by the checks' path: Gamma and g from
+    riemann, then trace_laplacian."""
+    cp = riemann(metric, x)
+    return trace_laplacian(cp.g, cp.gamma, cp.x, grad(cp.x), hess(cp.x))
 
 
 def _jet_derivatives(f):
@@ -212,7 +219,7 @@ def test_a_curved_first_factor_gives_the_numbers_of_its_own_metric(n1):
     wp = spec.source_data().warped
     x = np.stack(wp.sample_points)
     x1 = x[:, :n1]
-    gamma1 = christoffel(wp.factor1, x1)
+    gamma1 = riemann(wp.factor1, x1).gamma
     assert np.abs(gamma1).max() > 0.1
     cp = riemann(build_metric(wp), x)
     lap = laplacian(wp.factor1, x1, wp.warp.grad, wp.warp.hess)
@@ -396,7 +403,7 @@ def test_a_point_valid_for_christoffel_but_not_for_riemann_fails_every_warped_ch
         }
     )
     wp = spec.source_data().warped
-    assert np.isfinite(christoffel(build_metric(wp), wp.sample_points[0])).all()
+    assert np.isfinite(_christoffel(build_metric(wp), wp.sample_points[0])[0]).all()
     records = run(spec).records
     assert [r["pass"] for r in records] == [False] * 3
     assert all(r["error"].startswith("InvalidWarpingError") for r in records), records
