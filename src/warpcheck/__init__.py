@@ -52,11 +52,8 @@ from .immersion import (
 from .inequality import (
     chen_lemma,
     ProofDecomposition,
-    decompose,
     InequalityReport,
     general_inequality,
-    kmu_space_form_inequality,
-    non_sasakian_inequality,
     obstruction_check,
     chart_inequality,
     NONEXISTENCE,

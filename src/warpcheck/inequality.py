@@ -10,6 +10,12 @@ obstruction verdicts.  All reports are normalized to Delta f / f units (the
 general statement divided by n2), so the general and specialized right-hand
 sides are directly comparable.
 
+Each result has one kernel, which evaluates every sample of a
+PointwiseStack at once and returns per-sample arrays; obstruction_check
+reads an InequalityStack.  Two entry points return a float
+InequalityReport: general_inequality, on a stack of one, and
+chart_inequality.
+
 Every stacked kernel takes as left-hand side the Gauss-equation proxy
 n2 * Delta f / f := tau(p) - tau(T_pM_1) - tau(T_pM_2), with the intrinsic
 scalar curvatures reconstructed from the ambient model and sigma.  The one
@@ -20,6 +26,7 @@ chart_inequality.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -31,6 +38,7 @@ from .errors import (
     InadmissibleTupleError,
     InvalidConfigurationError,
     InvalidInputError,
+    NumericalDomainError,
     SingularParameterError,
 )
 from .immersion import (
@@ -52,15 +60,12 @@ from .numeric import as_points, qr_q
 __all__ = [
     "chen_lemma",
     "ProofDecomposition",
-    "decompose",
     "decompose_stack",
     "InequalityReport",
     "InequalityStack",
     "general_inequality",
     "general_inequality_stack",
-    "kmu_space_form_inequality",
     "kmu_space_form_inequality_stack",
-    "non_sasakian_inequality",
     "non_sasakian_inequality_stack",
     "NONEXISTENCE",
     "WARPED_PRODUCT_IMMERSION",
@@ -77,14 +82,17 @@ def chen_lemma(a: Sequence[float], b: float, tol: float = 1e-9) -> dict:
     """Quadratic trace lemma: if (sum a_i)^2 = (l-1)(sum a_i^2 + b) with
     l >= 2, then 2 a_1 a_2 >= b, with equality iff a_1 + a_2 = a_3 = ... = a_l.
 
-    Raises InadmissibleTupleError when the constraint fails beyond `tol`
-    (scaled by the tuple magnitude).  Returns the constraint residual, the
-    inequality slack and both equality detectors.
+    Raises NumericalDomainError on a non-finite a_i or b, and
+    InadmissibleTupleError when the constraint fails beyond `tol` (scaled by
+    the tuple magnitude).  Returns the constraint residual, the inequality
+    slack and both equality detectors.
     """
     a = [float(v) for v in a]
     ell = len(a)
     if ell < 2:
         raise InvalidInputError("need at least two values")
+    if not all(math.isfinite(v) for v in [*a, b]):
+        raise NumericalDomainError(f"non-finite input: a = {a}, b = {b}")
     s = sum(a)
     sq = sum(v * v for v in a)
     residual = abs(s * s - (ell - 1) * (sq + b))
@@ -109,31 +117,19 @@ def chen_lemma(a: Sequence[float], b: float, tol: float = 1e-9) -> dict:
 @dataclass
 class ProofDecomposition:
     """Trace decomposition of sigma in the frame whose first normal direction
-    is parallel to the mean curvature vector.  For one sample the numbers are
-    floats and trace_residuals a list; decompose_stack gives (N,) arrays,
-    trace_residuals (N, k) and rotated_sigma (N, k, n, n), and row(i) is
-    sample i."""
+    is parallel to the mean curvature vector, for every sample of a stack:
+    (N,) arrays, trace_residuals (N, k) and rotated_sigma (N, k, n, n)."""
 
-    delta: float
-    a1: float
-    a2: float
-    a3: float
-    b: float
-    ai_residual: float
-    lemma_slack: float
-    lemma_equality: bool
-    trace_residuals: list[float]
+    delta: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    b: np.ndarray
+    ai_residual: np.ndarray
+    lemma_slack: np.ndarray
+    lemma_equality: np.ndarray
+    trace_residuals: np.ndarray
     rotated_sigma: np.ndarray
-
-    def row(self, i: int) -> "ProofDecomposition":
-        """Sample i of a decompose_stack result."""
-        numbers = (self.delta, self.a1, self.a2, self.a3, self.b)
-        numbers += (self.ai_residual, self.lemma_slack, self.lemma_equality)
-        return ProofDecomposition(
-            *(v[i].item() for v in numbers),
-            trace_residuals=self.trace_residuals[i].tolist(),
-            rotated_sigma=self.rotated_sigma[i],
-        )
 
 
 @functools.cache
@@ -237,11 +233,6 @@ def _one_sample(data: PointwiseStack) -> PointwiseStack:
     if len(data) != 1:
         raise InvalidInputError(f"expected a stack of one sample, got {len(data)} samples")
     return data
-
-
-def decompose(data: PointwiseStack) -> ProofDecomposition:
-    """Proof-level decomposition of a stack of one, with float numbers."""
-    return decompose_stack(_one_sample(data)).row(0)
 
 
 @dataclass(eq=False)
@@ -365,14 +356,6 @@ class InequalityStack:
         )
 
 
-def _rebased(report: InequalityReport, lhs: float, rhs: float, **changes) -> InequalityReport:
-    """Copy of `report` with new sides, its gap and equality flag recomputed."""
-    gap = rhs - lhs
-    return replace(
-        report, lhs=lhs, rhs=rhs, gap=gap, equality=abs(gap) < report.equality_tol, **changes
-    )
-
-
 def general_inequality_stack(
     stack: PointwiseStack, equality_tol: float = ALGEBRAIC_EQUALITY_TOL
 ) -> InequalityStack:
@@ -478,11 +461,6 @@ def kmu_space_form_inequality_stack(stack: PointwiseStack, c: float | None = Non
     return _specialized(general, "kmu_space_form_inequality", curvature_term, c=c)
 
 
-def kmu_space_form_inequality(data: PointwiseStack, c: float | None = None) -> InequalityReport:
-    """kmu_space_form_inequality_stack on a stack of one, as a report."""
-    return kmu_space_form_inequality_stack(_one_sample(data), c).report(0)
-
-
 def non_sasakian_inequality_stack(stack: PointwiseStack) -> InequalityStack:
     """Specialized right-hand side for an ambient whose curvature is
     determined by (kappa, mu) with kappa < 1, on every sample of a stack.
@@ -518,22 +496,17 @@ def non_sasakian_inequality_stack(stack: PointwiseStack) -> InequalityStack:
     return _specialized(general, "non_sasakian_inequality", curvature_term, kappa=kappa, mu=mu)
 
 
-def non_sasakian_inequality(data: PointwiseStack) -> InequalityReport:
-    """non_sasakian_inequality_stack on a stack of one, as a report."""
-    return non_sasakian_inequality_stack(_one_sample(data)).report(0)
-
-
 NONEXISTENCE = "NONEXISTENCE"
 WARPED_PRODUCT_IMMERSION = "WARPED_PRODUCT_IMMERSION"
 UNOBSTRUCTED = "UNOBSTRUCTED"
 
 
 def obstruction_check(
-    report: InequalityReport | InequalityStack,
+    batch: InequalityStack,
     harmonic: bool = False,
     eigenvalue: float | None = None,
     minimal: bool = False,
-) -> str | np.ndarray:
+) -> np.ndarray:
     """Existence verdict for minimal immersions with harmonic or eigenfunction
     warping.
 
@@ -544,34 +517,31 @@ def obstruction_check(
     equality case, which flags the immersion as a warped-product immersion
     (flag only; the decomposition theorem is cited, not re-proved).
 
-    A report gives one verdict; an InequalityStack gives an array of them,
-    one per sample, from its (N,) arrays (no per-sample report is built).
+    Returns one verdict per sample of `batch`, from its (N,) arrays (no
+    per-sample report is built).  The eigenvalue must be positive and finite.
     """
     if harmonic and eigenvalue is not None:
         raise InvalidConfigurationError("harmonic and eigenvalue flags are exclusive")
     if not harmonic and eigenvalue is None:
         raise InvalidConfigurationError("need the harmonic flag or an eigenvalue")
-    if eigenvalue is not None and eigenvalue <= 0.0:
-        raise InvalidConfigurationError("eigenvalue must be positive")
+    if eigenvalue is not None and not 0.0 < eigenvalue < np.inf:  # refuses NaN too
+        raise InvalidConfigurationError(f"eigenvalue must be positive and finite, got {eigenvalue}")
     if not minimal:
         raise InvalidConfigurationError("obstruction verdicts apply to minimal immersions")
-    norm_H = np.asarray(report.norm_H)
-    inconsistent = ~(norm_H <= 1e-6)  # a NaN |H| is inconsistent too
+    inconsistent = ~(batch.norm_H <= 1e-6)  # a NaN |H| is inconsistent too
     if inconsistent.any():
         i = int(np.argmax(inconsistent))
-        where = f" in sample {i}" if norm_H.ndim else ""
         raise InvalidConfigurationError(
-            f"minimal flag inconsistent with |H| = {norm_H.flat[i]:.3e}{where}"
+            f"minimal flag inconsistent with |H| = {batch.norm_H[i]:.3e} in sample {i}"
         )
-    curvature_term = np.asarray(report.rhs - report.mean_term)
+    curvature_term = batch.rhs - batch.mean_term
     lhs_required = 0.0 if harmonic else float(eigenvalue)
     tol = ALGEBRAIC_EQUALITY_TOL
-    verdict = np.where(
+    return np.where(
         lhs_required > curvature_term + tol,
         NONEXISTENCE,
         np.where(harmonic & (np.abs(curvature_term) <= tol), WARPED_PRODUCT_IMMERSION, UNOBSTRUCTED),
     )
-    return verdict.item() if verdict.ndim == 0 else verdict
 
 
 def chart_inequality(
@@ -601,4 +571,6 @@ def chart_inequality(
     proxy = general_inequality(data, CHART_EQUALITY_TOL)
     agreement = abs(lhs_chart - proxy.lhs)
     extras = {"lhs_chart": lhs_chart, "lhs_proxy": proxy.lhs, "lhs_agreement": agreement}
-    return _rebased(proxy, float(lhs_chart), proxy.rhs, extras=extras)
+    lhs = float(lhs_chart)
+    gap = proxy.rhs - lhs
+    return replace(proxy, lhs=lhs, gap=gap, equality=abs(gap) < proxy.equality_tol, extras=extras)

@@ -33,8 +33,8 @@ from warpcheck.inequality import (
     chen_lemma,
     general_inequality,
     general_inequality_stack,
-    kmu_space_form_inequality,
-    non_sasakian_inequality,
+    kmu_space_form_inequality_stack,
+    non_sasakian_inequality_stack,
     obstruction_check,
 )
 from warpcheck.charts import ChartMetric, euclidean_metric, riemann, sectional_curvature
@@ -237,14 +237,14 @@ def test_criterion_7_specialization_consistency():
     amb_n = make_ambient("non-sasakian-kmu", m=4, kappa=0.45, mu=1.3)
     worst = 0.0
     for _ in range(500):
-        for amb, fn in ((amb_k, kmu_space_form_inequality), (amb_n, non_sasakian_inequality)):
+        for amb, fn in ((amb_k, kmu_space_form_inequality_stack), (amb_n, non_sasakian_inequality_stack)):
             n1 = int(rng.integers(1, 3))
             n2 = int(rng.integers(1, 3))
             data = random_data(rng, amb, n1, n2, frame_kind="c-totally-real")
             data.sigma = force_xi_consistency(
                 data.sigma, (data.tangent, data.normal), amb.frame
             )
-            rep = fn(data)
+            rep = fn(data).report(0)
             worst = max(worst, rep.extras["rhs_cross_residual"])
             assert rep.gap >= -1e-9
     assert worst < 1e-9, worst
@@ -254,7 +254,7 @@ def test_criterion_7_specialization_consistency():
     for _ in range(50):
         data = random_data(rng, amb_s, 2, 2, frame_kind="c-totally-real")
         data.sigma = force_xi_consistency(data.sigma, (data.tangent, data.normal), amb_s.frame)
-        rep = kmu_space_form_inequality(data)
+        rep = kmu_space_form_inequality_stack(data).report(0)
         collapse = rep.mean_term + data.n1 * (c + 3.0) / 4.0
         assert abs(rep.rhs - collapse) < 1e-12
     _report(7, f"10^3 cross-checks, worst RHS residual {worst:.2e}; h=0 collapse exact")
@@ -264,14 +264,14 @@ def test_criterion_8_obstruction_table():
     """The three corollary scenarios give exactly the stated verdicts."""
     rng = np.random.default_rng(8)
 
-    def minimal_report(c):
+    def minimal_stack(c):
         amb = make_ambient("sasakian-space-form", m=3, c=c)
         data = random_data(rng, amb, 1, 1, sigma_scale=0.0, frame_kind="c-totally-real")
-        return kmu_space_form_inequality(data)
+        return kmu_space_form_inequality_stack(data)
 
-    v1 = obstruction_check(minimal_report(-4.0), harmonic=True, minimal=True)
-    v2 = obstruction_check(minimal_report(-3.0), harmonic=True, minimal=True)
-    v3 = obstruction_check(minimal_report(-3.0), eigenvalue=0.5, minimal=True)
+    [v1] = obstruction_check(minimal_stack(-4.0), harmonic=True, minimal=True)
+    [v2] = obstruction_check(minimal_stack(-3.0), harmonic=True, minimal=True)
+    [v3] = obstruction_check(minimal_stack(-3.0), eigenvalue=0.5, minimal=True)
     assert v1 == NONEXISTENCE, v1
     assert v2 == WARPED_PRODUCT_IMMERSION, v2
     assert v3 == NONEXISTENCE, v3

@@ -135,6 +135,8 @@ BOOLEAN, NUMBER, POSITIVE = "must be true or false", "must be a finite number", 
         (CONTACT, {"name": "obstruction", "harmonic": True, "minimal": "yes"}, f"check 'obstruction' option 'minimal' {BOOLEAN}"),
         (CONTACT, {"name": "obstruction", "eigenvalue": 0, "minimal": True}, f"check 'obstruction' option 'eigenvalue' {POSITIVE}"),
         (CONTACT, {"name": "obstruction", "eigenvalue": "2", "minimal": True}, f"check 'obstruction' option 'eigenvalue' {NUMBER}"),
+        (CONTACT, {"name": "obstruction", "eigenvalue": float("nan"), "minimal": True}, f"check 'obstruction' option 'eigenvalue' {NUMBER}"),
+        (CONTACT, {"name": "obstruction", "eigenvalue": float("inf"), "minimal": True}, f"check 'obstruction' option 'eigenvalue' {NUMBER}"),
         (
             CONTACT,
             {"name": "obstruction", "harmonic": True, "minimal": True, "expect": "nonexistence"},

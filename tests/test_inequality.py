@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warpcheck
 from warpcheck import charts, immersion, inequality
 from warpcheck.contact import KAPPA_SINGULAR, make_ambient
 from warpcheck.errors import (
@@ -13,6 +14,7 @@ from warpcheck.errors import (
     InvalidConfigurationError,
     InvalidInputError,
     SceneValidationError,
+    NumericalDomainError,
     SingularParameterError,
 )
 from warpcheck.immersion import (
@@ -25,6 +27,7 @@ from warpcheck.immersion import (
     is_mixed_totally_geodesic,
     mean_curvatures,
     random_data,
+    random_stack,
 )
 from warpcheck.inequality import (
     NONEXISTENCE,
@@ -32,10 +35,11 @@ from warpcheck.inequality import (
     WARPED_PRODUCT_IMMERSION,
     chart_inequality,
     chen_lemma,
-    decompose,
+    decompose_stack,
     general_inequality,
-    kmu_space_form_inequality,
-    non_sasakian_inequality,
+    general_inequality_stack,
+    kmu_space_form_inequality_stack,
+    non_sasakian_inequality_stack,
     obstruction_check,
 )
 from warpcheck.scenes import parse_scene
@@ -67,6 +71,17 @@ def test_lemma_rejects_inadmissible():
         chen_lemma([1.0, 2.0, 3.0], 100.0)
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [([1.0, 2.0], np.inf), ([np.inf, 1.0], 0.0), ([1.0, np.nan, 2.0], 1.0), ([1.0, 2.0], -np.inf)],
+)
+def test_lemma_refuses_a_non_finite_value(a, b):
+    # before, ([1, 2], inf) held with equality at slack -inf, and ([inf, 1], 0)
+    # held with equality at a NaN constraint residual
+    with pytest.raises(NumericalDomainError, match="non-finite input"):
+        chen_lemma(a, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 10),
@@ -92,10 +107,10 @@ def test_decompose_zero_sigma():
     rng = np.random.default_rng(0)
     amb = make_ambient("euclidean", m=5)
     data = random_data(rng, amb, 1, 2, sigma_scale=0.0)
-    dec = decompose(data)
-    assert dec.a1 == dec.a2 == dec.a3 == 0.0
-    assert abs(dec.b - dec.delta) < 1e-12
-    assert dec.delta <= 1e-12  # forced by 2 a1 a2 >= b with a = 0
+    dec = decompose_stack(data)
+    assert dec.a1[0] == dec.a2[0] == dec.a3[0] == 0.0
+    assert abs(dec.b[0] - dec.delta[0]) < 1e-12
+    assert dec.delta[0] <= 1e-12  # forced by 2 a1 a2 >= b with a = 0
 
 
 def test_decompose_constraint_residual():
@@ -103,11 +118,11 @@ def test_decompose_constraint_residual():
     amb = make_ambient("kmu-space-form", m=3, kappa=0.5, mu=0.3, c=-0.4)
     for _ in range(200):
         data = random_data(rng, amb, 2, 2)
-        dec = decompose(data)
-        assert dec.ai_residual < 1e-9
-        assert dec.lemma_slack >= -1e-9
+        dec = decompose_stack(data)
+        assert dec.ai_residual[0] < 1e-9
+        assert dec.lemma_slack[0] >= -1e-9
         # equality in the lemma step holds exactly when a1 + a2 = a3
-        assert (abs(dec.lemma_slack) < 1e-9) == dec.lemma_equality
+        assert (abs(dec.lemma_slack[0]) < 1e-9) == dec.lemma_equality[0]
 
 
 def test_decompose_sphere_data():
@@ -115,8 +130,8 @@ def test_decompose_sphere_data():
 
     im = sphere_in_euclidean(2)
     data = second_fundamental_form(im, im.default_point)
-    dec = decompose(data)
-    assert dec.ai_residual < 1e-9
+    dec = decompose_stack(data)
+    assert dec.ai_residual[0] < 1e-9
 
 
 def test_decompose_equality_detection():
@@ -124,10 +139,10 @@ def test_decompose_equality_detection():
     amb = make_ambient("euclidean", m=6)
     data = random_data(rng, amb, 2, 2)
     data.sigma = balance_for_equality(data.sigma, 2)
-    dec = decompose(data)
-    assert dec.lemma_equality
-    assert abs(dec.lemma_slack) < 1e-9
-    assert max(dec.trace_residuals) < 1e-9
+    dec = decompose_stack(data)
+    assert dec.lemma_equality[0]
+    assert abs(dec.lemma_slack[0]) < 1e-9
+    assert max(dec.trace_residuals[0]) < 1e-9
 
 
 # --- the general inequality ------------------------------------------------
@@ -207,7 +222,7 @@ def test_kmu_specialization_cross_check():
     amb = make_ambient("kmu-space-form", m=4, kappa=0.3, mu=-0.7, c=2.1)
     for _ in range(100):
         data = _consistent_ctr_data(rng, amb, 2, 2)
-        rep = kmu_space_form_inequality(data)
+        rep = kmu_space_form_inequality_stack(data).report(0)
         assert rep.extras["rhs_cross_residual"] < 1e-9
         assert rep.gap >= -1e-9
 
@@ -217,7 +232,7 @@ def test_kmu_requires_c_totally_real():
     amb = make_ambient("kmu-space-form", m=4, kappa=0.3, mu=-0.7, c=2.1)
     data = random_data(rng, amb, 2, 2)  # generic frame
     with pytest.raises(InvalidConfigurationError):
-        kmu_space_form_inequality(data)
+        kmu_space_form_inequality_stack(data)
 
 
 def test_sasakian_collapse():
@@ -227,7 +242,7 @@ def test_sasakian_collapse():
     amb = make_ambient("sasakian-space-form", m=4, c=c)
     for _ in range(20):
         data = _consistent_ctr_data(rng, amb, 2, 2)
-        rep = kmu_space_form_inequality(data)
+        rep = kmu_space_form_inequality_stack(data).report(0)
         assert abs(rep.rhs - (rep.mean_term + 2 * (c + 3.0) / 4.0)) < 1e-12
 
 
@@ -236,7 +251,7 @@ def test_non_sasakian_cross_check():
     amb = make_ambient("non-sasakian-kmu", m=4, kappa=0.3, mu=-0.7)
     for _ in range(100):
         data = _consistent_ctr_data(rng, amb, 2, 2)
-        rep = non_sasakian_inequality(data)
+        rep = non_sasakian_inequality_stack(data).report(0)
         assert rep.extras["rhs_cross_residual"] < 1e-9
         assert rep.gap >= -1e-9
 
@@ -247,9 +262,9 @@ def test_non_sasakian_matches_space_form_on_constant_c():
     amb = make_ambient("non-sasakian-kmu", m=4, kappa=kappa, mu=kappa + 1.0)
     for _ in range(20):
         data = _consistent_ctr_data(rng, amb, 1, 2)
-        rep_n = non_sasakian_inequality(data)
-        rep_k = kmu_space_form_inequality(data, c=-2.0 * kappa - 1.0)
-        assert abs(rep_n.rhs - rep_k.rhs) < 1e-9
+        rep_n = non_sasakian_inequality_stack(data)
+        rep_k = kmu_space_form_inequality_stack(data, c=-2.0 * kappa - 1.0)
+        assert abs(rep_n.rhs[0] - rep_k.rhs[0]) < 1e-9
 
 
 def test_non_sasakian_equality_case():
@@ -259,7 +274,7 @@ def test_non_sasakian_equality_case():
         data = random_data(rng, amb, 2, 2, frame_kind="dplus")
         data.sigma = balance_for_equality(data.sigma, 2)
         data.sigma = force_xi_consistency(data.sigma, (data.tangent, data.normal), amb.frame)
-        rep = non_sasakian_inequality(data)
+        rep = non_sasakian_inequality_stack(data).report(0)
         assert abs(rep.gap) < 1e-8
         assert rep.diagnostics["mixed_totally_geodesic"]
         assert rep.diagnostics["partial_mean_equal"]
@@ -270,7 +285,7 @@ def test_non_sasakian_rejects_sasakian_parameters():
     amb = make_ambient("sasakian-space-form", m=3, c=0.5)
     data = _consistent_ctr_data(rng, amb, 1, 1)
     with pytest.raises(SingularParameterError):
-        non_sasakian_inequality(data)
+        non_sasakian_inequality_stack(data)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -286,69 +301,76 @@ def test_library_and_scenes_share_the_singular_kappa_bound(above):
     }
     if above:
         with pytest.raises(SingularParameterError):
-            non_sasakian_inequality(data)
+            non_sasakian_inequality_stack(data)
         with pytest.raises(SceneValidationError, match="kappa < 1"):
             parse_scene(scene)
     else:
-        assert np.isfinite(non_sasakian_inequality(data).gap)
+        assert np.isfinite(non_sasakian_inequality_stack(data).gap).all()
         assert parse_scene(scene).ambient_space().params["kappa"] == kappa
 
 
 # --- obstructions ----------------------------------------------------------
 
 
-def _minimal_sasakian_report(c):
+def _minimal_sasakian_stack(c):
     rng = np.random.default_rng(13)
     amb = make_ambient("sasakian-space-form", m=3, c=c)
     data = random_data(rng, amb, 1, 1, sigma_scale=0.0, frame_kind="c-totally-real")
-    return kmu_space_form_inequality(data)
+    return kmu_space_form_inequality_stack(data)
 
 
 def test_obstruction_table():
-    assert obstruction_check(_minimal_sasakian_report(-4.0), harmonic=True, minimal=True) == NONEXISTENCE
-    assert (
-        obstruction_check(_minimal_sasakian_report(-3.0), harmonic=True, minimal=True)
-        == WARPED_PRODUCT_IMMERSION
-    )
-    assert (
-        obstruction_check(_minimal_sasakian_report(-3.0), eigenvalue=0.5, minimal=True)
-        == NONEXISTENCE
-    )
-    assert obstruction_check(_minimal_sasakian_report(1.0), harmonic=True, minimal=True) == UNOBSTRUCTED
+    assert obstruction_check(_minimal_sasakian_stack(-4.0), harmonic=True, minimal=True).tolist() == [NONEXISTENCE]
+    assert obstruction_check(_minimal_sasakian_stack(-3.0), harmonic=True, minimal=True).tolist() == [
+        WARPED_PRODUCT_IMMERSION
+    ]
+    assert obstruction_check(_minimal_sasakian_stack(-3.0), eigenvalue=0.5, minimal=True).tolist() == [NONEXISTENCE]
+    assert obstruction_check(_minimal_sasakian_stack(1.0), harmonic=True, minimal=True).tolist() == [UNOBSTRUCTED]
 
 
 def test_obstruction_eigenfunction_below_minus_three():
     # eigenvalue warping excludes minimal immersions whenever c <= -3
     for c in (-3.0, -4.0, -6.5):
-        rep = _minimal_sasakian_report(c)
-        assert obstruction_check(rep, eigenvalue=0.5, minimal=True) == NONEXISTENCE
+        batch = _minimal_sasakian_stack(c)
+        assert obstruction_check(batch, eigenvalue=0.5, minimal=True).tolist() == [NONEXISTENCE]
 
 
 def test_obstruction_eigenvalue_below_curvature_term():
     # positive curvature term above the eigenvalue leaves existence open
-    rep = _minimal_sasakian_report(1.0)  # curvature term = n1 (c+3)/4 = 1
-    assert obstruction_check(rep, eigenvalue=0.5, minimal=True) == UNOBSTRUCTED
+    batch = _minimal_sasakian_stack(1.0)  # curvature term = n1 (c+3)/4 = 1
+    assert obstruction_check(batch, eigenvalue=0.5, minimal=True).tolist() == [UNOBSTRUCTED]
 
 
 def test_obstruction_flag_validation():
-    rep = _minimal_sasakian_report(-3.0)
+    batch = _minimal_sasakian_stack(-3.0)
     with pytest.raises(InvalidConfigurationError):
-        obstruction_check(rep, harmonic=True, eigenvalue=0.5, minimal=True)
+        obstruction_check(batch, harmonic=True, eigenvalue=0.5, minimal=True)
     with pytest.raises(InvalidConfigurationError):
-        obstruction_check(rep, minimal=True)
+        obstruction_check(batch, minimal=True)
     with pytest.raises(InvalidConfigurationError):
-        obstruction_check(rep, harmonic=True)  # not flagged minimal
+        obstruction_check(batch, harmonic=True)  # not flagged minimal
     with pytest.raises(InvalidConfigurationError):
-        obstruction_check(rep, eigenvalue=-1.0, minimal=True)
+        obstruction_check(batch, eigenvalue=-1.0, minimal=True)
+
+
+@pytest.mark.parametrize("eigenvalue", [np.nan, np.inf, 0.0])
+def test_obstruction_refuses_an_eigenvalue_that_is_not_positive_and_finite(eigenvalue):
+    # before, NaN gave UNOBSTRUCTED and inf gave NONEXISTENCE for every sample
+    amb = make_ambient("sasakian-space-form", m=3, c=-4.0)
+    stack = random_stack(np.random.default_rng(15), amb, 1, 1, 6, 0.0, "c-totally-real")
+    batch = kmu_space_form_inequality_stack(stack)
+    with pytest.raises(InvalidConfigurationError, match=f"eigenvalue must be positive and finite, got {eigenvalue}"):
+        obstruction_check(batch, eigenvalue=eigenvalue, minimal=True)
+    assert set(obstruction_check(batch, eigenvalue=0.5, minimal=True).tolist()) == {NONEXISTENCE}
 
 
 def test_obstruction_rejects_nonminimal_report():
     rng = np.random.default_rng(14)
     amb = make_ambient("sasakian-space-form", m=3, c=-4.0)
     data = _make_nonminimal(rng, amb)
-    rep = kmu_space_form_inequality(data)
-    with pytest.raises(InvalidConfigurationError):
-        obstruction_check(rep, harmonic=True, minimal=True)
+    batch = kmu_space_form_inequality_stack(data)
+    with pytest.raises(InvalidConfigurationError, match="in sample 0"):
+        obstruction_check(batch, harmonic=True, minimal=True)
 
 
 def _make_nonminimal(rng, amb):
@@ -359,9 +381,9 @@ def _make_nonminimal(rng, amb):
 
 def test_dplus_leaf_inequality():
     leaf = dplus_leaf_in(make_ambient("non-sasakian-kmu", m=3, kappa=0.5, mu=0.7), 1, 1)
-    rep = non_sasakian_inequality(leaf)
-    assert rep.gap >= -1e-9
-    assert rep.extras["rhs_cross_residual"] < 1e-9
+    rep = non_sasakian_inequality_stack(leaf)
+    assert rep.gap[0] >= -1e-9
+    assert rep.extras["rhs_cross_residual"][0] < 1e-9
 
 
 # --- one-pass engine: parity with the per-quantity formulas ------------------
@@ -508,19 +530,16 @@ def test_decompose_matches_reference_exactly(kind, params):
         for _ in range(10):
             for data in _parity_samples(rng, amb, n1, n2):
                 ref = _ref_decompose(data)
-                dec = decompose(data)
+                dec = decompose_stack(data)
                 for key, value in ref.items():
-                    if key == "rotated_sigma":
-                        assert np.array_equal(dec.rotated_sigma, value)
-                    else:
-                        assert getattr(dec, key) == value, key
+                    assert np.array_equal(getattr(dec, key)[0], value), key
 
 
 SPECIALIZED = [
-    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}, kmu_space_form_inequality),
-    ("sasakian-space-form", {"m": 3, "c": -2.0}, kmu_space_form_inequality),
-    ("non-sasakian-kmu", {"m": 3, "kappa": 0.2, "mu": 0.8}, non_sasakian_inequality),
-    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}, non_sasakian_inequality),
+    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}, kmu_space_form_inequality_stack),
+    ("sasakian-space-form", {"m": 3, "c": -2.0}, kmu_space_form_inequality_stack),
+    ("non-sasakian-kmu", {"m": 3, "kappa": 0.2, "mu": 0.8}, non_sasakian_inequality_stack),
+    ("kmu-space-form", {"m": 3, "kappa": 0.5, "mu": -1.0, "c": 1.7}, non_sasakian_inequality_stack),
 ]
 
 
@@ -532,7 +551,7 @@ def test_specializations_match_reference_exactly(kind, params, fn):
         for _ in range(10):
             for data in _parity_samples(rng, amb, n1, n2, frame_kind="c-totally-real"):
                 ref = _ref_general(data)
-                rep = fn(data)
+                rep = fn(data).report(0)
                 _assert_matches(rep, ref)
                 assert rep.extras["rhs_general"] == ref["rhs"]
                 assert rep.rhs == rep.mean_term + rep.ambient_term
@@ -547,7 +566,7 @@ def test_diagnostics_snapshot_survives_sigma_mutation():
     data.sigma = force_xi_consistency(data.sigma, (data.tangent, data.normal), amb.frame)
     expected = _ref_diagnostics(data)
     rep = general_inequality(data)
-    special = non_sasakian_inequality(data)
+    special = non_sasakian_inequality_stack(data).report(0)
     data.sigma[0, 0, 0, data.n1] += 0.5
     data.sigma[0, 0, data.n1, 0] += 0.5
     data.sigma *= 3.0
@@ -570,7 +589,7 @@ def _count_kij(data):
 
 @pytest.mark.parametrize(
     "fn",
-    [general_inequality, kmu_space_form_inequality, non_sasakian_inequality, decompose],
+    [general_inequality_stack, kmu_space_form_inequality_stack, non_sasakian_inequality_stack, decompose_stack],
     ids=lambda f: f.__name__,
 )
 def test_one_ambient_kij_table_per_call(fn):
@@ -580,8 +599,8 @@ def test_one_ambient_kij_table_per_call(fn):
     calls = _count_kij(data)
     rep = fn(data)
     assert len(calls) == 1
-    if fn is not decompose:
-        rep.diagnostics  # computed on read, from the snapshot
+    if fn is not decompose_stack:
+        rep.report(0).diagnostics  # computed on read, from the snapshot
         assert len(calls) == 1
 
 
@@ -645,23 +664,30 @@ def test_chart_equality_band_separates_a_torus_level_set_from_nearby_strict_poin
 # --- signatures ------------------------------------------------------------
 
 
+def test_each_inequality_kernel_has_one_entry_point():
+    # the one-sample twins of the stacked kernels, and the float rows of a
+    # decomposition, are deleted; general_inequality stays for the benchmark
+    for name in ("decompose", "kmu_space_form_inequality", "non_sasakian_inequality", "_rebased"):
+        assert not hasattr(warpcheck, name) and not hasattr(inequality, name), name
+        assert name not in inequality.__all__, name
+    assert not hasattr(inequality.ProofDecomposition, "row")
+    assert callable(warpcheck.general_inequality) and callable(warpcheck.chart_inequality)
+
+
 def test_no_parameter_with_one_value_in_use():
     # each of these had a single value in use, now the module's constant
     removed = {
         inequality.general_inequality: {"lhs"},
         inequality.general_inequality_stack: {"lhs"},
-        inequality.kmu_space_form_inequality: {"lhs", "equality_tol"},
         inequality.kmu_space_form_inequality_stack: {"lhs", "equality_tol"},
-        inequality.non_sasakian_inequality: {"lhs", "equality_tol"},
         inequality.non_sasakian_inequality_stack: {"lhs", "equality_tol"},
-        inequality.decompose: {"tau_p"},
         inequality.decompose_stack: {"tau_p"},
         inequality.chart_inequality: {"equality_tol"},
         inequality.obstruction_check: {"tol"},
         charts.sectional_curvature: {"tol"},
         immersion.dplus_leaf_in: {"label"},
     }
-    assert sum(map(len, removed.values())) == 16
+    assert sum(map(len, removed.values())) == 11
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__
     # two values in use: chart_inequality's 1e-6 and acceptance criterion 4's 1e-10

@@ -23,9 +23,7 @@ from warpcheck.immersion import (
 from warpcheck.inequality import (
     NONEXISTENCE,
     UNOBSTRUCTED,
-    kmu_space_form_inequality,
     kmu_space_form_inequality_stack,
-    non_sasakian_inequality,
     non_sasakian_inequality_stack,
     obstruction_check,
 )
@@ -235,7 +233,7 @@ def test_obstruction_check_on_a_stack_is_the_per_sample_verdict():
     stack = random_stack(np.random.default_rng(3), amb, 1, 1, 40, 0.0, "c-totally-real")
     verdicts = obstruction_check(non_sasakian_inequality_stack(stack), harmonic=True, minimal=True)
     expected = [
-        obstruction_check(non_sasakian_inequality(stack.sample(i)), harmonic=True, minimal=True)
+        obstruction_check(non_sasakian_inequality_stack(stack.sample(i)), harmonic=True, minimal=True)[0]
         for i in range(len(stack))
     ]
     assert verdicts.tolist() == expected
@@ -250,7 +248,8 @@ def test_obstruction_check_names_the_sample_that_is_not_minimal():
     batch = kmu_space_form_inequality_stack(replace(stack, sigma=sigma))
     with pytest.raises(InvalidConfigurationError, match=r"\|H\| = 5.000e-01 in sample 3"):
         obstruction_check(batch, harmonic=True, minimal=True)
-    assert obstruction_check(kmu_space_form_inequality(stack.sample(0)), harmonic=True, minimal=True) == NONEXISTENCE
+    one = kmu_space_form_inequality_stack(stack.sample(0))
+    assert obstruction_check(one, harmonic=True, minimal=True).tolist() == [NONEXISTENCE]
 
 
 def test_a_split_obstruction_passes_without_expect_and_counts_each_verdict():
