@@ -167,7 +167,8 @@ class PointwiseStack:
         """Ambient sectional curvatures K(e_i ^ e_j) over each tangent frame,
         (N, n, n): one oracle.kij call on first use, then kept.  The table is
         keyed to the tangent array and the oracle it was built from, so a
-        stack holding others builds its own."""
+        stack holding others builds its own.  A dplus draw of random_stack
+        comes with its table already built from its one frame."""
         cached = self._ambient_kij
         if cached is None or cached[0] is not self.tangent or cached[1] is not self.oracle:
             cached = self._ambient_kij = (self.tangent, self.oracle, self.oracle.kij(self.tangent))
@@ -489,7 +490,10 @@ def random_stack(
     the stack equals `count` sequential random_data calls bit for bit, and
     leaves `rng` in the same state.  Every frame kind gives its normal frame
     in closed form, with no Gram-Schmidt completion, and the frames are
-    validated once for the whole stack.  A `count` that is not an integer
+    validated once for the whole stack.  All samples of a dplus draw share
+    one frame, so its K~ table (ambient_kij) is one oracle.kij contraction
+    of that frame, repeated: by kij's stack contract, bit for bit the table
+    of the whole stack.  A `count` that is not an integer
     >= 1 or a `sigma_scale` that is not finite and >= 0 raises
     InvalidInputError before anything is drawn.
     """
@@ -504,6 +508,7 @@ def random_stack(
     if not 0.0 <= sigma_scale < np.inf:  # NaN fails too
         raise InvalidInputError(f"sigma_scale must be finite and non-negative (got {sigma_scale})")
     k = d - n
+    kij = None
     if frame_kind == "generic":
         frame_draws = d * d
     elif frame_kind == "c-totally-real":
@@ -513,8 +518,10 @@ def random_stack(
         frame_draws = 2 * frame.m * n
     elif frame_kind == "dplus":
         frame = _frame_of(ambient)
-        tangent, normal = dplus_frame(frame, n), _dplus_normal(frame, n)
-        tangent, normal = (np.repeat(a[None], count, axis=0) for a in (tangent, normal))
+        tangent, normal = dplus_frame(frame, n)[None], _dplus_normal(frame, n)[None]
+        # every sample has this one frame: contract it once and repeat the table
+        kij = np.repeat(ambient.oracle.kij(tangent), count, axis=0)
+        tangent, normal = (np.repeat(a, count, axis=0) for a in (tangent, normal))
         frame_draws = 0
     else:
         raise InvalidInputError(f"unknown frame kind {frame_kind!r}")
@@ -536,6 +543,7 @@ def random_stack(
         oracle=ambient.oracle,
         contact=ambient.frame,
         label=f"random-{frame_kind}",
+        _ambient_kij=None if kij is None else (tangent, ambient.oracle, kij),
     )
 
 

@@ -172,3 +172,76 @@ def test_spans_are_the_median_over_the_traced_runs_of_each_side(tmp_path):
         assert spans[side]["numeric.jet.self_s"] == count * 3 / 1e9
         assert spans[side]["charts.sectional_curvature.calls"] == 1
         assert spans[side]["charts.sectional_curvature.self_s"] == count * 4 / 1e9
+
+
+def test_the_stacked_inequality_kernels_are_spans(tmp_path):
+    kernels = ("general_inequality_stack", "kmu_space_form_inequality_stack",
+               "non_sasakian_inequality_stack", "decompose_stack")
+    assert {f"inequality.{k}" for k in kernels} <= set(bench_export.SPANS)
+    # a non-Sasakian kernel (0..50) calls decompose_stack (10..30); the general kernel runs alone
+    spans = [(0, -1, "inequality.non_sasakian_inequality_stack", 0, 50, "s.json"),
+             (1, 0, "inequality.decompose_stack", 10, 30, "s.json"),
+             (2, -1, "inequality.general_inequality_stack", 60, 70, "s.json")]
+    path = tmp_path / "spans.csv.gz"
+    _write_spans(path, spans)
+    stats = bench_export.span_stats(path, bench_export.SPANS)
+    assert stats["inequality.non_sasakian_inequality_stack.calls"] == 1
+    assert stats["inequality.non_sasakian_inequality_stack.self_s"] == 30 / 1e9
+    assert stats["inequality.decompose_stack.self_s"] == 20 / 1e9
+    assert stats["inequality.general_inequality_stack.self_s"] == 10 / 1e9
+    assert stats["inequality.kmu_space_form_inequality_stack.calls"] == 0
+
+
+def _unit_run(workload, seed, units, commit, trace=0):
+    run = _run(workload, seed, 1.0, commit, trace=trace, calls=1)
+    run["unit_seconds"] = units
+    return run
+
+
+def test_the_units_block_names_the_slowest_unit_of_each_side():
+    parent = [
+        _unit_run("w", 1, {"a.json": [3.0, 1.0, 2.0], "b.json": [5.0, 4.0, 9.0]}, "p"),
+        _unit_run("w", 2, {"a.json": [2.0, 2.0], "b.json": [6.0, 6.0]}, "p"),
+        _unit_run("w", 3, {"a.json": [4.0], "b.json": [7.0]}, "p"),
+        _unit_run("w", 1, {"a.json": [99.0], "b.json": [0.0]}, "p", trace=1),  # traced: not counted
+        _unit_run("v", 1, {"c.json": [99.0]}, "p"),  # another workload
+    ]
+    change = [_unit_run("w", s, {"a.json": [3.0], "b.json": [2.0 + s]}, "c") for s in (1, 2, 3)]
+    units = bench_export.export(parent, change, BENCHMARK)["workloads"]["w"]["units"]
+    # parent: a.json has run medians 2, 2, 4 and b.json 5, 6, 7
+    assert units["parent"] == {"seconds": {"a.json": 2.0, "b.json": 6.0}, "slowest": "b.json"}
+    assert units["change"] == {"seconds": {"a.json": 3.0, "b.json": 4.0}, "slowest": "b.json"}
+
+
+def test_runs_without_unit_seconds_leave_no_units_block():
+    parent, change = [_run("w", 1, 1.0, "p")], [_run("w", 1, 1.0, "c")]
+    assert "units" not in bench_export.export(parent, change, BENCHMARK)["workloads"]["w"]
+
+
+def test_several_results_files_per_side_are_pooled_in_the_order_given(tmp_path):
+    # two checkouts per side, each running seeds 1 and 2 once and tracing seed 3
+    paths = {}
+    for side, commit, walls in (("parent", "p", ((1.0, 1.1), (1.2, 1.3))), ("change", "c", ((0.5, 0.6), (0.7, 0.8)))):
+        for copy, (first, second) in enumerate(walls):
+            root = tmp_path / f"{side}{copy}"
+            root.mkdir()
+            runs = [_run("w", 1, first, commit), _run("w", 2, second, commit),
+                    _run("w", 3, 0.0, commit, trace=1, calls=copy)]
+            count = 2 + 2 * copy  # 2 random_stack spans in the first copy, 4 in the second
+            _write_spans(root / "w-seed3" / "spans.csv.gz",
+                         [(i, -1, "immersion.random_stack", 0, 10, "") for i in range(count)])
+            paths.setdefault(side, []).append(str(_write(root / "results.jsonl", runs)))
+    out = tmp_path / "BENCH.json"
+    (tmp_path / "bench.json").write_text(json.dumps(BENCHMARK))
+    bench_export.main([",".join(paths["parent"]), ",".join(paths["change"]), "--out", str(out),
+                       "--benchmark", str(tmp_path / "bench.json")])
+    block = json.loads(out.read_text())["workloads"]["w"]
+    # pairs by (seed, then file order): 1: (1.0, 0.5), (1.2, 0.7); 2: (1.1, 0.6), (1.3, 0.8)
+    assert block["seeds"] == [1, 1, 2, 2]
+    wall = block["end_to_end"]["wall_s"]
+    assert wall["pairs"] == 4 and wall["change_wins"] == 4
+    assert wall["parent"]["median"] == pytest.approx(1.15) and wall["change"]["median"] == pytest.approx(0.65)
+    assert block["per_layer"]["parent"] == {"contact.oracle.kij.calls": 0.5}
+    # each traced run's spans are read beside its own results file: median of 2 and 4
+    assert block["spans"]["parent"]["immersion.random_stack.calls"] == 3
+    assert block["spans"]["change"]["immersion.random_stack.calls"] == 3

@@ -10,7 +10,7 @@ import pytest
 
 import warpcheck.scenes as scenes_mod
 from warpcheck.charts import riemann
-from warpcheck.contact import CurvatureOracle, make_ambient
+from warpcheck.contact import _KIJ_BLOCK, CurvatureOracle, ambient_catalog, make_ambient
 from warpcheck.errors import InvalidConfigurationError, InvalidInputError
 from warpcheck.immersion import (
     gauss_residual,
@@ -54,7 +54,8 @@ def test_a_run_draws_each_generator_once_and_builds_one_kij_table_per_draw(monke
     assert report.all_passed
     assert len(draws) == 2
     assert [args[4] for args in draws] == [200, 200]  # the scene's samples, each time
-    assert len(tables) == 2
+    # the c-totally-real draw contracts its 200 frames, the dplus draw its one frame
+    assert [len(args[1]) for args in tables] == [200, 1]
 
 
 def test_an_equality_source_has_one_draw():
@@ -132,6 +133,41 @@ def test_the_tangent_of_a_stack_or_a_sample_cannot_be_written_in_place():
     for tangent in (stack.tangent, stack.sample(2).tangent, stack.sample(-1).tangent):
         with pytest.raises(ValueError, match="read-only"):
             tangent[0, 0] = 1.0
+
+
+# one parameter set per catalog kind; the contact kinds are those with a frame
+_KIND_PARAMS = {
+    "euclidean": {},
+    "real-space-form": {"c": 0.5},
+    "sasakian-space-form": {"c": -2.0},
+    "kmu-space-form": {"kappa": 0.35, "mu": -1.2, "c": 2.4},
+    "non-sasakian-kmu": {"kappa": 0.4, "mu": 1.1},
+    "tangent-sphere-bundle": {"c": 0.4},
+}
+_CONTACT_KINDS = [k for k, p in _KIND_PARAMS.items() if make_ambient(k, m=1, **p).frame is not None]
+
+
+def test_the_dplus_cases_cover_every_contact_kind_of_the_catalog():
+    assert set(_KIND_PARAMS) == set(ambient_catalog())
+    assert len(_CONTACT_KINDS) == 4
+
+
+@pytest.mark.parametrize("count", [1, 7, _KIJ_BLOCK + 1])
+@pytest.mark.parametrize("kind", _CONTACT_KINDS)
+def test_a_dplus_draw_contracts_its_one_frame_once_for_the_table_of_the_stack(monkeypatch, kind, count):
+    # every split n1 + n2 = n <= m of the positive eigenspace, at m = 1..4;
+    # the last count is past one block of CurvatureOracle.kij
+    for m in range(1, 5):
+        amb = make_ambient(kind, m=m, **_KIND_PARAMS[kind])
+        for n in range(1, m + 1):
+            for n1 in range(1, n + 1):
+                with monkeypatch.context() as patch:
+                    calls = _counting(patch, CurvatureOracle, "kij")
+                    stack = random_stack(np.random.default_rng(m), amb, n1, n - n1, count, frame_kind="dplus")
+                    table = stack.ambient_kij()
+                assert [args[1].shape for args in calls] == [(1, amb.dim, n)]
+                assert table.shape == (count, n, n)
+                assert np.array_equal(table, stack.oracle.kij(stack.tangent))
 
 
 def _tensordot_frame(R, F):

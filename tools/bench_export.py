@@ -2,9 +2,9 @@
 
 perfbench (``python3 perfbench/run.py``) appends one record per run to
 ``.perfbench-run/results.jsonl`` of the checkout it runs in.  Given the
-results file of the parent checkout and that of the change checkout, this
-script pairs the untraced runs by (workload, seed) and writes, per workload
-and end-to-end metric of BENCHMARK.json:
+results files of the parent side and those of the change side, this script
+pairs the untraced runs by (workload, seed) and writes, per workload and
+end-to-end metric of BENCHMARK.json:
 
 * the median and quartiles of each side;
 * the number of pairs in which the change is better (ties count for
@@ -14,15 +14,22 @@ and end-to-end metric of BENCHMARK.json:
   interquartile range.
 
 Traced runs (``--trace 1``) contribute the median of each per-layer metric
-per side.  The file also records the machine (Python, numpy, BLAS, core
-count), both commits and both ``src/`` line counts, as perfbench measured
-them.  Usage:
+per side.  The ``units`` block gives, per workload and side, each unit's
+raw seconds (its median over the rounds of a run, then the median over the
+untraced runs) and the label of the slowest unit, so a move of
+``scene_max_s`` can be tied to the scene that made it.  The file also
+records the machine (Python, numpy, BLAS, core count), both commits and
+both ``src/`` line counts, as perfbench measured them.  Usage:
 
     python3 tools/bench_export.py PARENT_RESULTS CHANGE_RESULTS --out BENCH_6.json \\
         [--parent-commit SHA] [--change-commit SHA]
 
-The commits default to the ones perfbench recorded; a checkout made with
-``git archive`` has none, so pass them explicitly there.
+A side measured from several checkouts names each results file, joined by
+commas (``a/results.jsonl,b/results.jsonl``); the files are pooled in the
+order given, so the n-th run of a (workload, seed) on one side pairs with
+the n-th on the other.  The commits default to the ones perfbench recorded;
+a checkout made with ``git archive`` has none, so pass them explicitly
+there.
 
 For the spans in ``SPANS`` (perfbench traces them but does not report
 them) the file also gives, per workload and side, the calls and self time,
@@ -45,11 +52,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINE_KEYS = ("python", "numpy", "blas", "nproc", "platform", "thread_caps")
-SPANS = ("immersion.random_stack", "immersion.gauss_residual", "numeric.jet", "charts.sectional_curvature")
+SPANS = (
+    "immersion.random_stack",
+    "immersion.gauss_residual",
+    "numeric.jet",
+    "charts.sectional_curvature",
+    "inequality.general_inequality_stack",
+    "inequality.kmu_space_form_inequality_stack",
+    "inequality.non_sasakian_inequality_stack",
+    "inequality.decompose_stack",
+)
 
 
 def read_runs(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def _paths(value: str) -> list[Path]:
+    """The results files of one side, named on the command line joined by commas."""
+    return [Path(part) for part in value.split(",")]
 
 
 def _spread(values: list[float]) -> dict:
@@ -106,6 +127,18 @@ def _per_layer(runs: list[dict], workload: str) -> dict:
     }
 
 
+def _units(runs: list[dict], workload: str) -> dict:
+    """Each unit's raw seconds, the median over the untraced runs of the
+    median over each run's rounds, and the slowest unit; {} without any."""
+    per_run = defaultdict(list)
+    for run in runs:
+        if not run.get("trace") and run["workload"] == workload:
+            for label, seconds in run.get("unit_seconds", {}).items():
+                per_run[label].append(statistics.median(seconds))
+    seconds = {label: statistics.median(values) for label, values in per_run.items()}
+    return {"seconds": seconds, "slowest": max(seconds, key=seconds.get)} if seconds else {}
+
+
 def span_stats(path: Path, names) -> dict:
     """Calls and self seconds of each named span in one spans.csv.gz; a span's
     self time is its duration minus that of its direct children."""
@@ -123,10 +156,12 @@ def span_stats(path: Path, names) -> dict:
     return out
 
 
-def _spans(results: Path, runs: list[dict], workload: str) -> dict:
-    """The median of span_stats over the traced runs of `workload`."""
+def _spans(side: list[tuple[Path, list[dict]]], workload: str) -> dict:
+    """The median of span_stats over the traced runs of `workload`, each
+    read beside the results file that holds its run."""
     stats = [
         span_stats(path, SPANS)
+        for results, runs in side
         for run in runs
         if run.get("trace") and run["workload"] == workload
         and (path := results.parent / f"{workload}-seed{run['seed']}" / "spans.csv.gz").exists()
@@ -150,6 +185,9 @@ def export(parent: list[dict], change: list[dict], benchmark: dict, commits=(Non
             "end_to_end": {m["name"]: _end_to_end(pairs, m) for m in benchmark["end_to_end"]},
             "per_layer": {"parent": _per_layer(parent, workload), "change": _per_layer(change, workload)},
         }
+        units = {"parent": _units(parent, workload), "change": _units(change, workload)}
+        if all(units.values()):
+            workloads[workload]["units"] = units
     machine = change[-1]["machine"]
     return {
         "generated_by": "tools/bench_export.py",
@@ -163,18 +201,18 @@ def export(parent: list[dict], change: list[dict], benchmark: dict, commits=(Non
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="results.jsonl of the parent checkout")
-    parser.add_argument("change", type=Path, help="results.jsonl of the change checkout")
+    parser.add_argument("parent", type=_paths, help="results.jsonl of the parent checkouts, joined by commas")
+    parser.add_argument("change", type=_paths, help="results.jsonl of the change checkouts, joined by commas")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--parent-commit")
     parser.add_argument("--change-commit")
     parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = parser.parse_args(argv)
-    runs = read_runs(args.parent), read_runs(args.change)
+    sides = [[(path, read_runs(path)) for path in paths] for paths in (args.parent, args.change)]
+    runs = [[run for _, file_runs in side for run in file_runs] for side in sides]
     bench = export(*runs, json.loads(args.benchmark.read_text()), (args.parent_commit, args.change_commit))
     for workload, block in bench["workloads"].items():
-        sides = zip(("parent", "change"), (args.parent, args.change), runs)
-        spans = {side: _spans(path, side_runs, workload) for side, path, side_runs in sides}
+        spans = {name: _spans(side, workload) for name, side in zip(("parent", "change"), sides)}
         if all(spans.values()):
             block["spans"] = spans
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
@@ -185,6 +223,9 @@ def main(argv=None) -> int:
                 f"change {m['change']['median']:.4g} wins {m['change_wins']}/{m['pairs']}"
                 f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}"
             )
+        for side, units in block.get("units", {}).items():
+            slowest = units["slowest"]
+            print(f"{workload:15s} slowest unit {side} {slowest} {units['seconds'][slowest]:.4g} s")
     return 0
 
 
