@@ -553,7 +553,8 @@ def chart_inequality(
     and the Gauss-equation proxy) and reports their agreement.  A caller
     that already holds second_fundamental_form(im, p), a stack of one,
     passes it as `data`; data of other dimensions or of another point is
-    refused.
+    refused.  Delta f / f is taken where the warped chart has f > 0 only
+    (WarpedProductChart.warp_at), as in every warped check.
     """
     if im.warped is None:
         raise InvalidConfigurationError("chart immersion carries no warped structure")
@@ -567,7 +568,7 @@ def chart_inequality(
     wp = im.warped
     x1 = as_points(np.asarray(p, dtype=float)[: wp.n1], wp.factor1.dim)
     gamma1, g1 = _christoffel(wp.factor1, x1)  # Delta f on the first factor, as check_laplacian_ratio
-    lhs_chart = trace_laplacian(g1, gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1)) / wp.warp.value(x1)
+    lhs_chart = trace_laplacian(g1, gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1)) / wp.warp_at(p)
     proxy = general_inequality(data, CHART_EQUALITY_TOL)
     agreement = abs(lhs_chart - proxy.lhs)
     extras = {"lhs_chart": lhs_chart, "lhs_proxy": proxy.lhs, "lhs_agreement": agreement}

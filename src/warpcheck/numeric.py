@@ -7,7 +7,9 @@ itself, evaluated alongside, must be real.  Second
 derivatives are one central difference of those, on the axis stencil
 (centre and axis shifts) of each point, at the fixed step FD_STEP scaled
 by max(1, |x_k|).  Each rule evaluates a function that broadcasts over
-stacks once, on the distinct ones of its complex points.
+stacks once, on the distinct ones of its complex points, and validates it
+there; jet calls it again, on the whole stencil, only to name the point of
+a NumericalDomainError.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -324,48 +326,34 @@ def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> t
 
 def jet(f: Callable, x: np.ndarray, value_shape: tuple, what: str):
     """Value, first and second derivatives of f on a float stack x (..., n),
-    from one call of f on the complex step of the points of axis_stencil(x).
+    from one call of f on the complex steps (U, n+1, n) of the U distinct
+    points of axis_stencil(x) (rows compared by their bytes).
 
-    A point (n,) has 2n+1 distinct stencil points, and f is called on
-    (2n+1, n+1, n).  A stack x (..., n) has stencils that share points (x +
-    s_a e_a + s_b e_b is a row of the stencils of x + s_a e_a and x + s_b
-    e_b), and f is called once on the complex steps (U, n+1, n) of its U
-    distinct stencil points; by the stack contract a point's values do not
+    A point (n,) has 2n+1 distinct stencil points.  The stencils of a stack
+    share points (x + s_a e_a + s_b e_b is a row of the stencils of x + s_a
+    e_a and x + s_b e_b); by the stack contract a point's values do not
     depend on its stack, so the numbers are those of one call on the whole
     stencil.
 
     Returns (value, first, second): value (..., *value_shape); first
     (..., n, *value_shape), exact; second (..., n, n, *value_shape), the
     central differences (step FD_STEP max(1, |x_k|)) of the exact first
-    derivatives, symmetrized.  Errors as complex_step, whose stack index of
-    a bad value is (..., row, r): the first stencil row that holds its point.
+    derivatives, symmetrized.  Errors as complex_step on the U points; a
+    NumericalDomainError is raised again from a second call of f, on the
+    whole stencil, so that it names the stack index (..., row, r) of the
+    first stencil row that holds its point.
     """
     pts, steps = axis_stencil(x)
-    if x.ndim > 1:  # the stencils of a stack share points
-        f = _once_per_distinct_point(f, pts, value_shape, what)
-    values, first = complex_step(f, pts, value_shape, what)
-    second = central_differences(first, steps)  # second[..., k, a] = d_k d_a f
+    flat = pts.reshape(-1, pts.shape[-1])
+    rows = flat.view(np.dtype((np.void, flat.strides[0]))).reshape(-1)
+    _, once, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    try:
+        values, d1 = complex_step(f, flat[once], value_shape, what)
+    except NumericalDomainError:
+        complex_step(f, pts, value_shape, what)
+        raise
+    at = inverse.reshape(pts.shape[:-1])  # its shape varies across numpy 2.0.x
+    second = central_differences(d1[at], steps)  # second[..., k, a] = d_k d_a f
     axis = x.ndim - 1
     second = 0.5 * (second + np.swapaxes(second, axis, axis + 1))
-    return np.take(values, 0, axis=axis), np.take(first, 0, axis=axis), second
-
-
-def _once_per_distinct_point(f: Callable, pts: np.ndarray, value_shape: tuple, what: str) -> Callable:
-    """f for complex_step on the stack pts (..., n): one call of f on the
-    complex steps (U, n+1, n) of the U distinct points (rows compared by
-    their bytes), whose result must have the shape (U, n+1, *value_shape),
-    scattered back to (..., n+1, *value_shape)."""
-    flat = np.ascontiguousarray(pts).reshape(-1, pts.shape[-1])
-    rows = flat.view(np.dtype((np.void, flat.strides[0]))).reshape(-1)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)  # its shape varies across numpy 2.0.x
-
-    def once(z: np.ndarray) -> np.ndarray:
-        blocks = z.reshape(-1, *z.shape[-2:])[first]
-        values = np.asarray(f(blocks))
-        expected = blocks.shape[:-1] + tuple(value_shape)
-        if values.shape != expected:
-            raise InvalidInputError(f"{what} returned shape {values.shape}, expected {expected}")
-        return values[inverse].reshape(z.shape[:-1] + values.shape[2:])
-
-    return once
+    return values[at[..., 0]], d1[at[..., 0]], second

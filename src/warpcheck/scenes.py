@@ -18,7 +18,6 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable
 
@@ -544,53 +543,54 @@ _REQUIREMENTS: dict[str, tuple[str, Callable[[AmbientSpace, _Source], bool]]] = 
 class _Context:
     """One run's ambient, source, tolerances, generator and sample count.
     What several checks share (the fixed sample, the warped curvature, the
-    drawn stacks) is built on first use."""
+    drawn stacks) is built once, on first use, through `_once`: its value,
+    or its error, which every check that needs it then raises again."""
 
     ambient: AmbientSpace
     source: _Source
     tol: Tolerance
     rng: np.random.Generator
     samples: int
-    _stacks: dict = field(default_factory=dict, repr=False)
+    _built: dict = field(default_factory=dict, repr=False)
 
-    @cached_property
+    def _once(self, key, build: Callable):
+        if key not in self._built:
+            try:
+                self._built[key] = (True, build())
+            except Exception as exc:
+                self._built[key] = (False, exc)
+        ok, out = self._built[key]
+        if not ok:
+            raise out
+        return out
+
+    @property
     def fixed(self) -> PointwiseStack | None:
         """The source's one sample, as a stack of one: explicit data, a dplus
-        leaf, or a chart immersion's second fundamental form at its point
-        (once per run); None for a synthetic source."""
+        leaf, or a chart immersion's second fundamental form at its point;
+        None for a synthetic source."""
         src = self.source
         if src.immersion is None:
             return src.fixed
-        return second_fundamental_form(src.immersion, src.point)
-
-    @cached_property
-    def _warped_curvature(self) -> CurvaturePoint | Exception:
-        # the error too: a cached_property does not cache a raise
-        wp = self.source.warped
-        try:
-            return riemann(build_metric(wp), np.stack(wp.sample_points))
-        except Exception as exc:
-            return exc
+        return self._once("fixed", lambda: second_fundamental_form(src.immersion, src.point))
 
     @property
     def warped_curvature(self) -> CurvaturePoint:
         """riemann of the warped chart's block metric at its sample points, as
-        one stack shared by every warped check of the run; evaluated once,
-        and when it fails every warped check raises its error."""
-        cp = self._warped_curvature
-        if isinstance(cp, Exception):
-            raise cp
-        return cp
+        one stack shared by every warped check of the run."""
+        wp = self.source.warped
+        return self._once("warped curvature", lambda: riemann(build_metric(wp), np.stack(wp.sample_points)))
 
     def stack(self, generator: str | None = None) -> PointwiseStack:
         """The run's samples of `generator` (by default the source's): the
-        fixed sample, or `samples` draws in one block.  Each is built on
-        first use and then shared, with its K~ table, by every sampled check
-        of the run; a fixed source has only the one."""
-        key = None if self.fixed is not None else generator or self.source.generator
-        if key not in self._stacks:
-            self._stacks[key] = self.fixed if key is None else self._draw(key)
-        return self._stacks[key]
+        fixed sample, or `samples` draws in one block, shared with its K~
+        table by every sampled check of the run; a fixed source has only
+        the one."""
+        fixed = self.fixed
+        if fixed is not None:
+            return fixed
+        gen = generator or self.source.generator
+        return self._once(("draw", gen), lambda: self._draw(gen))
 
     def _draw(self, gen: str) -> PointwiseStack:
         src, contact = self.source, self.ambient.frame

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpcheck import numeric
 from warpcheck.charts import ChartMetric, riemann
 from warpcheck.contact import CurvatureOracle, make_ambient
 from warpcheck.errors import (
@@ -301,6 +302,24 @@ def test_pullback_riemann_on_distinct_points_equals_the_pointwise_jets(n):
     ref = riemann(_pointwise_pullback(im), im.default_point)
     for field in ("x", "gamma", "riemann04", "g"):
         assert np.array_equal(getattr(cp, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_map_values_of_a_pullback_riemann_are_validated_on_the_distinct_stencil_points(n, monkeypatch):
+    # riemann's Gamma stencil nests (2n+1)^2 stencil points, 2n^2 + 2n + 1 of them distinct
+    im = sphere_in_euclidean(n)
+    validated = []
+    original = numeric.stack_values
+
+    def recording(value, points, value_shape, what, complex_=False):
+        if what == "map":
+            validated.append(points.shape[:-2])
+        return original(value, points, value_shape, what, complex_)
+
+    monkeypatch.setattr(numeric, "stack_values", recording)
+    riemann(pullback_metric(im), im.default_point)
+    assert [int(np.prod(lead)) for lead in validated] == [2 * n * n + 2 * n + 1]
+    assert (2 * n + 1) ** 2 not in validated[0]
 
 
 def test_chart_immersion_data_has_a_zero_ambient_tensor():

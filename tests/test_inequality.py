@@ -13,6 +13,7 @@ from warpcheck.errors import (
     InadmissibleTupleError,
     InvalidConfigurationError,
     InvalidInputError,
+    InvalidWarpingError,
     SceneValidationError,
     NumericalDomainError,
     SingularParameterError,
@@ -42,7 +43,7 @@ from warpcheck.inequality import (
     non_sasakian_inequality_stack,
     obstruction_check,
 )
-from warpcheck.scenes import parse_scene
+from warpcheck.scenes import parse_scene, run
 from warpcheck.warped import WarpedProductChart, const_fn, cos_fn, flat_factor, round_sphere_factor, sum_fn
 
 
@@ -627,6 +628,26 @@ def test_chart_inequality_refuses_data_of_another_immersion_or_point():
             chart_inequality(im, p, data=other)
     own = second_fundamental_form(im, p.tolist())
     assert chart_inequality(im, p, data=own) == chart_inequality(im, p)
+
+
+@pytest.mark.parametrize("t", [2.0, -2.5])
+def test_chart_inequality_refuses_a_point_where_the_warp_is_not_positive(t):
+    # cos t < 0 lies outside the chart's (-pi/2, pi/2), where the map is still
+    # an immersion; Delta f / f divided by the negative f there and PASSed
+    from warpcheck.immersion import sphere_in_euclidean
+
+    im, p = sphere_in_euclidean(3), [t, 0.8, 0.8]
+    message = f"warping function non-positive ({float(np.cos(t))!r}) at {np.array([t])}"
+    with pytest.raises(InvalidWarpingError) as raised:
+        chart_inequality(im, np.array(p))
+    assert str(raised.value) == message
+    scene = {
+        "ambient": {"kind": "euclidean", "m": 4},
+        "source": {"kind": "chart-immersion", "key": "sphere-in-euclidean", "params": {"n": 3}, "point": p},
+        "checks": ["general_inequality"],
+    }
+    record = run(parse_scene(scene)).records[0]
+    assert record == {"name": "general_inequality", "pass": False, "error": f"InvalidWarpingError: {message}"}
 
 
 def _torus(n: int, R: float = 2.0):

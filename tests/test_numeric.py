@@ -371,6 +371,29 @@ def test_a_non_finite_value_at_a_shared_stencil_point_names_its_first_stencil_in
         jet(f, pts, (), "f")
 
 
+def test_leaving_the_real_domain_at_a_shared_stencil_point_names_its_first_stencil_index():
+    # f is validated on the U distinct points of the 5 stencils; only the
+    # error calls f again, on the whole (5, 5) stencil, to name the first row
+    x = np.array([0.4, -1.3])
+    pts = axis_stencil(x)[0]
+    shared = pts[1] + np.array([0.0, FD_STEP * 1.3])
+    U = len(np.unique(axis_stencil(pts)[0].reshape(-1, 2), axis=0))
+    assert U < 25
+    calls = []
+
+    def f(p):
+        calls.append(p.shape)
+        sign = np.where((p.real == shared).all(axis=-1), -1.0, 1.0)
+        return np.sqrt(sign * (1.0 + p[..., 0] ** 2))
+
+    with pytest.raises(NumericalDomainError, match=r"f is not real at the real point .* \(stack index \(1, 2\)\)"):
+        jet(f, pts, (), "f")
+    assert calls == [(U, 3, 2), (5, 5, 3, 2)]
+    calls.clear()
+    jet(f, pts + 1.0, (), "f")
+    assert len(calls) == 1 and calls[0][1:] == (3, 2)
+
+
 def test_a_jet_stack_whose_f_ignores_the_stack_axis_is_rejected_on_its_one_call():
     # the shape is checked on the call on the distinct points (U, n+1, n)
     x = np.array([[0.4, -1.3], [0.4, -1.3]])

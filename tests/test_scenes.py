@@ -737,6 +737,35 @@ def test_chart_scene_computes_its_second_fundamental_form_once(monkeypatch, tmp_
     assert len(calls) == 1
 
 
+def test_a_failing_chart_sample_is_built_once_and_raised_by_every_check_that_needs_it(monkeypatch):
+    # at t = pi/2 the sphere's map collapses its S^(n-1) factor to a point
+    import warpcheck.scenes as scenes_mod
+
+    scene = {
+        "ambient": {"kind": "euclidean", "m": 4},
+        "source": {
+            "kind": "chart-immersion",
+            "key": "sphere-in-euclidean",
+            "params": {"n": 3},
+            "point": [np.pi / 2, 0.8, 0.8],
+        },
+        "checks": ["general_inequality", "gauss_residual"],
+    }
+    alone = [run(parse_scene({**scene, "checks": [name]})).records[0] for name in scene["checks"]]
+    calls = []
+    original = scenes_mod.second_fundamental_form
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(scenes_mod, "second_fundamental_form", counting)
+    records = run(parse_scene(scene)).records
+    assert len(calls) == 1
+    assert records == alone
+    assert [r["error"].split(":")[0] for r in records] == ["ImmersionDegeneracyError"] * 2
+
+
 def _oracle_symmetries(monkeypatch, entry, delta):
     """The oracle_symmetries record of a (kappa, mu) space form whose tensor
     has `delta` added to one entry (the unperturbed residual is round-off)."""
