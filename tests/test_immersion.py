@@ -318,8 +318,7 @@ def test_the_map_values_of_a_pullback_riemann_are_validated_on_the_distinct_sten
 
     monkeypatch.setattr(numeric, "stack_values", recording)
     riemann(pullback_metric(im), im.default_point)
-    assert [int(np.prod(lead)) for lead in validated] == [2 * n * n + 2 * n + 1]
-    assert (2 * n + 1) ** 2 not in validated[0]
+    assert [int(np.prod(lead)) for lead in validated] == [2 * n * n + 2 * n + 1]  # never (2n+1)^2
 
 
 def test_chart_immersion_data_has_a_zero_ambient_tensor():
