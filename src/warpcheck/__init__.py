@@ -31,7 +31,6 @@ from .contact import (
     make_kmu_frame,
     curvature_real_space_form,
     curvature_kmu_space_form,
-    curvature_sasakian_space_form,
     curvature_non_sasakian,
     check_km_condition,
     phi_sectional_constant,

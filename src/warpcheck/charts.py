@@ -23,8 +23,10 @@ stacks too, and a point's numbers do not depend on its stack.
 Derivatives follow the one rule of ``numeric``: the metric derivatives are
 exact, from the one g_dg call that gives the metric, and ``riemann`` takes
 one central difference, of the Christoffel symbols on the (..., 2n+1, n)
-axis stencil of the fixed step numeric.FD_STEP.  A pull-back metric is the
-exception: its dg is itself a central difference of the exact Jacobian.
+axis stencil of the fixed step numeric.FD_STEP, the same at every point.  A
+pull-back metric is the exception: its dg is itself a central difference of
+the exact Jacobian, on the stencil of each point of riemann's stencil; those
+nested stencils share their points, 2n^2+2n+1 of them distinct.
 Every metric a stencil evaluates is validated.
 """
 
@@ -146,10 +148,10 @@ def riemann(metric: ChartMetric, x: np.ndarray) -> CurvaturePoint:
     Gamma is evaluated once, on the axis stencil of x (numeric.axis_stencil).
     """
     x = as_points(x, metric.dim)
-    pts, steps = axis_stencil(x)
+    pts = axis_stencil(x)
     gammas, gs = _christoffel(metric, pts)
     gamma = gammas[..., 0, :, :, :]
-    dgamma = central_differences(gammas, steps)  # dgamma[..., a] = d_a Gamma
+    dgamma = central_differences(gammas, x.ndim - 1)  # dgamma[..., a] = d_a Gamma
     # R^l_{ijk}; quad[l,i,j,k] = Gamma^m_jk Gamma^l_im
     quad = np.einsum("...mjk,...lim->...lijk", gamma, gamma)
     r_up = _last4(dgamma, 1, 0, 2, 3) - _last4(dgamma, 1, 2, 0, 3) + quad - _last4(quad, 0, 2, 1, 3)

@@ -5,9 +5,12 @@ identity): the structure tensor phi, Reeb vector xi, contact form eta, the
 symmetric operator h and the constants kappa, mu.  Each curvature model is one
 (0,4) array R[i,j,k,l], built once from products of I, phi, h and eta; a
 CurvatureOracle holds that array (`tensor`) and evaluates R(X,Y,Z,W) for one
-quadruple (`value`), the sectional-curvature table of a frame or a stack of
-frames (`kij`) and the same curvature in another frame (`rotated`) as
-contractions of it.  The checks of this package work on the array itself:
+quadruple (`value`) and the sectional-curvature table of a frame or a stack
+of frames (`kij`) as contractions of it; numeric.frame_tensor gives the same
+curvature in another frame.  Every contact space form of constant
+phi-sectional curvature c is curvature_kmu_space_form of its frame; the
+Sasakian space form is that of the h = 0 frame (kappa = 1, mu = 0).  The
+checks of this package work on the array itself:
 the symmetry identities, the (kappa, mu)-nullity of R(X,Y)xi and the
 constancy of the phi-sectional curvature are each decided exactly on the
 array's entries, with no random vectors and no call per tuple.  Each
@@ -38,7 +41,6 @@ __all__ = [
     "make_kmu_frame",
     "curvature_real_space_form",
     "curvature_kmu_space_form",
-    "curvature_sasakian_space_form",
     "curvature_non_sasakian",
     "check_km_condition",
     "phi_sectional_constant",
@@ -97,11 +99,6 @@ class ContactFrame:
     def dim(self) -> int:
         return 2 * self.m + 1
 
-    @property
-    def lam(self) -> float:
-        """Positive h-eigenvalue sqrt(1 - kappa)."""
-        return float(np.sqrt(max(1.0 - self.kappa, 0.0)))
-
     def _validate(self):
         phi, xi, eta, h = self.phi, self.xi, self.eta, self.h
         d = self.dim
@@ -127,9 +124,6 @@ class ContactFrame:
                 raise InvalidFrameError(f"frame identity violated: {name} (residual {err:.3e})")
         if self.kappa > 1.0 + FRAME_TOL:
             raise InvalidFrameError("kappa must satisfy kappa <= 1")
-
-    def is_sasakian(self) -> bool:
-        return float(np.max(np.abs(self.h))) < FRAME_TOL
 
 
 def make_kmu_frame(m: int, kappa: float, mu: float, c: float | None = None) -> ContactFrame:
@@ -165,7 +159,7 @@ def _require_dim(m) -> None:
 class CurvatureOracle:
     """(0,4) ambient curvature model held as the array R[i,j,k,l] = R(e_i,e_j,e_k,e_l).
 
-    `value`, `kij` and `rotated` are contractions of the one tensor; `kij`
+    `value` and `kij` are contractions of the one tensor; `kij`
     returns the matrix of R(v_a, v_b, v_b, v_a) over the columns
     of V, the sectional curvatures K(v_a ^ v_b) when V is orthonormal, and
     one such matrix per frame for a stack of frames V (N, d, n).
@@ -214,11 +208,6 @@ class CurvatureOracle:
         out.reshape(-1, n * n)[:, :: n + 1] = 0.0  # the diagonal of each table
         return out
 
-    def rotated(self, F: np.ndarray) -> "CurvatureOracle":
-        """The same curvature in the coordinates a of the vectors F[:, a]:
-        rotated(F).tensor[a, b, c, d] = R(F[:, a], F[:, b], F[:, c], F[:, d])."""
-        return CurvatureOracle(self.provenance, frame_tensor(self.tensor, np.asarray(F)[None])[0])
-
 
 # The models are sums of the (0,4) products below; a bilinear form
 # A(X, Y) = X^T A Y is passed as its matrix A (the form <T X, Y> as T.T).
@@ -256,26 +245,14 @@ def _kmu_tensor(phi, eta, h, kappa: float, mu: float, c: float) -> np.ndarray:
     )
 
 
-def curvature_kmu_space_form(frame: ContactFrame, c: float | None = None) -> CurvatureOracle:
+def curvature_kmu_space_form(frame: ContactFrame) -> CurvatureOracle:
     """Curvature tensor of a contact space form with constant phi-sectional
-    curvature c, carrying the h-dependent correction blocks."""
-    c = frame.c if c is None else c
-    if c is None:
+    curvature frame.c, carrying the h-dependent correction blocks.  The
+    Sasakian space form is the h = 0, kappa = 1, mu = 0 frame's tensor."""
+    if frame.c is None:
         raise InvalidInputError("phi-sectional curvature c required")
-    R = _kmu_tensor(frame.phi, frame.eta, frame.h, frame.kappa, frame.mu, c)
+    R = _kmu_tensor(frame.phi, frame.eta, frame.h, frame.kappa, frame.mu, frame.c)
     return CurvatureOracle("kmu-space-form", R)
-
-
-def curvature_sasakian_space_form(frame: ContactFrame, c: float | None = None) -> CurvatureOracle:
-    """Sasakian space-form tensor (requires h = 0): the (kappa, mu) space-form
-    tensor at h = 0, kappa = 1."""
-    if not frame.is_sasakian():
-        raise InvalidFrameError("Sasakian space-form oracle requires h = 0")
-    c = frame.c if c is None else c
-    if c is None:
-        raise InvalidInputError("phi-sectional curvature c required")
-    R = _kmu_tensor(frame.phi, frame.eta, np.zeros_like(frame.h), 1.0, 0.0, c)
-    return CurvatureOracle("sasakian-space-form", R)
 
 
 def curvature_non_sasakian(frame: ContactFrame) -> CurvatureOracle:
@@ -357,14 +334,11 @@ def _ambient_real_space_form(m: int, c: float) -> AmbientSpace:
 
 
 def _ambient_sasakian(m: int, c: float) -> AmbientSpace:
-    frame = make_kmu_frame(m, 1.0, 0.0, c=c)
-    return AmbientSpace(
-        "sasakian-space-form",
-        frame.dim,
-        curvature_sasakian_space_form(frame, c),
-        frame=frame,
-        params={"m": m, "c": c},
-    )
+    """The (kappa, mu) space form at kappa = 1, mu = 0, where h = 0."""
+    amb = _ambient_kmu_space_form(m, 1.0, 0.0, c)
+    amb.kind = "sasakian-space-form"
+    amb.params = {"m": m, "c": c}
+    return amb
 
 
 def _ambient_kmu_space_form(m: int, kappa: float, mu: float, c: float) -> AmbientSpace:
@@ -372,7 +346,7 @@ def _ambient_kmu_space_form(m: int, kappa: float, mu: float, c: float) -> Ambien
     return AmbientSpace(
         "kmu-space-form",
         frame.dim,
-        curvature_kmu_space_form(frame, c),
+        curvature_kmu_space_form(frame),
         frame=frame,
         params={"m": m, "kappa": kappa, "mu": mu, "c": c},
     )

@@ -5,8 +5,8 @@ package.  First derivatives are exact: the complex step
 d_a f(x) = Im f(x + i eps e_a) / eps has no cancellation error, and f(x)
 itself, evaluated alongside, must be real.  Second
 derivatives are one central difference of those, on the axis stencil
-(centre and axis shifts) of each point, at the fixed step FD_STEP scaled
-by max(1, |x_k|).  Each rule evaluates a function that broadcasts over
+(centre and axis shifts) of each point, at the one fixed step FD_STEP.
+Each rule evaluates a function that broadcasts over
 stacks once, on the distinct ones of its complex points, and validates it
 there; jet calls it again, on the whole stencil, only to name the point of
 a NumericalDomainError.
@@ -273,29 +273,29 @@ COMPLEX_STEP = 1e-30
 FD_STEP = 1e-4
 
 
-def axis_stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and axis shifts of each point of x (..., n).
-
-    Returns (points, steps): points (..., 2n+1, n) hold x in row 0,
-    x + s_i e_i in row 1+i and x - s_i e_i in row 1+n+i, with the steps
-    s = FD_STEP max(1, |x_i|) of shape (..., n) (charts here are O(1)).
-    """
+def axis_stencil(x: np.ndarray) -> np.ndarray:
+    """Centre and axis shifts of each point of x (..., n): the points
+    (..., 2n+1, n) hold x in row 0, x + FD_STEP e_i in row 1+i and
+    x - FD_STEP e_i in row 1+n+i.  With one step for every point, the back
+    shift of a shifted point is its centre wherever x_i + FD_STEP - FD_STEP
+    rounds to x_i (almost every x_i), so nested stencils share their points
+    (charts here are O(1))."""
     n = x.shape[-1]
-    steps = FD_STEP * np.maximum(1.0, np.abs(x))
     pts = np.repeat(x[..., None, :], 2 * n + 1, axis=-2)
     r = np.arange(n)
-    pts[..., 1 + r, r] += steps
-    pts[..., 1 + n + r, r] -= steps
-    return pts, steps
+    pts[..., 1 + r, r] += FD_STEP
+    pts[..., 1 + n + r, r] -= FD_STEP
+    return pts
 
 
-def central_differences(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def central_differences(values: np.ndarray, axis: int) -> np.ndarray:
     """First derivatives d_i f (..., n, *value_shape) from f on the rows of
-    axis_stencil, values (..., 2n+1, *value_shape)."""
-    n = steps.shape[-1]
-    lead = (slice(None),) * (steps.ndim - 1)
-    plus, minus = values[lead + (slice(1, n + 1),)], values[lead + (slice(n + 1, 2 * n + 1),)]
-    return (plus - minus) / (2.0 * steps.reshape(steps.shape + (1,) * (plus.ndim - steps.ndim)))
+    axis_stencil, values (..., 2n+1, *value_shape) with the rows on the
+    non-negative `axis`."""
+    n = (values.shape[axis] - 1) // 2
+    lead = (slice(None),) * axis
+    plus, minus = values[lead + (slice(1, n + 1),)], values[lead + (slice(n + 1, None),)]
+    return (plus - minus) / (2.0 * FD_STEP)
 
 
 def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -330,20 +330,20 @@ def jet(f: Callable, x: np.ndarray, value_shape: tuple, what: str):
     points of axis_stencil(x) (rows compared by their bytes).
 
     A point (n,) has 2n+1 distinct stencil points.  The stencils of a stack
-    share points (x + s_a e_a + s_b e_b is a row of the stencils of x + s_a
-    e_a and x + s_b e_b); by the stack contract a point's values do not
-    depend on its stack, so the numbers are those of one call on the whole
-    stencil.
+    share points (with h = FD_STEP, x + h e_a + h e_b is a row of the
+    stencils of x + h e_a and x + h e_b); by the stack contract a point's
+    values do not depend on its stack, so the numbers are those of one call
+    on the whole stencil.
 
     Returns (value, first, second): value (..., *value_shape); first
     (..., n, *value_shape), exact; second (..., n, n, *value_shape), the
-    central differences (step FD_STEP max(1, |x_k|)) of the exact first
-    derivatives, symmetrized.  Errors as complex_step on the U points; a
+    central differences (step FD_STEP) of the exact first derivatives,
+    symmetrized.  Errors as complex_step on the U points; a
     NumericalDomainError is raised again from a second call of f, on the
     whole stencil, so that it names the stack index (..., row, r) of the
     first stencil row that holds its point.
     """
-    pts, steps = axis_stencil(x)
+    pts = axis_stencil(x)
     flat = pts.reshape(-1, pts.shape[-1])
     rows = flat.view(np.dtype((np.void, flat.strides[0]))).reshape(-1)
     _, once, inverse = np.unique(rows, return_index=True, return_inverse=True)
@@ -353,7 +353,7 @@ def jet(f: Callable, x: np.ndarray, value_shape: tuple, what: str):
         complex_step(f, pts, value_shape, what)
         raise
     at = inverse.reshape(pts.shape[:-1])  # its shape varies across numpy 2.0.x
-    second = central_differences(d1[at], steps)  # second[..., k, a] = d_k d_a f
     axis = x.ndim - 1
+    second = central_differences(d1[at], axis)  # second[..., k, a] = d_k d_a f
     second = 0.5 * (second + np.swapaxes(second, axis, axis + 1))
     return values[at[..., 0]], d1[at[..., 0]], second

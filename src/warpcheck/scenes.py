@@ -818,14 +818,9 @@ def _check_chen_lemma(ctx: _Context, opts: dict) -> dict:
 def _check_obstruction(ctx: _Context, opts: dict) -> dict:
     """A verdict per sample and their counts.  The worst sample is the first
     that misses `expect`, or else the one whose curvature term lies nearest
-    the required Delta f / f (0, or the eigenvalue): the closest call."""
-    stack, frame = ctx.stack(), ctx.ambient.frame
-    if frame is not None and frame.is_sasakian():
-        batch = kmu_space_form_inequality_stack(stack, c=ctx.ambient.params.get("c"))
-    elif frame is not None:
-        batch = non_sasakian_inequality_stack(stack)
-    else:
-        batch = general_inequality_stack(stack)
+    the required Delta f / f (0, or the eigenvalue): the closest call.  The
+    curvature term is the ambient's own, from general_inequality_stack."""
+    batch = general_inequality_stack(ctx.stack())
     harmonic, eigenvalue = opts.get("harmonic", False), opts.get("eigenvalue")
     verdicts = obstruction_check(
         batch, harmonic=harmonic, eigenvalue=eigenvalue, minimal=opts.get("minimal", False)

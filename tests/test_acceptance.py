@@ -14,7 +14,6 @@ import numpy as np
 from warpcheck.contact import (
     curvature_kmu_space_form,
     curvature_non_sasakian,
-    curvature_sasakian_space_form,
     make_ambient,
     make_kmu_frame,
     check_km_condition,
@@ -193,7 +192,7 @@ def test_criterion_5_curvature_model_identities():
                     )
     frame = make_kmu_frame(3, 1.0, 0.4, c=-1.3)
     o_kmu = curvature_kmu_space_form(frame)
-    o_sas = curvature_sasakian_space_form(frame)
+    o_sas = make_ambient("sasakian-space-form", m=3, c=-1.3).oracle
     for _ in range(1000):
         X, Y, Z, W = rng.normal(size=(4, frame.dim))
         assert abs(o_kmu.value(X, Y, Z, W) - o_sas.value(X, Y, Z, W)) < 1e-12

@@ -415,11 +415,10 @@ def _riemann_reference(metric, x):
     gamma = riemann(metric, x).gamma
     dgamma = np.empty((n, n, n, n))
     for a in range(n):
-        ha = FD_STEP * max(1.0, abs(float(x[a])))
         xp, xm = x.copy(), x.copy()
-        xp[a] += ha
-        xm[a] -= ha
-        dgamma[a] = (riemann(metric, xp).gamma - riemann(metric, xm).gamma) / (2.0 * ha)
+        xp[a] += FD_STEP
+        xm[a] -= FD_STEP
+        dgamma[a] = (riemann(metric, xp).gamma - riemann(metric, xm).gamma) / (2.0 * FD_STEP)
     r_up = np.empty((n, n, n, n))
     for l in range(n):
         for i in range(n):

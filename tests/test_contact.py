@@ -9,13 +9,14 @@ from warpcheck.contact import (
     curvature_kmu_space_form,
     curvature_non_sasakian,
     curvature_real_space_form,
-    curvature_sasakian_space_form,
+    _kmu_tensor,
     make_ambient,
     make_kmu_frame,
     phi_sectional_constant,
 )
 from warpcheck.errors import (
     InvalidFrameError,
+    InvalidInputError,
     InvalidParameterError,
     SingularParameterError,
 )
@@ -50,7 +51,7 @@ def test_h_eigenvalues():
 
 def test_h_squared_identity():
     frame = make_kmu_frame(2, 0.75, 0.5)
-    assert abs(frame.lam - 0.5) < 1e-15
+    assert abs(np.max(np.linalg.eigvalsh(frame.h)) - 0.5) < 1e-15
     res = frame.h @ frame.h + 0.25 * (frame.phi @ frame.phi)
     assert np.max(np.abs(res)) < 1e-12
 
@@ -86,9 +87,10 @@ def test_kmu_antisymmetry_degenerate_slots():
 
 
 def test_kmu_reduces_to_sasakian():
+    # at kappa = 1 (h = 0) mu drops out: the tensor is the Sasakian space form's
     frame = make_kmu_frame(2, 1.0, 0.7, c=-2.0)
     o_kmu = curvature_kmu_space_form(frame)
-    o_sas = curvature_sasakian_space_form(frame)
+    o_sas = make_ambient("sasakian-space-form", m=2, c=-2.0).oracle
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(300):
@@ -97,16 +99,25 @@ def test_kmu_reduces_to_sasakian():
     assert worst < 1e-12
 
 
-def test_sasakian_requires_h_zero():
-    frame = make_kmu_frame(2, 0.5, 0.0, c=1.0)
-    with pytest.raises(InvalidFrameError):
-        curvature_sasakian_space_form(frame)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_sasakian_space_form_is_the_kmu_tensor_of_its_h_zero_frame(m):
+    for c in (-4.0, -3.0, -2.0, 0.0, 1.0, 1.7, 3.0):
+        amb = make_ambient("sasakian-space-form", m=m, c=c)
+        frame = amb.frame
+        expected = _kmu_tensor(frame.phi, frame.eta, np.zeros_like(frame.h), 1.0, 0.0, c)
+        assert amb.kind == "sasakian-space-form" and amb.params == {"m": m, "c": c}
+        assert amb.oracle.tensor.tobytes() == expected.tobytes()
+
+
+def test_the_kmu_space_form_takes_c_from_its_frame():
+    with pytest.raises(InvalidInputError, match="phi-sectional curvature c required"):
+        curvature_kmu_space_form(make_kmu_frame(2, 1.0, 0.0))
 
 
 def test_sasakian_phi_sections():
     rng = np.random.default_rng(3)
     frame = make_kmu_frame(2, 1.0, 0.0, c=1.0)
-    oracle = curvature_sasakian_space_form(frame)
+    oracle = curvature_kmu_space_form(frame)
     for _ in range(10):
         X = unit_perp_xi(rng, frame)
         assert abs(phi_sectional(oracle, frame, X) - 1.0) < 1e-12
@@ -114,7 +125,7 @@ def test_sasakian_phi_sections():
 
 def test_sasakian_c_minus_3_flat_sections():
     frame = make_kmu_frame(2, 1.0, 0.0, c=-3.0)
-    oracle = curvature_sasakian_space_form(frame)
+    oracle = curvature_kmu_space_form(frame)
     u1, u2 = np.eye(5)[1], np.eye(5)[2]
     assert abs(oracle.value(u1, u2, u2, u1)) < 1e-14
 
@@ -122,7 +133,7 @@ def test_sasakian_c_minus_3_flat_sections():
 def test_sasakian_xi_sections_unit():
     rng = np.random.default_rng(4)
     frame = make_kmu_frame(3, 1.0, 0.0, c=-5.0)
-    oracle = curvature_sasakian_space_form(frame)
+    oracle = curvature_kmu_space_form(frame)
     for _ in range(10):
         X = unit_perp_xi(rng, frame)
         assert abs(oracle.value(X, frame.xi, frame.xi, X) - 1.0) < 1e-12
@@ -182,7 +193,7 @@ def test_km_condition_keeps_a_nan_residual():
 def test_km_condition_sasakian_form():
     # with kappa = 1, h = 0 the condition is R(X,Y)xi = eta(Y)X - eta(X)Y
     frame = make_kmu_frame(2, 1.0, 0.9, c=2.0)
-    oracle = curvature_sasakian_space_form(frame)
+    oracle = curvature_kmu_space_form(frame)
     assert check_km_condition(oracle, frame) < 1e-10
 
 
@@ -269,7 +280,7 @@ def test_oracle_symmetries_and_bianchi():
     rng = np.random.default_rng(9)
     frames = [
         (curvature_kmu_space_form(make_kmu_frame(2, 0.5, -1.0, c=1.3)), 5),
-        (curvature_sasakian_space_form(make_kmu_frame(2, 1.0, 0.0, c=-3.0)), 5),
+        (curvature_kmu_space_form(make_kmu_frame(2, 1.0, 0.0, c=-3.0)), 5),
         (curvature_non_sasakian(make_kmu_frame(2, 0.2, 0.8)), 5),
         (curvature_real_space_form(4, -1.0), 4),
     ]
@@ -343,7 +354,7 @@ def test_sasakian_unit_sphere_model():
     # at c = 1 the Sasakian model is the constant-curvature-1 tensor (the
     # round unit sphere with its standard contact structure)
     frame = make_kmu_frame(2, 1.0, 0.0, c=1.0)
-    o_s = curvature_sasakian_space_form(frame)
+    o_s = curvature_kmu_space_form(frame)
     o_r = curvature_real_space_form(frame.dim, 1.0)
     rng = np.random.default_rng(14)
     for _ in range(100):

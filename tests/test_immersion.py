@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from warpcheck import numeric
 from warpcheck.charts import ChartMetric, riemann
-from warpcheck.contact import CurvatureOracle, make_ambient
+from warpcheck.contact import make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
     InvalidConfigurationError,
@@ -133,7 +133,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
 def _chart_gauss_residual(im, p):
     data = second_fundamental_form(im, p)
     cp = riemann(pullback_metric(im), p)
-    intrinsic = CurvatureOracle("chart", cp.riemann04).rotated(data.extras["frame_coefficients"]).tensor
+    intrinsic = numeric.frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])[0]
     return gauss_residual(data, intrinsic=intrinsic)
 
 
@@ -319,6 +319,29 @@ def test_the_map_values_of_a_pullback_riemann_are_validated_on_the_distinct_sten
     monkeypatch.setattr(numeric, "stack_values", recording)
     riemann(pullback_metric(im), im.default_point)
     assert [int(np.prod(lead)) for lead in validated] == [2 * n * n + 2 * n + 1]  # never (2n+1)^2
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[0.9, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], [1.5] * 8, [0.4, -1.3, 2.5]],
+    ids=["ci-point", "all-1.5", "mixed"],
+)
+def test_a_pullback_riemann_maps_2n2_plus_2n_plus_1_points_wherever_its_coordinates_lie(x, monkeypatch):
+    # one step for every stencil: the back shift of a shifted point is its
+    # centre, also where a coordinate is near or above 1
+    x = np.array(x)
+    n = len(x)
+    validated = []
+    original = numeric.stack_values
+
+    def recording(value, points, value_shape, what, complex_=False):
+        if what == "map":
+            validated.append(len(np.unique(points[:, 0], axis=0)))
+        return original(value, points, value_shape, what, complex_)
+
+    monkeypatch.setattr(numeric, "stack_values", recording)
+    riemann(pullback_metric(sphere_in_euclidean(n)), x)
+    assert validated == [2 * n * n + 2 * n + 1]
 
 
 def test_chart_immersion_data_has_a_zero_ambient_tensor():

@@ -32,7 +32,6 @@ from warpcheck.contact import (
     check_km_condition,
     curvature_kmu_space_form,
     curvature_non_sasakian,
-    curvature_sasakian_space_form,
     make_ambient,
     make_kmu_frame,
 )
@@ -146,6 +145,6 @@ def test_the_heisenberg_algebra_is_the_sasakian_space_form_of_c_minus_3(m):
     C = heisenberg(m)
     frame = make_kmu_frame(m, 1.0, 0.0, c=-3.0)
     _assert_carries_the_frame(C, frame)
-    assert np.abs(lie_curvature(C) - curvature_sasakian_space_form(frame).tensor).max() <= TOL
+    assert np.abs(lie_curvature(C) - curvature_kmu_space_form(frame).tensor).max() <= TOL
     ambient = make_ambient("sasakian-space-form", m=m, c=-3.0)
     assert np.abs(lie_curvature(C) - ambient.oracle.tensor).max() <= TOL

@@ -38,6 +38,15 @@ def test_the_top_level_namespace_reexports_only_all_names():
     assert "phi_sectional_constant" in public
 
 
+def test_one_contact_space_form_builder_takes_only_a_frame():
+    # the Sasakian space form is curvature_kmu_space_form of its h = 0 frame
+    for owner in (warpcheck, warpcheck.contact):
+        assert not hasattr(owner, "curvature_sasakian_space_form")
+    for owner, attr in [(warpcheck.ContactFrame, "is_sasakian"), (warpcheck.ContactFrame, "lam"), (warpcheck.CurvatureOracle, "rotated")]:
+        assert not hasattr(owner, attr), attr
+    assert list(inspect.signature(warpcheck.curvature_kmu_space_form).parameters) == ["frame"]
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)

@@ -163,6 +163,80 @@ def test_run_obstruction_scene():
     assert report.records[0]["verdict"] == "NONEXISTENCE"
 
 
+KMU_OBSTRUCTION_AMBIENT = {"kind": "kmu-space-form", "m": 3, "kappa": 0.25, "mu": -1.4, "c": -4.7}
+
+
+def _minimal_scene(ambient, checks):
+    return parse_scene(
+        {
+            "ambient": ambient,
+            "source": {"kind": "synthetic", "generator": "minimal", "n1": 1, "n2": 1},
+            "checks": checks,
+            "samples": 50,
+            "seed": 3,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [
+        {"kind": "real-space-form", "m": 3, "c": -1.0},
+        {"kind": "sasakian-space-form", "m": 3, "c": -4.0},
+        KMU_OBSTRUCTION_AMBIENT,
+        {"kind": "non-sasakian-kmu", "m": 3, "kappa": 0.25, "mu": -0.8},
+        {"kind": "tangent-sphere-bundle", "m": 3, "c": 0.5},
+    ],
+    ids=lambda a: a["kind"],
+)
+def test_the_obstruction_verdicts_read_the_ambients_own_curvature(ambient):
+    import warpcheck.scenes as scenes_mod
+    from warpcheck.inequality import general_inequality_stack, obstruction_check
+
+    spec = _minimal_scene(ambient, [{"name": "obstruction", "harmonic": True, "minimal": True}])
+    (record,) = run(spec).records
+    ctx = scenes_mod._Context(spec.ambient_space(), spec.source_data(), spec.tolerance(), np.random.default_rng(3), 50)
+    batch = general_inequality_stack(ctx.stack())
+    verdicts = obstruction_check(batch, harmonic=True, minimal=True)
+    assert record["verdicts"] == {v: int(np.count_nonzero(verdicts == v)) for v in record["verdicts"]}
+    assert sum(record["verdicts"].values()) == 50
+    assert record["rhs_curvature_term"] == (batch.rhs - batch.mean_term)[record["worst_sample"]]
+    if ambient is KMU_OBSTRUCTION_AMBIENT:  # non_sasakian_inequality gives 50 UNOBSTRUCTED on this data
+        assert record["verdicts"] == {"NONEXISTENCE": 32, "WARPED_PRODUCT_IMMERSION": 0, "UNOBSTRUCTED": 18}
+
+
+def test_contact_data_that_is_not_c_totally_real_gets_obstruction_verdicts():
+    # the general theorem needs no C-totally real data; the specialized one refuses it
+    spec = parse_scene(
+        {
+            "ambient": {"kind": "sasakian-space-form", "m": 3, "c": -4.0},
+            "source": {"kind": "synthetic", "generator": "random", "n1": 1, "n2": 2, "sigma_scale": 0.0},
+            "checks": [{"name": "obstruction", "harmonic": True, "minimal": True}, "kmu_space_form_inequality"],
+            "samples": 20,
+            "seed": 4,
+        }
+    )
+    obstruction, specialized = run(spec).records
+    assert "error" not in obstruction and sum(obstruction["verdicts"].values()) == 20
+    assert specialized["error"].startswith("InvalidConfigurationError: data is not C-totally real")
+
+
+def test_a_specialized_inequality_fails_where_its_formula_does_not_describe_the_ambient():
+    records = run(_minimal_scene(KMU_OBSTRUCTION_AMBIENT, ["non_sasakian_inequality", "kmu_space_form_inequality"])).records
+    wrong, own = (r["max_rhs_cross_residual"] for r in records)
+    assert not records[0]["pass"] and 2.7 < wrong < 2.8
+    assert records[1]["pass"] and own <= 1e-14
+
+
+@pytest.mark.parametrize("kappa", [-0.6, 0.0, 0.3, 0.9])
+def test_the_non_sasakian_inequality_describes_the_kmu_space_form_of_mu_kappa_plus_1(kappa):
+    # Koufogiorgos: the (kappa, mu)-space form with mu = kappa + 1 has c = -2 kappa - 1
+    ambient = {"kind": "kmu-space-form", "m": 3, "kappa": kappa, "mu": kappa + 1.0, "c": -2.0 * kappa - 1.0}
+    (record,) = run(_minimal_scene(ambient, ["non_sasakian_inequality"])).records
+    # rounding only: 8.9e-16 at kappa = 0.3, 1.3e-15 at kappa = -0.6
+    assert record["pass"] and record.get("max_rhs_cross_residual", 0.0) <= 1e-14
+
+
 def test_run_randomized_scene_all_gaps():
     spec = parse_scene(
         {

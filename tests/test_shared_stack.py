@@ -183,7 +183,6 @@ def test_the_tangent_tensor_is_the_rotated_oracle():
     tensor = frame_tensor(stack.oracle.tensor, stack.tangent)
     for i in range(len(stack)):
         assert np.array_equal(tensor[i], _tensordot_frame(stack.oracle.tensor, stack.tangent[i]))
-        assert np.array_equal(tensor[i], stack.oracle.rotated(stack.tangent[i]).tensor)
         one = frame_tensor(stack.oracle.tensor, stack.tangent[i : i + 1])[0]
         assert np.array_equal(tensor[i], one)
 
@@ -198,7 +197,6 @@ def test_the_chart_pullback_tensor_in_its_frame_is_the_rotated_oracle(n):
         R = riemann(pullback_metric(im), p).riemann04
         expected = _tensordot_frame(R, coeff)
         assert np.array_equal(frame_tensor(R, coeff[None])[0], expected)
-        assert np.array_equal(CurvatureOracle("chart-pullback", R).rotated(coeff).tensor, expected)
 
 
 def test_a_non_finite_pullback_tensor_fails_the_chart_gauss_record(monkeypatch):
