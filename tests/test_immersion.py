@@ -326,7 +326,7 @@ def test_the_map_values_of_a_pullback_riemann_are_validated_on_the_distinct_sten
     [[0.9, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], [1.5] * 8, [0.4, -1.3, 2.5]],
     ids=["ci-point", "all-1.5", "mixed"],
 )
-def test_a_pullback_riemann_maps_2n2_plus_2n_plus_1_points_wherever_its_coordinates_lie(x, monkeypatch):
+def test_a_pullback_riemann_maps_2n2_plus_2n_plus_1_points_also_where_a_coordinate_reaches_1(x, monkeypatch):
     # one step for every stencil: the back shift of a shifted point is its
     # centre, also where a coordinate is near or above 1
     x = np.array(x)
