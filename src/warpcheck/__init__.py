@@ -9,7 +9,7 @@ mean curvature, together with its equality cases and nonexistence corollaries.
 
 __version__ = "0.1.0"
 
-from .numeric import Tolerance, gram_schmidt
+from .numeric import Tolerance
 from .charts import (
     ChartMetric,
     CurvaturePoint,

@@ -32,7 +32,6 @@ from .numeric import (
     as_matrix,
     as_vector,
     frame_tensor,
-    gram_schmidt,
     jet,
     qr_q,
     qr_q_complete,
@@ -54,7 +53,7 @@ __all__ = [
     "random_data",
     "random_stack",
     "dplus_frame",
-    "complete_normal_frame",
+    "householder_frame",
     "balance_for_equality",
     "force_xi_consistency",
     "sphere_in_euclidean",
@@ -412,63 +411,30 @@ def force_xi_consistency(
     return sigma + np.einsum("...r,...ij->...rij", w, target - current)
 
 
-def complete_normal_frame(tangent: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion of a tangent frame by the
-    standard basis.
+def householder_frame(jacobian: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal tangent and normal frames of the column span of one
+    jacobian J (d, n), from one Householder factorization (numeric.qr_q_complete).
 
-    One pass over the candidates: the tangent columns, then e_0, e_1, ... .
-    Each candidate is projected against the frame accepted so far with one
-    matrix product, and the projection is repeated once (classical
-    Gram-Schmidt with one re-orthogonalization).  A remainder of norm at
-    least 1e-8 is normalized and accepted; a smaller one is skipped, or
-    raises ImmersionDegeneracyError for a tangent column (dependent tangent).
-    Each normal column has its largest-magnitude entry positive.  Raises
+    Returns (tangent, r, normal): tangent (d, n) and the upper triangular r
+    (n, n) with J = tangent r and diag r > 0, the frame Gram-Schmidt gives on
+    the columns of J; normal (d, d - n), the last columns of the complete
+    factor, each with its largest-magnitude entry positive.  Raises
     NumericalDomainError on non-finite input and ImmersionDegeneracyError
-    when the frame cannot be completed.
-
-    A stack of tangent frames (N, d, n) is completed in the same one pass,
-    each sample keeping its own count of accepted vectors (rows not yet
-    accepted are zero and project nothing); it returns (N, d, d - n), and an
-    error names the sample.
+    when n >= d or a column depends on the previous ones (|r_jj| < 1e-8).
     """
-    tangent = np.asarray(tangent, dtype=float)
-    stacked = tangent.ndim == 3
-    T = tangent if stacked else as_matrix(tangent)[None]
-    if not np.isfinite(T).all():
-        raise NumericalDomainError("tangent frame has non-finite entries")
-    N, d, n = T.shape
+    J = as_matrix(jacobian)
+    d, n = J.shape
     if n >= d:
         raise ImmersionDegeneracyError(f"{n} tangent vectors leave no normal direction in R^{d}")
-    where = (lambda i: f" in sample {i}") if stacked else (lambda i: "")
-    # accepted vectors as the rows of `frame`
-    frame = np.zeros((N, d, d))
-    count = np.zeros(N, dtype=int)
-    eye = np.eye(d)
-    for j in range(n + d):
-        if (count == d).all():
-            break
-        w = T[:, :, j] if j < n else np.broadcast_to(eye[j - n], (N, d))
-        for _ in range(2):
-            coef = np.matmul(frame, w[..., None])
-            w = w - np.matmul(np.swapaxes(coef, 1, 2), frame)[:, 0]
-        norm = np.sqrt(np.maximum(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0], 0.0))
-        accept = (norm >= 1e-8) & (count < d)
-        if j < n and not accept.all():
-            i = int(np.argmin(accept))
-            raise ImmersionDegeneracyError(
-                f"tangent column {j} depends on the previous ones{where(i)}"
-            )
-        rows = np.flatnonzero(accept)
-        frame[rows, count[rows]] = w[rows] / norm[rows, None]
-        count[rows] += 1
-    if (count != d).any():
-        i = int(np.argmin(count))
-        raise ImmersionDegeneracyError(f"failed to complete the normal frame{where(i)}")
-    normal = frame[:, n:].transpose(0, 2, 1)
-    # deterministic sign: largest-magnitude entry positive
-    peak = np.take_along_axis(normal, np.abs(normal).argmax(axis=1)[:, None, :], axis=1)
-    normal = normal * np.where(peak < 0.0, -1.0, 1.0)
-    return normal if stacked else normal[0]
+    full = qr_q_complete(J)[1]
+    r = np.triu(full[:, :n].T @ J)
+    independent = np.abs(np.diagonal(r)) >= 1e-8
+    if not independent.all():
+        raise ImmersionDegeneracyError(f"tangent column {np.argmin(independent)} depends on the previous ones")
+    signs = np.sign(np.diagonal(r))[:, None]
+    normal = full[:, n:]
+    peak = np.take_along_axis(normal, np.abs(normal).argmax(axis=0)[None], axis=0)
+    return full[:, :n] * signs.T, signs * r, normal * np.sign(peak)
 
 
 def random_stack(
@@ -489,7 +455,7 @@ def random_stack(
     none; then sigma_scale times k n^2 entries, symmetrized, give sigma.  So
     the stack equals `count` sequential random_data calls bit for bit, and
     leaves `rng` in the same state.  Every frame kind gives its normal frame
-    in closed form, with no Gram-Schmidt completion, and the frames are
+    in closed form, with no householder_frame completion, and the frames are
     validated once for the whole stack.  All samples of a dplus draw share
     one frame, so its K~ table (ambient_kij) is one oracle.kij contraction
     of that frame, repeated: by kij's stack contract, bit for bit the table
@@ -609,7 +575,7 @@ def dplus_frame(frame: ContactFrame, n: int) -> np.ndarray:
 
 def _dplus_normal(frame: ContactFrame, n: int) -> np.ndarray:
     """Normal frame of dplus_frame in closed form: e_0, e_{n+1}, ..., the
-    completion complete_normal_frame computes for it."""
+    normal frame householder_frame gives for it."""
     return np.eye(frame.dim)[:, [0, *range(n + 1, frame.dim)]]
 
 
@@ -664,9 +630,10 @@ def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack
     """Adapted frame and second-fundamental-form components at p, as a stack
     of one.
 
-    The tangent frame orthonormalizes the pushed-forward coordinate basis
-    (preserving the leaf/fibre split), the normal frame completes it from the
-    coordinate directions of R^d, and sigma is the normal part of the second
+    The tangent frame orthonormalizes the pushed-forward coordinate basis in
+    order (preserving the leaf/fibre split), the normal frame completes it,
+    both from one Householder factorization of the Jacobian
+    (householder_frame), and sigma is the normal part of the second
     derivatives of the map.  Downstream components live in the adapted frame,
     where the ambient curvature is zero.  The map is evaluated once, for its
     jet at p (numeric.jet): the exact Jacobian and the Hessian.
@@ -676,14 +643,8 @@ def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack
     point, jt, S = jet(im.map, p, (d,), "map")  # jt[a] = d_a x, the columns of J
     require_positive_definite(jt @ jt.T, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
-    # Gram-Schmidt on pushforwards, tracking source-coordinate coefficients
-    # through an augmented tail that the inner product ignores.
-    augmented = [np.concatenate([jt[a], np.eye(n)[a]]) for a in range(n)]
-    ortho = gram_schmidt(augmented, inner=lambda u, v: float(u[:d] @ v[:d]), tol=1e-8)
-    tangent_ambient = np.column_stack([w[:d] for w in ortho])
-    coeff = np.column_stack([w[d:] for w in ortho])  # e_i = sum_a coeff[a,i] d_a
-
-    normal_ambient = complete_normal_frame(tangent_ambient)
+    tangent_ambient, r, normal_ambient = householder_frame(jt.T)
+    coeff = np.linalg.inv(r)  # e_i = sum_a coeff[a,i] d_a
 
     # normal components of S_ab = d_a d_b x, then source-coordinate indices to the frame
     sigma_coord = np.einsum("abk,kr->rab", S, normal_ambient)

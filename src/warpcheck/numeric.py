@@ -1,4 +1,5 @@
-"""Dense numeric substrate: small vectors/matrices, orthonormalization,
+"""Dense numeric substrate: small vectors/matrices, the Householder QR
+factors that every frame computed in Euclidean coordinates comes from,
 validation of a callable's values on a stack of points (shape, finiteness,
 a Cholesky positive-definiteness test), and the one derivative rule of the
 package.  First derivatives are exact: the complex step
@@ -18,12 +19,12 @@ sized for frames of dimension <= ~30; no sparse or blocked structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DegenerateInputError, InvalidInputError, NumericalDomainError
+from .errors import InvalidInputError, NumericalDomainError
 
 __all__ = [
     "Tolerance",
@@ -34,7 +35,6 @@ __all__ = [
     "frame_tensor",
     "stack_values",
     "require_positive_definite",
-    "gram_schmidt",
     "qr_q",
     "qr_q_complete",
     "axis_stencil",
@@ -211,57 +211,6 @@ def _qr_gufuncs(a: np.ndarray, t: str, complete: bool) -> tuple[np.ndarray, np.n
     if not complete or a.shape[-2] <= a.shape[-1]:
         return q, q
     return q, _umath_linalg.qr_complete(a, tau, signature=f"{t}{t}->{t}")
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # for one pair of vectors the value of np.dot, over stacks too
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
-def gram_schmidt(
-    vectors: Sequence[np.ndarray],
-    inner: Callable[[np.ndarray, np.ndarray], float | np.ndarray] | None = None,
-    tol: float = DEFAULT_TOLERANCE.algebraic,
-) -> list[np.ndarray]:
-    """Orthonormalize `vectors` with modified Gram-Schmidt.
-
-    The vectors are arrays of one shape (..., n): single vectors (n,), or
-    one vector per point of a stack, orthonormalized point by point with the
-    arithmetic of a single vector.  `inner` is a positive-definite bilinear
-    form broadcasting over the stack (e.g. ``bilinear`` against a stacked
-    metric); Euclidean dot product when omitted.  Prefix spans are
-    preserved.  Raises InvalidInputError unless the inputs are arrays of one
-    shape with n >= 1, NumericalDomainError on a non-finite entry or an
-    infinite pivot norm and DegenerateInputError when a pivot norm is NaN or
-    below `tol` (dependent input), each naming the vector and the first point.
-    """
-    if len(vectors) == 0:
-        return []
-    try:
-        stacked = np.array(vectors, dtype=float)
-    except ValueError as exc:  # ragged input
-        raise InvalidInputError(f"expected vectors of one shape: {exc}") from exc
-    if stacked.ndim < 2 or stacked.shape[-1] < 1:
-        raise InvalidInputError(f"expected vectors (..., n), got stacked shape {stacked.shape}")
-    if not np.isfinite(stacked).all():
-        raise NumericalDomainError("vector has non-finite entries")
-    dot = _dot if inner is None else inner
-    out: list[np.ndarray] = []
-    for w in stacked:  # private copies, updated in place
-        for u in out:
-            w -= np.asarray(dot(u, w))[..., None] * u
-        norm = np.sqrt(np.maximum(dot(w, w), 0.0))
-        bad = ~((norm >= tol) & (norm < np.inf))  # a NaN pivot is degenerate too
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            at = f" (stack index {idx})" if idx else ""
-            if norm[idx] == np.inf:  # w / inf would be a zero vector
-                raise NumericalDomainError(f"non-finite pivot norm at vector {len(out)}{at}: {norm[idx]}")
-            raise DegenerateInputError(
-                f"rank-deficient input at vector {len(out)}{at}: pivot norm {norm[idx]:.3e}"
-            )
-        out.append(w / norm[..., None])
-    return out
 
 
 # ---------------------------------------------------------------------------

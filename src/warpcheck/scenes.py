@@ -39,9 +39,9 @@ from .immersion import (
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
-    complete_normal_frame,
     dplus_leaf_in,
     gauss_residual,
+    householder_frame,
     is_C_totally_real,
     pullback_metric,
     random_stack,
@@ -118,8 +118,7 @@ class SceneSpec:
         share the one instance."""
         if self._ambient_space is None or self._ambient_space[0] != self.ambient:
             amb = dict(self.ambient)
-            kind = amb.pop("kind", None)
-            _require(kind in ambient_catalog(), f"unknown ambient kind {kind!r}")
+            kind = _known(amb.pop("kind", None), ambient_catalog(), "ambient kind")
             amb = _read_numbers(amb, _AMBIENT_NUMBERS, "ambient parameter")
             try:
                 built = make_ambient(kind, **amb)
@@ -135,8 +134,7 @@ class SceneSpec:
         ambient = self.ambient_space()
         cached = self._source
         if cached is None or cached[0] != self.source or cached[1] is not ambient:
-            kind = self.source.get("kind")
-            _require(kind in _SOURCES, f"unknown source kind {kind!r}")
+            kind = _known(self.source.get("kind"), _SOURCES, "source kind")
             try:
                 built = _SOURCES[kind](self.source, ambient)
             except SceneValidationError:
@@ -185,6 +183,14 @@ class RunReport:
 def _require(cond: bool, msg: str):
     if not cond:
         raise SceneValidationError(msg)
+
+
+def _known(value, names, what: str) -> str:
+    """`value` as one of `names`; anything but a string is rejected before
+    the lookup, which an unhashable value would fail with a TypeError."""
+    _require(isinstance(value, str), f"{what} must be a string (got {value!r})")
+    _require(value in names, f"unknown {what} {value!r}")
+    return value
 
 
 def _integer(value, what: str, low: int = 1) -> int:
@@ -332,9 +338,8 @@ def parse_scene(path_or_dict) -> SceneSpec:
 def _validate(spec: SceneSpec):
     ambient, source = spec.ambient_space(), spec.source_data()  # raise on bad input
     spec.tolerance()
-    names = {c["name"] for c in spec.checks}
-    unknown = names - set(_CHECKS)
-    _require(not unknown, f"unknown checks: {sorted(unknown)}")
+    _require(spec.checks, "scene needs at least one check: with none, nothing is evaluated")
+    names = {_known(c["name"], _CHECKS, "check name") for c in spec.checks}
     for check in spec.checks:
         name, readers = check["name"], _CHECKS[check["name"]][2]
         for key, value in check.items():
@@ -411,8 +416,8 @@ def _params(src: dict) -> dict:
 
 def _warped_chart_source(src: dict, ambient: AmbientSpace) -> _Source:
     _only_keys(src, "'warped-chart' source", "kind", "key", "params")
-    _require(src.get("key") in chart_catalog(), f"unknown chart key {src.get('key')!r}")
-    return _Source(warped=named_chart(src["key"], **_params(src)))
+    key = _known(src.get("key"), chart_catalog(), "chart key")
+    return _Source(warped=named_chart(key, **_params(src)))
 
 
 def _explicit_warped_source(src: dict, ambient: AmbientSpace) -> _Source:
@@ -446,7 +451,7 @@ def _chart_immersion_source(src: dict, ambient: AmbientSpace) -> _Source:
         _require(ambient.frame is not None, "dplus-leaf needs a contact ambient")
         return _Source(fixed=dplus_leaf_in(ambient, *_dims(params, ambient)))
     _only_keys(src, "'chart-immersion' source", "kind", "key", "params", "point")
-    _require(key in chart_immersion_catalog(), f"unknown immersion key {key!r}")
+    _known(key, chart_immersion_catalog(), "immersion key")
     im = chart_immersion_catalog()[key](**params)
     _require(
         im.ambient_dim == ambient.dim,
@@ -476,8 +481,7 @@ _GENERATORS = {
 def _synthetic_source(src: dict, ambient: AmbientSpace) -> _Source:
     _only_keys(src, "'synthetic' source", "kind", "n1", "n2", "generator", "sigma_scale")
     n1, n2 = _dims(src, ambient)
-    generator = src.get("generator", "random")
-    _require(generator in _GENERATORS, f"unknown generator {generator!r}")
+    generator = _known(src.get("generator", "random"), _GENERATORS, "generator")
     scale = _real(src.get("sigma_scale", 1.0), "sigma_scale", low=0.0)
     return _Source(generator=generator, n1=n1, n2=n2, sigma_scale=scale)
 
@@ -506,7 +510,7 @@ def _explicit_source(src: dict, ambient: AmbientSpace) -> _Source:
     if "normal" in src:
         normal = _real_array(src["normal"], "explicit source 'normal'")
     else:
-        normal = complete_normal_frame(tangent)
+        normal = householder_frame(tangent)[2]
     data = PointwiseStack(
         n1=n1,
         n2=n2,

@@ -25,7 +25,6 @@ and gamma[..., :n1, :n1, :n1], since the block metric's leaf block is g1(x1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ from .charts import (
     trace_laplacian,
 )
 from .errors import InvalidInputError, InvalidWarpingError
-from .numeric import DEFAULT_TOLERANCE, as_points, as_vector, bilinear, complex_step, gram_schmidt
+from .numeric import DEFAULT_TOLERANCE, as_points, as_vector, complex_step
 
 __all__ = [
     "WarpFunction",
@@ -242,11 +241,17 @@ def mixed_sectional(wp: WarpedProductChart, cp: CurvaturePoint) -> np.ndarray:
 
 def _adapted_frame(wp: WarpedProductChart, gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal frames (n1, ..., n) and (n2, ..., n) adapted to the block
-    split for each metric of gx (..., n, n): each block's coordinate basis,
-    orthonormalized point by point."""
-    inner = partial(bilinear, gx)
-    basis = [np.broadcast_to(e, gx.shape[:-1]) for e in np.eye(wp.dim)]
-    return np.stack(gram_schmidt(basis[: wp.n1], inner)), np.stack(gram_schmidt(basis[wp.n1 :], inner))
+    split for each metric of gx (..., n, n): of each block g_b = L L^T
+    (Cholesky), the columns of L^-T, the one frame of the block whose
+    coordinates are upper triangular with a positive diagonal (the frame
+    Gram-Schmidt gives on the block's coordinate basis)."""
+    frames = []
+    for block in (slice(0, wp.n1), slice(wp.n1, wp.dim)):
+        inv = np.linalg.inv(np.linalg.cholesky(gx[..., block, block]))
+        frame = np.zeros(gx.shape[:-1] + inv.shape[-1:])  # (..., n, k)
+        frame[..., block, :] = np.swapaxes(inv, -1, -2)
+        frames.append(np.moveaxis(frame, -1, 0))
+    return frames[0], frames[1]
 
 
 def check_laplacian_ratio(wp: WarpedProductChart, cp: CurvaturePoint) -> dict:

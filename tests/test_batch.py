@@ -12,7 +12,6 @@ import pytest
 
 from warpcheck.contact import _KIJ_BLOCK, CurvatureOracle, make_ambient
 from warpcheck.errors import (
-    ImmersionDegeneracyError,
     InvalidConfigurationError,
     InvalidInputError,
     NumericalDomainError,
@@ -21,7 +20,6 @@ from warpcheck.immersion import (
     PointwiseStack,
     a_xi_identity,
     balance_for_equality,
-    complete_normal_frame,
     force_xi_consistency,
     gauss_residual,
     is_C_totally_real,
@@ -127,6 +125,7 @@ def test_scene_generators_draw_the_sequential_stream(gen, ambient):
     scene = {
         "ambient": ambient,
         "source": {"kind": "synthetic", "generator": gen, "n1": 2, "n2": 2, "sigma_scale": 0.7},
+        "checks": ["general_inequality"],  # a scene with no checks is refused
         "samples": 60,
         "seed": 5,
     }
@@ -396,19 +395,3 @@ def test_random_stack_takes_a_numpy_integer_count():
     amb = make_ambient("real-space-form", m=5, c=0.6)
     stack = random_stack(np.random.default_rng(0), amb, 1, 2, np.int64(3))
     assert np.array_equal(stack.sigma, random_stack(np.random.default_rng(0), amb, 1, 2, 3).sigma)
-
-
-def test_stacked_completion_names_a_dependent_sample():
-    tangent = np.repeat(np.eye(5)[:, :2][None], 4, axis=0)
-    tangent[1, :, 1] = tangent[1, :, 0]
-    with pytest.raises(ImmersionDegeneracyError, match="sample 1"):
-        complete_normal_frame(tangent)
-
-
-def test_stacked_completion_equals_one_sample_completions():
-    rng = np.random.default_rng(45)
-    tangent = np.linalg.qr(rng.normal(size=(40, 9, 9)))[0][:, :, :4]
-    tangent[::3] = np.eye(9)[:, 2:6]  # frames that skip dependent candidates
-    normal = complete_normal_frame(tangent)
-    for i in range(len(tangent)):
-        assert np.max(np.abs(normal[i] - complete_normal_frame(tangent[i]))) <= PARITY

@@ -281,9 +281,8 @@ def test_scalar_curvature_matches_ricci_half_trace():
     x = rng.uniform(-0.5, 0.5, size=3)
     cp = riemann(metric, x)
     gx = metric.at(x)
-    from warpcheck.numeric import gram_schmidt
-
-    frame = gram_schmidt([np.eye(3)[i] for i in range(3)], inner=lambda u, v: float(u @ gx @ v))
+    # the rows of L^-1, gx = L L^T: a gx-orthonormal frame
+    frame = list(np.linalg.inv(np.linalg.cholesky(gx)))
     ricci_trace = 0.0
     for j in range(3):
         for i in range(3):

@@ -391,3 +391,41 @@ def test_a_source_key_its_kind_does_not_read_exits_2_and_is_named(tmp_path, caps
     path.write_text(json.dumps({**scene, "seed": 0}))
     assert cli_main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# a kind or a check name that is not a string; each used to raise a
+# TypeError (unhashable type) at its catalog lookup, which exited 1 like a FAIL
+NOT_A_STRING = [[], {}, [1.0]]
+
+
+def _exits_2_naming(tmp_path, capsys, scene, name):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert cli_main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert name in err
+
+
+@pytest.mark.parametrize("kind", NOT_A_STRING, ids=repr)
+def test_an_ambient_kind_that_is_not_a_string_exits_2(tmp_path, capsys, kind):
+    _exits_2_naming(tmp_path, capsys, {**SPHERE, "ambient": {"kind": kind, "m": 3}}, "ambient kind must be a string")
+
+
+@pytest.mark.parametrize("kind", NOT_A_STRING, ids=repr)
+def test_a_source_kind_that_is_not_a_string_exits_2(tmp_path, capsys, kind):
+    scene = {**SPHERE, "source": {**SPHERE["source"], "kind": kind}}
+    _exits_2_naming(tmp_path, capsys, scene, "source kind must be a string")
+
+
+@pytest.mark.parametrize("name", NOT_A_STRING, ids=repr)
+def test_a_check_name_that_is_not_a_string_exits_2(tmp_path, capsys, name):
+    scene = {**SPHERE, "checks": ["general_inequality", {"name": name}]}
+    _exits_2_naming(tmp_path, capsys, scene, "check name must be a string")
+
+
+@pytest.mark.parametrize("checks", [{"checks": []}, {}], ids=["empty", "missing"])
+def test_a_scene_with_no_checks_exits_2(tmp_path, capsys, checks):
+    # it used to print "-- 0 checks" and exit 0: a PASS with nothing evaluated
+    scene = {k: v for k, v in SPHERE.items() if k != "checks"}
+    _exits_2_naming(tmp_path, capsys, {**scene, **checks}, "scene needs at least one check")

@@ -18,12 +18,12 @@ from warpcheck.immersion import (
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
-    complete_normal_frame,
     cylinder_immersion,
     dplus_frame,
     dplus_leaf_in,
     force_xi_consistency,
     gauss_residual,
+    householder_frame,
     intrinsic_kij,
     is_C_totally_real,
     is_mixed_totally_geodesic,
@@ -371,7 +371,7 @@ def test_xi_tangent_frame_rejected():
     t[0, 0] = 1.0  # xi itself
     t[1, 1] = 1.0
     data = PointwiseStack(
-        1, 1, t[None], complete_normal_frame(t)[None], np.zeros((1, 7, 2, 2)), amb.oracle, amb.frame
+        1, 1, t[None], householder_frame(t)[2][None], np.zeros((1, 7, 2, 2)), amb.oracle, amb.frame
     )
     assert not is_C_totally_real(data)[0]
 
@@ -382,7 +382,7 @@ def test_phi_invariant_frame_rejected():
     t[1, 0] = 1.0  # u_1
     t[5, 1] = 1.0  # phi u_1
     data = PointwiseStack(
-        1, 1, t[None], complete_normal_frame(t)[None], np.zeros((1, 7, 2, 2)), amb.oracle, amb.frame
+        1, 1, t[None], householder_frame(t)[2][None], np.zeros((1, 7, 2, 2)), amb.oracle, amb.frame
     )
     assert not is_C_totally_real(data)[0]
 
@@ -421,7 +421,7 @@ def test_a_xi_dplus_frame_vanishes():
     amb = make_ambient("non-sasakian-kmu", m=3, kappa=0.0, mu=0.4)
     t = dplus_frame(amb.frame, 2)
     data = PointwiseStack(
-        1, 1, t[None], complete_normal_frame(t)[None], np.zeros((1, 5, 2, 2)), amb.oracle, amb.frame
+        1, 1, t[None], householder_frame(t)[2][None], np.zeros((1, 5, 2, 2)), amb.oracle, amb.frame
     )
     res = a_xi_identity(data)
     assert np.max(np.abs(res["a_xi"])) < 1e-12

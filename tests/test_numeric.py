@@ -2,17 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from warpcheck.errors import DegenerateInputError, InvalidInputError, NumericalDomainError
+from warpcheck.errors import InvalidInputError, NumericalDomainError
 from warpcheck.numeric import (
     FD_STEP,
     Tolerance,
     axis_stencil,
-    bilinear,
     complex_step,
-    gram_schmidt,
     jet,
     qr_q,
     qr_q_complete,
@@ -22,146 +18,6 @@ from warpcheck.numeric import (
 def test_tolerance_positive():
     with pytest.raises(InvalidInputError):
         Tolerance(algebraic=0.0)
-
-
-def test_gram_schmidt_identity_passthrough():
-    out = gram_schmidt([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert np.allclose(out[0], [1, 0]) and np.allclose(out[1], [0, 1])
-
-
-def test_gram_schmidt_hand_example():
-    out = gram_schmidt([np.array([2.0, 0.0]), np.array([1.0, 1.0])])
-    assert np.allclose(out[0], [1, 0], atol=1e-12)
-    assert np.allclose(out[1], [0, 1], atol=1e-12)
-
-
-def test_gram_schmidt_dependent_raises():
-    with pytest.raises(DegenerateInputError):
-        gram_schmidt([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-
-
-def test_gram_schmidt_custom_inner():
-    g = np.diag([4.0, 9.0])
-    inner = lambda u, v: float(u @ g @ v)
-    out = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])], inner=inner)
-    for i, u in enumerate(out):
-        for j, v in enumerate(out):
-            assert abs(inner(u, v) - (i == j)) < 1e-10
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2**31 - 1))
-def test_gram_schmidt_orthonormality_property(dim, seed):
-    rng = np.random.default_rng(seed)
-    vecs = [rng.normal(size=dim) for _ in range(dim)]
-    try:
-        out = gram_schmidt(vecs)
-    except DegenerateInputError:
-        return  # nearly dependent draw
-    mat = np.column_stack(out)
-    assert np.max(np.abs(mat.T @ mat - np.eye(dim))) < 1e-10
-
-
-def _gram_schmidt_per_vector(vectors, inner=None, tol=1e-10):
-    """Reference: validate each vector, then the same modified Gram-Schmidt."""
-    if inner is None:
-        inner = lambda u, v: float(u @ v)
-    out = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        assert w.ndim == 1 and np.isfinite(w).all()
-        for u in out:
-            w = w - inner(u, w) * u
-        norm = np.sqrt(max(inner(w, w), 0.0))
-        if norm < tol:
-            raise DegenerateInputError("dependent")
-        out.append(w / norm)
-    return out
-
-
-def test_gram_schmidt_matches_per_vector_reference_exactly():
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        d = int(rng.integers(1, 12))
-        a = rng.normal(size=(d, d))
-        g = a @ a.T + d * np.eye(d)
-        vecs = list(rng.normal(size=(d, int(rng.integers(1, d + 1)))).T)  # strided views
-        for inner in (None, lambda u, v: float(u @ g @ v)):
-            expected = _gram_schmidt_per_vector(vecs, inner)
-            got = gram_schmidt(vecs, inner)
-            assert len(got) == len(expected)
-            assert all(np.array_equal(x, y) for x, y in zip(got, expected))
-
-
-@pytest.mark.parametrize(
-    "vectors,error",
-    [
-        ([np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])], InvalidInputError),
-        ([np.eye(2), np.ones(2)], InvalidInputError),  # a stack and a single vector
-        ([np.array(1.0)], InvalidInputError),
-        ([np.zeros(0)], InvalidInputError),
-        ([np.array([1.0, 0.0]), np.array([0.0, np.nan])], NumericalDomainError),
-        ([np.array([np.inf, 0.0]), np.array([0.0, 1.0])], NumericalDomainError),
-    ],
-)
-def test_gram_schmidt_rejects_bad_input(vectors, error):
-    with pytest.raises(error):
-        gram_schmidt(vectors)
-
-
-def test_gram_schmidt_empty_input():
-    assert gram_schmidt([]) == []
-
-
-def test_gram_schmidt_on_a_stack_equals_the_pointwise_calls_exactly():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        d, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
-        a = rng.normal(size=(k, d, d))
-        g = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
-        vecs = list(rng.normal(size=(d, k, int(rng.integers(1, d + 1)))).T)  # (k, d) each
-        stacked = gram_schmidt(vecs, lambda u, v: bilinear(g, u, v))
-        plain = gram_schmidt(vecs)
-        for i in range(k):
-            one = gram_schmidt([v[i] for v in vecs], lambda u, v: float(u @ g[i] @ v))
-            assert all(np.array_equal(s[i], o) for s, o in zip(stacked, one))
-            assert all(np.array_equal(s[i], o) for s, o in zip(plain, gram_schmidt([v[i] for v in vecs])))
-
-
-def test_gram_schmidt_rejects_a_nan_pivot():
-    # a NaN inner product compares false against tol: it is a degenerate pivot
-    e = np.eye(2)
-    with pytest.raises(DegenerateInputError, match="vector 0: pivot norm nan"):
-        gram_schmidt([e[0], e[1]], inner=lambda u, v: float("nan"))
-    # a metric holding NaN at point 1
-    g = np.stack([np.eye(2), [[1.0, 0.0], [0.0, np.nan]], np.eye(2)])
-    with pytest.raises(DegenerateInputError, match=r"vector 0 \(stack index \(1,\)\): pivot norm nan"):
-        gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], lambda u, v: bilinear(g, u, v))
-
-
-def test_gram_schmidt_rejects_an_infinite_pivot():
-    # w / inf would be a zero vector, so an inner product that overflows is out of domain
-    e = np.eye(2)
-    with pytest.raises(NumericalDomainError, match=r"non-finite pivot norm at vector 0: inf"):
-        gram_schmidt([e[0], e[1]], inner=lambda u, v: float("inf") if (u == v).all() else 0.0)
-    # a metric holding inf at point 1
-    g = np.stack([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], np.eye(2)])
-    with pytest.raises(NumericalDomainError, match=r"at vector 0 \(stack index \(1,\)\): inf"):
-        gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], lambda u, v: bilinear(g, u, v))
-    # the second vector's pivot overflows at point 1
-    overflow = np.arange(3) == 1
-
-    def inner(u, v):
-        return np.where(overflow & (u[..., 1] != 0) & (v[..., 1] != 0), np.inf, np.sum(u * v, axis=-1))
-
-    with pytest.raises(NumericalDomainError, match=r"at vector 1 \(stack index \(1,\)\): inf"):
-        gram_schmidt([np.broadcast_to(v, (3, 2)) for v in e], inner)
-
-
-def test_gram_schmidt_names_the_point_of_a_dependent_stack():
-    vecs = [np.ones((3, 2)), np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0]])]
-    with pytest.raises(DegenerateInputError, match=r"vector 1 \(stack index \(2,\)\)"):
-        gram_schmidt(vecs)
 
 
 def _derivatives(f, x, value_shape=()):

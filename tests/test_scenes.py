@@ -269,12 +269,14 @@ def test_check_errors_do_not_abort_siblings():
     assert report.records[1]["pass"]  # sibling still ran
 
 
-def test_empty_check_list_valid_json(tmp_path):
-    spec = parse_scene(dict(SPHERE_SCENE, checks=[]))
-    report = run(spec)
-    payload = emit(report, "json")
-    decoded = json.loads(payload)
-    assert decoded["records"] == []
+def test_empty_check_list_is_refused():
+    # a scene with no checks would PASS with nothing evaluated
+    with pytest.raises(SceneValidationError, match="at least one check"):
+        parse_scene(dict(SPHERE_SCENE, checks=[]))
+    spec = parse_scene(SPHERE_SCENE)
+    spec.checks = []
+    with pytest.raises(SceneValidationError, match="at least one check"):
+        run(spec)
 
 
 def test_json_determinism(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import warpcheck.scenes as scenes_mod
 from warpcheck.charts import _christoffel, covariant_hessian, riemann, sectional_curvature, trace_laplacian
 from warpcheck.errors import DegeneratePlaneError, NumericalDomainError
-from warpcheck.numeric import bilinear, gram_schmidt, jet
+from warpcheck.numeric import bilinear, jet
 from warpcheck.scenes import parse_scene, run
 from warpcheck.warped import (
     WarpedProductChart,
@@ -66,8 +66,10 @@ def _reference_checks(wp, p):
     hess = wp.warp.hess(x1) - np.einsum("kij,k->ij", riemann(wp.factor1, x1).gamma, df)
     lap = -float(np.einsum("ij,ij->", np.linalg.inv(wp.factor1.at(x1)), hess))
     inner = lambda u, v: float(u @ gx @ v)
-    frame1 = gram_schmidt([np.eye(wp.dim)[i] for i in range(wp.n1)], inner)
-    frame2 = gram_schmidt([np.eye(wp.dim)[i] for i in range(wp.n1, wp.dim)], inner)
+    # each block's frame: the rows of L^-1, g_b = L L^T, zero off the block
+    frame1, frame2 = np.zeros((wp.n1, wp.dim)), np.zeros((wp.n2, wp.dim))
+    frame1[:, : wp.n1] = np.linalg.inv(np.linalg.cholesky(gx[: wp.n1, : wp.n1]))
+    frame2[:, wp.n1 :] = np.linalg.inv(np.linalg.cholesky(gx[wp.n1 :, wp.n1 :]))
 
     def K(u, v):
         denom = inner(u, u) * inner(v, v) - inner(u, v) * inner(u, v)
