@@ -393,8 +393,8 @@ def test_a_source_key_its_kind_does_not_read_exits_2_and_is_named(tmp_path, caps
     assert message in capsys.readouterr().err
 
 
-# a kind or a check name that is not a string; each used to raise a
-# TypeError (unhashable type) at its catalog lookup, which exited 1 like a FAIL
+# a kind or a check name that is not a string must be refused before its
+# catalog lookup: an unhashable one raises TypeError there, which exits 1 like a FAIL
 NOT_A_STRING = [[], {}, [1.0]]
 
 
@@ -426,6 +426,6 @@ def test_a_check_name_that_is_not_a_string_exits_2(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("checks", [{"checks": []}, {}], ids=["empty", "missing"])
 def test_a_scene_with_no_checks_exits_2(tmp_path, capsys, checks):
-    # it used to print "-- 0 checks" and exit 0: a PASS with nothing evaluated
+    # exit 0 would be a PASS with nothing evaluated
     scene = {k: v for k, v in SPHERE.items() if k != "checks"}
     _exits_2_naming(tmp_path, capsys, {**scene, **checks}, "scene needs at least one check")
