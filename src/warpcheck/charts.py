@@ -12,22 +12,14 @@ sectional_curvature, covariant_hessian and trace_laplacian work from those.
 
 Stack contract: the geometry callables (ChartMetric.g_dg, the ``map`` of a
 chart immersion, the parts of a warping function) take a stack of points
-(..., n) and broadcast over its leading axes; a single point (n,) is the
-stack-of-none case.  g_dg and those that are differentiated numerically
-also take complex points: each must be the complex-analytic extension of
-its real formula, with no abs, max/min, comparison or real-part cast of the
-points.  A callable may be called on any flattened stack, such as the
-distinct points of a stencil (numeric.jet).  The functions below accept
-stacks too, and a point's numbers do not depend on its stack.
+(..., n), a single point being the stack of none, and broadcast over its
+leading axes.  They take complex points too, for their exact derivatives:
+each must be the complex-analytic extension of its real formula, with no
+abs, max/min, comparison or real-part cast of the points.  The functions
+below accept stacks, and a point's numbers do not depend on its stack.
 
-Derivatives follow the one rule of ``numeric``: the metric derivatives are
-exact, from the one g_dg call that gives the metric, and ``riemann`` takes
-one central difference, of the Christoffel symbols on the (..., 2n+1, n)
-axis stencil of the fixed step numeric.FD_STEP, the same at every point.  A
-pull-back metric is the exception: its dg is itself a central difference of
-the exact Jacobian, on the stencil of each point of riemann's stencil; those
-nested stencils share their points, 2n^2+2n+1 of them distinct.
-Every metric a stencil evaluates is validated.
+``riemann`` is one closed form in the exact (g, dg, ddg) of the metric at
+each point, metric.jet(x): a ChartMetric or an immersion.PullbackMetric.
 """
 
 from __future__ import annotations
@@ -42,9 +34,8 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     _first_point,
     as_points,
-    axis_stencil,
     bilinear,
-    central_differences,
+    complex_step,
     require_positive_definite,
     stack_values,
 )
@@ -76,7 +67,16 @@ class ChartMetric:
         """The metric at a point or stack, validated as every metric the
         package evaluates: shape, finiteness, symmetry within 1e-8 and
         g - 1e-12*I positive definite (a Cholesky attempt)."""
-        return _metric_derivatives(self, as_points(x, self.dim))[0]
+        x = as_points(x, self.dim)
+        return _require_metric(_metric_rows(self.g_dg, x, self.dim)[..., 0, :, :], x)
+
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The validated g, dg and ddg[..., a, k, i, j] = d_a d_k g_ij on a
+        float stack x (..., n), from one g_dg call on (..., n+1, n) complex
+        points: ddg is the complex step of dg."""
+        n = self.dim
+        rows, steps = complex_step(lambda z: _metric_rows(self.g_dg, z, n), x, (n + 1, n, n), "metric")
+        return _require_metric(rows[..., 0, :, :], x), rows[..., 1:, :, :], steps[..., 1:, :, :]
 
 
 def _require_metric(gx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -100,63 +100,49 @@ class CurvaturePoint:
 
 
 def euclidean_metric(dim: int) -> ChartMetric:
-    eye = np.eye(dim)
-    zeros = np.zeros((dim, dim, dim))
-
-    def constant(value, x):
-        return np.broadcast_to(value.astype(np.result_type(x, float)), np.shape(x)[:-1] + value.shape)
-
     def g_dg(x):
-        return constant(eye, x), constant(zeros, x)
+        lead, dtype = np.shape(x)[:-1], np.result_type(x, float)
+        return np.broadcast_to(np.eye(dim, dtype=dtype), lead + (dim, dim)), np.zeros(lead + (dim,) * 3, dtype)
 
     return ChartMetric(dim=dim, g_dg=g_dg)
 
 
-def _metric_derivatives(metric: ChartMetric, x: np.ndarray):
-    """The validated metric and its exact first derivatives (..., n, n, n)
-    on a stack x (..., n), from one g_dg call."""
-    n = metric.dim
-    pair = metric.g_dg(x)
+def _metric_rows(g_dg: Callable, z: np.ndarray, n: int) -> np.ndarray:
+    """g and dg of one g_dg call on a float or complex stack z (..., n),
+    validated by stack_values, as the rows (..., n+1, n, n): g, then dg."""
+    pair = g_dg(z)
     if not (isinstance(pair, tuple) and len(pair) == 2):
         raise InvalidInputError(f"g_dg returned {type(pair).__name__}, expected the pair (g, dg)")
-    gx = _require_metric(stack_values(pair[0], x, (n, n), "metric"), x)
-    return gx, stack_values(pair[1], x, (n, n, n), "metric derivative")
+    g = stack_values(pair[0], z.real, (n, n), "metric", np.iscomplexobj(z))
+    dg = stack_values(pair[1], z.real, (n, n, n), "metric derivative", np.iscomplexobj(z))
+    return np.concatenate([g[..., None, :, :], dg], axis=-3)
 
 
-def _christoffel(metric: ChartMetric, x: np.ndarray):
-    """Levi-Civita symbols Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-    (..., n, n, n) and the validated metric on a stack x (..., n)."""
-    gx, dg = _metric_derivatives(metric, x)
-    g_inv = np.linalg.inv(gx)
-    # bracket[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij   (dg[k,i,j] = d_k g_ij)
-    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, bracket), gx
-
-
-def _last4(a: np.ndarray, *perm: int) -> np.ndarray:
-    lead = a.ndim - 4
+def _last(a: np.ndarray, *perm: int) -> np.ndarray:
+    """a with its last len(perm) axes permuted."""
+    lead = a.ndim - len(perm)
     return a.transpose(*range(lead), *(lead + p for p in perm))
 
 
-def riemann(metric: ChartMetric, x: np.ndarray) -> CurvaturePoint:
-    """Curvature tensor from Gamma and its central differences, lowered with g(x),
-    at a point or a stack.
+def riemann(metric, x: np.ndarray) -> CurvaturePoint:
+    """Christoffel symbols and curvature tensor at a point or a stack from
+    the validated g, dg and ddg of metric.jet(x):
 
-    R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik
-                + Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm
-
-    Gamma is evaluated once, on the axis stencil of x (numeric.axis_stencil).
+    Gamma_{l,ij} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij),  Gamma^k_ij = g^kl Gamma_{l,ij},
+    R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
+             + g_pq (Gamma^p_ik Gamma^q_jl - Gamma^p_jk Gamma^q_il).
     """
-    x = as_points(x, metric.dim)
-    pts = axis_stencil(x)
-    gammas, gs = _christoffel(metric, pts)
-    gamma = gammas[..., 0, :, :, :]
-    dgamma = central_differences(gammas, x.ndim - 1)  # dgamma[..., a] = d_a Gamma
-    # R^l_{ijk}; quad[l,i,j,k] = Gamma^m_jk Gamma^l_im
-    quad = np.einsum("...mjk,...lim->...lijk", gamma, gamma)
-    r_up = _last4(dgamma, 1, 0, 2, 3) - _last4(dgamma, 1, 2, 0, 3) + quad - _last4(quad, 0, 2, 1, 3)
-    gx = gs[..., 0, :, :]
-    r04 = np.einsum("...lm,...mijk->...ijkl", gx, r_up)
+    x, n = as_points(x, metric.dim), metric.dim
+    gx, dg, ddg = metric.jet(x)
+    # lowered[l,i,j] = Gamma_{l,ij}   (dg[k,i,j] = d_k g_ij)
+    lowered = 0.5 * (_last(dg, 2, 0, 1) + _last(dg, 2, 1, 0) - dg)
+    flat = lowered.reshape(x.shape[:-1] + (n, n * n))
+    gamma = (np.linalg.inv(gx) @ flat).reshape(lowered.shape)
+    second = _last(ddg, 0, 2, 1, 3)  # [i,j,k,l] = d_i d_k g_jl
+    second = second + _last(second, 1, 0, 3, 2)
+    # Gamma^p_ik Gamma_{p,jl}, laid out [i,k,j,l]
+    quad = _last((np.swapaxes(gamma.reshape(flat.shape), -1, -2) @ flat).reshape(ddg.shape), 0, 2, 1, 3)
+    r04 = 0.5 * (second - _last(second, 0, 1, 3, 2)) + quad - _last(quad, 1, 0, 2, 3)
     return CurvaturePoint(x=x, gamma=gamma, riemann04=r04, g=gx)
 
 

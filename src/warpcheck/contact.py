@@ -133,6 +133,7 @@ def make_kmu_frame(m: int, kappa: float, mu: float, c: float | None = None) -> C
     rejected.
     """
     _require_dim(m)
+    _require_tensor_budget(m, 2 * int(m) + 1)
     if kappa > 1.0:
         raise InvalidParameterError(f"kappa = {kappa} > 1 is not admissible")
     d = 2 * m + 1
@@ -150,9 +151,25 @@ def make_kmu_frame(m: int, kappa: float, mu: float, c: float | None = None) -> C
     return ContactFrame(m=m, phi=phi, xi=xi, eta=xi.copy(), h=h, kappa=kappa, mu=mu, c=c)
 
 
+# The dense (d, d, d, d) float64 curvature tensor of every ambient must fit
+# in this many bytes: d <= 53, a real space form of m <= 53 or a contact
+# ambient of m <= 26 (the largest in the catalogs' scenes is d = 17).
+TENSOR_BYTES_BUDGET = 64 * 2**20
+
+
 def _require_dim(m) -> None:
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidParameterError(f"m must be an integer >= 1 (got {m!r})")
+
+
+def _require_tensor_budget(m: int, d: int) -> None:
+    """Refuse, before anything is allocated, the ambient of parameter m
+    whose (d, d, d, d) float64 tensor exceeds TENSOR_BYTES_BUDGET."""
+    if 8 * d**4 > TENSOR_BYTES_BUDGET:
+        raise InvalidParameterError(
+            f"m = {m} asks for a {8 * d**4}-byte curvature tensor of dimension {d}, "
+            f"above the budget of {TENSOR_BYTES_BUDGET} bytes"
+        )
 
 
 @dataclass
@@ -227,6 +244,7 @@ def _phi_block(phi: np.ndarray) -> np.ndarray:
 def curvature_real_space_form(dim: int, c: float) -> CurvatureOracle:
     """Constant-curvature model R(X,Y,Z,W) = c(<Y,Z><X,W> - <X,Z><Y,W>)."""
     _require_dim(dim)
+    _require_tensor_budget(dim, int(dim))
     eye = np.eye(dim)
     return CurvatureOracle("real-space-form", c * _pair(eye, eye))
 

@@ -3,10 +3,10 @@ Gauss-equation bookkeeping and the contact-tangency predicates.
 
 Two input flavors share one downstream representation, the PointwiseStack
 of N samples; one sample is a stack of one.  Chart immersions map into
-Euclidean space, are differentiated numerically and re-expressed in an
-adapted orthonormal frame; pointwise data is synthesized directly in the
-ambient model's orthonormal coordinates.  Downstream of PointwiseStack every
-inner product is a plain dot product, and every invariant gives one value per
+Euclidean space, are differentiated exactly and re-expressed in an adapted
+orthonormal frame; pointwise data is synthesized directly in the ambient
+model's orthonormal coordinates.  Downstream of PointwiseStack every inner
+product is a plain dot product, and every invariant gives one value per
 sample.
 """
 
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from .charts import ChartMetric
+from .charts import _require_metric
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle
 from .errors import (
     ImmersionDegeneracyError,
@@ -30,12 +30,14 @@ from .errors import (
 from .numeric import (
     DEFAULT_TOLERANCE,
     as_matrix,
+    as_points,
     as_vector,
+    complex_step,
     frame_tensor,
-    jet,
     qr_q,
     qr_q_complete,
     require_positive_definite,
+    taylor,
 )
 from .warped import WarpedProductChart, flat_product_chart, sphere_chart
 
@@ -43,8 +45,8 @@ __all__ = [
     "PointwiseStack",
     "MeanCurvatureRecord",
     "ChartImmersion",
+    "PullbackMetric",
     "second_fundamental_form",
-    "pullback_metric",
     "mean_curvatures",
     "gauss_residual",
     "is_C_totally_real",
@@ -589,11 +591,11 @@ class ChartImmersion:
     """Map from an n-dim source chart into Euclidean R^ambient_dim.
 
     map takes source points (..., n) to points (..., ambient_dim),
-    broadcasting over the leading axes (the stack contract of ``charts``);
-    it may be called on any flattened stack, such as the distinct points of
-    a stencil.  It is differentiated by the complex step, so it must be the
-    complex-analytic extension of its real formula (see
-    numeric.complex_step).
+    broadcasting over the leading axes (the stack contract of ``charts``).
+    It is differentiated on complex points, so it must be the
+    complex-analytic extension of its real formula (numeric.complex_step),
+    analytic on the disc of radius numeric.TAYLOR_RADIUS sqrt(3) around
+    each point (numeric.taylor).
     """
 
     map: Callable[[np.ndarray], np.ndarray]
@@ -609,21 +611,32 @@ class ChartImmersion:
         return self.n1 + self.n2
 
 
-def pullback_metric(im: ChartImmersion) -> ChartMetric:
-    """Induced metric g = J^T J on the source chart, with its derivatives
-    d_k g = (d_k J)^T J + J^T d_k J, both from the jet of the map
-    (numeric.jet), one call on the complex steps of the distinct points of
-    its stencils: J is exact, and d_k J is its central difference, so
-    riemann of this metric differences twice (J to dg, then Gamma).  Its
-    g_dg takes real points only."""
+@dataclass
+class PullbackMetric:
+    """The induced metric g = J^T J of a chart immersion on its source chart."""
 
-    def g_dg(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, jt, hess = jet(im.map, np.asarray(u, float), (im.ambient_dim,), "map")
-        j = np.swapaxes(jt, -1, -2)
-        half = hess @ j[..., None, :, :]  # (d_k J)^T J
-        return jt @ j, half + np.swapaxes(half, -1, -2)
+    immersion: ChartImmersion
 
-    return ChartMetric(im.n, g_dg)
+    @property
+    def dim(self) -> int:
+        return self.immersion.n
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """The metric at a point or stack, from the map's complex step alone."""
+        x = as_points(x, self.dim)
+        jt = complex_step(self.immersion.map, x, (self.immersion.ambient_dim,), "map")[1]
+        return _require_metric(jt @ np.swapaxes(jt, -1, -2), x)
+
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g, dg and ddg as ChartMetric.jet gives them, from the map's J, H
+        and T (numeric.taylor): dg_k = H_k^T J + J^T H_k and d_a dg_k =
+        T_ak^T J + H_k^T H_a + (its transpose)."""
+        _, jt, hess, third = taylor(self.immersion.map, x, (self.immersion.ambient_dim,), "map", 3)
+        j, hess_t = np.swapaxes(jt, -1, -2), np.swapaxes(hess, -1, -2)
+        half = hess @ j[..., None, :, :]  # [k, i, j] = d_k d_i x . d_j x
+        # [a, k, i, j] = d_a d_k d_i x . d_j x + d_k d_i x . d_a d_j x
+        twice = third @ j[..., None, None, :, :] + hess[..., None, :, :, :] @ hess_t[..., None, :, :]
+        return _require_metric(jt @ j, x), half + np.swapaxes(half, -1, -2), twice + np.swapaxes(twice, -1, -2)
 
 
 def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack:
@@ -636,11 +649,11 @@ def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack
     (householder_frame), and sigma is the normal part of the second
     derivatives of the map.  Downstream components live in the adapted frame,
     where the ambient curvature is zero.  The map is evaluated once, for its
-    jet at p (numeric.jet): the exact Jacobian and the Hessian.
+    value, Jacobian and Hessian at p (numeric.taylor at order 2).
     """
     p = as_vector(p, im.n)
     d, n = im.ambient_dim, im.n
-    point, jt, S = jet(im.map, p, (d,), "map")  # jt[a] = d_a x, the columns of J
+    point, jt, S = taylor(im.map, p, (d,), "map", 2)  # jt[a] = d_a x, the columns of J
     require_positive_definite(jt @ jt.T, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
     tangent_ambient, r, normal_ambient = householder_frame(jt.T)
@@ -682,13 +695,20 @@ def _spherical_point(angles: np.ndarray) -> np.ndarray:
     """Unit vectors in R^{k+1} from stacks of k nested angles (..., k)."""
     sines = np.cumprod(np.sin(angles), axis=-1)
     prefix = np.concatenate([np.ones_like(sines[..., :1]), sines[..., :-1]], axis=-1)
-    return np.concatenate([prefix * np.cos(angles), sines[..., -1:]], axis=-1)
+    # the temporary on the left: numpy multiplies a large one in place, with
+    # swapped operands if on the right, which rounds a complex product apart
+    return np.concatenate([np.cos(angles) * prefix, sines[..., -1:]], axis=-1)
+
+
+SPHERE_MAX_DIM = 16
 
 
 def sphere_in_euclidean(n: int = 2) -> ChartImmersion:
-    """Unit sphere S^n in R^{n+1} as the warped chart (-pi/2,pi/2) x_{cos t} S^{n-1}."""
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
+    """Unit sphere S^n in R^{n+1} as the warped chart (-pi/2,pi/2) x_{cos t} S^{n-1},
+    2 <= n <= SPHERE_MAX_DIM: beyond, the shrinking fibre metric amplifies
+    rounding towards the chart bounds."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 2 <= n <= SPHERE_MAX_DIM:
+        raise InvalidInputError(f"need an integer 2 <= n <= {SPHERE_MAX_DIM} (got {n!r})")
 
     def mapping(u: np.ndarray) -> np.ndarray:
         t = u[..., :1]

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import _christoffel, trace_laplacian
+from .charts import riemann, trace_laplacian
 from .contact import KAPPA_SINGULAR
 from .errors import (
     InadmissibleTupleError,
@@ -567,8 +567,8 @@ def chart_inequality(
         )
     wp = im.warped
     x1 = as_points(np.asarray(p, dtype=float)[: wp.n1], wp.factor1.dim)
-    gamma1, g1 = _christoffel(wp.factor1, x1)  # Delta f on the first factor, as check_laplacian_ratio
-    lhs_chart = trace_laplacian(g1, gamma1, x1, wp.warp.grad(x1), wp.warp.hess(x1)) / wp.warp_at(p)
+    cp1 = riemann(wp.factor1, x1)  # Delta f on the first factor, as check_laplacian_ratio
+    lhs_chart = trace_laplacian(cp1.g, cp1.gamma, x1, wp.warp.grad(x1), wp.warp.hess(x1)) / wp.warp_at(p)
     proxy = general_inequality(data, CHART_EQUALITY_TOL)
     agreement = abs(lhs_chart - proxy.lhs)
     extras = {"lhs_chart": lhs_chart, "lhs_proxy": proxy.lhs, "lhs_agreement": agreement}

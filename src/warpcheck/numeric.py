@@ -1,16 +1,12 @@
 """Dense numeric substrate: small vectors/matrices, the Householder QR
 factors that every frame computed in Euclidean coordinates comes from,
 validation of a callable's values on a stack of points (shape, finiteness,
-a Cholesky positive-definiteness test), and the one derivative rule of the
-package.  First derivatives are exact: the complex step
-d_a f(x) = Im f(x + i eps e_a) / eps has no cancellation error, and f(x)
-itself, evaluated alongside, must be real.  Second
-derivatives are one central difference of those, on the axis stencil
-(centre and axis shifts) of each point, at the one fixed step FD_STEP.
-Each rule evaluates a function that broadcasts over
-stacks once, on the distinct ones of its complex points, and validates it
-there; jet calls it again, on the whole stencil, only to name the point of
-a NumericalDomainError.
+a Cholesky positive-definiteness test), and the two derivative rules of the
+package, both exact.  complex_step gives first derivatives, Im f(x + i eps
+e_a) / eps; taylor gives the first to third from Taylor coefficients on
+complex circles.  Each evaluates a function that broadcasts over stacks
+once, on all of its complex points, validates it there, and requires f to
+be real at the real point itself.
 
 Vectors and matrices are plain numpy arrays (float64).  Everything here is
 sized for frames of dimension <= ~30; no sparse or blocked structures.
@@ -18,7 +14,10 @@ sized for frames of dimension <= ~30; no sparse or blocked structures.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -37,10 +36,8 @@ __all__ = [
     "require_positive_definite",
     "qr_q",
     "qr_q_complete",
-    "axis_stencil",
-    "central_differences",
     "complex_step",
-    "jet",
+    "taylor",
 ]
 
 
@@ -214,95 +211,97 @@ def _qr_gufuncs(a: np.ndarray, t: str, complete: bool) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# derivatives.  A stencil lays out all of its points in one array, so that a
-# function broadcasting over stacks is evaluated once per stencil.
+# derivatives
 # ---------------------------------------------------------------------------
 
 COMPLEX_STEP = 1e-30
-FD_STEP = 1e-4
+TAYLOR_RADIUS = 0.1
+TAYLOR_NODES = 12
 
 
-def axis_stencil(x: np.ndarray) -> np.ndarray:
-    """Centre and axis shifts of each point of x (..., n): the points
-    (..., 2n+1, n) hold x in row 0, x + FD_STEP e_i in row 1+i and
-    x - FD_STEP e_i in row 1+n+i.  With one step for every point, the back
-    shift of a shifted point is its centre wherever x_i + FD_STEP - FD_STEP
-    rounds to x_i (almost every x_i), so nested stencils share their points
-    (charts here are O(1))."""
-    n = x.shape[-1]
-    pts = np.repeat(x[..., None, :], 2 * n + 1, axis=-2)
-    r = np.arange(n)
-    pts[..., 1 + r, r] += FD_STEP
-    pts[..., 1 + n + r, r] -= FD_STEP
-    return pts
-
-
-def central_differences(values: np.ndarray, axis: int) -> np.ndarray:
-    """First derivatives d_i f (..., n, *value_shape) from f on the rows of
-    axis_stencil, values (..., 2n+1, *value_shape) with the rows on the
-    non-negative `axis`."""
-    n = (values.shape[axis] - 1) // 2
-    lead = (slice(None),) * axis
-    plus, minus = values[lead + (slice(1, n + 1),)], values[lead + (slice(n + 1, None),)]
-    return (plus - minus) / (2.0 * FD_STEP)
-
-
-def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """f and its exact first derivatives on a float stack x (..., n), from
-    one call of f on the complex points (..., n+1, n): x itself, then
-    x + i eps e_a, with eps = COMPLEX_STEP.
-
-    Returns the value f(x) (..., *value_shape) and d_a f = Im f(x + i eps
-    e_a) / eps (..., n, *value_shape).  The values are validated by
-    stack_values: a wrong shape or a real dtype raises InvalidInputError, a
-    non-finite entry NumericalDomainError naming the stack index (..., r) of
-    its point (r = 0 for x, 1 + a for the step along e_a).  So does an
-    imaginary part at x itself, where f has left its real domain.
-
-    f must be the complex-analytic extension of its real formula: abs,
-    max/min, comparisons or real-part casts of the points give a wrong
-    derivative, with no error unless the result is wholly real.
-    """
-    z = x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(x.shape[-1] + 1, x.shape[-1], -1)
+def _evaluate(f: Callable, x: np.ndarray, offsets: np.ndarray, value_shape: tuple, what: str):
+    """f on x + offsets (..., rows, n), validated, and its real row 0, f(x)."""
+    z = x[..., None, :] + offsets
     values = stack_values(f(z), z.real, value_shape, what, complex_=True)
     value = np.take(values, 0, axis=x.ndim - 1)
     off = (value.imag != 0).reshape(x.shape[:-1] + (-1,)).any(axis=-1)
     if off.any():
         raise NumericalDomainError(f"{what} is not real at the real point {_first_point(x, off)}")
-    steps = values.imag[(slice(None),) * (x.ndim - 1) + (slice(1, None),)]
-    return value.real, steps / COMPLEX_STEP
+    return values, value.real
 
 
-def jet(f: Callable, x: np.ndarray, value_shape: tuple, what: str):
-    """Value, first and second derivatives of f on a float stack x (..., n),
-    from one call of f on the complex steps (U, n+1, n) of the U distinct
-    points of axis_stencil(x) (rows compared by their bytes).
+def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """f(x) and its exact first derivatives d_a f = Im f(x + i eps e_a) / eps
+    (..., n, *value_shape) on a float stack x (..., n), eps = COMPLEX_STEP, from
+    one call of f on (..., n+1, n) complex points, x then the steps.  A wrong
+    shape or a real dtype raises InvalidInputError; a non-finite value, or an
+    imaginary part at x (f left its real domain), NumericalDomainError naming
+    the stack index (..., r) of its point (r = 0 for x, 1 + a for e_a).  f must
+    be the complex-analytic extension of its real formula: abs, max/min,
+    comparisons or real-part casts of the points give a wrong derivative."""
+    values, value = _evaluate(f, x, (1j * COMPLEX_STEP) * np.eye(x.shape[-1] + 1, x.shape[-1], -1), value_shape, what)
+    return value, values.imag[(slice(None),) * (x.ndim - 1) + (slice(1, None),)] / COMPLEX_STEP
 
-    A point (n,) has 2n+1 distinct stencil points.  The stencils of a stack
-    share points (with h = FD_STEP, x + h e_a + h e_b is a row of the
-    stencils of x + h e_a and x + h e_b); by the stack contract a point's
-    values do not depend on its stack, so the numbers are those of one call
-    on the whole stencil.
 
-    Returns (value, first, second): value (..., *value_shape); first
-    (..., n, *value_shape), exact; second (..., n, n, *value_shape), the
-    central differences (step FD_STEP) of the exact first derivatives,
-    symmetrized.  Errors as complex_step on the U points; a
-    NumericalDomainError is raised again from a second call of f, on the
-    whole stencil, so that it names the stack index (..., row, r) of the
-    first stencil row that holds its point.
-    """
-    pts = axis_stencil(x)
-    flat = pts.reshape(-1, pts.shape[-1])
-    rows = flat.view(np.dtype((np.void, flat.strides[0]))).reshape(-1)
-    _, once, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    try:
-        values, d1 = complex_step(f, flat[once], value_shape, what)
-    except NumericalDomainError:
-        complex_step(f, pts, value_shape, what)
-        raise
-    at = inverse.reshape(pts.shape[:-1])  # its shape varies across numpy 2.0.x
-    axis = x.ndim - 1
-    second = central_differences(d1[at], axis)  # second[..., k, a] = d_k d_a f
-    second = 0.5 * (second + np.swapaxes(second, axis, axis + 1))
-    return values[at[..., 0]], d1[at[..., 0]], second
+@functools.cache
+def _taylor_plan(n: int, order: int) -> tuple:
+    """taylor's pairs, pair numbers, triples, offsets and weights, read-only."""
+    eye = np.eye(n)
+    pairs = np.triu_indices(n, 1)
+    number = np.zeros((n, n), dtype=np.intp)  # of the pair a < b in pairs
+    number[pairs] = np.arange(len(pairs[0]))
+    dirs = [eye, eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]]]
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    triples = tuple(t[(a < b) & (b < c)] for t in (a, b, c))
+    if order == 3:
+        dirs.append(sum(eye[t] for t in triples))
+    j, k = np.arange(TAYLOR_NODES // 2 + 1), np.arange(1, order + 1)[:, None]
+    nodes = np.exp(2j * np.pi * j / TAYLOR_NODES)
+    circle = TAYLOR_RADIUS * nodes[:, None, None] * np.concatenate(dirs)
+    offsets = np.concatenate([np.zeros((1, n)), circle.reshape(-1, n)])
+    # k! w^(-jk) / (N r^k); the conjugate nodes N - j double the inner ones
+    weights = np.where((j == 0) | (2 * j == TAYLOR_NODES), 1.0, 2.0) * nodes**-k / (TAYLOR_NODES * TAYLOR_RADIUS**k)
+    weights *= np.array([factorial(i) for i in range(1, order + 1)])[:, None]
+    for arr in (*pairs, number, *triples, offsets, weights):
+        arr.flags.writeable = False
+    return pairs, number, triples, offsets, weights
+
+
+def taylor(f: Callable, x: np.ndarray, value_shape: tuple, what: str, order: int) -> tuple[np.ndarray, ...]:
+    """f(x) and its exact derivatives of order 1 to `order` (2 or 3), (...,
+    n, ..., *value_shape), on a float stack x (..., n): one call of f on x
+    and x + r w^j v, j = 0..N/2, for v = e_a, e_a +- e_b (a < b) and, at
+    order 3, e_a + e_b + e_c (a < b < c), with N = TAYLOR_NODES, w = exp(2
+    pi i / N) and r = TAYLOR_RADIUS; f is real on real points, so the
+    conjugate nodes go unevaluated.  A circle's DFT gives D^k f[v, ..., v] =
+    k! c_k (J. N. Lyness and C. B. Moler, SIAM J. Numer. Anal. 4, 1967), off
+    by aliasing, c_(k+N) r^N, and rounding, eps k!/r^k of f's size;
+    polarization gives the mixed derivatives, exactly symmetric.  f must be
+    analytic on the disc of radius r sqrt(3) around each point.  Errors as
+    complex_step: a stack index (..., r) names the row r, 0 for x."""
+    n, lead = x.shape[-1], x.shape[:-1]
+    (ia, ib), number, (a, b, c), offsets, weights = _taylor_plan(n, order)
+    values, value = _evaluate(f, x, offsets, value_shape, what)
+    V, axis, p = int(np.prod(value_shape)), np.arange(n), len(ia)
+    circles = values.reshape(lead + (1, len(offsets), V))[..., 1:, :].reshape(lead + (1, weights.shape[1], -1))
+    # d[..., k-1, v, :] = D^k f[v, ..., v], summed over the nodes in order, as for one point
+    terms = weights.real[..., None] * circles.real - weights.imag[..., None] * circles.imag
+    d = np.add.reduce(terms, axis=-2).reshape(lead + (order, -1, V))
+    plus, minus = d[..., n : n + p, :], d[..., n + p : n + 2 * p, :]
+    # each symmetric tensor's distinct entries, as (index arrays, values)
+    parts = [[((axis, axis), d[..., 1, :n, :]), ((ia, ib), 0.25 * (plus[..., 1, :, :] - minus[..., 1, :, :]))]]
+    if order == 3:
+        cube, s, t = d[..., 2, :n, :], plus[..., 2, :, :], minus[..., 2, :, :]
+        aab = (s - t - 2.0 * cube[..., ib, :]) / 6.0  # d_a d_a d_b f
+        abb = (s + t - 2.0 * cube[..., ia, :]) / 6.0  # d_a d_b d_b f
+        both = [(aab + abb)[..., number[u, v], :] for u, v in ((a, b), (a, c), (b, c))]
+        pure = cube[..., a, :] + cube[..., b, :] + cube[..., c, :]
+        abc = (d[..., 2, n + 2 * p :, :] - pure - 3.0 * sum(both)) / 6.0  # d_a d_b d_c f
+        parts.append([((axis,) * 3, cube), ((ia, ia, ib), aab), ((ia, ib, ib), abb), ((a, b, c), abc)])
+    out = [d[..., 0, :n, :]]
+    for k, entries in enumerate(parts, start=2):
+        out.append(np.empty(lead + (n,) * k + (V,)))
+        for index, part in entries:  # into every distinct permutation of the index arrays
+            for perm in {tuple(map(id, q)): q for q in itertools.permutations(index)}.values():
+                out[-1][(Ellipsis, *perm, slice(None))] = part
+    return (value, *(o.reshape(o.shape[:-1] + tuple(value_shape)) for o in out))

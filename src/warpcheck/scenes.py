@@ -36,6 +36,7 @@ from .errors import SceneParseError, SceneValidationError, WarpcheckError
 from .immersion import (
     ChartImmersion,
     PointwiseStack,
+    PullbackMetric,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
@@ -43,7 +44,6 @@ from .immersion import (
     gauss_residual,
     householder_frame,
     is_C_totally_real,
-    pullback_metric,
     random_stack,
     second_fundamental_form,
     force_xi_consistency,
@@ -657,7 +657,7 @@ def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
     if im is not None:
         # intrinsic curvature from the pulled-back metric, independent of sigma
         data = ctx.fixed
-        cp = riemann(pullback_metric(im), ctx.source.point)
+        cp = riemann(PullbackMetric(im), ctx.source.point)
         intrinsic = frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])
         res = {k: v.item() for k, v in gauss_residual(data, intrinsic=intrinsic).items()}
         worst = np.max(list(res.values()))

@@ -3,8 +3,8 @@
 The first factor's coordinates come first in the product chart; the warping
 function is evaluated through them only.  A small closed catalog of warping
 functions (constant, cosine, exponential, polynomial, sums/products) carries
-analytic first and second derivatives so that curvature checks stay one
-finite-difference level deep.
+analytic first and second derivatives, each the complex-analytic extension
+of its real formula.
 
 The two lemmas of a warped product are tensor identities, polynomial in
 their vectors, so each is decided on coordinate vectors with no sampling:

@@ -6,7 +6,6 @@ import pytest
 
 from warpcheck.charts import (
     ChartMetric,
-    _metric_derivatives,
     euclidean_metric,
     riemann,
     sectional_curvature,
@@ -19,13 +18,13 @@ from warpcheck.errors import (
     NumericalDomainError,
 )
 from warpcheck.immersion import (
+    PullbackMetric,
     chart_immersion_catalog,
-    pullback_metric,
     second_fundamental_form,
     sphere_in_euclidean,
 )
 from warpcheck.inequality import chart_inequality
-from warpcheck.numeric import FD_STEP, Tolerance, axis_stencil, bilinear, complex_step, jet
+from warpcheck.numeric import Tolerance, bilinear, complex_step, taylor
 from warpcheck.warped import (
     WarpFunction,
     _adapted_frame,
@@ -67,11 +66,12 @@ def hyperbolic_metric():
 
 @pytest.mark.parametrize(
     "fn",
-    [axis_stencil, jet, riemann, trace_laplacian, pullback_metric, second_fundamental_form, chart_inequality],
+    [complex_step, taylor, riemann, trace_laplacian, PullbackMetric, second_fundamental_form, chart_inequality],
     ids=lambda fn: fn.__name__,
 )
 def test_no_chart_derivative_takes_a_step(fn):
-    # the one central difference has the fixed step FD_STEP
+    # every derivative is exact: the complex step and the Taylor radius are
+    # module constants, not options
     assert "h" not in inspect.signature(fn).parameters
 
 
@@ -96,13 +96,13 @@ def test_christoffel_euclidean_zero():
 def test_christoffel_polar():
     polar = line_warped_metric(lambda t: t, np.ones_like)
     gamma = riemann(polar, np.array([2.0, 0.3])).gamma
-    assert abs(gamma[0, 1, 1] + 2.0) < 1e-6
-    assert abs(gamma[1, 0, 1] - 0.5) < 1e-6
+    assert abs(gamma[0, 1, 1] + 2.0) < 1e-14
+    assert abs(gamma[1, 0, 1] - 0.5) < 1e-14
 
 
 def test_christoffel_sphere():
     gamma = riemann(sphere_metric(), np.array([np.pi / 4, 0.2])).gamma
-    assert abs(gamma[0, 1, 1] + 0.5) < 1e-6  # -sin(pi/4)cos(pi/4)
+    assert abs(gamma[0, 1, 1] + 0.5) < 1e-14  # -sin(pi/4)cos(pi/4)
 
 
 def test_riemann_euclidean_zero():
@@ -122,7 +122,7 @@ def test_constant_curvature_charts(metric, expected, t):
     x = np.array([t, 0.7])
     cp = riemann(metric, x)
     K = sectional_curvature(cp, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert abs(K - expected) < 1e-4
+    assert abs(K - expected) < 1e-13
 
 
 def test_sectional_scaling_invariance():
@@ -199,13 +199,13 @@ def test_scalar_curvature_sphere_s2():
     x = np.array([0.9, 0.4])
     cp = riemann(metric, x)
     tau = scalar_curvature(cp, np.eye(2))
-    assert abs(tau - 1.0) < 1e-4
+    assert abs(tau - 1.0) < 1e-13
 
 
 def test_scalar_curvature_s3():
     def s3_g_dg(x):
         (s0, s1), (c0, c1) = np.sin(x[..., :2].T), np.cos(x[..., :2].T)
-        dg = np.zeros(x.shape + (3, 3))
+        dg = np.zeros(x.shape + (3, 3), dtype=np.result_type(x, float))
         dg[..., 0, 1, 1] = 2.0 * s0 * c0
         dg[..., 0, 2, 2] = 2.0 * s0 * c0 * s1**2
         dg[..., 1, 2, 2] = 2.0 * s0**2 * s1 * c1
@@ -215,7 +215,7 @@ def test_scalar_curvature_s3():
     x = np.array([1.1, 0.9, 0.4])
     cp = riemann(s3, x)
     tau = scalar_curvature(cp, np.eye(3))  # the coordinate frame of a diagonal metric
-    assert abs(tau - 3.0) < 1e-3
+    assert abs(tau - 3.0) < 1e-12
 
 
 def test_flat_two_plane_zero():
@@ -244,7 +244,7 @@ def _random_analytic_metric(rng, dim):
         return out
 
     def dg(x):
-        out = np.zeros(x.shape[:-1] + (dim, dim, dim))
+        out = np.zeros(x.shape[:-1] + (dim, dim, dim), dtype=np.result_type(x, float))
         for k in range(dim):
             out[..., k, :, :] = amps[:, :, k] * np.cos(x[..., k, None, None] + phases[:, :, k])
         return out
@@ -253,7 +253,7 @@ def _random_analytic_metric(rng, dim):
 
 
 def test_riemann_symmetries_random_metrics():
-    # antisymmetries, pair symmetry and first Bianchi within 5e-4
+    # antisymmetries, pair symmetry and first Bianchi within 1e-12
     rng = np.random.default_rng(5)
     total_points = 0
     while total_points < 100:
@@ -266,11 +266,11 @@ def test_riemann_symmetries_random_metrics():
             except DegenerateMetricError:
                 continue
             r = cp.riemann04
-            assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) < 5e-4
-            assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 5e-4
-            assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) < 5e-4
+            assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) < 1e-12
+            assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-12
+            assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) < 1e-12
             bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
-            assert np.max(np.abs(bianchi)) < 5e-4
+            assert np.max(np.abs(bianchi)) < 1e-12
             total_points += 1
 
 
@@ -291,7 +291,7 @@ def test_scalar_curvature_matches_ricci_half_trace():
             )
     tau_indep = 0.5 * ricci_trace
     tau = scalar_curvature(cp, np.array(frame))
-    assert abs(tau - tau_indep) < 1e-4
+    assert abs(tau - tau_indep) < 1e-12
 
 
 def test_degenerate_metric_rejected():
@@ -351,8 +351,9 @@ def test_trace_laplacian_validates_the_gradient_and_hessian_of_a_stack():
         laplacian(s2, x, nan_at_one.grad, nan_at_one.hess)
 
 
-def test_metric_derivatives_are_one_validated_g_dg_call():
-    # one g_dg call on the stack itself; its pair is validated, never symmetrized
+def test_a_metric_jet_is_one_validated_g_dg_call_on_the_complex_steps():
+    # one g_dg call on the point and its n complex steps; g and dg are its
+    # values at the point, never symmetrized, and ddg the complex step of dg
     calls = []
     sphere = round_sphere_factor(3)
 
@@ -361,10 +362,13 @@ def test_metric_derivatives_are_one_validated_g_dg_call():
         return sphere.g_dg(x)
 
     x = np.array([[0.9, 0.4, 1.2], [0.5, 1.1, 0.3]])
-    gx, dg = _metric_derivatives(ChartMetric(3, counted), x)
-    assert len(calls) == 1 and np.array_equal(calls[0], x)
+    gx, dg, ddg = ChartMetric(3, counted).jet(x)
+    assert len(calls) == 1 and calls[0].shape == (2, 4, 3)
+    assert np.array_equal(calls[0].real, np.broadcast_to(x[:, None], (2, 4, 3)))
+    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(4, 3, -1), (2, 4, 3)))
     g_ref, dg_ref = sphere.g_dg(x)
-    assert np.array_equal(gx, g_ref) and np.array_equal(dg, dg_ref)
+    assert np.allclose(gx, g_ref, rtol=1e-15, atol=0.0) and np.allclose(dg, dg_ref, rtol=1e-15, atol=1e-16)
+    assert np.array_equal(ddg, complex_step(lambda z: sphere.g_dg(z)[1], x, (3, 3, 3), "metric")[1])
 
 
 @pytest.mark.parametrize(
@@ -409,15 +413,24 @@ def test_the_analytic_dg_is_the_complex_step_of_the_metrics_own_g(metric, points
 
 def _riemann_reference(metric, x):
     """R(d_i, d_j, d_k, d_l) by the explicit index loop over Gamma and its
-    central differences."""
+    derivatives d_a Gamma^l_jk = d_a g^lm Gamma_{m,jk} + g^lm d_a Gamma_{m,jk},
+    from the metric's exact g, dg and ddg at x."""
     n = metric.dim
-    gamma = riemann(metric, x).gamma
+    gx, dg, ddg = metric.jet(x)
+    g_inv = np.linalg.inv(gx)
+    low = np.empty((n, n, n))  # Gamma_{m,jk}
+    dlow = np.empty((n, n, n, n))  # d_a Gamma_{m,jk}
+    for m in range(n):
+        for j in range(n):
+            for k in range(n):
+                low[m, j, k] = 0.5 * (dg[j, k, m] + dg[k, j, m] - dg[m, j, k])
+                for a in range(n):
+                    dlow[a, m, j, k] = 0.5 * (ddg[a, j, k, m] + ddg[a, k, j, m] - ddg[a, m, j, k])
+    gamma = np.einsum("lm,mjk->ljk", g_inv, low)
     dgamma = np.empty((n, n, n, n))
     for a in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[a] += FD_STEP
-        xm[a] -= FD_STEP
-        dgamma[a] = (riemann(metric, xp).gamma - riemann(metric, xm).gamma) / (2.0 * FD_STEP)
+        dg_inv = -g_inv @ dg[a] @ g_inv
+        dgamma[a] = np.einsum("lm,mjk->ljk", dg_inv, low) + np.einsum("lm,mjk->ljk", g_inv, dlow[a])
     r_up = np.empty((n, n, n, n))
     for l in range(n):
         for i in range(n):
@@ -429,14 +442,14 @@ def _riemann_reference(metric, x):
                         + np.dot(gamma[:, j, k], gamma[l, i, :])
                         - np.dot(gamma[:, i, k], gamma[l, j, :])
                     )
-    return np.einsum("lm,mijk->ijkl", metric.at(x), r_up)
+    return np.einsum("lm,mijk->ijkl", gx, r_up)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_riemann_matches_reference_loop(dim):
     sphere = round_sphere_factor(dim)
     x = np.array([0.4 + 0.1 * i for i in range(dim)])
-    pull = pullback_metric(sphere_in_euclidean(dim))
+    pull = PullbackMetric(sphere_in_euclidean(dim))
     p = sphere_in_euclidean(dim).default_point
     cases = [(sphere, x), (pull, p)]
     if dim == 3:

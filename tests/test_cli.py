@@ -5,12 +5,15 @@ written.  `--out` is overwritten in place."""
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 from warpcheck.cli import _build_parser, main as cli_main
+from warpcheck.contact import TENSOR_BYTES_BUDGET, make_ambient
 from warpcheck.scenes import emit, parse_scene, run
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -429,3 +432,98 @@ def test_a_scene_with_no_checks_exits_2(tmp_path, capsys, checks):
     # exit 0 would be a PASS with nothing evaluated
     scene = {k: v for k, v in SPHERE.items() if k != "checks"}
     _exits_2_naming(tmp_path, capsys, {**scene, **checks}, "scene needs at least one check")
+
+
+def _verify_under_a_memory_limit(tmp_path, scene, limit=2**30):
+    """`cli.main` on `scene` in a child process whose address space is capped
+    at `limit` bytes, so that an allocation the parent would survive or die of
+    cannot exhaust the host; returns the exit code and stderr."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from warpcheck.cli import main\n"
+        f"sys.exit(main(['verify', {str(path)!r}]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread: its buffers fit under the limit
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "ambient,size",
+    [
+        ({"kind": "real-space-form", "m": 200, "c": 1.0}, 8 * 200**4),
+        ({"kind": "euclidean", "m": 54}, 8 * 54**4),
+        ({"kind": "sasakian-space-form", "m": 27, "c": 1.0}, 8 * 55**4),
+    ],
+    ids=["real-space-form-200", "euclidean-54", "sasakian-27"],
+)
+def test_an_ambient_whose_curvature_tensor_exceeds_the_budget_exits_2_before_allocating_it(tmp_path, ambient, size):
+    # m = 200 asks for an 11.9 GiB tensor: the parse refuses it by its byte
+    # count, where an allocation would raise MemoryError (exit 1, traceback)
+    scene = {
+        "ambient": ambient,
+        "source": {"kind": "synthetic", "n1": 1, "n2": 1},
+        "checks": ["general_inequality"],
+    }
+    status, err = _verify_under_a_memory_limit(tmp_path, scene)
+    assert status == 2, err
+    assert "Traceback" not in err and "MemoryError" not in err
+    assert f"m = {ambient['m']} asks for a {size}-byte curvature tensor" in err
+
+
+def test_the_tensor_budget_has_wide_headroom_over_every_ambient_in_use():
+    # d = 17, the Euclidean ambient of sphere-in-euclidean(16), is the largest
+    # any scene, test or benchmark workload builds
+    assert 8 * 17**4 * 50 < TENSOR_BYTES_BUDGET < 8 * 54**4
+    assert make_ambient("euclidean", m=17).oracle.tensor.nbytes == 8 * 17**4
+
+
+def _sphere_scene(n: int, checks: list) -> dict:
+    return {
+        "ambient": {"kind": "euclidean", "m": n + 1},
+        "source": {"kind": "chart-immersion", "key": "sphere-in-euclidean", "params": {"n": n}},
+        "checks": checks,
+    }
+
+
+CHART_CHECKS = [
+    "general_inequality",
+    "gauss_residual",
+    "connection_identity",
+    "mixed_sectional",
+    "laplacian_ratio",
+    {"name": "trivial", "expect": False},
+]
+
+
+def test_the_largest_sphere_passes_every_chart_check(tmp_path):
+    # at n = 16 gauss_max was 1.68e-4 against its 1e-4 bound with a central
+    # difference; the exact curvature closes it to rounding
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_sphere_scene(16, CHART_CHECKS)))
+    out = tmp_path / "report.json"
+    assert cli_main(["verify", str(path), "--output", "json", "--out", str(out)]) == 0
+    records = {r["name"]: r for r in json.loads(out.read_bytes())["records"]}
+    assert all(r["pass"] for r in records.values()), records
+    assert records["gauss_residual"]["gauss_max"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (17, "need an integer 2 <= n <= 16 (got 17)"),
+        (40, "need an integer 2 <= n <= 16 (got 40)"),
+        (16.0, "source parameter n must be an integer >= 1 (got 16.0)"),
+        (True, "source parameter n must be an integer >= 1 (got True)"),
+    ],
+    ids=repr,
+)
+def test_a_sphere_above_the_catalog_dimension_or_not_an_integer_exits_2(tmp_path, capsys, n, message):
+    scene = _sphere_scene(16, ["general_inequality"])
+    scene["source"]["params"]["n"] = n
+    _exits_2_naming(tmp_path, capsys, scene, message)

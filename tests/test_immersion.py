@@ -15,6 +15,7 @@ from warpcheck.errors import (
 from warpcheck.immersion import (
     ChartImmersion,
     PointwiseStack,
+    PullbackMetric,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
@@ -29,7 +30,6 @@ from warpcheck.immersion import (
     is_mixed_totally_geodesic,
     mean_curvatures,
     plane_immersion,
-    pullback_metric,
     random_data,
     random_stack,
     second_fundamental_form,
@@ -120,7 +120,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
     p = im.default_point
     data = second_fundamental_form(im, p)
 
-    cp = riemann(pullback_metric(im), p)
+    cp = riemann(PullbackMetric(im), p)
     coeff = data.extras["frame_coefficients"]
     intrinsic = np.einsum("ijkl,ia,jb,kc,ld->abcd", cp.riemann04, coeff, coeff, coeff, coeff)
 
@@ -132,15 +132,16 @@ def test_gauss_residual_sphere_chart_intrinsic():
 
 def _chart_gauss_residual(im, p):
     data = second_fundamental_form(im, p)
-    cp = riemann(pullback_metric(im), p)
+    cp = riemann(PullbackMetric(im), p)
     intrinsic = numeric.frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])[0]
     return gauss_residual(data, intrinsic=intrinsic)
 
 
 def test_gauss_residual_catalog_random_points():
     # every catalog immersion closes the Gauss equation, on all n^4 entries,
-    # within 1e-4: at random points, and for sphere-in-euclidean(2..8) at its
-    # default point and its warped chart's sample points
+    # within 1e-10: at random points, and for sphere-in-euclidean(2..8) at its
+    # default point and its warped chart's sample points (the 28 cases that a
+    # central difference left at 1.8e-5)
     rng = np.random.default_rng(17)
     cases = [
         (sphere_in_euclidean(2), lambda: rng.uniform([-1.0, 0.3], [1.0, 2.5])),
@@ -151,13 +152,13 @@ def test_gauss_residual_catalog_random_points():
     for im, draw in cases:
         for _ in range(25):
             res = _chart_gauss_residual(im, draw())
-            assert max(res.values()) < 1e-4, (im.label, res)
+            assert max(res.values()) <= 1e-10, (im.label, res)
     failures = []
     for n in range(2, 9):
         im = sphere_in_euclidean(n)
         for i, p in enumerate([im.default_point, *im.warped.sample_points]):
             res = _chart_gauss_residual(im, p)
-            if not max(res.values()) < 1e-4:
+            if not max(res.values()) <= 1e-10:
                 failures.append((n, i, res))
     assert not failures, failures
 
@@ -242,83 +243,76 @@ def test_sphere_gauss_numbers():
 
 
 def test_pullback_metric_matches_the_analytic_warped_metric():
-    # J^T J of the sphere's map and its derivative (d_k J)^T J + J^T d_k J
-    # against g1 + cos^2(t) g_{S^(n-1)} and its analytic dg
+    # J^T J of the sphere's map and its first and second derivatives against
+    # g1 + cos^2(t) g_{S^(n-1)}, its analytic dg and the complex step of that
     for n in range(2, 9):
         im = sphere_in_euclidean(n)
         pts = np.stack([im.default_point, *im.warped.sample_points])
-        pull, warped = pullback_metric(im), build_metric(im.warped)
+        pull, warped = PullbackMetric(im), build_metric(im.warped)
         assert np.max(np.abs(pull.at(pts) - warped.at(pts))) < 1e-14, n
-        dg = pull.g_dg(pts)[1]
+        (g, dg, ddg), want = pull.jet(pts), warped.jet(pts)
         assert np.array_equal(dg, np.swapaxes(dg, -1, -2)), n
-        assert np.max(np.abs(dg - warped.g_dg(pts)[1])) < 1e-8, n
+        assert np.array_equal(ddg, np.swapaxes(ddg, -1, -2)), n
+        assert np.max(np.abs(g - want[0])) < 1e-14, n
+        assert np.max(np.abs(dg - want[1])) < 1e-13, n
+        assert np.max(np.abs(ddg - want[2])) < 1e-12, n
 
 
-def test_riemann_of_a_pullback_metric_evaluates_the_map_once():
-    # g and dg come from one jet of the map on riemann's (2n+1, n) Gamma
-    # stencil: its (2n+1)^2 nested stencil points hold 2n^2 + 2n + 1 distinct
-    # ones (x + s_a e_a + s_b e_b twice, x + s_a e_a - s_a e_a is x), and the
-    # map is called once on their complex steps (25, n+1, n)
-    im = sphere_in_euclidean(3)
-    calls = []
-
-    def counted(u):
-        calls.append(u.shape)
-        return im.map(u)
-
-    pull = pullback_metric(ChartImmersion(counted, im.ambient_dim, im.n1, im.n2))
-    cp = riemann(pull, im.default_point)
-    assert calls == [(25, 4, 3)]
-    assert np.array_equal(cp.g, pull.at(im.default_point))
-    g, dg = pull.g_dg(im.default_point)
-    assert np.array_equal(g, cp.g) and np.array_equal(dg, pull.g_dg(im.default_point[None])[1][0])
+def _taylor_rows(n: int) -> int:
+    """Map rows of one order-3 Taylor rule in n dimensions: the point, then
+    N/2 + 1 nodes for each of the n + n(n-1) + n(n-1)(n-2)/6 directions."""
+    return 1 + (numeric.TAYLOR_NODES // 2 + 1) * (n + n * (n - 1) + n * (n - 1) * (n - 2) // 6)
 
 
-def _pointwise_pullback(im: ChartImmersion) -> ChartMetric:
-    """The pull-back metric of im with one jet per point: each point's map
-    call covers its own (2n+1, n+1, n) stencil, as a stack of one."""
-    pull = pullback_metric(im)
-
-    def g_dg(u):
-        pairs = [pull.g_dg(p) for p in u.reshape(-1, im.n)]
-        return tuple(np.stack(part).reshape(u.shape[:-1] + part[0].shape) for part in zip(*pairs))
-
-    return ChartMetric(im.n, g_dg)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_pullback_riemann_on_distinct_points_equals_the_pointwise_jets(n):
-    im = sphere_in_euclidean(n)
-    rows = []
-
+def _counting(im: ChartImmersion, rows: list) -> ChartImmersion:
     def counted(u):
         rows.append(u.shape)
         return im.map(u)
 
-    cp = riemann(pullback_metric(ChartImmersion(counted, im.ambient_dim, im.n1, im.n2)), im.default_point)
-    assert rows == [(2 * n * n + 2 * n + 1, n + 1, n)]
-    if n == 8:
-        assert np.prod(rows[0][:-1]) == 1305  # against (2n+1)^2 (n+1) = 2601 on the nested stencil
-    ref = riemann(_pointwise_pullback(im), im.default_point)
-    for field in ("x", "gamma", "riemann04", "g"):
-        assert np.array_equal(getattr(cp, field), getattr(ref, field)), field
+    return ChartImmersion(counted, im.ambient_dim, im.n1, im.n2)
+
+
+def test_riemann_of_a_pullback_metric_evaluates_the_map_once():
+    # g, dg and ddg come from one order-3 Taylor rule of the map: at n = 3,
+    # 3 axes, 3 pairs twice and 1 triple on 7 nodes each, and the point
+    im = sphere_in_euclidean(3)
+    calls = []
+    pull = PullbackMetric(_counting(im, calls))
+    cp = riemann(pull, im.default_point)
+    assert calls == [(71, 3)] and _taylor_rows(3) == 71
+    assert np.max(np.abs(cp.g - pull.at(im.default_point))) < 1e-15
+    assert np.array_equal(pull.jet(im.default_point)[0], cp.g)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_the_map_values_of_a_pullback_riemann_are_validated_on_the_distinct_stencil_points(n, monkeypatch):
-    # riemann's Gamma stencil nests (2n+1)^2 stencil points, 2n^2 + 2n + 1 of them distinct
+def test_a_pullback_riemann_of_a_stack_is_one_map_call_and_equals_the_pointwise_calls(n):
+    im = sphere_in_euclidean(n)
+    rows = []
+    points = np.stack([im.default_point, im.default_point + 0.1])
+    cp = riemann(PullbackMetric(_counting(im, rows)), points)
+    assert rows == [(2, _taylor_rows(n), n)]
+    if n == 8:
+        assert _taylor_rows(8) == 841  # against 1,305 on the nested stencils of a central difference
+    for i, p in enumerate(points):
+        ref = riemann(PullbackMetric(im), p)
+        for field in ("x", "gamma", "riemann04", "g"):
+            assert np.array_equal(getattr(cp, field)[i], getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_map_values_of_a_pullback_riemann_are_validated_once_on_all_their_rows(n, monkeypatch):
     im = sphere_in_euclidean(n)
     validated = []
     original = numeric.stack_values
 
     def recording(value, points, value_shape, what, complex_=False):
         if what == "map":
-            validated.append(points.shape[:-2])
+            validated.append(points.shape[:-1])
         return original(value, points, value_shape, what, complex_)
 
     monkeypatch.setattr(numeric, "stack_values", recording)
-    riemann(pullback_metric(im), im.default_point)
-    assert [int(np.prod(lead)) for lead in validated] == [2 * n * n + 2 * n + 1]  # never (2n+1)^2
+    riemann(PullbackMetric(im), im.default_point)
+    assert validated == [(_taylor_rows(n),)]
 
 
 @pytest.mark.parametrize(
@@ -326,22 +320,16 @@ def test_the_map_values_of_a_pullback_riemann_are_validated_on_the_distinct_sten
     [[0.9, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], [1.5] * 8, [0.4, -1.3, 2.5]],
     ids=["ci-point", "all-1.5", "mixed"],
 )
-def test_a_pullback_riemann_maps_2n2_plus_2n_plus_1_points_also_where_a_coordinate_reaches_1(x, monkeypatch):
-    # one step for every stencil: the back shift of a shifted point is its
-    # centre, also where a coordinate is near or above 1
+def test_the_metric_of_a_pullback_maps_its_first_derivatives_alone(x):
+    # ChartMetric.at of a pull-back: the point and its n complex steps, as
+    # many rows as the complex step of the map needs, not its Taylor rule
     x = np.array(x)
     n = len(x)
-    validated = []
-    original = numeric.stack_values
-
-    def recording(value, points, value_shape, what, complex_=False):
-        if what == "map":
-            validated.append(len(np.unique(points[:, 0], axis=0)))
-        return original(value, points, value_shape, what, complex_)
-
-    monkeypatch.setattr(numeric, "stack_values", recording)
-    riemann(pullback_metric(sphere_in_euclidean(n)), x)
-    assert validated == [2 * n * n + 2 * n + 1]
+    im, rows = sphere_in_euclidean(n), []
+    g = PullbackMetric(_counting(im, rows)).at(x)
+    assert rows == [(n + 1, n)]
+    jt = numeric.complex_step(im.map, x, (n + 1,), "map")[1]
+    assert np.array_equal(g, jt @ jt.T)
 
 
 def test_chart_immersion_data_has_a_zero_ambient_tensor():

@@ -22,7 +22,7 @@ from warpcheck.immersion import (
     sphere_in_euclidean,
 )
 from warpcheck.inequality import chart_inequality
-from warpcheck.numeric import jet
+from warpcheck.numeric import taylor
 from warpcheck.warped import _adapted_frame, build_metric, chart_catalog, named_chart
 
 PARITY = 1e-13
@@ -160,7 +160,7 @@ def test_second_fundamental_form_matches_the_reference_on_spheres(n):
     points = [im.default_point] + [rng.uniform(low, high) for _ in range(4)]
     for p in points:
         data = second_fundamental_form(im, p)
-        _, jt, S = jet(im.map, p, (n + 1,), "map")
+        _, jt, S = taylor(im.map, p, (n + 1,), "map", 2)
         tangent, coeff, normal = _reference_frame(jt.T)
         sigma = np.einsum("ai,bj,rab->rij", coeff, coeff, np.einsum("abk,kr->rab", S, normal))
         sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))

@@ -1,17 +1,19 @@
+import itertools
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
 
 from warpcheck.errors import InvalidInputError, NumericalDomainError
 from warpcheck.numeric import (
-    FD_STEP,
+    TAYLOR_NODES,
+    TAYLOR_RADIUS,
     Tolerance,
-    axis_stencil,
     complex_step,
-    jet,
     qr_q,
     qr_q_complete,
+    taylor,
 )
 
 
@@ -21,9 +23,9 @@ def test_tolerance_positive():
 
 
 def _derivatives(f, x, value_shape=()):
-    """First and second derivatives of f, taking a stack, from its jet: one
-    f call on the complex step of the axis stencil of x, validated."""
-    _, d1, d2 = jet(f, np.asarray(x, dtype=float), value_shape, "f")
+    """First and second derivatives of f, taking a stack, from its Taylor
+    coefficients: one f call on the complex circles of x, validated."""
+    _, d1, d2 = taylor(f, np.asarray(x, dtype=float), value_shape, "f", 2)
     return d1, d2
 
 
@@ -96,36 +98,73 @@ def test_qr_q_leaves_the_callers_array_unchanged(complex_):
     assert np.array_equal(qr_q(frames), np.linalg.qr(frames)[0])
 
 
-def test_central_diff_quadratic():
+def test_taylor_first_derivative_of_a_quadratic():
     d1, _ = _derivatives(lambda x: x[..., 0] ** 2, [1.0])
-    assert d1[0] == 2.0  # the complex step is exact
+    assert abs(d1[0] - 2.0) < 1e-15
 
 
-def test_second_diff_cosine():
+def test_taylor_second_derivative_of_the_cosine():
     _, d2 = _derivatives(lambda x: np.cos(x[..., 0]), [0.0])
-    assert abs(d2[0, 0] + 1.0) < 1e-6
+    assert abs(d2[0, 0] + 1.0) < 1e-13
 
 
-def test_central_diff_constant_zero():
+def test_taylor_derivatives_of_a_constant_vanish():
     d1, d2 = _derivatives(lambda x: np.full(x.shape[:-1], 3.5, dtype=x.dtype), [0.7])
-    assert d1[0] == 0.0 and d2[0, 0] == 0.0
+    assert abs(d1[0]) < 1e-14 and abs(d2[0, 0]) < 1e-12
 
 
-def test_diff_exact_on_low_degree_polynomials():
-    # exact up to 1e-9 with the step FD_STEP for degree <= 2
+def test_taylor_is_exact_on_low_degree_polynomials():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a, b, c = rng.normal(size=3)
         x = rng.normal(size=1)
         d1, d2 = _derivatives(lambda p: a * p[..., 0] ** 2 + b * p[..., 0] + c, x)
-        assert abs(d1[0] - (2 * a * x[0] + b)) < 1e-9
-        assert abs(d2[0, 0] - 2 * a) < 1e-5
+        assert abs(d1[0] - (2 * a * x[0] + b)) < 1e-13
+        assert abs(d2[0, 0] - 2 * a) < 1e-12
 
 
-def test_cross_diff_mixed_term():
+def test_taylor_mixed_second_derivative():
     _, d2 = _derivatives(lambda x: x[..., 0] * x[..., 1] ** 2, [0.4, 0.9])
-    assert abs(d2[0, 1] - 2 * 0.9) < 1e-6
+    assert abs(d2[0, 1] - 2 * 0.9) < 1e-13
     assert d2[1, 0] == d2[0, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_taylor_is_exact_on_cubic_polynomials(n):
+    # a cubic has no Taylor coefficient beyond the third, so no aliasing:
+    # what is left is the rounding of its values, about eps k! / r^k of
+    # their size in the k-th derivative (1.3e-12 at k = 3)
+    rng = np.random.default_rng(40 + n)
+    A = rng.normal(size=(n, n, n))
+    A = sum(A.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+    B = rng.normal(size=(n, n))
+    B = B + B.T
+    c, a0 = rng.normal(size=n), rng.normal()
+    sizes = []
+
+    def f(p):
+        out = np.einsum("abc,...a,...b,...c->...", A, p, p, p) / 6.0 + np.einsum("ab,...a,...b->...", B, p, p) / 2.0
+        out = out + p @ c + a0
+        sizes.append(np.abs(out).max())
+        return out
+
+    for x in rng.uniform(-1.0, 1.0, size=(3, n)):
+        value, d1, d2, d3 = taylor(f, x, (), "f", 3)
+        assert abs(value - f(x)) <= 1e-15 * sizes[-1]  # f itself, on real rather than complex points
+        exact = (A @ x @ x / 2.0 + B @ x + c, A @ x + B, A)
+        for k, (got, want) in enumerate(zip((d1, d2, d3), exact), start=1):
+            bound = 10.0 * np.finfo(float).eps * factorial(k) / TAYLOR_RADIUS**k * sizes[0]
+            assert np.max(np.abs(got - want)) <= min(bound, 1e-10), (k, np.max(np.abs(got - want)))
+        sizes.clear()
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_taylor_derivatives_are_exactly_symmetric(order):
+    x = np.array([0.4, -1.3, 0.7, 0.2])
+    out = taylor(_array_f4, x, (3, 2), "f", order)
+    for k, d in enumerate(out[2:], start=2):
+        for perm in itertools.permutations(range(k)):
+            assert np.array_equal(d, d.transpose(*perm, k, k + 1))
 
 
 def test_non_finite_evaluation_raises():
@@ -145,7 +184,7 @@ def test_leaving_the_real_domain_raises(f):
         x = np.array(x)
         with pytest.raises(NumericalDomainError, match=r"f is not real at the real point \[-2\.\]" + index):
             complex_step(lambda p: f(p[..., 0]), x, (), "f")
-    with pytest.raises(NumericalDomainError, match=r"stack index \(0,\)"):
+    with pytest.raises(NumericalDomainError, match=r"f is not real at the real point \[-2\.\]$"):
         _derivatives(lambda p: f(p[..., 0]), [-2.0])
 
 
@@ -157,10 +196,9 @@ def test_complex_step_is_exact_where_a_difference_is_not():
     assert np.allclose(d1[:, 0], -20.0 * x[:, 0] ** -21, rtol=1e-14, atol=0.0)
 
 
-def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
-    # rows: x, x + h e_k, x - h e_k with h = FD_STEP at every point; each row
-    # taken as it is, then stepped by i eps along every coordinate.  The two
-    # stencils share no point, so f sees all 10 rows
+def test_taylor_evaluates_f_once_on_the_point_and_its_half_circles():
+    # rows: x, then x + r w^j v for j = 0..N/2 and the directions v = e_0,
+    # e_1, e_0 + e_1, e_0 - e_1; the other half circle is the conjugate
     calls = []
 
     def f(p):
@@ -168,92 +206,70 @@ def test_the_jet_evaluates_f_once_on_the_complex_axis_stencil():
         return np.sin(p[..., 0]) * p[..., 1] ** 2
 
     x = np.array([[0.4, -1.3], [2.0, 0.5]])
-    value, d1, d2 = jet(f, x, (), "f")
-    assert len(calls) == 1 and calls[0].shape == (10, 3, 2)
-    shifts = FD_STEP * np.eye(2)[None]
-    rows = np.concatenate([x[:, None], x[:, None] + shifts, x[:, None] - shifts], axis=1).reshape(10, 2)
-    seen = calls[0].real[:, 0]
-    assert np.array_equal(seen[np.lexsort(seen.T)], rows[np.lexsort(rows.T)])
-    assert np.array_equal(calls[0].real, np.broadcast_to(seen[:, None], (10, 3, 2)))
-    assert np.array_equal(calls[0].imag, np.broadcast_to(1e-30 * np.eye(3, 2, -1), (10, 3, 2)))
+    value, d1, d2 = taylor(f, x, (), "f", 2)
+    half = TAYLOR_NODES // 2 + 1
+    assert len(calls) == 1 and calls[0].shape == (2, 1 + half * 4, 2)
+    nodes = TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(half) / TAYLOR_NODES)
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    rows = np.concatenate([np.zeros((1, 2)), (nodes[:, None, None] * dirs).reshape(-1, 2)])
+    assert np.array_equal(calls[0], x[:, None, :] + rows)
     s, c, y = np.sin(x[:, 0]), np.cos(x[:, 0]), x[:, 1]
-    assert np.allclose(value, s * y**2, rtol=1e-15)
-    assert np.allclose(d1, np.stack([c * y**2, 2.0 * s * y], axis=-1), rtol=1e-15)
+    assert np.array_equal(value, s * y**2)
+    assert np.allclose(d1, np.stack([c * y**2, 2.0 * s * y], axis=-1), rtol=1e-14, atol=0.0)
     hess = np.stack([np.stack([-s * y**2, 2 * c * y], -1), np.stack([2 * c * y, 2 * s], -1)], -2)
     assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
-    assert np.max(np.abs(d2 - hess)) < 1e-5
+    assert np.max(np.abs(d2 - hess)) < 1e-13
 
 
-def test_the_jet_of_one_point_evaluates_its_whole_stencil():
-    # a single point's 2n+1 stencil rows are distinct: one call on all of them
+@pytest.mark.parametrize("order,directions", [(2, 9), (3, 10)])
+def test_taylor_of_one_point_evaluates_one_row_per_node_and_direction(order, directions):
+    # n = 3: 3 axes and 3 pairs twice at order 2, and the one triple at order 3
     calls = []
     x = np.array([0.4, -1.3, 2.5])
-    jet(lambda p: calls.append(p.shape) or _array_f(p), x, (3, 2), "f")
-    assert calls == [(7, 4, 3)]
+    taylor(lambda p: calls.append(p.shape) or _array_f(p), x, (3, 2), "f", order)
+    assert calls == [(1 + (TAYLOR_NODES // 2 + 1) * directions, 3)]
 
 
-def test_a_point_held_twice_in_a_stack_gets_its_own_jet():
-    calls = []
-
-    def f(p):
-        calls.append(p.shape)
-        return _array_f(p)
-
+@pytest.mark.parametrize("order", [2, 3])
+def test_stacked_taylor_equals_the_one_point_rule_exactly(order):
+    rng = np.random.default_rng(5)
     x = np.array([0.4, -1.3, 2.5])
-    alone = jet(f, x, (3, 2), "f")
-    for stack in (np.array([x, x]), np.array([[x, x + 0.3], [x, x]])):
-        calls.clear()
-        twice = jet(f, stack, (3, 2), "f")
-        assert calls == [(7 * len(np.unique(stack.reshape(-1, 3), axis=0)), 4, 3)]
+    alone = taylor(_array_f, x, (3, 2), "f", order)
+    for stack in (np.array([x, x]), np.array([[x, x + 0.3], rng.uniform(-1, 1, (2, 3))])):
+        together = taylor(_array_f, stack, (3, 2), "f", order)
         for idx in np.ndindex(stack.shape[:-1]):
+            single = taylor(_array_f, stack[idx], (3, 2), "f", order)
+            assert all(np.array_equal(t[idx], a) for t, a in zip(together, single))
             if np.array_equal(stack[idx], x):
-                assert all(np.array_equal(t[idx], a) for t, a in zip(twice, alone))
+                assert all(np.array_equal(t[idx], a) for t, a in zip(together, alone))
 
 
-def test_a_non_finite_value_at_a_shared_stencil_point_names_its_first_stencil_index():
-    # the stencils of x + h e_0 (row 1) and x + h e_1 (row 2) of the
-    # stencil of x both hold x + h e_0 + h e_1: at (1, 2) and at (2, 1)
-    x = np.array([0.4, -1.3])
-    pts = axis_stencil(x)
-    shared = pts[1] + np.array([0.0, FD_STEP])
-    assert np.array_equal(axis_stencil(pts)[1, 2], shared) and np.array_equal(axis_stencil(pts)[2, 1], shared)
+def test_a_non_finite_value_on_a_circle_names_its_row():
+    x = np.array([[0.4, -1.3], [0.1, 0.2]])
+    row = 1 + 3 * 4 + 2  # node j = 3 of the direction e_0 + e_1
 
     def f(p):
-        at = (p.real == shared).all(axis=-1)
-        return np.where(at, np.nan, np.sin(p[..., 0]) * p[..., 1])
+        out = np.sin(p[..., 0]) * p[..., 1]
+        out[1, row] = np.nan
+        return out
 
-    with pytest.raises(NumericalDomainError, match=r"f has non-finite entries at .* \(stack index \(1, 2, 0\)\)"):
-        jet(f, pts, (), "f")
-
-
-def test_leaving_the_real_domain_at_a_shared_stencil_point_names_its_first_stencil_index():
-    # f is validated on the U distinct points of the 5 stencils; only the
-    # error calls f again, on the whole (5, 5) stencil, to name the first row
-    x = np.array([0.4, -1.3])
-    pts = axis_stencil(x)
-    shared = pts[1] + np.array([0.0, FD_STEP])
-    U = len(np.unique(axis_stencil(pts).reshape(-1, 2), axis=0))
-    assert U < 25
-    calls = []
-
-    def f(p):
-        calls.append(p.shape)
-        sign = np.where((p.real == shared).all(axis=-1), -1.0, 1.0)
-        return np.sqrt(sign * (1.0 + p[..., 0] ** 2))
-
-    with pytest.raises(NumericalDomainError, match=r"f is not real at the real point .* \(stack index \(1, 2\)\)"):
-        jet(f, pts, (), "f")
-    assert calls == [(U, 3, 2), (5, 5, 3, 2)]
-    calls.clear()
-    jet(f, pts + 1.0, (), "f")
-    assert len(calls) == 1 and calls[0][1:] == (3, 2)
+    with pytest.raises(NumericalDomainError, match=rf"f has non-finite entries at .* \(stack index \(1, {row}\)\)"):
+        taylor(f, x, (), "f", 2)
 
 
-def test_a_jet_stack_whose_f_ignores_the_stack_axis_is_rejected_on_its_one_call():
-    # the shape is checked on the call on the distinct points (U, n+1, n)
+@pytest.mark.parametrize("order", [2, 3])
+def test_taylor_of_a_value_not_real_at_the_real_point_raises(order):
+    # sqrt(-1 - x^2) is finite and analytic near x, but not real there
+    x = np.array([[0.5, 0.2], [0.4, -1.3]])
+    sign = np.array([1.0, -1.0])[:, None]
+    with pytest.raises(NumericalDomainError, match=r"f is not real at the real point \[ 0\.4 -1\.3\] \(stack index \(1,\)\)"):
+        taylor(lambda p: np.sqrt(sign * (1.0 + p[..., 0] ** 2)), x, (), "f", order)
+
+
+def test_a_taylor_stack_whose_f_ignores_the_stack_axis_is_rejected():
     x = np.array([[0.4, -1.3], [0.4, -1.3]])
-    with pytest.raises(InvalidInputError, match=r"f returned shape \(3,\), expected \(5, 3\)"):
-        jet(lambda p: np.sin(p[0, :, 0]), x, (), "f")
+    with pytest.raises(InvalidInputError, match=r"f returned shape \(\d+,\), expected \(2, \d+\)"):
+        taylor(lambda p: np.sin(p[0, :, 0]), x, (), "f", 2)
 
 
 def _as_float(p):
@@ -266,7 +282,8 @@ def _as_float(p):
 def test_a_function_that_drops_the_imaginary_part_is_rejected(cast):
     # its derivative would read 0; the shape is checked first
     x = np.array([0.4, 0.9])
-    for rule in (lambda f: complex_step(f, x, (), "f"), lambda f: jet(f, x, (), "f")):
+    rules = [lambda f: complex_step(f, x, (), "f")] + [lambda f, k=k: taylor(f, x, (), "f", k) for k in (2, 3)]
+    for rule in rules:
         with pytest.raises(InvalidInputError, match="f returned float64 values for complex points"):
             rule(lambda p: np.sin(cast(p)[..., 0]))
         with pytest.raises(InvalidInputError, match="shape"):
@@ -284,27 +301,38 @@ def _array_f(x):
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def test_array_stencils_match_scalar_calls_bitwise():
-    x = np.array([0.4, -1.3, 0.7])
-    d1, d2 = _derivatives(_array_f, x, (3, 2))
-    assert d1.shape == (3, 3, 2) and d2.shape == (3, 3, 3, 2)
+def _array_f4(x):
+    # 3x2 array of smooth, distinct functions of a 4-vector, per stack point
+    x0, x1, x2, x3 = np.moveaxis(x, -1, 0)
+    rows = [
+        [np.sin(x0) * x1 * x3, np.exp(0.3 * x2 - x3)],
+        [x0 * x1 * x2, np.cos(x1 + 2.0 * x2) * x3],
+        [x2**3, np.full_like(x0, 1.5)],
+    ]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_array_taylor_matches_scalar_calls_bitwise(order):
+    x = np.array([0.4, -1.3, 0.7, 0.2])
+    out = taylor(_array_f4, x, (3, 2), "f", order)
+    assert [d.shape for d in out] == [(3, 2)] + [(4,) * k + (3, 2) for k in range(1, order + 1)]
     for idx in np.ndindex(3, 2):
-        s1, s2 = _derivatives(lambda p: _array_f(p)[(...,) + idx], x)
-        assert np.array_equal(d1[(...,) + idx], s1)
-        assert np.array_equal(d2[(...,) + idx], s2)
+        scalar = taylor(lambda p: _array_f4(p)[(...,) + idx], x, (), "f", order)
+        assert all(np.array_equal(d[(...,) + idx], s) for d, s in zip(out, scalar))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-def test_array_stencils_raise_on_one_non_finite_entry(bad):
+def test_array_taylor_raises_on_one_non_finite_entry(bad):
     x = np.array([0.4, -1.3, 0.7])
     for idx in np.ndindex(3, 2):
-        # (stencil row, complex-step row): the real point, steps along e_a
-        for row, a in ((0, 0), (1, 3), (6, 1)):
+        # the real point, the first node of e_0, and the last row
+        for row in (0, 1, 63):
 
-            def f(p, idx=idx, row=row, a=a):
+            def f(p, idx=idx, row=row):
                 out = _array_f(p)
-                out[(row, a) + idx] = bad
+                out[(row,) + idx] = bad
                 return out
 
-            with pytest.raises(NumericalDomainError, match=f"stack index \\({row}, {a}\\)"):
+            with pytest.raises(NumericalDomainError, match=f"stack index \\({row},\\)"):
                 _derivatives(f, x, (3, 2))

@@ -113,7 +113,7 @@ def test_bad_tolerance_flags_exit_2(tmp_path, capsys, value):
 
 
 def test_the_removed_step_flag_exits_2(tmp_path, capsys):
-    # the central difference has a fixed step, numeric.FD_STEP
+    # the package takes no finite difference: no step to set
     with pytest.raises(SystemExit) as exc:
         _verify(tmp_path, REAL, "--tol-fd", "1e-4")
     assert exc.value.code == 2

@@ -13,9 +13,9 @@ from warpcheck.charts import riemann
 from warpcheck.contact import _KIJ_BLOCK, CurvatureOracle, ambient_catalog, make_ambient
 from warpcheck.errors import InvalidConfigurationError, InvalidInputError
 from warpcheck.immersion import (
+    PullbackMetric,
     gauss_residual,
     is_C_totally_real,
-    pullback_metric,
     random_stack,
     second_fundamental_form,
     sphere_in_euclidean,
@@ -194,7 +194,7 @@ def test_the_chart_pullback_tensor_in_its_frame_is_the_rotated_oracle(n):
     im = sphere_in_euclidean(n)
     for p in [im.default_point, *im.warped.sample_points]:
         coeff = second_fundamental_form(im, p).extras["frame_coefficients"]
-        R = riemann(pullback_metric(im), p).riemann04
+        R = riemann(PullbackMetric(im), p).riemann04
         expected = _tensordot_frame(R, coeff)
         assert np.array_equal(frame_tensor(R, coeff[None])[0], expected)
 

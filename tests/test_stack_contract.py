@@ -1,9 +1,9 @@
 """The stack contract of the chart layer.
 
 Geometry callables take a stack of points (..., n) and broadcast over its
-leading axes; `riemann` evaluates whole stacks, with the axis shifts of
-step FD_STEP that it differences the symbols on, in one g_dg call,
-validating every metric on it.
+leading axes; `riemann` evaluates whole stacks, with the complex points its
+exact derivatives need, in one g_dg or map call, validating the metric at
+each point and every value on its complex points.
 """
 
 import re
@@ -11,16 +11,15 @@ import re
 import numpy as np
 import pytest
 
-from warpcheck.charts import ChartMetric, _metric_derivatives, euclidean_metric, riemann
+from warpcheck.charts import ChartMetric, euclidean_metric, riemann
 from warpcheck.errors import DegenerateMetricError, InvalidInputError, NumericalDomainError
 from warpcheck.immersion import (
     ChartImmersion,
+    PullbackMetric,
     chart_immersion_catalog,
-    pullback_metric,
     second_fundamental_form,
     sphere_in_euclidean,
 )
-from warpcheck.numeric import FD_STEP
 from warpcheck.warped import (
     build_metric,
     chart_catalog,
@@ -50,7 +49,7 @@ def _random_metric(rng, dim):
 
     def dg(x):
         m = factor(x, np.sin)
-        out = np.empty(x.shape[:-1] + (dim, dim, dim))
+        out = np.empty(x.shape[:-1] + (dim, dim, dim), dtype=np.result_type(x, float))
         for k in range(dim):
             dm = amps[k] * np.cos(x[..., k, None, None] + phases[k])
             out[..., k, :, :] = dm @ np.swapaxes(m, -1, -2) + m @ np.swapaxes(dm, -1, -2)
@@ -67,7 +66,7 @@ def _metrics(dim):
         "random-analytic": (_random_metric(rng, dim), rng.uniform(-1.0, 1.0, size=(3, dim))),
         "random-analytic-second-draw": (_random_metric(rng, dim), rng.uniform(-1.0, 1.0, size=(3, dim))),
         "sphere-pullback": (
-            pullback_metric(sphere_in_euclidean(dim)),
+            PullbackMetric(sphere_in_euclidean(dim)),
             sphere_in_euclidean(dim).default_point + rng.uniform(-0.2, 0.2, size=(3, dim)),
         ),
     }
@@ -99,44 +98,44 @@ def test_a_stack_of_stacks_keeps_its_leading_axes():
 
 def _bad_metric(mask, bad, part=0):
     """diag(1, 1) with zero derivative, except that g[1, 1] (part 0) or
-    d_0 g[1, 1] (part 1) is `bad` where mask(x)."""
+    d_0 g[1, 1] (part 1) is `bad` where mask(x) of the complex points x."""
 
     def g_dg(x):
-        pair = [np.eye(2) + 0.0 * x[..., :1, None], np.zeros(x.shape + (2, 2))]
+        pair = [np.eye(2) + 0.0 * x[..., :1, None], np.zeros(x.shape + (2, 2), dtype=x.dtype)]
         pair[part][(mask(x),) + (0,) * part + (1, 1)] = bad
         return tuple(pair)
 
     return ChartMetric(2, g_dg)
 
 
-X0 = np.array([0.3, 0.1])  # both |x_k| < 1: riemann's step is FD_STEP
+X0 = np.array([0.3, 0.1])
 
 
 @pytest.mark.parametrize("bad,error", [(0.0, DegenerateMetricError), (np.nan, NumericalDomainError)])
-def test_a_bad_metric_at_a_shifted_stencil_point_is_rejected(bad, error):
-    # bad only at x - h e_0, the stencil row 1 + n + 0 = 3 of riemann
-    metric = _bad_metric(lambda x: x[..., 0] < X0[0] - 0.5 * FD_STEP, bad)
+def test_a_bad_metric_at_the_second_point_of_a_stack_is_rejected(bad, error):
+    # bad on every complex row of the point X0 + 0.1: a singular metric
+    # there, or a NaN at its row 0, the point itself
+    metric = _bad_metric(lambda x: x.real[..., 0] > X0[0] + 0.05, bad)
+    assert np.array_equal(riemann(metric, X0).g, np.eye(2))
+    with pytest.raises(error, match=r"stack index \(1,( 0)?\)"):
+        riemann(metric, np.stack([X0, X0 + 0.1]))
+
+
+def test_a_non_finite_metric_derivative_on_a_complex_step_is_rejected():
+    # NaN only on the step along e_1, the complex row 1 + 1 of riemann
+    metric = _bad_metric(lambda x: x.imag[..., 1] != 0.0, np.nan, part=1)
     assert np.array_equal(metric.at(X0), np.eye(2))
-    with pytest.raises(error, match=r"stack index \(3,\)"):
-        riemann(metric, X0)
-
-
-def test_a_non_finite_metric_derivative_is_rejected():
-    # NaN only at x + h e_1, the stencil row 1 + 1 of riemann
-    metric = _bad_metric(lambda x: x[..., 1] > X0[1] + 0.5 * FD_STEP, np.nan, part=1)
-    _metric_derivatives(metric, X0)
     with pytest.raises(NumericalDomainError, match=r"metric derivative has non-finite entries .*stack index \(2,\)"):
         riemann(metric, X0)
-    with pytest.raises(NumericalDomainError, match=r"stack index \(1,\)"):
-        _metric_derivatives(metric, np.stack([X0, X0 + 0.1]))
+    with pytest.raises(NumericalDomainError, match=r"stack index \(0, 2\)"):
+        metric.jet(np.stack([X0, X0 + 0.1]))
 
 
 def test_a_metric_that_ignores_the_stack_axis_is_rejected():
     eye = ChartMetric(2, lambda x: (np.eye(2), np.zeros((2, 2, 2))))
     assert np.array_equal(eye.at(X0), np.eye(2))  # a single point is well-formed
-    _metric_derivatives(eye, X0)
     with pytest.raises(InvalidInputError, match="metric returned shape"):
-        _metric_derivatives(eye, np.stack([X0, X0]))
+        eye.at(np.stack([X0, X0]))
     with pytest.raises(InvalidInputError, match="metric returned shape"):
         riemann(eye, X0)
     flat = euclidean_metric(2)
@@ -157,7 +156,7 @@ def test_a_map_that_ignores_the_stack_axis_is_rejected():
     with pytest.raises(InvalidInputError, match="shape"):
         second_fundamental_form(cylinder, p)
     with pytest.raises(InvalidInputError, match="shape"):
-        pullback_metric(cylinder).at(p)
+        PullbackMetric(cylinder).at(p)
 
 
 def test_a_callable_that_leaves_its_real_domain_is_rejected():
@@ -166,8 +165,8 @@ def test_a_callable_that_leaves_its_real_domain_is_rejected():
     im = ChartImmersion(lambda u: np.stack([u[..., 0], np.sqrt(u[..., 1]), u[..., 1]], axis=-1), 3, 1, 1)
     for evaluate in (
         lambda p: second_fundamental_form(im, p),
-        lambda p: pullback_metric(im).at(p),
-        lambda p: riemann(pullback_metric(im), p),
+        lambda p: PullbackMetric(im).at(p),
+        lambda p: riemann(PullbackMetric(im), p),
     ):
         evaluate(np.array([0.2, 0.5]))
         with pytest.raises(NumericalDomainError, match="map is not real at the real point"):
@@ -186,9 +185,9 @@ def test_a_map_that_drops_the_imaginary_part_is_rejected():
     assert np.array_equal(cylinder.map(p), chart_immersion_catalog()["cylinder"]().map(p))
     with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
         second_fundamental_form(cylinder, p)
-    for evaluate in (lambda m: m.at(p), lambda m: m.g_dg(p), lambda m: riemann(m, p)):
+    for evaluate in (lambda m: m.at(p), lambda m: m.jet(p), lambda m: riemann(m, p)):
         with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
-            evaluate(pullback_metric(cylinder))
+            evaluate(PullbackMetric(cylinder))
 
 
 def _complex_stack(rng, shape, lo, hi):

@@ -5,8 +5,8 @@ import pytest
 
 from warpcheck.errors import InvalidInputError, InvalidWarpingError, NumericalDomainError
 from warpcheck.inequality import chart_inequality
-from warpcheck.charts import riemann, sectional_curvature
-from warpcheck.immersion import sphere_in_euclidean
+from warpcheck.charts import ChartMetric, riemann, sectional_curvature
+from warpcheck.immersion import ChartImmersion, sphere_in_euclidean
 from warpcheck.warped import (
     WarpFunction,
     WarpedProductChart,
@@ -205,3 +205,42 @@ def test_chen_special_case_sphere():
     assert abs(rep.lhs - 1.0) < 1e-3
     assert abs(rep.mean_term - 1.0) < 1e-3
     assert abs(rep.gap) < 1e-3
+
+
+def _constant_curvature_tensor(k, g):
+    """k (g_jk g_il - g_ik g_jl), the (0,4) tensor of constant curvature k
+    in this package's convention, K(e_i ^ e_j) = R_ijji."""
+    return k * (np.einsum("...jk,...il->...ijkl", g, g) - np.einsum("...ik,...jl->...ijkl", g, g))
+
+
+@pytest.mark.parametrize("n2", range(1, 7))
+@pytest.mark.parametrize("key,k", [("sphere", 1.0), ("hyperbolic", -1.0), ("flat-product", 0.0)])
+def test_riemann_of_the_warped_catalog_is_the_constant_curvature_tensor(key, k, n2):
+    # the exact curvature, with no difference step: at 1e-12 where a central
+    # difference of the Christoffel symbols was off by 5.7e-8
+    wp = named_chart(key, n2=n2)
+    cp = _curvature(wp, np.stack(wp.sample_points))
+    assert np.max(np.abs(cp.riemann04 - _constant_curvature_tensor(k, cp.g))) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [1.0, 0.1, 0.03, 0.01])
+def test_a_small_round_sphere_is_an_equality_case_at_any_radius(r):
+    # the 2-sphere of radius r as [r sin t, r cos t (cos s, sin s)], with base
+    # metric r^2 dt^2 and warp r cos t: Delta f / f = 1/r^2 is the right-hand
+    # side exactly.  A central difference of step 1e-4 left a gap of
+    # -3.3e-9 / r^2, which failed the equality bound from r = 0.03 down
+    def base(x):
+        g = np.full(x.shape[:-1] + (1, 1), r * r, dtype=np.result_type(x, float))
+        return g, np.zeros(x.shape[:-1] + (1, 1, 1), dtype=g.dtype)
+
+    warp = WarpFunction("r cos", lambda t: r * np.cos(t), lambda t: -r * np.sin(t), lambda t: -r * np.cos(t))
+    wp = WarpedProductChart(ChartMetric(1, base), flat_factor(1), warp)
+
+    def sphere(u):
+        t, s = u[..., 0], u[..., 1]
+        return r * np.stack([np.sin(t), np.cos(t) * np.cos(s), np.cos(t) * np.sin(s)], axis=-1)
+
+    rep = chart_inequality(ChartImmersion(sphere, 3, 1, 1, warped=wp), np.array([0.3, 0.8]))
+    assert abs(rep.rhs - 1.0 / r**2) <= 1e-12 / r**2
+    assert rep.equality and rep.gap >= -rep.equality_tol and rep.extras["lhs_agreement"] < 1e-3
+    assert abs(rep.gap) <= 1e-12 / r**2

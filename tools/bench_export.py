@@ -55,7 +55,7 @@ MACHINE_KEYS = ("python", "numpy", "blas", "nproc", "platform", "thread_caps")
 SPANS = (
     "immersion.random_stack",
     "immersion.gauss_residual",
-    "numeric.jet",
+    "numeric.taylor",
     "charts.sectional_curvature",
     "inequality.general_inequality_stack",
     "inequality.kmu_space_form_inequality_stack",
