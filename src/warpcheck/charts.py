@@ -7,7 +7,7 @@ Conventions used throughout the package:
 * Laplacian: Delta = -div grad (the geometers' sign), so Delta f = -f'' on the
   Euclidean line.
 
-Every check takes Gamma, R and g from riemann (a CurvaturePoint), and
+Every check takes Gamma, R and g from a CurvaturePoint, and
 sectional_curvature, covariant_hessian and trace_laplacian work from those.
 
 Stack contract: the geometry callables (ChartMetric.g_dg, the ``map`` of a
@@ -18,8 +18,8 @@ each must be the complex-analytic extension of its real formula, with no
 abs, max/min, comparison or real-part cast of the points.  The functions
 below accept stacks, and a point's numbers do not depend on its stack.
 
-``riemann`` is one closed form in the exact (g, dg, ddg) of the metric at
-each point, metric.jet(x): a ChartMetric or an immersion.PullbackMetric.
+``curvature`` is one closed form in a metric's exact (g, dg, ddg) at each
+point: a ChartMetric's jet (``riemann``) or a chart immersion's induced one.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .numeric import (
 __all__ = [
     "ChartMetric",
     "CurvaturePoint",
+    "curvature",
     "riemann",
     "sectional_curvature",
     "covariant_hessian",
@@ -124,16 +125,23 @@ def _last(a: np.ndarray, *perm: int) -> np.ndarray:
     return a.transpose(*range(lead), *(lead + p for p in perm))
 
 
-def riemann(metric, x: np.ndarray) -> CurvaturePoint:
-    """Christoffel symbols and curvature tensor at a point or a stack from
-    the validated g, dg and ddg of metric.jet(x):
+def riemann(metric: ChartMetric, x: np.ndarray) -> CurvaturePoint:
+    """Christoffel symbols and curvature tensor of a ChartMetric at a point
+    or a stack, the curvature of its validated metric.jet(x)."""
+    x = as_points(x, metric.dim)
+    return curvature(x, *metric.jet(x))
+
+
+def curvature(x: np.ndarray, gx: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> CurvaturePoint:
+    """Christoffel symbols and curvature tensor at the points x (..., n) from
+    a validated metric's g, dg[..., k, i, j] = d_k g_ij and ddg[..., a, k, i,
+    j] = d_a d_k g_ij there:
 
     Gamma_{l,ij} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij),  Gamma^k_ij = g^kl Gamma_{l,ij},
     R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
              + g_pq (Gamma^p_ik Gamma^q_jl - Gamma^p_jk Gamma^q_il).
     """
-    x, n = as_points(x, metric.dim), metric.dim
-    gx, dg, ddg = metric.jet(x)
+    n = x.shape[-1]
     # lowered[l,i,j] = Gamma_{l,ij}   (dg[k,i,j] = d_k g_ij)
     lowered = 0.5 * (_last(dg, 2, 0, 1) + _last(dg, 2, 1, 0) - dg)
     flat = lowered.reshape(x.shape[:-1] + (n, n * n))

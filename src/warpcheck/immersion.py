@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from .charts import _require_metric
 from .contact import AmbientSpace, ContactFrame, CurvatureOracle
 from .errors import (
     ImmersionDegeneracyError,
@@ -30,9 +29,7 @@ from .errors import (
 from .numeric import (
     DEFAULT_TOLERANCE,
     as_matrix,
-    as_points,
     as_vector,
-    complex_step,
     frame_tensor,
     qr_q,
     qr_q_complete,
@@ -45,7 +42,6 @@ __all__ = [
     "PointwiseStack",
     "MeanCurvatureRecord",
     "ChartImmersion",
-    "PullbackMetric",
     "second_fundamental_form",
     "mean_curvatures",
     "gauss_residual",
@@ -592,10 +588,9 @@ class ChartImmersion:
 
     map takes source points (..., n) to points (..., ambient_dim),
     broadcasting over the leading axes (the stack contract of ``charts``).
-    It is differentiated on complex points, so it must be the
-    complex-analytic extension of its real formula (numeric.complex_step),
-    analytic on the disc of radius numeric.TAYLOR_RADIUS sqrt(3) around
-    each point (numeric.taylor).
+    It is differentiated on complex points (numeric.taylor), so it must be
+    the complex-analytic extension of its real formula, analytic on the
+    disc of radius numeric.TAYLOR_RADIUS sqrt(3) around each point.
     """
 
     map: Callable[[np.ndarray], np.ndarray]
@@ -611,32 +606,15 @@ class ChartImmersion:
         return self.n1 + self.n2
 
 
-@dataclass
-class PullbackMetric:
-    """The induced metric g = J^T J of a chart immersion on its source chart."""
-
-    immersion: ChartImmersion
-
-    @property
-    def dim(self) -> int:
-        return self.immersion.n
-
-    def at(self, x: np.ndarray) -> np.ndarray:
-        """The metric at a point or stack, from the map's complex step alone."""
-        x = as_points(x, self.dim)
-        jt = complex_step(self.immersion.map, x, (self.immersion.ambient_dim,), "map")[1]
-        return _require_metric(jt @ np.swapaxes(jt, -1, -2), x)
-
-    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """g, dg and ddg as ChartMetric.jet gives them, from the map's J, H
-        and T (numeric.taylor): dg_k = H_k^T J + J^T H_k and d_a dg_k =
-        T_ak^T J + H_k^T H_a + (its transpose)."""
-        _, jt, hess, third = taylor(self.immersion.map, x, (self.immersion.ambient_dim,), "map", 3)
-        j, hess_t = np.swapaxes(jt, -1, -2), np.swapaxes(hess, -1, -2)
-        half = hess @ j[..., None, :, :]  # [k, i, j] = d_k d_i x . d_j x
-        # [a, k, i, j] = d_a d_k d_i x . d_j x + d_k d_i x . d_a d_j x
-        twice = third @ j[..., None, None, :, :] + hess[..., None, :, :, :] @ hess_t[..., None, :, :]
-        return _require_metric(jt @ j, x), half + np.swapaxes(half, -1, -2), twice + np.swapaxes(twice, -1, -2)
+def _pullback_jet(jt: np.ndarray, hess: np.ndarray, third: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The induced metric's g = J^T J, dg_k = H_k^T J + J^T H_k and d_a dg_k
+    = T_ak^T J + H_k^T H_a + (its transpose), laid out as ChartMetric.jet's,
+    from the map's J (the rows jt[a] = d_a x), H and T."""
+    j, hess_t = np.swapaxes(jt, -1, -2), np.swapaxes(hess, -1, -2)
+    half = hess @ j[..., None, :, :]  # [k, i, j] = d_k d_i x . d_j x
+    # [a, k, i, j] = d_a d_k d_i x . d_j x + d_k d_i x . d_a d_j x
+    twice = third @ j[..., None, None, :, :] + hess[..., None, :, :, :] @ hess_t[..., None, :, :]
+    return jt @ j, half + np.swapaxes(half, -1, -2), twice + np.swapaxes(twice, -1, -2)
 
 
 def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack:
@@ -648,13 +626,17 @@ def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack
     both from one Householder factorization of the Jacobian
     (householder_frame), and sigma is the normal part of the second
     derivatives of the map.  Downstream components live in the adapted frame,
-    where the ambient curvature is zero.  The map is evaluated once, for its
-    value, Jacobian and Hessian at p (numeric.taylor at order 2).
+    where the ambient curvature is zero.  The map is evaluated once
+    (numeric.taylor): its first three derivatives at p also give
+    extras["metric_jet"], the induced metric's (g, dg, ddg) that
+    charts.curvature reads, and g = J^T J is validated once, symmetric
+    within 1e-8 and g - 1e-10*I positive definite (ImmersionDegeneracyError).
     """
     p = as_vector(p, im.n)
     d, n = im.ambient_dim, im.n
-    point, jt, S = taylor(im.map, p, (d,), "map", 2)  # jt[a] = d_a x, the columns of J
-    require_positive_definite(jt @ jt.T, p, 1e-10, 1e-6, ImmersionDegeneracyError, "Jacobian Gram matrix")
+    point, jt, S, T = taylor(im.map, p, (d,), "map")  # jt[a] = d_a x, the columns of J
+    jet = _pullback_jet(jt, S, T)
+    require_positive_definite(jet[0], p, 1e-10, 1e-8, ImmersionDegeneracyError, "Jacobian Gram matrix")
 
     tangent_ambient, r, normal_ambient = householder_frame(jt.T)
     coeff = np.linalg.inv(r)  # e_i = sum_a coeff[a,i] d_a
@@ -682,6 +664,7 @@ def second_fundamental_form(im: ChartImmersion, p: np.ndarray) -> PointwiseStack
             "normal_ambient": normal_ambient,
             "frame_coefficients": coeff,
             "sigma_asymmetry": asymmetry,
+            "metric_jet": jet,
         },
     )
 

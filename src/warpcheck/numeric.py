@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -244,60 +243,60 @@ def complex_step(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> t
 
 
 @functools.cache
-def _taylor_plan(n: int, order: int) -> tuple:
+def _taylor_plan(n: int) -> tuple:
     """taylor's pairs, pair numbers, triples, offsets and weights, read-only."""
     eye = np.eye(n)
     pairs = np.triu_indices(n, 1)
     number = np.zeros((n, n), dtype=np.intp)  # of the pair a < b in pairs
     number[pairs] = np.arange(len(pairs[0]))
-    dirs = [eye, eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]]]
     a, b, c = np.indices((n, n, n)).reshape(3, -1)
     triples = tuple(t[(a < b) & (b < c)] for t in (a, b, c))
-    if order == 3:
-        dirs.append(sum(eye[t] for t in triples))
-    j, k = np.arange(TAYLOR_NODES // 2 + 1), np.arange(1, order + 1)[:, None]
+    dirs = [eye, eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]], sum(eye[t] for t in triples)]
+    j, k = np.arange(TAYLOR_NODES // 2 + 1), np.arange(1, 4)[:, None]
     nodes = np.exp(2j * np.pi * j / TAYLOR_NODES)
     circle = TAYLOR_RADIUS * nodes[:, None, None] * np.concatenate(dirs)
     offsets = np.concatenate([np.zeros((1, n)), circle.reshape(-1, n)])
     # k! w^(-jk) / (N r^k); the conjugate nodes N - j double the inner ones
     weights = np.where((j == 0) | (2 * j == TAYLOR_NODES), 1.0, 2.0) * nodes**-k / (TAYLOR_NODES * TAYLOR_RADIUS**k)
-    weights *= np.array([factorial(i) for i in range(1, order + 1)])[:, None]
+    weights *= np.array([1.0, 2.0, 6.0])[:, None]
     for arr in (*pairs, number, *triples, offsets, weights):
         arr.flags.writeable = False
     return pairs, number, triples, offsets, weights
 
 
-def taylor(f: Callable, x: np.ndarray, value_shape: tuple, what: str, order: int) -> tuple[np.ndarray, ...]:
-    """f(x) and its exact derivatives of order 1 to `order` (2 or 3), (...,
-    n, ..., *value_shape), on a float stack x (..., n): one call of f on x
-    and x + r w^j v, j = 0..N/2, for v = e_a, e_a +- e_b (a < b) and, at
-    order 3, e_a + e_b + e_c (a < b < c), with N = TAYLOR_NODES, w = exp(2
-    pi i / N) and r = TAYLOR_RADIUS; f is real on real points, so the
-    conjugate nodes go unevaluated.  A circle's DFT gives D^k f[v, ..., v] =
-    k! c_k (J. N. Lyness and C. B. Moler, SIAM J. Numer. Anal. 4, 1967), off
-    by aliasing, c_(k+N) r^N, and rounding, eps k!/r^k of f's size;
-    polarization gives the mixed derivatives, exactly symmetric.  f must be
-    analytic on the disc of radius r sqrt(3) around each point.  Errors as
-    complex_step: a stack index (..., r) names the row r, 0 for x."""
+def taylor(f: Callable, x: np.ndarray, value_shape: tuple, what: str) -> tuple[np.ndarray, ...]:
+    """f(x) and its exact first, second and third derivatives, (..., n, ...,
+    *value_shape), on a float stack x (..., n): one call of f on x and x + r
+    w^j v, j = 0..N/2, for v = e_a, e_a +- e_b (a < b) and e_a + e_b + e_c
+    (a < b < c), 1 + (N/2 + 1)(n + n(n-1) + C(n, 3)) rows per point, with N =
+    TAYLOR_NODES, w = exp(2 pi i / N) and r = TAYLOR_RADIUS; f is real on
+    real points, so the conjugate nodes go unevaluated.  A circle's DFT
+    gives D^k f[v, ..., v] = k! c_k (J. N. Lyness and C. B. Moler, SIAM J.
+    Numer. Anal. 4, 1967), off by aliasing, c_(k+N) r^N, and rounding, eps
+    k!/r^k of f's size; polarization gives the mixed derivatives, exactly
+    symmetric.  f must be analytic on the disc of radius r sqrt(3) around
+    each point.  Errors as complex_step: a stack index (..., r) names the
+    row r, 0 for x."""
     n, lead = x.shape[-1], x.shape[:-1]
-    (ia, ib), number, (a, b, c), offsets, weights = _taylor_plan(n, order)
+    (ia, ib), number, (a, b, c), offsets, weights = _taylor_plan(n)
     values, value = _evaluate(f, x, offsets, value_shape, what)
     V, axis, p = int(np.prod(value_shape)), np.arange(n), len(ia)
     circles = values.reshape(lead + (1, len(offsets), V))[..., 1:, :].reshape(lead + (1, weights.shape[1], -1))
     # d[..., k-1, v, :] = D^k f[v, ..., v], summed over the nodes in order, as for one point
     terms = weights.real[..., None] * circles.real - weights.imag[..., None] * circles.imag
-    d = np.add.reduce(terms, axis=-2).reshape(lead + (order, -1, V))
+    d = np.add.reduce(terms, axis=-2).reshape(lead + (3, -1, V))
     plus, minus = d[..., n : n + p, :], d[..., n + p : n + 2 * p, :]
+    cube, s, t = d[..., 2, :n, :], plus[..., 2, :, :], minus[..., 2, :, :]
+    aab = (s - t - 2.0 * cube[..., ib, :]) / 6.0  # d_a d_a d_b f
+    abb = (s + t - 2.0 * cube[..., ia, :]) / 6.0  # d_a d_b d_b f
+    both = [(aab + abb)[..., number[u, v], :] for u, v in ((a, b), (a, c), (b, c))]
+    pure = cube[..., a, :] + cube[..., b, :] + cube[..., c, :]
+    abc = (d[..., 2, n + 2 * p :, :] - pure - 3.0 * sum(both)) / 6.0  # d_a d_b d_c f
     # each symmetric tensor's distinct entries, as (index arrays, values)
-    parts = [[((axis, axis), d[..., 1, :n, :]), ((ia, ib), 0.25 * (plus[..., 1, :, :] - minus[..., 1, :, :]))]]
-    if order == 3:
-        cube, s, t = d[..., 2, :n, :], plus[..., 2, :, :], minus[..., 2, :, :]
-        aab = (s - t - 2.0 * cube[..., ib, :]) / 6.0  # d_a d_a d_b f
-        abb = (s + t - 2.0 * cube[..., ia, :]) / 6.0  # d_a d_b d_b f
-        both = [(aab + abb)[..., number[u, v], :] for u, v in ((a, b), (a, c), (b, c))]
-        pure = cube[..., a, :] + cube[..., b, :] + cube[..., c, :]
-        abc = (d[..., 2, n + 2 * p :, :] - pure - 3.0 * sum(both)) / 6.0  # d_a d_b d_c f
-        parts.append([((axis,) * 3, cube), ((ia, ia, ib), aab), ((ia, ib, ib), abb), ((a, b, c), abc)])
+    parts = [
+        [((axis, axis), d[..., 1, :n, :]), ((ia, ib), 0.25 * (plus[..., 1, :, :] - minus[..., 1, :, :]))],
+        [((axis,) * 3, cube), ((ia, ia, ib), aab), ((ia, ib, ib), abb), ((a, b, c), abc)],
+    ]
     out = [d[..., 0, :n, :]]
     for k, entries in enumerate(parts, start=2):
         out.append(np.empty(lead + (n,) * k + (V,)))

@@ -36,7 +36,6 @@ from .errors import SceneParseError, SceneValidationError, WarpcheckError
 from .immersion import (
     ChartImmersion,
     PointwiseStack,
-    PullbackMetric,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
@@ -80,7 +79,7 @@ from .warped import (
     round_sphere_factor,
     sum_fn,
 )
-from .charts import CurvaturePoint, riemann
+from .charts import CurvaturePoint, curvature, riemann
 
 __all__ = [
     "SceneSpec",
@@ -249,34 +248,36 @@ def _verdict(value, what: str) -> str:
     return value
 
 
+# the keys each warping kind's descriptor reads beside its 'kind'
+_WARPING_KEYS = {"const": ("a",), "cos": (), "exp": (), "polynomial": ("coeffs",), "sum": ("terms",), "product": ("terms",)}
+
+
 def warp_from_descriptor(d: dict, where: str = "warping") -> WarpFunction:
     """Closed warping-function catalog; no general expression evaluation.
-    Every number is checked here; `where` names the descriptor in errors."""
+    Every key and number is checked here; `where` names the descriptor."""
     _require(isinstance(d, dict) and "kind" in d, f"{where} descriptor needs a 'kind'")
-    kind = d["kind"]
+    kind = _known(d["kind"], _WARPING_KEYS, "warping kind")
+    _only_keys(d, where, "kind", *_WARPING_KEYS[kind])
     if kind == "const":
         return const_fn(_real(d.get("a", 1.0), f"{where} const 'a'"))
-    if kind == "cos":
-        return cos_fn()
-    if kind == "exp":
-        return exp_fn()
+    if kind in ("cos", "exp"):
+        return cos_fn() if kind == "cos" else exp_fn()
     if kind == "polynomial":
         coeffs = d.get("coeffs")
         _require(isinstance(coeffs, list) and coeffs, f"{where} polynomial needs a non-empty 'coeffs' list")
         return poly_fn([_real(v, f"{where} polynomial coeffs[{i}]") for i, v in enumerate(coeffs)])
-    if kind in ("sum", "product"):
-        terms = d.get("terms", [])
-        _require(isinstance(terms, list) and len(terms) >= 2, f"{where} {kind} needs at least two terms")
-        combine = sum_fn if kind == "sum" else product_fn
-        out = warp_from_descriptor(terms[0], f"{where} {kind} terms[0]")
-        for i, t in enumerate(terms[1:], 1):
-            out = combine(out, warp_from_descriptor(t, f"{where} {kind} terms[{i}]"))
-        return out
-    raise SceneValidationError(f"unknown warping kind {kind!r}")
+    terms = d.get("terms", [])
+    _require(isinstance(terms, list) and len(terms) >= 2, f"{where} {kind} needs at least two terms")
+    combine = sum_fn if kind == "sum" else product_fn
+    out = warp_from_descriptor(terms[0], f"{where} {kind} terms[0]")
+    for i, t in enumerate(terms[1:], 1):
+        out = combine(out, warp_from_descriptor(t, f"{where} {kind} terms[{i}]"))
+    return out
 
 
 def _factor_from_descriptor(d: dict, which: str):
     _require(isinstance(d, dict) and "kind" in d, f"{which} descriptor needs a 'kind'")
+    _only_keys(d, which, "kind", "dim")
     kind = d["kind"]
     dim = _integer(d.get("dim", 1), f"{which} 'dim'")
     if kind == "euclidean":
@@ -653,11 +654,10 @@ def _check_trivial(ctx: _Context, opts: dict) -> dict:
 
 
 def _check_gauss_residual(ctx: _Context, opts: dict) -> dict:
-    im = ctx.source.immersion
-    if im is not None:
-        # intrinsic curvature from the pulled-back metric, independent of sigma
+    if ctx.source.immersion is not None:
+        # intrinsic curvature from the induced metric's jet, independent of sigma
         data = ctx.fixed
-        cp = riemann(PullbackMetric(im), ctx.source.point)
+        cp = curvature(data.extras["point"], *data.extras["metric_jet"])
         intrinsic = frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])
         res = {k: v.item() for k, v in gauss_residual(data, intrinsic=intrinsic).items()}
         worst = np.max(list(res.values()))

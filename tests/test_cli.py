@@ -396,6 +396,36 @@ def test_a_source_key_its_kind_does_not_read_exits_2_and_is_named(tmp_path, caps
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,descriptor,key,where",
+    [
+        ("warping", {"kind": "const", "a": 2.0}, "A", "warping"),
+        ("warping", {"kind": "cos"}, "a", "warping"),
+        ("warping", {"kind": "exp"}, "rate", "warping"),
+        ("warping", {"kind": "polynomial", "coeffs": [1.0, 0.3]}, "coeff", "warping"),
+        ("warping", {"kind": "sum", "terms": [{"kind": "cos"}, {"kind": "const", "a": 2.0}]}, "term", "warping"),
+        ("warping", {"kind": "product", "terms": [{"kind": "exp"}, {"kind": "cos"}]}, "scale", "warping"),
+        ("factor1", {"kind": "euclidean", "dim": 1}, "radius", "factor1"),
+        ("factor2", {"kind": "round-sphere", "dim": 2}, "radius", "factor2"),
+    ],
+    ids=["const", "cos", "exp", "polynomial", "sum", "product", "euclidean-factor", "round-sphere-factor"],
+)
+def test_a_descriptor_key_its_kind_does_not_read_exits_2_and_is_named(tmp_path, capsys, field, descriptor, key, where):
+    # before, each ran without the key (a const one with 'A' for 'a' as f = 1) and passed
+    scene = {**EXPLICIT_WARPED, "source": {**EXPLICIT_WARPED["source"], field: descriptor}, "seed": 0}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert cli_main(["verify", str(path)]) == 0
+    scene["source"][field] = {**descriptor, key: 3.0}
+    _exits_2_naming(tmp_path, capsys, scene, f"unknown keys in the {where}: [{key!r}]")
+
+
+def test_a_nested_warping_term_names_its_path(tmp_path, capsys):
+    warping = {"kind": "sum", "terms": [{"kind": "cos"}, {"kind": "const", "A": 2.0}]}
+    scene = {**EXPLICIT_WARPED, "source": {**EXPLICIT_WARPED["source"], "warping": warping}}
+    _exits_2_naming(tmp_path, capsys, scene, "unknown keys in the warping sum terms[1]: ['A'] (its keys: ['a', 'kind'])")
+
+
 # a kind or a check name that is not a string must be refused before its
 # catalog lookup: an unhashable one raises TypeError there, which exits 1 like a FAIL
 NOT_A_STRING = [[], {}, [1.0]]

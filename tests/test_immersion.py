@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpcheck import numeric
-from warpcheck.charts import ChartMetric, riemann
+from warpcheck.charts import curvature
 from warpcheck.contact import make_ambient
 from warpcheck.errors import (
     ImmersionDegeneracyError,
@@ -15,7 +15,6 @@ from warpcheck.errors import (
 from warpcheck.immersion import (
     ChartImmersion,
     PointwiseStack,
-    PullbackMetric,
     a_xi_identity,
     balance_for_equality,
     chart_immersion_catalog,
@@ -120,7 +119,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
     p = im.default_point
     data = second_fundamental_form(im, p)
 
-    cp = riemann(PullbackMetric(im), p)
+    cp = curvature(p, *data.extras["metric_jet"])
     coeff = data.extras["frame_coefficients"]
     intrinsic = np.einsum("ijkl,ia,jb,kc,ld->abcd", cp.riemann04, coeff, coeff, coeff, coeff)
 
@@ -132,7 +131,7 @@ def test_gauss_residual_sphere_chart_intrinsic():
 
 def _chart_gauss_residual(im, p):
     data = second_fundamental_form(im, p)
-    cp = riemann(PullbackMetric(im), p)
+    cp = curvature(p, *data.extras["metric_jet"])
     intrinsic = numeric.frame_tensor(cp.riemann04, data.extras["frame_coefficients"][None])[0]
     return gauss_residual(data, intrinsic=intrinsic)
 
@@ -242,25 +241,24 @@ def test_sphere_gauss_numbers():
     assert abs(np.sum(data.sigma**2) - 2.0) < 1e-5
 
 
-def test_pullback_metric_matches_the_analytic_warped_metric():
+def test_the_sample_jet_matches_the_analytic_warped_metric():
     # J^T J of the sphere's map and its first and second derivatives against
     # g1 + cos^2(t) g_{S^(n-1)}, its analytic dg and the complex step of that
     for n in range(2, 9):
         im = sphere_in_euclidean(n)
-        pts = np.stack([im.default_point, *im.warped.sample_points])
-        pull, warped = PullbackMetric(im), build_metric(im.warped)
-        assert np.max(np.abs(pull.at(pts) - warped.at(pts))) < 1e-14, n
-        (g, dg, ddg), want = pull.jet(pts), warped.jet(pts)
-        assert np.array_equal(dg, np.swapaxes(dg, -1, -2)), n
-        assert np.array_equal(ddg, np.swapaxes(ddg, -1, -2)), n
-        assert np.max(np.abs(g - want[0])) < 1e-14, n
-        assert np.max(np.abs(dg - want[1])) < 1e-13, n
-        assert np.max(np.abs(ddg - want[2])) < 1e-12, n
+        warped = build_metric(im.warped)
+        for p in [im.default_point, *im.warped.sample_points]:
+            (g, dg, ddg), want = second_fundamental_form(im, p).extras["metric_jet"], warped.jet(p)
+            assert np.array_equal(dg, np.swapaxes(dg, -1, -2)), n
+            assert np.array_equal(ddg, np.swapaxes(ddg, -1, -2)), n
+            assert np.max(np.abs(g - want[0])) < 1e-14, n
+            assert np.max(np.abs(dg - want[1])) < 1e-13, n
+            assert np.max(np.abs(ddg - want[2])) < 1e-12, n
 
 
 def _taylor_rows(n: int) -> int:
-    """Map rows of one order-3 Taylor rule in n dimensions: the point, then
-    N/2 + 1 nodes for each of the n + n(n-1) + n(n-1)(n-2)/6 directions."""
+    """Map rows of the Taylor rule in n dimensions: the point, then N/2 + 1
+    nodes for each of the n + n(n-1) + n(n-1)(n-2)/6 directions."""
     return 1 + (numeric.TAYLOR_NODES // 2 + 1) * (n + n * (n - 1) + n * (n - 1) * (n - 2) // 6)
 
 
@@ -272,35 +270,20 @@ def _counting(im: ChartImmersion, rows: list) -> ChartImmersion:
     return ChartImmersion(counted, im.ambient_dim, im.n1, im.n2)
 
 
-def test_riemann_of_a_pullback_metric_evaluates_the_map_once():
-    # g, dg and ddg come from one order-3 Taylor rule of the map: at n = 3,
-    # 3 axes, 3 pairs twice and 1 triple on 7 nodes each, and the point
+def test_the_second_fundamental_form_and_its_jet_evaluate_the_map_once():
+    # sigma and the induced metric's g, dg and ddg come from one Taylor rule
+    # of the map: at n = 3, 3 axes, 3 pairs twice and 1 triple on 7 nodes
+    # each, and the point; g is J^T J of the map's complex step to rounding
     im = sphere_in_euclidean(3)
     calls = []
-    pull = PullbackMetric(_counting(im, calls))
-    cp = riemann(pull, im.default_point)
-    assert calls == [(71, 3)] and _taylor_rows(3) == 71
-    assert np.max(np.abs(cp.g - pull.at(im.default_point))) < 1e-15
-    assert np.array_equal(pull.jet(im.default_point)[0], cp.g)
+    g = second_fundamental_form(_counting(im, calls), im.default_point).extras["metric_jet"][0]
+    assert calls == [(71, 3)] and _taylor_rows(3) == 71 and _taylor_rows(8) == 841
+    jt = numeric.complex_step(im.map, im.default_point, (4,), "map")[1]
+    assert np.max(np.abs(g - jt @ jt.T)) < 1e-15
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_a_pullback_riemann_of_a_stack_is_one_map_call_and_equals_the_pointwise_calls(n):
-    im = sphere_in_euclidean(n)
-    rows = []
-    points = np.stack([im.default_point, im.default_point + 0.1])
-    cp = riemann(PullbackMetric(_counting(im, rows)), points)
-    assert rows == [(2, _taylor_rows(n), n)]
-    if n == 8:
-        assert _taylor_rows(8) == 841  # against 1,305 on the nested stencils of a central difference
-    for i, p in enumerate(points):
-        ref = riemann(PullbackMetric(im), p)
-        for field in ("x", "gamma", "riemann04", "g"):
-            assert np.array_equal(getattr(cp, field)[i], getattr(ref, field)), field
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_the_map_values_of_a_pullback_riemann_are_validated_once_on_all_their_rows(n, monkeypatch):
+def test_the_map_values_of_a_chart_sample_are_validated_once_on_all_their_rows(n, monkeypatch):
     im = sphere_in_euclidean(n)
     validated = []
     original = numeric.stack_values
@@ -311,25 +294,8 @@ def test_the_map_values_of_a_pullback_riemann_are_validated_once_on_all_their_ro
         return original(value, points, value_shape, what, complex_)
 
     monkeypatch.setattr(numeric, "stack_values", recording)
-    riemann(PullbackMetric(im), im.default_point)
+    second_fundamental_form(im, im.default_point)
     assert validated == [(_taylor_rows(n),)]
-
-
-@pytest.mark.parametrize(
-    "x",
-    [[0.9, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], [1.5] * 8, [0.4, -1.3, 2.5]],
-    ids=["ci-point", "all-1.5", "mixed"],
-)
-def test_the_metric_of_a_pullback_maps_its_first_derivatives_alone(x):
-    # ChartMetric.at of a pull-back: the point and its n complex steps, as
-    # many rows as the complex step of the map needs, not its Taylor rule
-    x = np.array(x)
-    n = len(x)
-    im, rows = sphere_in_euclidean(n), []
-    g = PullbackMetric(_counting(im, rows)).at(x)
-    assert rows == [(n + 1, n)]
-    jt = numeric.complex_step(im.map, x, (n + 1,), "map")[1]
-    assert np.array_equal(g, jt @ jt.T)
 
 
 def test_chart_immersion_data_has_a_zero_ambient_tensor():
@@ -454,7 +420,7 @@ def test_degenerate_immersion_rejected():
         n1=1,
         n2=1,
     )
-    with pytest.raises(ImmersionDegeneracyError):
+    with pytest.raises(ImmersionDegeneracyError, match="Jacobian Gram matrix not positive definite"):
         second_fundamental_form(collapsed, np.array([0.1, 0.2]))
 
 

@@ -160,7 +160,7 @@ def test_second_fundamental_form_matches_the_reference_on_spheres(n):
     points = [im.default_point] + [rng.uniform(low, high) for _ in range(4)]
     for p in points:
         data = second_fundamental_form(im, p)
-        _, jt, S = taylor(im.map, p, (n + 1,), "map", 2)
+        _, jt, S, _ = taylor(im.map, p, (n + 1,), "map")
         tangent, coeff, normal = _reference_frame(jt.T)
         sigma = np.einsum("ai,bj,rab->rij", coeff, coeff, np.einsum("abk,kr->rab", S, normal))
         sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))

@@ -813,6 +813,56 @@ def test_chart_scene_computes_its_second_fundamental_form_once(monkeypatch, tmp_
     assert len(calls) == 1
 
 
+def _sphere_gauss_scene(n: int) -> dict:
+    return {
+        "ambient": {"kind": "euclidean", "m": n + 1},
+        "source": {"kind": "chart-immersion", "key": "sphere-in-euclidean", "params": {"n": n}},
+        "checks": ["general_inequality", "gauss_residual"],
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_chart_scene_evaluates_its_map_once_for_both_sides_of_the_gauss_equation(n):
+    # sigma and the induced metric's curvature read one Taylor rule of the
+    # map: the point and 7 nodes for each of the n axes, n(n-1) pairs and
+    # C(n, 3) triples (841 rows at n = 8)
+    spec = parse_scene(_sphere_gauss_scene(n))
+    im, rows = spec.source_data().immersion, []
+    original = im.map
+
+    def counted(u):
+        rows.append(u.shape)
+        return original(u)
+
+    im.map = counted
+    records = run(spec).records
+    assert all(r["pass"] for r in records), records
+    triples = n * (n - 1) * (n - 2) // 6
+    assert rows == [(1 + 7 * (n + n * (n - 1) + triples), n)]
+    if n == 8:
+        assert rows == [(841, 8)]
+
+
+def test_a_chart_scene_validates_its_gram_matrix_once(monkeypatch):
+    import warpcheck.charts as charts_mod
+    import warpcheck.immersion as immersion_mod
+
+    validated = []
+    for module in (charts_mod, immersion_mod):
+        original = module.require_positive_definite
+
+        def recording(m, points, margin, sym_tol, error, what, original=original):
+            validated.append((m.shape, what, margin, sym_tol))
+            return original(m, points, margin, sym_tol, error, what)
+
+        monkeypatch.setattr(module, "require_positive_definite", recording)
+    assert all(r["pass"] for r in run(parse_scene(_sphere_gauss_scene(4))).records)
+    # the 4 x 4 induced metric, with the stricter of the margins and of the
+    # symmetry bounds; the 1 x 1 one is the first factor's, of chart_inequality
+    assert [v for v in validated if v[0] == (4, 4)] == [((4, 4), "Jacobian Gram matrix", 1e-10, 1e-8)]
+    assert [v[1] for v in validated if v[0] != (4, 4)] == ["metric"]
+
+
 def test_a_failing_chart_sample_is_built_once_and_raised_by_every_check_that_needs_it(monkeypatch):
     # at t = pi/2 the sphere's map collapses its S^(n-1) factor to a point
     import warpcheck.scenes as scenes_mod

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import warpcheck.scenes as scenes_mod
-from warpcheck.charts import riemann
+from warpcheck.charts import curvature
 from warpcheck.contact import _KIJ_BLOCK, CurvatureOracle, ambient_catalog, make_ambient
 from warpcheck.errors import InvalidConfigurationError, InvalidInputError
 from warpcheck.immersion import (
-    PullbackMetric,
     gauss_residual,
     is_C_totally_real,
     random_stack,
@@ -193,21 +192,22 @@ def test_the_chart_pullback_tensor_in_its_frame_is_the_rotated_oracle(n):
     # second_fundamental_form, at the default point and the sample points
     im = sphere_in_euclidean(n)
     for p in [im.default_point, *im.warped.sample_points]:
-        coeff = second_fundamental_form(im, p).extras["frame_coefficients"]
-        R = riemann(PullbackMetric(im), p).riemann04
+        extras = second_fundamental_form(im, p).extras
+        coeff = extras["frame_coefficients"]
+        R = curvature(p, *extras["metric_jet"]).riemann04
         expected = _tensordot_frame(R, coeff)
         assert np.array_equal(frame_tensor(R, coeff[None])[0], expected)
 
 
 def test_a_non_finite_pullback_tensor_fails_the_chart_gauss_record(monkeypatch):
-    original = scenes_mod.riemann
+    original = scenes_mod.curvature
 
     def poisoned(*args, **kwargs):
         cp = original(*args, **kwargs)
         cp.riemann04[0, 1, 1, 0] = np.nan
         return cp
 
-    monkeypatch.setattr(scenes_mod, "riemann", poisoned)
+    monkeypatch.setattr(scenes_mod, "curvature", poisoned)
     scene = {
         "ambient": {"kind": "euclidean", "m": 3},
         "source": {"kind": "chart-immersion", "key": "sphere-in-euclidean", "params": {"n": 2}},

@@ -2,8 +2,9 @@
 
 Geometry callables take a stack of points (..., n) and broadcast over its
 leading axes; `riemann` evaluates whole stacks, with the complex points its
-exact derivatives need, in one g_dg or map call, validating the metric at
-each point and every value on its complex points.
+exact derivatives need, in one g_dg call, validating the metric at each
+point and every value on its complex points; a chart immersion's sample
+evaluates its map in one call, validated the same way.
 """
 
 import re
@@ -15,7 +16,6 @@ from warpcheck.charts import ChartMetric, euclidean_metric, riemann
 from warpcheck.errors import DegenerateMetricError, InvalidInputError, NumericalDomainError
 from warpcheck.immersion import (
     ChartImmersion,
-    PullbackMetric,
     chart_immersion_catalog,
     second_fundamental_form,
     sphere_in_euclidean,
@@ -65,10 +65,6 @@ def _metrics(dim):
         "round-sphere": (round_sphere_factor(dim), rng.uniform(0.4, 1.2, size=(3, dim))),
         "random-analytic": (_random_metric(rng, dim), rng.uniform(-1.0, 1.0, size=(3, dim))),
         "random-analytic-second-draw": (_random_metric(rng, dim), rng.uniform(-1.0, 1.0, size=(3, dim))),
-        "sphere-pullback": (
-            PullbackMetric(sphere_in_euclidean(dim)),
-            sphere_in_euclidean(dim).default_point + rng.uniform(-0.2, 0.2, size=(3, dim)),
-        ),
     }
     if dim > 1:
         wp = named_chart("sphere", n2=dim - 1)
@@ -155,22 +151,15 @@ def test_a_map_that_ignores_the_stack_axis_is_rejected():
     p = np.array([0.1, 0.7])
     with pytest.raises(InvalidInputError, match="shape"):
         second_fundamental_form(cylinder, p)
-    with pytest.raises(InvalidInputError, match="shape"):
-        PullbackMetric(cylinder).at(p)
 
 
 def test_a_callable_that_leaves_its_real_domain_is_rejected():
     # sqrt of a negative coordinate is finite but not real; the complex step
     # alone would read a finite derivative there
     im = ChartImmersion(lambda u: np.stack([u[..., 0], np.sqrt(u[..., 1]), u[..., 1]], axis=-1), 3, 1, 1)
-    for evaluate in (
-        lambda p: second_fundamental_form(im, p),
-        lambda p: PullbackMetric(im).at(p),
-        lambda p: riemann(PullbackMetric(im), p),
-    ):
-        evaluate(np.array([0.2, 0.5]))
-        with pytest.raises(NumericalDomainError, match="map is not real at the real point"):
-            evaluate(np.array([0.2, -0.5]))
+    second_fundamental_form(im, np.array([0.2, 0.5]))
+    with pytest.raises(NumericalDomainError, match="map is not real at the real point"):
+        second_fundamental_form(im, np.array([0.2, -0.5]))
 
 
 def test_a_map_that_drops_the_imaginary_part_is_rejected():
@@ -185,9 +174,6 @@ def test_a_map_that_drops_the_imaginary_part_is_rejected():
     assert np.array_equal(cylinder.map(p), chart_immersion_catalog()["cylinder"]().map(p))
     with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
         second_fundamental_form(cylinder, p)
-    for evaluate in (lambda m: m.at(p), lambda m: m.jet(p), lambda m: riemann(m, p)):
-        with pytest.raises(InvalidInputError, match="map returned float64 values for complex points"):
-            evaluate(PullbackMetric(cylinder))
 
 
 def _complex_stack(rng, shape, lo, hi):

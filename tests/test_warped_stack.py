@@ -120,7 +120,7 @@ def laplacian(metric, x, grad, hess):
 def _jet_derivatives(f):
     """Gradient and Hessian callables of f from its Taylor coefficients
     (numeric.taylor)."""
-    return (lambda x: taylor(f, x, (), "function", 2)[1]), (lambda x: taylor(f, x, (), "function", 2)[2])
+    return (lambda x: taylor(f, x, (), "function")[1]), (lambda x: taylor(f, x, (), "function")[2])
 
 
 @pytest.mark.parametrize("key", sorted(CHARTS))
